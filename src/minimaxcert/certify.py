@@ -33,20 +33,13 @@ from .lower import (
     NewtonError,
     check_assumption_a,
     check_jacobian_uniqueness,
-    classify_partition,
     eval_bundle,
     kkt_residual_lower,
     lagrangian_eval,
     recover_multipliers,
     solve_lower,
 )
-from .nonsmooth import (
-    LAMBDA_SIGN_CONVENTION,
-    SelectorCapError,
-    a_matrix_min_pivot,
-    clarke_selector_grid,
-    enumerate_b_selectors,
-)
+from .nonsmooth import LAMBDA_SIGN_CONVENTION, SelectorCapError, selector_sweep
 from .oracle import GridSpec, verify_minimax_definition
 from .problem import CandidatePoint, ProblemSpec, problem_digest
 from .upper import (
@@ -285,11 +278,7 @@ def certify(
         bundle = eval_bundle(spec, candidate.x, candidate.y)
         lag = lagrangian_eval(bundle, decision.mu, decision.lam)
         if ju.cone.F.shape[0] == 0:
-            basis = (
-                nullspace_basis(ju.cone.E, 1e-10)
-                if ju.cone.E.shape[0]
-                else np.eye(spec.m)
-            )
+            basis = nullspace_basis(ju.cone.E, 1e-10)
             worst = max_eigenvalue_on_subspace(lag.yy, basis)
             witness = None
         else:
@@ -533,46 +522,39 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
 
     # regularity suite: every selector matrix must be invertible here
     try:
-        bundle = eval_bundle(spec, sol.x, sol.y)
-        partition = classify_partition(bundle.g, sol.lam, config.tol_act)
-        b_sel = enumerate_b_selectors(partition, config.selector_cap)
-        b_piv = min(
-            (a_matrix_min_pivot(spec, sol, W) for W in b_sel), default=np.inf
-        )
-        results.append(
-            ConditionCheck(
-                "b_selector_nonsingularity",
-                SATISFIED if b_piv >= 1e-8 else VIOLATED,
-                b_piv,
-                1e-8,
-                KIND_INFO,
-                detail=f"{len(b_sel)} binary selectors",
-            )
-        )
-        c_sel = clarke_selector_grid(
-            partition, config.beta_grid_resolution, config.clarke_grid_cap
-        )
-        c_piv = min(
-            (a_matrix_min_pivot(spec, sol, W) for W in c_sel), default=np.inf
-        )
-        results.append(
-            ConditionCheck(
-                "clarke_sample_nonsingularity",
-                SATISFIED if c_piv >= 1e-8 else VIOLATED,
-                c_piv,
-                1e-8,
-                KIND_INFO,
-                detail=f"{len(c_sel)} grid selectors",
-            )
-        )
+        sweep = selector_sweep(spec, sol, config)
     except SelectorCapError as exc:
+        sweep = None
+        cap_detail = str(exc)
         results.append(
             ConditionCheck("b_selector_nonsingularity", ERROR, None, None,
-                           KIND_INFO, detail=str(exc))
+                           KIND_INFO, detail=cap_detail)
         )
+    else:
+        for name, entries, label in (
+            ("b_selector_nonsingularity", sweep.binary, "binary"),
+            ("clarke_sample_nonsingularity", sweep.clarke, "grid"),
+        ):
+            piv = min((entry.min_pivot for entry in entries), default=np.inf)
+            results.append(
+                ConditionCheck(
+                    name,
+                    SATISFIED if piv >= 1e-8 else VIOLATED,
+                    piv,
+                    1e-8,
+                    KIND_INFO,
+                    detail=f"{len(entries)} {label} selectors",
+                )
+            )
 
     mfcq = check_mfcq(spec, candidate.x, config)
     results.append(mfcq.check)
+    if sweep is None:
+        results.append(
+            ConditionCheck("first_order_nonsmooth", ERROR, None, config.tol_kkt,
+                           KIND_NECESSARY, detail=cap_detail)
+        )
+        return
     if not mfcq.check.ok:
         results.append(
             ConditionCheck(
@@ -582,7 +564,7 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
             )
         )
         return
-    fo, _ = first_order_nonsmooth_necessary(spec, candidate.x, sol, config)
+    fo, _ = first_order_nonsmooth_necessary(spec, candidate.x, sol, config, sweep)
     if fo.status == NOT_FOUND_SAMPLED:
         fo = ConditionCheck(
             fo.name, INCONCLUSIVE, fo.value, fo.tolerance, fo.kind, fo.witness,

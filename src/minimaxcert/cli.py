@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,8 +21,9 @@ from .certify import (
     certify,
 )
 from .config import CheckConfig
+from .expressions import DomainError
 from .lower import NewtonError, solve_lower
-from .nonsmooth import phi_generalized_gradients
+from .nonsmooth import SelectorCapError, phi_generalized_gradients
 from .oracle import GridSpec, fd_derivatives, verify_minimax_definition
 from .problem import (
     CandidatePoint,
@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--v", action="append", type=_parse_vector, default=[])
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--json", dest="json_path", help="write the JSON report here")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int)
 
     add_common(sub.add_parser("validate", help="parse and dimension-check"),
@@ -157,12 +156,7 @@ def _cmd_validate(args) -> int:
 def _cmd_certify(args) -> int:
     spec, config = _load(args)
     candidates = _candidates(args, spec)
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(candidates) == 1:
-        reports = [certify(spec, c, config) for c in candidates]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda c: certify(spec, c, config), candidates))
+    reports = [certify(spec, c, config) for c in candidates]
     docs = [report_to_doc(r) for r in reports]
     payload = docs[0] if len(docs) == 1 else docs
     _emit(payload, args.json_path)
@@ -326,7 +320,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.cmd](args)
-    except (ProblemFormatError, ValueError, OSError, NewtonError) as exc:
+    except (ProblemFormatError, DomainError, SelectorCapError, ValueError, OSError,
+            NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

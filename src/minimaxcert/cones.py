@@ -83,8 +83,7 @@ def cone_subspace_basis(E: np.ndarray, F: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis of ker [E; F] (valid as the cone when it is a subspace)."""
     E = _as_rows(E, dim)
     F = _as_rows(F, dim)
-    stacked = np.vstack([E, F])
-    return nullspace_basis(stacked, CONE_TOL) if stacked.size else np.eye(dim)
+    return nullspace_basis(np.vstack([E, F]), CONE_TOL)
 
 
 def cone_rays(E: np.ndarray, F: np.ndarray, dim: int, tol: float = 1e-9,
@@ -112,8 +111,7 @@ def cone_rays(E: np.ndarray, F: np.ndarray, dim: int, tol: float = 1e-9,
         return rays
     for size in range(0, nF + 1):
         for subset in combinations(range(nF), size):
-            active = np.vstack([E, F[list(subset)]]) if (E.shape[0] or subset) else np.zeros((0, dim))
-            basis = nullspace_basis(active, CONE_TOL) if active.size else np.eye(dim)
+            basis = nullspace_basis(np.vstack([E, F[list(subset)]]), CONE_TOL)
             if basis.shape[1] == 1:
                 push(basis[:, 0])
                 push(-basis[:, 0])
@@ -125,7 +123,7 @@ def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int, seed: int,
     """Deterministic unit directions in the cone: rays, then filtered samples."""
     E = _as_rows(E, dim)
     F = _as_rows(F, dim)
-    Z = nullspace_basis(E, CONE_TOL) if E.shape[0] else np.eye(dim)
+    Z = nullspace_basis(E, CONE_TOL)
     k = Z.shape[1]
     out: list[np.ndarray] = []
     seen: set[tuple] = set()

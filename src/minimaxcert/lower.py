@@ -319,9 +319,7 @@ def check_jacobian_uniqueness(
     lag = lagrangian_eval(bundle, mu, lam)
     cone = critical_cone_lower(spec, x, y, mu, lam, partition, config.tol_kkt)
     if not partition.beta:
-        basis = nullspace_basis(cone.E, NULLSPACE_TOL) if cone.E.size else np.eye(spec.m)
-        if cone.E.shape[0] == 0:
-            basis = np.eye(spec.m)
+        basis = nullspace_basis(cone.E, NULLSPACE_TOL)
         maxeig = max_eigenvalue_on_subspace(lag.yy, basis)
         checks["sosc"] = ConditionCheck(
             "sosc",
@@ -331,9 +329,7 @@ def check_jacobian_uniqueness(
         )
     else:
         # genuine cone: liberal affine-hull test, then sampled witness search
-        basis = nullspace_basis(cone.aff_rows, NULLSPACE_TOL) if cone.aff_rows.size else np.eye(spec.m)
-        if cone.aff_rows.shape[0] == 0:
-            basis = np.eye(spec.m)
+        basis = nullspace_basis(cone.aff_rows, NULLSPACE_TOL)
         maxeig_aff = max_eigenvalue_on_subspace(lag.yy, basis)
         if maxeig_aff <= -config.tol_pd:
             checks["sosc"] = ConditionCheck(
@@ -398,10 +394,7 @@ def check_assumption_a(
         partition = classify_partition(bundle.g, rec.lam, config.tol_act)
         lag = lagrangian_eval(bundle, rec.mu, rec.lam)
         cone = critical_cone_lower(spec, x, y, rec.mu, rec.lam, partition, config.tol_kkt)
-        rows = cone.aff_rows
-        basis = nullspace_basis(rows, NULLSPACE_TOL) if rows.size else np.eye(spec.m)
-        if rows.shape[0] == 0:
-            basis = np.eye(spec.m)
+        basis = nullspace_basis(cone.aff_rows, NULLSPACE_TOL)
         maxeig = max_eigenvalue_on_subspace(lag.yy, basis)
         checks["strong_sosc"] = ConditionCheck(
             "strong_sosc",
@@ -455,14 +448,37 @@ def kkt_jacobian_blocks(lag: LagrangianEval, bundle: DerivativeBundle, w_diag: n
     return A
 
 
+def squared_slack_matrix(
+    lag: LagrangianEval, bundle: DerivativeBundle, w: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, dict[str, slice]]:
+    """Bordered matrix K of the squared-slack KKT system in (y, w, mu, lam)
+    order, with its block slices.  K is the symmetric display: the exact
+    Jacobian of T(y, w, mu, lam) is K with the lam column negated."""
+    m, m1, m2 = lag.yy.shape[0], bundle.h.shape[0], bundle.g.shape[0]
+    size = m + m2 + m1 + m2
+    sl_y = slice(0, m)
+    sl_w = slice(m, m + m2)
+    sl_mu = slice(m + m2, m + m2 + m1)
+    sl_lam = slice(m + m2 + m1, size)
+    K = np.zeros((size, size))
+    K[sl_y, sl_y] = lag.yy
+    K[sl_y, sl_mu] = bundle.h_jy.T
+    K[sl_y, sl_lam] = bundle.g_jy.T
+    K[sl_mu, sl_y] = bundle.h_jy
+    if m2:
+        K[sl_w, sl_w] = np.diag(-2.0 * lam)
+        K[sl_w, sl_lam] = np.diag(2.0 * w)
+        K[sl_lam, sl_y] = bundle.g_jy
+        K[sl_lam, sl_w] = np.diag(2.0 * w)
+    return K, {"y": sl_y, "w": sl_w, "mu": sl_mu, "lam": sl_lam}
+
+
 def _squared_slack_newton(spec, x, y0, w0, mu0, lam0, config):
-    m, m1, m2 = spec.m, spec.m1, spec.m2
     y = np.array(y0, dtype=float)
     w = np.array(w0, dtype=float)
     mu = np.array(mu0, dtype=float)
     lam = np.array(lam0, dtype=float)
     trace: list[float] = []
-    size = m + m2 + m1 + m2
     for it in range(config.newton_max_iter):
         bundle = eval_bundle(spec, x, y)
         lag = lagrangian_eval(bundle, mu, lam)
@@ -473,28 +489,17 @@ def _squared_slack_newton(spec, x, y0, w0, mu0, lam0, config):
             return y, w, mu, lam, trace
         if not np.isfinite(res) or (len(trace) > 3 and res > 1e8 * (1.0 + trace[0])):
             raise NewtonError(f"divergence at iteration {it} (residual {res:.3e})", trace)
-        J = np.zeros((size, size))
-        sl_y = slice(0, m)
-        sl_w = slice(m, m + m2)
-        sl_mu = slice(m + m2, m + m2 + m1)
-        sl_lam = slice(m + m2 + m1, size)
-        J[sl_y, sl_y] = lag.yy
-        J[sl_y, sl_mu] = bundle.h_jy.T
-        J[sl_y, sl_lam] = -bundle.g_jy.T
-        if m2:
-            J[sl_w, sl_w] = np.diag(-2.0 * lam)
-            J[sl_w, sl_lam] = np.diag(-2.0 * w)
-            J[sl_lam, sl_y] = bundle.g_jy
-            J[sl_lam, sl_w] = np.diag(2.0 * w)
-        J[sl_mu, sl_y] = bundle.h_jy
+        K, blocks = squared_slack_matrix(lag, bundle, w, lam)
         try:
-            delta = solve_linear(J, -T)
+            z = solve_linear(K, -T)
         except SingularMatrixError as exc:
             raise NewtonError(f"singular Newton matrix: {exc}", trace) from exc
-        y = y + delta[sl_y]
-        w = w + delta[sl_w]
-        mu = mu + delta[sl_mu]
-        lam = lam + delta[sl_lam]
+        # the Jacobian is K with its lam column negated, so the Newton step is
+        # z with its lam part negated; negation is exact in floating point
+        y = y + z[blocks["y"]]
+        w = w + z[blocks["w"]]
+        mu = mu + z[blocks["mu"]]
+        lam = lam - z[blocks["lam"]]
     raise NewtonError(
         f"no convergence in {config.newton_max_iter} iterations "
         f"(last residual {trace[-1]:.3e})",

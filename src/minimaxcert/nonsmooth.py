@@ -2,6 +2,18 @@
 A(x,W), the solution-map sensitivity blocks H(x,W), and the resulting
 directional-derivative / subgradient candidate sets.
 
+Everything runs off one selector sweep per nonsmooth solution
+(`selector_sweep`).  It evaluates the derivative bundle and the Lagrangian
+once, builds the selector family once (the B-selectors, then the Clarke grid
+points not among them), and for each selector assembles A(x, W) with its
+right-hand side and factors A once, keeping the LU factors or the
+SingularMatrixError.  Its consumers only solve with those factors:
+`kkt_map_directional` and `phi_generalized_gradients` here, the two
+selector-nonsingularity checks in `certify`, and the admissible-selector
+search `upper.first_order_nonsmooth_necessary`, which solves for H(x, W) only
+on the selectors it tries.  `assemble_a_matrix`, `assemble_h_matrix` and
+`a_matrix_min_pivot` run the sweep's per-selector step for a single W.
+
 Sign convention: A is assembled as the exact x-derivative of the projected
 KKT map (the lambda column carries -J_y g^T and -W).  Relative to the
 symmetric display convention this negates the lambda column; candidate
@@ -18,10 +30,11 @@ from itertools import product
 import numpy as np
 
 from .config import CheckConfig
-from .linalg import SingularMatrixError, plu, smallest_pivot
+from .linalg import PLUFactors, SingularMatrixError, plu
 from .lower import (
     ActivePartition,
     KktSolution,
+    classify_partition,
     kkt_jacobian_blocks,
     lagrangian_eval,
 )
@@ -111,36 +124,106 @@ def clarke_selector_grid(
     return out
 
 
-def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:
-    """Bordered matrix of order m + m1 + m2 for the selector W."""
+def _solution_point(spec: ProblemSpec, sol: KktSolution):
     if sol.residual > 1e-8:
         raise ValueError(f"solution residual {sol.residual:.3e} exceeds 1e-8")
     bundle = eval_bundle(spec, sol.x, sol.y)
-    lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    return kkt_jacobian_blocks(lag, bundle, W.diag)
+    return bundle, lagrangian_eval(bundle, sol.mu, sol.lam)
+
+
+@dataclass
+class SelectorFactor:
+    """A(x, W) with its right-hand side (grad_yx L; J_x h; (I - W) J_x g) and
+    either the LU factors of A or the SingularMatrixError that stopped them."""
+
+    W: WSelector
+    A: np.ndarray
+    rhs: np.ndarray
+    factors: PLUFactors | None
+    error: SingularMatrixError | None
+
+    @property
+    def min_pivot(self) -> float:
+        """Smallest pivot; the breakdown pivot when A is singular."""
+        return self.factors.min_pivot if self.error is None else float(self.error.pivot)
+
+    def h_matrix(self) -> np.ndarray:
+        """H(x, W) = A(x, W)^{-1} rhs; raises the stored SingularMatrixError."""
+        if self.error is not None:
+            raise self.error
+        return self.factors.solve(self.rhs)
+
+
+def _factor_selector(bundle, lag, W: WSelector) -> SelectorFactor:
+    """The sweep's per-selector step: assemble A(x, W) and factor it once."""
+    A = kkt_jacobian_blocks(lag, bundle, W.diag)
+    rhs = np.vstack([lag.yx, bundle.h_jx, (1.0 - W.diag)[:, None] * bundle.g_jx])
+    try:
+        return SelectorFactor(W, A, rhs, plu(A), None)
+    except SingularMatrixError as exc:
+        return SelectorFactor(W, A, rhs, None, exc)
+
+
+@dataclass
+class SelectorSweep:
+    """Every selector at one nonsmooth solution, each A(x, W) factored once."""
+
+    partition: ActivePartition
+    grad_x: np.ndarray  # grad_x L
+    stack: np.ndarray  # (grad_y L; h; -g)
+    entries: list[SelectorFactor]  # distinct selectors: binary, then new grid points
+    binary: list[SelectorFactor]  # the B-selectors, bitmask order
+    clarke: list[SelectorFactor]  # the Clarke grid, grid order
+
+    def phi_gradient(self, entry: SelectorFactor) -> np.ndarray:
+        """Candidate gradient grad_x L - H(x, W)^T (grad_y L; h; -g)."""
+        return self.grad_x - entry.h_matrix().T @ self.stack
+
+
+def selector_sweep(
+    spec: ProblemSpec,
+    sol: KktSolution,
+    config: CheckConfig | None = None,
+    clarke: bool = True,
+) -> SelectorSweep:
+    """Evaluate the solution once and factor A(x, W) once per distinct selector:
+    the B-selectors, then (with clarke) the Clarke grid points not among them.
+    Raises SelectorCapError before any factoring when a cap is exceeded."""
+    config = config or CheckConfig()
+    bundle, lag = _solution_point(spec, sol)
+    partition = classify_partition(bundle.g, sol.lam, config.tol_act)
+    b_sel = enumerate_b_selectors(partition, config.selector_cap)
+    c_sel = (
+        clarke_selector_grid(partition, config.beta_grid_resolution, config.clarke_grid_cap)
+        if clarke
+        else []
+    )
+    factored: dict[tuple[float, ...], SelectorFactor] = {}
+    for W in b_sel + c_sel:
+        if W.values not in factored:
+            factored[W.values] = _factor_selector(bundle, lag, W)
+    return SelectorSweep(
+        partition=partition,
+        grad_x=lag.grad_x,
+        stack=np.concatenate([lag.grad_y, bundle.h, -bundle.g]),
+        entries=list(factored.values()),
+        binary=[factored[W.values] for W in b_sel],
+        clarke=[factored[W.values] for W in c_sel],
+    )
+
+
+def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:
+    """Bordered matrix of order m + m1 + m2 for the selector W."""
+    return _factor_selector(*_solution_point(spec, sol), W).A
 
 
 def a_matrix_min_pivot(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> float:
-    return smallest_pivot(assemble_a_matrix(spec, sol, W))
-
-
-def _rhs_stack(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:
-    bundle = eval_bundle(spec, sol.x, sol.y)
-    lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    rows = [lag.yx, bundle.h_jx]
-    if spec.m2:
-        rows.append((1.0 - W.diag)[:, None] * bundle.g_jx)
-    else:
-        rows.append(np.zeros((0, spec.n)))
-    return np.vstack(rows)
+    return _factor_selector(*_solution_point(spec, sol), W).min_pivot
 
 
 def assemble_h_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:
     """H(x, W) = A(x, W)^{-1} (grad_yx L; J_x h; (I - W) J_x g)."""
-    A = assemble_a_matrix(spec, sol, W)
-    rhs = _rhs_stack(spec, sol, W)
-    factors = plu(A)
-    return factors.solve(rhs)
+    return _factor_selector(*_solution_point(spec, sol), W).h_matrix()
 
 
 @dataclass
@@ -171,24 +254,16 @@ def kkt_map_directional(
     sol: KktSolution,
     d_x: np.ndarray,
     config: CheckConfig | None = None,
-    partition: ActivePartition | None = None,
 ) -> GeneralizedDerivativeSet:
     """Candidate one-sided derivatives (y'; mu'; lambda') along d_x, one per
     binary selector.  The true directional derivative is a member."""
-    config = config or CheckConfig()
     d_x = np.atleast_1d(np.asarray(d_x, dtype=float))
-    partition = partition or _partition_of(spec, sol, config)
-    selectors = enumerate_b_selectors(partition, config.selector_cap)
     out = GeneralizedDerivativeSet(kind="directional")
-    for W in selectors:
-        try:
-            A = assemble_a_matrix(spec, sol, W)
-            factors = plu(A)
-        except SingularMatrixError as exc:
-            out.errors.append((W, str(exc)))
-            continue
-        rhs = _rhs_stack(spec, sol, W) @ d_x
-        out.items.append((W, -factors.solve(rhs)))
+    for entry in selector_sweep(spec, sol, config, clarke=False).binary:
+        if entry.error is not None:
+            out.errors.append((entry.W, str(entry.error)))
+        else:
+            out.items.append((entry.W, -entry.factors.solve(entry.rhs @ d_x)))
     return out
 
 
@@ -197,42 +272,19 @@ def phi_generalized_gradients(
     sol: KktSolution,
     config: CheckConfig | None = None,
     kind: str = "b_subdifferential",
-    partition: ActivePartition | None = None,
 ) -> GeneralizedDerivativeSet:
     """Candidate gradients grad_x L - H(x,W)^T grad_{(y,mu,lam)} L per selector.
 
-    kind='b_subdifferential' enumerates binary selectors; kind='outer_approx'
-    additionally samples the Clarke box on a beta-grid.
+    kind='b_subdifferential' takes the binary selectors; kind='outer_approx'
+    takes the whole sweep, binary selectors and Clarke grid samples.
     """
-    config = config or CheckConfig()
-    partition = partition or _partition_of(spec, sol, config)
-    if kind == "b_subdifferential":
-        selectors = enumerate_b_selectors(partition, config.selector_cap)
-    elif kind == "outer_approx":
-        selectors = enumerate_b_selectors(partition, config.selector_cap)
-        for W in clarke_selector_grid(
-            partition, config.beta_grid_resolution, config.clarke_grid_cap
-        ):
-            if W.values not in {s.values for s in selectors}:
-                selectors.append(W)
-    else:
+    if kind not in ("b_subdifferential", "outer_approx"):
         raise ValueError(f"unknown kind {kind!r}")
-    bundle = eval_bundle(spec, sol.x, sol.y)
-    lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    stack = np.concatenate([lag.grad_y, bundle.h, -bundle.g])
+    sweep = selector_sweep(spec, sol, config, clarke=kind == "outer_approx")
     out = GeneralizedDerivativeSet(kind=kind)
-    for W in selectors:
-        try:
-            H = assemble_h_matrix(spec, sol, W)
-        except SingularMatrixError as exc:
-            out.errors.append((W, str(exc)))
-            continue
-        out.items.append((W, lag.grad_x - H.T @ stack))
+    for entry in sweep.entries:
+        if entry.error is not None:
+            out.errors.append((entry.W, str(entry.error)))
+        else:
+            out.items.append((entry.W, sweep.phi_gradient(entry)))
     return out
-
-
-def _partition_of(spec: ProblemSpec, sol: KktSolution, config: CheckConfig) -> ActivePartition:
-    from .lower import classify_partition
-
-    bundle = eval_bundle(spec, sol.x, sol.y)
-    return classify_partition(bundle.g, sol.lam, config.tol_act)

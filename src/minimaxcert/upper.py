@@ -31,19 +31,13 @@ from .cones import (
 )
 from .linalg import (
     LpProblem,
-    SingularMatrixError,
     min_eigenvalue_on_subspace,
     smallest_singular_value,
     solve_lp,
 )
-from .lower import KktSolution, classify_partition, lagrangian_eval
-from .nonsmooth import (
-    GeneralizedDerivativeSet,
-    assemble_h_matrix,
-    clarke_selector_grid,
-    enumerate_b_selectors,
-)
-from .problem import ProblemSpec, eval_bundle
+from .lower import KktSolution
+from .nonsmooth import GeneralizedDerivativeSet, SelectorSweep, selector_sweep
+from .problem import ProblemSpec
 from .value_function import ValueDerivatives
 
 from .expressions import evaluate
@@ -189,7 +183,6 @@ class LambdaPolytope:
     vertices: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     bounded: bool | None = None
     enum_capped: bool = False
-    feas_infeasibility: float | None = None
 
     def vertex_residual(self, u: np.ndarray, v: np.ndarray) -> float:
         r = self.JH.T @ u + self.JG.T @ v + self.r0
@@ -225,7 +218,6 @@ def upper_kkt_and_polytope(
         poly = LambdaPolytope(
             r0=r0, JH=data.JH, JG=data.JG, active=active, nonempty=nonempty,
             bounded=True,
-            feas_infeasibility=float(np.max(np.abs(r0), initial=0.0)),
         )
         if nonempty:
             poly.vertices = [(np.zeros(n1), np.zeros(spec.n2))]
@@ -535,40 +527,28 @@ def first_order_nonsmooth_necessary(
     x,
     sol: KktSolution,
     config: CheckConfig | None = None,
+    sweep: SelectorSweep | None = None,
 ) -> tuple[ConditionCheck, GeneralizedDerivativeSet]:
     """Search selectors W for one whose candidate gradient admits upper KKT
     multipliers.  Binary selectors first, then a grid over the Clarke box.
     A failed search is a disproof only when the selector family is exact
-    (beta empty); otherwise it reports not-found."""
+    (beta empty); otherwise it reports not-found.  The selectors and their
+    factored A(x, W) come from `sweep`, built here when not given."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
     aset = compute_upper_active_set(spec, x, config.tol_act)
-    bundle = eval_bundle(spec, sol.x, sol.y)
-    partition = classify_partition(bundle.g, sol.lam, config.tol_act)
-    lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    stack = np.concatenate([lag.grad_y, bundle.h, -bundle.g])
-
-    selectors = enumerate_b_selectors(partition, config.selector_cap)
-    exact_family = len(partition.beta) == 0
-    if not exact_family:
-        known = {s.values for s in selectors}
-        for W in clarke_selector_grid(
-            partition, config.beta_grid_resolution, config.clarke_grid_cap
-        ):
-            if W.values not in known:
-                selectors.append(W)
-                known.add(W.values)
+    sweep = sweep or selector_sweep(spec, sol, config)
+    exact_family = len(sweep.partition.beta) == 0
 
     gset = GeneralizedDerivativeSet(kind="outer_approx")
     n_singular = 0
-    for W in selectors:
-        try:
-            H = assemble_h_matrix(spec, sol, W)
-        except SingularMatrixError as exc:
+    for entry in sweep.entries:
+        W = entry.W
+        if entry.error is not None:
             n_singular += 1
-            gset.errors.append((W, str(exc)))
+            gset.errors.append((W, str(entry.error)))
             continue
-        r = lag.grad_x - H.T @ stack
+        r = sweep.phi_gradient(entry)
         gset.items.append((W, r))
         A_eq, b_eq, lower, nvar = _lambda_lp_parts(data, aset.I, r)
         if nvar == 0:
@@ -596,7 +576,7 @@ def first_order_nonsmooth_necessary(
                 witness={"W": list(W.values), "u": u.tolist(), "v": v.tolist()},
             )
             return check, gset
-    if n_singular == len(selectors):
+    if n_singular == len(sweep.entries):
         check = ConditionCheck(
             "first_order_nonsmooth", ERROR, None, config.tol_kkt,
             kind=KIND_NECESSARY,
@@ -617,7 +597,7 @@ def first_order_nonsmooth_necessary(
     check = ConditionCheck(
         "first_order_nonsmooth", NOT_FOUND_SAMPLED, None, config.tol_kkt,
         kind=KIND_NECESSARY,
-        detail=f"no admissible selector among {len(selectors)} samples; "
+        detail=f"no admissible selector among {len(sweep.entries)} samples; "
         "not a disproof",
     )
     return check, gset

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import CheckConfig
 from .linalg import PLUFactors, SingularMatrixError, plu
-from .lower import KktSolution, lagrangian_eval
+from .lower import KktSolution, lagrangian_eval, squared_slack_matrix
 from .problem import ProblemSpec, eval_bundle
 
 SMOOTH_RESIDUAL_TOL = 1e-8
@@ -58,46 +58,25 @@ def assemble_sensitivity_system(
         )
     bundle = eval_bundle(spec, sol.x, sol.y)
     lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    m, m1, m2, n = spec.m, spec.m1, spec.m2, spec.n
-    size = m + m2 + m1 + m2
-    sl_y = slice(0, m)
-    sl_w = slice(m, m + m2)
-    sl_mu = slice(m + m2, m + m2 + m1)
-    sl_lam = slice(m + m2 + m1, size)
-    w = sol.w
-    K = np.zeros((size, size))
-    K[sl_y, sl_y] = lag.yy
-    K[sl_y, sl_mu] = bundle.h_jy.T
-    K[sl_y, sl_lam] = bundle.g_jy.T
-    K[sl_mu, sl_y] = bundle.h_jy
-    if m2:
-        K[sl_w, sl_w] = np.diag(-2.0 * sol.lam)
-        K[sl_w, sl_lam] = np.diag(2.0 * w)
-        K[sl_lam, sl_y] = bundle.g_jy
-        K[sl_lam, sl_w] = np.diag(2.0 * w)
-    N = np.zeros((size, n))
-    N[sl_y] = lag.yx
-    N[sl_mu] = bundle.h_jx
-    if m2:
-        N[sl_lam] = bundle.g_jx
+    K, blocks = squared_slack_matrix(lag, bundle, sol.w, sol.lam)
+    N = np.zeros((K.shape[0], spec.n))
+    N[blocks["y"]] = lag.yx
+    N[blocks["mu"]] = bundle.h_jx
+    N[blocks["lam"]] = bundle.g_jx
     try:
         factors = plu(K)
     except SingularMatrixError as exc:
         raise SingularSensitivityError(exc.pivot) from exc
-    condition = float(np.linalg.cond(K, 1)) if size else 1.0
+    condition = float(np.linalg.cond(K, 1)) if K.size else 1.0
     return SensitivitySystem(
         K=K,
         N=N,
-        blocks={"y": sl_y, "w": sl_w, "mu": sl_mu, "lam": sl_lam},
+        blocks=blocks,
         min_pivot=factors.min_pivot,
         condition=condition,
         condition_warning=condition > config.cond_warn,
         _factors=factors,
     )
-
-
-def phi_value(spec: ProblemSpec, sol: KktSolution) -> float:
-    return eval_bundle(spec, sol.x, sol.y).f
 
 
 def phi_gradient(spec: ProblemSpec, sol: KktSolution) -> np.ndarray:
@@ -110,42 +89,23 @@ def phi_gradient(spec: ProblemSpec, sol: KktSolution) -> np.ndarray:
     return lagrangian_eval(bundle, sol.mu, sol.lam).grad_x
 
 
-def phi_hessian(
-    spec: ProblemSpec,
-    sol: KktSolution,
-    system: SensitivitySystem | None = None,
-) -> np.ndarray:
-    """hess phi(x) = grad_xx L - N^T K^{-1} N, symmetrized on return."""
-    if system is None:
-        system = assemble_sensitivity_system(spec, sol)
-    bundle = eval_bundle(spec, sol.x, sol.y)
-    lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    correction = system.N.T @ system.solve(system.N)
-    hess = lag.xx - correction
-    asym = float(np.max(np.abs(hess - hess.T), initial=0.0))
-    if asym > HESSIAN_SYM_TOL:
-        raise ValueError(f"value-function Hessian asymmetry {asym:.3e} exceeds 1e-8")
-    return 0.5 * (hess + hess.T)
-
-
 @dataclass
 class ValueDerivatives:
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
-    hessian_asymmetry: float
     system: SensitivitySystem
 
 
 def value_derivatives(
     spec: ProblemSpec, sol: KktSolution, config: CheckConfig | None = None
 ) -> ValueDerivatives:
-    """phi, grad phi, hess phi with the assembled sensitivity system."""
+    """phi, grad phi and hess phi = grad_xx L - N^T K^{-1} N (symmetrized on
+    return) with the assembled sensitivity system."""
     system = assemble_sensitivity_system(spec, sol, config)
     bundle = eval_bundle(spec, sol.x, sol.y)
     lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    correction = system.N.T @ system.solve(system.N)
-    raw = lag.xx - correction
+    raw = lag.xx - system.N.T @ system.solve(system.N)
     asym = float(np.max(np.abs(raw - raw.T), initial=0.0))
     if asym > HESSIAN_SYM_TOL:
         raise ValueError(f"value-function Hessian asymmetry {asym:.3e} exceeds 1e-8")
@@ -153,6 +113,10 @@ def value_derivatives(
         value=bundle.f,
         gradient=lag.grad_x,
         hessian=0.5 * (raw + raw.T),
-        hessian_asymmetry=asym,
         system=system,
     )
+
+
+def phi_hessian(spec: ProblemSpec, sol: KktSolution) -> np.ndarray:
+    """hess phi(x), as computed by value_derivatives."""
+    return value_derivatives(spec, sol).hessian

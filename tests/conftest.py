@@ -197,3 +197,11 @@ def corner_instance():
     x_star = np.array([0.0, 0.3])
     y_star = np.array([0.0, 0.3])
     return spec, x_star, y_star
+
+
+def degenerate_text(k):
+    """Problem file with g_i = y_i - x_i, i = 1..k: at the origin every inner
+    constraint is active with zero multiplier, so |beta| = k."""
+    f = " + ".join(f"-(y{i}-x{i})^2" for i in range(1, k + 1))
+    g = "".join(f"g{i} = y{i} - x{i}\n" for i in range(1, k + 1))
+    return f"dims {k} {k} 0 {k} 0 0\nf = {f}\n{g}"

@@ -244,3 +244,59 @@ def test_certify_with_equality_constraints_both_levels(config):
         GridSpec(delta0=0.05, step=5e-3, tol=1e-9),
     )
     assert oracle.passed
+
+
+# --- the selector sweep -------------------------------------------------------------
+
+def test_selector_cap_is_an_error_check(config):
+    # |beta| = 6: the 5^6 Clarke grid exceeds clarke_grid_cap
+    from conftest import degenerate_text
+    from minimaxcert.conditions import ERROR
+    from minimaxcert.problem import parse_problem
+
+    spec = parse_problem(degenerate_text(6))
+    rep = certify(spec, CandidatePoint([0.0] * 6, [0.0] * 6), config)
+    assert rep.path == PATH_NONSMOOTH
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    for name in ("b_selector_nonsingularity", "first_order_nonsmooth"):
+        check = result(rep, name)
+        assert check.status == ERROR
+        assert "exceed cap" in check.detail
+
+
+def test_sweep_factors_each_selector_once(config, monkeypatch):
+    # |beta| = 3: 8 binary selectors, all inside the 5^3 Clarke grid
+    import sys
+
+    import minimaxcert.linalg
+    import minimaxcert.nonsmooth
+    import minimaxcert.upper
+    from conftest import degenerate_text
+    from minimaxcert.problem import eval_bundle, parse_problem
+
+    factored = []
+    bundles = []
+    plu = minimaxcert.linalg.plu
+
+    def counting_plu(A):
+        factored.append(np.asarray(A).tobytes())
+        return plu(A)
+
+    def counting_bundle(spec, x, y):
+        bundles.append((x, y))
+        return eval_bundle(spec, x, y)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minimaxcert") and getattr(module, "plu", None) is plu:
+            monkeypatch.setattr(module, "plu", counting_plu)
+    # the sweep lives in nonsmooth; the search in upper must read it rather
+    # than evaluate the bundle again
+    for module in (minimaxcert.nonsmooth, minimaxcert.upper):
+        monkeypatch.setattr(module, "eval_bundle", counting_bundle, raising=False)
+
+    spec = parse_problem(degenerate_text(3))
+    rep = certify(spec, CandidatePoint([0.0] * 3, [0.0] * 3), config)
+    assert rep.verdict == VERDICT_NECESSARY
+    assert result(rep, "clarke_sample_nonsingularity").detail == "125 grid selectors"
+    assert len(factored) == len(set(factored)) == 125
+    assert len(bundles) == 1

@@ -82,7 +82,7 @@ def test_multiple_candidates_parallel(prob_files, tmp_path, capsys):
         "certify", prob_files["P1"],
         "--x", "0", "--y", "0",
         "--x", "0.5", "--y", "0.5",
-        "--jobs", "2", "--json", str(out),
+        "--json", str(out),
     ])
     capsys.readouterr()
     assert code == 2  # worst verdict wins
@@ -155,3 +155,26 @@ def test_bad_config_key_is_usage_error(prob_files, tmp_path, capsys):
     assert main(["certify", prob_files["P1"], "--x", "0", "--y", "0",
                  "--config", str(cfg)]) == 1
     capsys.readouterr()
+
+
+def test_domain_error_is_usage_error(tmp_path, capsys):
+    # the gradient of -sqrt(y1^2 + x1^2) divides by zero at the origin
+    prob = tmp_path / "cone.prob"
+    prob.write_text("dims 1 1 0 0 0 0\nf = -sqrt(y1^2+x1^2)\n", encoding="utf-8")
+    assert main(["certify", str(prob), "--x", "0", "--y", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_selector_cap_exit_codes(tmp_path, capsys):
+    from conftest import degenerate_text
+
+    prob = tmp_path / "beta6.prob"
+    prob.write_text(degenerate_text(6), encoding="utf-8")
+    zeros = ",".join(["0"] * 6)
+    # certify reports the cap as an error check: inconclusive
+    assert main(["certify", str(prob), "--x", zeros, "--y", zeros]) == 3
+    # subdiff has no report to put it in: a usage error
+    assert main(["subdiff", str(prob), "--x", zeros, "--y", zeros]) == 1
+    assert "exceed cap" in capsys.readouterr().err
