@@ -27,10 +27,12 @@ from .conditions import (
 )
 from .config import CheckConfig
 from .cones import sample_cone
+from .expressions import DomainError
 from .linalg import max_eigenvalue_on_subspace, nullspace_basis
 from .lower import (
     LowerConditionsReport,
     NewtonError,
+    NonsmoothDataError,
     check_assumption_a,
     check_jacobian_uniqueness,
     eval_bundle,
@@ -41,7 +43,7 @@ from .lower import (
 )
 from .nonsmooth import LAMBDA_SIGN_CONVENTION, SelectorCapError, selector_sweep
 from .oracle import GridSpec, verify_minimax_definition
-from .problem import CandidatePoint, ProblemSpec, problem_digest
+from .problem import CandidatePoint, ProblemSpec, bundle_memo, problem_digest
 from .upper import (
     check_mfcq,
     compute_upper_active_set,
@@ -66,6 +68,9 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 PATH_SMOOTH = "smooth"
 PATH_NONSMOOTH = "nonsmooth"
 PATH_INVALID = "invalid"
+
+# the error check that ends a run whose evaluation failed
+CHECK_EVALUATION = "evaluation"
 
 
 @dataclass
@@ -227,12 +232,48 @@ def overall_verdict(path: str, results: list[ConditionCheck]) -> str:
     return VERDICT_INCONCLUSIVE
 
 
+@dataclass
+class _Progress:
+    """What a certify run has established so far."""
+
+    results: list[ConditionCheck]
+    notes: list[str]
+    path: str = PATH_INVALID
+    stage: str = "path classification"
+
+
 def certify(
     spec: ProblemSpec, candidate: CandidatePoint, config: CheckConfig | None = None
 ) -> CertificateReport:
+    """Run every applicable condition at the candidate and give the verdict.
+
+    Within one call each distinct (x, y) is evaluated once (`bundle_memo`).
+    An evaluation that fails (a value leaves its domain, or the problem uses
+    abs()) ends the run with an `error` check, CHECK_EVALUATION, that names
+    the stage it was in; such a run is never certified."""
     config = config or CheckConfig()
-    results: list[ConditionCheck] = []
-    notes = [f"lambda sign convention: {LAMBDA_SIGN_CONVENTION}"]
+    progress = _Progress([], [f"lambda sign convention: {LAMBDA_SIGN_CONVENTION}"])
+    with bundle_memo():
+        try:
+            _pipeline(spec, candidate, config, progress)
+        except (DomainError, NonsmoothDataError) as exc:
+            progress.results.append(
+                ConditionCheck(CHECK_EVALUATION, ERROR, None, None, KIND_NECESSARY,
+                               detail=f"{progress.stage} failed: {exc}")
+            )
+    return CertificateReport(
+        problem_digest=problem_digest(spec),
+        candidate=candidate,
+        path=progress.path,
+        results=progress.results,
+        verdict=overall_verdict(progress.path, progress.results),
+        config=config,
+        notes=progress.notes,
+    )
+
+
+def _pipeline(spec, candidate, config, progress: _Progress):
+    results, notes = progress.results, progress.notes
     decision = classify_path(spec, candidate, config)
     results.append(
         ConditionCheck(
@@ -259,15 +300,7 @@ def certify(
             ConditionCheck("path", INCONCLUSIVE, None, None, KIND_INFO,
                            detail="candidate infeasible")
         )
-        return CertificateReport(
-            problem_digest=problem_digest(spec),
-            candidate=candidate,
-            path=PATH_INVALID,
-            results=results,
-            verdict=VERDICT_INCONCLUSIVE,
-            config=config,
-            notes=notes,
-        )
+        return
 
     ju = decision.ju_report
     results.extend(_lower_checks_to_results(ju, decision.licq_sigma, config))
@@ -321,17 +354,10 @@ def certify(
                 )
             )
         notes.append(f"path invalid: first failing condition {decision.first_failing}")
-        verdict = overall_verdict(PATH_INVALID, results)
-        return CertificateReport(
-            problem_digest=problem_digest(spec),
-            candidate=candidate,
-            path=PATH_INVALID,
-            results=results,
-            verdict=verdict,
-            config=config,
-            notes=notes,
-        )
+        return
 
+    progress.path = decision.path
+    progress.stage = f"{decision.path} path"
     if decision.path == PATH_SMOOTH:
         _run_smooth(spec, candidate, decision, config, results, notes)
     else:
@@ -356,17 +382,6 @@ def certify(
                 detail=f"worst side: {rep.worst_side}" if rep.worst_side else "",
             )
         )
-
-    verdict = overall_verdict(decision.path, results)
-    return CertificateReport(
-        problem_digest=problem_digest(spec),
-        candidate=candidate,
-        path=decision.path,
-        results=results,
-        verdict=verdict,
-        config=config,
-        notes=notes,
-    )
 
 
 def _run_smooth(spec, candidate, decision, config, results, notes):

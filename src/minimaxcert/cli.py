@@ -2,7 +2,8 @@
 
 Subcommands: validate, certify, value-derivs, solve-lower, oracle, subdiff.
 Exit codes: 0 certified/pass, 2 refuted/fail, 3 inconclusive, 1 usage or
-parse error.
+parse error.  A certify run whose evaluation failed (its report ends in an
+`evaluation` error check) still writes its report and exits 1.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 import numpy as np
 
 from .certify import (
+    CHECK_EVALUATION,
     VERDICT_CERTIFIED,
     VERDICT_INCONCLUSIVE,
     VERDICT_NECESSARY,
@@ -20,6 +22,7 @@ from .certify import (
     VERSION,
     certify,
 )
+from .conditions import ERROR
 from .config import CheckConfig
 from .expressions import DomainError
 from .lower import NewtonError, solve_lower
@@ -162,6 +165,12 @@ def _cmd_certify(args) -> int:
     _emit(payload, args.json_path)
     for doc in docs:
         sys.stdout.write(render_summary(doc))
+    failures = [c.detail for r in reports for c in r.results
+                if c.name == CHECK_EVALUATION and c.status == ERROR]
+    for detail in failures:
+        print(f"error: {detail}", file=sys.stderr)
+    if failures:
+        return EXIT_USAGE
     worst = EXIT_OK
     for r in reports:
         worst = max(worst, _VERDICT_EXIT[r.verdict])

@@ -5,6 +5,14 @@ arithmetic ops +, -, *, /, ^ and the functions sin, cos, exp, log, sqrt, abs
 (plus an internal sign node produced by differentiating abs).  Evaluation
 accepts floats or numpy arrays per variable; differentiation is closed (the
 derivative of an expression is an expression).
+
+Two evaluators share one set of per-operation functions.  `evaluate` walks a
+tree and takes scalars or arrays (the grid oracle uses arrays).  `Tape`
+compiles a list of expressions once into a straight-line program over
+scalars: nodes are frozen dataclasses, so equal subexpressions are
+hash-consed into one instruction, and expressions that are constants are
+copied from a template instead of computed.  The two give bit-identical
+values and raise the same DomainError.
 """
 
 from __future__ import annotations
@@ -99,6 +107,98 @@ FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt", "abs", "sign")
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# Each operation's arithmetic lives in one function op(expr, a, b, strict) of
+# its operand values (unary ops ignore b).  The recursive `evaluate` and the
+# flat `Tape` both apply these functions, so their values agree bit for bit.
+
+
+def _add(expr, a, b, strict):
+    return a + b
+
+
+def _sub(expr, a, b, strict):
+    return a - b
+
+
+def _mul(expr, a, b, strict):
+    return a * b
+
+
+def _div(expr, num, den, strict):
+    if strict and np.any(den == 0):
+        raise DomainError("division by zero", expr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den
+
+
+def _pow(expr, base, exponent, strict):
+    if strict:
+        exp_arr = np.asarray(exponent, dtype=float)
+        base_arr = np.asarray(base, dtype=float)
+        integral = np.all(exp_arr == np.round(exp_arr))
+        if not integral and np.any(base_arr < 0):
+            raise DomainError("negative base with non-integer exponent", expr)
+        if np.any((base_arr == 0) & (exp_arr < 0)):
+            raise DomainError("zero base with negative exponent", expr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.power(base, exponent)
+
+
+def _neg(expr, val, _, strict):
+    return -val
+
+
+def _sin(expr, val, _, strict):
+    return np.sin(val)
+
+
+def _cos(expr, val, _, strict):
+    return np.cos(val)
+
+
+def _exp(expr, val, _, strict):
+    return np.exp(val)
+
+
+def _log(expr, val, _, strict):
+    if strict and np.any(np.asarray(val) <= 0):
+        raise DomainError("log of a non-positive value", expr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(val)
+
+
+def _sqrt(expr, val, _, strict):
+    if strict and np.any(np.asarray(val) < 0):
+        raise DomainError("sqrt of a negative value", expr)
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(val)
+
+
+def _abs(expr, val, _, strict):
+    return np.abs(val)
+
+
+def _sign(expr, val, _, strict):
+    return np.sign(val)
+
+
+_BINARY_OPS = {Add: _add, Sub: _sub, Mul: _mul, Div: _div, Pow: _pow}
+_FUNCTION_OPS = {
+    "sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt,
+    "abs": _abs, "sign": _sign,
+}
+
+
+def _op_of(expr: Expr):
+    """The function that applies expr's own operation to its operand values."""
+    kind = type(expr)
+    if kind is Neg:
+        return _neg
+    op = _FUNCTION_OPS.get(expr.name) if kind is Func else _BINARY_OPS.get(kind)
+    if op is None:
+        raise TypeError(f"unknown node {expr!r}")
+    return op
 
 
 def evaluate(expr: Expr, x: np.ndarray, y: np.ndarray, strict: bool = True) -> Number:
@@ -107,62 +207,104 @@ def evaluate(expr: Expr, x: np.ndarray, y: np.ndarray, strict: bool = True) -> N
     strict=True raises DomainError on log/sqrt/division violations; strict=False
     lets NaN/inf flow through (used by grid oracles, which mask afterwards).
     """
-    if isinstance(expr, Const):
+    kind = type(expr)
+    if kind is Const:
         return expr.value
-    if isinstance(expr, Var):
-        vec = x if expr.kind == "x" else y
-        return vec[expr.index]
-    if isinstance(expr, Add):
-        return evaluate(expr.a, x, y, strict) + evaluate(expr.b, x, y, strict)
-    if isinstance(expr, Sub):
-        return evaluate(expr.a, x, y, strict) - evaluate(expr.b, x, y, strict)
-    if isinstance(expr, Mul):
-        return evaluate(expr.a, x, y, strict) * evaluate(expr.b, x, y, strict)
-    if isinstance(expr, Div):
-        num = evaluate(expr.a, x, y, strict)
-        den = evaluate(expr.b, x, y, strict)
-        if strict and np.any(den == 0):
-            raise DomainError("division by zero", expr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den
-    if isinstance(expr, Pow):
-        base = evaluate(expr.a, x, y, strict)
-        exponent = evaluate(expr.b, x, y, strict)
-        if strict:
-            exp_arr = np.asarray(exponent, dtype=float)
-            base_arr = np.asarray(base, dtype=float)
-            integral = np.all(exp_arr == np.round(exp_arr))
-            if not integral and np.any(base_arr < 0):
-                raise DomainError("negative base with non-integer exponent", expr)
-            if np.any((base_arr == 0) & (exp_arr < 0)):
-                raise DomainError("zero base with negative exponent", expr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.power(base, exponent)
-    if isinstance(expr, Neg):
+    if kind is Var:
+        return x[expr.index] if expr.kind == "x" else y[expr.index]
+    op = _BINARY_OPS.get(kind)
+    if op is not None:
+        return op(expr, evaluate(expr.a, x, y, strict), evaluate(expr.b, x, y, strict),
+                  strict)
+    if kind is Neg:
         return -evaluate(expr.a, x, y, strict)
-    if isinstance(expr, Func):
+    if kind is Func:
         val = evaluate(expr.a, x, y, strict)
-        if expr.name == "sin":
-            return np.sin(val)
-        if expr.name == "cos":
-            return np.cos(val)
-        if expr.name == "exp":
-            return np.exp(val)
-        if expr.name == "log":
-            if strict and np.any(np.asarray(val) <= 0):
-                raise DomainError("log of a non-positive value", expr)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.log(val)
-        if expr.name == "sqrt":
-            if strict and np.any(np.asarray(val) < 0):
-                raise DomainError("sqrt of a negative value", expr)
-            with np.errstate(invalid="ignore"):
-                return np.sqrt(val)
-        if expr.name == "abs":
-            return np.abs(val)
-        if expr.name == "sign":
-            return np.sign(val)
+        op = _FUNCTION_OPS.get(expr.name)
+        if op is not None:
+            return op(expr, val, None, strict)
     raise TypeError(f"unknown node {expr!r}")
+
+
+def _intern(node: Expr, seen: dict, index: dict, nodes: list) -> int:
+    """Index in `nodes` of the subexpression equal to node, appending it (after
+    its operands) when new.  Constants are equal only with the same type and
+    repr, so 0.0 and -0.0 stay apart.  `seen` maps the ids of operation nodes
+    already interned, so a shared subtree is walked once."""
+    kind = type(node)
+    args: tuple[int, ...] = ()
+    if kind is Const:
+        key: tuple = (kind, type(node.value), repr(node.value))
+    elif kind is Var:
+        key = (kind, node.kind, node.index)
+    else:
+        found = seen.get(id(node))
+        if found is not None:
+            return found
+        for child in _children(node):  # one frame per level, as in evaluate
+            args += (_intern(child, seen, index, nodes),)
+        key = (kind, getattr(node, "name", None), args)
+    found = index.get(key)
+    if found is None:
+        found = index[key] = len(nodes)
+        nodes.append((node, args))
+    if args:
+        seen[id(node)] = found
+    return found
+
+
+class Tape:
+    """A straight-line program that evaluates a list of expressions at scalar
+    points, giving the values `evaluate` gives, bit for bit.
+
+    Compiled once: equal subexpressions (compared structurally, with the sign
+    of zero constants kept apart) become one instruction, ordered by first use
+    in post-order over the expressions in the order given.  So the first
+    instruction that leaves its domain is the first node the tree walk would
+    fail at, and the DomainError is the same.  Expressions that are constants
+    are never computed: their values sit in a template that each call copies.
+
+    Output entry `positions[i]` holds the value of `exprs[i]` (by default the
+    output follows `exprs`).
+    """
+
+    def __init__(self, exprs, positions=None):
+        size = len(exprs)
+        positions = np.arange(size) if positions is None else np.asarray(positions)
+        const = np.fromiter((type(e) is Const for e in exprs), bool, size)
+        self.template = np.zeros(size)
+        self.template[positions[const]] = np.fromiter(
+            (e.value for e in exprs if type(e) is Const), float, int(const.sum()))
+        nodes: list[tuple[Expr, tuple[int, ...]]] = []  # distinct, first-use post-order
+        index: dict[tuple, int] = {}
+        seen: dict[int, int] = {}
+        outputs = [(positions[k], _intern(exprs[k], seen, index, nodes))
+                   for k in np.flatnonzero(~const)]
+        # node i of `nodes` lives in slot i: constants are preset, variables
+        # loaded, and operations computed in order
+        self._init = [node.value if type(node) is Const else None for node, _ in nodes]
+        self._loads = {
+            kind: [(i, node.index) for i, (node, _) in enumerate(nodes)
+                   if type(node) is Var and node.kind == kind]
+            for kind in "xy"
+        }
+        self._code = [(_op_of(node), node, i, args[0], args[-1])
+                      for i, (node, args) in enumerate(nodes)
+                      if type(node) not in (Const, Var)]
+        self._out_pos = np.array([pos for pos, _ in outputs], dtype=np.intp)
+        self._out_slot = [i for _, i in outputs]
+
+    def __call__(self, x, y, strict: bool = True) -> np.ndarray:
+        vals = list(self._init)
+        for s, i in self._loads["x"]:
+            vals[s] = x[i]
+        for s, i in self._loads["y"]:
+            vals[s] = y[i]
+        for op, expr, i, a, b in self._code:
+            vals[i] = op(expr, vals[a], vals[b], strict)
+        out = self.template.copy()
+        out[self._out_pos] = [vals[s] for s in self._out_slot]
+        return out
 
 
 def uses_abs(expr: Expr) -> bool:
@@ -196,6 +338,12 @@ def _children(expr: Expr) -> tuple[Expr, ...]:
 # differentiation (with light smart-constructor simplification)
 
 
+# shared results of differentiation: derivative tables are mostly zeros, and
+# nodes are immutable, so one instance of each serves every entry
+_ZERO = Const(0.0)
+_ONE = Const(1.0)
+
+
 def _is_const(e: Expr, v: float | None = None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
@@ -224,7 +372,7 @@ def s_mul(a: Expr, b: Expr) -> Expr:
     if _is_const(a) and _is_const(b):
         return Const(a.value * b.value)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is_const(a, 1.0):
         return b
     if _is_const(b, 1.0):
@@ -234,7 +382,7 @@ def s_mul(a: Expr, b: Expr) -> Expr:
 
 def s_div(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is_const(b, 1.0):
         return a
     return Div(a, b)
@@ -244,7 +392,7 @@ def s_pow(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     if _is_const(b, 0.0):
-        return Const(1.0)
+        return _ONE
     return Pow(a, b)
 
 
@@ -259,10 +407,10 @@ def s_neg(a: Expr) -> Expr:
 def differentiate(expr: Expr, var: Var) -> Expr:
     """Exact partial derivative with respect to var, as an expression."""
     if isinstance(expr, Const):
-        return Const(0.0)
+        return _ZERO
     if isinstance(expr, Var):
         hit = expr.kind == var.kind and expr.index == var.index
-        return Const(1.0 if hit else 0.0)
+        return _ONE if hit else _ZERO
     if isinstance(expr, Add):
         return s_add(differentiate(expr.a, var), differentiate(expr.b, var))
     if isinstance(expr, Sub):
@@ -309,7 +457,7 @@ def differentiate(expr: Expr, var: Var) -> Expr:
             # nondifferentiable at 0; sign(0)=0 surfaces there during evaluation
             return s_mul(Func("sign", expr.a), da)
         if name == "sign":
-            return Const(0.0)
+            return _ZERO
     raise TypeError(f"unknown node {expr!r}")
 
 

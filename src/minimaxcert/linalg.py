@@ -8,7 +8,7 @@ deterministic.  Nullspaces and restricted eigenvalues use numpy's SVD/eigh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,8 +203,6 @@ class LpSolution:
     z: np.ndarray | None
     value: float | None
     iterations: int = 0
-    # dual data over the standard-form rows; kept for internal certification
-    dual_std: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dual_objective: float | None = None
 
 
@@ -391,6 +389,5 @@ def solve_lp(p: LpProblem, tol: float = LP_TOL, max_iter: int = 5000) -> LpSolut
         z,
         value,
         iterations=iters + iters2,
-        dual_std=dual_std,
         dual_objective=dual_obj,
     )

@@ -33,6 +33,10 @@ class PartitionError(Exception):
     """An index fits none of the (alpha, beta, gamma) classes."""
 
 
+class NonsmoothDataError(ValueError):
+    """The problem uses abs(), which the condition checks cannot handle."""
+
+
 class NewtonError(Exception):
     def __init__(self, message: str, trace: list[float] | None = None):
         self.trace = trace or []
@@ -270,7 +274,7 @@ class LowerConditionsReport:
 
 def _require_smooth(spec: ProblemSpec):
     if not spec.smooth_for_conditions:
-        raise ValueError(
+        raise NonsmoothDataError(
             "problem uses abs(); condition checks require twice continuously "
             "differentiable data"
         )

@@ -10,12 +10,23 @@ The on-disk format is line oriented:
     G<k> = <expr>     # k = 1..n2, x-only, G(x) <= 0
 
 '#' starts a comment.  H and G must not reference y-variables.
+
+Derivatives are exact: `ProblemSpec` builds its symbolic derivative tables
+lazily, once, and compiles them into one `Tape` per spec (`_bundle_program`,
+plus the x-only `_upper_program` behind `upper.upper_data`), also once.
+`eval_bundle` runs that tape at a point and returns a `DerivativeBundle`
+whose arrays are read-only views of its output.  Inside a `bundle_memo`
+block, which `certify` opens for the length of one call, each distinct
+(spec, x, y) is evaluated once and every caller gets the same bundle;
+nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,9 +36,9 @@ from .expressions import (
     DomainError,
     Expr,
     ExpressionError,
+    Tape,
     Var,
     differentiate,
-    evaluate,
     parse_expression,
     to_string,
     uses_abs,
@@ -177,6 +188,91 @@ class ProblemSpec:
             tabs[name] = rows
         return tabs
 
+    # -- compiled evaluation programs -------------------------------------
+
+    @cached_property
+    def _bundle_program(self) -> BlockProgram:
+        """Every DerivativeBundle block, plus the h/g cross blocks `xy` that
+        only the symmetry check reads.  Entries are visited in a fixed order,
+        which decides the DomainError a point outside the domain raises:
+        f Hessians, h and g values, h rows, g rows, H and G values, H rows,
+        G rows, then f and its gradient."""
+        n, m, t = self.n, self.m, self._tables
+        shapes = {"f": (), "fx": (n,), "fy": (m,), "fxx": (n, n), "fxy": (n, m),
+                  "fyx": (m, n), "fyy": (m, m)}
+        for c, count in (("h", self.m1), ("g", self.m2)):
+            shapes.update({c: (count,), f"{c}_jx": (count, n), f"{c}_jy": (count, m),
+                           f"{c}_xx": (count, n, n), f"{c}_yx": (count, m, n),
+                           f"{c}_yy": (count, m, m), f"{c}_xy": (count, n, m)})
+        visits = [("f" + b, 0, t["f"][b]) for b in ("xx", "yy", "xy", "yx")]
+        visits += [("h", 0, self.h), ("g", 0, self.g)]
+        for c in "hg":
+            for k, row in enumerate(t[c]):
+                visits += [(f"{c}_jx", k, row["x"]), (f"{c}_jy", k, row["y"])]
+                visits += [(f"{c}_{b}", k, row[b]) for b in ("xx", "yx", "yy", "xy")]
+        upper_shapes, upper_visits = self._upper_blocks(
+            ("HU", "HU_j", "HU_xx"), ("GU", "GU_j", "GU_xx"))
+        shapes.update(upper_shapes)
+        visits += upper_visits
+        visits += [("f", 0, [self.f]), ("fx", 0, t["f"]["x"]), ("fy", 0, t["f"]["y"])]
+        return BlockProgram.compile(shapes, visits)
+
+    @cached_property
+    def _upper_program(self) -> BlockProgram:
+        """H and G values, Jacobians and Hessians: a program in x alone."""
+        return BlockProgram.compile(*self._upper_blocks(("H", "JH", "Hxx"),
+                                                        ("G", "JG", "Gxx")))
+
+    def _upper_blocks(self, h_names, g_names):
+        """Shapes and visit order of the H and G blocks under the given
+        (value, Jacobian, Hessian) names."""
+        n, t = self.n, self._tables
+        shapes: dict[str, tuple[int, ...]] = {}
+        visits = [(h_names[0], 0, self.H), (g_names[0], 0, self.G)]
+        for (val, jac, hess), rows in ((h_names, t["H"]), (g_names, t["G"])):
+            shapes.update({val: (len(rows),), jac: (len(rows), n),
+                           hess: (len(rows), n, n)})
+            for k, row in enumerate(rows):
+                visits += [(jac, k, row["x"]), (hess, k, row["xx"])]
+        return shapes, visits
+
+
+@dataclass(frozen=True)
+class BlockProgram:
+    """Named arrays filled by one Tape: the blocks lie back to back in one
+    flat vector, and each call returns read-only views of it."""
+
+    tape: Tape
+    layout: tuple[tuple[str, slice, tuple[int, ...]], ...]
+
+    @classmethod
+    def compile(cls, shapes: dict, visits: list) -> "BlockProgram":
+        """shapes: block name -> shape, in layout order.  visits: (block, row,
+        expressions) in evaluation order, where the expressions (a list, or
+        a list of rows read row-major) fill row `row` of the block, or the
+        whole block with row 0."""
+        layout, start = [], {}
+        offset = 0
+        for name, shape in shapes.items():
+            size = int(np.prod(shape, dtype=int))
+            layout.append((name, slice(offset, offset + size), shape))
+            start[name] = offset
+            offset += size
+        exprs: list[Expr] = []
+        positions = np.empty(offset, dtype=np.intp)
+        for name, row, entries in visits:
+            flat = [e for r in entries for e in r] if entries and isinstance(
+                entries[0], list) else entries
+            first = start[name] + row * len(flat)
+            positions[len(exprs):len(exprs) + len(flat)] = range(first, first + len(flat))
+            exprs.extend(flat)
+        return cls(Tape(exprs, positions), tuple(layout))
+
+    def __call__(self, x, y) -> dict[str, np.ndarray]:
+        flat = self.tape(x, y)
+        flat.flags.writeable = False
+        return {name: flat[sl].reshape(shape) for name, sl, shape in self.layout}
+
 
 @dataclass
 class CandidatePoint:
@@ -221,7 +317,8 @@ class CandidatePoint:
 
 @dataclass
 class DerivativeBundle:
-    """All values/derivatives of the problem data at one (x, y)."""
+    """All values/derivatives of the problem data at one (x, y); every array
+    is read-only."""
 
     x: np.ndarray
     y: np.ndarray
@@ -252,126 +349,79 @@ class DerivativeBundle:
     GU_xx: np.ndarray
 
 
-def _eval_vec(exprs, x, y):
-    return np.array([float(evaluate(e, x, y)) for e in exprs], dtype=float)
+_bundle_memo: ContextVar[dict | None] = ContextVar("bundle_memo", default=None)
 
 
-def _eval_mat(rows, x, y):
-    if not rows:
-        return np.zeros((0, 0))
-    return np.array([[float(evaluate(e, x, y)) for e in row] for row in rows])
+@contextmanager
+def bundle_memo():
+    """Inside the block, eval_bundle evaluates each distinct (spec, x, y) once
+    and hands every later caller the same read-only bundle."""
+    token = _bundle_memo.set({})
+    try:
+        yield
+    finally:
+        _bundle_memo.reset(token)
 
 
-def _check_sym(mat: np.ndarray, label: str):
-    if mat.size == 0:
+def _asymmetry(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per leading index, max |a - b^T| over the last two axes."""
+    if a.size == 0:
+        return np.zeros(a.shape[0])
+    return np.max(np.abs(a - np.swapaxes(b, -1, -2)), axis=(-2, -1))
+
+
+def _check_hessians(name: str, xx, yy=None, xy=None, yx=None):
+    """Raise on the first row, in row order, whose exact Hessian blocks are
+    not symmetric or whose cross blocks are not mutual transposes."""
+    tests = [("/xx", _asymmetry(xx, xx))]
+    if yy is not None:
+        tests += [("/yy", _asymmetry(yy, yy)), (" cross", _asymmetry(xy, yx))]
+    if not any(np.any(asym > HESSIAN_SYMMETRY_TOL) for _, asym in tests):
         return
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > HESSIAN_SYMMETRY_TOL:
-        raise ValueError(f"{label} Hessian asymmetry {asym:.3e} exceeds tolerance")
+    for k in range(xx.shape[0]):
+        label = name if name == "f" else f"{name}{k + 1}"
+        for suffix, asym in tests:
+            if not asym[k] > HESSIAN_SYMMETRY_TOL:
+                continue
+            if suffix == " cross":
+                blocks = "cross-derivative blocks" if name == "f" else "cross blocks"
+                raise ValueError(f"{label} {blocks} are not mutual transposes")
+            raise ValueError(
+                f"{label}{suffix} Hessian asymmetry {float(asym[k]):.3e} exceeds tolerance"
+            )
 
 
 def eval_bundle(spec: ProblemSpec, x: np.ndarray, y: np.ndarray) -> DerivativeBundle:
-    """Evaluate all problem data and exact derivatives at (x, y)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    """Evaluate all problem data and exact derivatives at (x, y).
+
+    The arrays of the bundle are read-only: inside `bundle_memo` one bundle
+    is shared by every caller at the same point."""
+    x = np.array(x, dtype=float, ndmin=1)
+    y = np.array(y, dtype=float, ndmin=1)
     if x.shape != (spec.n,) or y.shape != (spec.m,):
         raise ValueError(
             f"point has shapes {x.shape}/{y.shape}, expected ({spec.n},)/({spec.m},)"
         )
-    t = spec._tables
-    fxx = _eval_mat(t["f"]["xx"], x, y)
-    fyy = _eval_mat(t["f"]["yy"], x, y)
-    fxy = _eval_mat(t["f"]["xy"], x, y)
-    fyx = _eval_mat(t["f"]["yx"], x, y)
-    _check_sym(fxx, "f/xx")
-    _check_sym(fyy, "f/yy")
-    if float(np.max(np.abs(fxy - fyx.T), initial=0.0)) > HESSIAN_SYMMETRY_TOL:
-        raise ValueError("f cross-derivative blocks are not mutual transposes")
-
-    m1, m2 = spec.m1, spec.m2
-    h_val = _eval_vec(spec.h, x, y) if m1 else np.zeros(0)
-    g_val = _eval_vec(spec.g, x, y) if m2 else np.zeros(0)
-    h_jx = np.zeros((m1, spec.n))
-    h_jy = np.zeros((m1, spec.m))
-    h_xx = np.zeros((m1, spec.n, spec.n))
-    h_yx = np.zeros((m1, spec.m, spec.n))
-    h_yy = np.zeros((m1, spec.m, spec.m))
-    for k, row in enumerate(t["h"]):
-        h_jx[k] = _eval_vec(row["x"], x, y)
-        h_jy[k] = _eval_vec(row["y"], x, y)
-        h_xx[k] = _eval_mat(row["xx"], x, y)
-        h_yx[k] = _eval_mat(row["yx"], x, y)
-        h_yy[k] = _eval_mat(row["yy"], x, y)
-        _check_sym(h_xx[k], f"h{k + 1}/xx")
-        _check_sym(h_yy[k], f"h{k + 1}/yy")
-        xy = _eval_mat(row["xy"], x, y)
-        if float(np.max(np.abs(xy - h_yx[k].T), initial=0.0)) > HESSIAN_SYMMETRY_TOL:
-            raise ValueError(f"h{k + 1} cross blocks are not mutual transposes")
-    g_jx = np.zeros((m2, spec.n))
-    g_jy = np.zeros((m2, spec.m))
-    g_xx = np.zeros((m2, spec.n, spec.n))
-    g_yx = np.zeros((m2, spec.m, spec.n))
-    g_yy = np.zeros((m2, spec.m, spec.m))
-    for k, row in enumerate(t["g"]):
-        g_jx[k] = _eval_vec(row["x"], x, y)
-        g_jy[k] = _eval_vec(row["y"], x, y)
-        g_xx[k] = _eval_mat(row["xx"], x, y)
-        g_yx[k] = _eval_mat(row["yx"], x, y)
-        g_yy[k] = _eval_mat(row["yy"], x, y)
-        _check_sym(g_xx[k], f"g{k + 1}/xx")
-        _check_sym(g_yy[k], f"g{k + 1}/yy")
-        xy = _eval_mat(row["xy"], x, y)
-        if float(np.max(np.abs(xy - g_yx[k].T), initial=0.0)) > HESSIAN_SYMMETRY_TOL:
-            raise ValueError(f"g{k + 1} cross blocks are not mutual transposes")
-
-    n1, n2 = spec.n1, spec.n2
-    HU_val = _eval_vec(spec.H, x, y) if n1 else np.zeros(0)
-    GU_val = _eval_vec(spec.G, x, y) if n2 else np.zeros(0)
-    HU_j = np.zeros((n1, spec.n))
-    HU_xx = np.zeros((n1, spec.n, spec.n))
-    for k, row in enumerate(t["H"]):
-        HU_j[k] = _eval_vec(row["x"], x, y)
-        HU_xx[k] = _eval_mat(row["xx"], x, y)
-        _check_sym(HU_xx[k], f"H{k + 1}/xx")
-    GU_j = np.zeros((n2, spec.n))
-    GU_xx = np.zeros((n2, spec.n, spec.n))
-    for k, row in enumerate(t["G"]):
-        GU_j[k] = _eval_vec(row["x"], x, y)
-        GU_xx[k] = _eval_mat(row["xx"], x, y)
-        _check_sym(GU_xx[k], f"G{k + 1}/xx")
-
-    bundle = DerivativeBundle(
-        x=x,
-        y=y,
-        f=float(evaluate(spec.f, x, y)),
-        fx=_eval_vec(t["f"]["x"], x, y),
-        fy=_eval_vec(t["f"]["y"], x, y),
-        fxx=fxx,
-        fxy=fxy,
-        fyx=fyx,
-        fyy=fyy,
-        h=h_val,
-        h_jx=h_jx,
-        h_jy=h_jy,
-        h_xx=h_xx,
-        h_yx=h_yx,
-        h_yy=h_yy,
-        g=g_val,
-        g_jx=g_jx,
-        g_jy=g_jy,
-        g_xx=g_xx,
-        g_yx=g_yx,
-        g_yy=g_yy,
-        HU=HU_val,
-        HU_j=HU_j,
-        HU_xx=HU_xx,
-        GU=GU_val,
-        GU_j=GU_j,
-        GU_xx=GU_xx,
-    )
+    memo = _bundle_memo.get()
+    if memo is not None:
+        key = (id(spec), x.tobytes(), y.tobytes())
+        hit = memo.get(key)
+        if hit is not None and hit[0] is spec:
+            return hit[1]
+    b = spec._bundle_program(x, y)
+    _check_hessians("f", b["fxx"][None], b["fyy"][None], b["fxy"][None], b["fyx"][None])
+    for c in "hg":
+        _check_hessians(c, b[f"{c}_xx"], b[f"{c}_yy"], b.pop(f"{c}_xy"), b[f"{c}_yx"])
+    _check_hessians("H", b["HU_xx"])
+    _check_hessians("G", b["GU_xx"])
+    x.flags.writeable = False
+    y.flags.writeable = False
+    bundle = DerivativeBundle(x=x, y=y, f=float(b.pop("f")), **b)
     for arr in (bundle.fx, bundle.fy, bundle.fxx, bundle.fyy):
         if arr.size and not np.all(np.isfinite(arr)):
             raise DomainError("non-finite derivative value", spec.f)
+    if memo is not None:
+        memo[key] = (spec, bundle)
     return bundle
 
 

@@ -40,8 +40,6 @@ from .nonsmooth import GeneralizedDerivativeSet, SelectorSweep, selector_sweep
 from .problem import ProblemSpec
 from .value_function import ValueDerivatives
 
-from .expressions import evaluate
-
 
 @dataclass
 class UpperData:
@@ -56,30 +54,9 @@ class UpperData:
 
 
 def upper_data(spec: ProblemSpec, x) -> UpperData:
+    """Read-only H, G data at x from the problem's compiled x-only program."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    ydummy = np.zeros(spec.m)
-    t = spec._tables
-    n = spec.n
-
-    def vec(exprs):
-        return np.array([float(evaluate(e, x, ydummy)) for e in exprs], dtype=float)
-
-    def mat(rows):
-        return np.array([[float(evaluate(e, x, ydummy)) for e in r] for r in rows])
-
-    Hv = vec(spec.H) if spec.n1 else np.zeros(0)
-    Gv = vec(spec.G) if spec.n2 else np.zeros(0)
-    JH = np.zeros((spec.n1, n))
-    Hxx = np.zeros((spec.n1, n, n))
-    for k, row in enumerate(t["H"]):
-        JH[k] = vec(row["x"])
-        Hxx[k] = mat(row["xx"])
-    JG = np.zeros((spec.n2, n))
-    Gxx = np.zeros((spec.n2, n, n))
-    for k, row in enumerate(t["G"]):
-        JG[k] = vec(row["x"])
-        Gxx[k] = mat(row["xx"])
-    return UpperData(H=Hv, JH=JH, Hxx=Hxx, G=Gv, JG=JG, Gxx=Gxx)
+    return UpperData(**spec._upper_program(x, np.zeros(0)))
 
 
 @dataclass

@@ -300,3 +300,75 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     assert result(rep, "clarke_sample_nonsingularity").detail == "125 grid selectors"
     assert len(factored) == len(set(factored)) == 125
     assert len(bundles) == 1
+
+
+# --- evaluation failures and the per-call bundle memo -----------------------------
+
+@pytest.mark.parametrize("text, x, message", [
+    # the gradient of -sqrt(y1^2 + x1^2) divides by zero at the origin
+    ("dims 1 1 0 0 0 0\nf = -sqrt(y1^2+x1^2)\n", "0", "division by zero"),
+    ("dims 1 1 0 0 0 0\nf = -y1^2 + abs(x1)\n", "0", "problem uses abs()"),
+    ("dims 1 1 0 1 0 0\nf = -y1^2 + log(x1)\ng1 = y1 - 1\n", "-1",
+     "log of a non-positive value"),
+], ids=["sqrt-at-origin", "abs", "log-of-negative"])
+def test_evaluation_failure_is_an_error_check(text, x, message, config, tmp_path, capsys):
+    import json
+
+    from minimaxcert.cli import main
+    from minimaxcert.conditions import ERROR
+    from minimaxcert.problem import parse_problem
+
+    rep = certify(parse_problem(text), CandidatePoint([float(x)], [0.0]), config)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.path == PATH_INVALID
+    check = result(rep, "evaluation")
+    assert check.status == ERROR
+    assert check.detail.startswith("path classification failed: ")
+    assert message in check.detail
+    # the CLI writes the report and keeps the usage-error exit code
+    prob, out = tmp_path / "p.prob", tmp_path / "r.json"
+    prob.write_text(text, encoding="utf-8")
+    assert main(["certify", str(prob), "--x", x, "--y", "0", "--json", str(out)]) == 1
+    assert json.loads(out.read_text())["verdict"] == VERDICT_INCONCLUSIVE
+    assert capsys.readouterr().err == f"error: {check.detail}\n"
+
+
+def test_bundle_evaluated_once_per_point_per_call(config, monkeypatch):
+    import sys
+
+    from minimaxcert.expressions import Tape
+    from minimaxcert.problem import eval_bundle, parse_problem
+
+    # off the inner maximizer, so the refinement moves y: two distinct points
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = x1*y1 - 0.5*y1^2 + x1^2\n")
+    candidate = CandidatePoint([0.0], [1e-9])
+    runs, frozen = [], []
+    run_tape = Tape.__call__
+
+    def counting_run(tape, x, y, strict=True):
+        if tape is spec._bundle_program.tape:
+            runs.append(x.tobytes() + y.tobytes())
+        return run_tape(tape, x, y, strict)
+
+    def checking_bundle(spec, x, y):
+        bundle = eval_bundle(spec, x, y)
+        try:
+            bundle.fyy[0, 0] = 0.0
+        except ValueError:
+            frozen.append(not any(a.flags.writeable for a in (bundle.x, bundle.fx, bundle.g)))
+        else:
+            frozen.append(False)
+        return bundle
+
+    monkeypatch.setattr(Tape, "__call__", counting_run)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minimaxcert") and getattr(module, "eval_bundle", None) is eval_bundle:
+            monkeypatch.setattr(module, "eval_bundle", checking_bundle)
+
+    rep = certify(spec, candidate, config)
+    assert rep.path == PATH_SMOOTH
+    assert len(runs) == len(set(runs)) == 2
+    assert len(frozen) > len(runs) and all(frozen)
+    # the memo closes with the call: a second call evaluates again
+    certify(spec, candidate, config)
+    assert runs[2:] == runs[:2]

@@ -160,3 +160,91 @@ def test_array_evaluation_broadcasts():
     vals = evaluate(expr, [0.3], [ys])
     assert vals.shape == (11,)
     assert vals[5] == pytest.approx(0.0)  # y = 0
+
+
+# --- the compiled tape agrees with the tree walk ------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from minimaxcert.expressions import (  # noqa: E402
+    FUNCTION_NAMES,
+    Add,
+    Div,
+    Func,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Tape,
+)
+
+_LEAVES = st.sampled_from(
+    [Var("x", i) for i in range(3)] + [Var("y", i) for i in range(2)]
+    + [Const(v) for v in (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -2.5)]
+)
+_BINARY = [Add, Sub, Mul, Div, Pow]
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from(_BINARY), kids, kids),
+        st.builds(Neg, kids),
+        st.builds(Func, st.sampled_from(FUNCTION_NAMES), kids),
+    ),
+    max_leaves=10,
+)
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.5, 1e-3, 4.0])
+
+
+def _flip_zero_signs(e):
+    """A tree equal to e under ==, with every zero constant's sign flipped."""
+    if isinstance(e, Const):
+        return Const(-e.value) if e.value == 0 else e
+    if isinstance(e, Var):
+        return e
+    if isinstance(e, Func):
+        return Func(e.name, _flip_zero_signs(e.a))
+    if isinstance(e, Neg):
+        return Neg(_flip_zero_signs(e.a))
+    return type(e)(_flip_zero_signs(e.a), _flip_zero_signs(e.b))
+
+
+@st.composite
+def _entries(draw):
+    """Expressions sharing subtrees, as derivative tables do: later entries
+    combine earlier ones, one is a derivative of another, and one equals
+    another except for the signs of its zero constants."""
+    pool = draw(st.lists(_TREES, min_size=1, max_size=4))
+    entries = list(pool)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(_BINARY))
+        node = op(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+        pool.append(node)
+        entries.append(node)
+    entries.append(differentiate(entries[0], draw(st.sampled_from(
+        [Var("x", 0), Var("y", 1)]))))
+    entries.insert(draw(st.integers(0, len(entries))),
+                   _flip_zero_signs(draw(st.sampled_from(entries))))
+    return entries
+
+
+def _outcome(run):
+    try:
+        return "value", run()
+    except Exception as exc:  # the comparison is over which exception
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_entries(), st.lists(_COORDS, min_size=3, max_size=3),
+       st.lists(_COORDS, min_size=2, max_size=2), st.booleans())
+def test_tape_matches_tree_walk_bit_for_bit(entries, x, y, strict):
+    x, y = np.array(x), np.array(y)
+
+    def walk():
+        return [np.float64(evaluate(e, x, y, strict)).tobytes() for e in entries]
+
+    def tape():
+        return [v.tobytes() for v in Tape(entries)(x, y, strict)]
+
+    with np.errstate(all="ignore"):
+        assert _outcome(tape) == _outcome(walk)
