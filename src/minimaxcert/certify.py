@@ -43,7 +43,14 @@ from .lower import (
 )
 from .nonsmooth import LAMBDA_SIGN_CONVENTION, SelectorCapError, selector_sweep
 from .oracle import GridSpec, verify_minimax_definition
-from .problem import CandidatePoint, ProblemSpec, bundle_memo, problem_digest
+from .problem import (
+    CandidatePoint,
+    CandidateShapeError,
+    HessianAsymmetryError,
+    ProblemSpec,
+    bundle_memo,
+    problem_digest,
+)
 from .upper import (
     check_mfcq,
     compute_upper_active_set,
@@ -248,15 +255,18 @@ def certify(
     """Run every applicable condition at the candidate and give the verdict.
 
     Within one call each distinct (x, y) is evaluated once (`bundle_memo`).
-    An evaluation that fails (a value leaves its domain, or the problem uses
-    abs()) ends the run with an `error` check, CHECK_EVALUATION, that names
-    the stage it was in; such a run is never certified."""
+    An evaluation that fails (a value leaves its domain, the problem uses
+    abs(), an exact Hessian is not symmetric) or a candidate whose shape does
+    not match the problem ends the run with an `error` check,
+    CHECK_EVALUATION, that names the stage it was in; such a run is never
+    certified.  Other exceptions propagate."""
     config = config or CheckConfig()
     progress = _Progress([], [f"lambda sign convention: {LAMBDA_SIGN_CONVENTION}"])
     with bundle_memo():
         try:
             _pipeline(spec, candidate, config, progress)
-        except (DomainError, NonsmoothDataError) as exc:
+        except (DomainError, NonsmoothDataError, CandidateShapeError,
+                HessianAsymmetryError) as exc:
             progress.results.append(
                 ConditionCheck(CHECK_EVALUATION, ERROR, None, None, KIND_NECESSARY,
                                detail=f"{progress.stage} failed: {exc}")

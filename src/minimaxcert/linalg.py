@@ -4,6 +4,15 @@ Matrices are plain numpy ndarrays (row-major).  The linear solver is
 partial-pivoted elimination with an explicit, reported pivot threshold; the LP
 solver is a dense two-phase simplex with Bland's anti-cycling rule.  Both are
 deterministic.  Nullspaces and restricted eigenvalues use numpy's SVD/eigh.
+
+One LU kernel serves every caller.  `plu_batch` factors a stack of
+equal-order matrices with each elimination step vectorised over the stack:
+the selector sweep passes hundreds of matrices of order about 10 at once.
+`plu` is the stack of one, for the sensitivity matrix K and the inner Newton
+steps.  Every slice runs the elementwise operations of the classic
+one-matrix elimination in the same order, so a slice's factors, pivots and
+breakdown do not depend on the stack it was factored in.  Forward and back
+substitution are shared the same way (`_lu_solve`).
 """
 
 from __future__ import annotations
@@ -46,16 +55,8 @@ class PLUFactors:
         return float(self.pivots.min()) if self.pivots.size else np.inf
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        n = self.lu.shape[0]
         b = np.asarray(b, dtype=float)
-        single = b.ndim == 1
-        B = b.reshape(n, -1)[self.perm].astype(float)
-        for k in range(n):  # forward
-            B[k + 1 :] -= np.outer(self.lu[k + 1 :, k], B[k])
-        for k in range(n - 1, -1, -1):  # backward
-            B[k] /= self.lu[k, k]
-            B[:k] -= np.outer(self.lu[:k, k], B[k])
-        return B[:, 0] if single else B
+        return _lu_solve(self.lu[None], self.perm[None], b[None])[0]
 
 
 def plu(A: np.ndarray) -> PLUFactors:
@@ -63,24 +64,101 @@ def plu(A: np.ndarray) -> PLUFactors:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise LinearSolveError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    lu = A.copy()
-    perm = np.arange(n)
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    threshold = PIVOT_RTOL * max(scale, 1.0)
-    pivots = np.zeros(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        pivot = abs(lu[p, k])
-        pivots[k] = pivot
-        if pivot < threshold:
-            raise SingularMatrixError(pivot, k, scale)
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return PLUFactors(lu=lu, perm=perm, pivots=pivots, scale=scale)
+    batch = plu_batch(A[None])
+    error = batch.error(0)
+    if error is not None:
+        raise error
+    return batch.factors(0)
+
+
+@dataclass
+class PLUBatch:
+    """`plu` of every slice of a stack of equal-order matrices.
+
+    A slice whose pivot fell below its threshold at step k has step[s] = k,
+    and its pivots after k, lu, perm and solves are meaningless.
+    step[s] = -1 marks a slice that factored."""
+
+    lu: np.ndarray  # (S, n, n)
+    perm: np.ndarray  # (S, n)
+    pivots: np.ndarray  # (S, n)
+    scale: np.ndarray  # (S,)
+    step: np.ndarray  # (S,)
+
+    @property
+    def min_pivots(self) -> np.ndarray:
+        """Per slice: the smallest pivot, or the breakdown pivot when singular."""
+        if self.pivots.shape[1] == 0:
+            return np.full(len(self.step), np.inf)
+        rows = np.arange(len(self.step))
+        return np.where(self.step < 0, self.pivots.min(axis=1),
+                        self.pivots[rows, np.maximum(self.step, 0)])
+
+    def error(self, s: int) -> SingularMatrixError | None:
+        """The SingularMatrixError `plu` raises on slice s, or None."""
+        k = int(self.step[s])
+        if k < 0:
+            return None
+        return SingularMatrixError(self.pivots[s, k], k, float(self.scale[s]))
+
+    def factors(self, s: int) -> PLUFactors:
+        """Slice s as PLUFactors over views of the stack (factored slices only)."""
+        return PLUFactors(lu=self.lu[s], perm=self.perm[s], pivots=self.pivots[s],
+                          scale=float(self.scale[s]))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """`PLUFactors.solve` of every slice at once; b is (S, n) or (S, n, r)."""
+        with np.errstate(all="ignore"):  # singular slices may divide by zero
+            return _lu_solve(self.lu, self.perm, np.asarray(b, dtype=float))
+
+
+def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Forward and back substitution on a stack: lu (S, n, n), perm (S, n),
+    b (S, n) or (S, n, r)."""
+    S, n, _ = lu.shape
+    B = b.reshape(S, n, -1)[np.arange(S)[:, None], perm]
+    for k in range(n):  # forward
+        B[:, k + 1 :] -= lu[:, k + 1 :, k, None] * B[:, k, None, :]
+    for k in range(n - 1, -1, -1):  # backward
+        B[:, k] /= lu[:, k, k, None]
+        B[:, :k] -= lu[:, :k, k, None] * B[:, k, None, :]
+    return B[:, :, 0] if b.ndim == 2 else B
+
+
+def plu_batch(As: np.ndarray) -> PLUBatch:
+    """Partial-pivoted LU of each slice of As (S, n, n), vectorised over the
+    slices.  Every slice goes through the same elementwise operations in the
+    same order (first-index argmax, row swap, column division, rank-one
+    update), so its lu, perm, pivots and scale do not depend on S.  A slice
+    whose pivot falls below PIVOT_RTOL * max(scale, 1) at step k records
+    step = k; that pivot and step make its SingularMatrixError."""
+    As = np.asarray(As, dtype=float)
+    if As.ndim != 3 or As.shape[1] != As.shape[2]:
+        raise LinearSolveError(f"expected a stack of square matrices, got shape {As.shape}")
+    S, n, _ = As.shape
+    lu = As.copy()
+    rows = np.arange(S)
+    perm = np.tile(np.arange(n), (S, 1))
+    scale = np.max(np.abs(As), axis=(1, 2), initial=0.0)
+    pivots = np.zeros((S, n))
+    with np.errstate(all="ignore"):  # slices past their breakdown may divide by 0
+        for k in range(n):
+            col = np.abs(lu[:, k:, k])
+            off = np.argmax(col, axis=1)
+            pivots[:, k] = col[rows, off]
+            if off.any():  # swap rows k and p = k + off (a no-op where off == 0)
+                p = k + off
+                for arr in (lu, perm):
+                    row_p = arr[rows, p]
+                    arr[rows, p] = arr[:, k]
+                    arr[:, k] = row_p
+            lu[:, k + 1 :, k] /= lu[:, k, k, None]
+            lu[:, k + 1 :, k + 1 :] -= lu[:, k + 1 :, k, None] * lu[:, k, None, k + 1 :]
+    # a slice breaks down at its first pivot below the threshold; the steps
+    # after it run on meaningless entries that no caller reads
+    low = pivots < (PIVOT_RTOL * np.maximum(scale, 1.0))[:, None]
+    step = np.where(low.any(axis=1), np.argmax(low, axis=1), -1)
+    return PLUBatch(lu=lu, perm=perm, pivots=pivots, scale=scale, step=step)
 
 
 def smallest_pivot(A: np.ndarray) -> float:

@@ -132,24 +132,15 @@ def classify_partition(g: np.ndarray, lam: np.ndarray, tol_act: float) -> Active
 
 @dataclass
 class ConeRep:
-    """Polyhedral cone rows: E d = 0, F d <= 0; aff rows span its affine hull.
-
-    literal_E / literal_F keep the unreduced form (all active gradients with
-    the objective-gradient row) for cross-validation.
-    """
+    """Polyhedral cone rows: E d = 0, F d <= 0; aff rows span its affine hull."""
 
     E: np.ndarray
     F: np.ndarray
     aff_rows: np.ndarray
-    literal_E: np.ndarray
-    literal_F: np.ndarray
     dim: int
 
     def contains(self, d: np.ndarray, tol: float = 1e-9) -> bool:
         return cone_contains(self.E, self.F, d, tol)
-
-    def contains_literal(self, d: np.ndarray, tol: float = 1e-9) -> bool:
-        return cone_contains(self.literal_E, self.literal_F, d, tol)
 
 
 def critical_cone_lower(
@@ -178,20 +169,7 @@ def critical_cone_lower(
         if partition.beta
         else np.zeros((0, m))
     )
-    active = list(partition.active)
-    lit_F_rows = []
-    if active:
-        lit_F_rows.append(bundle.g_jy[active])
-    lit_F_rows.append(bundle.fy.reshape(1, -1))
-    literal_F = np.vstack(lit_F_rows)
-    return ConeRep(
-        E=E,
-        F=F,
-        aff_rows=E,
-        literal_E=bundle.h_jy,
-        literal_F=literal_F,
-        dim=m,
-    )
+    return ConeRep(E=E, F=F, aff_rows=E, dim=m)
 
 
 @dataclass
@@ -438,17 +416,20 @@ class KktSolution:
 
 def kkt_jacobian_blocks(lag: LagrangianEval, bundle: DerivativeBundle, w_diag: np.ndarray):
     """Exact derivative of the projected KKT map w.r.t. (y, mu, lam) for a
-    fixed projection selector W = Diag(w_diag): rows (stationarity; h; g-proj)."""
+    fixed projection selector W = Diag(w_diag): rows (stationarity; h; g-proj).
+    A stack of selectors, w_diag of shape (S, m2), gives the stack of matrices."""
+    w_diag = np.asarray(w_diag, dtype=float)
     m, m1, m2 = lag.yy.shape[0], bundle.h.shape[0], bundle.g.shape[0]
     size = m + m1 + m2
-    A = np.zeros((size, size))
-    A[:m, :m] = lag.yy
-    A[:m, m : m + m1] = bundle.h_jy.T
-    A[:m, m + m1 :] = -bundle.g_jy.T
-    A[m : m + m1, :m] = bundle.h_jy
+    A = np.zeros(w_diag.shape[:-1] + (size, size))
+    A[..., :m, :m] = lag.yy
+    A[..., :m, m : m + m1] = bundle.h_jy.T
+    A[..., :m, m + m1 :] = -bundle.g_jy.T
+    A[..., m : m + m1, :m] = bundle.h_jy
     if m2:
-        A[m + m1 :, :m] = (1.0 - w_diag)[:, None] * bundle.g_jy
-        A[m + m1 :, m + m1 :] = -np.diag(w_diag)
+        A[..., m + m1 :, :m] = (1.0 - w_diag)[..., :, None] * bundle.g_jy
+        # the bits of -np.diag(w_diag): -0.0 off the diagonal
+        A[..., m + m1 :, m + m1 :] = -(w_diag[..., :, None] * np.eye(m2))
     return A
 
 

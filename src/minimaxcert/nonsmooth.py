@@ -4,15 +4,20 @@ directional-derivative / subgradient candidate sets.
 
 Everything runs off one selector sweep per nonsmooth solution
 (`selector_sweep`).  It evaluates the derivative bundle and the Lagrangian
-once, builds the selector family once (the B-selectors, then the Clarke grid
-points not among them), and for each selector assembles A(x, W) with its
-right-hand side and factors A once, keeping the LU factors or the
-SingularMatrixError.  Its consumers only solve with those factors:
-`kkt_map_directional` and `phi_generalized_gradients` here, the two
-selector-nonsingularity checks in `certify`, and the admissible-selector
-search `upper.first_order_nonsmooth_necessary`, which solves for H(x, W) only
-on the selectors it tries.  `assemble_a_matrix`, `assemble_h_matrix` and
-`a_matrix_min_pivot` run the sweep's per-selector step for a single W.
+once and builds the selector family once (the B-selectors, then the Clarke
+grid points not among them).  It assembles every distinct A(x, W) as one
+stack (`lower.kkt_jacobian_blocks` on the stacked selector diagonals, the
+assembler the inner Newton uses too) with its right-hand-side stack, factors
+the stack with one batched partial-pivot LU (`linalg.plu_batch`) and solves
+every H(x, W) = A(x, W)^{-1} rhs in one stacked substitution.  Pivots, LU
+entries, H entries and SingularMatrixErrors equal those of factoring each
+matrix alone bit for bit, so verdicts and reports do not depend on the
+batching.  Each selector gets a `SelectorFactor` of read-only views into
+those stacks.  Its consumers only read them: `kkt_map_directional` and `phi_generalized_gradients` here,
+the two selector-nonsingularity checks in `certify`, and the
+admissible-selector search `upper.first_order_nonsmooth_necessary`.
+`assemble_a_matrix`, `assemble_h_matrix` and `a_matrix_min_pivot` run the same
+stacked step on a one-selector stack and return fresh arrays.
 
 Sign convention: A is assembled as the exact x-derivative of the projected
 KKT map (the lambda column carries -J_y g^T and -W).  Relative to the
@@ -30,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from .config import CheckConfig
-from .linalg import PLUFactors, SingularMatrixError, plu
+from .linalg import PLUFactors, SingularMatrixError, plu_batch
 from .lower import (
     ActivePartition,
     KktSolution,
@@ -134,34 +139,46 @@ def _solution_point(spec: ProblemSpec, sol: KktSolution):
 @dataclass
 class SelectorFactor:
     """A(x, W) with its right-hand side (grad_yx L; J_x h; (I - W) J_x g) and
-    either the LU factors of A or the SingularMatrixError that stopped them."""
+    either the LU factors of A or the SingularMatrixError that stopped them.
+    The arrays are read-only views into the stacks of the sweep."""
 
     W: WSelector
     A: np.ndarray
     rhs: np.ndarray
     factors: PLUFactors | None
     error: SingularMatrixError | None
-
-    @property
-    def min_pivot(self) -> float:
-        """Smallest pivot; the breakdown pivot when A is singular."""
-        return self.factors.min_pivot if self.error is None else float(self.error.pivot)
+    min_pivot: float  # smallest pivot; the breakdown pivot when A is singular
+    H: np.ndarray = field(repr=False)  # A^{-1} rhs; meaningless when A is singular
 
     def h_matrix(self) -> np.ndarray:
         """H(x, W) = A(x, W)^{-1} rhs; raises the stored SingularMatrixError."""
         if self.error is not None:
             raise self.error
-        return self.factors.solve(self.rhs)
+        return self.H
 
 
-def _factor_selector(bundle, lag, W: WSelector) -> SelectorFactor:
-    """The sweep's per-selector step: assemble A(x, W) and factor it once."""
-    A = kkt_jacobian_blocks(lag, bundle, W.diag)
-    rhs = np.vstack([lag.yx, bundle.h_jx, (1.0 - W.diag)[:, None] * bundle.g_jx])
-    try:
-        return SelectorFactor(W, A, rhs, plu(A), None)
-    except SingularMatrixError as exc:
-        return SelectorFactor(W, A, rhs, None, exc)
+def _factor_selectors(bundle, lag, selectors: list[WSelector]) -> list[SelectorFactor]:
+    """The sweep's stacked step: assemble every A(x, W) and its right-hand
+    side as one stack, factor the stack with one batched LU and solve every
+    H(x, W) at once."""
+    w = np.array([W.values for W in selectors], dtype=float).reshape(
+        len(selectors), bundle.g.shape[0])
+    A = kkt_jacobian_blocks(lag, bundle, w)
+    top = np.vstack([lag.yx, bundle.h_jx])
+    rhs = np.concatenate([np.broadcast_to(top, (len(selectors),) + top.shape),
+                          (1.0 - w)[:, :, None] * bundle.g_jx], axis=1)
+    batch = plu_batch(A)
+    H = batch.solve(rhs)
+    min_pivots = batch.min_pivots
+    for arr in (A, rhs, H, batch.lu, batch.perm, batch.pivots):
+        arr.flags.writeable = False
+    out = []
+    for s, W in enumerate(selectors):
+        error = batch.error(s)
+        factors = batch.factors(s) if error is None else None
+        out.append(SelectorFactor(W, A[s], rhs[s], factors, error,
+                                  float(min_pivots[s]), H[s]))
+    return out
 
 
 @dataclass
@@ -198,10 +215,10 @@ def selector_sweep(
         if clarke
         else []
     )
-    factored: dict[tuple[float, ...], SelectorFactor] = {}
+    distinct: dict[tuple[float, ...], WSelector] = {}
     for W in b_sel + c_sel:
-        if W.values not in factored:
-            factored[W.values] = _factor_selector(bundle, lag, W)
+        distinct.setdefault(W.values, W)
+    factored = dict(zip(distinct, _factor_selectors(bundle, lag, list(distinct.values()))))
     return SelectorSweep(
         partition=partition,
         grad_x=lag.grad_x,
@@ -212,18 +229,23 @@ def selector_sweep(
     )
 
 
+def _single_selector(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> SelectorFactor:
+    """The sweep's stacked step on a one-selector stack."""
+    return _factor_selectors(*_solution_point(spec, sol), [W])[0]
+
+
 def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:
     """Bordered matrix of order m + m1 + m2 for the selector W."""
-    return _factor_selector(*_solution_point(spec, sol), W).A
+    return _single_selector(spec, sol, W).A.copy()
 
 
 def a_matrix_min_pivot(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> float:
-    return _factor_selector(*_solution_point(spec, sol), W).min_pivot
+    return _single_selector(spec, sol, W).min_pivot
 
 
 def assemble_h_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:
     """H(x, W) = A(x, W)^{-1} (grad_yx L; J_x h; (I - W) J_x g)."""
-    return _factor_selector(*_solution_point(spec, sol), W).h_matrix()
+    return _single_selector(spec, sol, W).h_matrix().copy()
 
 
 @dataclass

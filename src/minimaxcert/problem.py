@@ -48,6 +48,15 @@ from .expressions import (
 HESSIAN_SYMMETRY_TOL = 1e-12
 
 
+class CandidateShapeError(ValueError):
+    """A candidate vector whose shape does not match the problem's dimensions."""
+
+
+class HessianAsymmetryError(ValueError):
+    """An exact Hessian block that is not symmetric, or cross blocks that are
+    not mutual transposes, beyond HESSIAN_SYMMETRY_TOL."""
+
+
 class ProblemFormatError(Exception):
     """Problem text violates the grammar or the declared dimensions."""
 
@@ -312,7 +321,9 @@ class CandidatePoint:
             if val is None:
                 continue
             if val.shape != (want,):
-                raise ValueError(f"{name} has shape {val.shape}, expected ({want},)")
+                raise CandidateShapeError(
+                    f"{name} has shape {val.shape}, expected ({want},)"
+                )
 
 
 @dataclass
@@ -385,8 +396,8 @@ def _check_hessians(name: str, xx, yy=None, xy=None, yx=None):
                 continue
             if suffix == " cross":
                 blocks = "cross-derivative blocks" if name == "f" else "cross blocks"
-                raise ValueError(f"{label} {blocks} are not mutual transposes")
-            raise ValueError(
+                raise HessianAsymmetryError(f"{label} {blocks} are not mutual transposes")
+            raise HessianAsymmetryError(
                 f"{label}{suffix} Hessian asymmetry {float(asym[k]):.3e} exceeds tolerance"
             )
 

@@ -275,20 +275,22 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     from minimaxcert.problem import eval_bundle, parse_problem
 
     factored = []
+    batches = []
     bundles = []
-    plu = minimaxcert.linalg.plu
+    plu_batch = minimaxcert.linalg.plu_batch
 
-    def counting_plu(A):
-        factored.append(np.asarray(A).tobytes())
-        return plu(A)
+    def counting_plu_batch(As):
+        batches.append(len(As))
+        factored.extend(np.asarray(A).tobytes() for A in As)
+        return plu_batch(As)
 
     def counting_bundle(spec, x, y):
         bundles.append((x, y))
         return eval_bundle(spec, x, y)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("minimaxcert") and getattr(module, "plu", None) is plu:
-            monkeypatch.setattr(module, "plu", counting_plu)
+        if name.startswith("minimaxcert") and getattr(module, "plu_batch", None) is plu_batch:
+            monkeypatch.setattr(module, "plu_batch", counting_plu_batch)
     # the sweep lives in nonsmooth; the search in upper must read it rather
     # than evaluate the bundle again
     for module in (minimaxcert.nonsmooth, minimaxcert.upper):
@@ -300,6 +302,7 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     assert result(rep, "clarke_sample_nonsingularity").detail == "125 grid selectors"
     assert len(factored) == len(set(factored)) == 125
     assert len(bundles) == 1
+    assert len(batches) == 1  # one batched factorisation per sweep
 
 
 # --- evaluation failures and the per-call bundle memo -----------------------------
@@ -372,3 +375,78 @@ def test_bundle_evaluated_once_per_point_per_call(config, monkeypatch):
     # the memo closes with the call: a second call evaluates again
     certify(spec, candidate, config)
     assert runs[2:] == runs[:2]
+
+
+# --- the remaining ValueErrors become evaluation error checks -----------------------
+
+def _asymmetric_fyy(monkeypatch, spec):
+    """Make the bundle program of spec return an f/yy block off by 1e-6."""
+    from minimaxcert.problem import BlockProgram
+
+    run = BlockProgram.__call__
+
+    def skewed(program, x, y):
+        blocks = run(program, x, y)
+        if program is spec._bundle_program:
+            fyy = blocks["fyy"].copy()
+            fyy[0, 1] += 1e-6
+            blocks["fyy"] = fyy
+        return blocks
+
+    monkeypatch.setattr(BlockProgram, "__call__", skewed)
+
+
+@pytest.mark.parametrize("x, y, lam, message", [
+    pytest.param([0.0, 0.0], [0.0], None, "x has shape (2,), expected (1,)", id="x-shape"),
+    pytest.param([0.0], [0.0, 0.0], None, "y has shape (2,), expected (1,)", id="y-shape"),
+    pytest.param([0.0], [0.0], [0.0, 0.0], "lam has shape (2,), expected (1,)",
+                 id="lam-shape"),
+    pytest.param([0.0], [0.0, 0.0], None,
+                 "f/yy Hessian asymmetry 1.000e-06 exceeds tolerance",
+                 id="hessian-asymmetry"),
+])
+def test_value_error_is_an_error_check(x, y, lam, message, config, p2, monkeypatch):
+    from minimaxcert.conditions import ERROR
+    from minimaxcert.problem import parse_problem
+
+    spec, candidate = p2, CandidatePoint(x, y, lam=lam)
+    if "asymmetry" in message:
+        spec = parse_problem("dims 1 2 0 0 0 0\nf = x1*y1 - y1^2 - y2^2\n")
+        _asymmetric_fyy(monkeypatch, spec)
+    rep = certify(spec, candidate, config)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert rep.path == PATH_INVALID
+    check = result(rep, "evaluation")
+    assert check.status == ERROR
+    assert check.detail == f"path classification failed: {message}"
+
+
+def test_other_value_errors_still_surface(config, p1, monkeypatch):
+    import sys
+
+    def broken(spec, candidate, config):
+        raise ValueError("not an evaluation failure")
+
+    monkeypatch.setattr(sys.modules["minimaxcert.certify"], "classify_path", broken)
+    with pytest.raises(ValueError, match="not an evaluation failure"):
+        certify(p1, CandidatePoint([0.0], [0.0]), config)
+
+
+# --- metamorphic: relabelling the inner variables --------------------------------
+
+@pytest.mark.parametrize("perm", [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+def test_relabelling_y_and_g_keeps_the_verdict(perm, config):
+    from minimaxcert.problem import parse_problem
+
+    from conftest import degenerate_text
+
+    # y_i and g_i become y_perm[i] and g_perm[i]; x keeps its labels
+    f = " + ".join(f"-(y{perm[i] + 1}-x{i + 1})^2" for i in range(3))
+    g = {perm[i] + 1: f"y{perm[i] + 1} - x{i + 1}" for i in range(3)}
+    text = f"dims 3 3 0 3 0 0\nf = {f}\n" + "".join(f"g{j} = {g[j]}\n" for j in sorted(g))
+    origin = CandidatePoint([0.0] * 3, [0.0] * 3)
+    base = certify(parse_problem(degenerate_text(3)), origin, config)
+    relabelled = certify(parse_problem(text), origin, config)
+    assert relabelled.verdict == base.verdict == VERDICT_NECESSARY
+    assert [(c.name, c.status) for c in relabelled.results] == [
+        (c.name, c.status) for c in base.results]

@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimaxcert.linalg import (
+    PIVOT_RTOL,
+    LinearSolveError,
     LpProblem,
     SingularMatrixError,
     max_eigenvalue_on_subspace,
     nullspace_basis,
     plu,
+    plu_batch,
     smallest_pivot,
     smallest_singular_value,
     solve_linear,
@@ -179,3 +185,122 @@ def test_plu_solve_multiple_rhs():
     B = rng.standard_normal((4, 3))
     X = plu(A).solve(B)
     assert np.max(np.abs(A @ X - B)) < 1e-10
+
+
+# --- the batched LU ------------------------------------------------------------
+
+# how one slice of a drawn stack is built
+_SLICE_KINDS = ("gaussian", "ties", "signed-zeros", "zero-column", "duplicate-row",
+                "tiny", "near-threshold", "at-threshold", "zero")
+
+
+@st.composite
+def _stacks(draw):
+    """A stack (S, n, n), S in 1..20 and n in 1..9, whose slices are a mix of
+    regular, tied, rank-deficient and badly scaled matrices, and a right-hand
+    side stack (S, n) or (S, n, r)."""
+    n = draw(st.integers(1, 9))
+    kinds = draw(st.lists(st.sampled_from(_SLICE_KINDS), min_size=1, max_size=20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    As = rng.standard_normal((len(kinds), n, n))
+    for A, kind in zip(As, kinds):
+        if kind == "ties":  # small integers: equal magnitudes in pivot columns
+            A[:] = rng.integers(-2, 3, (n, n))
+        elif kind == "signed-zeros":
+            A[:] = -rng.integers(-1, 2, (n, n)).astype(float)
+        elif kind == "zero-column":
+            A[:, rng.integers(n)] = 0.0
+        elif kind == "duplicate-row" and n > 1:
+            i, j = rng.choice(n, 2, replace=False)
+            A[j] = A[i]
+        elif kind == "tiny":
+            A *= 1e-14
+        elif kind == "near-threshold":  # pivots on both sides of PIVOT_RTOL
+            A *= 1e-12
+        elif kind == "at-threshold":  # every pivot equals the threshold
+            A[:] = 1e-12 * np.eye(n)[rng.permutation(n)]
+        elif kind == "zero":
+            A[:] = 0.0
+    r = draw(st.integers(0, 3))
+    b = rng.standard_normal((len(kinds), n) if r == 0 else (len(kinds), n, r))
+    return As, b
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+def _reference_plu(A):
+    """Textbook one-matrix partial-pivot LU with the library's threshold rule:
+    (lu, perm, pivots, scale), or the SingularMatrixError it stops with."""
+    n = A.shape[0]
+    lu = A.copy()
+    perm = np.arange(n)
+    scale = float(np.max(np.abs(A))) if A.size else 0.0
+    threshold = PIVOT_RTOL * max(scale, 1.0)
+    pivots = np.zeros(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        pivot = abs(lu[p, k])
+        pivots[k] = pivot
+        if pivot < threshold:
+            return SingularMatrixError(pivot, k, scale)
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        lu[k + 1 :, k] /= lu[k, k]
+        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
+    return lu, perm, pivots, scale
+
+
+def _reference_solve(lu, perm, b):
+    n = lu.shape[0]
+    B = b.reshape(n, -1)[perm].astype(float)
+    for k in range(n):  # forward
+        B[k + 1 :] -= np.outer(lu[k + 1 :, k], B[k])
+    for k in range(n - 1, -1, -1):  # backward
+        B[k] /= lu[k, k]
+        B[:k] -= np.outer(lu[:k, k], B[k])
+    return B[:, 0] if b.ndim == 1 else B
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_stacks())
+def test_plu_batch_matches_plu_bit_for_bit(stack):
+    """Every slice of a stack, and `plu` on that slice alone, equal the
+    textbook one-matrix elimination bit for bit."""
+    As, b = stack
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # broken-down slices must not leak warnings
+        batch = plu_batch(As)
+        X = batch.solve(b)
+    assert X.shape == b.shape
+    for s, A in enumerate(As):
+        ref = _reference_plu(A)
+        if isinstance(ref, SingularMatrixError):
+            with pytest.raises(SingularMatrixError) as single:
+                plu(A)
+            for err in (batch.error(s), single.value):
+                assert err is not None
+                assert (_bits(err.pivot), err.step, err.scale) == (
+                    _bits(ref.pivot), ref.step, ref.scale)
+                assert str(err) == str(ref)
+            assert _bits(batch.min_pivots[s]) == _bits(ref.pivot)
+            continue
+        lu, perm, pivots, scale = ref
+        assert batch.error(s) is None
+        for got in (batch.factors(s), plu(A)):
+            assert _bits(got.lu) == _bits(lu)
+            assert np.array_equal(got.perm, perm)
+            assert _bits(got.pivots) == _bits(pivots)
+            assert _bits(got.scale) == _bits(scale)
+            assert _bits(got.solve(b[s])) == _bits(_reference_solve(lu, perm, b[s]))
+        assert _bits(batch.min_pivots[s]) == _bits(pivots.min())
+        assert _bits(X[s]) == _bits(_reference_solve(lu, perm, b[s]))
+
+
+def test_plu_batch_rejects_non_square_stacks():
+    with pytest.raises(LinearSolveError):
+        plu_batch(np.zeros((2, 3, 2)))
+    with pytest.raises(LinearSolveError):
+        plu_batch(np.eye(3))

@@ -11,9 +11,10 @@ from minimaxcert import (
     solve_lower,
 )
 from minimaxcert.conditions import VIOLATED, INCONCLUSIVE
+from minimaxcert.cones import cone_contains
 from minimaxcert.lower import NewtonError, PartitionError
 from minimaxcert.oracle import grid_local_maximize
-from minimaxcert.problem import parse_problem
+from minimaxcert.problem import eval_bundle, parse_problem
 
 from conftest import random_smooth_instance
 
@@ -103,9 +104,12 @@ def test_cone_p1_origin_is_full_line(p1):
     cone = critical_cone_lower(p1, [0.0], [0.0], np.zeros(0), [0.0], part)
     assert cone.E.shape[0] == 0 and cone.F.shape[0] == 0
     assert cone.contains(np.array([1.0])) and cone.contains(np.array([-1.0]))
-    # paper-literal form agrees (the objective-gradient row vanishes here)
-    assert cone.contains_literal(np.array([1.0]))
-    assert cone.contains_literal(np.array([-1.0]))
+    # paper-literal form agrees (the objective-gradient row vanishes here):
+    # equalities from J_y h, inequalities from the active g rows and grad_y f
+    bundle = eval_bundle(p1, [0.0], [0.0])
+    literal_F = np.vstack([bundle.g_jy[list(part.active)], bundle.fy.reshape(1, -1)])
+    assert cone_contains(bundle.h_jy, literal_F, np.array([1.0]))
+    assert cone_contains(bundle.h_jy, literal_F, np.array([-1.0]))
 
 
 def test_cone_p2_origin_is_halfline(p2):

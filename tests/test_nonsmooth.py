@@ -124,6 +124,15 @@ def test_h_matrix_p1(p1, config):
     assert np.allclose(H.ravel(), [-1.0, 0.0], atol=1e-9)
 
 
+def test_single_selector_helpers_return_writable_arrays(p1, config):
+    sol = nonsmooth_solution(p1, [0.0], config)
+    (w,) = enumerate_b_selectors(partition_at(p1, sol, config))
+    for helper in (assemble_a_matrix, assemble_h_matrix):
+        first = helper(p1, sol, w)
+        first += 1.0
+        assert np.array_equal(helper(p1, sol, w), first - 1.0)
+
+
 def test_h_matrix_p2_active_selector_kills_y(p2, config):
     sol = nonsmooth_solution(p2, [0.0], config)
     part = partition_at(p2, sol, config)
@@ -262,3 +271,64 @@ def test_nonsingularity_persists_under_perturbation(p1, p2, p4, config):
                 assert a_matrix_min_pivot(spec, sp, w) >= 1e-8
             for w in clarke_selector_grid(part, 5, config.clarke_grid_cap):
                 assert a_matrix_min_pivot(spec, sp, w) >= 1e-8
+
+
+# --- the stacked sweep against the per-selector reference ---------------------------
+
+def _sweep_cases(p1, p2, p4, config):
+    from minimaxcert.problem import parse_problem
+
+    from conftest import degenerate_text
+
+    spec3 = parse_problem(degenerate_text(3))
+    # g1 does not depend on y: the selector W = 0 zeroes its row of A
+    flat = parse_problem("dims 1 1 0 1 0 0\nf = -y1^2\ng1 = x1\n")
+    return fixture_solutions(p1, p2, p4, config) + [
+        (spec3, nonsmooth_solution(spec3, [0.0] * 3, config)),
+        (flat, nonsmooth_solution(flat, [0.0], config)),
+    ]
+
+
+def _reference_a(lag, bundle, w):
+    """A(x, W) for one selector, block by block, with the lambda block
+    -np.diag(w) (-0.0 off the diagonal)."""
+    m, m1, m2 = lag.yy.shape[0], bundle.h.shape[0], bundle.g.shape[0]
+    return np.block([
+        [lag.yy, bundle.h_jy.T, -bundle.g_jy.T],
+        [bundle.h_jy, np.zeros((m1, m1 + m2))],
+        [(1.0 - w)[:, None] * bundle.g_jy, np.zeros((m2, m1)), -np.diag(w)],
+    ])
+
+
+def test_sweep_matches_per_selector_reference_bit_for_bit(p1, p2, p4, config):
+    from minimaxcert.linalg import SingularMatrixError, plu
+    from minimaxcert.lower import kkt_jacobian_blocks, lagrangian_eval
+    from minimaxcert.nonsmooth import selector_sweep
+
+    singular = 0
+    for spec, sol in _sweep_cases(p1, p2, p4, config):
+        bundle = eval_bundle(spec, sol.x, sol.y)
+        lag = lagrangian_eval(bundle, sol.mu, sol.lam)
+        sweep = selector_sweep(spec, sol, config)
+        for entry in sweep.entries:
+            w = entry.W.diag
+            A = _reference_a(lag, bundle, w)
+            assert kkt_jacobian_blocks(lag, bundle, w).tobytes() == A.tobytes()
+            rhs = np.vstack([lag.yx, bundle.h_jx, (1.0 - w)[:, None] * bundle.g_jx])
+            assert entry.A.tobytes() == A.tobytes()
+            assert entry.rhs.tobytes() == rhs.tobytes()
+            try:
+                ref = plu(A)
+            except SingularMatrixError as exc:
+                singular += 1
+                assert str(entry.error) == str(exc)
+                assert entry.min_pivot == exc.pivot
+                with pytest.raises(SingularMatrixError):
+                    entry.h_matrix()
+                continue
+            assert entry.error is None
+            assert entry.factors.lu.tobytes() == ref.lu.tobytes()
+            assert entry.factors.pivots.tobytes() == ref.pivots.tobytes()
+            assert entry.min_pivot == ref.min_pivot
+            assert entry.h_matrix().tobytes() == ref.solve(rhs).tobytes()
+    assert singular  # the flat case reaches the singular branch
