@@ -327,8 +327,11 @@ def _pipeline(spec, candidate, config, progress: _Progress):
         else:
             worst = -np.inf
             witness = None
-            for d in sample_cone(ju.cone.E, ju.cone.F, spec.m,
-                                 config.sosc_cone_samples, config.seed):
+            samples = ju.cone_samples
+            if samples is None:
+                samples = sample_cone(ju.cone.E, ju.cone.F, spec.m,
+                                      config.sosc_cone_samples, config.seed)
+            for d in samples:
                 val = float(d @ lag.yy @ d)
                 if val > worst:
                     worst = val

@@ -234,6 +234,9 @@ class LowerConditionsReport:
     cone: ConeRep | None = None
     mu: np.ndarray | None = None
     lam: np.ndarray | None = None
+    # sample_cone(cone.E, cone.F, m, sosc_cone_samples, seed) when the sosc
+    # check drew it, so later checks on the same cone reuse it
+    cone_samples: list[np.ndarray] | None = None
 
     def status(self, name: str) -> str:
         return self.checks[name].status
@@ -300,6 +303,7 @@ def check_jacobian_uniqueness(
 
     lag = lagrangian_eval(bundle, mu, lam)
     cone = critical_cone_lower(spec, x, y, mu, lam, partition, config.tol_kkt)
+    samples = None
     if not partition.beta:
         basis = nullspace_basis(cone.E, NULLSPACE_TOL)
         maxeig = max_eigenvalue_on_subspace(lag.yy, basis)
@@ -343,7 +347,8 @@ def check_jacobian_uniqueness(
                         f"(sampled max {worst:.3e} over {len(samples)} directions)"
                     ),
                 )
-    return LowerConditionsReport(checks=checks, partition=partition, cone=cone, mu=mu, lam=lam)
+    return LowerConditionsReport(checks=checks, partition=partition, cone=cone, mu=mu, lam=lam,
+                                 cone_samples=samples)
 
 
 def check_assumption_a(

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from minimaxcert import CheckConfig, check_jacobian_uniqueness
 from minimaxcert.expressions import Add, Const, Mul, Var
 from minimaxcert.fixtures import load_fixture
 from minimaxcert.problem import ProblemSpec
+
+# property tests replay the same examples on every run and have no time limit
+# (the bit-for-bit comparisons run reference code that is slow by design)
+settings.register_profile("minimaxcert", deadline=None, derandomize=True)
+settings.load_profile("minimaxcert")
 
 
 @pytest.fixture(scope="session")

@@ -450,3 +450,80 @@ def test_relabelling_y_and_g_keeps_the_verdict(perm, config):
     assert relabelled.verdict == base.verdict == VERDICT_NECESSARY
     assert [(c.name, c.status) for c in relabelled.results] == [
         (c.name, c.status) for c in base.results]
+
+
+# --- metamorphic: an inactive inner constraint ----------------------------------
+
+def _with_inactive_g(text):
+    """The problem of `text` with g = y1 - 50 appended: far from active at
+    every reference point, so no condition may change."""
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("dims"))
+    n, m, m1, m2, n1, n2 = map(int, lines[at].split()[1:])
+    lines[at] = f"dims {n} {m} {m1} {m2 + 1} {n1} {n2}"
+    return "\n".join(lines) + f"\ng{m2 + 1} = y1 - 50\n"
+
+
+@pytest.mark.parametrize("name, text, x, y", [
+    ("P1", None, [0.0], [0.0]),
+    ("P1", None, [0.5], [0.5]),
+    ("P2", None, [0.0], [0.0]),
+    ("P3", None, [0.0], [0.0]),
+    ("P4", None, [1.0], [1.0]),
+    ("degenerate-1", 1, [0.0], [0.0]),
+    ("degenerate-2", 2, [0.0] * 2, [0.0] * 2),
+    ("degenerate-3", 3, [0.0] * 3, [0.0] * 3),
+])
+def test_inactive_inner_constraint_keeps_the_verdict(name, text, x, y, config):
+    from minimaxcert.fixtures import fixture_text
+    from minimaxcert.problem import parse_problem
+
+    from conftest import degenerate_text
+
+    text = fixture_text(name) if text is None else degenerate_text(text)
+    candidate = CandidatePoint(x, y)
+    base = certify(parse_problem(text), candidate, config)
+    padded = certify(parse_problem(_with_inactive_g(text)), candidate, config)
+    assert padded.verdict == base.verdict
+    assert [(c.name, c.status) for c in padded.results] == [
+        (c.name, c.status) for c in base.results]
+
+
+# --- the lower critical cone is sampled once per call ---------------------------
+
+def test_lower_cone_sampled_once_per_call(config, monkeypatch):
+    import sys
+
+    from minimaxcert.cones import sample_cone
+    from minimaxcert.problem import parse_problem
+
+    # the affine-hull test fails, so check_jacobian_uniqueness samples the
+    # lower cone, and lower_second_order_necessary needs the same directions
+    spec = parse_problem(
+        "dims 2 2 0 2 0 0\nf = (y1-x1)^2 - (y2-x2)^2\ng1 = y1 - x1\ng2 = y2 - x2\n")
+    origin = CandidatePoint([0.0, 0.0], [0.0, 0.0])
+    lower, certify_module = sys.modules["minimaxcert.lower"], sys.modules["minimaxcert.certify"]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample_cone(*args)
+
+    monkeypatch.setattr(lower, "sample_cone", counting)
+    monkeypatch.setattr(certify_module, "sample_cone", counting)
+    shared = certify(spec, origin, config)
+    assert shared.verdict == VERDICT_REFUTED
+    assert len(calls) == 1
+
+    # without the directions kept on the report, certify draws them itself
+    check = lower.check_jacobian_uniqueness
+
+    def forgetful(*args):
+        report = check(*args)
+        report.cone_samples = None
+        return report
+
+    monkeypatch.setattr(certify_module, "check_jacobian_uniqueness", forgetful)
+    redrawn = certify(spec, origin, config)
+    assert len(calls) == 3
+    assert dumps_canonical(report_to_doc(redrawn)) == dumps_canonical(report_to_doc(shared))

@@ -234,7 +234,7 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(_entries(), st.lists(_COORDS, min_size=3, max_size=3),
        st.lists(_COORDS, min_size=2, max_size=2), st.booleans())
 def test_tape_matches_tree_walk_bit_for_bit(entries, x, y, strict):

@@ -264,7 +264,7 @@ def _reference_solve(lu, perm, b):
     return B[:, 0] if b.ndim == 1 else B
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(_stacks())
 def test_plu_batch_matches_plu_bit_for_bit(stack):
     """Every slice of a stack, and `plu` on that slice alone, equal the
