@@ -2,8 +2,9 @@
 path, run every applicable condition, and assemble the verdict.
 
 Verdict rules: a violated necessary condition (with its preconditions
-verified) refutes; a satisfied sufficient condition on the smooth path
-certifies; sampled searches alone never refute.
+verified) refutes; a sufficient condition on the smooth path that is
+satisfied exactly, not just on samples, certifies; sampled searches alone
+never refute or certify.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def overall_verdict(path: str, results: list[ConditionCheck]) -> str:
     sufficient = next(
         (c for c in results if c.name == "second_order_sufficient"), None
     )
-    if path == PATH_SMOOTH and sufficient is not None and sufficient.ok:
+    if path == PATH_SMOOTH and sufficient is not None and sufficient.status == SATISFIED:
         return VERDICT_CERTIFIED
     if path in (PATH_SMOOTH, PATH_NONSMOOTH):
         first_order = next(
@@ -548,7 +549,8 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
         )
         return
 
-    # regularity suite: every selector matrix must be invertible here
+    # regularity suite: every B-selector matrix must be invertible here
+    # (strong regularity makes the whole Clarke generalized Jacobian so)
     try:
         sweep = selector_sweep(spec, sol, config)
     except SelectorCapError as exc:
@@ -559,21 +561,17 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
                            KIND_INFO, detail=cap_detail)
         )
     else:
-        for name, entries, label in (
-            ("b_selector_nonsingularity", sweep.binary, "binary"),
-            ("clarke_sample_nonsingularity", sweep.clarke, "grid"),
-        ):
-            piv = min((entry.min_pivot for entry in entries), default=np.inf)
-            results.append(
-                ConditionCheck(
-                    name,
-                    SATISFIED if piv >= 1e-8 else VIOLATED,
-                    piv,
-                    1e-8,
-                    KIND_INFO,
-                    detail=f"{len(entries)} {label} selectors",
-                )
+        piv = float(np.min(sweep.lu.min_pivots, initial=np.inf))
+        results.append(
+            ConditionCheck(
+                "b_selector_nonsingularity",
+                SATISFIED if piv >= 1e-8 else VIOLATED,
+                piv,
+                1e-8,
+                KIND_INFO,
+                detail=f"{len(sweep.selectors)} binary selectors",
             )
+        )
 
     mfcq = check_mfcq(spec, candidate.x, config)
     results.append(mfcq.check)

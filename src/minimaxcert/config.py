@@ -24,11 +24,11 @@ class CheckConfig:
     seed: int = 0
     cone_samples: int = 128
     sosc_cone_samples: int = 256
-    beta_grid_resolution: int = 5
+    beta_grid_resolution: int = 5  # Clarke grid points per beta index (subdiff only)
     refine_rounds: int = 20
     # caps
     selector_cap: int = 16  # max |beta| for B-selector enumeration
-    clarke_grid_cap: int = 4096
+    clarke_grid_cap: int = 4096  # max Clarke grid selectors (subdiff only)
     vertex_enum_cap: int = 12  # n1 + |I| bound for vertex enumeration
     # condition-number warning for K(x)
     cond_warn: float = 1e12

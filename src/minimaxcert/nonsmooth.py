@@ -4,20 +4,25 @@ directional-derivative / subgradient candidate sets.
 
 Everything runs off one selector sweep per nonsmooth solution
 (`selector_sweep`).  It evaluates the derivative bundle and the Lagrangian
-once and builds the selector family once (the B-selectors, then the Clarke
-grid points not among them).  It assembles every distinct A(x, W) as one
-stack (`lower.kkt_jacobian_blocks` on the stacked selector diagonals, the
-assembler the inner Newton uses too) with its right-hand-side stack, factors
-the stack with one batched partial-pivot LU (`linalg.plu_batch`) and solves
-every H(x, W) = A(x, W)^{-1} rhs in one stacked substitution.  Pivots, LU
-entries, H entries and SingularMatrixErrors equal those of factoring each
-matrix alone bit for bit, so verdicts and reports do not depend on the
-batching.  Each selector gets a `SelectorFactor` of read-only views into
-those stacks.  Its consumers only read them: `kkt_map_directional` and `phi_generalized_gradients` here,
-the two selector-nonsingularity checks in `certify`, and the
-admissible-selector search `upper.first_order_nonsmooth_necessary`.
-`assemble_a_matrix`, `assemble_h_matrix` and `a_matrix_min_pivot` run the same
-stacked step on a one-selector stack and return fresh arrays.
+once and takes the 2^|beta| B-selectors, the binary selectors on the
+degenerate set beta.  Under the standing regularity assumption (LICQ plus
+strong second-order sufficiency, hence strong regularity) every element of
+the Clarke generalized Jacobian is nonsingular and phi is C^1 with
+grad phi = grad_x L, so a grid over the Clarke box cannot change a verdict:
+only `subdiff` (`phi_generalized_gradients(kind="outer_approx")`) adds it.
+The sweep assembles every A(x, W) as one stack (`lower.kkt_jacobian_blocks`
+on the stacked selector diagonals, the assembler the inner Newton uses too)
+with its right-hand-side stack, factors the stack with one batched
+partial-pivot LU (`linalg.plu_batch`) and solves every H(x, W) =
+A(x, W)^{-1} rhs in one stacked substitution.  Pivots, LU entries, H entries
+and SingularMatrixErrors equal those of factoring each matrix alone bit for
+bit, so verdicts and reports do not depend on the batching.  The
+`SelectorSweep` keeps the selectors and those stacks, and its consumers index
+them: `kkt_map_directional` and `phi_generalized_gradients` here, the
+B-selector nonsingularity check in `certify`, and the admissible-selector
+search `upper.first_order_nonsmooth_necessary`.  `assemble_a_matrix`,
+`assemble_h_matrix` and `a_matrix_min_pivot` run the same stacked step on a
+one-selector stack and return fresh arrays.
 
 Sign convention: A is assembled as the exact x-derivative of the projected
 KKT map (the lambda column carries -J_y g^T and -W).  Relative to the
@@ -35,7 +40,7 @@ from itertools import product
 import numpy as np
 
 from .config import CheckConfig
-from .linalg import PLUFactors, SingularMatrixError, plu_batch
+from .linalg import PLUBatch, plu_batch
 from .lower import (
     ActivePartition,
     KktSolution,
@@ -99,7 +104,7 @@ def enumerate_b_selectors(
     """All 2^|beta| binary selectors, beta-subset bitmask ascending."""
     beta = list(partition.beta)
     if len(beta) > cap:
-        raise SelectorCapError(f"|beta| = {len(beta)} exceeds cap {cap}")
+        raise SelectorCapError(f"{len(beta)} degenerate indices exceed cap {cap}")
     values, tags = _base_selector(partition)
     out = []
     for mask in range(1 << len(beta)):
@@ -137,27 +142,33 @@ def _solution_point(spec: ProblemSpec, sol: KktSolution):
 
 
 @dataclass
-class SelectorFactor:
-    """A(x, W) with its right-hand side (grad_yx L; J_x h; (I - W) J_x g) and
-    either the LU factors of A or the SingularMatrixError that stopped them.
-    The arrays are read-only views into the stacks of the sweep."""
+class SelectorSweep:
+    """Selectors at one nonsmooth solution as a struct of arrays: slice s of
+    every stack belongs to selectors[s].  The stacks are read-only."""
 
-    W: WSelector
-    A: np.ndarray
-    rhs: np.ndarray
-    factors: PLUFactors | None
-    error: SingularMatrixError | None
-    min_pivot: float  # smallest pivot; the breakdown pivot when A is singular
-    H: np.ndarray = field(repr=False)  # A^{-1} rhs; meaningless when A is singular
+    selectors: list[WSelector]  # the B-selectors, bitmask order (then new grid points)
+    A: np.ndarray  # (S, N, N): A(x, W)
+    rhs: np.ndarray  # (S, N, n): (grad_yx L; J_x h; (I - W) J_x g)
+    H: np.ndarray  # (S, N, n): A^{-1} rhs; meaningless where A is singular
+    lu: PLUBatch
+    grad_x: np.ndarray  # grad_x L
+    stack: np.ndarray  # (grad_y L; h; -g)
 
-    def h_matrix(self) -> np.ndarray:
-        """H(x, W) = A(x, W)^{-1} rhs; raises the stored SingularMatrixError."""
-        if self.error is not None:
-            raise self.error
-        return self.H
+    def h_matrix(self, s: int) -> np.ndarray:
+        """H(x, W_s); raises the SingularMatrixError that stopped its LU."""
+        error = self.lu.error(s)
+        if error is not None:
+            raise error
+        return self.H[s]
+
+    def phi_gradients(self) -> np.ndarray:
+        """Candidate gradients grad_x L - H(x, W)^T (grad_y L; h; -g), one row
+        per selector; rows of singular selectors are meaningless."""
+        with np.errstate(all="ignore"):  # singular slices of H may hold inf/nan
+            return self.grad_x - np.swapaxes(self.H, 1, 2) @ self.stack
 
 
-def _factor_selectors(bundle, lag, selectors: list[WSelector]) -> list[SelectorFactor]:
+def _stack_selectors(bundle, lag, selectors: list[WSelector]) -> SelectorSweep:
     """The sweep's stacked step: assemble every A(x, W) and its right-hand
     side as one stack, factor the stack with one batched LU and solve every
     H(x, W) at once."""
@@ -169,39 +180,17 @@ def _factor_selectors(bundle, lag, selectors: list[WSelector]) -> list[SelectorF
                           (1.0 - w)[:, :, None] * bundle.g_jx], axis=1)
     batch = plu_batch(A)
     H = batch.solve(rhs)
-    min_pivots = batch.min_pivots
     for arr in (A, rhs, H, batch.lu, batch.perm, batch.pivots):
         arr.flags.writeable = False
-    out = []
-    for s, W in enumerate(selectors):
-        error = batch.error(s)
-        factors = batch.factors(s) if error is None else None
-        out.append(SelectorFactor(W, A[s], rhs[s], factors, error,
-                                  float(min_pivots[s]), H[s]))
-    return out
-
-
-@dataclass
-class SelectorSweep:
-    """Every selector at one nonsmooth solution, each A(x, W) factored once."""
-
-    partition: ActivePartition
-    grad_x: np.ndarray  # grad_x L
-    stack: np.ndarray  # (grad_y L; h; -g)
-    entries: list[SelectorFactor]  # distinct selectors: binary, then new grid points
-    binary: list[SelectorFactor]  # the B-selectors, bitmask order
-    clarke: list[SelectorFactor]  # the Clarke grid, grid order
-
-    def phi_gradient(self, entry: SelectorFactor) -> np.ndarray:
-        """Candidate gradient grad_x L - H(x, W)^T (grad_y L; h; -g)."""
-        return self.grad_x - entry.h_matrix().T @ self.stack
+    return SelectorSweep(selectors, A, rhs, H, batch, lag.grad_x,
+                         np.concatenate([lag.grad_y, bundle.h, -bundle.g]))
 
 
 def selector_sweep(
     spec: ProblemSpec,
     sol: KktSolution,
     config: CheckConfig | None = None,
-    clarke: bool = True,
+    clarke: bool = False,
 ) -> SelectorSweep:
     """Evaluate the solution once and factor A(x, W) once per distinct selector:
     the B-selectors, then (with clarke) the Clarke grid points not among them.
@@ -209,50 +198,39 @@ def selector_sweep(
     config = config or CheckConfig()
     bundle, lag = _solution_point(spec, sol)
     partition = classify_partition(bundle.g, sol.lam, config.tol_act)
-    b_sel = enumerate_b_selectors(partition, config.selector_cap)
-    c_sel = (
-        clarke_selector_grid(partition, config.beta_grid_resolution, config.clarke_grid_cap)
-        if clarke
-        else []
-    )
-    distinct: dict[tuple[float, ...], WSelector] = {}
-    for W in b_sel + c_sel:
-        distinct.setdefault(W.values, W)
-    factored = dict(zip(distinct, _factor_selectors(bundle, lag, list(distinct.values()))))
-    return SelectorSweep(
-        partition=partition,
-        grad_x=lag.grad_x,
-        stack=np.concatenate([lag.grad_y, bundle.h, -bundle.g]),
-        entries=list(factored.values()),
-        binary=[factored[W.values] for W in b_sel],
-        clarke=[factored[W.values] for W in c_sel],
-    )
+    selectors = enumerate_b_selectors(partition, config.selector_cap)
+    if clarke:
+        grid = clarke_selector_grid(partition, config.beta_grid_resolution,
+                                    config.clarke_grid_cap)
+        seen = {W.values for W in selectors}
+        selectors += [W for W in grid if W.values not in seen]
+    return _stack_selectors(bundle, lag, selectors)
 
 
-def _single_selector(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> SelectorFactor:
+def _single_selector(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> SelectorSweep:
     """The sweep's stacked step on a one-selector stack."""
-    return _factor_selectors(*_solution_point(spec, sol), [W])[0]
+    return _stack_selectors(*_solution_point(spec, sol), [W])
 
 
 def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:
     """Bordered matrix of order m + m1 + m2 for the selector W."""
-    return _single_selector(spec, sol, W).A.copy()
+    return _single_selector(spec, sol, W).A[0].copy()
 
 
 def a_matrix_min_pivot(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> float:
-    return _single_selector(spec, sol, W).min_pivot
+    return float(_single_selector(spec, sol, W).lu.min_pivots[0])
 
 
 def assemble_h_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:
     """H(x, W) = A(x, W)^{-1} (grad_yx L; J_x h; (I - W) J_x g)."""
-    return _single_selector(spec, sol, W).h_matrix().copy()
+    return _single_selector(spec, sol, W).h_matrix(0).copy()
 
 
 @dataclass
 class GeneralizedDerivativeSet:
     """Per-selector candidates; kind tags which object they approximate."""
 
-    kind: str  # 'directional' | 'b_subdifferential' | 'clarke_sample' | 'outer_approx'
+    kind: str  # 'directional' | 'b_subdifferential' | 'outer_approx'
     items: list[tuple[WSelector, np.ndarray]] = field(default_factory=list)
     errors: list[tuple[WSelector, str]] = field(default_factory=list)
 
@@ -271,6 +249,19 @@ class GeneralizedDerivativeSet:
         return best, best_vec
 
 
+def _candidate_set(kind: str, sweep: SelectorSweep, rows: np.ndarray) -> GeneralizedDerivativeSet:
+    """Row s of the stacked candidates for each selector whose A(x, W) factored;
+    the SingularMatrixError for the others."""
+    out = GeneralizedDerivativeSet(kind=kind)
+    for s, W in enumerate(sweep.selectors):
+        error = sweep.lu.error(s)
+        if error is not None:
+            out.errors.append((W, str(error)))
+        else:
+            out.items.append((W, rows[s]))
+    return out
+
+
 def kkt_map_directional(
     spec: ProblemSpec,
     sol: KktSolution,
@@ -280,13 +271,8 @@ def kkt_map_directional(
     """Candidate one-sided derivatives (y'; mu'; lambda') along d_x, one per
     binary selector.  The true directional derivative is a member."""
     d_x = np.atleast_1d(np.asarray(d_x, dtype=float))
-    out = GeneralizedDerivativeSet(kind="directional")
-    for entry in selector_sweep(spec, sol, config, clarke=False).binary:
-        if entry.error is not None:
-            out.errors.append((entry.W, str(entry.error)))
-        else:
-            out.items.append((entry.W, -entry.factors.solve(entry.rhs @ d_x)))
-    return out
+    sweep = selector_sweep(spec, sol, config)
+    return _candidate_set("directional", sweep, -sweep.lu.solve(sweep.rhs @ d_x))
 
 
 def phi_generalized_gradients(
@@ -298,15 +284,9 @@ def phi_generalized_gradients(
     """Candidate gradients grad_x L - H(x,W)^T grad_{(y,mu,lam)} L per selector.
 
     kind='b_subdifferential' takes the binary selectors; kind='outer_approx'
-    takes the whole sweep, binary selectors and Clarke grid samples.
+    adds the Clarke grid samples (the `subdiff` command).
     """
     if kind not in ("b_subdifferential", "outer_approx"):
         raise ValueError(f"unknown kind {kind!r}")
     sweep = selector_sweep(spec, sol, config, clarke=kind == "outer_approx")
-    out = GeneralizedDerivativeSet(kind=kind)
-    for entry in sweep.entries:
-        if entry.error is not None:
-            out.errors.append((entry.W, str(entry.error)))
-        else:
-            out.items.append((entry.W, sweep.phi_gradient(entry)))
-    return out
+    return _candidate_set(kind, sweep, sweep.phi_gradients())

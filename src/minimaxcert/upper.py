@@ -506,26 +506,25 @@ def first_order_nonsmooth_necessary(
     config: CheckConfig | None = None,
     sweep: SelectorSweep | None = None,
 ) -> tuple[ConditionCheck, GeneralizedDerivativeSet]:
-    """Search selectors W for one whose candidate gradient admits upper KKT
-    multipliers.  Binary selectors first, then a grid over the Clarke box.
-    A failed search is a disproof only when the selector family is exact
-    (beta empty); otherwise it reports not-found.  The selectors and their
-    factored A(x, W) come from `sweep`, built here when not given."""
+    """Search the B-selectors W for one whose candidate gradient admits upper
+    KKT multipliers.  A failed search is a disproof only when the selector
+    family is exact (beta empty); otherwise it reports not-found.  The
+    selectors and their factored A(x, W) come from `sweep`, built here when
+    not given."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
     aset = compute_upper_active_set(spec, x, config.tol_act)
     sweep = sweep or selector_sweep(spec, sol, config)
-    exact_family = len(sweep.partition.beta) == 0
+    exact_family = "beta" not in sweep.selectors[0].provenance
 
-    gset = GeneralizedDerivativeSet(kind="outer_approx")
-    n_singular = 0
-    for entry in sweep.entries:
-        W = entry.W
-        if entry.error is not None:
-            n_singular += 1
-            gset.errors.append((W, str(entry.error)))
+    gset = GeneralizedDerivativeSet(kind="b_subdifferential")
+    gradients = sweep.phi_gradients()
+    singular = sweep.lu.step >= 0
+    for s, W in enumerate(sweep.selectors):
+        if singular[s]:
+            gset.errors.append((W, str(sweep.lu.error(s))))
             continue
-        r = sweep.phi_gradient(entry)
+        r = gradients[s]
         gset.items.append((W, r))
         A_eq, b_eq, lower, nvar = _lambda_lp_parts(data, aset.I, r)
         if nvar == 0:
@@ -553,7 +552,7 @@ def first_order_nonsmooth_necessary(
                 witness={"W": list(W.values), "u": u.tolist(), "v": v.tolist()},
             )
             return check, gset
-    if n_singular == len(sweep.entries):
+    if singular.all():
         check = ConditionCheck(
             "first_order_nonsmooth", ERROR, None, config.tol_kkt,
             kind=KIND_NECESSARY,
@@ -574,7 +573,7 @@ def first_order_nonsmooth_necessary(
     check = ConditionCheck(
         "first_order_nonsmooth", NOT_FOUND_SAMPLED, None, config.tol_kkt,
         kind=KIND_NECESSARY,
-        detail=f"no admissible selector among {len(sweep.entries)} samples; "
+        detail=f"no admissible selector among {len(sweep.selectors)} samples; "
         "not a disproof",
     )
     return check, gset

@@ -219,6 +219,31 @@ def test_random_certified_instances_confirmed_by_oracle(config):
     assert certified == 4
 
 
+def _sampled_sufficiency_counterexample(n, A):
+    """phi(x) = A*sum_{i>=2}(x_i - 0.3*i*x1)^2 - 1e-3*|x|^2 on x >= 0 is
+    negative along the interior ray (1, 0.6, 0.9, ...): the origin is not a
+    local minimax point, but the ray is too thin for sampled directions."""
+    from minimaxcert.problem import parse_problem
+
+    f = " + ".join(f"{A:g}*(x{i} - {0.3 * i:g}*x1)^2" for i in range(2, n + 1))
+    f += "".join(f" - 1e-3*x{i}^2" for i in range(1, n + 1)) + " - y1^2"
+    G = "".join(f"G{i} = -x{i}\n" for i in range(1, n + 1))
+    return parse_problem(f"dims {n} 1 0 0 0 {n}\nf = {f}\n{G}")
+
+
+@pytest.mark.parametrize("n, A", [(3, 1e6), (4, 1e4), (4, 1e6), (5, 1e6)])
+def test_sampled_sufficiency_never_certifies(n, A, config):
+    from minimaxcert.problem import eval_bundle
+
+    spec = _sampled_sufficiency_counterexample(n, A)
+    ray = np.array([1.0] + [0.3 * i for i in range(2, n + 1)])
+    assert eval_bundle(spec, 1e-3 * ray, [0.0]).f < 0.0  # phi(x) = f(x, 0)
+    rep = certify(spec, CandidatePoint([0.0] * n, [0.0]), config)
+    assert rep.path == PATH_SMOOTH
+    assert result(rep, "second_order_sufficient").status != SATISFIED
+    assert rep.verdict != VERDICT_CERTIFIED
+
+
 def test_certify_with_equality_constraints_both_levels(config):
     # inner equality y1 + y2 = 0 and outer equality x1 + x2 = 0; the reduced
     # value function is (x1 - x2)^2 / 4, minimized on the outer line at 0
@@ -249,13 +274,14 @@ def test_certify_with_equality_constraints_both_levels(config):
 # --- the selector sweep -------------------------------------------------------------
 
 def test_selector_cap_is_an_error_check(config):
-    # |beta| = 6: the 5^6 Clarke grid exceeds clarke_grid_cap
+    # |beta| = 6 exceeds selector_cap = 5
     from conftest import degenerate_text
     from minimaxcert.conditions import ERROR
     from minimaxcert.problem import parse_problem
 
     spec = parse_problem(degenerate_text(6))
-    rep = certify(spec, CandidatePoint([0.0] * 6, [0.0] * 6), config)
+    rep = certify(spec, CandidatePoint([0.0] * 6, [0.0] * 6),
+                  config.replace(selector_cap=5))
     assert rep.path == PATH_NONSMOOTH
     assert rep.verdict == VERDICT_INCONCLUSIVE
     for name in ("b_selector_nonsingularity", "first_order_nonsmooth"):
@@ -264,8 +290,22 @@ def test_selector_cap_is_an_error_check(config):
         assert "exceed cap" in check.detail
 
 
+@pytest.mark.parametrize("k", [6, 8])
+def test_large_beta_reaches_necessary_conditions(k, config):
+    # 2^k B-selectors stay inside selector_cap; no 5^k Clarke grid is built
+    from conftest import degenerate_text
+    from minimaxcert.problem import parse_problem
+
+    spec = parse_problem(degenerate_text(k))
+    rep = certify(spec, CandidatePoint([0.0] * k, [0.0] * k), config)
+    assert rep.path == PATH_NONSMOOTH
+    assert rep.verdict == VERDICT_NECESSARY
+    assert result(rep, "b_selector_nonsingularity").detail == f"{2 ** k} binary selectors"
+    assert result(rep, "first_order_nonsmooth").status == SATISFIED
+
+
 def test_sweep_factors_each_selector_once(config, monkeypatch):
-    # |beta| = 3: 8 binary selectors, all inside the 5^3 Clarke grid
+    # |beta| = 3: 8 binary selectors, and no Clarke grid
     import sys
 
     import minimaxcert.linalg
@@ -299,8 +339,8 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     spec = parse_problem(degenerate_text(3))
     rep = certify(spec, CandidatePoint([0.0] * 3, [0.0] * 3), config)
     assert rep.verdict == VERDICT_NECESSARY
-    assert result(rep, "clarke_sample_nonsingularity").detail == "125 grid selectors"
-    assert len(factored) == len(set(factored)) == 125
+    assert result(rep, "b_selector_nonsingularity").detail == "8 binary selectors"
+    assert len(factored) == len(set(factored)) == 8
     assert len(bundles) == 1
     assert len(batches) == 1  # one batched factorisation per sweep
 

@@ -173,8 +173,11 @@ def test_selector_cap_exit_codes(tmp_path, capsys):
     prob = tmp_path / "beta6.prob"
     prob.write_text(degenerate_text(6), encoding="utf-8")
     zeros = ",".join(["0"] * 6)
+    cfg = tmp_path / "cap.txt"
+    cfg.write_text("selector_cap = 5\n", encoding="utf-8")
     # certify reports the cap as an error check: inconclusive
-    assert main(["certify", str(prob), "--x", zeros, "--y", zeros]) == 3
-    # subdiff has no report to put it in: a usage error
+    assert main(["certify", str(prob), "--x", zeros, "--y", zeros,
+                 "--config", str(cfg)]) == 3
+    # subdiff (the 5^6 Clarke grid) has no report to put it in: a usage error
     assert main(["subdiff", str(prob), "--x", zeros, "--y", zeros]) == 1
     assert "exceed cap" in capsys.readouterr().err

@@ -240,6 +240,39 @@ def test_outer_approx_includes_clarke_samples(p2, config):
         assert abs(v[0]) <= 1e-9
 
 
+def _envelope_cases(p2, p4, config):
+    from minimaxcert.problem import parse_problem
+
+    from conftest import degenerate_text
+
+    cases = [(p2, nonsmooth_solution(p2, [0.0], config)),
+             (p4, nonsmooth_solution(p4, [1.0], config, y0=[1.0]))]
+    for k in range(1, 5):
+        spec = parse_problem(degenerate_text(k))
+        cases.append((spec, nonsmooth_solution(spec, [0.0] * k, config)))
+    # off the origin, with grad_x L = (0.8 sin x1, 1.1 sin x2) != 0
+    shifted = parse_problem(
+        "dims 2 2 0 2 0 0\n"
+        "f = -1.3*(y1 - x1)^2 - 1.7*(y2 - x2)^2 + 0.8*(1 - cos(x1)) + 1.1*(1 - cos(x2))\n"
+        "g1 = y1 - x1\ng2 = y2 - x2\n")
+    cases.append((shifted, nonsmooth_solution(shifted, [0.3, -0.2], config, y0=[0.3, -0.2])))
+    return cases
+
+
+def test_clarke_grid_adds_no_gradient(p2, p4, config):
+    # under the standing assumption phi is C^1: every selector of the Clarke
+    # box, binary or not, gives the same candidate gradient grad_x L
+    for spec, sol in _envelope_cases(p2, p4, config):
+        part = partition_at(spec, sol, config)
+        assert part.beta
+        gset = phi_generalized_gradients(spec, sol, config, kind="outer_approx")
+        assert not gset.errors
+        assert len(gset.items) == 5 ** len(part.beta)
+        first = gset.items[0][1]
+        spread = max(float(np.max(np.abs(v - first))) for v in gset.vectors)
+        assert spread <= 1e-12
+
+
 # --- nonsingularity suites --------------------------------------------------------
 
 def fixture_solutions(p1, p2, p4, config):
@@ -309,26 +342,38 @@ def test_sweep_matches_per_selector_reference_bit_for_bit(p1, p2, p4, config):
     for spec, sol in _sweep_cases(p1, p2, p4, config):
         bundle = eval_bundle(spec, sol.x, sol.y)
         lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-        sweep = selector_sweep(spec, sol, config)
-        for entry in sweep.entries:
-            w = entry.W.diag
-            A = _reference_a(lag, bundle, w)
-            assert kkt_jacobian_blocks(lag, bundle, w).tobytes() == A.tobytes()
-            rhs = np.vstack([lag.yx, bundle.h_jx, (1.0 - w)[:, None] * bundle.g_jx])
-            assert entry.A.tobytes() == A.tobytes()
-            assert entry.rhs.tobytes() == rhs.tobytes()
-            try:
-                ref = plu(A)
-            except SingularMatrixError as exc:
-                singular += 1
-                assert str(entry.error) == str(exc)
-                assert entry.min_pivot == exc.pivot
-                with pytest.raises(SingularMatrixError):
-                    entry.h_matrix()
-                continue
-            assert entry.error is None
-            assert entry.factors.lu.tobytes() == ref.lu.tobytes()
-            assert entry.factors.pivots.tobytes() == ref.pivots.tobytes()
-            assert entry.min_pivot == ref.min_pivot
-            assert entry.h_matrix().tobytes() == ref.solve(rhs).tobytes()
+        stack = np.concatenate([lag.grad_y, bundle.h, -bundle.g])
+        d_x = np.linspace(-1.0, 0.7, spec.n)
+        directional = kkt_map_directional(spec, sol, d_x, config)
+        for clarke in (False, True):
+            sweep = selector_sweep(spec, sol, config, clarke=clarke)
+            gradients = sweep.phi_gradients()
+            for s, W in enumerate(sweep.selectors):
+                w = W.diag
+                A = _reference_a(lag, bundle, w)
+                assert kkt_jacobian_blocks(lag, bundle, w).tobytes() == A.tobytes()
+                rhs = np.vstack([lag.yx, bundle.h_jx, (1.0 - w)[:, None] * bundle.g_jx])
+                assert sweep.A[s].tobytes() == A.tobytes()
+                assert sweep.rhs[s].tobytes() == rhs.tobytes()
+                try:
+                    ref = plu(A)
+                except SingularMatrixError as exc:
+                    singular += 1
+                    assert str(sweep.lu.error(s)) == str(exc)
+                    assert sweep.lu.min_pivots[s] == exc.pivot
+                    with pytest.raises(SingularMatrixError):
+                        sweep.h_matrix(s)
+                    continue
+                assert sweep.lu.error(s) is None
+                assert sweep.lu.lu[s].tobytes() == ref.lu.tobytes()
+                assert sweep.lu.pivots[s].tobytes() == ref.pivots.tobytes()
+                assert sweep.lu.min_pivots[s] == ref.min_pivot
+                H = ref.solve(rhs)
+                assert sweep.h_matrix(s).tobytes() == sweep.H[s].tobytes() == H.tobytes()
+                # the stacked candidates equal their per-selector forms
+                grad = lag.grad_x - H.T @ stack
+                assert gradients[s].tobytes() == grad.tobytes()
+                if not clarke:
+                    dy = -ref.solve(rhs @ d_x)
+                    assert [v.tobytes() for u, v in directional.items if u == W] == [dy.tobytes()]
     assert singular  # the flat case reaches the singular branch
