@@ -43,7 +43,7 @@ from .lower import (
     solve_lower,
 )
 from .nonsmooth import LAMBDA_SIGN_CONVENTION, SelectorCapError, selector_sweep
-from .oracle import GridSpec, verify_minimax_definition
+from .oracle import verify_minimax_definition
 from .problem import (
     CandidatePoint,
     CandidateShapeError,
@@ -378,12 +378,7 @@ def _pipeline(spec, candidate, config, progress: _Progress):
         _run_nonsmooth(spec, candidate, decision, config, results, notes)
 
     if config.run_oracle and spec.n <= 2 and spec.m <= 2:
-        grid = GridSpec(
-            delta0=config.oracle_delta0,
-            step=config.oracle_step,
-            eta_factor=config.oracle_eta_factor,
-            tol=config.oracle_tol,
-        )
+        grid = config.oracle_grid()
         rep = verify_minimax_definition(spec, candidate.x, candidate.y, grid)
         results.append(
             ConditionCheck(

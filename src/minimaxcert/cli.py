@@ -27,7 +27,7 @@ from .config import CheckConfig
 from .expressions import DomainError
 from .lower import NewtonError, solve_lower
 from .nonsmooth import SelectorCapError, phi_generalized_gradients
-from .oracle import GridSpec, fd_derivatives, verify_minimax_definition
+from .oracle import fd_derivatives, verify_minimax_definition
 from .problem import (
     CandidatePoint,
     ProblemFormatError,
@@ -256,12 +256,7 @@ def _cmd_solve_lower(args) -> int:
 def _cmd_oracle(args) -> int:
     spec, config = _load(args)
     cand = _candidates(args, spec)[0]
-    grid = GridSpec(
-        delta0=config.oracle_delta0,
-        step=config.oracle_step,
-        eta_factor=config.oracle_eta_factor,
-        tol=config.oracle_tol,
-    )
+    grid = config.oracle_grid()
     rep = verify_minimax_definition(spec, cand.x, cand.y, grid)
     doc = {
         "version": VERSION,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .oracle import GridSpec
+
 
 @dataclass
 class CheckConfig:
@@ -48,6 +50,11 @@ class CheckConfig:
                      "vertex_enum_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        self.oracle_grid()  # the oracle_* keys follow GridSpec's rules
+
+    def oracle_grid(self) -> GridSpec:
+        return GridSpec(delta0=self.oracle_delta0, step=self.oracle_step,
+                        eta_factor=self.oracle_eta_factor, tol=self.oracle_tol)
 
     def replace(self, **kw) -> "CheckConfig":
         data = self.as_dict()

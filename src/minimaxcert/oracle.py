@@ -1,12 +1,20 @@
 """Brute-force ground truth: finite differences, feasible-grid maximization,
 and a direct grid test of the two-sided local minimax definition.
 
-Grid oracles are wired for n <= 2, m <= 2 only; cost grows geometrically.
+Grid oracles are wired for n <= 2, m <= 2 only.  The definition check builds
+one inner y-grid per level and evaluates it against blocks of feasible x-grid
+points in one broadcast: x axes as (rows, 1) columns, y axes as (1, Y) rows,
+with rows * Y at most CHUNK_ELEMENTS (one row when Y alone exceeds it).  Time
+still grows with the product of the grid sizes, but the working arrays are
+bounded by the chunk, and the results are bit-identical to one grid
+maximization per x point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .expressions import evaluate
@@ -26,10 +34,13 @@ class GridSpec:
     feas_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.delta0 <= 0 or self.step <= 0 or self.eta_factor <= 0:
-            raise ValueError("delta0, step and eta_factor must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.delta0, self.step, self.eta_factor)):
+            raise ValueError("delta0, step and eta_factor must be positive and finite")
         if self.step > self.delta0:
             raise ValueError("step must not exceed delta0 (>= 3 points per axis)")
+        if self.levels < 1:
+            raise ValueError("levels must be >= 1")
 
     def eta(self, delta: float) -> float:
         return self.eta_factor * delta
@@ -74,6 +85,11 @@ def _mesh(axes: list[np.ndarray]) -> list[np.ndarray]:
     return [g.ravel() for g in grids]
 
 
+# x-by-y points evaluated in one broadcast block of the right inequality; the
+# oracle's working arrays stay O(CHUNK_ELEMENTS) whatever the grid size
+CHUNK_ELEMENTS = 1 << 14
+
+
 class EmptyFeasibleGridError(Exception):
     pass
 
@@ -84,6 +100,25 @@ class GridMaxResult:
     value: float
     feasible_points: int
     total_points: int
+
+
+def _masked_argmax(spec: ProblemSpec, x, ys, rows: int, feas_tol: float):
+    """Row-wise argmax of f(x, .) over the feasible points of a y-grid.
+
+    x holds scalars (rows = 1) or (rows, 1) columns and ys holds (1, Y) rows,
+    so `evaluate` broadcasts h, g and f to (rows, Y).  Non-finite and
+    infeasible values become -inf, and np.argmax takes the first maximum.
+    Returns per row the argmax k, its value and the feasible count."""
+    shape = (rows, ys[0].shape[1])
+    feas = np.ones(shape, dtype=bool)
+    for e in spec.h:
+        feas &= np.abs(np.asarray(evaluate(e, x, ys, strict=False), dtype=float)) <= feas_tol
+    for e in spec.g:
+        feas &= np.asarray(evaluate(e, x, ys, strict=False), dtype=float) <= feas_tol
+    fvals = np.asarray(evaluate(spec.f, x, ys, strict=False), dtype=float)
+    fvals = np.where(feas & np.isfinite(fvals), fvals, -np.inf)
+    k = np.argmax(fvals, axis=1)
+    return k, fvals[np.arange(rows), k], np.count_nonzero(feas, axis=1)
 
 
 def grid_local_maximize(
@@ -102,30 +137,17 @@ def grid_local_maximize(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     center = np.atleast_1d(np.asarray(center, dtype=float))
     ys = _mesh(_axis_grid(center, radius, points))
-    total = ys[0].shape[0]
-    feas = np.ones(total, dtype=bool)
-    for e in spec.h:
-        vals = np.asarray(evaluate(e, x, ys, strict=False), dtype=float)
-        feas &= np.abs(vals) <= feas_tol
-    for e in spec.g:
-        vals = np.asarray(evaluate(e, x, ys, strict=False), dtype=float)
-        feas &= vals <= feas_tol
-    if not np.any(feas):
+    (k,), (value,), (feasible,) = _masked_argmax(
+        spec, x, [axis[None, :] for axis in ys], 1, feas_tol)
+    if not feasible:
         raise EmptyFeasibleGridError(
             f"no feasible grid point in the ball of radius {radius} around {center}"
         )
-    fvals = np.broadcast_to(
-        np.asarray(evaluate(spec.f, x, ys, strict=False), dtype=float), (total,)
-    ).copy()
-    fvals[~np.isfinite(fvals)] = -np.inf
-    fvals[~feas] = -np.inf
-    k = int(np.argmax(fvals))
-    best_y = np.array([axis[k] for axis in ys])
     return GridMaxResult(
-        y=best_y,
-        value=float(fvals[k]),
-        feasible_points=int(np.sum(feas)),
-        total_points=total,
+        y=np.array([axis[k] for axis in ys]),
+        value=float(value),
+        feasible_points=int(feasible),
+        total_points=ys[0].shape[0],
     )
 
 
@@ -162,32 +184,22 @@ def verify_minimax_definition(
 
     deltas = [grid.delta0 * 0.5**k for k in range(grid.levels)]
     for delta in deltas:
-        level = {"delta": delta, "eta": grid.eta(delta)}
+        eta = grid.eta(delta)
+        level = {"delta": delta, "eta": eta}
         # left inequality: f(x*, y) <= f(x*, y*) over Y(x*) in the delta ball
-        ys = _mesh(_axis_grid(y_star, delta, npts(delta)))
-        total = ys[0].shape[0]
-        feas = np.ones(total, dtype=bool)
-        for e in spec.h:
-            feas &= np.abs(np.asarray(evaluate(e, x_star, ys, strict=False))) <= grid.feas_tol
-        for e in spec.g:
-            feas &= np.asarray(evaluate(e, x_star, ys, strict=False)) <= grid.feas_tol
-        if not np.any(feas):
+        try:
+            res = grid_local_maximize(spec, x_star, y_star, delta, npts(delta),
+                                      feas_tol=grid.feas_tol)
+        except EmptyFeasibleGridError:
             report.notes.append(f"delta={delta:g}: empty feasible y-grid")
             level["left_violation"] = None
         else:
-            fv = np.broadcast_to(
-                np.asarray(evaluate(spec.f, x_star, ys, strict=False), dtype=float),
-                (total,),
-            ).copy()
-            fv[~np.isfinite(fv)] = -np.inf
-            fv[~feas] = -np.inf
-            k = int(np.argmax(fv))
-            viol = float(fv[k] - f_star)
+            viol = res.value - f_star
             level["left_violation"] = viol
             if viol > report.worst_violation:
                 report.worst_violation = viol
                 report.worst_side = "left"
-                report.worst_witness = [float(axis[k]) for axis in ys]
+                report.worst_witness = res.y.tolist()
 
         # right inequality: f(x*, y*) <= max f(x, .) over the eta ball
         xs = _mesh(_axis_grid(x_star, delta, npts(delta)))
@@ -202,35 +214,37 @@ def verify_minimax_definition(
             level["right_violation"] = None
             report.levels.append(level)
             continue
-        worst_right = -np.inf
-        worst_x = None
-        empty_inner = 0
-        for idx in np.flatnonzero(xfeas):
-            x_pt = np.array([axis[idx] for axis in xs])
-            try:
-                res = grid_local_maximize(
-                    spec, x_pt, y_star, grid.eta(delta), npts(grid.eta(delta)),
-                    feas_tol=grid.feas_tol,
-                )
-            except EmptyFeasibleGridError:
-                empty_inner += 1
-                continue
-            viol = f_star - res.value
-            if viol > worst_right:
-                worst_right = viol
-                worst_x = x_pt
+        # one inner y-grid serves every x point; x rows go in blocks of at
+        # most CHUNK_ELEMENTS x-by-y points
+        inner = [axis[None, :] for axis in _mesh(_axis_grid(y_star, eta, npts(eta)))]
+        feasible_x = np.flatnonzero(xfeas)
+        values = np.empty(feasible_x.shape[0])
+        counts = np.empty(feasible_x.shape[0], dtype=np.intp)
+        block = max(1, CHUNK_ELEMENTS // inner[0].shape[1])
+        for start in range(0, feasible_x.shape[0], block):
+            rows = feasible_x[start:start + block]
+            _, values[start:start + block], counts[start:start + block] = _masked_argmax(
+                spec, [axis[rows, None] for axis in xs], inner, rows.shape[0],
+                grid.feas_tol)
+        # replay of a strict `viol > worst` scan in x order: the first x point
+        # with the largest violation, skipping empty inner grids and NaN or -inf
+        viols = f_star - values
+        kept = (counts > 0) & (viols > -np.inf)
+        empty_inner = int(np.count_nonzero(counts == 0))
         if empty_inner:
             report.notes.append(
                 f"delta={delta:g}: {empty_inner} x-grid points had empty inner grids"
             )
-        if worst_x is None:
+        if not np.any(kept):
             level["right_violation"] = None
         else:
-            level["right_violation"] = float(worst_right)
+            i = np.flatnonzero(kept)[np.argmax(viols[kept])]
+            worst_right = float(viols[i])
+            level["right_violation"] = worst_right
             if worst_right > report.worst_violation:
-                report.worst_violation = float(worst_right)
+                report.worst_violation = worst_right
                 report.worst_side = "right"
-                report.worst_witness = worst_x.tolist()
+                report.worst_witness = [float(axis[feasible_x[i]]) for axis in xs]
         report.levels.append(level)
 
     report.passed = report.worst_violation <= grid.tol

@@ -199,6 +199,21 @@ def test_oracle_condition_included_when_requested(p1):
     assert oracle_check.value <= 1e-9
 
 
+@pytest.mark.parametrize("bad", [
+    {"oracle_step": 0.5}, {"oracle_step": 0.0}, {"oracle_delta0": float("nan")},
+    {"oracle_eta_factor": float("inf")}, {"oracle_eta_factor": -1.0},
+])
+def test_bad_oracle_grid_fails_at_config(p1, bad):
+    # caught where the config is made, not as a traceback out of certify
+    with pytest.raises(ValueError, match="delta0|step|eta_factor"):
+        CheckConfig(run_oracle=True, **bad)
+    with pytest.raises(ValueError):
+        CheckConfig().replace(**bad)
+    rep = certify(p1, CandidatePoint([0.0], [0.0]),
+                  CheckConfig(run_oracle=True, oracle_step=0.1))
+    assert result(rep, "definition_oracle").status == SATISFIED
+
+
 def test_random_certified_instances_confirmed_by_oracle(config):
     from conftest import random_certifiable_instance
     from minimaxcert.oracle import GridSpec, verify_minimax_definition

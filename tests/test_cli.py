@@ -157,6 +157,15 @@ def test_bad_config_key_is_usage_error(prob_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cmd", ["certify", "oracle"])
+def test_bad_oracle_grid_config_is_usage_error(prob_files, tmp_path, capsys, cmd):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("run_oracle = true\noracle_step = 0.5\n", encoding="utf-8")
+    assert main([cmd, prob_files["P1"], "--x", "0", "--y", "0",
+                 "--config", str(cfg)]) == 1
+    assert "step must not exceed delta0" in capsys.readouterr().err
+
+
 def test_domain_error_is_usage_error(tmp_path, capsys):
     # the gradient of -sqrt(y1^2 + x1^2) divides by zero at the origin
     prob = tmp_path / "cone.prob"
