@@ -27,9 +27,7 @@ from .conditions import (
     ConditionCheck,
 )
 from .config import CheckConfig
-from .cones import sample_cone
 from .expressions import DomainError
-from .linalg import max_eigenvalue_on_subspace, nullspace_basis
 from .lower import (
     LowerConditionsReport,
     NewtonError,
@@ -38,7 +36,6 @@ from .lower import (
     check_jacobian_uniqueness,
     eval_bundle,
     kkt_residual_lower,
-    lagrangian_eval,
     recover_multipliers,
     solve_lower,
 )
@@ -59,6 +56,7 @@ from .upper import (
     first_order_nonsmooth_necessary,
     second_order_necessary,
     second_order_sufficient,
+    upper_data,
     upper_kkt_and_polytope,
 )
 from .value_function import (
@@ -199,6 +197,7 @@ def _lower_checks_to_results(ju: LowerConditionsReport, licq_sigma: float,
         "licq": ("lower_licq", KIND_QUALIFICATION),
         "strict_complementarity": ("lower_strict_complementarity", KIND_INFO),
         "sosc": ("lower_sosc", KIND_INFO),
+        "sonc": ("lower_second_order_necessary", KIND_NECESSARY),
     }
     for src, (name, kind) in mapping.items():
         if src not in ju.checks:
@@ -207,6 +206,9 @@ def _lower_checks_to_results(ju: LowerConditionsReport, licq_sigma: float,
         kind_eff = kind
         if src == "kkt" and c.status == VIOLATED and licq_sigma < config.tol_licq:
             # without LICQ the KKT system is not a necessary condition
+            kind_eff = KIND_INFO
+        if src == "sonc" and (c.status == SKIPPED or licq_sigma < config.tol_licq):
+            # nor is the second-order condition, which needs a KKT point too
             kind_eff = KIND_INFO
         out.append(
             ConditionCheck(name, c.status, c.value, c.tolerance, kind_eff,
@@ -315,45 +317,6 @@ def _pipeline(spec, candidate, config, progress: _Progress):
 
     ju = decision.ju_report
     results.extend(_lower_checks_to_results(ju, decision.licq_sigma, config))
-    licq_ok = decision.licq_sigma >= config.tol_licq
-
-    # inner second-order necessary condition (curvature <= 0 on the cone)
-    if ju.cone is not None:
-        bundle = eval_bundle(spec, candidate.x, candidate.y)
-        lag = lagrangian_eval(bundle, decision.mu, decision.lam)
-        if ju.cone.F.shape[0] == 0:
-            basis = nullspace_basis(ju.cone.E, 1e-10)
-            worst = max_eigenvalue_on_subspace(lag.yy, basis)
-            witness = None
-        else:
-            worst = -np.inf
-            witness = None
-            samples = ju.cone_samples
-            if samples is None:
-                samples = sample_cone(ju.cone.E, ju.cone.F, spec.m,
-                                      config.sosc_cone_samples, config.seed)
-            for d in samples:
-                val = float(d @ lag.yy @ d)
-                if val > worst:
-                    worst = val
-                    witness = d.tolist()
-        status = SATISFIED if worst <= config.tol_pd else VIOLATED
-        results.append(
-            ConditionCheck(
-                "lower_second_order_necessary",
-                status,
-                worst,
-                config.tol_pd,
-                KIND_NECESSARY if licq_ok else KIND_INFO,
-                witness=witness if status == VIOLATED else None,
-            )
-        )
-    else:
-        results.append(
-            ConditionCheck("lower_second_order_necessary", SKIPPED, None,
-                           config.tol_pd, KIND_INFO, detail="no KKT point")
-        )
-
     if decision.path == PATH_INVALID:
         if decision.assa_report is not None:
             a = decision.assa_report
@@ -495,8 +458,6 @@ def _verify_upper_multipliers(spec, candidate, working_grad, poly, config):
     neg = float(np.min(v, initial=0.0))
     comp = 0.0
     if spec.n2:
-        from .upper import upper_data
-
         comp = float(np.max(np.abs(v * upper_data(spec, candidate.x).G), initial=0.0))
     ok = residual <= config.tol_kkt and neg >= -config.tol_act and comp <= config.tol_act
     return ConditionCheck(

@@ -1,5 +1,6 @@
 """Inner maximization analysis: KKT residuals, active-set partitions,
-constraint qualifications, second-order conditions, and Newton solvers for the
+constraint qualifications, second-order conditions (sufficient `sosc`,
+necessary `sonc`, strong `strong_sosc`), and Newton solvers for the
 parametric solution map (squared-slack and semismooth variants).
 """
 
@@ -12,6 +13,7 @@ import numpy as np
 from .conditions import (
     INCONCLUSIVE,
     SATISFIED,
+    SKIPPED,
     VIOLATED,
     ConditionCheck,
 )
@@ -132,11 +134,11 @@ def classify_partition(g: np.ndarray, lam: np.ndarray, tol_act: float) -> Active
 
 @dataclass
 class ConeRep:
-    """Polyhedral cone rows: E d = 0, F d <= 0; aff rows span its affine hull."""
+    """Polyhedral cone rows: E d = 0, F d <= 0; ker E is its affine hull's
+    linear span."""
 
     E: np.ndarray
     F: np.ndarray
-    aff_rows: np.ndarray
     dim: int
 
     def contains(self, d: np.ndarray, tol: float = 1e-9) -> bool:
@@ -169,7 +171,7 @@ def critical_cone_lower(
         if partition.beta
         else np.zeros((0, m))
     )
-    return ConeRep(E=E, F=F, aff_rows=E, dim=m)
+    return ConeRep(E=E, F=F, dim=m)
 
 
 @dataclass
@@ -234,12 +236,6 @@ class LowerConditionsReport:
     cone: ConeRep | None = None
     mu: np.ndarray | None = None
     lam: np.ndarray | None = None
-    # sample_cone(cone.E, cone.F, m, sosc_cone_samples, seed) when the sosc
-    # check drew it, so later checks on the same cone reuse it
-    cone_samples: list[np.ndarray] | None = None
-
-    def status(self, name: str) -> str:
-        return self.checks[name].status
 
     def all_satisfied(self, names) -> bool:
         return all(name in self.checks and self.checks[name].ok for name in names)
@@ -265,7 +261,10 @@ def check_jacobian_uniqueness(
     spec: ProblemSpec, x, y, mu, lam, config: CheckConfig | None = None
 ) -> LowerConditionsReport:
     """Def-style check of (a) KKT, (b) LICQ, (c) strict complementarity,
-    (d) second-order sufficiency on the critical cone."""
+    (d) second-order sufficiency on the critical cone (`sosc`), plus the
+    second-order necessary condition, curvature <= 0 on that cone (`sonc`).
+    Both read one eigenvalue bound on the cone's affine hull; the cone is
+    sampled only when it has faces and the bound fails."""
     config = config or CheckConfig()
     _require_smooth(spec)
     bundle = eval_bundle(spec, x, y)
@@ -282,6 +281,8 @@ def check_jacobian_uniqueness(
             checks[name] = ConditionCheck(
                 name, INCONCLUSIVE, None, None, detail="kkt residual too large"
             )
+        checks["sonc"] = ConditionCheck("sonc", SKIPPED, None, config.tol_pd,
+                                        detail="no KKT point")
         return LowerConditionsReport(checks=checks, mu=mu, lam=lam)
 
     partition = classify_partition(bundle.g, lam, config.tol_act)
@@ -303,52 +304,50 @@ def check_jacobian_uniqueness(
 
     lag = lagrangian_eval(bundle, mu, lam)
     cone = critical_cone_lower(spec, x, y, mu, lam, partition, config.tol_kkt)
-    samples = None
+    # one curvature bound on aff C = ker E serves both second-order checks
+    bound = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E, NULLSPACE_TOL))
+    sampled, witness, samples = -np.inf, None, []
+    if partition.beta and not bound <= -config.tol_pd:
+        # genuine cone and the affine-hull test failed: sampled witness search
+        samples = sample_cone(cone.E, cone.F, spec.m, config.sosc_cone_samples, config.seed)
+        for d in samples:
+            val = float(d @ lag.yy @ d)
+            if val > sampled:
+                sampled, witness = val, d.tolist()
     if not partition.beta:
-        basis = nullspace_basis(cone.E, NULLSPACE_TOL)
-        maxeig = max_eigenvalue_on_subspace(lag.yy, basis)
         checks["sosc"] = ConditionCheck(
-            "sosc",
-            SATISFIED if maxeig <= -config.tol_pd else VIOLATED,
-            maxeig,
-            config.tol_pd,
+            "sosc", SATISFIED if bound <= -config.tol_pd else VIOLATED, bound, config.tol_pd
+        )
+    elif bound <= -config.tol_pd:
+        checks["sosc"] = ConditionCheck(
+            "sosc", SATISFIED, bound, config.tol_pd, detail="negative definite on aff C"
+        )
+    elif sampled >= config.tol_pd:
+        checks["sosc"] = ConditionCheck(
+            "sosc", VIOLATED, sampled, config.tol_pd, witness=witness,
+            detail="positive curvature direction in the critical cone",
         )
     else:
-        # genuine cone: liberal affine-hull test, then sampled witness search
-        basis = nullspace_basis(cone.aff_rows, NULLSPACE_TOL)
-        maxeig_aff = max_eigenvalue_on_subspace(lag.yy, basis)
-        if maxeig_aff <= -config.tol_pd:
-            checks["sosc"] = ConditionCheck(
-                "sosc", SATISFIED, maxeig_aff, config.tol_pd,
-                detail="negative definite on aff C",
-            )
-        else:
-            samples = sample_cone(
-                cone.E, cone.F, spec.m, config.sosc_cone_samples, config.seed
-            )
-            worst = -np.inf
-            witness = None
-            for d in samples:
-                val = float(d @ lag.yy @ d)
-                if val > worst:
-                    worst = val
-                    witness = d
-            if worst >= config.tol_pd:
-                checks["sosc"] = ConditionCheck(
-                    "sosc", VIOLATED, worst, config.tol_pd,
-                    witness=None if witness is None else witness.tolist(),
-                    detail="positive curvature direction in the critical cone",
-                )
-            else:
-                checks["sosc"] = ConditionCheck(
-                    "sosc", INCONCLUSIVE, maxeig_aff, config.tol_pd,
-                    detail=(
-                        "aff-hull test failed but no sampled violation "
-                        f"(sampled max {worst:.3e} over {len(samples)} directions)"
-                    ),
-                )
-    return LowerConditionsReport(checks=checks, partition=partition, cone=cone, mu=mu, lam=lam,
-                                 cone_samples=samples)
+        checks["sosc"] = ConditionCheck(
+            "sosc", INCONCLUSIVE, bound, config.tol_pd,
+            detail=(
+                "aff-hull test failed but no sampled violation "
+                f"(sampled max {sampled:.3e} over {len(samples)} directions)"
+            ),
+        )
+    # necessary condition, curvature <= 0 on C: exact from the bound when the
+    # bound passes or C = ker E, and from the sampled search otherwise
+    if bound <= config.tol_pd or not partition.beta:
+        checks["sonc"] = ConditionCheck(
+            "sonc", SATISFIED if bound <= config.tol_pd else VIOLATED, bound, config.tol_pd
+        )
+    else:
+        ok = sampled <= config.tol_pd
+        checks["sonc"] = ConditionCheck(
+            "sonc", SATISFIED if ok else VIOLATED, sampled, config.tol_pd,
+            witness=None if ok else witness,
+        )
+    return LowerConditionsReport(checks=checks, partition=partition, cone=cone, mu=mu, lam=lam)
 
 
 def check_assumption_a(
@@ -381,7 +380,7 @@ def check_assumption_a(
         partition = classify_partition(bundle.g, rec.lam, config.tol_act)
         lag = lagrangian_eval(bundle, rec.mu, rec.lam)
         cone = critical_cone_lower(spec, x, y, rec.mu, rec.lam, partition, config.tol_kkt)
-        basis = nullspace_basis(cone.aff_rows, NULLSPACE_TOL)
+        basis = nullspace_basis(cone.E, NULLSPACE_TOL)
         maxeig = max_eigenvalue_on_subspace(lag.yy, basis)
         checks["strong_sosc"] = ConditionCheck(
             "strong_sosc",

@@ -139,10 +139,17 @@ class ProblemSpec:
             and self.G == other.G
         )
 
-    @property
+    # -- per-spec invariants, computed on first use --------------------------
+
+    @cached_property
     def smooth_for_conditions(self) -> bool:
         """abs is parsed but rejected by the condition-checking entry points."""
         return not any(uses_abs(e) for _, e in self._labelled())
+
+    @cached_property
+    def digest(self) -> str:
+        """Stable identifier: sha256 of the canonical serialization."""
+        return hashlib.sha256(serialize_problem(self).encode("utf-8")).hexdigest()
 
     # -- cached derivative expression tables -------------------------------
 
@@ -533,5 +540,6 @@ def serialize_problem(spec: ProblemSpec) -> str:
 
 
 def problem_digest(spec: ProblemSpec) -> str:
-    """Stable identifier: sha256 of the canonical serialization."""
-    return hashlib.sha256(serialize_problem(spec).encode("utf-8")).hexdigest()
+    """Stable identifier: sha256 of the canonical serialization (cached on
+    the spec)."""
+    return spec.digest

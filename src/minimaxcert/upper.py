@@ -318,7 +318,7 @@ def critical_cone_upper(
 
 
 def _curvature_lp_max(
-    poly: LambdaPolytope, data: UpperData, d: np.ndarray, maximize: bool = True
+    poly: LambdaPolytope, data: UpperData, d: np.ndarray
 ) -> tuple[float, str]:
     """max over the polytope of sum_j u_j <Hxx_j d, d> + sum_i v_i <Gxx_i d, d>."""
     n1 = data.JH.shape[0]
@@ -337,12 +337,12 @@ def _curvature_lp_max(
         return 0.0, "empty"
     A_eq, b_eq, lower, _ = _lambda_lp_parts(data, poly.active, poly.r0)
     c = np.concatenate([coef_u, coef_v])
-    sol = solve_lp(LpProblem(c if maximize else -c, A_eq, b_eq, None, None, lower, None))
+    sol = solve_lp(LpProblem(c, A_eq, b_eq, None, None, lower, None))
     if sol.status == "unbounded":
-        return np.inf if maximize else -np.inf, "unbounded"
+        return np.inf, "unbounded"
     if sol.status != "optimal":
         return np.nan, sol.status
-    return (float(sol.value) if maximize else -float(sol.value)), "lp"
+    return float(sol.value), "lp"
 
 
 def second_order_necessary(

@@ -544,41 +544,137 @@ def test_inactive_inner_constraint_keeps_the_verdict(name, text, x, y, config):
         (c.name, c.status) for c in base.results]
 
 
-# --- the lower critical cone is sampled once per call ---------------------------
+# --- the inner second-order checks -------------------------------------------------
 
-def test_lower_cone_sampled_once_per_call(config, monkeypatch):
+# L_yy = diag(2, -2) and both inner constraints degenerate at the origin: the
+# critical cone is the nonpositive quadrant, and d = (-1, 0) has curvature 2
+CURVED_QUADRANT = (
+    "dims 2 2 0 2 0 0\nf = (y1-x1)^2 - (y2-x2)^2\ng1 = y1 - x1\ng2 = y2 - x2\n")
+# positive curvature on the critical half-line {d <= 0}
+CURVED_HALFLINE = "dims 1 1 0 1 0 0\nf = (y1-x1)^2\ng1 = y1\n"
+# zero curvature along y2 on a cone with faces: the bound is 0, within tol_pd
+FLAT_QUADRANT = "dims 1 2 0 2 0 0\nf = -(y1-x1)^2\ng1 = y1 - x1\ng2 = y2\n"
+
+
+def _count_inner_cone_draws(monkeypatch):
+    """Count sample_cone calls made through the lower-level checks and certify
+    (the upper-level checks keep their own binding and are not counted)."""
     import sys
 
     from minimaxcert.cones import sample_cone
-    from minimaxcert.problem import parse_problem
 
-    # the affine-hull test fails, so check_jacobian_uniqueness samples the
-    # lower cone, and lower_second_order_necessary needs the same directions
-    spec = parse_problem(
-        "dims 2 2 0 2 0 0\nf = (y1-x1)^2 - (y2-x2)^2\ng1 = y1 - x1\ng2 = y2 - x2\n")
-    origin = CandidatePoint([0.0, 0.0], [0.0, 0.0])
-    lower, certify_module = sys.modules["minimaxcert.lower"], sys.modules["minimaxcert.certify"]
     calls = []
 
     def counting(*args):
         calls.append(args)
         return sample_cone(*args)
 
-    monkeypatch.setattr(lower, "sample_cone", counting)
-    monkeypatch.setattr(certify_module, "sample_cone", counting)
-    shared = certify(spec, origin, config)
-    assert shared.verdict == VERDICT_REFUTED
+    for module in ("minimaxcert.lower", "minimaxcert.certify"):
+        monkeypatch.setattr(sys.modules[module], "sample_cone", counting, raising=False)
+    return calls
+
+
+def test_lower_cone_sampled_once_per_call(config, monkeypatch):
+    from minimaxcert.problem import parse_problem
+
+    # the affine-hull bound fails on a cone with faces, so the sufficient and
+    # the necessary second-order checks both need sampled directions
+    calls = _count_inner_cone_draws(monkeypatch)
+    rep = certify(parse_problem(CURVED_QUADRANT), CandidatePoint([0.0, 0.0], [0.0, 0.0]),
+                  config)
+    assert rep.verdict == VERDICT_REFUTED
     assert len(calls) == 1
 
-    # without the directions kept on the report, certify draws them itself
-    check = lower.check_jacobian_uniqueness
 
-    def forgetful(*args):
-        report = check(*args)
-        report.cone_samples = None
-        return report
+def test_inner_cone_not_sampled_on_regular_paths(p1, config, monkeypatch):
+    from minimaxcert.problem import parse_problem
 
-    monkeypatch.setattr(certify_module, "check_jacobian_uniqueness", forgetful)
-    redrawn = certify(spec, origin, config)
-    assert len(calls) == 3
-    assert dumps_canonical(report_to_doc(redrawn)) == dumps_canonical(report_to_doc(shared))
+    from conftest import degenerate_text
+
+    calls = _count_inner_cone_draws(monkeypatch)
+    for k in (2, 3, 4):
+        rep = certify(parse_problem(degenerate_text(k)), CandidatePoint([0.0] * k, [0.0] * k),
+                      config)
+        assert rep.path == PATH_NONSMOOTH
+    rep = certify(p1, CandidatePoint([0.0], [0.0]), config)
+    assert rep.path == PATH_SMOOTH
+    assert calls == []
+    # on the invalid path a sampled witness can still refute
+    rep = certify(parse_problem(CURVED_QUADRANT), CandidatePoint([0.0, 0.0], [0.0, 0.0]),
+                  config)
+    assert rep.path == PATH_INVALID
+    assert len(calls) >= 1
+
+
+def _reference_lower_sonc(spec, candidate, config):
+    """certify's inner second-order necessary check as it was when certify
+    evaluated it itself: curvature of L_yy at the path's multipliers, exact on
+    ker E when the cone has no faces, else the maximum over sample_cone."""
+    from minimaxcert.cones import sample_cone
+    from minimaxcert.linalg import max_eigenvalue_on_subspace, nullspace_basis
+    from minimaxcert.lower import lagrangian_eval
+    from minimaxcert.problem import eval_bundle
+
+    decision = classify_path(spec, candidate, config)
+    ju = decision.ju_report
+    if ju.cone is None:
+        return "skipped", None, None, None
+    lag = lagrangian_eval(eval_bundle(spec, candidate.x, candidate.y),
+                          decision.mu, decision.lam)
+    bound = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(ju.cone.E, 1e-10))
+    if ju.cone.F.shape[0] == 0:
+        worst, witness = bound, None
+    else:
+        worst, witness = -np.inf, None
+        for d in sample_cone(ju.cone.E, ju.cone.F, spec.m, config.sosc_cone_samples,
+                             config.seed):
+            val = float(d @ lag.yy @ d)
+            if val > worst:
+                worst, witness = val, d.tolist()
+    status = SATISFIED if worst <= config.tol_pd else VIOLATED
+    return status, worst, witness if status == VIOLATED else None, (ju.cone, bound)
+
+
+def _sonc_reference_cases():
+    from minimaxcert.fixtures import fixture_text
+
+    from conftest import degenerate_text
+
+    feasible = {  # candidates inside both levels' feasible sets
+        "P1": ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (0.0, 0.5), (-0.5, -0.5)),
+        "P2": ((0.0, 0.0), (0.5, 0.0), (-0.5, -0.5), (0.5, -0.5), (0.0, -0.3)),
+        "P3": ((0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.0, -1.0)),
+        "P4": ((1.0, 1.0), (1.5, 1.0), (1.0, 0.5), (2.0, 1.0)),
+    }
+    cases = [pytest.param(fixture_text(name), [x], [y], id=f"{name}-{x}-{y}")
+             for name, points in feasible.items() for x, y in points]
+    cases += [pytest.param(degenerate_text(k), [v] * k, [v] * k, id=f"degenerate-{k}-{v}")
+              for k in range(1, 6) for v in (0.0, 0.1)]
+    cases += [
+        pytest.param(CURVED_QUADRANT, [0.0, 0.0], [0.0, 0.0], id="curved-quadrant"),
+        pytest.param(CURVED_HALFLINE, [0.0], [0.0], id="curved-halfline"),
+        pytest.param(FLAT_QUADRANT, [0.0], [0.0, 0.0], id="flat-quadrant"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("text, x, y", _sonc_reference_cases())
+def test_lower_sonc_agrees_with_reference(text, x, y, config):
+    from minimaxcert.problem import parse_problem
+
+    spec = parse_problem(text)
+    candidate = CandidatePoint(x, y)
+    status, margin, witness, evidence = _reference_lower_sonc(spec, candidate, config)
+    got = result(certify(spec, candidate, config), "lower_second_order_necessary")
+    assert got.status == status
+    if evidence is None:
+        return
+    cone, bound = evidence
+    # the bound on ker E is at least the curvature of any unit direction of
+    # the cone inside it, up to rounding in the sampled products
+    assert got.value >= margin - 1e-12 * max(1.0, abs(margin))
+    if cone.F.shape[0] == 0 or bound > config.tol_pd:
+        assert got.value == margin
+        assert got.witness == witness
+    if got.status == VIOLATED and got.witness is not None:
+        assert cone.contains(np.array(got.witness))

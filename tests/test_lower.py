@@ -119,7 +119,7 @@ def test_cone_p2_origin_is_halfline(p2):
     assert cone.contains(np.array([-1.0]))
     assert not cone.contains(np.array([1.0]))
     # aff hull is the whole line
-    assert cone.aff_rows.shape[0] == 0
+    assert cone.E.shape[0] == 0
 
 
 def test_cone_alpha_gives_equality_row(p2):
