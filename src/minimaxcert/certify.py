@@ -2,9 +2,10 @@
 path, run every applicable condition, and assemble the verdict.
 
 Verdict rules: a violated necessary condition (with its preconditions
-verified) refutes; a sufficient condition on the smooth path that is
-satisfied exactly, not just on samples, certifies; sampled searches alone
-never refute or certify.
+verified) refutes; a satisfied sufficient condition on the smooth path
+certifies.  Both levels' second-order conditions are decided exactly on the
+critical cone's faces; a search that is not exhaustive (the nonsmooth
+first-order selector search with beta nonempty) never refutes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .lower import (
     solve_lower,
 )
 from .nonsmooth import LAMBDA_SIGN_CONVENTION, SelectorCapError, selector_sweep
-from .oracle import verify_minimax_definition
+from .oracle import GridTooLargeError, verify_minimax_definition
 from .problem import (
     CandidatePoint,
     CandidateShapeError,
@@ -342,7 +343,12 @@ def _pipeline(spec, candidate, config, progress: _Progress):
 
     if config.run_oracle and spec.n <= 2 and spec.m <= 2:
         grid = config.oracle_grid()
-        rep = verify_minimax_definition(spec, candidate.x, candidate.y, grid)
+        try:
+            rep = verify_minimax_definition(spec, candidate.x, candidate.y, grid)
+        except GridTooLargeError as exc:
+            results.append(ConditionCheck("definition_oracle", SKIPPED, None, grid.tol,
+                                          KIND_INFO, detail=str(exc)))
+            return
         results.append(
             ConditionCheck(
                 "definition_oracle",

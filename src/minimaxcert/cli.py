@@ -79,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--v", action="append", type=_parse_vector, default=[])
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--json", dest="json_path", help="write the JSON report here")
-        p.add_argument("--seed", type=int)
 
     add_common(sub.add_parser("validate", help="parse and dimension-check"),
                candidates=False)
@@ -98,8 +97,6 @@ def _load(args):
         text = handle.read()
     spec = parse_problem(text)
     config = CheckConfig.from_file(args.config) if args.config else CheckConfig()
-    if args.seed is not None:
-        config = config.replace(seed=args.seed)
     return spec, config
 
 

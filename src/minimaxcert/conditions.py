@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 SATISFIED = "satisfied"
-SATISFIED_SAMPLED = "satisfied (sampled)"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 NOT_FOUND_SAMPLED = "not found (sampled)"
@@ -33,4 +32,4 @@ class ConditionCheck:
 
     @property
     def ok(self) -> bool:
-        return self.status in (SATISFIED, SATISFIED_SAMPLED)
+        return self.status == SATISFIED

@@ -1,4 +1,4 @@
-"""Tolerances, sample counts and caps shared by all condition checks."""
+"""Tolerances, grid sizes and caps shared by all condition checks."""
 
 from __future__ import annotations
 
@@ -22,13 +22,8 @@ class CheckConfig:
     slack_floor: float = 1e-12  # epsilon_w for squared-slack initialization
     fd_step: float = 1e-5
     fd_hess_step: float = 1e-3
-    # sampling
-    seed: int = 0
-    cone_samples: int = 128
-    sosc_cone_samples: int = 256
-    beta_grid_resolution: int = 5  # Clarke grid points per beta index (subdiff only)
-    refine_rounds: int = 20
     # caps
+    beta_grid_resolution: int = 5  # Clarke grid points per beta index (subdiff only)
     selector_cap: int = 16  # max |beta| for B-selector enumeration
     clarke_grid_cap: int = 4096  # max Clarke grid selectors (subdiff only)
     vertex_enum_cap: int = 12  # n1 + |I| bound for vertex enumeration
@@ -45,9 +40,8 @@ class CheckConfig:
         for f in fields(self):
             if f.name.startswith("tol_") and getattr(self, f.name) <= 0:
                 raise ValueError(f"{f.name} must be positive")
-        for name in ("newton_max_iter", "cone_samples", "sosc_cone_samples",
-                     "beta_grid_resolution", "selector_cap", "clarke_grid_cap",
-                     "vertex_enum_cap"):
+        for name in ("newton_max_iter", "beta_grid_resolution", "selector_cap",
+                     "clarke_grid_cap", "vertex_enum_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         self.oracle_grid()  # the oracle_* keys follow GridSpec's rules

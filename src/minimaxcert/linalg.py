@@ -223,12 +223,6 @@ def max_eigenvalue_on_subspace(M: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(reduced)[-1])
 
 
-def min_eigenvalue_on_subspace(M: np.ndarray, basis: np.ndarray) -> float:
-    """Smallest eigenvalue of basis^T M basis; +inf for a zero-column basis."""
-    val = max_eigenvalue_on_subspace(-np.asarray(M, dtype=float), basis)
-    return -val
-
-
 # ---------------------------------------------------------------------------
 # linear programming: maximize c^T z  s.t.  A_eq z = b_eq, A_in z <= b_in,
 # lower <= z <= upper  (entries may be +-inf)

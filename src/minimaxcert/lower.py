@@ -18,7 +18,7 @@ from .conditions import (
     ConditionCheck,
 )
 from .config import CheckConfig
-from .cones import cone_contains, sample_cone
+from .cones import RAY_SUBSET_CAP, cone_contains, min_quadratic_on_cone
 from .linalg import (
     SingularMatrixError,
     max_eigenvalue_on_subspace,
@@ -263,8 +263,8 @@ def check_jacobian_uniqueness(
     """Def-style check of (a) KKT, (b) LICQ, (c) strict complementarity,
     (d) second-order sufficiency on the critical cone (`sosc`), plus the
     second-order necessary condition, curvature <= 0 on that cone (`sonc`).
-    Both read one eigenvalue bound on the cone's affine hull; the cone is
-    sampled only when it has faces and the bound fails."""
+    Both read one eigenvalue bound on the cone's affine hull; when the cone
+    has faces and the bound fails, the exact face test settles them."""
     config = config or CheckConfig()
     _require_smooth(spec)
     bundle = eval_bundle(spec, x, y)
@@ -305,47 +305,25 @@ def check_jacobian_uniqueness(
     lag = lagrangian_eval(bundle, mu, lam)
     cone = critical_cone_lower(spec, x, y, mu, lam, partition, config.tol_kkt)
     # one curvature bound on aff C = ker E serves both second-order checks
-    bound = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E, NULLSPACE_TOL))
-    sampled, witness, samples = -np.inf, None, []
-    if partition.beta and not bound <= -config.tol_pd:
-        # genuine cone and the affine-hull test failed: sampled witness search
-        samples = sample_cone(cone.E, cone.F, spec.m, config.sosc_cone_samples, config.seed)
-        for d in samples:
-            val = float(d @ lag.yy @ d)
-            if val > sampled:
-                sampled, witness = val, d.tolist()
-    if not partition.beta:
-        checks["sosc"] = ConditionCheck(
-            "sosc", SATISFIED if bound <= -config.tol_pd else VIOLATED, bound, config.tol_pd
-        )
-    elif bound <= -config.tol_pd:
-        checks["sosc"] = ConditionCheck(
-            "sosc", SATISFIED, bound, config.tol_pd, detail="negative definite on aff C"
-        )
-    elif sampled >= config.tol_pd:
-        checks["sosc"] = ConditionCheck(
-            "sosc", VIOLATED, sampled, config.tol_pd, witness=witness,
-            detail="positive curvature direction in the critical cone",
-        )
-    else:
-        checks["sosc"] = ConditionCheck(
-            "sosc", INCONCLUSIVE, bound, config.tol_pd,
-            detail=(
-                "aff-hull test failed but no sampled violation "
-                f"(sampled max {sampled:.3e} over {len(samples)} directions)"
-            ),
-        )
-    # necessary condition, curvature <= 0 on C: exact from the bound when the
-    # bound passes or C = ker E, and from the sampled search otherwise
-    if bound <= config.tol_pd or not partition.beta:
-        checks["sonc"] = ConditionCheck(
-            "sonc", SATISFIED if bound <= config.tol_pd else VIOLATED, bound, config.tol_pd
-        )
-    else:
-        ok = sampled <= config.tol_pd
-        checks["sonc"] = ConditionCheck(
-            "sonc", SATISFIED if ok else VIOLATED, sampled, config.tol_pd,
-            witness=None if ok else witness,
+    # unless C has faces and the bound fails; then the face test gives the
+    # largest curvature on C itself, with a unit direction attaining it
+    top = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E, NULLSPACE_TOL))
+    witness, detail = None, "negative definite on aff C" if partition.beta else ""
+    if partition.beta and top > -config.tol_pd:
+        exact = min_quadratic_on_cone(-lag.yy, cone.E, cone.F, spec.m)
+        if exact is None:
+            detail = f"more than {RAY_SUBSET_CAP} cone inequalities: face test skipped"
+            for name in ("sosc", "sonc"):
+                checks[name] = ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd,
+                                              detail=detail)
+            return LowerConditionsReport(checks=checks, partition=partition, cone=cone,
+                                         mu=mu, lam=lam)
+        top, detail = 0.0 - exact[0], "largest curvature on C from its faces"
+        witness = None if exact[1] is None else exact[1].tolist()
+    for name, ok in (("sosc", top <= -config.tol_pd), ("sonc", top <= config.tol_pd)):
+        checks[name] = ConditionCheck(
+            name, SATISFIED if ok else VIOLATED, top, config.tol_pd,
+            witness=None if ok else witness, detail=detail if name == "sosc" else "",
         )
     return LowerConditionsReport(checks=checks, partition=partition, cone=cone, mu=mu, lam=lam)
 

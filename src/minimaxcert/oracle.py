@@ -5,9 +5,9 @@ Grid oracles are wired for n <= 2, m <= 2 only.  The definition check builds
 one inner y-grid per level and evaluates it against blocks of feasible x-grid
 points in one broadcast: x axes as (rows, 1) columns, y axes as (1, Y) rows,
 with rows * Y at most CHUNK_ELEMENTS (one row when Y alone exceeds it).  Time
-still grows with the product of the grid sizes, but the working arrays are
-bounded by the chunk, and the results are bit-identical to one grid
-maximization per x point.
+still grows with the product of the grid sizes (capped at MAX_LEVEL_POINTS),
+but the working arrays are bounded by the chunk, and the results are
+bit-identical to one grid maximization per x point.
 """
 
 from __future__ import annotations
@@ -88,10 +88,23 @@ def _mesh(axes: list[np.ndarray]) -> list[np.ndarray]:
 # x-by-y points evaluated in one broadcast block of the right inequality; the
 # oracle's working arrays stay O(CHUNK_ELEMENTS) whatever the grid size
 CHUNK_ELEMENTS = 1 << 14
+# the first (largest) level's x-grid times y-grid point count above which the
+# definition check refuses to run: time grows with it, and the 6.5e9 points
+# of n = m = 2 at the default step take minutes
+MAX_LEVEL_POINTS = 10**8
 
 
 class EmptyFeasibleGridError(Exception):
     pass
+
+
+class GridTooLargeError(ValueError):
+    """The first level of the definition check exceeds MAX_LEVEL_POINTS."""
+
+    def __init__(self, points: int):
+        self.points = points
+        super().__init__(f"the oracle grid's first level has {points} x-by-y points, "
+                         f"above the cap of {MAX_LEVEL_POINTS}; coarsen oracle_step")
 
 
 @dataclass
@@ -167,10 +180,19 @@ def verify_minimax_definition(
 ) -> OracleReport:
     """Grid check of both defining inequalities on a shrinking delta ladder:
     y-candidates may not beat f(x*, y*) on Y(x*), and nearby feasible x must
-    reach at least f(x*, y*) when maximizing over the eta(delta) ball."""
+    reach at least f(x*, y*) when maximizing over the eta(delta) ball.
+    Raises GridTooLargeError, before evaluating anything, when the first
+    level's x-grid times y-grid exceeds MAX_LEVEL_POINTS."""
     grid = grid or GridSpec()
     if spec.n > 2 or spec.m > 2:
         raise ValueError("definition oracle supports n <= 2 and m <= 2 only")
+
+    def npts(radius: float) -> int:
+        return 2 * max(1, int(np.ceil(radius / grid.step))) + 1
+
+    points = npts(grid.delta0) ** spec.n * npts(grid.eta(grid.delta0)) ** spec.m
+    if points > MAX_LEVEL_POINTS:
+        raise GridTooLargeError(points)
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
     f_star = float(evaluate(spec.f, x_star, y_star))
@@ -178,9 +200,6 @@ def verify_minimax_definition(
         passed=True, worst_violation=0.0, worst_side=None, worst_witness=None,
         f_star=f_star,
     )
-
-    def npts(radius: float) -> int:
-        return 2 * max(1, int(np.ceil(radius / grid.step))) + 1
 
     deltas = [grid.delta0 * 0.5**k for k in range(grid.levels)]
     for delta in deltas:

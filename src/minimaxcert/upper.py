@@ -17,24 +17,12 @@ from .conditions import (
     KIND_SUFFICIENT,
     NOT_FOUND_SAMPLED,
     SATISFIED,
-    SATISFIED_SAMPLED,
     VIOLATED,
     ConditionCheck,
 )
 from .config import CheckConfig
-from .cones import (
-    cone_contains,
-    cone_is_subspace,
-    cone_is_trivial,
-    cone_subspace_basis,
-    sample_cone,
-)
-from .linalg import (
-    LpProblem,
-    min_eigenvalue_on_subspace,
-    smallest_singular_value,
-    solve_lp,
-)
+from .cones import RAY_SUBSET_CAP, cone_contains, min_quadratic_on_cone
+from .linalg import LpProblem, smallest_singular_value, solve_lp
 from .lower import KktSolution
 from .nonsmooth import GeneralizedDerivativeSet, SelectorSweep, selector_sweep
 from .problem import ProblemSpec
@@ -345,6 +333,72 @@ def _curvature_lp_max(
     return float(sol.value), "lp"
 
 
+def _multipliers(poly: LambdaPolytope, data: UpperData) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The polytope's enumerated vertices, else one feasible point of its LP."""
+    if poly.vertices:
+        return poly.vertices
+    n1 = data.JH.shape[0]
+    v = np.zeros(data.G.shape[0])
+    A_eq, b_eq, lower, nvar = _lambda_lp_parts(data, poly.active, poly.r0)
+    if nvar == 0:
+        return [(np.zeros(n1), v)]
+    sol = solve_lp(LpProblem(np.zeros(nvar), A_eq, b_eq, None, None, lower, None))
+    v[list(poly.active)] = np.maximum(sol.z[n1:], 0.0)
+    return [(sol.z[:n1], v)]
+
+
+def _cone_curvature(spec, x, vd, poly, E, F):
+    """Face test of q_sup(d) = d^T hess(phi) d + max over the multiplier
+    polytope of the constraint curvature, on the cone {E d = 0, F d <= 0}.
+
+    Each multiplier (u, v) gives the quadratic of hess(phi) + sum u_j Hxx_j
+    + sum v_i Gxx_i, which is at most q_sup; so the largest of their exact
+    cone minima is a lower bound of min q_sup over unit cone directions, and
+    the bound is exact when the polytope is a single point.  Returns None
+    above RAY_SUBSET_CAP, else (single point, lower bound, [(witness d,
+    q_sup(d))] over the quadratics' face witnesses); the bound is +inf and
+    the list empty on the trivial cone."""
+    data = upper_data(spec, x)
+    single = spec.n1 + len(poly.active) == 0 or (len(poly.vertices) == 1 and poly.bounded)
+    lower, witnesses = -np.inf, []
+    for u, v in _multipliers(poly, data):
+        M = vd.hessian + np.einsum("j,jab->ab", u, data.Hxx) + np.einsum("i,iab->ab", v, data.Gxx)
+        exact = min_quadratic_on_cone(M, E, F, spec.n)
+        if exact is None:
+            return None
+        lower = max(lower, exact[0])
+        if exact[1] is not None:
+            d = exact[1]
+            witnesses.append((d, float(d @ vd.hessian @ d) + _curvature_lp_max(poly, data, d)[0]))
+    return single, lower, witnesses
+
+
+def _cone_verdict(name, kind, test, threshold, config) -> ConditionCheck:
+    """`satisfied` when the lower bound reaches `threshold`; on a single-point
+    polytope the bound is exact, so `violated` otherwise; with several
+    multipliers `violated` only at a witness with q_sup <= -tol_pd, else
+    `inconclusive`."""
+    if test is None:
+        return ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd, kind=kind,
+                              detail=f"more than {RAY_SUBSET_CAP} cone inequalities: face test skipped")
+    single, lower, witnesses = test
+    if lower >= threshold:
+        detail = ("critical cone is trivial" if lower == np.inf
+                  else "exact minimum over the cone's faces" if single
+                  else "lower bound from the multiplier vertices' face minima")
+        return ConditionCheck(name, SATISFIED, lower, config.tol_pd, kind=kind, detail=detail)
+    if single:
+        return ConditionCheck(name, VIOLATED, lower, config.tol_pd, kind=kind,
+                              witness=witnesses[0][0].tolist(),
+                              detail="exact minimum over the cone's faces")
+    d, q = min(witnesses, key=lambda item: item[1])
+    if q <= -config.tol_pd:
+        return ConditionCheck(name, VIOLATED, q, config.tol_pd, kind=kind, witness=d.tolist(),
+                              detail="q_sup at a face witness")
+    return ConditionCheck(name, INCONCLUSIVE, lower, config.tol_pd, kind=kind,
+                          detail=f"min q_sup lies in [{lower:.6g}, {q:.6g}]")
+
+
 def second_order_necessary(
     spec: ProblemSpec,
     x,
@@ -353,10 +407,9 @@ def second_order_necessary(
     cone: UpperConeRep,
     config: CheckConfig | None = None,
 ) -> tuple[ConditionCheck, list[tuple[np.ndarray, float]]]:
-    """For sampled cone directions d, the polytope-max curvature plus the
-    value-function curvature must be >= 0 (to tolerance)."""
+    """q_sup(d) >= 0 (to tolerance) on the critical cone, by the face test;
+    the evidence is (d, q_sup(d)) at each face witness."""
     config = config or CheckConfig()
-    data = upper_data(spec, x)
     if not poly.nonempty:
         return (
             ConditionCheck(
@@ -365,64 +418,10 @@ def second_order_necessary(
             ),
             [],
         )
-    directions = sample_cone(cone.E, cone.F, spec.n, config.cone_samples, config.seed)
-    evidence = []
-    worst = np.inf
-    witness = None
-    for d in directions:
-        base = float(d @ vd.hessian @ d)
-        extra, _ = _curvature_lp_max(poly, data, d)
-        q = base + extra
-        evidence.append((d, q))
-        if q < worst:
-            worst = q
-            witness = d
-    if not directions:
-        return (
-            ConditionCheck(
-                "second_order_necessary", SATISFIED, np.inf, config.tol_pd,
-                kind=KIND_NECESSARY, detail="critical cone is trivial",
-            ),
-            [],
-        )
-    if worst < -config.tol_pd:
-        check = ConditionCheck(
-            "second_order_necessary", VIOLATED, worst, config.tol_pd,
-            kind=KIND_NECESSARY, witness=witness.tolist(),
-        )
-    else:
-        check = ConditionCheck(
-            "second_order_necessary", SATISFIED, worst, config.tol_pd,
-            kind=KIND_NECESSARY,
-            detail=f"{len(directions)} cone directions tested",
-        )
-    return check, evidence
-
-
-def _refine_minimum(E, F, dim, d0, value_fn, rounds, seed):
-    """Local pattern search of value_fn over unit cone directions near d0."""
-    best_d = d0
-    best_v = value_fn(d0)
-    rng = np.random.default_rng(seed + 1)
-    radius = 0.5
-    for _ in range(rounds):
-        improved = False
-        for _ in range(8):
-            cand = best_d + radius * rng.standard_normal(dim)
-            nrm = float(np.linalg.norm(cand))
-            if nrm < 1e-12:
-                continue
-            cand /= nrm
-            if not cone_contains(E, F, cand, 1e-9):
-                continue
-            val = value_fn(cand)
-            if val < best_v - 1e-14:
-                best_v = val
-                best_d = cand
-                improved = True
-        if not improved:
-            radius *= 0.5
-    return best_d, best_v
+    test = _cone_curvature(spec, x, vd, poly, cone.E, cone.F)
+    check = _cone_verdict("second_order_necessary", KIND_NECESSARY, test, -config.tol_pd,
+                          config)
+    return check, [] if test is None else test[2]
 
 
 def second_order_sufficient(
@@ -433,11 +432,9 @@ def second_order_sufficient(
     cone: UpperConeRep,
     config: CheckConfig | None = None,
 ) -> ConditionCheck:
-    """Strict positivity of the same quadratic over the critical cone; exact on
-    subspace cones with singleton multipliers, sampled with local refinement
-    otherwise (reported as satisfied (sampled), never as proved)."""
+    """q_sup(d) >= tol_pd on the unit directions of the reduced critical cone,
+    by the face test; the margin is the growth rate estimate."""
     config = config or CheckConfig()
-    data = upper_data(spec, x)
     if not poly.nonempty:
         return ConditionCheck(
             "second_order_sufficient", INCONCLUSIVE, None, config.tol_pd,
@@ -445,58 +442,9 @@ def second_order_sufficient(
         )
     E = cone.reduced_E if cone.reduced_E is not None else cone.E
     F = cone.reduced_F if cone.reduced_F is not None else cone.F
-    if cone_is_trivial(E, F, spec.n):
-        return ConditionCheck(
-            "second_order_sufficient", SATISFIED, np.inf, config.tol_pd,
-            kind=KIND_SUFFICIENT, detail="critical cone is trivial (vacuous)",
-        )
-    singleton = len(poly.vertices) == 1 and poly.bounded
-    if singleton and cone_is_subspace(E, F, spec.n):
-        u, v = poly.vertices[0]
-        M = vd.hessian.copy()
-        for j in range(spec.n1):
-            M = M + u[j] * data.Hxx[j]
-        for i in range(spec.n2):
-            M = M + v[i] * data.Gxx[i]
-        basis = cone_subspace_basis(E, F, spec.n)
-        margin = min_eigenvalue_on_subspace(M, basis)
-        status = SATISFIED if margin >= config.tol_pd else VIOLATED
-        return ConditionCheck(
-            "second_order_sufficient", status, margin, config.tol_pd,
-            kind=KIND_SUFFICIENT,
-            detail="exact eigenvalue test on the subspace cone; growth rate "
-            "estimate equals the margin",
-        )
-
-    def q_sup(d: np.ndarray) -> float:
-        base = float(d @ vd.hessian @ d)
-        extra, _ = _curvature_lp_max(poly, data, d)
-        return base + extra
-
-    directions = sample_cone(E, F, spec.n, config.cone_samples, config.seed)
-    if not directions:
-        return ConditionCheck(
-            "second_order_sufficient", SATISFIED, np.inf, config.tol_pd,
-            kind=KIND_SUFFICIENT, detail="no nonzero cone directions (vacuous)",
-        )
-    values = [q_sup(d) for d in directions]
-    i0 = int(np.argmin(values))
-    d_best, gamma_hat = _refine_minimum(
-        E, F, spec.n, directions[i0], q_sup, config.refine_rounds, config.seed
-    )
-    if gamma_hat >= config.tol_pd:
-        status = SATISFIED_SAMPLED
-    elif gamma_hat <= -config.tol_pd:
-        status = VIOLATED
-    else:
-        status = INCONCLUSIVE
-    return ConditionCheck(
-        "second_order_sufficient", status, gamma_hat, config.tol_pd,
-        kind=KIND_SUFFICIENT,
-        witness=d_best.tolist() if status == VIOLATED else None,
-        detail=f"sampled minimum over {len(directions)} directions "
-        f"(growth rate estimate {gamma_hat:.6g})",
-    )
+    test = _cone_curvature(spec, x, vd, poly, E, F)
+    return _cone_verdict("second_order_sufficient", KIND_SUFFICIENT, test, config.tol_pd,
+                         config)
 
 
 def first_order_nonsmooth_necessary(

@@ -199,6 +199,26 @@ def test_oracle_condition_included_when_requested(p1):
     assert oracle_check.value <= 1e-9
 
 
+def test_oracle_over_the_grid_cap_is_skipped(config):
+    # n = m = 2 at the default grid: 201^2 x-points by 401^2 y-points at the
+    # first level, refused before anything is evaluated
+    import time
+
+    from minimaxcert.conditions import KIND_INFO, SKIPPED
+    from minimaxcert.oracle import MAX_LEVEL_POINTS
+    from minimaxcert.problem import parse_problem
+
+    spec = parse_problem("dims 2 2 0 1 0 1\nf = x1^2 + x2^2 - y1^2 - y2^2\n"
+                         "g1 = y1 - x1\nG1 = -x1\n")
+    start = time.perf_counter()
+    rep = certify(spec, CandidatePoint([0.0, 0.0], [0.0, 0.0]), config.replace(run_oracle=True))
+    assert time.perf_counter() - start < 1.0
+    check = result(rep, "definition_oracle")
+    assert (check.status, check.kind) == (SKIPPED, KIND_INFO)
+    assert 201**2 * 401**2 > MAX_LEVEL_POINTS
+    assert str(201**2 * 401**2) in check.detail
+
+
 @pytest.mark.parametrize("bad", [
     {"oracle_step": 0.5}, {"oracle_step": 0.0}, {"oracle_delta0": float("nan")},
     {"oracle_eta_factor": float("inf")}, {"oracle_eta_factor": -1.0},
@@ -244,6 +264,78 @@ def _sampled_sufficiency_counterexample(n, A):
     f += "".join(f" - 1e-3*x{i}^2" for i in range(1, n + 1)) + " - y1^2"
     G = "".join(f"G{i} = -x{i}\n" for i in range(1, n + 1))
     return parse_problem(f"dims {n} 1 0 0 0 {n}\nf = {f}\n{G}")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sampled_sufficiency_counterexample_is_refuted_on_its_ray(n, config):
+    # the exact face test finds the thin ray that random cone directions miss
+    spec = _sampled_sufficiency_counterexample(n, 1e6)
+    ray = np.array([1.0] + [0.3 * i for i in range(2, n + 1)])
+    rep = certify(spec, CandidatePoint([0.0] * n, [0.0]), config)
+    assert rep.verdict == VERDICT_REFUTED
+    son = result(rep, "second_order_necessary")
+    assert son.status == VIOLATED
+    witness = np.array(son.witness)
+    assert float(witness @ ray) / (np.linalg.norm(witness) * np.linalg.norm(ray)) >= 0.999
+    assert abs(son.value + 2e-3) <= 1e-6
+
+
+# phi = x1 + c(x2, x3) with two outer constraints active at the origin along
+# the same gradient (-1, 0, ...): the multipliers form the segment v1 + v2 = 1,
+# the critical cone is {d1 = 0}, and the vertices (1, 0) and (0, 1) give two
+# quadratics, each a lower bound of q_sup
+@pytest.mark.parametrize("text, verdict, necessary, sufficient", [
+    # q_sup = -2 + max(4, 0) = 2 on the line: the larger vertex minimum proves it
+    ("dims 2 1 0 0 0 2\nf = x1 - x2^2 - y1^2\nG1 = -x1 + 2*x2^2\nG2 = -x1\n",
+     VERDICT_CERTIFIED, SATISFIED, SATISFIED),
+    # q_sup = -2 + max(0.5, 0) = -1.5 at the face witness (0, 1): refuted
+    ("dims 2 1 0 0 0 2\nf = x1 - x2^2 - y1^2\nG1 = -x1 + 0.25*x2^2\nG2 = -x1\n",
+     VERDICT_REFUTED, VIOLATED, VIOLATED),
+    # q_sup = |d2^2 - d3^2| >= 0, each vertex quadratic has minimum -1, and
+    # q_sup = 1 at both face witnesses: the test cannot tell
+    ("dims 3 1 0 0 0 2\nf = x1 - y1^2\nG1 = -x1 + 0.5*x2^2 - 0.5*x3^2\n"
+     "G2 = -x1 - 0.5*x2^2 + 0.5*x3^2\n",
+     VERDICT_INCONCLUSIVE, "inconclusive", "inconclusive"),
+])
+def test_several_multipliers_bound_q_sup_from_below(text, verdict, necessary, sufficient,
+                                                    config):
+    from minimaxcert.problem import parse_problem
+
+    spec = parse_problem(text)
+    rep = certify(spec, CandidatePoint([0.0] * spec.n, [0.0]), config)
+    assert result(rep, "first_order").detail == "2 vertices"
+    assert rep.verdict == verdict
+    assert result(rep, "second_order_necessary").status == necessary
+    assert result(rep, "second_order_sufficient").status == sufficient
+
+
+def test_capped_vertex_enumeration_uses_one_lp_multiplier(config):
+    # with no vertices enumerated, one feasible multiplier gives the quadratic
+    # and q_sup at its face witness refutes
+    rep = certify(_sampled_sufficiency_counterexample(2, 1e6),
+                  CandidatePoint([0.0, 0.0], [0.0]), config.replace(vertex_enum_cap=1))
+    assert result(rep, "first_order").detail == "0 vertices"
+    assert rep.verdict == VERDICT_REFUTED
+    son = result(rep, "second_order_necessary")
+    assert son.status == VIOLATED
+    assert abs(son.value + 2e-3) <= 1e-6
+
+
+def test_face_test_above_the_cap_is_inconclusive(config, monkeypatch):
+    # every critical cone below has more F rows than a cap of 0 allows
+    from minimaxcert import cones
+    from minimaxcert.problem import parse_problem
+
+    monkeypatch.setattr(cones, "RAY_SUBSET_CAP", 0)
+    rep = certify(_sampled_sufficiency_counterexample(2, 1e6),
+                  CandidatePoint([0.0, 0.0], [0.0]), config)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    for name in ("second_order_necessary", "second_order_sufficient"):
+        assert result(rep, name).status == "inconclusive"
+    rep = certify(parse_problem(CURVED_QUADRANT), CandidatePoint([0.0, 0.0], [0.0, 0.0]),
+                  config)
+    for name in ("lower_sosc", "lower_second_order_necessary"):
+        assert result(rep, name).status == "inconclusive"
 
 
 @pytest.mark.parametrize("n, A", [(3, 1e6), (4, 1e4), (4, 1e6), (5, 1e6)])
@@ -556,54 +648,55 @@ CURVED_HALFLINE = "dims 1 1 0 1 0 0\nf = (y1-x1)^2\ng1 = y1\n"
 FLAT_QUADRANT = "dims 1 2 0 2 0 0\nf = -(y1-x1)^2\ng1 = y1 - x1\ng2 = y2\n"
 
 
-def _count_inner_cone_draws(monkeypatch):
-    """Count sample_cone calls made through the lower-level checks and certify
-    (the upper-level checks keep their own binding and are not counted)."""
+def _count_sample_cone_calls(monkeypatch):
+    """Route every module's sample_cone through a counter; return the call list."""
     import sys
 
     from minimaxcert.cones import sample_cone
 
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return sample_cone(*args)
+        return sample_cone(*args, **kwargs)
 
-    for module in ("minimaxcert.lower", "minimaxcert.certify"):
+    for module in ("minimaxcert.lower", "minimaxcert.upper", "minimaxcert.certify",
+                   "minimaxcert.cones"):
         monkeypatch.setattr(sys.modules[module], "sample_cone", counting, raising=False)
     return calls
 
 
 def test_lower_cone_sampled_once_per_call(config, monkeypatch):
+    # the affine-hull bound fails on a cone with faces; the inner sufficient and
+    # necessary checks then share one exact face test, so the cone is sampled at
+    # most once per call -- in fact never
     from minimaxcert.problem import parse_problem
 
-    # the affine-hull bound fails on a cone with faces, so the sufficient and
-    # the necessary second-order checks both need sampled directions
-    calls = _count_inner_cone_draws(monkeypatch)
+    calls = _count_sample_cone_calls(monkeypatch)
     rep = certify(parse_problem(CURVED_QUADRANT), CandidatePoint([0.0, 0.0], [0.0, 0.0]),
                   config)
-    assert rep.verdict == VERDICT_REFUTED
-    assert len(calls) == 1
+    assert (rep.path, rep.verdict) == (PATH_INVALID, VERDICT_REFUTED)
+    assert calls == []
 
 
 def test_inner_cone_not_sampled_on_regular_paths(p1, config, monkeypatch):
+    # both levels' second-order checks use the exact face test, on every path
     from minimaxcert.problem import parse_problem
 
     from conftest import degenerate_text
 
-    calls = _count_inner_cone_draws(monkeypatch)
+    calls = _count_sample_cone_calls(monkeypatch)
+    rep = certify(p1, CandidatePoint([0.0], [0.0]), config)
+    assert rep.path == PATH_SMOOTH
     for k in (2, 3, 4):
         rep = certify(parse_problem(degenerate_text(k)), CandidatePoint([0.0] * k, [0.0] * k),
                       config)
         assert rep.path == PATH_NONSMOOTH
-    rep = certify(p1, CandidatePoint([0.0], [0.0]), config)
-    assert rep.path == PATH_SMOOTH
+    for n in (2, 3, 4, 5):
+        rep = certify(_sampled_sufficiency_counterexample(n, 1e6),
+                      CandidatePoint([0.0] * n, [0.0]), config)
+        assert rep.path == PATH_SMOOTH
     assert calls == []
-    # on the invalid path a sampled witness can still refute
-    rep = certify(parse_problem(CURVED_QUADRANT), CandidatePoint([0.0, 0.0], [0.0, 0.0]),
-                  config)
-    assert rep.path == PATH_INVALID
-    assert len(calls) >= 1
 
 
 def _reference_lower_sonc(spec, candidate, config):
@@ -626,8 +719,7 @@ def _reference_lower_sonc(spec, candidate, config):
         worst, witness = bound, None
     else:
         worst, witness = -np.inf, None
-        for d in sample_cone(ju.cone.E, ju.cone.F, spec.m, config.sosc_cone_samples,
-                             config.seed):
+        for d in sample_cone(ju.cone.E, ju.cone.F, spec.m, 256, 0):
             val = float(d @ lag.yy @ d)
             if val > worst:
                 worst, witness = val, d.tolist()

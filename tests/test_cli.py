@@ -112,6 +112,15 @@ def test_oracle_command(prob_files, capsys):
     capsys.readouterr()
 
 
+def test_oracle_command_over_the_grid_cap_is_usage_error(tmp_path, capsys):
+    # n = m = 2 at the default step: 201^2 x-points by 401^2 y-points
+    prob = tmp_path / "two.prob"
+    prob.write_text("dims 2 2 0 0 0 0\nf = x1^2 + x2^2 - y1^2 - y2^2\n", encoding="utf-8")
+    assert main(["oracle", str(prob), "--x", "0,0", "--y", "0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(201**2 * 401**2) in err
+
+
 def test_subdiff_command(prob_files, capsys):
     assert main(["subdiff", prob_files["P2"], "--x", "0", "--y", "0"]) == 0
     out = capsys.readouterr().out
@@ -130,31 +139,23 @@ def test_unknown_file_is_usage_error(capsys):
 
 def test_config_file_overrides(prob_files, tmp_path, capsys):
     cfg = tmp_path / "conf.txt"
-    cfg.write_text("tol_pd = 1e-6\nseed = 7\n", encoding="utf-8")
+    cfg.write_text("tol_pd = 1e-6\n", encoding="utf-8")
     out = tmp_path / "r.json"
     assert main(["certify", prob_files["P1"], "--x", "0", "--y", "0",
                  "--config", str(cfg), "--json", str(out)]) == 0
     capsys.readouterr()
     doc = loads(out.read_text(encoding="utf-8"))
     assert doc["config"]["tol_pd"] == 1e-6
-    assert doc["config"]["seed"] == 7
-
-
-def test_seed_flag_overrides_config(prob_files, tmp_path, capsys):
-    out = tmp_path / "r.json"
-    assert main(["certify", prob_files["P1"], "--x", "0", "--y", "0",
-                 "--seed", "99", "--json", str(out)]) == 0
-    capsys.readouterr()
-    doc = loads(out.read_text(encoding="utf-8"))
-    assert doc["config"]["seed"] == 99
 
 
 def test_bad_config_key_is_usage_error(prob_files, tmp_path, capsys):
+    # cone_samples went with the cone sampler: the face test has no knob
     cfg = tmp_path / "conf.txt"
-    cfg.write_text("frobnicate = 1\n", encoding="utf-8")
-    assert main(["certify", prob_files["P1"], "--x", "0", "--y", "0",
-                 "--config", str(cfg)]) == 1
-    capsys.readouterr()
+    for line in ("frobnicate = 1", "cone_samples = 64"):
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["certify", prob_files["P1"], "--x", "0", "--y", "0",
+                     "--config", str(cfg)]) == 1
+        assert "unknown config key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["certify", "oracle"])
