@@ -36,7 +36,7 @@ from .problem import (
     problem_digest,
 )
 from .report import dumps_canonical, render_summary, report_to_doc
-from .value_function import value_derivatives
+from .value_function import SingularSensitivityError, value_derivatives
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -245,8 +245,6 @@ def _cmd_solve_lower(args) -> int:
           f"(residual {sol.residual:.3e})")
     for k, r in enumerate(sol.trace):
         print(f"  iter {k:2d}  residual {r:.6e}")
-    if sol.notes:
-        print(f"note: {sol.notes}")
     return EXIT_OK
 
 
@@ -322,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.cmd](args)
     except (ProblemFormatError, DomainError, SelectorCapError, ValueError, OSError,
-            NewtonError) as exc:
+            NewtonError, SingularSensitivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

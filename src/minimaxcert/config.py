@@ -19,7 +19,6 @@ class CheckConfig:
     tol_newton: float = 1e-10
     # Newton / FD
     newton_max_iter: int = 30
-    slack_floor: float = 1e-12  # epsilon_w for squared-slack initialization
     fd_step: float = 1e-5
     fd_hess_step: float = 1e-3
     # caps
@@ -27,7 +26,7 @@ class CheckConfig:
     selector_cap: int = 16  # max |beta| for B-selector enumeration
     clarke_grid_cap: int = 4096  # max Clarke grid selectors (subdiff only)
     vertex_enum_cap: int = 12  # n1 + |I| bound for vertex enumeration
-    # condition-number warning for K(x)
+    # condition-number warning for the smooth-path sensitivity matrix A(x, W)
     cond_warn: float = 1e12
     # oracle defaults
     oracle_delta0: float = 0.1

@@ -7,11 +7,12 @@ deterministic.  Nullspaces and restricted eigenvalues use numpy's SVD/eigh.
 
 One LU kernel serves every caller.  `plu_batch` factors a stack of
 equal-order matrices with each elimination step vectorised over the stack:
-the selector sweep passes hundreds of matrices of order about 10 at once.
-`plu` is the stack of one, for the sensitivity matrix K and the inner Newton
-steps.  Every slice runs the elementwise operations of the classic
-one-matrix elimination in the same order, so a slice's factors, pivots and
-breakdown do not depend on the stack it was factored in.  Forward and back
+the selector sweep passes hundreds of matrices of order about 10 at once,
+and the smooth-path sensitivity system is its stack of one.  `plu` is the
+stack of one for the inner Newton steps.  Every slice runs the elementwise
+operations of the classic one-matrix elimination in the same order, so a
+slice's factors, pivots and breakdown do not depend on the stack it was
+factored in.  Forward and back
 substitution are shared the same way (`_lu_solve`).
 """
 
@@ -159,14 +160,6 @@ def plu_batch(As: np.ndarray) -> PLUBatch:
     low = pivots < (PIVOT_RTOL * np.maximum(scale, 1.0))[:, None]
     step = np.where(low.any(axis=1), np.argmax(low, axis=1), -1)
     return PLUBatch(lu=lu, perm=perm, pivots=pivots, scale=scale, step=step)
-
-
-def smallest_pivot(A: np.ndarray) -> float:
-    """min |pivot| of the partial-pivoted elimination (0.0 when it breaks down)."""
-    try:
-        return plu(A).min_pivot
-    except SingularMatrixError as exc:
-        return float(exc.pivot)
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:

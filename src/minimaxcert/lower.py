@@ -1,7 +1,12 @@
 """Inner maximization analysis: KKT residuals, active-set partitions,
 constraint qualifications, second-order conditions (sufficient `sosc`,
-necessary `sonc`, strong `strong_sosc`), and Newton solvers for the
-parametric solution map (squared-slack and semismooth variants).
+necessary `sonc`, strong `strong_sosc`), and the semismooth Newton solver for
+the parametric solution map.
+
+`kkt_jacobian_blocks` is the one bordered-KKT assembler: the exact Jacobian
+A(x, W) of the projected KKT map for a projection selector W.  The Newton
+steps, the smooth-path sensitivity system (W = 1 on gamma, 0 on alpha) and
+the nonsmooth selector sweep all build their matrices with it.
 """
 
 from __future__ import annotations
@@ -377,12 +382,12 @@ def check_assumption_a(
 
 
 # ---------------------------------------------------------------------------
-# Newton solvers for the parametric solution map
+# Newton solver for the parametric solution map
 
 
 @dataclass
 class KktSolution:
-    """Inner KKT triple at one x, with slacks w_i = sqrt(-g_i) at solutions."""
+    """Inner KKT triple at one x, with slacks w_i = sqrt(max(0, -g_i))."""
 
     x: np.ndarray
     y: np.ndarray
@@ -390,10 +395,10 @@ class KktSolution:
     mu: np.ndarray
     lam: np.ndarray
     residual: float
-    path: str  # 'smooth' | 'nonsmooth'
+    path: str  # 'smooth' | 'nonsmooth', a label: both run the same Newton
     trace: list[float] = field(default_factory=list)
     iterations: int = 0
-    notes: str = ""
+    notes: str = ""  # solve_lower leaves it empty; perfbench's tracer still reads it
 
 
 def kkt_jacobian_blocks(lag: LagrangianEval, bundle: DerivativeBundle, w_diag: np.ndarray):
@@ -413,65 +418,6 @@ def kkt_jacobian_blocks(lag: LagrangianEval, bundle: DerivativeBundle, w_diag: n
         # the bits of -np.diag(w_diag): -0.0 off the diagonal
         A[..., m + m1 :, m + m1 :] = -(w_diag[..., :, None] * np.eye(m2))
     return A
-
-
-def squared_slack_matrix(
-    lag: LagrangianEval, bundle: DerivativeBundle, w: np.ndarray, lam: np.ndarray
-) -> tuple[np.ndarray, dict[str, slice]]:
-    """Bordered matrix K of the squared-slack KKT system in (y, w, mu, lam)
-    order, with its block slices.  K is the symmetric display: the exact
-    Jacobian of T(y, w, mu, lam) is K with the lam column negated."""
-    m, m1, m2 = lag.yy.shape[0], bundle.h.shape[0], bundle.g.shape[0]
-    size = m + m2 + m1 + m2
-    sl_y = slice(0, m)
-    sl_w = slice(m, m + m2)
-    sl_mu = slice(m + m2, m + m2 + m1)
-    sl_lam = slice(m + m2 + m1, size)
-    K = np.zeros((size, size))
-    K[sl_y, sl_y] = lag.yy
-    K[sl_y, sl_mu] = bundle.h_jy.T
-    K[sl_y, sl_lam] = bundle.g_jy.T
-    K[sl_mu, sl_y] = bundle.h_jy
-    if m2:
-        K[sl_w, sl_w] = np.diag(-2.0 * lam)
-        K[sl_w, sl_lam] = np.diag(2.0 * w)
-        K[sl_lam, sl_y] = bundle.g_jy
-        K[sl_lam, sl_w] = np.diag(2.0 * w)
-    return K, {"y": sl_y, "w": sl_w, "mu": sl_mu, "lam": sl_lam}
-
-
-def _squared_slack_newton(spec, x, y0, w0, mu0, lam0, config):
-    y = np.array(y0, dtype=float)
-    w = np.array(w0, dtype=float)
-    mu = np.array(mu0, dtype=float)
-    lam = np.array(lam0, dtype=float)
-    trace: list[float] = []
-    for it in range(config.newton_max_iter):
-        bundle = eval_bundle(spec, x, y)
-        lag = lagrangian_eval(bundle, mu, lam)
-        T = np.concatenate([lag.grad_y, -2.0 * lam * w, bundle.h, bundle.g + w * w])
-        res = float(np.max(np.abs(T), initial=0.0))
-        trace.append(res)
-        if res <= config.tol_newton:
-            return y, w, mu, lam, trace
-        if not np.isfinite(res) or (len(trace) > 3 and res > 1e8 * (1.0 + trace[0])):
-            raise NewtonError(f"divergence at iteration {it} (residual {res:.3e})", trace)
-        K, blocks = squared_slack_matrix(lag, bundle, w, lam)
-        try:
-            z = solve_linear(K, -T)
-        except SingularMatrixError as exc:
-            raise NewtonError(f"singular Newton matrix: {exc}", trace) from exc
-        # the Jacobian is K with its lam column negated, so the Newton step is
-        # z with its lam part negated; negation is exact in floating point
-        y = y + z[blocks["y"]]
-        w = w + z[blocks["w"]]
-        mu = mu + z[blocks["mu"]]
-        lam = lam - z[blocks["lam"]]
-    raise NewtonError(
-        f"no convergence in {config.newton_max_iter} iterations "
-        f"(last residual {trace[-1]:.3e})",
-        trace,
-    )
 
 
 def _semismooth_newton(spec, x, y0, mu0, lam0, config):
@@ -514,43 +460,20 @@ def solve_lower(
     config: CheckConfig | None = None,
     path: str = "smooth",
 ) -> KktSolution:
-    """Solve the inner KKT system at x from a seed (y0, mu0, lam0).
-
-    path='smooth' runs Newton on the squared-slack system (with a semismooth
-    rescue when the seed is outside its basin); path='nonsmooth' runs the
-    semismooth Newton on the projected system directly.
-    """
+    """Solve the inner KKT system at x from a seed (y0, mu0, lam0) by
+    semismooth Newton on the projected system.  `path` ('smooth' or
+    'nonsmooth') only labels the solution; the smooth path is the case
+    without degenerate indices."""
+    if path not in ("smooth", "nonsmooth"):
+        raise ValueError(f"unknown path {path!r}")
     config = config or CheckConfig()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y0, mu0, lam0 = seed
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     mu0 = np.zeros(spec.m1) if mu0 is None else np.atleast_1d(np.asarray(mu0, dtype=float))
     lam0 = np.zeros(spec.m2) if lam0 is None else np.atleast_1d(np.asarray(lam0, dtype=float))
-    notes = ""
-
-    if path == "nonsmooth":
-        y, mu, lam, trace = _semismooth_newton(spec, x, y0, mu0, lam0, config)
-        bundle = eval_bundle(spec, x, y)
-        w = np.sqrt(np.maximum(0.0, -bundle.g))
-        _, norm = kkt_residual_from_bundle(bundle, mu, lam)
-        return KktSolution(x, y, w, mu, lam, norm, "nonsmooth", trace, len(trace), notes)
-
-    if path != "smooth":
-        raise ValueError(f"unknown path {path!r}")
-
-    bundle0 = eval_bundle(spec, x, y0)
-    w0 = np.sqrt(np.maximum(config.slack_floor, -np.minimum(bundle0.g, 0.0)))
-    try:
-        y, w, mu, lam, trace = _squared_slack_newton(spec, x, y0, w0, mu0, lam0, config)
-    except NewtonError:
-        # rescue: identify the active set semismoothly, then polish
-        y1, mu1, lam1, trace1 = _semismooth_newton(spec, x, y0, mu0, lam0, config)
-        bundle1 = eval_bundle(spec, x, y1)
-        w1 = np.sqrt(np.maximum(config.slack_floor, -np.minimum(bundle1.g, 0.0)))
-        y, w, mu, lam, trace2 = _squared_slack_newton(spec, x, y1, w1, mu1, lam1, config)
-        trace = trace1 + trace2
-        notes = "squared-slack Newton restarted from a semismooth solve"
-    w = np.abs(w)
+    y, mu, lam, trace = _semismooth_newton(spec, x, y0, mu0, lam0, config)
     bundle = eval_bundle(spec, x, y)
+    w = np.sqrt(np.maximum(0.0, -bundle.g))
     _, norm = kkt_residual_from_bundle(bundle, mu, lam)
-    return KktSolution(x, y, w, mu, lam, norm, "smooth", trace, len(trace), notes)
+    return KktSolution(x, y, w, mu, lam, norm, path, trace, len(trace))

@@ -14,7 +14,9 @@ The sweep assembles every A(x, W) as one stack (`lower.kkt_jacobian_blocks`
 on the stacked selector diagonals, the assembler the inner Newton uses too)
 with its right-hand-side stack, factors the stack with one batched
 partial-pivot LU (`linalg.plu_batch`) and solves every H(x, W) =
-A(x, W)^{-1} rhs in one stacked substitution.  Pivots, LU entries, H entries
+A(x, W)^{-1} rhs in one stacked substitution (`stack_selectors`, which also
+builds the smooth path's one-selector sensitivity system in
+`value_function`).  Pivots, LU entries, H entries
 and SingularMatrixErrors equal those of factoring each matrix alone bit for
 bit, so verdicts and reports do not depend on the batching.  The
 `SelectorSweep` keeps the selectors and those stacks, and its consumers index
@@ -24,12 +26,13 @@ search `upper.first_order_nonsmooth_necessary`.  `assemble_a_matrix`,
 `assemble_h_matrix` and `a_matrix_min_pivot` run the same stacked step on a
 one-selector stack and return fresh arrays.
 
-Sign convention: A is assembled as the exact x-derivative of the projected
-KKT map (the lambda column carries -J_y g^T and -W).  Relative to the
-symmetric display convention this negates the lambda column; candidate
-(y', mu', lambda') vectors from binary selectors then equal the one-sided
-derivatives of the tracked solution path, which finite differences confirm.
-The convention is recorded in reports as LAMBDA_SIGN_CONVENTION.
+Sign convention: A is assembled as the exact (y, mu, lambda)-derivative of
+the projected KKT map (the lambda column carries -J_y g^T and -W), so it is
+not symmetric: relative to a symmetric bordered display its lambda column is
+negated.  Candidate (y', mu', lambda') vectors from binary selectors then
+equal the one-sided derivatives of the tracked solution path, which finite
+differences confirm.  The convention is recorded in reports as
+LAMBDA_SIGN_CONVENTION.
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ class SelectorSweep:
             return self.grad_x - np.swapaxes(self.H, 1, 2) @ self.stack
 
 
-def _stack_selectors(bundle, lag, selectors: list[WSelector]) -> SelectorSweep:
+def stack_selectors(bundle, lag, selectors: list[WSelector]) -> SelectorSweep:
     """The sweep's stacked step: assemble every A(x, W) and its right-hand
     side as one stack, factor the stack with one batched LU and solve every
     H(x, W) at once."""
@@ -204,12 +207,12 @@ def selector_sweep(
                                     config.clarke_grid_cap)
         seen = {W.values for W in selectors}
         selectors += [W for W in grid if W.values not in seen]
-    return _stack_selectors(bundle, lag, selectors)
+    return stack_selectors(bundle, lag, selectors)
 
 
 def _single_selector(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> SelectorSweep:
     """The sweep's stacked step on a one-selector stack."""
-    return _stack_selectors(*_solution_point(spec, sol), [W])
+    return stack_selectors(*_solution_point(spec, sol), [W])
 
 
 def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:

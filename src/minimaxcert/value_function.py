@@ -1,6 +1,13 @@
 """Value function of the inner maximization on the smooth path: phi(x) =
-f(x, y(x)) with gradient grad_x L and Hessian from the squared-slack
-sensitivity system (the bordered matrix K and cross-derivative stack N).
+f(x, y(x)) with gradient grad_x L and Hessian from the sensitivity system.
+
+The smooth path is the |beta| = 0 case of the nonsmooth analysis: its one
+projection selector W is 0 on alpha and 1 on gamma, and the sensitivity
+system is that selector's sweep, the bordered matrix A(x, W) of
+`lower.kkt_jacobian_blocks` with right-hand side
+rhs = (grad_yx L; J_x h; (I - W) J_x g).  The solution map moves by
+(y', mu', lam') = -A^{-1} rhs d_x, so
+hess phi = grad_xx L - [grad_xy L, J_x h^T, -J_x g^T] A^{-1} rhs.
 """
 
 from __future__ import annotations
@@ -10,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CheckConfig
-from .linalg import PLUFactors, SingularMatrixError, plu
-from .lower import KktSolution, lagrangian_eval, squared_slack_matrix
+from .lower import KktSolution, classify_partition, lagrangian_eval
+from .nonsmooth import enumerate_b_selectors, stack_selectors
 from .problem import ProblemSpec, eval_bundle
 
 SMOOTH_RESIDUAL_TOL = 1e-8
@@ -19,31 +26,32 @@ HESSIAN_SYM_TOL = 1e-8
 
 
 class SingularSensitivityError(Exception):
-    """K(x) singular to tolerance: the smooth-path hypotheses fail here."""
+    """No sensitivity system at this solution: an inequality is degenerate
+    (active with a zero multiplier) or A(x, W) is singular to tolerance."""
 
-    def __init__(self, pivot: float):
+    def __init__(self, reason: str, pivot: float | None = None):
         self.pivot = pivot
-        super().__init__(
-            f"sensitivity matrix K is singular to tolerance (pivot {pivot:.3e}); "
-            "Jacobian uniqueness cannot hold at this solution"
-        )
+        super().__init__(f"{reason}; Jacobian uniqueness cannot hold at this solution")
 
 
 @dataclass
 class SensitivitySystem:
-    """K (order m + m2 + m1 + m2) and N (same rows, n columns) with the block
-    layout recorded; K uses the symmetric display with slacks w = sqrt(-g)."""
+    """A(x, W) (order m + m1 + m2), its right-hand side rhs (same rows, n
+    columns) and H = A^{-1} rhs for the smooth path's selector W."""
 
-    K: np.ndarray
-    N: np.ndarray
-    blocks: dict[str, slice]
+    A: np.ndarray
+    rhs: np.ndarray
+    H: np.ndarray
     min_pivot: float
     condition: float
     condition_warning: bool
-    _factors: PLUFactors
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._factors.solve(rhs)
+
+def _check_residual(sol: KktSolution) -> None:
+    if sol.residual > SMOOTH_RESIDUAL_TOL:
+        raise ValueError(
+            f"solution residual {sol.residual:.3e} exceeds {SMOOTH_RESIDUAL_TOL:.1e}"
+        )
 
 
 def assemble_sensitivity_system(
@@ -52,39 +60,37 @@ def assemble_sensitivity_system(
     config = config or CheckConfig()
     if sol.path != "smooth":
         raise ValueError("sensitivity system requires a smooth-path solution")
-    if sol.residual > SMOOTH_RESIDUAL_TOL:
-        raise ValueError(
-            f"solution residual {sol.residual:.3e} exceeds {SMOOTH_RESIDUAL_TOL:.1e}"
-        )
+    _check_residual(sol)
     bundle = eval_bundle(spec, sol.x, sol.y)
+    partition = classify_partition(bundle.g, sol.lam, config.tol_act)
+    if partition.beta:
+        names = ", ".join(f"g{i + 1}" for i in partition.beta)
+        raise SingularSensitivityError(
+            f"{names} active with zero multiplier (strict complementarity fails)"
+        )
     lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    K, blocks = squared_slack_matrix(lag, bundle, sol.w, sol.lam)
-    N = np.zeros((K.shape[0], spec.n))
-    N[blocks["y"]] = lag.yx
-    N[blocks["mu"]] = bundle.h_jx
-    N[blocks["lam"]] = bundle.g_jx
-    try:
-        factors = plu(K)
-    except SingularMatrixError as exc:
-        raise SingularSensitivityError(exc.pivot) from exc
-    condition = float(np.linalg.cond(K, 1)) if K.size else 1.0
+    sweep = stack_selectors(bundle, lag, enumerate_b_selectors(partition))
+    error = sweep.lu.error(0)
+    if error is not None:
+        raise SingularSensitivityError(
+            f"sensitivity matrix A(x, W) is singular to tolerance (pivot {error.pivot:.3e})",
+            error.pivot,
+        ) from error
+    A = sweep.A[0]
+    condition = float(np.linalg.cond(A, 1)) if A.size else 1.0
     return SensitivitySystem(
-        K=K,
-        N=N,
-        blocks=blocks,
-        min_pivot=factors.min_pivot,
+        A=A,
+        rhs=sweep.rhs[0],
+        H=sweep.H[0],
+        min_pivot=float(sweep.lu.min_pivots[0]),
         condition=condition,
         condition_warning=condition > config.cond_warn,
-        _factors=factors,
     )
 
 
 def phi_gradient(spec: ProblemSpec, sol: KktSolution) -> np.ndarray:
     """grad phi(x) = grad_x L(x; y(x), mu(x), lam(x))."""
-    if sol.residual > SMOOTH_RESIDUAL_TOL:
-        raise ValueError(
-            f"solution residual {sol.residual:.3e} exceeds {SMOOTH_RESIDUAL_TOL:.1e}"
-        )
+    _check_residual(sol)
     bundle = eval_bundle(spec, sol.x, sol.y)
     return lagrangian_eval(bundle, sol.mu, sol.lam).grad_x
 
@@ -100,12 +106,12 @@ class ValueDerivatives:
 def value_derivatives(
     spec: ProblemSpec, sol: KktSolution, config: CheckConfig | None = None
 ) -> ValueDerivatives:
-    """phi, grad phi and hess phi = grad_xx L - N^T K^{-1} N (symmetrized on
-    return) with the assembled sensitivity system."""
+    """phi, grad phi and hess phi = grad_xx L - [grad_xy L, J_x h^T, -J_x g^T] H
+    (symmetrized on return) with the assembled sensitivity system."""
     system = assemble_sensitivity_system(spec, sol, config)
     bundle = eval_bundle(spec, sol.x, sol.y)
     lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    raw = lag.xx - system.N.T @ system.solve(system.N)
+    raw = lag.xx - np.hstack([lag.yx.T, bundle.h_jx.T, -bundle.g_jx.T]) @ system.H
     asym = float(np.max(np.abs(raw - raw.T), initial=0.0))
     if asym > HESSIAN_SYM_TOL:
         raise ValueError(f"value-function Hessian asymmetry {asym:.3e} exceeds 1e-8")

@@ -82,6 +82,13 @@ def test_certify_p1_shifted_refuted(p1, config):
     assert result(rep, "first_order").status == VIOLATED
 
 
+def test_first_order_witness_at_an_exact_kkt_candidate(p1, config):
+    # grad phi = y = 1 at x = 1.2, where G1 = x1 - 2 is inactive
+    rep = certify(p1, CandidatePoint([1.2], [1.0], lam=[0.2]), config)
+    assert rep.verdict == VERDICT_REFUTED
+    assert result(rep, "first_order").witness == [1.0]
+
+
 def test_certify_p3_reports_mfcq_violated(p3, config):
     rep = certify(p3, CandidatePoint([0.0], [0.0]), config)
     assert result(rep, "mfcq").status == VIOLATED

@@ -99,6 +99,26 @@ def test_value_derivs_command(prob_files, capsys):
     assert "grad[0]" in out
 
 
+def test_value_derivs_hessian_matches_fd(prob_files, tmp_path, capsys):
+    # P2 at x = 0.3: g1 = y1 is active with lam = 0.6 and phi = -x^2
+    out = tmp_path / "vd.json"
+    assert main(["value-derivs", prob_files["P2"], "--x", "0.3", "--y", "0",
+                 "--json", str(out)]) == 0
+    capsys.readouterr()
+    rows = {r["entry"]: r for r in loads(out.read_text(encoding="utf-8"))["fd_table"]}
+    assert rows["hess[0,0]"]["analytic"] == pytest.approx(-2.0)
+    assert rows["hess[0,0]"]["abs_diff"] <= 1e-9
+
+
+def test_value_derivs_at_a_kink_is_usage_error(prob_files, capsys):
+    # P2 at the origin: g1 = y1 is active with a zero multiplier, so phi has
+    # no Hessian there
+    assert main(["value-derivs", prob_files["P2"], "--x", "0", "--y", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "strict complementarity" in err
+    assert "Traceback" not in err
+
+
 def test_solve_lower_command(prob_files, capsys):
     assert main(["solve-lower", prob_files["P1"], "--x", "0.3", "--y", "0"]) == 0
     out = capsys.readouterr().out
@@ -149,9 +169,10 @@ def test_config_file_overrides(prob_files, tmp_path, capsys):
 
 
 def test_bad_config_key_is_usage_error(prob_files, tmp_path, capsys):
-    # cone_samples went with the cone sampler: the face test has no knob
+    # cone_samples went with the cone sampler: the face test has no knob;
+    # slack_floor went with the squared-slack Newton
     cfg = tmp_path / "conf.txt"
-    for line in ("frobnicate = 1", "cone_samples = 64"):
+    for line in ("frobnicate = 1", "cone_samples = 64", "slack_floor = 1e-12"):
         cfg.write_text(line + "\n", encoding="utf-8")
         assert main(["certify", prob_files["P1"], "--x", "0", "--y", "0",
                      "--config", str(cfg)]) == 1

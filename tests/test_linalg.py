@@ -13,7 +13,6 @@ from minimaxcert.linalg import (
     nullspace_basis,
     plu,
     plu_batch,
-    smallest_pivot,
     smallest_singular_value,
     solve_linear,
     solve_lp,
@@ -26,7 +25,7 @@ def test_solve_identity():
 
 
 def test_solve_sensitivity_fixture():
-    # K(0) of the first reference problem; det = 4, first solution entry -1
+    # a symmetric indefinite bordered matrix; det = 4, first solution entry -1
     K = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
     assert np.linalg.det(K) == pytest.approx(4.0)
     z = solve_linear(K, np.array([1.0, 0.0, 0.0]))
@@ -50,11 +49,6 @@ def test_solve_residual_on_random_well_conditioned():
         z = solve_linear(A, b)
         res = np.max(np.abs(A @ z - b))
         assert res <= 1e-8 * np.max(np.abs(b))
-
-
-def test_smallest_pivot_reporting():
-    assert smallest_pivot(np.eye(2)) == pytest.approx(1.0)
-    assert smallest_pivot(np.array([[1.0, 1.0], [1.0, 1.0]])) < 1e-12
 
 
 def test_nullspace_axis_case():

@@ -209,12 +209,24 @@ def test_solve_lower_p2_boundary(p2, config):
     assert sol.lam[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_quadratic_convergence_trace(p1, config):
-    sol = solve_lower(p1, [0.3], ([0.0], None, [0.0]), config, "smooth")
+def test_quadratic_convergence_trace(config):
+    # genuinely nonlinear stationarity (x - y^3 - y = 0); P1 is linear and
+    # converges in one step
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = x1*y1 - 0.25*y1^4 - 0.5*y1^2\n")
+    sol = solve_lower(spec, [0.9], ([0.0], None, None), config, "smooth")
     trace = [r for r in sol.trace if r > 0]
     assert len(trace) >= 3
     for prev, curr in zip(trace[-3:], trace[-2:]):
         assert curr <= 1e3 * prev**2
+
+
+def test_solve_lower_keeps_an_exact_kkt_seed(p1, config):
+    # y = 1, lam = 0.2 solves P1 at x = 1.2: no Newton step is taken
+    seed = (np.array([1.0]), np.zeros(0), np.array([0.2]))
+    sol = solve_lower(p1, [1.2], seed, config, "smooth")
+    assert len(sol.trace) == 1 and sol.trace[0] <= config.tol_newton
+    for got, want in zip((sol.y, sol.mu, sol.lam), seed):
+        assert np.array_equal(got, want)
 
 
 def test_solve_lower_semismooth_path(p2, config):

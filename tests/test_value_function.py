@@ -32,36 +32,29 @@ def phi_of(spec, config, sol):
 # --- assembly ----------------------------------------------------------------
 
 def test_sensitivity_system_p1_origin(p1, config):
+    # g1 = y1 - 1 is inactive (gamma, W = 1): its row is -lam' = 0
     sol = smooth_solution(p1, [0.0], config)
     system = assemble_sensitivity_system(p1, sol, config)
-    expected_K = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
-    assert np.allclose(system.K, expected_K, atol=1e-10)
-    assert np.allclose(system.N.ravel(), [1.0, 0.0, 0.0], atol=1e-12)
-    assert system.blocks["y"] == slice(0, 1)
-    assert system.blocks["w"] == slice(1, 2)
-    assert system.blocks["lam"] == slice(2, 3)
+    assert np.array_equal(system.A, [[-1.0, -1.0], [0.0, -1.0]])
+    assert np.array_equal(system.rhs.ravel(), [1.0, 0.0])
 
 
 def test_sensitivity_blocks_active_case(p2, config):
-    # lam = 1, w = 0: the slack block is -2*Diag(lam) and the coupling vanishes
+    # lam = 1 (alpha, W = 0): the constraint row is J_y g with a zero lambda
+    # entry, and its right-hand side is J_x g
     sol = smooth_solution(p2, [0.5], config)
     system = assemble_sensitivity_system(p2, sol, config)
-    w_sl = system.blocks["w"]
-    lam_sl = system.blocks["lam"]
-    assert system.K[w_sl, w_sl][0, 0] == pytest.approx(-2.0, abs=1e-9)
-    assert system.K[w_sl, lam_sl][0, 0] == pytest.approx(0.0, abs=1e-9)
-    assert system.K[lam_sl, w_sl][0, 0] == pytest.approx(0.0, abs=1e-9)
-    # zero blocks exactly zero
-    mu_sl = system.blocks["mu"]
-    assert system.K[mu_sl, mu_sl].size == 0
+    assert np.array_equal(system.A, [[-2.0, -1.0], [1.0, 0.0]])
+    assert np.array_equal(system.rhs.ravel(), [2.0, 0.0])
+    assert system.H.shape == (2, 1)
 
 
 def test_sensitivity_degenerate_no_constraints(config):
     spec = parse_problem("dims 1 1 0 0 0 0\nf = -(y1-x1)^2\n")
     sol = smooth_solution(spec, [0.3], config)
     system = assemble_sensitivity_system(spec, sol, config)
-    assert system.K.shape == (1, 1)
-    assert system.K[0, 0] == pytest.approx(-2.0)
+    assert system.A.shape == (1, 1)
+    assert system.A[0, 0] == pytest.approx(-2.0)
 
 
 def test_sensitivity_rejects_nonsmooth_path(p2, config):
@@ -71,8 +64,8 @@ def test_sensitivity_rejects_nonsmooth_path(p2, config):
 
 
 def test_singular_k_is_reported(p2, config):
-    # at the degenerate point (beta nonempty, w = lam = 0) K is exactly
-    # singular: the smooth-path hypotheses genuinely fail there
+    # at the degenerate point (beta nonempty, g = lam = 0) strict
+    # complementarity fails: the smooth-path hypotheses genuinely fail there
     from minimaxcert.lower import KktSolution
 
     sol = KktSolution(
@@ -166,9 +159,9 @@ def test_random_instances_match_fd(config):
 # --- sign-convention guard ----------------------------------------------------
 
 def test_symmetric_display_equals_exact_jacobian_assembly(config):
-    """The symmetric bordered matrix with unmodified N gives the same
-    correction as the exact squared-slack Jacobian (lambda column negated)
-    paired with the lambda-flipped left factor."""
+    """-H = -A^{-1} rhs is the exact derivative of the solution map
+    (y, mu, lam)(x), lambda sign included, and the bordered Hessian formula
+    built from it reproduces the FD Hessian."""
     rng = np.random.default_rng(29)
     specs = []
     for _ in range(3):
@@ -178,27 +171,32 @@ def test_symmetric_display_equals_exact_jacobian_assembly(config):
         parse_problem("dims 1 1 0 1 0 0\nf = -(y1-x1)^2\ng1 = y1 - x1 + 0.5\n"),
         np.array([0.5]), np.array([0.0]), np.zeros(0), np.array([1.0]),
     ))
+    step = 1e-6
     for spec, x, y, mu, lam in specs:
         sol = solve_lower(spec, x, (y, mu, lam), config, "smooth")
         system = assemble_sensitivity_system(spec, sol, config)
-        K, N = system.K, system.N
-        size = K.shape[0]
-        s = np.ones(size)
-        s[system.blocks["lam"]] = -1.0
-        S = np.diag(s)
-        J_exact = K @ S
-        corr_display = N.T @ np.linalg.solve(K, N)
-        corr_exact = (S @ N).T @ np.linalg.solve(J_exact, N)
-        assert np.allclose(corr_display, corr_exact, atol=1e-9)
-        # and both reproduce the FD Hessian
+        assert np.allclose(system.A @ system.H, system.rhs, atol=1e-9)
+
+        def triple(xv):
+            s = solve_lower(spec, xv, (sol.y, sol.mu, sol.lam), config, "smooth")
+            return np.concatenate([s.y, s.mu, s.lam])
+
+        jac_fd = np.column_stack([
+            (triple(x + step * e) - triple(x - step * e)) / (2 * step)
+            for e in np.eye(spec.n)
+        ])
+        assert np.max(np.abs(-system.H - jac_fd)) <= 1e-5
         vd = value_derivatives(spec, sol, config)
         _, hess_fd = fd_derivatives(phi_of(spec, config, sol), x,
                                     config.fd_step, config.fd_hess_step)
         assert np.max(np.abs(vd.hessian - hess_fd)) <= 1e-4
 
 
-def test_condition_estimate_attached(p1, config):
+def test_condition_estimate_attached(p1, p2, config):
     sol = smooth_solution(p1, [0.0], config)
     system = assemble_sensitivity_system(p1, sol, config)
     assert system.condition > 0
     assert not system.condition_warning
+    # g1 = -1e-6 is inactive but close: A(x, W) stays well conditioned
+    sol = smooth_solution(p2, [-1e-6], config)
+    assert assemble_sensitivity_system(p2, sol, config).condition < 10
