@@ -323,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
             NewtonError, SingularSensitivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError as exc:  # the expression walks recurse per level
+        print(f"error: an expression is nested too deeply ({exc})", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .oracle import GridSpec
@@ -37,7 +38,10 @@ class CheckConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name.startswith("tol_") and getattr(self, f.name) <= 0:
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
+            if f.name.startswith(("tol_", "fd_", "cond_")) and not value > 0:
                 raise ValueError(f"{f.name} must be positive")
         for name in ("newton_max_iter", "beta_grid_resolution", "selector_cap",
                      "clarke_grid_cap", "vertex_enum_cap"):

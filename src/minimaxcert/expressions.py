@@ -6,24 +6,19 @@ arithmetic ops +, -, *, /, ^ and the functions sin, cos, exp, log, sqrt, abs
 accepts floats or numpy arrays per variable; differentiation is closed (the
 derivative of an expression is an expression).
 
-Two evaluators share one set of per-operation functions.  `evaluate` walks a
-tree and takes scalars or arrays (the grid oracle uses arrays).  `Tape`
-compiles a list of expressions once into a straight-line program over
-scalars: nodes are frozen dataclasses, so equal subexpressions are
-hash-consed into one instruction, and expressions that are constants are
-copied from a template instead of computed.  The two give bit-identical
-values and raise the same DomainError.
+`Tape` is the one evaluator.  It compiles a list of expressions once into a
+straight-line program (nodes are frozen dataclasses, so equal subexpressions
+are hash-consed into one instruction) and runs it in two modes: at a scalar
+point, into one flat vector (`certify`), or on broadcastable arrays, giving
+each expression's value shaped the way its operands broadcast (the oracle).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
-
-Number = Union[float, np.ndarray]
 
 
 class ExpressionError(Exception):
@@ -109,20 +104,9 @@ FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt", "abs", "sign")
 # evaluation
 #
 # Each operation's arithmetic lives in one function op(expr, a, b, strict) of
-# its operand values (unary ops ignore b).  The recursive `evaluate` and the
-# flat `Tape` both apply these functions, so their values agree bit for bit.
-
-
-def _add(expr, a, b, strict):
-    return a + b
-
-
-def _sub(expr, a, b, strict):
-    return a - b
-
-
-def _mul(expr, a, b, strict):
-    return a * b
+# its operand values (unary ops ignore b), for scalars and arrays alike.
+# strict=True raises DomainError on log/sqrt/power/division violations;
+# strict=False lets NaN/inf flow through (the grid oracle masks them).
 
 
 def _div(expr, num, den, strict):
@@ -145,22 +129,6 @@ def _pow(expr, base, exponent, strict):
         return np.power(base, exponent)
 
 
-def _neg(expr, val, _, strict):
-    return -val
-
-
-def _sin(expr, val, _, strict):
-    return np.sin(val)
-
-
-def _cos(expr, val, _, strict):
-    return np.cos(val)
-
-
-def _exp(expr, val, _, strict):
-    return np.exp(val)
-
-
 def _log(expr, val, _, strict):
     if strict and np.any(np.asarray(val) <= 0):
         raise DomainError("log of a non-positive value", expr)
@@ -175,55 +143,33 @@ def _sqrt(expr, val, _, strict):
         return np.sqrt(val)
 
 
-def _abs(expr, val, _, strict):
-    return np.abs(val)
-
-
-def _sign(expr, val, _, strict):
-    return np.sign(val)
-
-
-_BINARY_OPS = {Add: _add, Sub: _sub, Mul: _mul, Div: _div, Pow: _pow}
+# the operations defined everywhere need no domain test
+_OPS = {
+    Add: lambda expr, a, b, strict: a + b,
+    Sub: lambda expr, a, b, strict: a - b,
+    Mul: lambda expr, a, b, strict: a * b,
+    Div: _div,
+    Pow: _pow,
+    Neg: lambda expr, val, _, strict: -val,
+}
 _FUNCTION_OPS = {
-    "sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt,
-    "abs": _abs, "sign": _sign,
+    "sin": lambda expr, val, _, strict: np.sin(val),
+    "cos": lambda expr, val, _, strict: np.cos(val),
+    "exp": lambda expr, val, _, strict: np.exp(val),
+    "log": _log,
+    "sqrt": _sqrt,
+    "abs": lambda expr, val, _, strict: np.abs(val),
+    "sign": lambda expr, val, _, strict: np.sign(val),
 }
 
 
 def _op_of(expr: Expr):
     """The function that applies expr's own operation to its operand values."""
     kind = type(expr)
-    if kind is Neg:
-        return _neg
-    op = _FUNCTION_OPS.get(expr.name) if kind is Func else _BINARY_OPS.get(kind)
+    op = _FUNCTION_OPS.get(expr.name) if kind is Func else _OPS.get(kind)
     if op is None:
         raise TypeError(f"unknown node {expr!r}")
     return op
-
-
-def evaluate(expr: Expr, x: np.ndarray, y: np.ndarray, strict: bool = True) -> Number:
-    """Evaluate at (x, y).  Entries of x/y may be scalars or broadcastable arrays.
-
-    strict=True raises DomainError on log/sqrt/division violations; strict=False
-    lets NaN/inf flow through (used by grid oracles, which mask afterwards).
-    """
-    kind = type(expr)
-    if kind is Const:
-        return expr.value
-    if kind is Var:
-        return x[expr.index] if expr.kind == "x" else y[expr.index]
-    op = _BINARY_OPS.get(kind)
-    if op is not None:
-        return op(expr, evaluate(expr.a, x, y, strict), evaluate(expr.b, x, y, strict),
-                  strict)
-    if kind is Neg:
-        return -evaluate(expr.a, x, y, strict)
-    if kind is Func:
-        val = evaluate(expr.a, x, y, strict)
-        op = _FUNCTION_OPS.get(expr.name)
-        if op is not None:
-            return op(expr, val, None, strict)
-    raise TypeError(f"unknown node {expr!r}")
 
 
 def _intern(node: Expr, seen: dict, index: dict, nodes: list) -> int:
@@ -241,9 +187,10 @@ def _intern(node: Expr, seen: dict, index: dict, nodes: list) -> int:
         found = seen.get(id(node))
         if found is not None:
             return found
-        for child in _children(node):  # one frame per level, as in evaluate
-            args += (_intern(child, seen, index, nodes),)
-        key = (kind, getattr(node, "name", None), args)
+        args = (_intern(node.a, seen, index, nodes),)  # one frame per level
+        if kind is not Neg and kind is not Func:
+            args += (_intern(node.b, seen, index, nodes),)
+        key = (kind, node.name if kind is Func else None, args)
     found = index.get(key)
     if found is None:
         found = index[key] = len(nodes)
@@ -253,19 +200,44 @@ def _intern(node: Expr, seen: dict, index: dict, nodes: list) -> int:
     return found
 
 
+def _allocate_slots(nodes: list, roots: list[int]) -> list[int]:
+    """Slot of each node of `nodes`.  Leaves and the roots (the outputs) keep
+    their own slots; every other node writes into the slot of a value already
+    read for the last time, when there is one, and a new slot otherwise."""
+    pinned = set(roots)
+    last_use = {a: i for i, (_, args) in enumerate(nodes) for a in args}
+    slot: list[int] = []
+    free: list[int] = []
+    size = 0
+    for i, (_, args) in enumerate(nodes):
+        for a in args:
+            if last_use.get(a) == i and nodes[a][1] and a not in pinned:
+                free.append(slot[a])
+                del last_use[a]  # an operand read twice is freed once
+        if args and i not in pinned and free:
+            slot.append(free.pop())
+        else:
+            slot.append(size)
+            size += 1
+    return slot
+
+
 class Tape:
-    """A straight-line program that evaluates a list of expressions at scalar
-    points, giving the values `evaluate` gives, bit for bit.
+    """A straight-line program that evaluates a list of expressions, at a
+    scalar point (`__call__`) or on broadcastable arrays (`arrays`).
 
     Compiled once: equal subexpressions (compared structurally, with the sign
     of zero constants kept apart) become one instruction, ordered by first use
     in post-order over the expressions in the order given.  So the first
-    instruction that leaves its domain is the first node the tree walk would
-    fail at, and the DomainError is the same.  Expressions that are constants
-    are never computed: their values sit in a template that each call copies.
+    instruction that leaves its domain is the first node a recursive walk of
+    the trees (operands left to right) would fail at, and the DomainError is
+    the same.  An instruction writes into a slot whose value has had its last
+    use, so an intermediate array is released right after its last read.
 
-    Output entry `positions[i]` holds the value of `exprs[i]` (by default the
-    output follows `exprs`).
+    At a scalar point, output entry `positions[i]` holds the value of
+    `exprs[i]` (by default the output follows `exprs`).  Expressions that are
+    constants are never computed there: their values sit in a template that
+    each call copies.
     """
 
     def __init__(self, exprs, positions=None):
@@ -278,23 +250,23 @@ class Tape:
         nodes: list[tuple[Expr, tuple[int, ...]]] = []  # distinct, first-use post-order
         index: dict[tuple, int] = {}
         seen: dict[int, int] = {}
-        outputs = [(positions[k], _intern(exprs[k], seen, index, nodes))
-                   for k in np.flatnonzero(~const)]
-        # node i of `nodes` lives in slot i: constants are preset, variables
-        # loaded, and operations computed in order
-        self._init = [node.value if type(node) is Const else None for node, _ in nodes]
-        self._loads = {
-            kind: [(i, node.index) for i, (node, _) in enumerate(nodes)
-                   if type(node) is Var and node.kind == kind]
-            for kind in "xy"
-        }
-        self._code = [(_op_of(node), node, i, args[0], args[-1])
-                      for i, (node, args) in enumerate(nodes)
-                      if type(node) not in (Const, Var)]
-        self._out_pos = np.array([pos for pos, _ in outputs], dtype=np.intp)
-        self._out_slot = [i for _, i in outputs]
+        self._out_pos = positions[~const].astype(np.intp)
+        roots = [_intern(exprs[k], seen, index, nodes) for k in np.flatnonzero(~const)]
+        slot = _allocate_slots(nodes, roots)
+        self._out_slot = [slot[i] for i in roots]
+        # constants are preset, variables loaded, and operations computed in order
+        self._init: list = [None] * (max(slot, default=-1) + 1)
+        self._loads: dict[str, list] = {"x": [], "y": []}
+        self._code: list = []
+        for (node, args), s in zip(nodes, slot):
+            if args:
+                self._code.append((_op_of(node), node, s, slot[args[0]], slot[args[-1]]))
+            elif type(node) is Var:
+                self._loads[node.kind].append((s, node.index))
+            else:
+                self._init[s] = node.value
 
-    def __call__(self, x, y, strict: bool = True) -> np.ndarray:
+    def _run(self, x, y, strict: bool) -> list:
         vals = list(self._init)
         for s, i in self._loads["x"]:
             vals[s] = x[i]
@@ -302,8 +274,25 @@ class Tape:
             vals[s] = y[i]
         for op, expr, i, a, b in self._code:
             vals[i] = op(expr, vals[a], vals[b], strict)
+        return vals
+
+    def __call__(self, x, y, strict: bool = True) -> np.ndarray:
+        """The flat output vector at the scalar point (x, y)."""
+        vals = self._run(x, y, strict)
         out = self.template.copy()
         out[self._out_pos] = [vals[s] for s in self._out_slot]
+        return out
+
+    def arrays(self, x, y, strict: bool = True) -> list:
+        """The output entries as a list, in the order of `__call__`'s vector,
+        where the entries of x and y may be scalars or broadcastable arrays
+        (the grid oracle passes x entries as (rows, 1) columns and y entries
+        as (1, Y) rows).  A constant entry is its float; any other is shaped
+        the way its operands broadcast."""
+        vals = self._run(x, y, strict)
+        out = self.template.tolist()
+        for pos, s in zip(self._out_pos.tolist(), self._out_slot):
+            out[pos] = vals[s]
         return out
 
 

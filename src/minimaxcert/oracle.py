@@ -3,11 +3,11 @@ and a direct grid test of the two-sided local minimax definition.
 
 Grid oracles are wired for n <= 2, m <= 2 only.  The definition check builds
 one inner y-grid per level and evaluates it against blocks of feasible x-grid
-points in one broadcast: x axes as (rows, 1) columns, y axes as (1, Y) rows,
-with rows * Y at most CHUNK_ELEMENTS (one row when Y alone exceeds it).  Time
-still grows with the product of the grid sizes (capped at MAX_LEVEL_POINTS),
-but the working arrays are bounded by the chunk, and the results are
-bit-identical to one grid maximization per x point.
+points in one broadcast of the spec's tapes in array mode: x axes as (rows, 1)
+columns, y axes as (1, Y) rows, with rows * Y at most CHUNK_ELEMENTS (one row
+when Y alone exceeds it).  Time still grows with the product of the grid sizes
+(capped at MAX_LEVEL_POINTS), but the working arrays are bounded by the chunk,
+and the results are bit-identical to one grid maximization per x point.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import evaluate
 from .problem import ProblemSpec
 
 
 @dataclass
 class GridSpec:
     """delta0: outer radius; step: grid spacing; eta(delta) = eta_factor * delta;
-    tol: comparison tolerance for the two inequalities."""
+    tol: comparison tolerance for the two inequalities; feas_tol: constraint
+    violation allowed at a feasible grid point."""
 
     delta0: float = 0.1
     step: float = 1e-3
@@ -37,6 +37,8 @@ class GridSpec:
         if not all(math.isfinite(v) and v > 0
                    for v in (self.delta0, self.step, self.eta_factor)):
             raise ValueError("delta0, step and eta_factor must be positive and finite")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.tol, self.feas_tol)):
+            raise ValueError("tol and feas_tol must be finite and >= 0")
         if self.step > self.delta0:
             raise ValueError("step must not exceed delta0 (>= 3 points per axis)")
         if self.levels < 1:
@@ -115,20 +117,28 @@ class GridMaxResult:
     total_points: int
 
 
+def _feasible(values, equalities: int, feas_tol: float):
+    """Where every constraint value holds within feas_tol: the first
+    `equalities` values as |c| <= feas_tol, the rest as c <= feas_tol.
+    NaN is infeasible."""
+    feas = True
+    for k, c in enumerate(values):
+        c = np.asarray(c, dtype=float)
+        feas = feas & ((np.abs(c) if k < equalities else c) <= feas_tol)
+    return feas
+
+
 def _masked_argmax(spec: ProblemSpec, x, ys, rows: int, feas_tol: float):
     """Row-wise argmax of f(x, .) over the feasible points of a y-grid.
 
     x holds scalars (rows = 1) or (rows, 1) columns and ys holds (1, Y) rows,
-    so `evaluate` broadcasts h, g and f to (rows, Y).  Non-finite and
+    so the inner tape broadcasts h, g and f to (rows, Y).  Non-finite and
     infeasible values become -inf, and np.argmax takes the first maximum.
     Returns per row the argmax k, its value and the feasible count."""
-    shape = (rows, ys[0].shape[1])
-    feas = np.ones(shape, dtype=bool)
-    for e in spec.h:
-        feas &= np.abs(np.asarray(evaluate(e, x, ys, strict=False), dtype=float)) <= feas_tol
-    for e in spec.g:
-        feas &= np.asarray(evaluate(e, x, ys, strict=False), dtype=float) <= feas_tol
-    fvals = np.asarray(evaluate(spec.f, x, ys, strict=False), dtype=float)
+    *constraints, fvals = spec._oracle_tapes[0].arrays(x, ys, strict=False)
+    feas = np.broadcast_to(_feasible(constraints, spec.m1, feas_tol),
+                           (rows, ys[0].shape[1]))
+    fvals = np.asarray(fvals, dtype=float)
     fvals = np.where(feas & np.isfinite(fvals), fvals, -np.inf)
     k = np.argmax(fvals, axis=1)
     return k, fvals[np.arange(rows), k], np.count_nonzero(feas, axis=1)
@@ -195,7 +205,8 @@ def verify_minimax_definition(
         raise GridTooLargeError(points)
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
-    f_star = float(evaluate(spec.f, x_star, y_star))
+    _, outer, objective = spec._oracle_tapes
+    f_star = float(objective(x_star, y_star)[0])
     report = OracleReport(
         passed=True, worst_violation=0.0, worst_side=None, worst_witness=None,
         f_star=f_star,
@@ -222,12 +233,8 @@ def verify_minimax_definition(
 
         # right inequality: f(x*, y*) <= max f(x, .) over the eta ball
         xs = _mesh(_axis_grid(x_star, delta, npts(delta)))
-        xtotal = xs[0].shape[0]
-        xfeas = np.ones(xtotal, dtype=bool)
-        for e in spec.H:
-            xfeas &= np.abs(np.asarray(evaluate(e, xs, np.zeros(spec.m), strict=False))) <= grid.feas_tol
-        for e in spec.G:
-            xfeas &= np.asarray(evaluate(e, xs, np.zeros(spec.m), strict=False)) <= grid.feas_tol
+        xfeas = np.broadcast_to(_feasible(outer.arrays(xs, np.zeros(spec.m), strict=False),
+                                          spec.n1, grid.feas_tol), xs[0].shape)
         if not np.any(xfeas):
             report.notes.append(f"delta={delta:g}: empty feasible x-grid")
             level["right_violation"] = None

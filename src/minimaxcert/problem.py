@@ -13,9 +13,10 @@ The on-disk format is line oriented:
 
 Derivatives are exact: `ProblemSpec` builds its symbolic derivative tables
 lazily, once, and compiles them into one `Tape` per spec (`_bundle_program`,
-plus the x-only `_upper_program` behind `upper.upper_data`), also once.
-`eval_bundle` runs that tape at a point and returns a `DerivativeBundle`
-whose arrays are read-only views of its output.  Inside a `bundle_memo`
+plus the x-only `_upper_program` behind `upper.upper_data`, and the grid
+oracle's `_oracle_tapes`), also once.  `eval_bundle` runs the bundle tape at
+a point and returns a `DerivativeBundle` whose arrays are read-only views of
+its output.  Inside a `bundle_memo`
 block, which `certify` opens for the length of one call, each distinct
 (spec, x, y) is evaluated once and every caller gets the same bundle;
 nothing is cached across calls.
@@ -211,8 +212,7 @@ class ProblemSpec:
         """Every DerivativeBundle block, plus the h/g cross blocks `xy` that
         only the symmetry check reads.  Entries are visited in a fixed order,
         which decides the DomainError a point outside the domain raises:
-        f Hessians, h and g values, h rows, g rows, H and G values, H rows,
-        G rows, then f and its gradient."""
+        f Hessians, h and g values, h rows, g rows, then f and its gradient."""
         n, m, t = self.n, self.m, self._tables
         shapes = {"f": (), "fx": (n,), "fy": (m,), "fxx": (n, n), "fxy": (n, m),
                   "fyx": (m, n), "fyy": (m, m)}
@@ -226,31 +226,29 @@ class ProblemSpec:
             for k, row in enumerate(t[c]):
                 visits += [(f"{c}_jx", k, row["x"]), (f"{c}_jy", k, row["y"])]
                 visits += [(f"{c}_{b}", k, row[b]) for b in ("xx", "yx", "yy", "xy")]
-        upper_shapes, upper_visits = self._upper_blocks(
-            ("HU", "HU_j", "HU_xx"), ("GU", "GU_j", "GU_xx"))
-        shapes.update(upper_shapes)
-        visits += upper_visits
         visits += [("f", 0, [self.f]), ("fx", 0, t["f"]["x"]), ("fy", 0, t["f"]["y"])]
         return BlockProgram.compile(shapes, visits)
 
     @cached_property
     def _upper_program(self) -> BlockProgram:
         """H and G values, Jacobians and Hessians: a program in x alone."""
-        return BlockProgram.compile(*self._upper_blocks(("H", "JH", "Hxx"),
-                                                        ("G", "JG", "Gxx")))
-
-    def _upper_blocks(self, h_names, g_names):
-        """Shapes and visit order of the H and G blocks under the given
-        (value, Jacobian, Hessian) names."""
         n, t = self.n, self._tables
         shapes: dict[str, tuple[int, ...]] = {}
-        visits = [(h_names[0], 0, self.H), (g_names[0], 0, self.G)]
-        for (val, jac, hess), rows in ((h_names, t["H"]), (g_names, t["G"])):
+        visits = [("H", 0, self.H), ("G", 0, self.G)]
+        for (val, jac, hess), rows in ((("H", "JH", "Hxx"), t["H"]),
+                                       (("G", "JG", "Gxx"), t["G"])):
             shapes.update({val: (len(rows),), jac: (len(rows), n),
                            hess: (len(rows), n, n)})
             for k, row in enumerate(rows):
                 visits += [(jac, k, row["x"]), (hess, k, row["xx"])]
-        return shapes, visits
+        return BlockProgram.compile(shapes, visits)
+
+    @cached_property
+    def _oracle_tapes(self) -> tuple[Tape, Tape, Tape]:
+        """The grid oracle's tapes: [h..., g..., f] and [H..., G...], run in
+        array mode over its grids, and [f], run strictly at (x*, y*), where
+        only f's own domain may fail."""
+        return Tape([*self.h, *self.g, self.f]), Tape([*self.H, *self.G]), Tape([self.f])
 
 
 @dataclass(frozen=True)
@@ -359,12 +357,6 @@ class DerivativeBundle:
     g_xx: np.ndarray
     g_yx: np.ndarray
     g_yy: np.ndarray
-    HU: np.ndarray  # (n1,)
-    HU_j: np.ndarray  # (n1, n)
-    HU_xx: np.ndarray  # (n1, n, n)
-    GU: np.ndarray
-    GU_j: np.ndarray
-    GU_xx: np.ndarray
 
 
 _bundle_memo: ContextVar[dict | None] = ContextVar("bundle_memo", default=None)
@@ -383,14 +375,14 @@ def bundle_memo():
 
 def _asymmetry(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per leading index, max |a - b^T| over the last two axes."""
-    if a.size == 0:
-        return np.zeros(a.shape[0])
     return np.max(np.abs(a - np.swapaxes(b, -1, -2)), axis=(-2, -1))
 
 
-def _check_hessians(name: str, xx, yy=None, xy=None, yx=None):
+def check_hessians(name: str, xx, yy=None, xy=None, yx=None):
     """Raise on the first row, in row order, whose exact Hessian blocks are
     not symmetric or whose cross blocks are not mutual transposes."""
+    if not xx.shape[0]:  # no rows (every dimension is >= 1)
+        return
     tests = [("/xx", _asymmetry(xx, xx))]
     if yy is not None:
         tests += [("/yy", _asymmetry(yy, yy)), (" cross", _asymmetry(xy, yx))]
@@ -427,11 +419,9 @@ def eval_bundle(spec: ProblemSpec, x: np.ndarray, y: np.ndarray) -> DerivativeBu
         if hit is not None and hit[0] is spec:
             return hit[1]
     b = spec._bundle_program(x, y)
-    _check_hessians("f", b["fxx"][None], b["fyy"][None], b["fxy"][None], b["fyx"][None])
+    check_hessians("f", b["fxx"][None], b["fyy"][None], b["fxy"][None], b["fyx"][None])
     for c in "hg":
-        _check_hessians(c, b[f"{c}_xx"], b[f"{c}_yy"], b.pop(f"{c}_xy"), b[f"{c}_yx"])
-    _check_hessians("H", b["HU_xx"])
-    _check_hessians("G", b["GU_xx"])
+        check_hessians(c, b[f"{c}_xx"], b[f"{c}_yy"], b.pop(f"{c}_xy"), b[f"{c}_yx"])
     x.flags.writeable = False
     y.flags.writeable = False
     bundle = DerivativeBundle(x=x, y=y, f=float(b.pop("f")), **b)

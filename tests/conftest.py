@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from minimaxcert import CheckConfig, check_jacobian_uniqueness
-from minimaxcert.expressions import Add, Const, Mul, Var
+from minimaxcert.expressions import Add, Const, Mul, Var, _children, _op_of
 from minimaxcert.fixtures import load_fixture
 from minimaxcert.problem import ProblemSpec
 
@@ -36,6 +36,20 @@ def p4():
 @pytest.fixture(scope="session")
 def config():
     return CheckConfig()
+
+
+def evaluate(expr, x, y, strict=True):
+    """The recursive tree walk: evaluate expr at (x, y), operands left to
+    right, where the entries of x and y may be scalars or broadcastable
+    arrays.  It applies the package's per-operation functions node by node,
+    and is the reference the compiled Tape is checked against."""
+    kind = type(expr)
+    if kind is Const:
+        return expr.value
+    if kind is Var:
+        return x[expr.index] if expr.kind == "x" else y[expr.index]
+    args = [evaluate(child, x, y, strict) for child in _children(expr)]
+    return _op_of(expr)(expr, args[0], args[-1], strict)
 
 
 def xvar(i):

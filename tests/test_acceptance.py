@@ -18,7 +18,7 @@ from minimaxcert.certify import (
     VERDICT_REFUTED,
 )
 from minimaxcert.conditions import VIOLATED
-from minimaxcert.expressions import Var, differentiate, evaluate, parse_expression
+from minimaxcert.expressions import Var, differentiate, parse_expression
 from minimaxcert.lower import classify_partition
 from minimaxcert.nonsmooth import (
     a_matrix_min_pivot,
@@ -29,7 +29,7 @@ from minimaxcert.oracle import GridSpec, fd_derivatives, verify_minimax_definiti
 from minimaxcert.problem import eval_bundle
 from minimaxcert.report import dumps_canonical, report_to_doc
 
-from conftest import random_smooth_instance
+from conftest import evaluate, random_smooth_instance
 from test_expressions import central_fd, random_polynomial
 
 

@@ -241,6 +241,29 @@ def test_bad_oracle_grid_fails_at_config(p1, bad):
     assert result(rep, "definition_oracle").status == SATISFIED
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("tol_pd", float("nan"), "tol_pd must be finite"),
+    ("tol_kkt", float("nan"), "tol_kkt must be finite"),
+    ("tol_act", float("inf"), "tol_act must be finite"),
+    ("tol_newton", 0.0, "tol_newton must be positive"),
+    ("fd_step", float("nan"), "fd_step must be finite"),
+    ("fd_step", 0.0, "fd_step must be positive"),
+    ("fd_hess_step", -1e-3, "fd_hess_step must be positive"),
+    ("cond_warn", float("inf"), "cond_warn must be finite"),
+    ("cond_warn", 0.0, "cond_warn must be positive"),
+    ("oracle_tol", float("inf"), "oracle_tol must be finite"),
+    ("oracle_tol", -1e-9, "tol and feas_tol must be finite and >= 0"),
+])
+def test_bad_config_value_fails_at_config(key, value, message):
+    # a NaN tolerance fails every comparison, so certify would refute points it
+    # certifies at the defaults; an infinite oracle_tol passes every violation
+    with pytest.raises(ValueError, match=message):
+        CheckConfig(**{key: value})
+    with pytest.raises(ValueError, match=message):
+        CheckConfig().replace(**{key: value})
+    assert CheckConfig(oracle_tol=0.0).oracle_grid().tol == 0.0
+
+
 def test_random_certified_instances_confirmed_by_oracle(config):
     from conftest import random_certifiable_instance
     from minimaxcert.oracle import GridSpec, verify_minimax_definition

@@ -188,6 +188,40 @@ def test_bad_oracle_grid_config_is_usage_error(prob_files, tmp_path, capsys, cmd
     assert "step must not exceed delta0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, line, point", [
+    ("certify", "tol_pd = nan", "0"),
+    ("certify", "tol_kkt = nan", "0"),
+    ("oracle", "oracle_tol = inf", "0.5"),
+])
+def test_non_finite_config_value_is_usage_error(prob_files, tmp_path, capsys, cmd,
+                                                line, point):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main([cmd, prob_files["P1"], "--x", point, "--y", point,
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {line.split()[0]} must be finite\n"
+
+
+_DEEP_F = {
+    "sum": "x1^2 - y1^2 + " + " + ".join(f"{k}*y1" for k in range(600)),
+    "parentheses": "x1^2 - " + "(" * 250 + "y1^2" + ")" * 250,
+    "unary-minus": "x1^2 - y1^2 + " + "-" * 600 + "y1",
+}
+
+
+@pytest.mark.parametrize("cmd", ["validate", "certify"])
+@pytest.mark.parametrize("shape", sorted(_DEEP_F))
+def test_deeply_nested_expression_is_usage_error(tmp_path, capsys, shape, cmd):
+    prob = tmp_path / "deep.prob"
+    prob.write_text(f"dims 1 1 0 0 0 0\nf = {_DEEP_F[shape]}\n", encoding="utf-8")
+    point = ["--x", "0", "--y", "0"] if cmd == "certify" else []
+    assert main([cmd, str(prob), *point]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: an expression is nested too deeply")
+    assert "Traceback" not in err
+
+
 def test_domain_error_is_usage_error(tmp_path, capsys):
     # the gradient of -sqrt(y1^2 + x1^2) divides by zero at the origin
     prob = tmp_path / "cone.prob"

@@ -7,10 +7,11 @@ from minimaxcert.expressions import (
     ExpressionError,
     Var,
     differentiate,
-    evaluate,
     parse_expression,
     to_string,
 )
+
+from conftest import evaluate
 
 
 def central_fd(expr, x, y, var, step=1e-6):
@@ -155,9 +156,11 @@ def test_parse_errors_carry_position():
 
 
 def test_array_evaluation_broadcasts():
+    from minimaxcert.expressions import Tape
+
     expr = parse_expression("x1*y1 - 0.5*y1^2")
     ys = np.linspace(-1, 1, 11)
-    vals = evaluate(expr, [0.3], [ys])
+    (vals,) = Tape([expr]).arrays([0.3], [ys])
     assert vals.shape == (11,)
     assert vals[5] == pytest.approx(0.0)  # y = 0
 
@@ -234,17 +237,45 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
+@st.composite
+def _grids(draw):
+    """Broadcast inputs as the grid oracle passes them: x entries as (r, 1)
+    columns and y entries as (1, c) rows."""
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x = [np.array(draw(st.lists(_COORDS, min_size=r, max_size=r)))[:, None]
+         for _ in range(3)]
+    y = [np.array(draw(st.lists(_COORDS, min_size=c, max_size=c)))[None, :]
+         for _ in range(2)]
+    return x, y
+
+
+def _array_bits(value):
+    arr = np.asarray(value)
+    return arr.shape, arr.dtype.str, arr.tobytes()
+
+
 @settings(max_examples=300)
 @given(_entries(), st.lists(_COORDS, min_size=3, max_size=3),
-       st.lists(_COORDS, min_size=2, max_size=2), st.booleans())
-def test_tape_matches_tree_walk_bit_for_bit(entries, x, y, strict):
+       st.lists(_COORDS, min_size=2, max_size=2), _grids(), st.booleans())
+def test_tape_matches_tree_walk_bit_for_bit(entries, x, y, grids, strict):
     x, y = np.array(x), np.array(y)
+    xs, ys = grids
+    tape = Tape(entries)
 
     def walk():
         return [np.float64(evaluate(e, x, y, strict)).tobytes() for e in entries]
 
-    def tape():
-        return [v.tobytes() for v in Tape(entries)(x, y, strict)]
+    def scalar():
+        return [v.tobytes() for v in tape(x, y, strict)]
+
+    def walk_arrays():
+        return [_array_bits(evaluate(e, xs, ys, strict)) for e in entries]
+
+    def arrays():
+        return [_array_bits(v) for v in tape.arrays(xs, ys, strict)]
 
     with np.errstate(all="ignore"):
-        assert _outcome(tape) == _outcome(walk)
+        assert _outcome(scalar) == _outcome(walk)
+        assert _outcome(arrays) == _outcome(walk_arrays)
+        # a second run of the same tape sees none of the first run's slots
+        assert _outcome(scalar) == _outcome(walk)

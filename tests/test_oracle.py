@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minimaxcert import oracle, solve_lower
-from minimaxcert.expressions import evaluate
 from minimaxcert.oracle import (
     EmptyFeasibleGridError,
     GridMaxResult,
@@ -19,6 +18,8 @@ from minimaxcert.oracle import (
     verify_minimax_definition,
 )
 from minimaxcert.problem import parse_problem
+
+from conftest import evaluate
 
 
 def phi_p1(x):
@@ -173,6 +174,62 @@ def test_grid_rejects_fewer_than_one_level(levels):
 def test_grid_rejects_non_finite_or_non_positive_sizes(key, value):
     with pytest.raises(ValueError, match="positive and finite"):
         GridSpec(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["tol", "feas_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-3])
+def test_grid_rejects_non_finite_or_negative_tolerances(key, value):
+    # tol = inf would pass any violation; NaN would fail every comparison
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        GridSpec(**{key: value})
+    assert getattr(GridSpec(**{key: 0.0}), key) == 0.0
+
+
+# --- f(x*, y*) and the compiled tapes ------------------------------------------
+
+
+def test_f_star_is_strict_on_f_alone(tmp_path, capsys):
+    from minimaxcert.cli import main
+    from minimaxcert.expressions import DomainError
+
+    # f leaves its domain at x*: an error naming the node, not a verdict
+    text = "dims 1 1 0 0 0 0\nf = -(y1-x1)^2 + sqrt(x1)\n"
+    with pytest.raises(DomainError, match=r"sqrt\(x1\)"):
+        verify_minimax_definition(parse_problem(text), [-0.01], [-0.01])
+    prob = tmp_path / "f.prob"
+    prob.write_text(text, encoding="utf-8")
+    assert main(["oracle", str(prob), "--x", "-0.01", "--y", "-0.01"]) == 1
+    assert "sqrt(x1)" in capsys.readouterr().err
+
+    # only g leaves its domain at y*: its NaN grid points are infeasible, and
+    # the check runs to a report
+    text = "dims 1 1 0 1 0 0\nf = -(y1-x1)^2\ng1 = log(y1 + 0.5) - 10\n"
+    rep = verify_minimax_definition(parse_problem(text), [-0.6], [-0.6])
+    assert not rep.passed and rep.f_star == 0.0
+    prob.write_text(text, encoding="utf-8")
+    assert main(["oracle", str(prob), "--x", "-0.6", "--y", "-0.6"]) == 2
+    capsys.readouterr()
+
+
+def test_oracle_compiles_each_tape_once(monkeypatch):
+    from minimaxcert import problem
+
+    compiled = []
+    tape = problem.Tape
+
+    def counting_tape(exprs, *rest):
+        compiled.append(len(exprs))
+        return tape(exprs, *rest)
+
+    monkeypatch.setattr(problem, "Tape", counting_tape)
+    spec = parse_problem("dims 2 1 1 1 1 1\nf = x1*y1 - y1^2 + x2^2\n"
+                         "h1 = 0*y1\ng1 = y1 - 1\nH1 = x1 - x2\nG1 = x1 - 1\n")
+    grid = GridSpec(step=0.05, levels=2)
+    for _ in range(3):
+        verify_minimax_definition(spec, [0.0, 0.0], [0.0], grid)
+        grid_local_maximize(spec, [0.0, 0.0], [0.0], 0.1, 5)
+    # h, g and f; H and G; f alone
+    assert sorted(compiled) == [1, 2, 3]
 
 
 # --- bit-equality with the per-x-point oracle -------------------------------------

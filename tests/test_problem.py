@@ -10,7 +10,7 @@ from minimaxcert.problem import (
     problem_digest,
     serialize_problem,
 )
-from minimaxcert.expressions import evaluate
+from conftest import evaluate
 
 
 P1_TEXT = """\
@@ -106,6 +106,37 @@ def test_cross_blocks_are_mutual_transposes():
         assert np.max(np.abs(b.fxy - b.fyx.T)) <= 1e-12
         assert np.max(np.abs(b.fxx - b.fxx.T)) <= 1e-12
         assert np.max(np.abs(b.fyy - b.fyy.T)) <= 1e-12
+
+
+def test_bundle_leaves_h_and_g_to_upper_data(monkeypatch):
+    from minimaxcert.expressions import DomainError
+    from minimaxcert.problem import BlockProgram, HessianAsymmetryError
+    from minimaxcert.upper import upper_data
+
+    # G1 is undefined at x1 = -1 while f and g are fine: the bundle never
+    # evaluates G, and upper_data names G1's node
+    spec = parse_problem("dims 1 1 0 1 0 1\nf = x1*y1 - 0.5*y1^2\n"
+                         "g1 = y1 - 1\nG1 = log(x1)\n")
+    b = eval_bundle(spec, [-1.0], [0.0])
+    assert b.f == 0.0 and not hasattr(b, "GU")
+    with pytest.raises(DomainError, match=r"log\(x1\)"):
+        upper_data(spec, [-1.0])
+    assert upper_data(spec, [1.0]).JG.tolist() == [[1.0]]
+
+    # and the symmetry check of the H and G Hessians went with them
+    spec = parse_problem("dims 2 1 0 0 0 1\nf = x1^2 + x2^2 - y1^2\nG1 = x1*x2\n")
+    run = BlockProgram.__call__
+
+    def skewed(program, x, y):
+        blocks = run(program, x, y)
+        if program is spec._upper_program:
+            blocks["Gxx"] = blocks["Gxx"] + np.array([[[0.0, 1e-6], [0.0, 0.0]]])
+        return blocks
+
+    monkeypatch.setattr(BlockProgram, "__call__", skewed)
+    eval_bundle(spec, [0.0, 0.0], [0.0])
+    with pytest.raises(HessianAsymmetryError, match="G1/xx Hessian asymmetry 1.000e-06"):
+        upper_data(spec, [0.0, 0.0])
 
 
 def test_candidate_validation():
