@@ -45,7 +45,6 @@ from .oracle import GridTooLargeError, verify_minimax_definition
 from .problem import (
     CandidatePoint,
     CandidateShapeError,
-    HessianAsymmetryError,
     ProblemSpec,
     bundle_memo,
     problem_digest,
@@ -61,6 +60,7 @@ from .upper import (
     upper_kkt_and_polytope,
 )
 from .value_function import (
+    AsymmetricValueHessianError,
     SingularSensitivityError,
     value_derivatives,
 )
@@ -260,17 +260,17 @@ def certify(
 
     Within one call each distinct (x, y) is evaluated once (`bundle_memo`).
     An evaluation that fails (a value leaves its domain, the problem uses
-    abs(), an exact Hessian is not symmetric) or a candidate whose shape does
-    not match the problem ends the run with an `error` check,
-    CHECK_EVALUATION, that names the stage it was in; such a run is never
-    certified.  Other exceptions propagate."""
+    abs()) or a candidate whose shape does not match the problem ends the run
+    with an `error` check, CHECK_EVALUATION, that names the stage it was in;
+    such a run is never certified.  A value-function Hessian that comes out
+    of the sensitivity system asymmetric ends the smooth path with an `error`
+    sensitivity_system check.  Other exceptions propagate."""
     config = config or CheckConfig()
     progress = _Progress([], [f"lambda sign convention: {LAMBDA_SIGN_CONVENTION}"])
     with bundle_memo():
         try:
             _pipeline(spec, candidate, config, progress)
-        except (DomainError, NonsmoothDataError, CandidateShapeError,
-                HessianAsymmetryError) as exc:
+        except (DomainError, NonsmoothDataError, CandidateShapeError) as exc:
             progress.results.append(
                 ConditionCheck(CHECK_EVALUATION, ERROR, None, None, KIND_NECESSARY,
                                detail=f"{progress.stage} failed: {exc}")
@@ -383,6 +383,11 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
         results.append(
             ConditionCheck("sensitivity_system", VIOLATED, exc.pivot, None,
                            KIND_INFO, detail=str(exc))
+        )
+        return
+    except AsymmetricValueHessianError as exc:
+        results.append(
+            ConditionCheck("sensitivity_system", ERROR, None, None, KIND_INFO, detail=str(exc))
         )
         return
     results.append(

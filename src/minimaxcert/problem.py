@@ -14,12 +14,14 @@ The on-disk format is line oriented:
 Derivatives are exact: `ProblemSpec` builds its symbolic derivative tables
 lazily, once, and compiles them into one `Tape` per spec (`_bundle_program`,
 plus the x-only `_upper_program` behind `upper.upper_data`, and the grid
-oracle's `_oracle_tapes`), also once.  `eval_bundle` runs the bundle tape at
-a point and returns a `DerivativeBundle` whose arrays are read-only views of
-its output.  Inside a `bundle_memo`
-block, which `certify` opens for the length of one call, each distinct
-(spec, x, y) is evaluated once and every caller gets the same bundle;
-nothing is cached across calls.
+oracle's `_oracle_tapes`), also once.  The data are C^2, so every Hessian
+block is symmetric by construction: each unordered pair of variables is
+differentiated once and its entry mirrored, and of the two cross blocks only
+`yx` is built.  `eval_bundle` runs the bundle tape at a point and returns a
+`DerivativeBundle` whose arrays are read-only views of its output.  Inside a
+`bundle_memo` block, which `certify` opens for the length of one call, each
+distinct (spec, x, y) is evaluated once and every caller gets the same
+bundle; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -46,16 +48,9 @@ from .expressions import (
     variables_of,
 )
 
-HESSIAN_SYMMETRY_TOL = 1e-12
-
 
 class CandidateShapeError(ValueError):
     """A candidate vector whose shape does not match the problem's dimensions."""
-
-
-class HessianAsymmetryError(ValueError):
-    """An exact Hessian block that is not symmetric, or cross blocks that are
-    not mutual transposes, beyond HESSIAN_SYMMETRY_TOL."""
 
 
 class ProblemFormatError(Exception):
@@ -164,68 +159,51 @@ class ProblemSpec:
 
     @cached_property
     def _tables(self):
-        def grad(e, vs):
-            return [differentiate(e, v) for v in vs]
+        xs, ys = self._xvars, self._yvars
 
         def hess(gr, vs):
-            return [[differentiate(gi, v) for v in vs] for gi in gr]
+            """Entry (i, j) is differentiate(gr[i], vs[j]) for j >= i, and
+            entry (j, i) is the same Expr: C^2 data has symmetric Hessians."""
+            rows = [[None] * len(vs) for _ in vs]
+            for i, gi in enumerate(gr):
+                for j in range(i, len(vs)):
+                    rows[i][j] = rows[j][i] = differentiate(gi, vs[j])
+            return rows
 
-        tabs = {}
-        fx = grad(self.f, self._xvars)
-        fy = grad(self.f, self._yvars)
-        tabs["f"] = {
-            "x": fx,
-            "y": fy,
-            "xx": hess(fx, self._xvars),
-            "xy": hess(fx, self._yvars),
-            "yx": hess(fy, self._xvars),
-            "yy": hess(fy, self._yvars),
-        }
-        for name, exprs in (("h", self.h), ("g", self.g)):
-            rows = []
-            for e in exprs:
-                ex = grad(e, self._xvars)
-                ey = grad(e, self._yvars)
-                rows.append(
-                    {
-                        "x": ex,
-                        "y": ey,
-                        "xx": hess(ex, self._xvars),
-                        "xy": hess(ex, self._yvars),
-                        "yx": hess(ey, self._xvars),
-                        "yy": hess(ey, self._yvars),
-                    }
-                )
-            tabs[name] = rows
-        for name, exprs in (("H", self.H), ("G", self.G)):
-            rows = []
-            for e in exprs:
-                ex = grad(e, self._xvars)
-                rows.append({"x": ex, "xx": hess(ex, self._xvars)})
-            tabs[name] = rows
-        return tabs
+        def row(e, inner=True):
+            """Gradients and Hessian blocks of e; x-only data (inner=False)
+            gets the `x` and `xx` parts alone."""
+            ex = [differentiate(e, v) for v in xs]
+            out = {"x": ex, "xx": hess(ex, xs)}
+            if inner:
+                ey = [differentiate(e, v) for v in ys]
+                out.update(y=ey, yx=[[differentiate(gj, v) for v in xs] for gj in ey],
+                           yy=hess(ey, ys))
+            return out
+
+        return {"f": row(self.f), "h": [row(e) for e in self.h], "g": [row(e) for e in self.g],
+                "H": [row(e, inner=False) for e in self.H],
+                "G": [row(e, inner=False) for e in self.G]}
 
     # -- compiled evaluation programs -------------------------------------
 
     @cached_property
     def _bundle_program(self) -> BlockProgram:
-        """Every DerivativeBundle block, plus the h/g cross blocks `xy` that
-        only the symmetry check reads.  Entries are visited in a fixed order,
+        """Every DerivativeBundle block.  Entries are visited in a fixed order,
         which decides the DomainError a point outside the domain raises:
         f Hessians, h and g values, h rows, g rows, then f and its gradient."""
         n, m, t = self.n, self.m, self._tables
-        shapes = {"f": (), "fx": (n,), "fy": (m,), "fxx": (n, n), "fxy": (n, m),
-                  "fyx": (m, n), "fyy": (m, m)}
+        shapes = {"f": (), "fx": (n,), "fy": (m,), "fxx": (n, n), "fyx": (m, n), "fyy": (m, m)}
         for c, count in (("h", self.m1), ("g", self.m2)):
             shapes.update({c: (count,), f"{c}_jx": (count, n), f"{c}_jy": (count, m),
                            f"{c}_xx": (count, n, n), f"{c}_yx": (count, m, n),
-                           f"{c}_yy": (count, m, m), f"{c}_xy": (count, n, m)})
-        visits = [("f" + b, 0, t["f"][b]) for b in ("xx", "yy", "xy", "yx")]
+                           f"{c}_yy": (count, m, m)})
+        visits = [("f" + b, 0, t["f"][b]) for b in ("xx", "yy", "yx")]
         visits += [("h", 0, self.h), ("g", 0, self.g)]
         for c in "hg":
             for k, row in enumerate(t[c]):
                 visits += [(f"{c}_jx", k, row["x"]), (f"{c}_jy", k, row["y"])]
-                visits += [(f"{c}_{b}", k, row[b]) for b in ("xx", "yx", "yy", "xy")]
+                visits += [(f"{c}_{b}", k, row[b]) for b in ("xx", "yx", "yy")]
         visits += [("f", 0, [self.f]), ("fx", 0, t["f"]["x"]), ("fy", 0, t["f"]["y"])]
         return BlockProgram.compile(shapes, visits)
 
@@ -342,7 +320,6 @@ class DerivativeBundle:
     fx: np.ndarray  # (n,)
     fy: np.ndarray  # (m,)
     fxx: np.ndarray  # (n, n)
-    fxy: np.ndarray  # (n, m)
     fyx: np.ndarray  # (m, n)
     fyy: np.ndarray  # (m, m)
     h: np.ndarray  # (m1,)
@@ -373,34 +350,6 @@ def bundle_memo():
         _bundle_memo.reset(token)
 
 
-def _asymmetry(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per leading index, max |a - b^T| over the last two axes."""
-    return np.max(np.abs(a - np.swapaxes(b, -1, -2)), axis=(-2, -1))
-
-
-def check_hessians(name: str, xx, yy=None, xy=None, yx=None):
-    """Raise on the first row, in row order, whose exact Hessian blocks are
-    not symmetric or whose cross blocks are not mutual transposes."""
-    if not xx.shape[0]:  # no rows (every dimension is >= 1)
-        return
-    tests = [("/xx", _asymmetry(xx, xx))]
-    if yy is not None:
-        tests += [("/yy", _asymmetry(yy, yy)), (" cross", _asymmetry(xy, yx))]
-    if not any(np.any(asym > HESSIAN_SYMMETRY_TOL) for _, asym in tests):
-        return
-    for k in range(xx.shape[0]):
-        label = name if name == "f" else f"{name}{k + 1}"
-        for suffix, asym in tests:
-            if not asym[k] > HESSIAN_SYMMETRY_TOL:
-                continue
-            if suffix == " cross":
-                blocks = "cross-derivative blocks" if name == "f" else "cross blocks"
-                raise HessianAsymmetryError(f"{label} {blocks} are not mutual transposes")
-            raise HessianAsymmetryError(
-                f"{label}{suffix} Hessian asymmetry {float(asym[k]):.3e} exceeds tolerance"
-            )
-
-
 def eval_bundle(spec: ProblemSpec, x: np.ndarray, y: np.ndarray) -> DerivativeBundle:
     """Evaluate all problem data and exact derivatives at (x, y).
 
@@ -419,9 +368,6 @@ def eval_bundle(spec: ProblemSpec, x: np.ndarray, y: np.ndarray) -> DerivativeBu
         if hit is not None and hit[0] is spec:
             return hit[1]
     b = spec._bundle_program(x, y)
-    check_hessians("f", b["fxx"][None], b["fyy"][None], b["fxy"][None], b["fyx"][None])
-    for c in "hg":
-        check_hessians(c, b[f"{c}_xx"], b[f"{c}_yy"], b.pop(f"{c}_xy"), b[f"{c}_yx"])
     x.flags.writeable = False
     y.flags.writeable = False
     bundle = DerivativeBundle(x=x, y=y, f=float(b.pop("f")), **b)

@@ -25,7 +25,7 @@ from .cones import RAY_SUBSET_CAP, cone_contains, min_quadratic_on_cone
 from .linalg import LpProblem, smallest_singular_value, solve_lp
 from .lower import KktSolution
 from .nonsmooth import GeneralizedDerivativeSet, SelectorSweep, selector_sweep
-from .problem import ProblemSpec, check_hessians
+from .problem import ProblemSpec
 from .value_function import ValueDerivatives
 
 
@@ -42,13 +42,10 @@ class UpperData:
 
 
 def upper_data(spec: ProblemSpec, x) -> UpperData:
-    """Read-only H, G data at x from the problem's compiled x-only program.
-    Raises HessianAsymmetryError on an H or G Hessian that is not symmetric."""
+    """Read-only H, G data at x from the problem's compiled x-only program
+    (whose Hessians are symmetric by construction)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    data = UpperData(**spec._upper_program(x, np.zeros(0)))
-    check_hessians("H", data.Hxx)
-    check_hessians("G", data.Gxx)
-    return data
+    return UpperData(**spec._upper_program(x, np.zeros(0)))
 
 
 @dataclass

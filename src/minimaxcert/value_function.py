@@ -7,7 +7,7 @@ system is that selector's sweep, the bordered matrix A(x, W) of
 `lower.kkt_jacobian_blocks` with right-hand side
 rhs = (grad_yx L; J_x h; (I - W) J_x g).  The solution map moves by
 (y', mu', lam') = -A^{-1} rhs d_x, so
-hess phi = grad_xx L - [grad_xy L, J_x h^T, -J_x g^T] A^{-1} rhs.
+hess phi = grad_xx L - [(grad_yx L)^T, J_x h^T, -J_x g^T] A^{-1} rhs.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ class SingularSensitivityError(Exception):
     def __init__(self, reason: str, pivot: float | None = None):
         self.pivot = pivot
         super().__init__(f"{reason}; Jacobian uniqueness cannot hold at this solution")
+
+
+class AsymmetricValueHessianError(ValueError):
+    """hess phi as assembled from the sensitivity system is not symmetric to
+    HESSIAN_SYM_TOL."""
 
 
 @dataclass
@@ -106,7 +111,7 @@ class ValueDerivatives:
 def value_derivatives(
     spec: ProblemSpec, sol: KktSolution, config: CheckConfig | None = None
 ) -> ValueDerivatives:
-    """phi, grad phi and hess phi = grad_xx L - [grad_xy L, J_x h^T, -J_x g^T] H
+    """phi, grad phi and hess phi = grad_xx L - [(grad_yx L)^T, J_x h^T, -J_x g^T] H
     (symmetrized on return) with the assembled sensitivity system."""
     system = assemble_sensitivity_system(spec, sol, config)
     bundle = eval_bundle(spec, sol.x, sol.y)
@@ -114,7 +119,8 @@ def value_derivatives(
     raw = lag.xx - np.hstack([lag.yx.T, bundle.h_jx.T, -bundle.g_jx.T]) @ system.H
     asym = float(np.max(np.abs(raw - raw.T), initial=0.0))
     if asym > HESSIAN_SYM_TOL:
-        raise ValueError(f"value-function Hessian asymmetry {asym:.3e} exceeds 1e-8")
+        raise AsymmetricValueHessianError(
+            f"value-function Hessian asymmetry {asym:.3e} exceeds 1e-8")
     return ValueDerivatives(
         value=bundle.f,
         gradient=lag.grad_x,

@@ -225,3 +225,15 @@ def degenerate_text(k):
     f = " + ".join(f"-(y{i}-x{i})^2" for i in range(1, k + 1))
     g = "".join(f"g{i} = y{i} - x{i}\n" for i in range(1, k + 1))
     return f"dims {k} {k} 0 {k} 0 0\nf = {f}\n{g}"
+
+
+# At 1e3 times f, the two rounding routes of f's cross derivative at
+# (2.213, 0.738) differ by more than 1e-12; without the scale the point is
+# certified.  `scale` is "" or a factor such as "1e3*".
+CROSS_TEXT = ("dims 1 1 0 1 0 1\nf = {scale}(exp(x1*y1) - y1^2)\n"
+              "g1 = y1 - 0.738\nG1 = 2.213 - x1\n")
+
+# At x = (1.013, 0.987166831194472), y = 0.764 the value-function Hessian
+# assembled from the sensitivity system is asymmetric by 1.211e-08.
+VALUE_ASYMMETRY_TEXT = ("dims 2 1 0 1 0 0\nf = 1e6*(exp(x1*x2*y1) - y1^2 + x1^2*x2^2)\n"
+                        "g1 = y1 - 0.764\n")

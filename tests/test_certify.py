@@ -556,41 +556,16 @@ def test_bundle_evaluated_once_per_point_per_call(config, monkeypatch):
 
 # --- the remaining ValueErrors become evaluation error checks -----------------------
 
-def _asymmetric_fyy(monkeypatch, spec):
-    """Make the bundle program of spec return an f/yy block off by 1e-6."""
-    from minimaxcert.problem import BlockProgram
-
-    run = BlockProgram.__call__
-
-    def skewed(program, x, y):
-        blocks = run(program, x, y)
-        if program is spec._bundle_program:
-            fyy = blocks["fyy"].copy()
-            fyy[0, 1] += 1e-6
-            blocks["fyy"] = fyy
-        return blocks
-
-    monkeypatch.setattr(BlockProgram, "__call__", skewed)
-
-
 @pytest.mark.parametrize("x, y, lam, message", [
     pytest.param([0.0, 0.0], [0.0], None, "x has shape (2,), expected (1,)", id="x-shape"),
     pytest.param([0.0], [0.0, 0.0], None, "y has shape (2,), expected (1,)", id="y-shape"),
     pytest.param([0.0], [0.0], [0.0, 0.0], "lam has shape (2,), expected (1,)",
                  id="lam-shape"),
-    pytest.param([0.0], [0.0, 0.0], None,
-                 "f/yy Hessian asymmetry 1.000e-06 exceeds tolerance",
-                 id="hessian-asymmetry"),
 ])
-def test_value_error_is_an_error_check(x, y, lam, message, config, p2, monkeypatch):
+def test_value_error_is_an_error_check(x, y, lam, message, config, p2):
     from minimaxcert.conditions import ERROR
-    from minimaxcert.problem import parse_problem
 
-    spec, candidate = p2, CandidatePoint(x, y, lam=lam)
-    if "asymmetry" in message:
-        spec = parse_problem("dims 1 2 0 0 0 0\nf = x1*y1 - y1^2 - y2^2\n")
-        _asymmetric_fyy(monkeypatch, spec)
-    rep = certify(spec, candidate, config)
+    rep = certify(p2, CandidatePoint(x, y, lam=lam), config)
     assert rep.verdict == VERDICT_INCONCLUSIVE
     assert rep.path == PATH_INVALID
     check = result(rep, "evaluation")
@@ -607,6 +582,38 @@ def test_other_value_errors_still_surface(config, p1, monkeypatch):
     monkeypatch.setattr(sys.modules["minimaxcert.certify"], "classify_path", broken)
     with pytest.raises(ValueError, match="not an evaluation failure"):
         certify(p1, CandidatePoint([0.0], [0.0]), config)
+
+
+# --- large second derivatives: Hessians are symmetric by construction -------------
+
+def test_scaling_f_up_keeps_the_verdict_and_check_statuses(config):
+    from minimaxcert.problem import parse_problem
+
+    from conftest import CROSS_TEXT
+
+    # each second derivative has one rounding route, so nothing compares two
+    candidate = CandidatePoint([2.213], [0.738])
+    plain, scaled = (certify(parse_problem(CROSS_TEXT.format(scale=s)), candidate, config)
+                     for s in ("", "1e3*"))
+    assert plain.verdict == scaled.verdict == VERDICT_CERTIFIED
+    assert [(c.name, c.status) for c in scaled.results] == [
+        (c.name, c.status) for c in plain.results]
+
+
+def test_asymmetric_value_hessian_is_a_sensitivity_error(config):
+    from minimaxcert.conditions import ERROR
+    from minimaxcert.problem import parse_problem
+
+    from conftest import VALUE_ASYMMETRY_TEXT
+
+    spec = parse_problem(VALUE_ASYMMETRY_TEXT)
+    rep = certify(spec, CandidatePoint([1.013, 0.987166831194472], [0.764]), config)
+    assert rep.path == PATH_SMOOTH
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    check = result(rep, "sensitivity_system")
+    assert check.status == ERROR
+    assert check.detail == "value-function Hessian asymmetry 1.211e-08 exceeds 1e-8"
+    assert rep.results[-1] is check
 
 
 # --- metamorphic: relabelling the inner variables --------------------------------

@@ -6,6 +6,8 @@ from minimaxcert.cli import main
 from minimaxcert.fixtures import fixture_text
 from minimaxcert.report import dumps_canonical, loads, render_summary
 
+from conftest import CROSS_TEXT, VALUE_ASYMMETRY_TEXT
+
 
 @pytest.fixture()
 def prob_files(tmp_path):
@@ -124,6 +126,29 @@ def test_solve_lower_command(prob_files, capsys):
     out = capsys.readouterr().out
     assert "converged" in out
     assert "iter" in out
+
+
+def test_solve_lower_at_large_cross_derivatives_converges(tmp_path, capsys):
+    prob = tmp_path / "scaled.prob"
+    prob.write_text("dims 1 1 0 0 0 0\nf = 1e4*sin(x1*y1)*cos(x1+y1) - 2e4*y1^2\n",
+                    encoding="utf-8")
+    out = tmp_path / "sol.json"
+    assert main(["solve-lower", str(prob), "--x", "1", "--y", "0.5",
+                 "--json", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("converged in 5 iterations")
+    assert loads(out.read_text(encoding="utf-8"))["y"] == pytest.approx([0.093576], abs=1e-6)
+
+
+@pytest.mark.parametrize("text, x, y, code", [
+    pytest.param(CROSS_TEXT.format(scale="1e3*"), "2.213", "0.738", 0, id="certified"),
+    pytest.param(VALUE_ASYMMETRY_TEXT, "1.013,0.987166831194472", "0.764", 3,
+                 id="value-hessian-asymmetry"),
+])
+def test_large_second_derivatives_exit_codes(text, x, y, code, tmp_path, capsys):
+    prob = tmp_path / "scaled.prob"
+    prob.write_text(text, encoding="utf-8")
+    assert main(["certify", str(prob), "--x", x, "--y", y]) == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_oracle_command(prob_files, capsys):

@@ -279,3 +279,40 @@ def test_tape_matches_tree_walk_bit_for_bit(entries, x, y, grids, strict):
         assert _outcome(arrays) == _outcome(walk_arrays)
         # a second run of the same tape sees none of the first run's slots
         assert _outcome(scalar) == _outcome(walk)
+
+
+# --- mixed partials agree in both orders ------------------------------------
+
+@st.composite
+def _tree_and_pair(draw):
+    """Two distinct variables u and v, and a tree over both: each joins a
+    random tree by a random binary operation, the halves are joined by a
+    third, and a function may be applied to the whole."""
+    u, v = draw(st.permutations([Var("x", i) for i in range(3)]
+                                + [Var("y", i) for i in range(2)]))[:2]
+    op = st.sampled_from(_BINARY)
+    tree = draw(op)(draw(op)(draw(_TREES), u), draw(op)(v, draw(_TREES)))
+    name = draw(st.sampled_from([None, *FUNCTION_NAMES]))
+    return (tree if name is None else Func(name, tree)), u, v
+
+
+@settings(max_examples=300)
+@given(_tree_and_pair(), st.lists(_COORDS, min_size=3, max_size=3),
+       st.lists(_COORDS, min_size=2, max_size=2))
+def test_mixed_partials_agree_in_both_orders(tree_and_pair, x, y):
+    """Schwarz's theorem for the differentiation rules: d/dv d/du e and
+    d/du d/dv e agree wherever both are finite.  The derivative tables rest on
+    it when they differentiate each Hessian pair once and mirror it."""
+    tree, u, v = tree_and_pair
+    x, y = np.array(x), np.array(y)
+
+    def walk(p, q):
+        try:
+            with np.errstate(all="ignore"):
+                return evaluate(differentiate(differentiate(tree, p), q), x, y, strict=False)
+        except ArithmeticError:  # float arithmetic between two constants
+            return np.nan
+
+    a, b = walk(u, v), walk(v, u)
+    if np.isfinite(a) and np.isfinite(b):
+        assert abs(a - b) <= 1e-9 * (1 + abs(a) + abs(b))
