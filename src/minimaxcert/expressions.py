@@ -395,59 +395,110 @@ def s_neg(a: Expr) -> Expr:
 
 def differentiate(expr: Expr, var: Var) -> Expr:
     """Exact partial derivative with respect to var, as an expression."""
-    if isinstance(expr, Const):
-        return _ZERO
-    if isinstance(expr, Var):
-        hit = expr.kind == var.kind and expr.index == var.index
-        return _ONE if hit else _ZERO
-    if isinstance(expr, Add):
-        return s_add(differentiate(expr.a, var), differentiate(expr.b, var))
-    if isinstance(expr, Sub):
-        return s_sub(differentiate(expr.a, var), differentiate(expr.b, var))
-    if isinstance(expr, Mul):
-        return s_add(
-            s_mul(differentiate(expr.a, var), expr.b),
-            s_mul(expr.a, differentiate(expr.b, var)),
-        )
-    if isinstance(expr, Div):
-        da = differentiate(expr.a, var)
-        db = differentiate(expr.b, var)
-        return s_div(
-            s_sub(s_mul(da, expr.b), s_mul(expr.a, db)),
-            s_pow(expr.b, Const(2.0)),
-        )
-    if isinstance(expr, Pow):
-        da = differentiate(expr.a, var)
-        db = differentiate(expr.b, var)
-        if _is_const(db, 0.0) and isinstance(expr.b, Const):
-            c = expr.b.value
-            return s_mul(s_mul(Const(c), s_pow(expr.a, Const(c - 1.0))), da)
-        # general a^b: a^b * (db*log a + b*da/a)
-        return s_mul(
-            expr,
-            s_add(s_mul(db, Func("log", expr.a)), s_mul(expr.b, s_div(da, expr.a))),
-        )
-    if isinstance(expr, Neg):
-        return s_neg(differentiate(expr.a, var))
-    if isinstance(expr, Func):
-        da = differentiate(expr.a, var)
-        name = expr.name
-        if name == "sin":
-            return s_mul(Func("cos", expr.a), da)
-        if name == "cos":
-            return s_neg(s_mul(Func("sin", expr.a), da))
-        if name == "exp":
-            return s_mul(expr, da)
-        if name == "log":
-            return s_div(da, expr.a)
-        if name == "sqrt":
-            return s_div(da, s_mul(Const(2.0), expr))
-        if name == "abs":
-            # nondifferentiable at 0; sign(0)=0 surfaces there during evaluation
-            return s_mul(Func("sign", expr.a), da)
-        if name == "sign":
+    return Differentiator()(expr, var)
+
+
+def _var_bit(var: Var) -> int:
+    """The bit of a variable in a node's variable mask: x_k and y_k take bits
+    2k and 2k + 1."""
+    return 1 << (2 * var.index + (var.kind == "y"))
+
+
+# d f(a) = f'(a) da for each function f, given the node f(a) and da
+_FUNCTION_RULES = {
+    "sin": lambda e, da: s_mul(Func("cos", e.a), da),
+    "cos": lambda e, da: s_neg(s_mul(Func("sin", e.a), da)),
+    "exp": lambda e, da: s_mul(e, da),
+    "log": lambda e, da: s_div(da, e.a),
+    "sqrt": lambda e, da: s_div(da, s_mul(Const(2.0), e)),
+    # nondifferentiable at 0; sign(0)=0 surfaces there during evaluation
+    "abs": lambda e, da: s_mul(Func("sign", e.a), da),
+    "sign": lambda e, da: _ZERO,
+}
+
+
+class Differentiator:
+    """Partial derivatives of many expressions with respect to many variables,
+    sharing the work between them (the derivative tables of one problem).
+
+    Each (subexpression, variable) pair is differentiated at most once, and a
+    subtree that does not contain the variable is not walked for it: each
+    node keeps the bitmask of the variables it contains, and a node without
+    the variable has the same derivative for every such variable (a zero
+    constant, of the sign the rules give it: cos(x1) by y1 is -0.0), worked
+    out once under bit 0.  Results are memoised by id(node); the masks hold
+    every node so keyed, so the ids stay valid while the differentiator
+    lives.  Make one per table build and drop it."""
+
+    def __init__(self):
+        self._masks: dict[int, tuple[Expr, int]] = {}
+        self._memo: dict[tuple[int, int], Expr] = {}
+
+    def __call__(self, expr: Expr, var: Var) -> Expr:
+        return self._d(expr, _var_bit(var))
+
+    def _mask(self, node: Expr) -> int:
+        kind = type(node)
+        if kind is Var:
+            return _var_bit(node)
+        if kind is Const:
+            return 0
+        hit = self._masks.get(id(node))
+        if hit is None:
+            if kind not in _OPS and kind is not Func:
+                raise TypeError(f"unknown node {node!r}")
+            mask = self._mask(node.a)  # one frame per level
+            if kind is not Neg and kind is not Func:
+                mask |= self._mask(node.b)
+            hit = self._masks[id(node)] = (node, mask)
+        return hit[1]
+
+    def _d(self, expr: Expr, bit: int) -> Expr:
+        """The derivative of expr by the variable of `bit` (0: by a variable
+        expr does not contain).  The rules are applied in this one frame per
+        level of the tree; operands' derivatives come from the memo."""
+        kind = type(expr)
+        if kind is Const:
             return _ZERO
-    raise TypeError(f"unknown node {expr!r}")
+        if kind is Var:
+            return _ONE if _var_bit(expr) == bit else _ZERO
+        if not self._mask(expr) & bit:
+            bit = 0
+        key = (id(expr), bit)
+        out = self._memo.get(key)
+        if out is not None:
+            return out
+        da = self._d(expr.a, bit)
+        if kind is Add:
+            out = s_add(da, self._d(expr.b, bit))
+        elif kind is Sub:
+            out = s_sub(da, self._d(expr.b, bit))
+        elif kind is Mul:
+            out = s_add(s_mul(da, expr.b), s_mul(expr.a, self._d(expr.b, bit)))
+        elif kind is Div:
+            db = self._d(expr.b, bit)
+            out = s_div(
+                s_sub(s_mul(da, expr.b), s_mul(expr.a, db)),
+                s_pow(expr.b, Const(2.0)),
+            )
+        elif kind is Pow:
+            db = self._d(expr.b, bit)
+            if _is_const(db, 0.0) and isinstance(expr.b, Const):
+                c = expr.b.value
+                out = s_mul(s_mul(Const(c), s_pow(expr.a, Const(c - 1.0))), da)
+            else:  # general a^b: a^b * (db*log a + b*da/a)
+                out = s_mul(
+                    expr,
+                    s_add(s_mul(db, Func("log", expr.a)), s_mul(expr.b, s_div(da, expr.a))),
+                )
+        elif kind is Neg:
+            out = s_neg(da)
+        elif kind is Func and expr.name in _FUNCTION_RULES:
+            out = _FUNCTION_RULES[expr.name](expr, da)
+        else:
+            raise TypeError(f"unknown node {expr!r}")
+        self._memo[key] = out
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,15 @@ plus the x-only `_upper_program` behind `upper.upper_data`, and the grid
 oracle's `_oracle_tapes`), also once.  The data are C^2, so every Hessian
 block is symmetric by construction: each unordered pair of variables is
 differentiated once and its entry mirrored, and of the two cross blocks only
-`yx` is built.  `eval_bundle` runs the bundle tape at a point and returns a
-`DerivativeBundle` whose arrays are read-only views of its output.  Inside a
-`bundle_memo` block, which `certify` opens for the length of one call, each
-distinct (spec, x, y) is evaluated once and every caller gets the same
-bundle; nothing is cached across calls.
+`yx` is built.  One `Differentiator` serves the whole table build, so each
+(subexpression, variable) pair is differentiated at most once, and the
+subtrees without a variable share one exact zero derivative instead of being
+walked for it; it is dropped when the tables are done.  `eval_bundle` runs
+the bundle tape at a point and returns a `DerivativeBundle` whose arrays are
+read-only views of its output.  Inside a `bundle_memo` block, which
+`certify` opens for the length of one call, each distinct (spec, x, y) is
+evaluated once, and each distinct (spec, x) by `upper.upper_data`, and every
+caller gets the same read-only result; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -36,12 +40,12 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import (
+    Differentiator,
     DomainError,
     Expr,
     ExpressionError,
     Tape,
     Var,
-    differentiate,
     parse_expression,
     to_string,
     uses_abs,
@@ -160,24 +164,25 @@ class ProblemSpec:
     @cached_property
     def _tables(self):
         xs, ys = self._xvars, self._yvars
+        d = Differentiator()  # shared by every entry; dropped with this frame
 
         def hess(gr, vs):
-            """Entry (i, j) is differentiate(gr[i], vs[j]) for j >= i, and
-            entry (j, i) is the same Expr: C^2 data has symmetric Hessians."""
+            """Entry (i, j) is d(gr[i], vs[j]) for j >= i, and entry (j, i)
+            is the same Expr: C^2 data has symmetric Hessians."""
             rows = [[None] * len(vs) for _ in vs]
             for i, gi in enumerate(gr):
                 for j in range(i, len(vs)):
-                    rows[i][j] = rows[j][i] = differentiate(gi, vs[j])
+                    rows[i][j] = rows[j][i] = d(gi, vs[j])
             return rows
 
         def row(e, inner=True):
             """Gradients and Hessian blocks of e; x-only data (inner=False)
             gets the `x` and `xx` parts alone."""
-            ex = [differentiate(e, v) for v in xs]
+            ex = [d(e, v) for v in xs]
             out = {"x": ex, "xx": hess(ex, xs)}
             if inner:
-                ey = [differentiate(e, v) for v in ys]
-                out.update(y=ey, yx=[[differentiate(gj, v) for v in xs] for gj in ey],
+                ey = [d(e, v) for v in ys]
+                out.update(y=ey, yx=[[d(gj, v) for v in xs] for gj in ey],
                            yy=hess(ey, ys))
             return out
 
@@ -341,13 +346,29 @@ _bundle_memo: ContextVar[dict | None] = ContextVar("bundle_memo", default=None)
 
 @contextmanager
 def bundle_memo():
-    """Inside the block, eval_bundle evaluates each distinct (spec, x, y) once
-    and hands every later caller the same read-only bundle."""
+    """Inside the block, eval_bundle evaluates each distinct (spec, x, y) and
+    upper.upper_data each distinct (spec, x) once, and every later caller
+    gets the same read-only result."""
     token = _bundle_memo.set({})
     try:
         yield
     finally:
         _bundle_memo.reset(token)
+
+
+def memoised(spec: ProblemSpec, key: tuple, compute):
+    """compute(), or inside `bundle_memo` the result an earlier call with the
+    same spec and key got from it.  A compute that raises stores nothing."""
+    memo = _bundle_memo.get()
+    if memo is None:
+        return compute()
+    key = (id(spec), *key)
+    hit = memo.get(key)
+    if hit is not None and hit[0] is spec:
+        return hit[1]
+    value = compute()
+    memo[key] = (spec, value)
+    return value
 
 
 def eval_bundle(spec: ProblemSpec, x: np.ndarray, y: np.ndarray) -> DerivativeBundle:
@@ -361,22 +382,18 @@ def eval_bundle(spec: ProblemSpec, x: np.ndarray, y: np.ndarray) -> DerivativeBu
         raise ValueError(
             f"point has shapes {x.shape}/{y.shape}, expected ({spec.n},)/({spec.m},)"
         )
-    memo = _bundle_memo.get()
-    if memo is not None:
-        key = (id(spec), x.tobytes(), y.tobytes())
-        hit = memo.get(key)
-        if hit is not None and hit[0] is spec:
-            return hit[1]
-    b = spec._bundle_program(x, y)
-    x.flags.writeable = False
-    y.flags.writeable = False
-    bundle = DerivativeBundle(x=x, y=y, f=float(b.pop("f")), **b)
-    for arr in (bundle.fx, bundle.fy, bundle.fxx, bundle.fyy):
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise DomainError("non-finite derivative value", spec.f)
-    if memo is not None:
-        memo[key] = (spec, bundle)
-    return bundle
+
+    def compute():
+        b = spec._bundle_program(x, y)
+        x.flags.writeable = False
+        y.flags.writeable = False
+        bundle = DerivativeBundle(x=x, y=y, f=float(b.pop("f")), **b)
+        for arr in (bundle.fx, bundle.fy, bundle.fxx, bundle.fyy):
+            if arr.size and not np.all(np.isfinite(arr)):
+                raise DomainError("non-finite derivative value", spec.f)
+        return bundle
+
+    return memoised(spec, ("bundle", x.tobytes(), y.tobytes()), compute)
 
 
 # ---------------------------------------------------------------------------

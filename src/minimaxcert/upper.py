@@ -25,7 +25,7 @@ from .cones import RAY_SUBSET_CAP, cone_contains, min_quadratic_on_cone
 from .linalg import LpProblem, smallest_singular_value, solve_lp
 from .lower import KktSolution
 from .nonsmooth import GeneralizedDerivativeSet, SelectorSweep, selector_sweep
-from .problem import ProblemSpec
+from .problem import ProblemSpec, memoised
 from .value_function import ValueDerivatives
 
 
@@ -43,9 +43,11 @@ class UpperData:
 
 def upper_data(spec: ProblemSpec, x) -> UpperData:
     """Read-only H, G data at x from the problem's compiled x-only program
-    (whose Hessians are symmetric by construction)."""
+    (whose Hessians are symmetric by construction).  Inside `bundle_memo`
+    each distinct x is evaluated once and the data shared."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return UpperData(**spec._upper_program(x, np.zeros(0)))
+    return memoised(spec, ("upper", x.tobytes()),
+                    lambda: UpperData(**spec._upper_program(x, np.zeros(0))))
 
 
 @dataclass

@@ -554,6 +554,38 @@ def test_bundle_evaluated_once_per_point_per_call(config, monkeypatch):
     assert runs[2:] == runs[:2]
 
 
+@pytest.mark.parametrize("x, y, verdict", [(0.0, 0.0, VERDICT_CERTIFIED),
+                                           (0.5, 0.5, VERDICT_REFUTED)])
+def test_upper_data_evaluated_once_per_point_per_call(config, x, y, verdict):
+    from minimaxcert.fixtures import load_fixture
+    from minimaxcert.problem import bundle_memo
+    from minimaxcert.upper import upper_data
+
+    candidate = CandidatePoint([x], [y])
+    want = dumps_canonical(report_to_doc(certify(load_fixture("P1"), candidate, config)))
+    spec = load_fixture("P1")
+    program, runs = spec._upper_program, []
+
+    def counting_program(x, y):
+        runs.append(np.asarray(x).tobytes())
+        return program(x, y)
+
+    spec.__dict__["_upper_program"] = counting_program
+    rep = certify(spec, candidate, config)
+    assert rep.verdict == verdict
+    assert dumps_canonical(report_to_doc(rep)) == want
+    assert runs and len(runs) == len(set(runs))
+    # the memo closes with the call: a second call evaluates again
+    count = len(runs)
+    certify(spec, candidate, config)
+    assert runs[count:] == runs[:count]
+    # within one scope the memo keeps distinct points apart
+    with bundle_memo():
+        at_zero = upper_data(spec, [0.0])
+        assert upper_data(spec, [0.0]) is at_zero
+        assert upper_data(spec, [3.0]).G.tolist() == [1.0] != at_zero.G.tolist()
+
+
 # --- the remaining ValueErrors become evaluation error checks -----------------------
 
 @pytest.mark.parametrize("x, y, lam, message", [

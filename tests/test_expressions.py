@@ -3,6 +3,7 @@ import pytest
 
 from minimaxcert.expressions import (
     Const,
+    Differentiator,
     DomainError,
     ExpressionError,
     Var,
@@ -316,3 +317,41 @@ def test_mixed_partials_agree_in_both_orders(tree_and_pair, x, y):
     a, b = walk(u, v), walk(v, u)
     if np.isfinite(a) and np.isfinite(b):
         assert abs(a - b) <= 1e-9 * (1 + abs(a) + abs(b))
+
+
+# --- one shared differentiator gives what one-shot differentiation gives ----
+
+_VARS = [Var("x", i) for i in range(3)] + [Var("y", i) for i in range(2)]
+
+
+@settings(max_examples=150)
+@given(_entries(), st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]))
+def test_shared_differentiator_matches_one_shot_differentiate(entries, c):
+    """A Differentiator shared by a whole table, first and second derivatives
+    by every variable as ProblemSpec._tables uses it, gives each entry what
+    entry-by-entry `differentiate` gives; to_string prints the sign of zero,
+    which == ignores.  The entries include subtrees free of a variable."""
+    x1, x2 = Var("x", 0), Var("x", 1)
+    entries = [*entries, Func("cos", x1), Neg(x2), Mul(Const(c), x1)]
+    d = Differentiator()
+    for e in entries:
+        for u in _VARS:
+            shared, plain = d(e, u), differentiate(e, u)
+            assert to_string(shared) == to_string(plain)
+            for v in _VARS:
+                assert to_string(d(shared, v)) == to_string(differentiate(plain, v))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("cos(x1)", "-0.0"), ("-x2", "-0.0"), ("-2.5*x1", "0.0"), ("-3", "-0.0"),
+    ("cos(x1) + -x2", "-0.0"), ("-(cos(x1) + -x2)", "0.0"), ("sin(x2) - cos(x1)", "0.0"),
+])
+def test_derivative_by_an_absent_variable_keeps_its_sign_of_zero(text, want):
+    """A subtree without the variable has one zero derivative, shared by every
+    absent variable, with the sign the differentiation rules give it (the
+    tape keeps 0.0 and -0.0 apart)."""
+    expr = parse_expression(text)
+    d = Differentiator()
+    for var in (Var("y", 0), Var("y", 1), Var("x", 2)):
+        assert to_string(d(expr, var)) == want
+        assert to_string(differentiate(expr, var)) == want

@@ -116,7 +116,7 @@ def test_cross_blocks_are_mutual_transposes():
 
 
 def test_hessian_tables_hold_one_expr_per_unordered_pair():
-    from minimaxcert.expressions import Var, differentiate
+    from minimaxcert.expressions import Var, differentiate, to_string
 
     spec = parse_problem(
         "dims 3 2 1 1 1 1\n"
@@ -139,7 +139,82 @@ def test_hessian_tables_hold_one_expr_per_unordered_pair():
                 for i in range(len(vs)):
                     for j in range(i, len(vs)):
                         assert row[block][j][i] is row[block][i][j]
-                        assert row[block][i][j] == differentiate(row[grad][i], vs[j])
+                        # to_string tells 0.0 from -0.0, which == does not
+                        want = differentiate(row[grad][i], vs[j])
+                        assert to_string(row[block][i][j]) == to_string(want)
+
+
+def _lattice_text(n, m2, active, rng):
+    """A problem shaped like the benchmark's lattice family: n = m,
+    f = -sum q_i z_i^2 - sum c_i z_i z_(i+1) + sum b_i (1 - cos x_i) with
+    z_i = y_i - s_i(x) - e_i, s_i(x) = a_i sin(x_i) + d_i x_(i+1), and
+    g_i = y_i - s_i(x) - off_i for i < m2, the first `active` binding at
+    x = 0.  Returns the text and the inner maximiser y at x = 0."""
+    q, b = rng.uniform(1.0, 2.0, n).round(3), rng.uniform(0.5, 1.5, n).round(3)
+    c = rng.uniform(-0.5, 0.5, n - 1).round(3)
+    a, d = rng.uniform(0.2, 0.8, n).round(3), rng.uniform(-0.3, 0.3, n).round(3)
+    e = rng.uniform(-1.0, 1.0, n).round(3)
+    lam = np.zeros(n)
+    lam[:active] = rng.uniform(0.5, 1.5, active)
+    z_star = -0.5 * np.linalg.solve(
+        np.diag(q) + np.diag(c / 2, 1) + np.diag(c / 2, -1), lam)
+    off = e[:m2] + z_star[:m2] + np.r_[np.zeros(active), rng.uniform(0.5, 1.0, m2 - active)]
+    num = lambda v: repr(float(v))  # noqa: E731
+    s = [f"({num(a[i])}*sin(x{i + 1}) + {num(d[i])}*x{(i + 1) % n + 1})" for i in range(n)]
+    z = [f"(y{i + 1} - {s[i]} - {num(e[i])})" for i in range(n)]
+    f = [f"- {num(q[i])}*{z[i]}^2" for i in range(n)]
+    f += [f"- {num(c[i])}*{z[i]}*{z[i + 1]}" for i in range(n - 1)]
+    f += [f"+ {num(b[i])}*(1 - cos(x{i + 1}))" for i in range(n)]
+    lines = [f"dims {n} {n} 0 {m2} 0 0", "f = " + " ".join(f)]
+    lines += [f"g{i + 1} = y{i + 1} - {s[i]} - {num(off[i])}" for i in range(m2)]
+    return "\n".join(lines) + "\n", e + z_star
+
+
+def _tables_entry_by_entry(spec):
+    """spec's derivative tables, each entry from its own `differentiate`."""
+    from minimaxcert.expressions import Var, differentiate
+
+    xs = [Var("x", i) for i in range(spec.n)]
+    ys = [Var("y", i) for i in range(spec.m)]
+
+    def hess(gr, vs):
+        rows = [[None] * len(vs) for _ in vs]
+        for i, gi in enumerate(gr):
+            for j in range(i, len(vs)):
+                rows[i][j] = rows[j][i] = differentiate(gi, vs[j])
+        return rows
+
+    def row(e):
+        ex = [differentiate(e, v) for v in xs]
+        ey = [differentiate(e, v) for v in ys]
+        return {"x": ex, "xx": hess(ex, xs), "y": ey, "yy": hess(ey, ys),
+                "yx": [[differentiate(gj, v) for v in xs] for gj in ey]}
+
+    return {"f": row(spec.f), "h": [row(e) for e in spec.h],
+            "g": [row(e) for e in spec.g], "H": [], "G": []}
+
+
+def test_shared_tables_compile_to_the_entry_by_entry_tape():
+    from minimaxcert.certify import certify
+    from minimaxcert.report import dumps_canonical, report_to_doc
+
+    text, y_star = _lattice_text(20, 10, 5, np.random.default_rng(5))
+    shared, dense = parse_problem(text), parse_problem(text)
+    dense.__dict__["_tables"] = _tables_entry_by_entry(dense)
+
+    def code(spec):
+        tape = spec._bundle_program.tape
+        return ([(op, type(node), getattr(node, "name", None), s, a, b)
+                 for op, node, s, a, b in tape._code],
+                tape._out_pos.tolist(), tape._out_slot, tape.template.tobytes(),
+                [repr(v) for v in tape._init], tape._loads)
+
+    assert code(shared) == code(dense)
+    candidate = CandidatePoint(np.zeros(20), y_star)
+    reports = [dumps_canonical(report_to_doc(certify(spec, candidate)))
+               for spec in (shared, dense)]
+    assert reports[0] == reports[1]
+    assert '"verdict":"certified-local-minimax"' in reports[0]
 
 
 def test_bundle_leaves_h_and_g_to_upper_data():
