@@ -11,10 +11,14 @@ straight-line program (nodes are frozen dataclasses, so equal subexpressions
 are hash-consed into one instruction) and runs it in two modes: at a scalar
 point, into one flat vector (`certify`), or on broadcastable arrays, giving
 each expression's value shaped the way its operands broadcast (the oracle).
+A strict call at a scalar point runs on Python floats and calls numpy only
+for the functions and ^ (the same ufuncs, so the same values); the array
+mode and non-strict scalar calls run the numpy kernels.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -107,6 +111,13 @@ FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt", "abs", "sign")
 # its operand values (unary ops ignore b), for scalars and arrays alike.
 # strict=True raises DomainError on log/sqrt/power/division violations;
 # strict=False lets NaN/inf flow through (the grid oracle masks them).
+#
+# The strict scalar mode runs on Python floats (the `_FLOAT_*` tables): the
+# same IEEE + - * and negation, float comparisons for the domain tests, and
+# the same numpy ufunc for every function and ^.  Only a NaN's sign and
+# payload where two NaN operands meet may differ from a run on numpy
+# scalars: IEEE 754 leaves them unspecified, and CPython's specialised float
+# ops pass on the other operand's NaN.
 
 
 def _div(expr, num, den, strict):
@@ -143,7 +154,47 @@ def _sqrt(expr, val, _, strict):
         return np.sqrt(val)
 
 
-# the operations defined everywhere need no domain test
+# The strict float kernels.  What passes their domain tests raises no
+# divide-by-zero or invalid flag in numpy, so they need no errstate block.
+
+def _div_float(expr, num, den, strict):
+    if den == 0:
+        raise DomainError("division by zero", expr)
+    return num / den
+
+
+def _pow_float(expr, base, exponent, strict):
+    e = float(exponent)
+    # numpy's test, e == round(e), holds for the integers and for +-inf
+    if base < 0 and not (e.is_integer() or math.isinf(e)):
+        raise DomainError("negative base with non-integer exponent", expr)
+    if base == 0 and e < 0:
+        raise DomainError("zero base with negative exponent", expr)
+    return float(np.power(base, exponent))
+
+
+def _log_float(expr, val, _, strict):
+    if val <= 0:
+        raise DomainError("log of a non-positive value", expr)
+    return float(np.log(val))
+
+
+def _sqrt_float(expr, val, _, strict):
+    if val < 0:
+        raise DomainError("sqrt of a negative value", expr)
+    return float(np.sqrt(val))
+
+
+def _ufunc(f):
+    return lambda expr, val, _, strict: f(val)
+
+
+def _ufunc_float(f):
+    return lambda expr, val, _, strict: float(f(val))
+
+
+# the functions defined everywhere need no domain test
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sign": np.sign}
 _OPS = {
     Add: lambda expr, a, b, strict: a + b,
     Sub: lambda expr, a, b, strict: a - b,
@@ -152,21 +203,21 @@ _OPS = {
     Pow: _pow,
     Neg: lambda expr, val, _, strict: -val,
 }
-_FUNCTION_OPS = {
-    "sin": lambda expr, val, _, strict: np.sin(val),
-    "cos": lambda expr, val, _, strict: np.cos(val),
-    "exp": lambda expr, val, _, strict: np.exp(val),
-    "log": _log,
-    "sqrt": _sqrt,
-    "abs": lambda expr, val, _, strict: np.abs(val),
-    "sign": lambda expr, val, _, strict: np.sign(val),
-}
+_FUNCTION_OPS = {**{name: _ufunc(f) for name, f in _UFUNCS.items()},
+                 "log": _log, "sqrt": _sqrt}
+_FLOAT_OPS = {**_OPS, Div: _div_float, Pow: _pow_float}
+_FLOAT_FUNCTION_OPS = {**{name: _ufunc_float(f) for name, f in _UFUNCS.items()},
+                       "log": _log_float, "sqrt": _sqrt_float}
 
 
-def _op_of(expr: Expr):
-    """The function that applies expr's own operation to its operand values."""
+def _op_of(expr: Expr, floats: bool = False):
+    """The function that applies expr's own operation to its operand values:
+    the strict float kernel when `floats`, else the numpy one."""
     kind = type(expr)
-    op = _FUNCTION_OPS.get(expr.name) if kind is Func else _OPS.get(kind)
+    if kind is Func:
+        op = (_FLOAT_FUNCTION_OPS if floats else _FUNCTION_OPS).get(expr.name)
+    else:
+        op = (_FLOAT_OPS if floats else _OPS).get(kind)
     if op is None:
         raise TypeError(f"unknown node {expr!r}")
     return op
@@ -238,6 +289,14 @@ class Tape:
     `exprs[i]` (by default the output follows `exprs`).  Expressions that are
     constants are never computed there: their values sit in a template that
     each call copies.
+
+    Each instruction carries two kernels, picked in the one compile loop.  A
+    strict scalar call loads x and y as Python floats and runs the float
+    kernels: + - * and negation are plain float arithmetic, the domain tests
+    of /, ^, log and sqrt are float comparisons, and every function and ^
+    calls the same numpy ufunc as the numpy kernel, so values (up to the
+    sign and payload of a NaN) and DomainErrors are those of a run on numpy
+    scalars.  `arrays` and non-strict scalar calls run the numpy kernels.
     """
 
     def __init__(self, exprs, positions=None):
@@ -257,28 +316,36 @@ class Tape:
         # constants are preset, variables loaded, and operations computed in order
         self._init: list = [None] * (max(slot, default=-1) + 1)
         self._loads: dict[str, list] = {"x": [], "y": []}
-        self._code: list = []
+        self._code: list = []  # ((numpy kernel, float kernel), node, slot, operand slots)
         for (node, args), s in zip(nodes, slot):
             if args:
-                self._code.append((_op_of(node), node, s, slot[args[0]], slot[args[-1]]))
+                kernels = (_op_of(node), _op_of(node, floats=True))
+                self._code.append((kernels, node, s, slot[args[0]], slot[args[-1]]))
             elif type(node) is Var:
                 self._loads[node.kind].append((s, node.index))
             else:
                 self._init[s] = node.value
 
-    def _run(self, x, y, strict: bool) -> list:
+    def _run(self, x, y, strict: bool, floats: bool = False) -> list:
+        """The slot values after every instruction ran, with the strict float
+        kernels when `floats` (x and y then hold Python floats)."""
         vals = list(self._init)
         for s, i in self._loads["x"]:
             vals[s] = x[i]
         for s, i in self._loads["y"]:
             vals[s] = y[i]
-        for op, expr, i, a, b in self._code:
-            vals[i] = op(expr, vals[a], vals[b], strict)
+        k = int(floats)
+        for kernels, expr, i, a, b in self._code:
+            vals[i] = kernels[k](expr, vals[a], vals[b], strict)
         return vals
 
     def __call__(self, x, y, strict: bool = True) -> np.ndarray:
-        """The flat output vector at the scalar point (x, y)."""
-        vals = self._run(x, y, strict)
+        """The flat output vector at the scalar point (x, y).  A strict call
+        runs on Python floats; a non-strict one on numpy scalars."""
+        if strict:
+            x = np.asarray(x, dtype=float).tolist()
+            y = np.asarray(y, dtype=float).tolist()
+        vals = self._run(x, y, strict, floats=strict)
         out = self.template.copy()
         out[self._out_pos] = [vals[s] for s in self._out_slot]
         return out

@@ -31,7 +31,7 @@ from .linalg import (
     smallest_singular_value,
     solve_linear,
 )
-from .problem import DerivativeBundle, ProblemSpec, eval_bundle
+from .problem import DerivativeBundle, ProblemSpec, eval_bundle, memoised
 
 NULLSPACE_TOL = 1e-10
 
@@ -63,8 +63,15 @@ class LagrangianEval:
 
 
 def lagrangian_eval(bundle: DerivativeBundle, mu: np.ndarray, lam: np.ndarray) -> LagrangianEval:
+    """The Lagrangian at the bundle's point, with read-only arrays.  Inside
+    `bundle_memo` each distinct (bundle, mu, lam) is computed once."""
     mu = np.asarray(mu, dtype=float).reshape(-1)
     lam = np.asarray(lam, dtype=float).reshape(-1)
+    return memoised(bundle, ("lagrangian", mu.tobytes(), lam.tobytes()),
+                    lambda: _lagrangian(bundle, mu, lam))
+
+
+def _lagrangian(bundle: DerivativeBundle, mu: np.ndarray, lam: np.ndarray) -> LagrangianEval:
     value = bundle.f + float(mu @ bundle.h) - float(lam @ bundle.g)
     grad_y = bundle.fy + bundle.h_jy.T @ mu - bundle.g_jy.T @ lam
     grad_x = bundle.fx + bundle.h_jx.T @ mu - bundle.g_jx.T @ lam
@@ -77,6 +84,8 @@ def lagrangian_eval(bundle: DerivativeBundle, mu: np.ndarray, lam: np.ndarray) -
     xx = bundle.fxx + np.einsum("k,kij->ij", mu, bundle.h_xx) - np.einsum(
         "k,kij->ij", lam, bundle.g_xx
     )
+    for arr in (grad_y, grad_x, yy, yx, xx):
+        arr.flags.writeable = False
     return LagrangianEval(value=value, grad_y=grad_y, grad_x=grad_x, yy=yy, yx=yx, xx=xx)
 
 
@@ -191,8 +200,16 @@ class RecoveredMultipliers:
 
 
 def recover_multipliers(spec: ProblemSpec, x, y, tol_act: float = 1e-8) -> RecoveredMultipliers:
-    """Least-squares multipliers from stationarity over the active set."""
+    """Least-squares multipliers from stationarity over the active set, as
+    read-only arrays.  Inside `bundle_memo` each distinct (x, y, tol_act) is
+    recovered once."""
     bundle = eval_bundle(spec, x, y)
+    return memoised(bundle, ("multipliers", tol_act),
+                    lambda: _recover_multipliers(spec, bundle, tol_act))
+
+
+def _recover_multipliers(spec: ProblemSpec, bundle: DerivativeBundle,
+                         tol_act: float) -> RecoveredMultipliers:
     active = [i for i in range(spec.m2) if abs(bundle.g[i]) <= tol_act]
     feas_notes = []
     if np.any(bundle.g > tol_act):
@@ -221,9 +238,12 @@ def recover_multipliers(spec: ProblemSpec, x, y, tol_act: float = 1e-8) -> Recov
     detail = "; ".join(feas_notes)
     if neg < -tol_act:
         detail = (detail + "; " if detail else "") + "negative recovered multiplier"
+    if is_kkt:
+        lam = np.maximum(lam, 0.0)
+    mu.flags.writeable = lam.flags.writeable = False
     return RecoveredMultipliers(
         mu=mu,
-        lam=np.maximum(lam, 0.0) if is_kkt else lam,
+        lam=lam,
         residual=norm,
         licq_sigma_min=sigma,
         active=tuple(active),

@@ -24,8 +24,11 @@ walked for it; it is dropped when the tables are done.  `eval_bundle` runs
 the bundle tape at a point and returns a `DerivativeBundle` whose arrays are
 read-only views of its output.  Inside a `bundle_memo` block, which
 `certify` opens for the length of one call, each distinct (spec, x, y) is
-evaluated once, and each distinct (spec, x) by `upper.upper_data`, and every
-caller gets the same read-only result; nothing is cached across calls.
+evaluated once, and each distinct (spec, x) by `upper.upper_data`; from each
+bundle, `lower.lagrangian_eval` computes the Lagrangian blocks once per
+distinct (mu, lam) and `lower.recover_multipliers` the multipliers once per
+distinct tol_act.  Every caller gets the same read-only result; nothing is
+cached across calls.
 """
 
 from __future__ import annotations
@@ -347,8 +350,10 @@ _bundle_memo: ContextVar[dict | None] = ContextVar("bundle_memo", default=None)
 @contextmanager
 def bundle_memo():
     """Inside the block, eval_bundle evaluates each distinct (spec, x, y) and
-    upper.upper_data each distinct (spec, x) once, and every later caller
-    gets the same read-only result."""
+    upper.upper_data each distinct (spec, x) once, the Lagrangian and the
+    recovered multipliers are computed once per bundle and distinct
+    (mu, lam) or tol_act, and every later caller gets the same read-only
+    result."""
     token = _bundle_memo.set({})
     try:
         yield
@@ -356,18 +361,20 @@ def bundle_memo():
         _bundle_memo.reset(token)
 
 
-def memoised(spec: ProblemSpec, key: tuple, compute):
+def memoised(owner, key: tuple, compute):
     """compute(), or inside `bundle_memo` the result an earlier call with the
-    same spec and key got from it.  A compute that raises stores nothing."""
+    same owner (a spec, or a bundle for what is computed from it) and key got
+    from it.  The memo holds the owner, so its id stays valid.  A compute
+    that raises stores nothing."""
     memo = _bundle_memo.get()
     if memo is None:
         return compute()
-    key = (id(spec), *key)
+    key = (id(owner), *key)
     hit = memo.get(key)
-    if hit is not None and hit[0] is spec:
+    if hit is not None and hit[0] is owner:
         return hit[1]
     value = compute()
-    memo[key] = (spec, value)
+    memo[key] = (owner, value)
     return value
 
 

@@ -586,6 +586,95 @@ def test_upper_data_evaluated_once_per_point_per_call(config, x, y, verdict):
         assert upper_data(spec, [3.0]).G.tolist() == [1.0] != at_zero.G.tolist()
 
 
+# g_i = y_i - x_i, active at zero multiplier on the lattice: the nonsmooth path
+SELECTOR_TEXT = ("dims 2 2 0 2 0 0\n"
+                 "f = -(y1 - x1)^2 - 1.5*(y2 - x2)^2 + (1 - cos(x1)) + 0.5*(1 - cos(x2))\n"
+                 "g1 = y1 - x1\ng2 = y2 - x2\n")
+
+
+@pytest.mark.parametrize("text, x, path, near", [
+    pytest.param(None, [0.0], PATH_SMOOTH, [1.0 - 1e-3], id="P1"),
+    pytest.param(SELECTOR_TEXT, [2 * np.pi, -2 * np.pi], PATH_NONSMOOTH,
+                 [2 * np.pi - 1e-3, -2 * np.pi - 1e-3], id="selector"),
+])
+def test_lagrangian_and_multipliers_computed_once_per_call(config, monkeypatch, text, x,
+                                                           path, near):
+    """`near` is a y where every g_i is -1e-3."""
+    import sys
+
+    from minimaxcert import lower
+    from minimaxcert.fixtures import load_fixture
+    from minimaxcert.problem import bundle_memo, eval_bundle, parse_problem
+
+    spec = load_fixture("P1") if text is None else parse_problem(text)
+    candidate = CandidatePoint(x, x)
+    want = dumps_canonical(report_to_doc(certify(spec, candidate, config)))
+    lagrangian, recover = lower._lagrangian, lower._recover_multipliers
+    lagrangian_eval, recover_multipliers = lower.lagrangian_eval, lower.recover_multipliers
+    computed_lags, computed_recs, asked_lags, asked_recs, frozen = [], [], set(), set(), []
+
+    def point(*coords):
+        return tuple(np.array(v, dtype=float, ndmin=1).tobytes() for v in coords)
+
+    def lag_key(bundle, mu, lam):
+        return (*point(bundle.x, bundle.y), *(np.asarray(v, dtype=float).reshape(-1).tobytes()
+                                              for v in (mu, lam)))
+
+    def counting_lagrangian(bundle, mu, lam):
+        computed_lags.append(lag_key(bundle, mu, lam))
+        return lagrangian(bundle, mu, lam)
+
+    def counting_recover(spec, bundle, tol_act):
+        computed_recs.append((*point(bundle.x, bundle.y), tol_act))
+        return recover(spec, bundle, tol_act)
+
+    def asking_lagrangian(bundle, mu, lam):
+        asked_lags.add(lag_key(bundle, mu, lam))
+        lag = lagrangian_eval(bundle, mu, lam)
+        frozen.extend(a.flags.writeable is False
+                      for a in (lag.grad_y, lag.grad_x, lag.yy, lag.yx, lag.xx))
+        return lag
+
+    def asking_recover(spec, x, y, tol_act=1e-8):
+        asked_recs.add((*point(x, y), tol_act))
+        rec = recover_multipliers(spec, x, y, tol_act)
+        frozen.extend(a.flags.writeable is False for a in (rec.mu, rec.lam))
+        return rec
+
+    monkeypatch.setattr(lower, "_lagrangian", counting_lagrangian)
+    monkeypatch.setattr(lower, "_recover_multipliers", counting_recover)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minimaxcert"):
+            if getattr(module, "lagrangian_eval", None) is lagrangian_eval:
+                monkeypatch.setattr(module, "lagrangian_eval", asking_lagrangian)
+            if getattr(module, "recover_multipliers", None) is recover_multipliers:
+                monkeypatch.setattr(module, "recover_multipliers", asking_recover)
+
+    rep = certify(spec, candidate, config)
+    assert rep.path == path
+    assert dumps_canonical(report_to_doc(rep)) == want
+    # every distinct request computed, and computed once
+    assert len(computed_lags) == len(set(computed_lags)) and set(computed_lags) == asked_lags
+    assert len(computed_recs) == len(set(computed_recs)) and set(computed_recs) == asked_recs
+    assert computed_recs and frozen and all(frozen)
+    # the memo closes with the call: a second call computes again
+    lags, recs = len(computed_lags), len(computed_recs)
+    certify(spec, candidate, config)
+    assert computed_lags[lags:] == computed_lags[:lags]
+    assert computed_recs[recs:] == computed_recs[:recs]
+    # within one scope the memo keeps distinct multipliers and tolerances apart
+    with bundle_memo():
+        bundle = eval_bundle(spec, candidate.x, near)
+        lam = np.zeros(spec.m2)
+        assert lagrangian_eval(bundle, [], lam) is lagrangian_eval(bundle, [], lam.copy())
+        lam[0] = 1.0
+        grads = [lagrangian_eval(bundle, [], v).grad_y.tolist() for v in (lam, 2 * lam)]
+        assert grads[0] != grads[1]
+        actives = [recover_multipliers(spec, candidate.x, near, tol).active
+                   for tol in (1e-8, 1e-2)]
+        assert actives == [(), tuple(range(spec.m2))]
+
+
 # --- the remaining ValueErrors become evaluation error checks -----------------------
 
 @pytest.mark.parametrize("x, y, lam, message", [

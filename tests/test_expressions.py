@@ -168,7 +168,7 @@ def test_array_evaluation_broadcasts():
 
 # --- the compiled tape agrees with the tree walk ------------------------------
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from minimaxcert.expressions import (  # noqa: E402
     FUNCTION_NAMES,
@@ -280,6 +280,77 @@ def test_tape_matches_tree_walk_bit_for_bit(entries, x, y, grids, strict):
         assert _outcome(arrays) == _outcome(walk_arrays)
         # a second run of the same tape sees none of the first run's slots
         assert _outcome(scalar) == _outcome(walk)
+
+
+# --- the strict scalar mode at edge values -----------------------------------
+
+_EDGES = [np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324, -0.0]
+_EDGE_COORDS = st.sampled_from(_EDGES + [0.0, 1.0, -1.0, 0.5, -2.5])
+_EXPONENTS = st.sampled_from([0.5, -1.5, np.inf, -np.inf, np.nan, 2.0, -3.0, 1e308, 5e-324])
+
+
+@st.composite
+def _edge_entries(draw):
+    """`_entries` with some constants redrawn from the edge values, plus each
+    domain-tested operation applied to one of them, with non-integer,
+    infinite and NaN exponents among the constant and variable ones."""
+    consts = st.sampled_from(_EDGES + [2.0, -2.5])
+
+    def redraw(e):
+        if isinstance(e, Const):
+            return Const(draw(consts)) if draw(st.booleans()) else e
+        if isinstance(e, Var):
+            return e
+        if isinstance(e, Func):
+            return Func(e.name, redraw(e.a))
+        if isinstance(e, Neg):
+            return Neg(redraw(e.a))
+        return type(e)(redraw(e.a), redraw(e.b))
+
+    entries = [redraw(e) for e in draw(_entries())]
+    base = draw(st.sampled_from([*entries, Var("x", 0), Const(-2.5)]))
+    entries += [Pow(base, Const(draw(_EXPONENTS))), Pow(base, Var("y", 0)),
+                Pow(Const(-2.5), Var("y", 1)), Func("log", base), Func("sqrt", base),
+                Div(draw(st.sampled_from(entries)), base)]
+    return entries
+
+
+_X_NAN = [np.nan, 1.0, 1.0]
+_Y_INF = [2.0, np.inf]
+
+
+@settings(max_examples=300)
+@given(_edge_entries(), st.lists(_EDGE_COORDS, min_size=3, max_size=3),
+       st.lists(_EDGE_COORDS, min_size=2, max_size=2))
+# log(nan) passes the domain test; (-2.5)^inf passes it too (numpy counts inf
+# as an integer)
+@example([Func("log", Var("x", 0))], _X_NAN, _Y_INF)
+@example([Pow(Const(-2.5), Var("y", 1))], _X_NAN, _Y_INF)
+def test_strict_scalar_mode_matches_tree_walk_at_edge_values(entries, x, y):
+    """The strict scalar mode runs on Python floats; at infinities, NaN, the
+    extreme and subnormal magnitudes and -0.0 it gives the bits of the numpy
+    tree walk, and raises where it raises, with the same message.  Each entry
+    is checked on its own too, so one that raises hides no other.
+
+    A NaN is compared as NaN: when two NaN operands meet, IEEE 754 leaves
+    the sign and payload of the result unspecified, and CPython's own float
+    addition returns the other operand's NaN once the interpreter has
+    specialised the instruction."""
+    x, y = np.array(x), np.array(y)
+
+    def bits(v):
+        return "nan" if np.isnan(v) else np.float64(v).tobytes()
+
+    def walk(exprs):
+        return lambda: [bits(evaluate(e, x, y, True)) for e in exprs]
+
+    def scalar(exprs):
+        return lambda: [bits(v) for v in Tape(exprs)(x, y)]
+
+    with np.errstate(all="ignore"):
+        assert _outcome(scalar(entries)) == _outcome(walk(entries))
+        for e in entries:
+            assert _outcome(scalar([e])) == _outcome(walk([e]))
 
 
 # --- mixed partials agree in both orders ------------------------------------
