@@ -9,11 +9,24 @@ One LU kernel serves every caller.  `plu_batch` factors a stack of
 equal-order matrices with each elimination step vectorised over the stack:
 the selector sweep passes hundreds of matrices of order about 10 at once,
 and the smooth-path sensitivity system is its stack of one.  `plu` is the
-stack of one for the inner Newton steps.  Every slice runs the elementwise
-operations of the classic one-matrix elimination in the same order, so a
-slice's factors, pivots and breakdown do not depend on the stack it was
-factored in.  Forward and back
-substitution are shared the same way (`_lu_solve`).
+stack of one for the inner Newton steps.  The kernel eliminates one work
+array [perm | A | rhs] with the stack axis last (Golub & Van Loan, Matrix
+Computations, 4th ed., sections 3.2 and 3.4):
+
+- a right-hand side handed to `plu_batch` rides along, and the rank-one
+  update of each step is also the forward sweep on its columns;
+- the permutation is a column of the work array, so one row swap moves
+  L\\U, perm and rhs together;
+- the pivots are read once at the end as |diag(U)|;
+- every expression of the loop broadcasts over the trailing stack axis, so a
+  stack of one runs the same loop on its matrix view.
+
+Every slice runs the elementwise operations of the classic one-matrix
+elimination in the same order, so a slice's factors, pivots, breakdown and
+solution do not depend on the stack it was factored in, nor on whether its
+right-hand side rode along or was substituted afterwards (`_lu_solve`).  The
+one exception is the sign and payload of a NaN made where two NaNs meet,
+which IEEE 754 leaves unspecified and numpy's loops pick by their layout.
 """
 
 from __future__ import annotations
@@ -57,7 +70,8 @@ class PLUFactors:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        return _lu_solve(self.lu[None], self.perm[None], b[None])[0]
+        B = _lu_solve(self.lu, b.reshape(len(self.perm), -1)[self.perm])
+        return B[:, 0] if b.ndim == 1 else B
 
 
 def plu(A: np.ndarray) -> PLUFactors:
@@ -74,10 +88,12 @@ def plu(A: np.ndarray) -> PLUFactors:
 
 @dataclass
 class PLUBatch:
-    """`plu` of every slice of a stack of equal-order matrices.
+    """`plu` of every slice of a stack of equal-order matrices, with
+    A^{-1} rhs of every slice when the stack was factored with a right-hand
+    side.
 
     A slice whose pivot fell below its threshold at step k has step[s] = k,
-    and its pivots after k, lu, perm and solves are meaningless.
+    and its pivots after k, lu, perm, solution and solves are meaningless.
     step[s] = -1 marks a slice that factored."""
 
     lu: np.ndarray  # (S, n, n)
@@ -85,6 +101,7 @@ class PLUBatch:
     pivots: np.ndarray  # (S, n)
     scale: np.ndarray  # (S,)
     step: np.ndarray  # (S,)
+    solution: np.ndarray | None = None  # shaped like rhs
 
     @property
     def min_pivots(self) -> np.ndarray:
@@ -109,57 +126,98 @@ class PLUBatch:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """`PLUFactors.solve` of every slice at once; b is (S, n) or (S, n, r)."""
+        b = np.asarray(b, dtype=float)
+        S, n = self.perm.shape
+        B = b.reshape(S, n, -1)[np.arange(S)[:, None], self.perm]
         with np.errstate(all="ignore"):  # singular slices may divide by zero
-            return _lu_solve(self.lu, self.perm, np.asarray(b, dtype=float))
+            _lu_solve(self.lu.transpose(1, 2, 0), B.transpose(1, 2, 0))
+        return B[:, :, 0] if b.ndim == 2 else B
 
 
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward and back substitution on a stack: lu (S, n, n), perm (S, n),
-    b (S, n) or (S, n, r)."""
-    S, n, _ = lu.shape
-    B = b.reshape(S, n, -1)[np.arange(S)[:, None], perm]
-    for k in range(n):  # forward
-        B[:, k + 1 :] -= lu[:, k + 1 :, k, None] * B[:, k, None, :]
-    for k in range(n - 1, -1, -1):  # backward
-        B[:, k] /= lu[:, k, k, None]
-        B[:, :k] -= lu[:, :k, k, None] * B[:, k, None, :]
-    return B[:, :, 0] if b.ndim == 2 else B
+def _lu_solve(lu: np.ndarray, B: np.ndarray, forward: bool = True) -> np.ndarray:
+    """Substitution in place on B = P b: the forward sweep with the unit
+    lower triangle of lu (skipped with forward=False, where `plu_batch` ran
+    it inside the elimination), then the backward sweep with the upper
+    triangle.  One matrix, lu (n, n) and B (n, r), or a stack with the stack
+    axis last, lu (n, n, S) and B (n, r, S): the same expressions broadcast
+    over it."""
+    n = lu.shape[0]
+    if forward:
+        for k in range(n):
+            B[k + 1 :] -= lu[k + 1 :, k, None] * B[k, None]
+    for k in range(n - 1, -1, -1):
+        B[k] /= lu[k, k]
+        B[:k] -= lu[:k, k, None] * B[k, None]
+    return B
 
 
-def plu_batch(As: np.ndarray) -> PLUBatch:
+def _swap_rows(W: np.ndarray, k: int, p) -> None:
+    """Swap row k with row p of a work array: of the matrix (n, c), or of
+    each slice of the stack (n, c, S), p then holding one row per slice (a
+    no-op where p == k)."""
+    if W.ndim == 2:
+        row_p = W[p].copy()
+        W[p] = W[k]
+    else:
+        slices = np.arange(W.shape[2])
+        row_p = W[p, :, slices].T
+        W[p, :, slices] = W[k].T
+    W[k] = row_p
+
+
+def plu_batch(As: np.ndarray, rhs: np.ndarray | None = None) -> PLUBatch:
     """Partial-pivoted LU of each slice of As (S, n, n), vectorised over the
-    slices.  Every slice goes through the same elementwise operations in the
-    same order (first-index argmax, row swap, column division, rank-one
-    update), so its lu, perm, pivots and scale do not depend on S.  A slice
-    whose pivot falls below PIVOT_RTOL * max(scale, 1) at step k records
-    step = k; that pivot and step make its SingularMatrixError."""
+    slices, and with rhs ((S, n) or (S, n, r)) the solution A^{-1} rhs of
+    every slice.
+
+    The stack is eliminated in one work array [perm | A | rhs] of shape
+    (n, 1 + n + r, S).  One row swap moves the permutation, L\\U and the
+    right-hand side together, and the rank-one update of step k runs the
+    forward sweep on the rhs columns with the rest of the row; the backward
+    sweep follows.  Every expression of the loop broadcasts over the
+    trailing stack axis, so a stack of one runs the same loop on the matrix
+    view work[..., 0] and pays no stack indexing.  Every slice goes through
+    the same elementwise operations in the same order (first-index argmax,
+    row swap, column division, rank-one update), so its lu, perm, pivots,
+    scale and solution do not depend on S, and equal those of factoring
+    first and substituting after.  pivots is |diag(U)|: row k of U is final
+    once step k has swapped it in.  A slice whose pivot falls below
+    PIVOT_RTOL * max(scale, 1) at step k records step = k; that pivot and
+    step make its SingularMatrixError."""
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1] != As.shape[2]:
         raise LinearSolveError(f"expected a stack of square matrices, got shape {As.shape}")
     S, n, _ = As.shape
-    lu = As.copy()
-    rows = np.arange(S)
-    perm = np.tile(np.arange(n), (S, 1))
-    scale = np.max(np.abs(As), axis=(1, 2), initial=0.0)
-    pivots = np.zeros((S, n))
+    B = np.zeros((S, n, 0)) if rhs is None else np.asarray(rhs, dtype=float)
+    B = B[:, :, None] if B.ndim == 2 else B
+    work = np.empty((n, 1 + n + B.shape[2], S))
+    work[:, 0] = np.arange(n)[:, None]
+    work[:, 1 : n + 1] = As.transpose(1, 2, 0)
+    work[:, n + 1 :] = B.transpose(1, 2, 0)
+    W = work[..., 0] if S == 1 else work
     with np.errstate(all="ignore"):  # slices past their breakdown may divide by 0
         for k in range(n):
-            col = np.abs(lu[:, k:, k])
-            off = np.argmax(col, axis=1)
-            pivots[:, k] = col[rows, off]
-            if off.any():  # swap rows k and p = k + off (a no-op where off == 0)
-                p = k + off
-                for arr in (lu, perm):
-                    row_p = arr[rows, p]
-                    arr[rows, p] = arr[:, k]
-                    arr[:, k] = row_p
-            lu[:, k + 1 :, k] /= lu[:, k, k, None]
-            lu[:, k + 1 :, k + 1 :] -= lu[:, k + 1 :, k, None] * lu[:, k, None, k + 1 :]
+            c = k + 1  # column k of A
+            off = np.abs(W[k:, c]).argmax(axis=0)
+            if np.count_nonzero(off):
+                _swap_rows(W, k, k + off)
+            W[k + 1 :, c] /= W[k, c]
+            W[k + 1 :, c + 1 :] -= W[k + 1 :, c, None] * W[k, None, c + 1 :]
+        if rhs is not None:
+            _lu_solve(W[:, 1 : n + 1], W[:, n + 1 :], forward=False)
+    lu = work[:, 1 : n + 1].transpose(2, 0, 1)
+    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
     # a slice breaks down at its first pivot below the threshold; the steps
     # after it run on meaningless entries that no caller reads
+    scale = np.max(np.abs(As), axis=(1, 2), initial=0.0)
     low = pivots < (PIVOT_RTOL * np.maximum(scale, 1.0))[:, None]
     step = np.where(low.any(axis=1), np.argmax(low, axis=1), -1)
-    return PLUBatch(lu=lu, perm=perm, pivots=pivots, scale=scale, step=step)
+    solution = None
+    if rhs is not None:  # C order: numpy's matrix products round differently on strided views
+        solution = np.ascontiguousarray(work[:, n + 1 :].transpose(2, 0, 1))
+        solution = solution[:, :, 0] if np.ndim(rhs) == 2 else solution
+    return PLUBatch(lu=lu, perm=work[:, 0].T.astype(np.intp), pivots=pivots,
+                    scale=scale, step=step, solution=solution)
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:

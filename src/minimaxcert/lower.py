@@ -199,6 +199,17 @@ class RecoveredMultipliers:
     detail: str = ""
 
 
+def licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
+    """sigma_min of the inner constraint Jacobian (J_y h; J_y g[active]),
+    +inf without constraint rows.  Inside `bundle_memo` each distinct
+    (bundle, active) runs one SVD."""
+    return memoised(bundle, ("licq_sigma", active), lambda: _licq_sigma(bundle, active))
+
+
+def _licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
+    return smallest_singular_value(np.vstack([bundle.h_jy, bundle.g_jy[list(active)]]))
+
+
 def recover_multipliers(spec: ProblemSpec, x, y, tol_act: float = 1e-8) -> RecoveredMultipliers:
     """Least-squares multipliers from stationarity over the active set, as
     read-only arrays.  Inside `bundle_memo` each distinct (x, y, tol_act) is
@@ -229,9 +240,7 @@ def _recover_multipliers(spec: ProblemSpec, bundle: DerivativeBundle,
         mu = z[: spec.m1]
         for j, i in enumerate(active):
             lam[i] = z[spec.m1 + j]
-    grads = [bundle.h_jy] + ([bundle.g_jy[active]] if active else [])
-    stacked = np.vstack(grads) if any(g.size for g in grads) else np.zeros((0, spec.m))
-    sigma = smallest_singular_value(stacked)
+    sigma = licq_sigma(bundle, tuple(active))
     _, norm = kkt_residual_from_bundle(bundle, mu, lam)
     neg = float(np.min(lam[active], initial=0.0)) if active else 0.0
     is_kkt = norm <= tol_act and neg >= -tol_act and not feas_notes
@@ -311,10 +320,7 @@ def check_jacobian_uniqueness(
         return LowerConditionsReport(checks=checks, mu=mu, lam=lam)
 
     partition = classify_partition(bundle.g, lam, config.tol_act)
-    active = list(partition.active)
-    rows = [bundle.h_jy] + ([bundle.g_jy[active]] if active else [])
-    stacked = np.vstack(rows) if any(r.size for r in rows) else np.zeros((0, spec.m))
-    sigma = smallest_singular_value(stacked)
+    sigma = licq_sigma(bundle, partition.active)
     checks["licq"] = ConditionCheck(
         "licq", SATISFIED if sigma >= config.tol_licq else VIOLATED, sigma, config.tol_licq
     )

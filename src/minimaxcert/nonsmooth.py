@@ -181,8 +181,8 @@ def stack_selectors(bundle, lag, selectors: list[WSelector]) -> SelectorSweep:
     top = np.vstack([lag.yx, bundle.h_jx])
     rhs = np.concatenate([np.broadcast_to(top, (len(selectors),) + top.shape),
                           (1.0 - w)[:, :, None] * bundle.g_jx], axis=1)
-    batch = plu_batch(A)
-    H = batch.solve(rhs)
+    batch = plu_batch(A, rhs)
+    H = batch.solution
     for arr in (A, rhs, H, batch.lu, batch.perm, batch.pivots):
         arr.flags.writeable = False
     return SelectorSweep(selectors, A, rhs, H, batch, lag.grad_x,

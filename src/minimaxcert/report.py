@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -97,7 +98,7 @@ def _write(value, out: list[str]):
     elif value is False:
         out.append("false")
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(encode_basestring_ascii(value))
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
@@ -107,7 +108,7 @@ def _write(value, out: list[str]):
         for i, (k, v) in enumerate(value.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(k)))
+            out.append(encode_basestring_ascii(str(k)))
             out.append(":")
             _write(v, out)
         out.append("}")

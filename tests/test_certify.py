@@ -456,10 +456,10 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     bundles = []
     plu_batch = minimaxcert.linalg.plu_batch
 
-    def counting_plu_batch(As):
+    def counting_plu_batch(As, rhs=None):
         batches.append(len(As))
         factored.extend(np.asarray(A).tobytes() for A in As)
-        return plu_batch(As)
+        return plu_batch(As, rhs)
 
     def counting_bundle(spec, x, y):
         bundles.append((x, y))
@@ -673,6 +673,70 @@ def test_lagrangian_and_multipliers_computed_once_per_call(config, monkeypatch, 
         actives = [recover_multipliers(spec, candidate.x, near, tol).active
                    for tol in (1e-8, 1e-2)]
         assert actives == [(), tuple(range(spec.m2))]
+
+
+# two inequalities active with positive multipliers at x = y = 0, so the
+# smooth path checks LICQ on both rows; sigma_min is neither 0 nor 1
+TWO_ACTIVE_TEXT = ("dims 2 2 0 2 0 0\n"
+                   "f = -(y1 - 1 - x1)^2 - (y2 - 1 - x2)^2 + x1^2 + x2^2\n"
+                   "g1 = y1 - x1\ng2 = y1 + 2*y2 - x2\n")
+
+
+@pytest.mark.parametrize("text, x", [
+    pytest.param(None, [0.0], id="P1"),
+    pytest.param(TWO_ACTIVE_TEXT, [0.0, 0.0], id="two-active"),
+])
+def test_licq_sigma_computed_once_per_point(config, monkeypatch, text, x):
+    """`recover_multipliers` and `check_jacobian_uniqueness` read the same
+    sigma_min of (J_y h; J_y g[active]): one SVD per distinct (bundle,
+    active) inside one `certify` call."""
+    from minimaxcert import lower
+    from minimaxcert.fixtures import load_fixture
+    from minimaxcert.problem import bundle_memo, eval_bundle, parse_problem
+
+    spec = load_fixture("P1") if text is None else parse_problem(text)
+    candidate = CandidatePoint(x, x)
+    want = dumps_canonical(report_to_doc(certify(spec, candidate, config)))
+    svd, compute, licq_sigma = (lower.smallest_singular_value, lower._licq_sigma,
+                                lower.licq_sigma)
+    svds, computed, asked = [], [], []
+
+    def key(bundle, active):
+        return bundle.x.tobytes(), bundle.y.tobytes(), active
+
+    def counting_svd(M):
+        svds.append(M.shape)
+        return svd(M)
+
+    def counting_compute(bundle, active):
+        computed.append(key(bundle, active))
+        return compute(bundle, active)
+
+    def asking(bundle, active):
+        asked.append(key(bundle, active))
+        return licq_sigma(bundle, active)
+
+    monkeypatch.setattr(lower, "smallest_singular_value", counting_svd)
+    monkeypatch.setattr(lower, "_licq_sigma", counting_compute)
+    monkeypatch.setattr(lower, "licq_sigma", asking)
+
+    rep = certify(spec, candidate, config)
+    assert rep.path == PATH_SMOOTH
+    assert dumps_canonical(report_to_doc(rep)) == want
+    # both callers ask; each distinct request runs one SVD
+    assert len(svds) == len(computed) == len(set(computed)) >= 1
+    assert set(computed) == set(asked) and len(asked) > len(computed)
+    # the memo closes with the call: a second call computes again
+    done = len(computed)
+    certify(spec, candidate, config)
+    assert computed[done:] == computed[:done]
+    # within one scope the memo keeps distinct active sets apart
+    actives = [(), *[tuple(range(k)) for k in range(1, spec.m2 + 1)]]
+    with bundle_memo():
+        bundle = eval_bundle(spec, candidate.x, candidate.y)
+        sigmas = [lower.licq_sigma(bundle, a) for a in actives]
+        assert sigmas == [compute(bundle, a) for a in actives]
+        assert sigmas[0] == np.inf and np.isfinite(sigmas[1:]).all()
 
 
 # --- the remaining ValueErrors become evaluation error checks -----------------------

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minimaxcert.cli import main
 from minimaxcert.fixtures import fixture_text
@@ -76,6 +78,23 @@ def test_consecutive_runs_byte_identical(prob_files, tmp_path, capsys):
     main(["certify", prob_files["P2"], "--x", "0", "--y", "0", "--json", str(b)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+# every code point, lone surrogates included, and the characters JSON escapes
+_TEXT = st.text(st.characters(exclude_categories=())
+                | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800'))
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_DOCS)
+def test_canonical_writer_matches_json_dumps_on_text(doc):
+    """Keys, strings, integers, booleans and null come out as json.dumps
+    writes them with its default ensure_ascii and compact separators."""
+    assert dumps_canonical(doc) == json.dumps(doc, separators=(",", ":"))
 
 
 def test_multiple_candidates_parallel(prob_files, tmp_path, capsys):

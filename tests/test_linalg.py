@@ -293,6 +293,63 @@ def test_plu_batch_matches_plu_bit_for_bit(stack):
         assert _bits(X[s]) == _bits(_reference_solve(lu, perm, b[s]))
 
 
+@st.composite
+def _fused_stacks(draw):
+    """A `_stacks` stack, often cut to a stack of one, with some entries of
+    A and of the right-hand side set to +-inf or NaN, and a right-hand side
+    of one column (S, n) or several (S, n, r)."""
+    As, _ = draw(_stacks())
+    if draw(st.booleans()):
+        As = As[:1]
+    S, n, _ = As.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(1, 4))
+    b = rng.standard_normal((S, n) if r == 1 and draw(st.booleans()) else (S, n, r))
+    for arr in (As, b):
+        for _ in range(draw(st.integers(0, 2))):
+            index = tuple(int(rng.integers(d)) for d in arr.shape)
+            arr[index] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return As, b
+
+
+def _float_bits(a):
+    """Bytes of a with every NaN written as the one NaN.  Where two NaNs meet
+    in a product or a difference, IEEE 754 leaves the sign and payload of the
+    result unspecified, and which operand's NaN numpy returns depends on how
+    its loop is laid out: the fused rows are longer than the rows of a
+    separate substitution."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@settings(max_examples=300)
+@given(_fused_stacks())
+def test_fused_solve_matches_textbook_substitution_bit_for_bit(stack):
+    """The right-hand side carried through the elimination gives, on every
+    slice that factors, the bits of the textbook factor-then-substitute
+    solve, and leaves the factors as they are without it.  A NaN is
+    compared as NaN (see `_float_bits`)."""
+    As, b = stack
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # broken-down slices must not leak warnings
+        fused = plu_batch(As, b)
+        alone = plu_batch(As)
+    assert fused.solution.shape == b.shape
+    assert _float_bits(fused.lu) == _float_bits(alone.lu)
+    for name in ("perm", "pivots", "scale", "step"):
+        assert _bits(getattr(fused, name)) == _bits(getattr(alone, name))
+    for s, A in enumerate(As):
+        with np.errstate(all="ignore"):
+            ref = _reference_plu(A)
+            if isinstance(ref, SingularMatrixError):
+                assert fused.step[s] == ref.step
+                continue
+            lu, perm, _, _ = ref
+            assert fused.step[s] == -1 and np.array_equal(fused.perm[s], perm)
+            assert _float_bits(fused.solution[s]) == _float_bits(
+                _reference_solve(lu, perm, b[s]))
+
+
 def test_plu_batch_rejects_non_square_stacks():
     with pytest.raises(LinearSolveError):
         plu_batch(np.zeros((2, 3, 2)))
