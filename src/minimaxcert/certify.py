@@ -59,11 +59,7 @@ from .upper import (
     upper_data,
     upper_kkt_and_polytope,
 )
-from .value_function import (
-    AsymmetricValueHessianError,
-    SingularSensitivityError,
-    value_derivatives,
-)
+from .value_function import SingularSensitivityError, value_derivatives
 
 VERSION = "0.1.0"
 
@@ -262,9 +258,7 @@ def certify(
     An evaluation that fails (a value leaves its domain, the problem uses
     abs()) or a candidate whose shape does not match the problem ends the run
     with an `error` check, CHECK_EVALUATION, that names the stage it was in;
-    such a run is never certified.  A value-function Hessian that comes out
-    of the sensitivity system asymmetric ends the smooth path with an `error`
-    sensitivity_system check.  Other exceptions propagate."""
+    such a run is never certified.  Other exceptions propagate."""
     config = config or CheckConfig()
     progress = _Progress([], [f"lambda sign convention: {LAMBDA_SIGN_CONVENTION}"])
     with bundle_memo():
@@ -383,11 +377,6 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
         results.append(
             ConditionCheck("sensitivity_system", VIOLATED, exc.pivot, None,
                            KIND_INFO, detail=str(exc))
-        )
-        return
-    except AsymmetricValueHessianError as exc:
-        results.append(
-            ConditionCheck("sensitivity_system", ERROR, None, None, KIND_INFO, detail=str(exc))
         )
         return
     results.append(

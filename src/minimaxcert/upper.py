@@ -1,5 +1,10 @@
 """Outer-minimization conditions: MFCQ, the multiplier polytope, critical
 cones, and the second-order / nonsmooth first-order optimality tests.
+
+Every question of the form "is there an outer multiplier (u, v) for this
+gradient, and which one" goes to `_outer_multiplier`: the polytope's
+emptiness and its LP point, which the second-order checks reuse when no
+vertices were enumerated, and each selector's first-order test.
 """
 
 from __future__ import annotations
@@ -141,23 +146,32 @@ def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> MfcqR
 
 @dataclass
 class LambdaPolytope:
-    """Upper multipliers: {(u, v): JH^T u + JG^T v = -r0, v >= 0 on I, v = 0 off I}."""
+    """Upper multipliers: {(u, v): JH^T u + JG^T v = -r0, v >= 0 on I, v = 0 off I}.
+
+    `point` is the one member that `_outer_multiplier` found (None when the
+    set is empty); `vertices` are enumerated only up to `vertex_enum_cap`."""
 
     r0: np.ndarray
     JH: np.ndarray
     JG: np.ndarray
     active: tuple[int, ...]
     nonempty: bool
+    point: tuple[np.ndarray, np.ndarray] | None = None
     vertices: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     bounded: bool | None = None
     enum_capped: bool = False
 
     def vertex_residual(self, u: np.ndarray, v: np.ndarray) -> float:
-        r = self.JH.T @ u + self.JG.T @ v + self.r0
-        return float(np.max(np.abs(r), initial=0.0))
+        return _stationarity_residual(self.JH, self.JG, u, v, self.r0)
+
+
+def _stationarity_residual(JH, JG, u, v, r) -> float:
+    """max |JH^T u + JG^T v + r|."""
+    return float(np.max(np.abs(JH.T @ u + JG.T @ v + r), initial=0.0))
 
 
 def _lambda_lp_parts(data: UpperData, active: tuple[int, ...], r0: np.ndarray):
+    """(A_eq, b_eq, lower, nvar) of the multiplier system over (u, v_I)."""
     cols = []
     if data.JH.shape[0]:
         cols.append(data.JH.T)
@@ -169,92 +183,88 @@ def _lambda_lp_parts(data: UpperData, active: tuple[int, ...], r0: np.ndarray):
     return A_eq, -r0, lower, nvar
 
 
-def upper_kkt_and_polytope(
-    spec: ProblemSpec, x, working_grad: np.ndarray, config: CheckConfig | None = None
-) -> LambdaPolytope:
-    """Emptiness by LP feasibility; vertices by basis enumeration when small."""
-    config = config or CheckConfig()
-    data = upper_data(spec, x)
-    aset = compute_upper_active_set(spec, x, config.tol_act)
-    r0 = np.atleast_1d(np.asarray(working_grad, dtype=float))
-    active = aset.I
-    n1 = spec.n1
-    A_eq, b_eq, lower, nvar = _lambda_lp_parts(data, active, r0)
+def _split(z: np.ndarray, n1: int, active: tuple[int, ...], n2: int):
+    """(u, v) from a vector over (u, v_I): v clipped at 0 and 0 off I.  The
+    clip keeps a -0.0, as max(z, 0.0) does, so vertices keep their bits."""
+    v = np.zeros(n2)
+    v[list(active)] = np.where(z[n1:] < 0.0, 0.0, z[n1:])
+    return z[:n1], v
 
+
+def _outer_multiplier(data: UpperData, active: tuple[int, ...], r: np.ndarray,
+                      tol_kkt: float, parts=None) -> tuple[np.ndarray, np.ndarray] | None:
+    """One outer multiplier (u, v) for the gradient r, or None when there is
+    none.  With no multiplier variables the zero multiplier serves when
+    max|r| <= tol_kkt; otherwise the zero-objective LP over (u, v_I) decides.
+    A non-finite r has none.  `parts` are r's `_lambda_lp_parts` when the
+    caller has them."""
+    A_eq, b_eq, lower, nvar = parts or _lambda_lp_parts(data, active, r)
     if nvar == 0:
-        nonempty = float(np.max(np.abs(r0), initial=0.0)) <= config.tol_kkt
-        poly = LambdaPolytope(
-            r0=r0, JH=data.JH, JG=data.JG, active=active, nonempty=nonempty,
-            bounded=True,
-        )
-        if nonempty:
-            poly.vertices = [(np.zeros(n1), np.zeros(spec.n2))]
-        return poly
+        # written as `<=` so that a NaN fails it, as an inf does
+        z = np.zeros(0) if float(np.max(np.abs(r), initial=0.0)) <= tol_kkt else None
+    elif np.all(np.isfinite(r)):  # solve_lp calls a NaN right-hand side feasible
+        sol = solve_lp(LpProblem(np.zeros(nvar), A_eq, b_eq, None, None, lower, None))
+        z = sol.z if sol.status == "optimal" else None
+    else:
+        z = None
+    return None if z is None else _split(z, data.JH.shape[0], active, data.JG.shape[0])
 
-    feas = solve_lp(LpProblem(np.zeros(nvar), A_eq, b_eq, None, None, lower, None))
-    nonempty = feas.status == "optimal"
-    poly = LambdaPolytope(
-        r0=r0, JH=data.JH, JG=data.JG, active=active, nonempty=nonempty
-    )
-    if not nonempty:
-        return poly
 
-    # boundedness: every coordinate extreme must be a bounded LP
-    bounded = True
-    for j in range(nvar):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(nvar)
-            c[j] = sgn
-            ext = solve_lp(LpProblem(c, A_eq, b_eq, None, None, lower, None))
-            if ext.status == "unbounded":
-                bounded = False
-                break
-        if not bounded:
-            break
-    poly.bounded = bounded
-
-    if n1 + len(active) > config.vertex_enum_cap:
-        poly.enum_capped = True
-        return poly
-
-    seen = set()
+def _basic_multipliers(parts, n1: int, active: tuple[int, ...], n2: int):
+    """The polytope's vertices: the basic solutions over the JH^T columns plus
+    each subset of the active JG^T columns, kept when they solve the system
+    to 1e-9 with v >= -1e-9."""
+    A_eq, b_eq, _, nvar = parts
+    vertices, seen = [], set()
     for size in range(0, len(active) + 1):
-        for subset in combinations(range(len(active)), size):
-            cols = []
-            if n1:
-                cols.append(data.JH.T)
-            sel = [active[j] for j in subset]
-            if sel:
-                cols.append(data.JG[sel].T)
-            ncol = n1 + len(sel)
-            if ncol == 0:
-                if float(np.max(np.abs(r0), initial=0.0)) <= 1e-9:
-                    key = (0.0,) * (n1 + spec.n2)
-                    if key not in seen:
-                        seen.add(key)
-                        poly.vertices.append((np.zeros(n1), np.zeros(spec.n2)))
-                continue
-            M = np.hstack(cols)
+        for subset in combinations(range(n1, nvar), size):
+            cols = [*range(n1), *subset]
+            M = A_eq[:, cols]
             if M.shape[1] > M.shape[0] or smallest_singular_value(M) < 1e-10:
                 continue  # columns dependent: not a basic solution
-            z, *_ = np.linalg.lstsq(M, -r0, rcond=None)
-            resid = float(np.max(np.abs(M @ z + r0), initial=0.0))
-            if resid > 1e-9:
+            z = np.zeros(nvar)
+            if cols:
+                z[cols], *_ = np.linalg.lstsq(M, b_eq, rcond=None)
+            if float(np.max(np.abs(M @ z[cols] - b_eq), initial=0.0)) > 1e-9:
                 continue
-            u = z[:n1]
-            v = np.zeros(spec.n2)
-            ok = True
-            for j, i in enumerate(sel):
-                if z[n1 + j] < -1e-9:
-                    ok = False
-                    break
-                v[i] = max(z[n1 + j], 0.0)
-            if not ok:
+            if np.any(z[n1:] < -1e-9):
                 continue
+            u, v = _split(z, n1, active, n2)
             key = tuple(np.round(np.concatenate([u, v]), 9))
             if key not in seen:
                 seen.add(key)
-                poly.vertices.append((u, v))
+                vertices.append((u, v))
+    return vertices
+
+
+def upper_kkt_and_polytope(
+    spec: ProblemSpec, x, working_grad: np.ndarray, config: CheckConfig | None = None
+) -> LambdaPolytope:
+    """Emptiness and `point` by one `_outer_multiplier` solve; boundedness by
+    the coordinate LPs; vertices by basis enumeration when small."""
+    config = config or CheckConfig()
+    data = upper_data(spec, x)
+    active = compute_upper_active_set(spec, x, config.tol_act).I
+    r0 = np.atleast_1d(np.asarray(working_grad, dtype=float))
+    parts = _lambda_lp_parts(data, active, r0)
+    point = _outer_multiplier(data, active, r0, config.tol_kkt, parts)
+    poly = LambdaPolytope(r0=r0, JH=data.JH, JG=data.JG, active=active,
+                          nonempty=point is not None, point=point)
+    if point is None:
+        return poly
+
+    # boundedness: every coordinate extreme must be a bounded LP
+    A_eq, b_eq, lower, nvar = parts
+    poly.bounded = all(
+        solve_lp(LpProblem(np.where(np.arange(nvar) == j, sgn, 0.0), A_eq, b_eq,
+                           None, None, lower, None)).status != "unbounded"
+        for j in range(nvar) for sgn in (1.0, -1.0)
+    )
+    if nvar > config.vertex_enum_cap:
+        poly.enum_capped = True
+    else:
+        # with no multiplier variables the polytope is the one point {0}
+        poly.vertices = _basic_multipliers(parts, spec.n1, active, spec.n2) if nvar else [point]
     return poly
 
 
@@ -308,10 +318,10 @@ def critical_cone_upper(
     return rep
 
 
-def _curvature_lp_max(
-    poly: LambdaPolytope, data: UpperData, d: np.ndarray
-) -> tuple[float, str]:
-    """max over the polytope of sum_j u_j <Hxx_j d, d> + sum_i v_i <Gxx_i d, d>."""
+def _curvature_lp_max(poly: LambdaPolytope, data: UpperData, d: np.ndarray) -> float:
+    """max over the polytope of sum_j u_j <Hxx_j d, d> + sum_i v_i <Gxx_i d, d>:
+    over the vertices when they were enumerated and the polytope is bounded,
+    else by LP (+inf when unbounded, NaN when the LP fails)."""
     n1 = data.JH.shape[0]
     coef_u = np.array([float(d @ data.Hxx[j] @ d) for j in range(n1)])
     coef_v = np.array([float(d @ data.Gxx[i] @ d) for i in poly.active])
@@ -322,39 +332,21 @@ def _curvature_lp_max(
                 sum(coef_v[j] * v[i] for j, i in enumerate(poly.active))
             )
             best = max(best, val)
-        return best, "vertex"
-    nvar = n1 + len(poly.active)
-    if nvar == 0:
-        return 0.0, "empty"
+        return best
     A_eq, b_eq, lower, _ = _lambda_lp_parts(data, poly.active, poly.r0)
     c = np.concatenate([coef_u, coef_v])
     sol = solve_lp(LpProblem(c, A_eq, b_eq, None, None, lower, None))
     if sol.status == "unbounded":
-        return np.inf, "unbounded"
-    if sol.status != "optimal":
-        return np.nan, sol.status
-    return float(sol.value), "lp"
-
-
-def _multipliers(poly: LambdaPolytope, data: UpperData) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The polytope's enumerated vertices, else one feasible point of its LP."""
-    if poly.vertices:
-        return poly.vertices
-    n1 = data.JH.shape[0]
-    v = np.zeros(data.G.shape[0])
-    A_eq, b_eq, lower, nvar = _lambda_lp_parts(data, poly.active, poly.r0)
-    if nvar == 0:
-        return [(np.zeros(n1), v)]
-    sol = solve_lp(LpProblem(np.zeros(nvar), A_eq, b_eq, None, None, lower, None))
-    v[list(poly.active)] = np.maximum(sol.z[n1:], 0.0)
-    return [(sol.z[:n1], v)]
+        return np.inf
+    return float(sol.value) if sol.status == "optimal" else np.nan
 
 
 def _cone_curvature(spec, x, vd, poly, E, F):
     """Face test of q_sup(d) = d^T hess(phi) d + max over the multiplier
     polytope of the constraint curvature, on the cone {E d = 0, F d <= 0}.
 
-    Each multiplier (u, v) gives the quadratic of hess(phi) + sum u_j Hxx_j
+    Each enumerated vertex (u, v), or the polytope's LP point when none were
+    enumerated, gives the quadratic of hess(phi) + sum u_j Hxx_j
     + sum v_i Gxx_i, which is at most q_sup; so the largest of their exact
     cone minima is a lower bound of min q_sup over unit cone directions, and
     the bound is exact when the polytope is a single point.  Returns None
@@ -364,7 +356,7 @@ def _cone_curvature(spec, x, vd, poly, E, F):
     data = upper_data(spec, x)
     single = spec.n1 + len(poly.active) == 0 or (len(poly.vertices) == 1 and poly.bounded)
     lower, witnesses = -np.inf, []
-    for u, v in _multipliers(poly, data):
+    for u, v in poly.vertices or [poly.point]:
         M = vd.hessian + np.einsum("j,jab->ab", u, data.Hxx) + np.einsum("i,iab->ab", v, data.Gxx)
         exact = min_quadratic_on_cone(M, E, F, spec.n)
         if exact is None:
@@ -372,7 +364,7 @@ def _cone_curvature(spec, x, vd, poly, E, F):
         lower = max(lower, exact[0])
         if exact[1] is not None:
             d = exact[1]
-            witnesses.append((d, float(d @ vd.hessian @ d) + _curvature_lp_max(poly, data, d)[0]))
+            witnesses.append((d, float(d @ vd.hessian @ d) + _curvature_lp_max(poly, data, d)))
     return single, lower, witnesses
 
 
@@ -458,10 +450,10 @@ def first_order_nonsmooth_necessary(
     sweep: SelectorSweep | None = None,
 ) -> tuple[ConditionCheck, GeneralizedDerivativeSet]:
     """Search the B-selectors W for one whose candidate gradient admits upper
-    KKT multipliers.  A failed search is a disproof only when the selector
-    family is exact (beta empty); otherwise it reports not-found.  The
-    selectors and their factored A(x, W) come from `sweep`, built here when
-    not given."""
+    KKT multipliers, asking `_outer_multiplier` once per selector.  A failed
+    search is a disproof only when the selector family is exact (beta empty);
+    otherwise it reports not-found.  The selectors and their factored
+    A(x, W) come from `sweep`, built here when not given."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
     aset = compute_upper_active_set(spec, x, config.tol_act)
@@ -477,28 +469,12 @@ def first_order_nonsmooth_necessary(
             continue
         r = gradients[s]
         gset.items.append((W, r))
-        A_eq, b_eq, lower, nvar = _lambda_lp_parts(data, aset.I, r)
-        if nvar == 0:
-            feasible = float(np.max(np.abs(r), initial=0.0)) <= config.tol_kkt
-            if feasible:
-                check = ConditionCheck(
-                    "first_order_nonsmooth", SATISFIED,
-                    float(np.max(np.abs(r), initial=0.0)), config.tol_kkt,
-                    kind=KIND_NECESSARY,
-                    witness={"W": list(W.values), "u": [], "v": [0.0] * spec.n2},
-                )
-                return check, gset
-            continue
-        lp = solve_lp(LpProblem(np.zeros(nvar), A_eq, b_eq, None, None, lower, None))
-        if lp.status == "optimal":
-            u = lp.z[: spec.n1]
-            v = np.zeros(spec.n2)
-            for j, i in enumerate(aset.I):
-                v[i] = max(lp.z[spec.n1 + j], 0.0)
+        point = _outer_multiplier(data, aset.I, r, config.tol_kkt)
+        if point is not None:
+            u, v = point
             check = ConditionCheck(
                 "first_order_nonsmooth", SATISFIED,
-                float(np.max(np.abs(data.JH.T @ u + data.JG.T @ v + r), initial=0.0)),
-                config.tol_kkt,
+                _stationarity_residual(data.JH, data.JG, u, v, r), config.tol_kkt,
                 kind=KIND_NECESSARY,
                 witness={"W": list(W.values), "u": u.tolist(), "v": v.tolist()},
             )

@@ -234,6 +234,7 @@ CROSS_TEXT = ("dims 1 1 0 1 0 1\nf = {scale}(exp(x1*y1) - y1^2)\n"
               "g1 = y1 - 0.738\nG1 = 2.213 - x1\n")
 
 # At x = (1.013, 0.987166831194472), y = 0.764 the value-function Hessian
-# assembled from the sensitivity system is asymmetric by 1.211e-08.
+# assembled from the sensitivity system is asymmetric by 1.211e-08, rounding
+# on entries of about 6.9e6.
 VALUE_ASYMMETRY_TEXT = ("dims 2 1 0 1 0 0\nf = 1e6*(exp(x1*x2*y1) - y1^2 + x1^2*x2^2)\n"
                         "g1 = y1 - 0.764\n")

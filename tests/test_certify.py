@@ -351,6 +351,22 @@ def test_capped_vertex_enumeration_uses_one_lp_multiplier(config):
     assert abs(son.value + 2e-3) <= 1e-6
 
 
+def test_capped_polytope_solves_its_multiplier_lp_once(config, monkeypatch):
+    # one certify of the capped n = 2 counterexample runs 8 upper-level LPs:
+    # the MFCQ direction LP, the polytope's one multiplier LP, 4 coordinate
+    # LPs for boundedness and one curvature LP per second-order check; the
+    # two checks read the polytope's LP point instead of solving for it again
+    from minimaxcert import upper
+
+    calls = []
+    solve_lp = upper.solve_lp
+    monkeypatch.setattr(upper, "solve_lp", lambda p: calls.append(p) or solve_lp(p))
+    rep = certify(_sampled_sufficiency_counterexample(2, 1e6),
+                  CandidatePoint([0.0, 0.0], [0.0]), config.replace(vertex_enum_cap=1))
+    assert rep.verdict == VERDICT_REFUTED
+    assert len(calls) == 8
+
+
 def test_face_test_above_the_cap_is_inconclusive(config, monkeypatch):
     # every critical cone below has more F rows than a cap of 0 allows
     from minimaxcert import cones
@@ -785,20 +801,24 @@ def test_scaling_f_up_keeps_the_verdict_and_check_statuses(config):
         (c.name, c.status) for c in plain.results]
 
 
-def test_asymmetric_value_hessian_is_a_sensitivity_error(config):
-    from minimaxcert.conditions import ERROR
+def test_value_asymmetry_probe_is_refuted_on_first_order(config):
     from minimaxcert.problem import parse_problem
 
     from conftest import VALUE_ASYMMETRY_TEXT
 
+    # f = 1e6*(exp(t*y1) - y1^2 + t^2) depends on x only through t = x1*x2,
+    # which is 1.0 at the candidate.  At t = 1, e^y - y^2 increases in y (its
+    # slope e^y - 2y is at least 2 - 2 ln 2 > 0), so the inner max sits on
+    # g1 = 0, y1 = 0.764.  Then phi'(t) = 1e6*(0.764*e^(0.764 t) + 2t) > 0 and
+    # grad phi = phi'(t)*(x2, x1) != 0 with no outer constraint: the point is
+    # not a local minimax point, whatever the rounding-level asymmetry of the
+    # assembled value-function Hessian
     spec = parse_problem(VALUE_ASYMMETRY_TEXT)
     rep = certify(spec, CandidatePoint([1.013, 0.987166831194472], [0.764]), config)
     assert rep.path == PATH_SMOOTH
-    assert rep.verdict == VERDICT_INCONCLUSIVE
-    check = result(rep, "sensitivity_system")
-    assert check.status == ERROR
-    assert check.detail == "value-function Hessian asymmetry 1.211e-08 exceeds 1e-8"
-    assert rep.results[-1] is check
+    assert rep.verdict == VERDICT_REFUTED
+    assert result(rep, "sensitivity_system").status == SATISFIED
+    assert result(rep, "first_order").status == VIOLATED
 
 
 # --- metamorphic: relabelling the inner variables --------------------------------

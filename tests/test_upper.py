@@ -93,6 +93,19 @@ def test_polytope_empty_without_constraints(p2, config):
     assert poly.vertices == []
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, x", [("p2", 0.0), ("p3", 0.0), ("p4", 1.0)])
+def test_non_finite_gradient_has_no_multipliers(name, x, value, request, config):
+    # P2 has no outer constraint, P3 two active ones with opposing gradients,
+    # P4 one active bound: no multiplier reproduces a non-finite gradient
+    spec = request.getfixturevalue(name)
+    poly = upper_kkt_and_polytope(spec, [x], np.array([value]), config)
+    assert not poly.nonempty
+    assert poly.point is None
+    assert poly.vertices == []
+
+
 def test_polytope_unbounded_flag(p3, config):
     # opposing gradients with zero working gradient: a ray of multipliers
     poly = upper_kkt_and_polytope(p3, [0.0], np.array([0.0]), config)
@@ -219,8 +232,8 @@ def test_second_order_sufficient_violated_on_flipped_problem(config):
 
 
 def test_second_order_sampled_agrees_with_exact_on_singleton_subspace(config):
-    # 2-D outer space, subspace cone, singleton polytope: the sampled route
-    # must land on the exact margin
+    # 2-D outer space, subspace cone, singleton polytope: the polytope's LP
+    # point gives the same quadratic as its one vertex, so the same margin
     spec = parse_problem(
         "dims 2 2 0 0 0 0\n"
         "f = x1*y1 + x2*y2 - 0.5*y1^2 - 0.5*y2^2 + 0.25*x1^2\n"
@@ -231,12 +244,12 @@ def test_second_order_sampled_agrees_with_exact_on_singleton_subspace(config):
                                poly.vertices[0], config)
     exact = second_order_sufficient(spec, [0.0, 0.0], vd, poly, cone, config)
     assert exact.status == SATISFIED
-    # sampled path: discard the vertex list so the exact shortcut is bypassed
-    poly_sampled = upper_kkt_and_polytope(spec, [0.0, 0.0], vd.gradient, config)
-    poly_sampled.vertices = []
-    sampled = second_order_sufficient(spec, [0.0, 0.0], vd, poly_sampled, cone, config)
-    assert sampled.status in (SATISFIED, "satisfied (sampled)")
-    assert sampled.value == pytest.approx(exact.value, abs=1e-6)
+    # discard the vertex list so that the check reads `poly.point`
+    poly_point = upper_kkt_and_polytope(spec, [0.0, 0.0], vd.gradient, config)
+    poly_point.vertices = []
+    from_point = second_order_sufficient(spec, [0.0, 0.0], vd, poly_point, cone, config)
+    assert from_point.status == SATISFIED
+    assert from_point.value == exact.value
 
 
 def test_second_order_reduces_to_hessian_eigenvalue_without_constraints(config):

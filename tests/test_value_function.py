@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimaxcert import (
+    CheckConfig,
     assemble_sensitivity_system,
     phi_gradient,
     phi_hessian,
     solve_lower,
     value_derivatives,
 )
+from minimaxcert.lower import lagrangian_eval
 from minimaxcert.oracle import fd_derivatives
 from minimaxcert.problem import eval_bundle, parse_problem
 from minimaxcert.value_function import SingularSensitivityError
@@ -154,6 +157,36 @@ def test_random_instances_match_fd(config):
         )
         assert np.max(np.abs(vd.gradient - grad_fd)) <= 1e-6
         assert np.max(np.abs(vd.hessian - hess_fd)) <= 1e-4
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_value_hessian_is_symmetric_and_matches_central_differences(seed):
+    """hess phi = L_xx - rhs^T K^{-1} rhs with K symmetric, so the assembled
+    product is symmetric up to rounding; and it is the derivative of
+    grad phi = grad_x L along the solution map.  The instances are quadratic
+    with affine constraints, so grad phi is affine near x* and a central
+    difference of it is exact up to rounding."""
+    config = CheckConfig()
+    spec, x, y, mu, lam = random_smooth_instance(np.random.default_rng(seed))
+    sol = solve_lower(spec, x, (y, mu, lam), config, "smooth")
+    vd = value_derivatives(spec, sol, config)
+    bundle = eval_bundle(spec, sol.x, sol.y)
+    lag = lagrangian_eval(bundle, sol.mu, sol.lam)
+    raw = lag.xx - np.hstack([lag.yx.T, bundle.h_jx.T, -bundle.g_jx.T]) @ vd.system.H
+    assert np.max(np.abs(raw - raw.T), initial=0.0) <= 1e-10 * (1 + np.max(np.abs(raw)))
+    np.testing.assert_array_equal(vd.hessian, 0.5 * (raw + raw.T))
+
+    t = 1e-3
+    start = (sol.y, sol.mu, sol.lam)
+    columns = []
+    for e in np.eye(spec.n):
+        plus, minus = (phi_gradient(spec, solve_lower(spec, x + s * t * e, start, config,
+                                                      "smooth"))
+                       for s in (1.0, -1.0))
+        columns.append((plus - minus) / (2 * t))
+    fd = np.column_stack(columns)
+    assert np.max(np.abs(vd.hessian - fd)) <= 1e-9 * (1 + np.max(np.abs(fd)))
 
 
 # --- sign-convention guard ----------------------------------------------------
