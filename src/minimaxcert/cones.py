@@ -1,9 +1,11 @@
 """Polyhedral cones {d : E d = 0, F d <= 0}: membership, faces, rays, the
 exact minimum of a quadratic over the cone, and sampling.
 
-Every face of the cone lies in some ker [E; F_S], S a subset of F's rows, so
-the face loop (`_face_bases`) decides cone-curvature questions exactly where
-a sampler could miss a thin ray.
+Every face of the cone lies in some ker [E; F_S], S a subset of F's rows.
+`min_quadratic_on_cone` walks those faces depth first and prunes by
+sub-faces, so it decides cone-curvature questions exactly where a sampler
+could miss a thin ray, and usually stops at the first face; `cone_rays`
+enumerates every subset (`_face_bases`).
 """
 
 from __future__ import annotations
@@ -13,11 +15,20 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import LpProblem, nullspace_basis, solve_lp
+from .problem import memoised
 
 CONE_TOL = 1e-10
-# the face loop enumerates all 2^nF subsets of F's rows, so it gives up above
+# cone_rays enumerates all 2^nF subsets of F's rows, so it gives up above
 # this many rows
 RAY_SUBSET_CAP = 14
+# min_quadratic_on_cone gives up (returns None) rather than visit more faces
+# than this: the full walk at RAY_SUBSET_CAP rows
+FACE_BUDGET = 2**14
+
+
+def budget_detail() -> str:
+    """The detail of a check whose face walk ran out of FACE_BUDGET."""
+    return f"face walk exceeded its budget of {FACE_BUDGET} faces: face test skipped"
 
 
 def _as_rows(A: np.ndarray | None, dim: int) -> np.ndarray:
@@ -100,11 +111,38 @@ def cone_rays(E: np.ndarray, F: np.ndarray, dim: int, tol: float = 1e-9) -> list
     return rays
 
 
+def _face_minimum(M: np.ndarray, M_key: tuple,
+                  rows: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """(lambda_min, unit bottom eigenvector) of d^T M d on ker rows, None when
+    the kernel is {0}.  Inside `bundle_memo` each distinct (M, rows) is
+    computed once, keyed on M_key = (M.shape, M.tobytes()), which a walk
+    builds once, and on the rows' shape and bytes; the eigenvector is
+    read-only."""
+    key = ("face", *M_key, rows.shape, rows.tobytes())
+    return memoised(_face_minimum, key, lambda: _bottom_eigenpair(M, rows))
+
+
+def _bottom_eigenpair(M: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray] | None:
+    if not np.any(rows):  # no rows, or only zero rows: the kernel is everything
+        values, vectors = np.linalg.eigh(0.5 * (M + M.T))
+        v = vectors[:, 0]
+    else:
+        Z = nullspace_basis(rows, CONE_TOL)
+        if Z.shape[1] == 0:
+            return None
+        reduced = Z.T @ M @ Z
+        values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+        v = Z @ vectors[:, 0]
+    v = v / np.linalg.norm(v)
+    v.flags.writeable = False
+    return float(values[0]), v
+
+
 def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray, dim: int,
                           tol: float = 1e-9) -> tuple[float, np.ndarray | None] | None:
     """Exact minimum of d^T M d over the unit directions of the cone, with a
-    unit witness attaining it: (+inf, None) on the trivial cone, None when F
-    has more than RAY_SUBSET_CAP rows.
+    unit witness attaining it: (+inf, None) on the trivial cone, None when
+    the walk would visit more than FACE_BUDGET faces.
 
     A minimiser d lies in the relative interior of the face spanned by
     Z = ker [E; F_S], S the rows active at d, and is there a local, hence
@@ -112,26 +150,35 @@ def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray, dim: int,
     bottom eigenvalue over the faces whose bottom eigenvector (either sign)
     lies in the cone is the minimum; when an eigenspace is wider than one
     direction, its extreme rays in the cone are bottom eigenvectors of
-    smaller faces, and the face of all rows holds the lineality space."""
+    smaller faces, and the face of all rows holds the lineality space.
+
+    The walk is a depth-first branch and bound over the subsets S, each
+    reached from the subset without its largest index.  A face's sub-faces
+    (the supersets of S) span fewer directions, so their bottom eigenvalues
+    are no smaller (Cauchy interlacing); the walk skips them when the kernel
+    is {0}, when lambda_min is at or above the incumbent, or when the bottom
+    eigenvector lies in the cone and becomes the incumbent."""
     E = _as_rows(E, dim)
     F = _as_rows(F, dim)
-    if F.shape[0] > RAY_SUBSET_CAP:
-        return None
     M = np.asarray(M, dtype=float)
+    M_key = (M.shape, M.tobytes())
     best, witness = np.inf, None
-    for Z in _face_bases(E, F):
-        if Z.shape[1] == 0:
+    stack, visited = [()], 0
+    while stack:
+        if visited == FACE_BUDGET:
+            return None
+        visited += 1
+        S = stack.pop()
+        face = _face_minimum(M, M_key, np.vstack([E, F[list(S)]]))
+        if face is None or face[0] >= best:
             continue
-        reduced = Z.T @ M @ Z
-        values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
-        if values[0] >= best:
-            continue
-        v = Z @ vectors[:, 0]
-        v = v / np.linalg.norm(v)
+        value, v = face
         for d in (v, 0.0 - v):  # 0.0 - v: no negative zeros in witnesses
             if cone_contains(E, F, d, tol):
-                best, witness = float(values[0]), d
+                best, witness = value, d
                 break
+        else:  # children add one index above max S, the smallest popped first
+            stack.extend((*S, i) for i in range(F.shape[0] - 1, S[-1] if S else -1, -1))
     return best, witness
 
 

@@ -427,7 +427,10 @@ def _simplex_phase(T, basis, cost_row, max_iter, tol):
 
 
 def solve_lp(p: LpProblem, tol: float = LP_TOL, max_iter: int = 5000) -> LpSolution:
-    """Dense two-phase simplex with Bland's rule; deterministic."""
+    """Dense two-phase simplex with Bland's rule; deterministic.  A NaN or an
+    infinity in b_eq, or a NaN or -inf in b_in, leaves no feasible point."""
+    if not np.all(np.isfinite(p.b_eq)) or np.any(np.isnan(p.b_in) | (p.b_in == -np.inf)):
+        return LpSolution("infeasible", None, None)
     nv = p.c.shape[0]
     if nv == 0:
         feas = np.all(np.abs(p.b_eq) <= tol) and np.all(p.b_in >= -tol)

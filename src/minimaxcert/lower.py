@@ -23,7 +23,7 @@ from .conditions import (
     ConditionCheck,
 )
 from .config import CheckConfig
-from .cones import RAY_SUBSET_CAP, cone_contains, min_quadratic_on_cone
+from .cones import budget_detail, cone_contains, min_quadratic_on_cone
 from .linalg import (
     SingularMatrixError,
     max_eigenvalue_on_subspace,
@@ -343,7 +343,7 @@ def check_jacobian_uniqueness(
     if partition.beta and top > -config.tol_pd:
         exact = min_quadratic_on_cone(-lag.yy, cone.E, cone.F, spec.m)
         if exact is None:
-            detail = f"more than {RAY_SUBSET_CAP} cone inequalities: face test skipped"
+            detail = budget_detail()
             for name in ("sosc", "sonc"):
                 checks[name] = ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd,
                                               detail=detail)

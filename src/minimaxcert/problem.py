@@ -352,8 +352,8 @@ def bundle_memo():
     """Inside the block, eval_bundle evaluates each distinct (spec, x, y) and
     upper.upper_data each distinct (spec, x) once, the Lagrangian and the
     recovered multipliers are computed once per bundle and distinct
-    (mu, lam) or tol_act, and every later caller gets the same read-only
-    result."""
+    (mu, lam) or tol_act, the cone face test's eigenpair once per distinct
+    (M, [E; F_S]), and every later caller gets the same read-only result."""
     token = _bundle_memo.set({})
     try:
         yield
@@ -363,9 +363,10 @@ def bundle_memo():
 
 def memoised(owner, key: tuple, compute):
     """compute(), or inside `bundle_memo` the result an earlier call with the
-    same owner (a spec, or a bundle for what is computed from it) and key got
-    from it.  The memo holds the owner, so its id stays valid.  A compute
-    that raises stores nothing."""
+    same owner (a spec, a bundle for what is computed from it, or the
+    function whose key holds all of its inputs) and key got from it.  The
+    memo holds the owner, so its id stays valid.  A compute that raises
+    stores nothing."""
     memo = _bundle_memo.get()
     if memo is None:
         return compute()

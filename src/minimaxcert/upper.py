@@ -26,7 +26,7 @@ from .conditions import (
     ConditionCheck,
 )
 from .config import CheckConfig
-from .cones import RAY_SUBSET_CAP, cone_contains, min_quadratic_on_cone
+from .cones import budget_detail, cone_contains, min_quadratic_on_cone
 from .linalg import LpProblem, smallest_singular_value, solve_lp
 from .lower import KktSolution
 from .nonsmooth import GeneralizedDerivativeSet, SelectorSweep, selector_sweep
@@ -195,18 +195,16 @@ def _outer_multiplier(data: UpperData, active: tuple[int, ...], r: np.ndarray,
                       tol_kkt: float, parts=None) -> tuple[np.ndarray, np.ndarray] | None:
     """One outer multiplier (u, v) for the gradient r, or None when there is
     none.  With no multiplier variables the zero multiplier serves when
-    max|r| <= tol_kkt; otherwise the zero-objective LP over (u, v_I) decides.
-    A non-finite r has none.  `parts` are r's `_lambda_lp_parts` when the
-    caller has them."""
+    max|r| <= tol_kkt; otherwise the zero-objective LP over (u, v_I) decides
+    (`solve_lp` finds a non-finite r infeasible).  `parts` are r's
+    `_lambda_lp_parts` when the caller has them."""
     A_eq, b_eq, lower, nvar = parts or _lambda_lp_parts(data, active, r)
     if nvar == 0:
         # written as `<=` so that a NaN fails it, as an inf does
         z = np.zeros(0) if float(np.max(np.abs(r), initial=0.0)) <= tol_kkt else None
-    elif np.all(np.isfinite(r)):  # solve_lp calls a NaN right-hand side feasible
+    else:
         sol = solve_lp(LpProblem(np.zeros(nvar), A_eq, b_eq, None, None, lower, None))
         z = sol.z if sol.status == "optimal" else None
-    else:
-        z = None
     return None if z is None else _split(z, data.JH.shape[0], active, data.JG.shape[0])
 
 
@@ -350,9 +348,10 @@ def _cone_curvature(spec, x, vd, poly, E, F):
     + sum v_i Gxx_i, which is at most q_sup; so the largest of their exact
     cone minima is a lower bound of min q_sup over unit cone directions, and
     the bound is exact when the polytope is a single point.  Returns None
-    above RAY_SUBSET_CAP, else (single point, lower bound, [(witness d,
-    q_sup(d))] over the quadratics' face witnesses); the bound is +inf and
-    the list empty on the trivial cone."""
+    when a face walk runs out of its budget (`cones.FACE_BUDGET`), else
+    (single point, lower bound, [(witness d, q_sup(d))] over the quadratics'
+    face witnesses); the bound is +inf and the list empty on the trivial
+    cone."""
     data = upper_data(spec, x)
     single = spec.n1 + len(poly.active) == 0 or (len(poly.vertices) == 1 and poly.bounded)
     lower, witnesses = -np.inf, []
@@ -375,7 +374,7 @@ def _cone_verdict(name, kind, test, threshold, config) -> ConditionCheck:
     `inconclusive`."""
     if test is None:
         return ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd, kind=kind,
-                              detail=f"more than {RAY_SUBSET_CAP} cone inequalities: face test skipped")
+                              detail=budget_detail())
     single, lower, witnesses = test
     if lower >= threshold:
         detail = ("critical cone is trivial" if lower == np.inf

@@ -1,10 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from minimaxcert import CheckConfig, check_jacobian_uniqueness
+from minimaxcert.cones import CONE_TOL, cone_contains
 from minimaxcert.expressions import Add, Const, Mul, Var, _children, _op_of
 from minimaxcert.fixtures import load_fixture
+from minimaxcert.linalg import nullspace_basis
 from minimaxcert.problem import ProblemSpec
 
 # property tests replay the same examples on every run and have no time limit
@@ -50,6 +54,32 @@ def evaluate(expr, x, y, strict=True):
         return x[expr.index] if expr.kind == "x" else y[expr.index]
     args = [evaluate(child, x, y, strict) for child in _children(expr)]
     return _op_of(expr)(expr, args[0], args[-1], strict)
+
+
+def brute_force_min_quadratic_on_cone(M, E, F, tol=1e-9):
+    """The exhaustive face loop: the bottom eigenpair of Z^T M Z on
+    Z = ker [E; F_S] for every one of the 2^|F| subsets S of F's rows,
+    smallest subsets first, keeping the least eigenvalue whose eigenvector
+    (either sign) lies in the cone.  (+inf, None) on the trivial cone.  It is
+    the reference the branch and bound of `min_quadratic_on_cone` is checked
+    against."""
+    best, witness = np.inf, None
+    for size in range(F.shape[0] + 1):
+        for subset in combinations(range(F.shape[0]), size):
+            Z = nullspace_basis(np.vstack([E, F[list(subset)]]), CONE_TOL)
+            if Z.shape[1] == 0:
+                continue
+            reduced = Z.T @ M @ Z
+            values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+            if values[0] >= best:
+                continue
+            v = Z @ vectors[:, 0]
+            v = v / np.linalg.norm(v)
+            for d in (v, 0.0 - v):
+                if cone_contains(E, F, d, tol):
+                    best, witness = float(values[0]), d
+                    break
+    return best, witness
 
 
 def xvar(i):

@@ -310,6 +310,75 @@ def test_sampled_sufficiency_counterexample_is_refuted_on_its_ray(n, config):
     assert abs(son.value + 2e-3) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [15, 20])
+def test_sampled_sufficiency_counterexample_is_refuted_at_large_n(n, config):
+    # the root face holds the ray, so the walk stops there however many rows
+    # the cone has (n + 1)
+    spec = _sampled_sufficiency_counterexample(n, 1e6)
+    rep = certify(spec, CandidatePoint([0.0] * n, [0.0]), config)
+    assert rep.verdict == VERDICT_REFUTED
+    for name in ("second_order_necessary", "second_order_sufficient"):
+        assert result(rep, name).status == VIOLATED
+
+
+def test_face_walk_stops_early_on_the_counterexample(config, monkeypatch):
+    # every cone test of the n = 13 counterexample visits at most n + 1 of
+    # the 2^(n + 1) faces
+    from minimaxcert import cones, upper
+
+    faces, per_test = [], []
+    face_minimum = cones._face_minimum
+    monkeypatch.setattr(cones, "_face_minimum", lambda *a: faces.append(a) or face_minimum(*a))
+    walk = upper.min_quadratic_on_cone
+
+    def counted(*args):
+        start = len(faces)
+        out = walk(*args)
+        per_test.append(len(faces) - start)
+        return out
+
+    monkeypatch.setattr(upper, "min_quadratic_on_cone", counted)
+    n = 13
+    rep = certify(_sampled_sufficiency_counterexample(n, 1e6),
+                  CandidatePoint([0.0] * n, [0.0]), config)
+    assert rep.verdict == VERDICT_REFUTED
+    assert len(per_test) == 2
+    assert max(per_test) <= n + 1
+
+
+def test_second_order_checks_share_only_equal_faces(config):
+    # phi = x1 + x2^2 with G1 = -x1 active and v1 = 1: the necessary cone
+    # {d1 <= 0, d1 >= 0} and the reduced cone {d1 = 0} are the same line,
+    # reached through different rows, and both checks read 2 on it; a face
+    # memo keyed on M alone would hand the reduced cone the whole plane's
+    # bottom eigenvector e1, which it does not contain
+    from minimaxcert.problem import parse_problem
+
+    spec = parse_problem("dims 2 1 0 0 0 1\nf = x1 + x2^2 - y1^2\nG1 = -x1\n")
+    rep = certify(spec, CandidatePoint([0.0, 0.0], [0.0]), config)
+    assert rep.verdict == VERDICT_CERTIFIED
+    for name in ("second_order_necessary", "second_order_sufficient"):
+        assert result(rep, name).value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_certified_smooth_candidate_runs_one_eigh(config, monkeypatch):
+    # no outer or inner constraints: the necessary cone's one row, grad phi
+    # = 0, is a zero row, so both second-order checks take the bottom eigenpair
+    # of hess(phi) on all of R^3 and share it through the memo
+    from minimaxcert.problem import parse_problem
+
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    spec = parse_problem("dims 3 1 0 0 0 0\nf = x1^2 + x2^2 + x3^2 + x1*x2 - y1^2\n")
+    rep = certify(spec, CandidatePoint([0.0] * 3, [0.0]), config)
+    assert rep.verdict == VERDICT_CERTIFIED
+    assert shapes == [(3, 3)]
+    necessary, sufficient = (result(rep, name) for name in
+                             ("second_order_necessary", "second_order_sufficient"))
+    assert necessary.value == sufficient.value
+
+
 # phi = x1 + c(x2, x3) with two outer constraints active at the origin along
 # the same gradient (-1, 0, ...): the multipliers form the segment v1 + v2 = 1,
 # the critical cone is {d1 = 0}, and the vertices (1, 0) and (0, 1) give two
@@ -368,16 +437,17 @@ def test_capped_polytope_solves_its_multiplier_lp_once(config, monkeypatch):
 
 
 def test_face_test_above_the_cap_is_inconclusive(config, monkeypatch):
-    # every critical cone below has more F rows than a cap of 0 allows
+    # a face budget of 0 leaves every face test below undecided
     from minimaxcert import cones
     from minimaxcert.problem import parse_problem
 
-    monkeypatch.setattr(cones, "RAY_SUBSET_CAP", 0)
+    monkeypatch.setattr(cones, "FACE_BUDGET", 0)
     rep = certify(_sampled_sufficiency_counterexample(2, 1e6),
                   CandidatePoint([0.0, 0.0], [0.0]), config)
     assert rep.verdict == VERDICT_INCONCLUSIVE
     for name in ("second_order_necessary", "second_order_sufficient"):
         assert result(rep, name).status == "inconclusive"
+        assert result(rep, name).detail == cones.budget_detail()
     rep = certify(parse_problem(CURVED_QUADRANT), CandidatePoint([0.0, 0.0], [0.0, 0.0]),
                   config)
     for name in ("lower_sosc", "lower_second_order_necessary"):

@@ -139,6 +139,24 @@ def test_lp_infeasible():
     assert solve_lp(p).status == "infeasible"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_lp_non_finite_equality_rhs_is_infeasible(value):
+    # -z = b has no solution when b is not a finite number
+    p = LpProblem(np.zeros(1), [[-1.0]], [value], None, None, [0.0], None)
+    sol = solve_lp(p)
+    assert (sol.status, sol.z) == ("infeasible", None)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_lp_nan_or_minus_inf_inequality_rhs_is_infeasible(value):
+    # z <= b holds for no z when b is NaN or -inf
+    p = LpProblem(np.zeros(1), None, None, [[1.0]], [value], [0.0], None)
+    sol = solve_lp(p)
+    assert (sol.status, sol.z) == ("infeasible", None)
+
+
 def test_lp_unbounded():
     p = LpProblem(c=[1.0], A_in=[[-1.0]], b_in=[0.0])
     assert solve_lp(p).status == "unbounded"
