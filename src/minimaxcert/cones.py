@@ -22,8 +22,8 @@ CONE_TOL = 1e-10
 # this many rows
 RAY_SUBSET_CAP = 14
 # min_quadratic_on_cone gives up (returns None) rather than visit more faces
-# than this: the full walk at RAY_SUBSET_CAP rows
-FACE_BUDGET = 2**14
+# than this
+FACE_BUDGET = 2**RAY_SUBSET_CAP
 
 
 def budget_detail() -> str:
@@ -111,28 +111,26 @@ def cone_rays(E: np.ndarray, F: np.ndarray, dim: int, tol: float = 1e-9) -> list
     return rays
 
 
-def _face_minimum(M: np.ndarray, M_key: tuple,
-                  rows: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """(lambda_min, unit bottom eigenvector) of d^T M d on ker rows, None when
-    the kernel is {0}.  Inside `bundle_memo` each distinct (M, rows) is
-    computed once, keyed on M_key = (M.shape, M.tobytes()), which a walk
-    builds once, and on the rows' shape and bytes; the eigenvector is
-    read-only."""
-    key = ("face", *M_key, rows.shape, rows.tobytes())
+def _face_minimum(M: np.ndarray, rows: np.ndarray,
+                  root: bool) -> tuple[float, np.ndarray] | None:
+    """(lambda_min, read-only unit bottom eigenvector) of d^T M d on ker rows,
+    None when the kernel is {0}.  Inside `bundle_memo` a root face (rows = E)
+    is computed once per distinct (M, E), keyed on their shapes and bytes, so
+    the necessary and sufficient checks share it; deeper faces are not kept,
+    so a walk adds one memo entry however many faces it visits."""
+    if not root:
+        return _bottom_eigenpair(M, rows)
+    key = ("face", M.shape, M.tobytes(), rows.shape, rows.tobytes())
     return memoised(_face_minimum, key, lambda: _bottom_eigenpair(M, rows))
 
 
 def _bottom_eigenpair(M: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray] | None:
-    if not np.any(rows):  # no rows, or only zero rows: the kernel is everything
-        values, vectors = np.linalg.eigh(0.5 * (M + M.T))
-        v = vectors[:, 0]
-    else:
-        Z = nullspace_basis(rows, CONE_TOL)
-        if Z.shape[1] == 0:
-            return None
-        reduced = Z.T @ M @ Z
-        values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
-        v = Z @ vectors[:, 0]
+    Z = nullspace_basis(rows, CONE_TOL)
+    if Z.shape[1] == 0:
+        return None
+    reduced = Z.T @ M @ Z
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    v = Z @ vectors[:, 0]
     v = v / np.linalg.norm(v)
     v.flags.writeable = False
     return float(values[0]), v
@@ -161,7 +159,6 @@ def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray, dim: int,
     E = _as_rows(E, dim)
     F = _as_rows(F, dim)
     M = np.asarray(M, dtype=float)
-    M_key = (M.shape, M.tobytes())
     best, witness = np.inf, None
     stack, visited = [()], 0
     while stack:
@@ -169,7 +166,7 @@ def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray, dim: int,
             return None
         visited += 1
         S = stack.pop()
-        face = _face_minimum(M, M_key, np.vstack([E, F[list(S)]]))
+        face = _face_minimum(M, np.vstack([E, F[list(S)]]), not S)
         if face is None or face[0] >= best:
             continue
         value, v = face

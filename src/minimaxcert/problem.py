@@ -352,8 +352,8 @@ def bundle_memo():
     """Inside the block, eval_bundle evaluates each distinct (spec, x, y) and
     upper.upper_data each distinct (spec, x) once, the Lagrangian and the
     recovered multipliers are computed once per bundle and distinct
-    (mu, lam) or tol_act, the cone face test's eigenpair once per distinct
-    (M, [E; F_S]), and every later caller gets the same read-only result."""
+    (mu, lam) or tol_act, the cone face walk's root eigenpair once per
+    distinct (M, E), and every later caller gets the same read-only result."""
     token = _bundle_memo.set({})
     try:
         yield

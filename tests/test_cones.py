@@ -149,6 +149,20 @@ def test_min_quadratic_on_cone_trivial_and_capped(monkeypatch):
     assert min_quadratic_on_cone(-np.eye(2), E, F, 2) is None
 
 
+def test_face_walk_memoises_only_its_root_face():
+    # the quadrant walk visits three faces, but only the root face stays in
+    # the memo, so a long walk does not grow the memo of a certify call
+    from minimaxcert.problem import _bundle_memo
+
+    M, quadrant = np.array([[0.0, 1.0], [1.0, 0.0]]), -np.eye(2)
+    with bundle_memo():
+        first = min_quadratic_on_cone(M, np.zeros((0, 2)), quadrant, 2)
+        assert len(_bundle_memo.get()) == 1
+        second = min_quadratic_on_cone(M, np.zeros((0, 2)), quadrant, 2)
+        assert len(_bundle_memo.get()) == 1
+    assert first[0] == second[0] == 0.0 and first[1].tobytes() == second[1].tobytes()
+
+
 def test_min_quadratic_on_cone_finds_a_thin_ray():
     # A*(x2 - 0.6 x1)^2 - 1e-3 |x|^2 on the quadrant: negative only on a
     # cone of angle ~1e-3 around the ray (1, 0.6)
