@@ -11,16 +11,19 @@ straight-line program (nodes are frozen dataclasses, so equal subexpressions
 are hash-consed into one instruction) and runs it in two modes: at a scalar
 point, into one flat vector (`certify`), or on broadcastable arrays, giving
 each expression's value shaped the way its operands broadcast (the oracle).
-A strict call at a scalar point runs on Python floats and calls numpy only
-for the functions and ^ (the same ufuncs, so the same values); the array
-mode and non-strict scalar calls run the numpy kernels.
+The scalar mode is strict: it runs on Python floats, calls numpy only for
+the functions and ^ (the same ufuncs, so the same values), and raises
+DomainError where a value leaves its domain.  The array mode is permissive:
+it runs the numpy kernels and lets NaN and inf through.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -107,63 +110,37 @@ FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt", "abs", "sign")
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# Each operation's arithmetic lives in one function op(expr, a, b, strict) of
-# its operand values (unary ops ignore b), for scalars and arrays alike.
-# strict=True raises DomainError on log/sqrt/power/division violations;
-# strict=False lets NaN/inf flow through (the grid oracle masks them).
-#
-# The strict scalar mode runs on Python floats (the `_FLOAT_*` tables): the
-# same IEEE + - * and negation, float comparisons for the domain tests, and
-# the same numpy ufunc for every function and ^.  Only a NaN's sign and
-# payload where two NaN operands meet may differ from a run on numpy
-# scalars: IEEE 754 leaves them unspecified, and CPython's specialised float
-# ops pass on the other operand's NaN.
+# Each operation has two kernels, functions of its operand values (unary ops
+# ignore the second).  The numpy kernels serve the array mode and let NaN and
+# inf flow through a domain violation (the grid oracle masks them).  The
+# float kernels serve the scalar mode on Python floats and raise DomainError
+# on log/sqrt/power/division violations: the same IEEE + - * and negation,
+# float comparisons for the domain tests, and the same numpy ufunc for every
+# function and ^.  Only a NaN's sign and payload where two NaN operands meet
+# may differ from a run on numpy scalars: IEEE 754 leaves them unspecified,
+# and CPython's specialised float ops pass on the other operand's NaN.
 
 
-def _div(expr, num, den, strict):
-    if strict and np.any(den == 0):
-        raise DomainError("division by zero", expr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den
+def _quiet(f):
+    """The numpy kernel f with numpy's divide and invalid warnings off."""
+    def kernel(a, b):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return f(a, b)
+    return kernel
 
 
-def _pow(expr, base, exponent, strict):
-    if strict:
-        exp_arr = np.asarray(exponent, dtype=float)
-        base_arr = np.asarray(base, dtype=float)
-        integral = np.all(exp_arr == np.round(exp_arr))
-        if not integral and np.any(base_arr < 0):
-            raise DomainError("negative base with non-integer exponent", expr)
-        if np.any((base_arr == 0) & (exp_arr < 0)):
-            raise DomainError("zero base with negative exponent", expr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.power(base, exponent)
+# The float kernels that test a domain take first the node they name in a
+# DomainError, bound when the tape is compiled.  What passes their domain
+# tests raises no divide-by-zero or invalid flag in numpy, so they need no
+# errstate block.
 
-
-def _log(expr, val, _, strict):
-    if strict and np.any(np.asarray(val) <= 0):
-        raise DomainError("log of a non-positive value", expr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(val)
-
-
-def _sqrt(expr, val, _, strict):
-    if strict and np.any(np.asarray(val) < 0):
-        raise DomainError("sqrt of a negative value", expr)
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(val)
-
-
-# The strict float kernels.  What passes their domain tests raises no
-# divide-by-zero or invalid flag in numpy, so they need no errstate block.
-
-def _div_float(expr, num, den, strict):
+def _div_float(expr, num, den):
     if den == 0:
         raise DomainError("division by zero", expr)
     return num / den
 
 
-def _pow_float(expr, base, exponent, strict):
+def _pow_float(expr, base, exponent):
     e = float(exponent)
     # numpy's test, e == round(e), holds for the integers and for +-inf
     if base < 0 and not (e.is_integer() or math.isinf(e)):
@@ -173,46 +150,42 @@ def _pow_float(expr, base, exponent, strict):
     return float(np.power(base, exponent))
 
 
-def _log_float(expr, val, _, strict):
+def _log_float(expr, val, _):
     if val <= 0:
         raise DomainError("log of a non-positive value", expr)
     return float(np.log(val))
 
 
-def _sqrt_float(expr, val, _, strict):
+def _sqrt_float(expr, val, _):
     if val < 0:
         raise DomainError("sqrt of a negative value", expr)
     return float(np.sqrt(val))
 
 
 def _ufunc(f):
-    return lambda expr, val, _, strict: f(val)
+    return lambda val, _: f(val)
 
 
 def _ufunc_float(f):
-    return lambda expr, val, _, strict: float(f(val))
+    return lambda val, _: float(f(val))
 
 
 # the functions defined everywhere need no domain test
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sign": np.sign}
-_OPS = {
-    Add: lambda expr, a, b, strict: a + b,
-    Sub: lambda expr, a, b, strict: a - b,
-    Mul: lambda expr, a, b, strict: a * b,
-    Div: _div,
-    Pow: _pow,
-    Neg: lambda expr, val, _, strict: -val,
-}
+_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+        Div: _quiet(operator.truediv), Pow: _quiet(np.power), Neg: lambda val, _: -val}
 _FUNCTION_OPS = {**{name: _ufunc(f) for name, f in _UFUNCS.items()},
-                 "log": _log, "sqrt": _sqrt}
+                 "log": _quiet(_ufunc(np.log)), "sqrt": _quiet(_ufunc(np.sqrt))}
 _FLOAT_OPS = {**_OPS, Div: _div_float, Pow: _pow_float}
 _FLOAT_FUNCTION_OPS = {**{name: _ufunc_float(f) for name, f in _UFUNCS.items()},
                        "log": _log_float, "sqrt": _sqrt_float}
+_DOMAIN_TESTED = (_div_float, _pow_float, _log_float, _sqrt_float)
 
 
 def _op_of(expr: Expr, floats: bool = False):
     """The function that applies expr's own operation to its operand values:
-    the strict float kernel when `floats`, else the numpy one."""
+    the float kernel, with expr bound when it tests a domain, when `floats`,
+    else the numpy one."""
     kind = type(expr)
     if kind is Func:
         op = (_FLOAT_FUNCTION_OPS if floats else _FUNCTION_OPS).get(expr.name)
@@ -220,7 +193,7 @@ def _op_of(expr: Expr, floats: bool = False):
         op = (_FLOAT_OPS if floats else _OPS).get(kind)
     if op is None:
         raise TypeError(f"unknown node {expr!r}")
-    return op
+    return partial(op, expr) if op in _DOMAIN_TESTED else op
 
 
 def _intern(node: Expr, seen: dict, index: dict, nodes: list) -> int:
@@ -290,13 +263,14 @@ class Tape:
     constants are never computed there: their values sit in a template that
     each call copies.
 
-    Each instruction carries two kernels, picked in the one compile loop.  A
-    strict scalar call loads x and y as Python floats and runs the float
+    Each entry point has one mode, and its own code, compiled in the one
+    loop.  `__call__` loads x and y as Python floats and runs the float
     kernels: + - * and negation are plain float arithmetic, the domain tests
-    of /, ^, log and sqrt are float comparisons, and every function and ^
-    calls the same numpy ufunc as the numpy kernel, so values (up to the
-    sign and payload of a NaN) and DomainErrors are those of a run on numpy
-    scalars.  `arrays` and non-strict scalar calls run the numpy kernels.
+    of /, ^, log and sqrt are float comparisons that raise DomainError, and
+    every function and ^ calls the same numpy ufunc as the numpy kernel, so
+    values (up to the sign and payload of a NaN) are those of a run on numpy
+    scalars.  `arrays` runs the numpy kernels, which raise no DomainError: a
+    value outside a domain comes out NaN or inf.
     """
 
     def __init__(self, exprs, positions=None):
@@ -316,47 +290,47 @@ class Tape:
         # constants are preset, variables loaded, and operations computed in order
         self._init: list = [None] * (max(slot, default=-1) + 1)
         self._loads: dict[str, list] = {"x": [], "y": []}
-        self._code: list = []  # ((numpy kernel, float kernel), node, slot, operand slots)
+        self._float_code: list = []  # (float kernel, slot, operand slots)
+        self._array_code: list = []  # (numpy kernel, slot, operand slots)
         for (node, args), s in zip(nodes, slot):
             if args:
-                kernels = (_op_of(node), _op_of(node, floats=True))
-                self._code.append((kernels, node, s, slot[args[0]], slot[args[-1]]))
+                operands = (s, slot[args[0]], slot[args[-1]])
+                self._float_code.append((_op_of(node, floats=True), *operands))
+                self._array_code.append((_op_of(node), *operands))
             elif type(node) is Var:
                 self._loads[node.kind].append((s, node.index))
             else:
                 self._init[s] = node.value
 
-    def _run(self, x, y, strict: bool, floats: bool = False) -> list:
-        """The slot values after every instruction ran, with the strict float
-        kernels when `floats` (x and y then hold Python floats)."""
+    def _run(self, x, y, code: list) -> list:
+        """The slot values after every instruction of `code` ran."""
         vals = list(self._init)
         for s, i in self._loads["x"]:
             vals[s] = x[i]
         for s, i in self._loads["y"]:
             vals[s] = y[i]
-        k = int(floats)
-        for kernels, expr, i, a, b in self._code:
-            vals[i] = kernels[k](expr, vals[a], vals[b], strict)
+        for kernel, i, a, b in code:
+            vals[i] = kernel(vals[a], vals[b])
         return vals
 
-    def __call__(self, x, y, strict: bool = True) -> np.ndarray:
-        """The flat output vector at the scalar point (x, y).  A strict call
-        runs on Python floats; a non-strict one on numpy scalars."""
-        if strict:
-            x = np.asarray(x, dtype=float).tolist()
-            y = np.asarray(y, dtype=float).tolist()
-        vals = self._run(x, y, strict, floats=strict)
+    def __call__(self, x, y) -> np.ndarray:
+        """The flat output vector at the scalar point (x, y), run on Python
+        floats; raises DomainError where a value leaves its domain."""
+        x = np.asarray(x, dtype=float).tolist()
+        y = np.asarray(y, dtype=float).tolist()
+        vals = self._run(x, y, self._float_code)
         out = self.template.copy()
         out[self._out_pos] = [vals[s] for s in self._out_slot]
         return out
 
-    def arrays(self, x, y, strict: bool = True) -> list:
+    def arrays(self, x, y) -> list:
         """The output entries as a list, in the order of `__call__`'s vector,
         where the entries of x and y may be scalars or broadcastable arrays
         (the grid oracle passes x entries as (rows, 1) columns and y entries
         as (1, Y) rows).  A constant entry is its float; any other is shaped
-        the way its operands broadcast."""
-        vals = self._run(x, y, strict)
+        the way its operands broadcast.  No DomainError is raised: a value
+        outside a domain is NaN or inf."""
+        vals = self._run(x, y, self._array_code)
         out = self.template.tolist()
         for pos, s in zip(self._out_pos.tolist(), self._out_slot):
             out[pos] = vals[s]

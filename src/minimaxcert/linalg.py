@@ -254,10 +254,14 @@ def nullspace_basis(A: np.ndarray, tol: float) -> np.ndarray:
 
 
 def smallest_singular_value(A: np.ndarray) -> float:
-    """sigma_min of A; +inf for an empty matrix (vacuous rank conditions)."""
+    """The row-rank margin of A: its least singular value, 0.0 when A has more
+    rows than columns (its rows are then dependent), and +inf for an empty
+    matrix (vacuous rank conditions)."""
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return np.inf
+    if A.shape[0] > A.shape[1]:
+        return 0.0
     return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 

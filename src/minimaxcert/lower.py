@@ -195,7 +195,7 @@ class RecoveredMultipliers:
     residual: float
     licq_sigma_min: float
     active: tuple[int, ...]
-    is_kkt: bool
+    admissible: bool  # feasible, no multiplier below -tol_act; lam then clipped at 0
     detail: str = ""
 
 
@@ -241,14 +241,12 @@ def _recover_multipliers(spec: ProblemSpec, bundle: DerivativeBundle,
         for j, i in enumerate(active):
             lam[i] = z[spec.m1 + j]
     sigma = licq_sigma(bundle, tuple(active))
-    _, norm = kkt_residual_from_bundle(bundle, mu, lam)
     neg = float(np.min(lam[active], initial=0.0)) if active else 0.0
-    is_kkt = norm <= tol_act and neg >= -tol_act and not feas_notes
-    detail = "; ".join(feas_notes)
     if neg < -tol_act:
-        detail = (detail + "; " if detail else "") + "negative recovered multiplier"
-    if is_kkt:
+        feas_notes.append("negative recovered multiplier")
+    elif not feas_notes:
         lam = np.maximum(lam, 0.0)
+    _, norm = kkt_residual_from_bundle(bundle, mu, lam)
     mu.flags.writeable = lam.flags.writeable = False
     return RecoveredMultipliers(
         mu=mu,
@@ -256,8 +254,8 @@ def _recover_multipliers(spec: ProblemSpec, bundle: DerivativeBundle,
         residual=norm,
         licq_sigma_min=sigma,
         active=tuple(active),
-        is_kkt=is_kkt,
-        detail=detail,
+        admissible=not feas_notes,
+        detail="; ".join(feas_notes),
     )
 
 
@@ -306,20 +304,22 @@ def check_jacobian_uniqueness(
     lam = np.zeros(spec.m2) if lam is None else np.asarray(lam, dtype=float).reshape(-1)
     checks: dict[str, ConditionCheck] = {}
     _, norm = kkt_residual_from_bundle(bundle, mu, lam)
-    kkt_ok = norm <= config.tol_kkt
-    checks["kkt"] = ConditionCheck(
-        "kkt", SATISFIED if kkt_ok else VIOLATED, norm, config.tol_kkt
-    )
-    if not kkt_ok:
+    # a residual within tol_kkt may still leave a sign outside tol_act
+    partition, why, detail = None, "kkt residual too large", ""
+    if norm <= config.tol_kkt:
+        try:
+            partition = classify_partition(bundle.g, lam, config.tol_act)
+        except PartitionError as exc:
+            why = detail = f"no active-set partition: {exc}"
+    checks["kkt"] = ConditionCheck("kkt", VIOLATED if partition is None else SATISFIED, norm,
+                                   config.tol_kkt, detail=detail)
+    if partition is None:
         for name in ("licq", "strict_complementarity", "sosc"):
-            checks[name] = ConditionCheck(
-                name, INCONCLUSIVE, None, None, detail="kkt residual too large"
-            )
+            checks[name] = ConditionCheck(name, INCONCLUSIVE, None, None, detail=why)
         checks["sonc"] = ConditionCheck("sonc", SKIPPED, None, config.tol_pd,
                                         detail="no KKT point")
         return LowerConditionsReport(checks=checks, mu=mu, lam=lam)
 
-    partition = classify_partition(bundle.g, lam, config.tol_act)
     sigma = licq_sigma(bundle, partition.active)
     checks["licq"] = ConditionCheck(
         "licq", SATISFIED if sigma >= config.tol_licq else VIOLATED, sigma, config.tol_licq
@@ -370,11 +370,9 @@ def check_assumption_a(
     bundle = eval_bundle(spec, x, y)
     rec = recover_multipliers(spec, x, y, config.tol_act)
     checks: dict[str, ConditionCheck] = {}
+    exist = rec.admissible and rec.residual <= config.tol_kkt
     checks["multipliers_exist"] = ConditionCheck(
-        "multipliers_exist",
-        SATISFIED if rec.is_kkt else VIOLATED,
-        rec.residual,
-        config.tol_kkt,
+        "multipliers_exist", SATISFIED if exist else VIOLATED, rec.residual, config.tol_kkt,
         detail=rec.detail,
     )
     checks["licq"] = ConditionCheck(
@@ -385,7 +383,7 @@ def check_assumption_a(
     )
     partition = None
     cone = None
-    if rec.is_kkt:
+    if exist:
         partition = classify_partition(bundle.g, rec.lam, config.tol_act)
         lag = lagrangian_eval(bundle, rec.mu, rec.lam)
         cone = critical_cone_lower(spec, x, y, rec.mu, rec.lam, partition, config.tol_kkt)

@@ -135,7 +135,7 @@ def _masked_argmax(spec: ProblemSpec, x, ys, rows: int, feas_tol: float):
     so the inner tape broadcasts h, g and f to (rows, Y).  Non-finite and
     infeasible values become -inf, and np.argmax takes the first maximum.
     Returns per row the argmax k, its value and the feasible count."""
-    *constraints, fvals = spec._oracle_tapes[0].arrays(x, ys, strict=False)
+    *constraints, fvals = spec._oracle_tapes[0].arrays(x, ys)
     feas = np.broadcast_to(_feasible(constraints, spec.m1, feas_tol),
                            (rows, ys[0].shape[1]))
     fvals = np.asarray(fvals, dtype=float)
@@ -233,7 +233,7 @@ def verify_minimax_definition(
 
         # right inequality: f(x*, y*) <= max f(x, .) over the eta ball
         xs = _mesh(_axis_grid(x_star, delta, npts(delta)))
-        xfeas = np.broadcast_to(_feasible(outer.arrays(xs, np.zeros(spec.m), strict=False),
+        xfeas = np.broadcast_to(_feasible(outer.arrays(xs, np.zeros(spec.m)),
                                           spec.n1, grid.feas_tol), xs[0].shape)
         if not np.any(xfeas):
             report.notes.append(f"delta={delta:g}: empty feasible x-grid")

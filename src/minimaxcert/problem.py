@@ -350,7 +350,8 @@ _bundle_memo: ContextVar[dict | None] = ContextVar("bundle_memo", default=None)
 @contextmanager
 def bundle_memo():
     """Inside the block, eval_bundle evaluates each distinct (spec, x, y) and
-    upper.upper_data each distinct (spec, x) once, the Lagrangian and the
+    upper.upper_data each distinct (spec, x) once, upper.check_mfcq checks
+    each distinct (spec, x, tol_act, tol_mfcq) once, the Lagrangian and the
     recovered multipliers are computed once per bundle and distinct
     (mu, lam) or tol_act, the cone face walk's root eigenpair once per
     distinct (M, E), and every later caller gets the same read-only result."""

@@ -85,8 +85,16 @@ class MfcqResult:
 
 def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> MfcqResult:
     """Full-rank equality Jacobian plus a strictly feasible direction, found by
-    LP: maximize t s.t. JH d = 0, dG_i . d + t <= 0 (active i), |d|_inf <= 1."""
+    LP: maximize t s.t. JH d = 0, dG_i . d + t <= 0 (active i), |d|_inf <= 1.
+    Inside `bundle_memo` each distinct (x, tol_act, tol_mfcq) is checked once
+    and the result shared."""
     config = config or CheckConfig()
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return memoised(spec, ("mfcq", x.tobytes(), config.tol_act, config.tol_mfcq),
+                    lambda: _check_mfcq(spec, x, config))
+
+
+def _check_mfcq(spec: ProblemSpec, x: np.ndarray, config: CheckConfig) -> MfcqResult:
     data = upper_data(spec, x)
     aset = compute_upper_active_set(spec, x, config.tol_act)
     if not aset.feasible:
@@ -218,7 +226,7 @@ def _basic_multipliers(parts, n1: int, active: tuple[int, ...], n2: int):
         for subset in combinations(range(n1, nvar), size):
             cols = [*range(n1), *subset]
             M = A_eq[:, cols]
-            if M.shape[1] > M.shape[0] or smallest_singular_value(M) < 1e-10:
+            if smallest_singular_value(M.T) < 1e-10:
                 continue  # columns dependent: not a basic solution
             z = np.zeros(nvar)
             if cols:
@@ -238,8 +246,13 @@ def _basic_multipliers(parts, n1: int, active: tuple[int, ...], n2: int):
 def upper_kkt_and_polytope(
     spec: ProblemSpec, x, working_grad: np.ndarray, config: CheckConfig | None = None
 ) -> LambdaPolytope:
-    """Emptiness and `point` by one `_outer_multiplier` solve; boundedness by
-    the coordinate LPs; vertices by basis enumeration when small."""
+    """Emptiness and `point` by one `_outer_multiplier` solve; boundedness
+    from MFCQ; vertices by basis enumeration when small.
+
+    A nonempty polytope is bounded exactly when its recession cone
+    {(u, v_I): JH^T u + JG_I^T v = 0, v >= 0} is {0}, and by Motzkin's
+    transposition theorem that holds exactly when JH has full row rank and
+    some d has JH d = 0 and JG_I d < 0, which is MFCQ at x (Gauvin 1977)."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
     active = compute_upper_active_set(spec, x, config.tol_act).I
@@ -251,13 +264,8 @@ def upper_kkt_and_polytope(
     if point is None:
         return poly
 
-    # boundedness: every coordinate extreme must be a bounded LP
-    A_eq, b_eq, lower, nvar = parts
-    poly.bounded = all(
-        solve_lp(LpProblem(np.where(np.arange(nvar) == j, sgn, 0.0), A_eq, b_eq,
-                           None, None, lower, None)).status != "unbounded"
-        for j in range(nvar) for sgn in (1.0, -1.0)
-    )
+    poly.bounded = check_mfcq(spec, x, config).check.ok
+    nvar = parts[3]
     if nvar > config.vertex_enum_cap:
         poly.enum_capped = True
     else:

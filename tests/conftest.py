@@ -6,9 +6,20 @@ from hypothesis import settings
 
 from minimaxcert import CheckConfig, check_jacobian_uniqueness
 from minimaxcert.cones import CONE_TOL, cone_contains
-from minimaxcert.expressions import Add, Const, Mul, Var, _children, _op_of
+from minimaxcert.expressions import (
+    Add,
+    Const,
+    Div,
+    DomainError,
+    Func,
+    Mul,
+    Pow,
+    Var,
+    _children,
+    _op_of,
+)
 from minimaxcert.fixtures import load_fixture
-from minimaxcert.linalg import nullspace_basis
+from minimaxcert.linalg import LpProblem, nullspace_basis, solve_lp
 from minimaxcert.problem import ProblemSpec
 
 # property tests replay the same examples on every run and have no time limit
@@ -42,18 +53,41 @@ def config():
     return CheckConfig()
 
 
+def check_domain(expr, a, b):
+    """The numpy domain tests of expr's own operation on its operand values
+    (scalars or arrays; unary ops ignore b): DomainError when any entry
+    leaves the domain of /, ^, log or sqrt."""
+    kind = type(expr)
+    if kind is Div and np.any(b == 0):
+        raise DomainError("division by zero", expr)
+    if kind is Pow:
+        exp_arr = np.asarray(b, dtype=float)
+        base_arr = np.asarray(a, dtype=float)
+        if not np.all(exp_arr == np.round(exp_arr)) and np.any(base_arr < 0):
+            raise DomainError("negative base with non-integer exponent", expr)
+        if np.any((base_arr == 0) & (exp_arr < 0)):
+            raise DomainError("zero base with negative exponent", expr)
+    if kind is Func and expr.name == "log" and np.any(np.asarray(a) <= 0):
+        raise DomainError("log of a non-positive value", expr)
+    if kind is Func and expr.name == "sqrt" and np.any(np.asarray(a) < 0):
+        raise DomainError("sqrt of a negative value", expr)
+
+
 def evaluate(expr, x, y, strict=True):
     """The recursive tree walk: evaluate expr at (x, y), operands left to
     right, where the entries of x and y may be scalars or broadcastable
-    arrays.  It applies the package's per-operation functions node by node,
-    and is the reference the compiled Tape is checked against."""
+    arrays.  It applies the package's numpy kernels node by node, after the
+    numpy domain tests when `strict`, and is the reference the compiled Tape
+    is checked against: strict for its scalar mode, not for its array mode."""
     kind = type(expr)
     if kind is Const:
         return expr.value
     if kind is Var:
         return x[expr.index] if expr.kind == "x" else y[expr.index]
     args = [evaluate(child, x, y, strict) for child in _children(expr)]
-    return _op_of(expr)(expr, args[0], args[-1], strict)
+    if strict:
+        check_domain(expr, args[0], args[-1])
+    return _op_of(expr)(args[0], args[-1])
 
 
 def brute_force_min_quadratic_on_cone(M, E, F, tol=1e-9):
@@ -80,6 +114,21 @@ def brute_force_min_quadratic_on_cone(M, E, F, tol=1e-9):
                     best, witness = float(values[0]), d
                     break
     return best, witness
+
+
+def coordinate_lp_bounded(poly):
+    """Boundedness of a nonempty multiplier polytope by its 2 (n1 + |I|)
+    coordinate LPs: every min and max of one coordinate of (u, v_I) over
+    {JH^T u + JG_I^T v = -r0, v >= 0} is a bounded LP.  It is the reference
+    the MFCQ reading of `upper_kkt_and_polytope` is checked against."""
+    A_eq = np.hstack([poly.JH.T, poly.JG[list(poly.active)].T])
+    n1, nvar = poly.JH.shape[0], A_eq.shape[1]
+    lower = np.concatenate([np.full(n1, -np.inf), np.zeros(nvar - n1)])
+    return all(
+        solve_lp(LpProblem(np.where(np.arange(nvar) == j, sgn, 0.0), A_eq, -poly.r0,
+                           None, None, lower, None)).status != "unbounded"
+        for j in range(nvar) for sgn in (1.0, -1.0)
+    )
 
 
 def xvar(i):

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimaxcert import (
     CandidatePoint,
@@ -421,10 +424,11 @@ def test_capped_vertex_enumeration_uses_one_lp_multiplier(config):
 
 
 def test_capped_polytope_solves_its_multiplier_lp_once(config, monkeypatch):
-    # one certify of the capped n = 2 counterexample runs 8 upper-level LPs:
-    # the MFCQ direction LP, the polytope's one multiplier LP, 4 coordinate
-    # LPs for boundedness and one curvature LP per second-order check; the
-    # two checks read the polytope's LP point instead of solving for it again
+    # one certify of the capped n = 2 counterexample runs 4 upper-level LPs:
+    # the MFCQ direction LP, which also decides the polytope's boundedness,
+    # the polytope's one multiplier LP and one curvature LP per second-order
+    # check; the two checks read the polytope's LP point instead of solving
+    # for it again
     from minimaxcert import upper
 
     calls = []
@@ -433,7 +437,7 @@ def test_capped_polytope_solves_its_multiplier_lp_once(config, monkeypatch):
     rep = certify(_sampled_sufficiency_counterexample(2, 1e6),
                   CandidatePoint([0.0, 0.0], [0.0]), config.replace(vertex_enum_cap=1))
     assert rep.verdict == VERDICT_REFUTED
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 def test_face_test_above_the_cap_is_inconclusive(config, monkeypatch):
@@ -611,10 +615,10 @@ def test_bundle_evaluated_once_per_point_per_call(config, monkeypatch):
     runs, frozen = [], []
     run_tape = Tape.__call__
 
-    def counting_run(tape, x, y, strict=True):
+    def counting_run(tape, x, y):
         if tape is spec._bundle_program.tape:
             runs.append(x.tobytes() + y.tobytes())
-        return run_tape(tape, x, y, strict)
+        return run_tape(tape, x, y)
 
     def checking_bundle(spec, x, y):
         bundle = eval_bundle(spec, x, y)
@@ -853,6 +857,116 @@ def test_other_value_errors_still_surface(config, p1, monkeypatch):
     monkeypatch.setattr(sys.modules["minimaxcert.certify"], "classify_path", broken)
     with pytest.raises(ValueError, match="not an evaluation failure"):
         certify(p1, CandidatePoint([0.0], [0.0]), config)
+
+
+# --- soundness and totality probes -------------------------------------------------
+
+# dims 1 1 0 2 0 0 with g1 = g2 = -y1: two active rows in one y
+TWIN_ROWS_TEXT = "dims 1 1 0 2 0 0\nf = -(y1 - x1)^2\ng1 = -y1\ng2 = -y1\n"
+
+
+@pytest.mark.parametrize("text, x, y, tols, verdict, code", [
+    # Y(x) = {0}, so phi = x^2 and the origin is local minimax (the oracle
+    # agrees); two active rows in one y leave LICQ failing, so the KKT
+    # violation is no disproof
+    pytest.param("dims 1 1 0 2 0 0\nf = y1 + x1^2\ng1 = y1^2\ng2 = -y1\n", "0", "0", {},
+                 VERDICT_INCONCLUSIVE, 3, id="licq-rows-exceed-y"),
+    # two outer equalities on one x: MFCQ fails, and {x = 0} is the whole
+    # feasible set
+    pytest.param("dims 1 1 0 0 2 0\nf = -y1^2 + x1^2\nH1 = x1\nH2 = 2*x1\n", "0", "0", {},
+                 VERDICT_CERTIFIED, 0, id="mfcq-rows-exceed-x"),
+    # least squares gives lam = -1e-8 twice, within tol_act; clipped to 0
+    # the residual is 2e-8, so no multipliers exist at tol_kkt
+    pytest.param(TWIN_ROWS_TEXT, "0", "-1e-8", {}, VERDICT_INCONCLUSIVE, 3,
+                 id="clipped-residual"),
+    pytest.param(TWIN_ROWS_TEXT, "0", "-5e-9", {}, VERDICT_INCONCLUSIVE, 3,
+                 id="clipped-within"),
+    # P1 off its maximiser by 1e-7, inside tol_act, outside tol_kkt
+    pytest.param("P1", "0", "1e-7", {"tol_act": 1e-6, "tol_kkt": 1e-9}, VERDICT_REFUTED, 2,
+                 id="P1-tight-kkt"),
+    # lam = -2e-9 is within tol_kkt and below -tol_act: y = 0 is not the
+    # inner maximiser y = x
+    pytest.param("P2", "-1e-9", "0", {"tol_act": 1e-10, "tol_kkt": 1e-8}, VERDICT_REFUTED, 2,
+                 id="P2-tight-act"),
+])
+def test_probe_verdicts_and_exit_codes(text, x, y, tols, verdict, code, tmp_path):
+    from minimaxcert.cli import main
+    from minimaxcert.fixtures import FIXTURE_NAMES, fixture_text
+
+    prob, out, cfg = tmp_path / "p.prob", tmp_path / "r.json", tmp_path / "c.cfg"
+    prob.write_text(fixture_text(text) if text in FIXTURE_NAMES else text, encoding="utf-8")
+    cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in tols.items()), encoding="utf-8")
+    argv = ["certify", str(prob), f"--x={x}", f"--y={y}", "--config", str(cfg),
+            "--json", str(out)]
+    assert main(argv) == code
+    assert json.loads(out.read_text())["verdict"] == verdict
+
+
+def test_licq_probe_passes_the_oracle(config):
+    from minimaxcert.oracle import verify_minimax_definition
+    from minimaxcert.problem import parse_problem
+
+    spec = parse_problem("dims 1 1 0 2 0 0\nf = y1 + x1^2\ng1 = y1^2\ng2 = -y1\n")
+    assert verify_minimax_definition(spec, [0.0], [0.0], config.oracle_grid()).passed
+
+
+@st.composite
+def _small_problems(draw):
+    """Problem text with n, m <= 2: a concave-in-y quadratic f with small
+    integer coefficients, and affine h, g, H, G rows through or near the
+    origin, where a row may repeat, negate or double an earlier one."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    m1 = draw(st.integers(0, m - 1))
+    m2, n1, n2 = (draw(st.integers(0, 2)) for _ in range(3))
+    xs, ys = [f"x{i + 1}" for i in range(n)], [f"y{i + 1}" for i in range(m)]
+    coef = st.integers(-2, 2)
+
+    def linear(names):
+        terms = [f"{draw(coef)}*{v}" for v in names]
+        return " + ".join(terms)
+
+    L = np.array(draw(st.lists(coef, min_size=m * m, max_size=m * m))).reshape(m, m)
+    Q = -(L @ L.T)
+    f = [f"{Q[i, j] / 2}*{ys[i]}*{ys[j]}" for i in range(m) for j in range(m)]
+    f += [f"{draw(coef)}*{u}*{v}" for u in ys for v in xs]
+    f += [f"{draw(coef) / 2}*{u}*{v}" for u in xs for v in xs]
+    lines = [f"dims {n} {m} {m1} {m2} {n1} {n2}", "f = " + " + ".join(f)]
+    for family, count, names in (("h", m1, ys + xs), ("g", m2, ys + xs),
+                                 ("H", n1, xs), ("G", n2, xs)):
+        rows: list[str] = []
+        for k in range(count):
+            if rows and draw(st.booleans()):
+                row = f"{draw(st.sampled_from(['', '-', '2*']))}({draw(st.sampled_from(rows))})"
+            else:
+                row = f"{linear(names)} - {draw(st.sampled_from([0, 0, 1]))}"
+            rows.append(row)
+            lines.append(f"{family}{k + 1} = {row}")
+    offsets = st.floats(-1e-7, 1e-7) | st.just(0.0)
+    x = draw(st.lists(offsets, min_size=n, max_size=n))
+    y = draw(st.lists(offsets, min_size=m, max_size=m))
+    return "\n".join(lines) + "\n", x, y
+
+
+_TOLERANCES = ("tol_act", "tol_kkt", "tol_licq", "tol_sc", "tol_pd", "tol_mfcq")
+
+
+@settings(max_examples=300)
+@given(problem=_small_problems(),
+       exponents=st.lists(st.floats(-10, -6), min_size=6, max_size=6))
+def test_certify_is_total(problem, exponents):
+    """Every candidate yields a report that serialises canonically, at the
+    default tolerances and at tolerances drawn log-uniformly in 1e-10..1e-6;
+    a failure is an `error` check, never an exception."""
+    from minimaxcert.problem import parse_problem
+
+    text, x, y = problem
+    spec = parse_problem(text)
+    custom = CheckConfig(**{k: 10.0**e for k, e in zip(_TOLERANCES, exponents)})
+    for config in (CheckConfig(), custom):
+        rep = certify(spec, CandidatePoint(x, y), config)
+        doc = json.loads(dumps_canonical(report_to_doc(rep)))
+        assert doc["verdict"] == rep.verdict in (VERDICT_CERTIFIED, VERDICT_NECESSARY,
+                                                 VERDICT_REFUTED, VERDICT_INCONCLUSIVE)
 
 
 # --- large second derivatives: Hessians are symmetric by construction -------------

@@ -267,24 +267,26 @@ def _nan_bits(v):
 
 @settings(max_examples=300)
 @given(_entries(), st.lists(_COORDS, min_size=3, max_size=3),
-       st.lists(_COORDS, min_size=2, max_size=2), _grids(), st.booleans())
-def test_tape_matches_tree_walk_bit_for_bit(entries, x, y, grids, strict):
-    """Bit for bit, with any NaN compared as NaN (see `_array_bits`)."""
+       st.lists(_COORDS, min_size=2, max_size=2), _grids())
+def test_tape_matches_tree_walk_bit_for_bit(entries, x, y, grids):
+    """Bit for bit, with any NaN compared as NaN (see `_array_bits`): the
+    scalar mode against the strict walk, the array mode against the
+    permissive one."""
     x, y = np.array(x), np.array(y)
     xs, ys = grids
     tape = Tape(entries)
 
     def walk():
-        return [_nan_bits(evaluate(e, x, y, strict)) for e in entries]
+        return [_nan_bits(evaluate(e, x, y, True)) for e in entries]
 
     def scalar():
-        return [_nan_bits(v) for v in tape(x, y, strict)]
+        return [_nan_bits(v) for v in tape(x, y)]
 
     def walk_arrays():
-        return [_array_bits(evaluate(e, xs, ys, strict)) for e in entries]
+        return [_array_bits(evaluate(e, xs, ys, False)) for e in entries]
 
     def arrays():
-        return [_array_bits(v) for v in tape.arrays(xs, ys, strict)]
+        return [_array_bits(v) for v in tape.arrays(xs, ys)]
 
     with np.errstate(all="ignore"):
         assert _outcome(scalar) == _outcome(walk)

@@ -101,6 +101,12 @@ def test_smallest_singular_value_empty():
     assert smallest_singular_value(np.zeros((0, 3))) == np.inf
 
 
+def test_smallest_singular_value_is_zero_with_more_rows_than_columns():
+    # two rows in one column are dependent, though the one singular value is 1
+    assert smallest_singular_value(np.array([[0.0], [-1.0]])) == 0.0
+    assert smallest_singular_value(np.array([[0.0, -1.0]])) == 1.0
+
+
 def test_lp_opposing_rows_force_zero():
     # maximize t  s.t.  d + t <= 0, -d + t <= 0, |d| <= 1
     p = LpProblem(

@@ -40,27 +40,42 @@ def test_kkt_residual_detects_nonstationarity(p1):
 
 def test_recover_inactive_case(p1):
     rec = recover_multipliers(p1, [0.0], [0.0])
-    assert rec.is_kkt
+    assert rec.admissible and rec.residual <= 1e-8
     assert np.allclose(rec.lam, [0.0])
 
 
 def test_recover_degenerate_active(p2):
     rec = recover_multipliers(p2, [0.0], [0.0])
-    assert rec.is_kkt
+    assert rec.admissible and rec.residual <= 1e-8
     assert rec.lam[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_recover_boundary_multiplier(p2):
     # at x = 0.5 the boundary holds with lam = 2x
     rec = recover_multipliers(p2, [0.5], [0.0])
-    assert rec.is_kkt
+    assert rec.admissible and rec.residual <= 1e-8
     assert rec.lam[0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_recover_flags_non_kkt(p1):
+def test_recover_flags_non_kkt(p1, config):
+    # feasible with admissible signs, yet not stationary: the residual tells
     rec = recover_multipliers(p1, [0.0], [0.5])
-    assert not rec.is_kkt
+    assert rec.admissible
     assert rec.residual > 0.1
+    check = check_assumption_a(p1, [0.0], [0.5], config).checks["multipliers_exist"]
+    assert check.status == VIOLATED and check.value == rec.residual
+
+
+def test_recover_decides_on_the_multipliers_it_returns(config):
+    # g1 = g2 = -y1 at y = -1e-8: least squares gives lam = (-1e-8, -1e-8)
+    # with residual 1e-8; clipped to 0 the residual is 2e-8, above tol_kkt
+    spec = parse_problem("dims 1 1 0 2 0 0\nf = -(y1 - x1)^2\ng1 = -y1\ng2 = -y1\n")
+    rec = recover_multipliers(spec, [0.0], [-1e-8])
+    assert rec.admissible and rec.lam.tolist() == [0.0, 0.0]
+    assert rec.residual == pytest.approx(2e-8, rel=1e-12)
+    rep = check_assumption_a(spec, [0.0], [-1e-8], config)
+    assert rep.checks["multipliers_exist"].status == VIOLATED
+    assert rep.cone is None
 
 
 # --- partition --------------------------------------------------------------
@@ -179,6 +194,17 @@ def test_assumption_a_violated_by_sign_flip(config):
     assert not rep.assumption_a
     assert rep.checks["strong_sosc"].status == VIOLATED
     assert rep.checks["strong_sosc"].value == pytest.approx(2.0)
+
+
+def test_ju_rejects_a_kkt_residual_whose_signs_fit_no_partition(p2, config):
+    # lam = -2e-9 passes tol_kkt = 1e-8 but not the sign test at tol_act = 1e-10
+    config = config.replace(tol_act=1e-10)
+    rep = check_jacobian_uniqueness(p2, [-1e-9], [0.0], np.zeros(0), [-2e-9], config)
+    kkt = rep.checks["kkt"]
+    assert kkt.status == VIOLATED and kkt.value <= config.tol_kkt
+    assert kkt.detail == "no active-set partition: index 1: negative multiplier -2.000e-09"
+    assert rep.checks["licq"].status == INCONCLUSIVE
+    assert rep.partition is None
 
 
 def test_abs_rejected_by_condition_checks(config):

@@ -203,9 +203,11 @@ def test_shared_tables_compile_to_the_entry_by_entry_tape():
     dense.__dict__["_tables"] = _tables_entry_by_entry(dense)
 
     def code(spec):
+        # a float kernel that tests a domain is a partial with its node bound
         tape = spec._bundle_program.tape
-        return ([(op, type(node), getattr(node, "name", None), s, a, b)
-                 for op, node, s, a, b in tape._code],
+        return (tape._array_code,
+                [(getattr(op, "func", op), getattr(op, "args", ()), s, a, b)
+                 for op, s, a, b in tape._float_code],
                 tape._out_pos.tolist(), tape._out_slot, tape.template.tobytes(),
                 [repr(v) for v in tape._init], tape._loads)
 

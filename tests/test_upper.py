@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimaxcert import (
     check_mfcq,
@@ -16,7 +17,9 @@ from minimaxcert.conditions import (
     SATISFIED,
     VIOLATED,
 )
-from minimaxcert.problem import parse_problem
+from minimaxcert.problem import ProblemSpec, parse_problem
+
+from conftest import affine_expr, coordinate_lp_bounded
 
 
 def smooth_vd(spec, x, config, y0=None):
@@ -124,6 +127,48 @@ def test_polytope_emptiness_agrees_with_vertex_enumeration(p1, p4, config):
             if poly.vertices:
                 for u, v in poly.vertices:
                     assert poly.vertex_residual(u, v) <= 1e-9
+
+
+@st.composite
+def _multiplier_systems(draw):
+    """(JH, JG, r) with every G active at x = 0 and r = -(JH^T u + JG^T v) for
+    some u and v >= 0, so the polytope is nonempty.  Small integer rows, where
+    a row may repeat, negate or double an earlier one, and n1 may exceed n."""
+    n = draw(st.integers(1, 3))
+    n1, n2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.integers(-2, 2)
+    rows: list[np.ndarray] = []
+    for _ in range(n1 + n2):
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from([1, -1, 2])) * draw(st.sampled_from(rows)))
+        else:
+            rows.append(np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=float))
+    JH = np.array(rows[:n1], dtype=float).reshape(n1, n)
+    JG = np.array(rows[n1:], dtype=float).reshape(n2, n)
+    u = np.array(draw(st.lists(entry, min_size=n1, max_size=n1)), dtype=float)
+    v = np.array(draw(st.lists(st.integers(0, 2), min_size=n2, max_size=n2)), dtype=float)
+    return JH, JG, -(JH.T @ u + JG.T @ v)
+
+
+@settings(max_examples=300)
+@given(system=_multiplier_systems())
+def test_polytope_bounded_exactly_when_mfcq_holds(system, config):
+    """Gauvin (1977): the multiplier polytope is bounded exactly when MFCQ
+    holds, which is how `upper_kkt_and_polytope` reads it; the coordinate
+    LPs are the reference.  Duplicated or opposed rows, and more equality
+    rows than variables, make both fail."""
+    JH, JG, r = system
+    n = JH.shape[1]
+    spec = ProblemSpec(
+        n=n, m=1, m1=0, m2=0, n1=JH.shape[0], n2=JG.shape[0],
+        f=parse_problem("dims 1 1 0 0 0 0\nf = -y1^2\n").f,
+        H=[affine_expr([0.0], row, 0.0) for row in JH],
+        G=[affine_expr([0.0], row, 0.0) for row in JG],
+    )
+    poly = upper_kkt_and_polytope(spec, np.zeros(n), r, config)
+    assert poly.nonempty
+    reference = coordinate_lp_bounded(poly)
+    assert poly.bounded == check_mfcq(spec, np.zeros(n), config).check.ok == reference
 
 
 # --- critical cone -----------------------------------------------------------------
