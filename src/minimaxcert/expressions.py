@@ -4,7 +4,11 @@ Expressions are immutable trees over the variables x1..xn, y1..ym with the
 arithmetic ops +, -, *, /, ^ and the functions sin, cos, exp, log, sqrt, abs
 (plus an internal sign node produced by differentiating abs).  Evaluation
 accepts floats or numpy arrays per variable; differentiation is closed (the
-derivative of an expression is an expression).
+derivative of an expression is an expression).  `Gradients` differentiates
+in sparse forward mode: one pass per node gives all of its partial
+derivatives at once, for the variables it contains, and one signed zero for
+every other, so a derivative table costs in proportion to its nonzero
+entries.
 
 `Tape` is the one evaluator.  It compiles a list of expressions once into a
 straight-line program (nodes are frozen dataclasses, so equal subexpressions
@@ -14,7 +18,8 @@ each expression's value shaped the way its operands broadcast (the oracle).
 The scalar mode is strict: it runs on Python floats, calls numpy only for
 the functions and ^ (the same ufuncs, so the same values), and raises
 DomainError where a value leaves its domain.  The array mode is permissive:
-it runs the numpy kernels and lets NaN and inf through.
+it runs the numpy kernels, on numpy values with numpy's warnings off, and
+lets NaN and inf through.
 """
 
 from __future__ import annotations
@@ -111,22 +116,15 @@ FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt", "abs", "sign")
 # evaluation
 #
 # Each operation has two kernels, functions of its operand values (unary ops
-# ignore the second).  The numpy kernels serve the array mode and let NaN and
-# inf flow through a domain violation (the grid oracle masks them).  The
-# float kernels serve the scalar mode on Python floats and raise DomainError
+# ignore the second).  The numpy kernels serve the array mode, which runs
+# them with numpy's warnings off and lets NaN and inf flow through a domain
+# violation or an overflow (the grid oracle masks them).  The float kernels
+# serve the scalar mode on Python floats and raise DomainError
 # on log/sqrt/power/division violations: the same IEEE + - * and negation,
 # float comparisons for the domain tests, and the same numpy ufunc for every
 # function and ^.  Only a NaN's sign and payload where two NaN operands meet
 # may differ from a run on numpy scalars: IEEE 754 leaves them unspecified,
 # and CPython's specialised float ops pass on the other operand's NaN.
-
-
-def _quiet(f):
-    """The numpy kernel f with numpy's divide and invalid warnings off."""
-    def kernel(a, b):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return f(a, b)
-    return kernel
 
 
 # The float kernels that test a domain take first the node they name in a
@@ -173,9 +171,9 @@ def _ufunc_float(f):
 # the functions defined everywhere need no domain test
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sign": np.sign}
 _OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-        Div: _quiet(operator.truediv), Pow: _quiet(np.power), Neg: lambda val, _: -val}
-_FUNCTION_OPS = {**{name: _ufunc(f) for name, f in _UFUNCS.items()},
-                 "log": _quiet(_ufunc(np.log)), "sqrt": _quiet(_ufunc(np.sqrt))}
+        Div: operator.truediv, Pow: np.power, Neg: lambda val, _: -val}
+_FUNCTION_OPS = {name: _ufunc(f)
+                 for name, f in {**_UFUNCS, "log": np.log, "sqrt": np.sqrt}.items()}
 _FLOAT_OPS = {**_OPS, Div: _div_float, Pow: _pow_float}
 _FLOAT_FUNCTION_OPS = {**{name: _ufunc_float(f) for name, f in _UFUNCS.items()},
                        "log": _log_float, "sqrt": _sqrt_float}
@@ -258,10 +256,13 @@ class Tape:
     the same.  An instruction writes into a slot whose value has had its last
     use, so an intermediate array is released right after its last read.
 
-    At a scalar point, output entry `positions[i]` holds the value of
-    `exprs[i]` (by default the output follows `exprs`).  Expressions that are
-    constants are never computed there: their values sit in a template that
-    each call copies.
+    Output entry `positions[i]` holds the value of `exprs[i]` (by default
+    the output follows `exprs`), and every other entry the value it has in
+    `template` (zeros by default).  Expressions that are constants are never
+    computed: their values are written into the template, which each call
+    copies (and holds 0.0 where an entry is computed).  So a caller whose
+    entries are mostly zeros (the derivative tables) writes those into the
+    template itself and hands over the rest.
 
     Each entry point has one mode, and its own code, compiled in the one
     loop.  `__call__` loads x and y as Python floats and runs the float
@@ -269,22 +270,26 @@ class Tape:
     of /, ^, log and sqrt are float comparisons that raise DomainError, and
     every function and ^ calls the same numpy ufunc as the numpy kernel, so
     values (up to the sign and payload of a NaN) are those of a run on numpy
-    scalars.  `arrays` runs the numpy kernels, which raise no DomainError: a
-    value outside a domain comes out NaN or inf.
+    scalars.  `arrays` runs the numpy kernels on numpy values, constants
+    included, with numpy's warnings off, and raises no DomainError: a value
+    outside a domain comes out NaN or inf.
     """
 
-    def __init__(self, exprs, positions=None):
-        size = len(exprs)
-        positions = np.arange(size) if positions is None else np.asarray(positions)
-        const = np.fromiter((type(e) is Const for e in exprs), bool, size)
-        self.template = np.zeros(size)
-        self.template[positions[const]] = np.fromiter(
-            (e.value for e in exprs if type(e) is Const), float, int(const.sum()))
+    def __init__(self, exprs, positions=None, template=None):
+        positions = range(len(exprs)) if positions is None else positions
+        self.template = np.zeros(len(exprs)) if template is None else np.array(template, float)
         nodes: list[tuple[Expr, tuple[int, ...]]] = []  # distinct, first-use post-order
         index: dict[tuple, int] = {}
         seen: dict[int, int] = {}
-        self._out_pos = positions[~const].astype(np.intp)
-        roots = [_intern(exprs[k], seen, index, nodes) for k in np.flatnonzero(~const)]
+        out_pos, roots = [], []
+        for e, p in zip(exprs, positions):
+            if type(e) is Const:
+                self.template[p] = e.value
+            else:
+                self.template[p] = 0.0
+                out_pos.append(p)
+                roots.append(_intern(e, seen, index, nodes))
+        self._out_pos = np.array(out_pos, dtype=np.intp)
         slot = _allocate_slots(nodes, roots)
         self._out_slot = [slot[i] for i in roots]
         # constants are preset, variables loaded, and operations computed in order
@@ -301,10 +306,14 @@ class Tape:
                 self._loads[node.kind].append((s, node.index))
             else:
                 self._init[s] = node.value
+        # the array mode computes on numpy scalars also between two constants:
+        # 0/0 is NaN there, where Python floats raise ZeroDivisionError
+        self._array_init = [v if v is None else np.float64(v) for v in self._init]
 
-    def _run(self, x, y, code: list) -> list:
-        """The slot values after every instruction of `code` ran."""
-        vals = list(self._init)
+    def _run(self, x, y, init: list, code: list) -> list:
+        """The slot values after every instruction of `code` ran, starting
+        from the constants of `init`."""
+        vals = list(init)
         for s, i in self._loads["x"]:
             vals[s] = x[i]
         for s, i in self._loads["y"]:
@@ -318,7 +327,7 @@ class Tape:
         floats; raises DomainError where a value leaves its domain."""
         x = np.asarray(x, dtype=float).tolist()
         y = np.asarray(y, dtype=float).tolist()
-        vals = self._run(x, y, self._float_code)
+        vals = self._run(x, y, self._init, self._float_code)
         out = self.template.copy()
         out[self._out_pos] = [vals[s] for s in self._out_slot]
         return out
@@ -328,9 +337,11 @@ class Tape:
         where the entries of x and y may be scalars or broadcastable arrays
         (the grid oracle passes x entries as (rows, 1) columns and y entries
         as (1, Y) rows).  A constant entry is its float; any other is shaped
-        the way its operands broadcast.  No DomainError is raised: a value
-        outside a domain is NaN or inf."""
-        vals = self._run(x, y, self._array_code)
+        the way its operands broadcast.  No DomainError and no numpy warning
+        is raised: a value outside a domain, or one that overflows, is NaN
+        or inf, also where both operands are constants."""
+        with np.errstate(all="ignore"):
+            vals = self._run(x, y, self._array_init, self._array_code)
         out = self.template.tolist()
         for pos, s in zip(self._out_pos.tolist(), self._out_slot):
             out[pos] = vals[s]
@@ -379,70 +390,73 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
 
 
 def s_add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return Const(a.value + b.value)
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if cb and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def s_sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return Const(a.value - b.value)
-    if _is_const(b, 0.0):
+    if cb and b.value == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if ca and a.value == 0.0:
         return s_neg(b)
     return Sub(a, b)
 
 
 def s_mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
         return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
+    if ca:  # b is not a constant
+        return _ZERO if a.value == 0.0 else b if a.value == 1.0 else Mul(a, b)
+    if cb:
+        return _ZERO if b.value == 0.0 else a if b.value == 1.0 else Mul(a, b)
     return Mul(a, b)
 
 
 def s_div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
+    if type(a) is Const and a.value == 0.0:
         return _ZERO
-    if _is_const(b, 1.0):
+    if type(b) is Const and b.value == 1.0:
         return a
     return Div(a, b)
 
 
 def s_pow(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(b, 0.0):
-        return _ONE
+    if type(b) is Const:
+        if b.value == 1.0:
+            return a
+        if b.value == 0.0:
+            return _ONE
     return Pow(a, b)
 
 
 def s_neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
+    if type(a) is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if type(a) is Neg:
         return a.a
     return Neg(a)
 
 
 def differentiate(expr: Expr, var: Var) -> Expr:
     """Exact partial derivative with respect to var, as an expression."""
-    return Differentiator()(expr, var)
+    partials, zero = Gradients()(expr)
+    return partials.get(_var_key(var), zero)
 
 
-def _var_bit(var: Var) -> int:
-    """The bit of a variable in a node's variable mask: x_k and y_k take bits
-    2k and 2k + 1."""
-    return 1 << (2 * var.index + (var.kind == "y"))
+def _var_key(var: Var) -> int:
+    """The key of a variable among a node's partial derivatives: x_k is 2k
+    and y_k is 2k + 1."""
+    return 2 * var.index + (var.kind == "y")
 
 
 # d f(a) = f'(a) da for each function f, given the node f(a) and da
@@ -458,88 +472,79 @@ _FUNCTION_RULES = {
 }
 
 
-class Differentiator:
-    """Partial derivatives of many expressions with respect to many variables,
-    sharing the work between them (the derivative tables of one problem).
+def _d_pow(e: Pow, da: Expr, db: Expr) -> Expr:
+    if _is_const(db, 0.0) and isinstance(e.b, Const):
+        c = e.b.value
+        return s_mul(s_mul(Const(c), s_pow(e.a, Const(c - 1.0))), da)
+    # general a^b: a^b * (db*log a + b*da/a)
+    return s_mul(e, s_add(s_mul(db, Func("log", e.a)), s_mul(e.b, s_div(da, e.a))))
 
-    Each (subexpression, variable) pair is differentiated at most once, and a
-    subtree that does not contain the variable is not walked for it: each
-    node keeps the bitmask of the variables it contains, and a node without
-    the variable has the same derivative for every such variable (a zero
-    constant, of the sign the rules give it: cos(x1) by y1 is -0.0), worked
-    out once under bit 0.  Results are memoised by id(node); the masks hold
-    every node so keyed, so the ids stay valid while the differentiator
-    lives.  Make one per table build and drop it."""
+
+# d e for each operation, given the node e and its operands' derivatives da
+# and db by one variable (unary nodes ignore db)
+_RULES = {
+    Add: lambda e, da, db: s_add(da, db),
+    Sub: lambda e, da, db: s_sub(da, db),
+    Mul: lambda e, da, db: s_add(s_mul(da, e.b), s_mul(e.a, db)),
+    Div: lambda e, da, db: s_div(s_sub(s_mul(da, e.b), s_mul(e.a, db)),
+                                 s_pow(e.b, Const(2.0))),
+    Pow: _d_pow,
+    Neg: lambda e, da, db: s_neg(da),
+    Func: lambda e, da, db: _FUNCTION_RULES[e.name](e, da),
+}
+
+
+class Gradients:
+    """All partial derivatives of many expressions, sharing the work between
+    them (the derivative tables of one problem): sparse forward mode.
+
+    Called on a node, it returns `(partials, zero)`.  `partials` maps the key
+    of each variable the node contains (see `_var_key`) to the node's
+    derivative by it, and `zero` is its derivative by every variable it
+    lacks: one expression, a zero constant of the sign the rules give it
+    (cos(x1) by y1 is -0.0), though an inf or NaN constant in the node can
+    make it NaN or an expression.  Each node is differentiated once, in one
+    frame per level of the tree, by applying its rule to its operands'
+    derivatives for its own variables only.  An Add passes on either
+    operand's derivative, and a Sub its left one's, without a rule when the
+    other operand lacks the variable: s_add and s_sub would return it
+    unchanged, since the other side is a zero constant and this side is not
+    a constant.  Results are memoised by id(node), and the memo holds each
+    node so keyed, so the ids stay valid while this object lives.  Make one
+    per table build and drop it."""
 
     def __init__(self):
-        self._masks: dict[int, tuple[Expr, int]] = {}
-        self._memo: dict[tuple[int, int], Expr] = {}
+        self._memo: dict[int, tuple[Expr, dict[int, Expr], Expr]] = {}
 
-    def __call__(self, expr: Expr, var: Var) -> Expr:
-        return self._d(expr, _var_bit(var))
-
-    def _mask(self, node: Expr) -> int:
-        kind = type(node)
-        if kind is Var:
-            return _var_bit(node)
-        if kind is Const:
-            return 0
-        hit = self._masks.get(id(node))
-        if hit is None:
-            if kind not in _OPS and kind is not Func:
-                raise TypeError(f"unknown node {node!r}")
-            mask = self._mask(node.a)  # one frame per level
-            if kind is not Neg and kind is not Func:
-                mask |= self._mask(node.b)
-            hit = self._masks[id(node)] = (node, mask)
-        return hit[1]
-
-    def _d(self, expr: Expr, bit: int) -> Expr:
-        """The derivative of expr by the variable of `bit` (0: by a variable
-        expr does not contain).  The rules are applied in this one frame per
-        level of the tree; operands' derivatives come from the memo."""
+    def __call__(self, expr: Expr) -> tuple[dict[int, Expr], Expr]:
         kind = type(expr)
         if kind is Const:
-            return _ZERO
+            return {}, _ZERO
         if kind is Var:
-            return _ONE if _var_bit(expr) == bit else _ZERO
-        if not self._mask(expr) & bit:
-            bit = 0
-        key = (id(expr), bit)
-        out = self._memo.get(key)
-        if out is not None:
-            return out
-        da = self._d(expr.a, bit)
-        if kind is Add:
-            out = s_add(da, self._d(expr.b, bit))
-        elif kind is Sub:
-            out = s_sub(da, self._d(expr.b, bit))
-        elif kind is Mul:
-            out = s_add(s_mul(da, expr.b), s_mul(expr.a, self._d(expr.b, bit)))
-        elif kind is Div:
-            db = self._d(expr.b, bit)
-            out = s_div(
-                s_sub(s_mul(da, expr.b), s_mul(expr.a, db)),
-                s_pow(expr.b, Const(2.0)),
-            )
-        elif kind is Pow:
-            db = self._d(expr.b, bit)
-            if _is_const(db, 0.0) and isinstance(expr.b, Const):
-                c = expr.b.value
-                out = s_mul(s_mul(Const(c), s_pow(expr.a, Const(c - 1.0))), da)
-            else:  # general a^b: a^b * (db*log a + b*da/a)
-                out = s_mul(
-                    expr,
-                    s_add(s_mul(db, Func("log", expr.a)), s_mul(expr.b, s_div(da, expr.a))),
-                )
-        elif kind is Neg:
-            out = s_neg(da)
-        elif kind is Func and expr.name in _FUNCTION_RULES:
-            out = _FUNCTION_RULES[expr.name](expr, da)
-        else:
+            return {_var_key(expr): _ONE}, _ZERO
+        hit = self._memo.get(id(expr))
+        if hit is not None:
+            return hit[1], hit[2]
+        rule = _RULES.get(kind)
+        if rule is None or (kind is Func and expr.name not in _FUNCTION_RULES):
             raise TypeError(f"unknown node {expr!r}")
-        self._memo[key] = out
-        return out
+        pa, za = self(expr.a)  # one frame per level
+        pb, zb = ({}, za) if kind is Neg or kind is Func else self(expr.b)
+        zero = rule(expr, za, zb)
+        partials = {}
+        keep_a = (kind is Add or kind is Sub) and _is_const(zb, 0.0)
+        for key, da in pa.items():
+            db = pb.get(key)
+            if db is None and keep_a and type(da) is not Const:
+                partials[key] = da
+            else:
+                partials[key] = rule(expr, da, zb if db is None else db)
+        keep_b = kind is Add and _is_const(za, 0.0)
+        for key, db in pb.items():
+            if key not in pa:
+                partials[key] = db if keep_b and type(db) is not Const else rule(expr, za, db)
+        self._memo[id(expr)] = (expr, partials, zero)
+        return partials, zero
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,26 @@ The on-disk format is line oriented:
 Derivatives are exact: `ProblemSpec` builds its symbolic derivative tables
 lazily, once, and compiles them into one `Tape` per spec (`_bundle_program`,
 plus the x-only `_upper_program` behind `upper.upper_data`, and the grid
-oracle's `_oracle_tapes`), also once.  The data are C^2, so every Hessian
-block is symmetric by construction: each unordered pair of variables is
-differentiated once and its entry mirrored, and of the two cross blocks only
-`yx` is built.  One `Differentiator` serves the whole table build, so each
-(subexpression, variable) pair is differentiated at most once, and the
-subtrees without a variable share one exact zero derivative instead of being
-walked for it; it is dropped when the tables are done.  `eval_bundle` runs
+oracle's `_oracle_tapes`), also once.  The tables are sparse: one
+`Gradients` serves the whole build and gives each (sub)expression all of its
+partial derivatives in one pass, for the variables it contains, plus one
+exact zero, of the sign the rules give it, for every other; it is dropped
+when the tables are done.  So a table row stores that zero as a fill and
+only the derivatives by the row's own variables as entries, and the build
+costs in proportion to the nonzero entries, not to the n^2 + m^2 + nm of a
+row.  The data are C^2, so every Hessian block is symmetric by
+construction: each unordered pair of variables is differentiated once and
+its entry mirrored, and of the two cross blocks only `yx` is built.  The
+compiled program writes the fills block by block into the tape's template,
+and the tape computes only the non-constant entries.  `eval_bundle` runs
 the bundle tape at a point and returns a `DerivativeBundle` whose arrays are
-read-only views of its output.  Inside a `bundle_memo` block, which
-`certify` opens for the length of one call, each distinct (spec, x, y) is
-evaluated once, and each distinct (spec, x) by `upper.upper_data`; from each
-bundle, `lower.lagrangian_eval` computes the Lagrangian blocks once per
-distinct (mu, lam) and `lower.recover_multipliers` the multipliers once per
+read-only views of its output.  A non-finite value or derivative of any
+function, in a bundle or in `upper.upper_data`, is a DomainError that names
+the function.  Inside a `bundle_memo` block, which `certify` opens for the
+length of one call, each distinct (spec, x, y) is evaluated once, and each
+distinct (spec, x) by `upper.upper_data`; from each bundle,
+`lower.lagrangian_eval` computes the Lagrangian blocks once per distinct
+(mu, lam) and `lower.recover_multipliers` the multipliers once per
 distinct tol_act.  Every caller gets the same read-only result; nothing is
 cached across calls.
 """
@@ -34,7 +41,9 @@ cached across calls.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
+from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -43,12 +52,12 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import (
-    Differentiator,
+    Const,
     DomainError,
     Expr,
     ExpressionError,
+    Gradients,
     Tape,
-    Var,
     parse_expression,
     to_string,
     uses_abs,
@@ -157,41 +166,68 @@ class ProblemSpec:
     # -- cached derivative expression tables -------------------------------
 
     @cached_property
-    def _xvars(self) -> list[Var]:
-        return [Var("x", i) for i in range(self.n)]
-
-    @cached_property
-    def _yvars(self) -> list[Var]:
-        return [Var("y", i) for i in range(self.m)]
-
-    @cached_property
     def _tables(self):
-        xs, ys = self._xvars, self._yvars
-        d = Differentiator()  # shared by every entry; dropped with this frame
+        """Per function, its derivative blocks: "x" and "xx" (gradient and
+        Hessian in x), and for f, h and g also "y", "yx" and "yy".  A block
+        is a pair (fill, entries): `fill`, an array of the block's shape,
+        holds every entry that is an exact zero (the derivative by a
+        variable the differentiated expression lacks, or of a constant), and
+        `entries` holds the others as (row-major offset, Expr) pairs in
+        offset order.  Entry (i, j), i <= j, of a Hessian is entry j of the
+        gradient of gradient entry i, and entry (j, i) is the same Expr: C^2
+        data has symmetric Hessians."""
+        n, m = self.n, self.m
+        grads = Gradients()  # shared by every entry; dropped with this frame
 
-        def hess(gr, vs):
-            """Entry (i, j) is d(gr[i], vs[j]) for j >= i, and entry (j, i)
-            is the same Expr: C^2 data has symmetric Hessians."""
-            rows = [[None] * len(vs) for _ in vs]
-            for i, gi in enumerate(gr):
-                for j in range(i, len(vs)):
-                    rows[i][j] = rows[j][i] = d(gi, vs[j])
-            return rows
+        def split(expr, kind, size):
+            """expr's derivatives by the variables of `kind` (0: x, 1: y) as
+            (fill value, {index: Expr})."""
+            partials, zero = grads(expr)
+            found = {key >> 1: d for key, d in partials.items() if key & 1 == kind}
+            if type(zero) is Const:
+                return zero.value, found
+            # a "zero" made from an inf or NaN constant need not fold
+            return 0.0, {i: found.get(i, zero) for i in range(size)}
 
-        def row(e, inner=True):
+        def vector(fill, found, size):
+            return np.full(size, fill), sorted(found.items(), key=_first)
+
+        def rows(grad, count, kind, size, square):
+            """Row i of `count` holds the derivatives of gradient entry i by
+            the `size` variables of `kind`: the upper triangle, mirrored,
+            when `square` (a Hessian), all of them otherwise (the yx block).
+            An entry the gradient lacks is a constant, whose derivatives are
+            0.0."""
+            fills, entries = np.zeros(count), []
+            for i, gi in sorted(grad.items(), key=_first):
+                fills[i], row = split(gi, kind, size)
+                for j, e in sorted(row.items(), key=_first):
+                    if not square:
+                        entries.append((i * size + j, e))
+                    elif j >= i:
+                        entries.append((i * size + j, e))
+                        if j > i:
+                            entries.append((j * size + i, e))
+            if not square:
+                return np.repeat(fills[:, None], size, axis=1), entries
+            first = np.arange(size)
+            return fills[np.minimum.outer(first, first)], sorted(entries, key=_first)
+
+        def table(e, inner=True):
             """Gradients and Hessian blocks of e; x-only data (inner=False)
             gets the `x` and `xx` parts alone."""
-            ex = [d(e, v) for v in xs]
-            out = {"x": ex, "xx": hess(ex, xs)}
+            fx, ex = split(e, 0, n)
+            out = {"x": vector(fx, ex, n), "xx": rows(ex, n, 0, n, True)}
             if inner:
-                ey = [d(e, v) for v in ys]
-                out.update(y=ey, yx=[[d(gj, v) for v in xs] for gj in ey],
-                           yy=hess(ey, ys))
+                fy, ey = split(e, 1, m)
+                out.update(y=vector(fy, ey, m), yx=rows(ey, m, 0, n, False),
+                           yy=rows(ey, m, 1, m, True))
             return out
 
-        return {"f": row(self.f), "h": [row(e) for e in self.h], "g": [row(e) for e in self.g],
-                "H": [row(e, inner=False) for e in self.H],
-                "G": [row(e, inner=False) for e in self.G]}
+        return {"f": table(self.f), "h": [table(e) for e in self.h],
+                "g": [table(e) for e in self.g],
+                "H": [table(e, inner=False) for e in self.H],
+                "G": [table(e, inner=False) for e in self.G]}
 
     # -- compiled evaluation programs -------------------------------------
 
@@ -206,13 +242,16 @@ class ProblemSpec:
             shapes.update({c: (count,), f"{c}_jx": (count, n), f"{c}_jy": (count, m),
                            f"{c}_xx": (count, n, n), f"{c}_yx": (count, m, n),
                            f"{c}_yy": (count, m, m)})
-        visits = [("f" + b, 0, t["f"][b]) for b in ("xx", "yy", "yx")]
-        visits += [("h", 0, self.h), ("g", 0, self.g)]
+        f_owner = _derivatives_of("f", self.f)
+        visits = [("f" + b, 0, f_owner, *t["f"][b]) for b in ("xx", "yy", "yx")]
+        visits += _values("h", self.h) + _values("g", self.g)
         for c in "hg":
             for k, row in enumerate(t[c]):
-                visits += [(f"{c}_jx", k, row["x"]), (f"{c}_jy", k, row["y"])]
-                visits += [(f"{c}_{b}", k, row[b]) for b in ("xx", "yx", "yy")]
-        visits += [("f", 0, [self.f]), ("fx", 0, t["f"]["x"]), ("fy", 0, t["f"]["y"])]
+                owner = _derivatives_of(f"{c}{k + 1}", getattr(self, c)[k])
+                visits += [(f"{c}_j{b}", k, owner, *row[b]) for b in ("x", "y")]
+                visits += [(f"{c}_{b}", k, owner, *row[b]) for b in ("xx", "yx", "yy")]
+        visits += _values("f", [self.f])
+        visits += [("f" + b, 0, f_owner, *t["f"][b]) for b in ("x", "y")]
         return BlockProgram.compile(shapes, visits)
 
     @cached_property
@@ -220,13 +259,14 @@ class ProblemSpec:
         """H and G values, Jacobians and Hessians: a program in x alone."""
         n, t = self.n, self._tables
         shapes: dict[str, tuple[int, ...]] = {}
-        visits = [("H", 0, self.H), ("G", 0, self.G)]
-        for (val, jac, hess), rows in ((("H", "JH", "Hxx"), t["H"]),
-                                       (("G", "JG", "Gxx"), t["G"])):
-            shapes.update({val: (len(rows),), jac: (len(rows), n),
-                           hess: (len(rows), n, n)})
-            for k, row in enumerate(rows):
-                visits += [(jac, k, row["x"]), (hess, k, row["xx"])]
+        visits = _values("H", self.H) + _values("G", self.G)
+        for (val, jac, hess), exprs in ((("H", "JH", "Hxx"), self.H),
+                                        (("G", "JG", "Gxx"), self.G)):
+            shapes.update({val: (len(exprs),), jac: (len(exprs), n),
+                           hess: (len(exprs), n, n)})
+            for k, row in enumerate(t[val]):
+                owner = _derivatives_of(f"{val}{k + 1}", exprs[k])
+                visits += [(jac, k, owner, *row["x"]), (hess, k, owner, *row["xx"])]
         return BlockProgram.compile(shapes, visits)
 
     @cached_property
@@ -237,39 +277,68 @@ class ProblemSpec:
         return Tape([*self.h, *self.g, self.f]), Tape([*self.H, *self.G]), Tape([self.f])
 
 
+def _first(pair):
+    return pair[0]
+
+
+def _derivatives_of(label: str, expr: Expr) -> tuple[str, Expr]:
+    return f"non-finite derivative value of {label}", expr
+
+
+def _values(name: str, exprs: list[Expr]) -> list:
+    """Visits of block `name` that fill its entry k with the value of exprs[k]."""
+    labels = ["f"] if name == "f" else [f"{name}{k + 1}" for k in range(len(exprs))]
+    return [(name, k, (f"non-finite value of {label}", e), np.zeros(()), [(0, e)])
+            for k, (label, e) in enumerate(zip(labels, exprs))]
+
+
 @dataclass(frozen=True)
 class BlockProgram:
     """Named arrays filled by one Tape: the blocks lie back to back in one
-    flat vector, and each call returns read-only views of it."""
+    flat vector, and each call returns read-only views of it.  A call whose
+    output holds a non-finite entry raises DomainError, naming the function
+    the first such entry (in layout order) belongs to."""
 
     tape: Tape
     layout: tuple[tuple[str, slice, tuple[int, ...]], ...]
+    # (first position, DomainError message, function) of each visit's row
+    owners: tuple[tuple[int, str, Expr], ...]
 
     @classmethod
     def compile(cls, shapes: dict, visits: list) -> "BlockProgram":
         """shapes: block name -> shape, in layout order.  visits: (block, row,
-        expressions) in evaluation order, where the expressions (a list, or
-        a list of rows read row-major) fill row `row` of the block, or the
-        whole block with row 0."""
+        owner, fill, entries) in evaluation order, where the array `fill`
+        holds row `row` of the block (the whole block with row 0) wherever
+        `entries`, (row-major offset, expression) pairs in offset order, put
+        nothing, and owner is the (DomainError message, function) raised
+        where the row holds a non-finite value.  The fills make the tape's
+        template, and the tape gets the entries alone."""
         layout, start = [], {}
         offset = 0
         for name, shape in shapes.items():
-            size = int(np.prod(shape, dtype=int))
+            size = math.prod(shape)
             layout.append((name, slice(offset, offset + size), shape))
             start[name] = offset
             offset += size
+        template = np.zeros(offset)
+        owners: list[tuple[int, str, Expr]] = []
         exprs: list[Expr] = []
-        positions = np.empty(offset, dtype=np.intp)
-        for name, row, entries in visits:
-            flat = [e for r in entries for e in r] if entries and isinstance(
-                entries[0], list) else entries
-            first = start[name] + row * len(flat)
-            positions[len(exprs):len(exprs) + len(flat)] = range(first, first + len(flat))
-            exprs.extend(flat)
-        return cls(Tape(exprs, positions), tuple(layout))
+        positions: list[int] = []
+        for name, row, (message, function), fill, entries in visits:
+            first = start[name] + row * fill.size
+            template[first:first + fill.size] = fill.ravel()
+            owners.append((first, message, function))
+            exprs += [e for _, e in entries]
+            positions += [first + off for off, _ in entries]
+        return cls(Tape(exprs, positions, template), tuple(layout),
+                   tuple(sorted(owners, key=_first)))
 
     def __call__(self, x, y) -> dict[str, np.ndarray]:
         flat = self.tape(x, y)
+        if not np.isfinite(flat).all():
+            bad = int(np.argmin(np.isfinite(flat)))
+            _, message, function = self.owners[bisect_right(self.owners, bad, key=_first) - 1]
+            raise DomainError(message, function)
         flat.flags.writeable = False
         return {name: flat[sl].reshape(shape) for name, sl, shape in self.layout}
 
@@ -396,11 +465,7 @@ def eval_bundle(spec: ProblemSpec, x: np.ndarray, y: np.ndarray) -> DerivativeBu
         b = spec._bundle_program(x, y)
         x.flags.writeable = False
         y.flags.writeable = False
-        bundle = DerivativeBundle(x=x, y=y, f=float(b.pop("f")), **b)
-        for arr in (bundle.fx, bundle.fy, bundle.fxx, bundle.fyy):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise DomainError("non-finite derivative value", spec.f)
-        return bundle
+        return DerivativeBundle(x=x, y=y, f=float(b.pop("f")), **b)
 
     return memoised(spec, ("bundle", x.tobytes(), y.tobytes()), compute)
 

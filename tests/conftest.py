@@ -7,16 +7,29 @@ from hypothesis import settings
 from minimaxcert import CheckConfig, check_jacobian_uniqueness
 from minimaxcert.cones import CONE_TOL, cone_contains
 from minimaxcert.expressions import (
+    _FUNCTION_RULES,
+    _ONE,
+    _OPS,
+    _ZERO,
     Add,
     Const,
     Div,
     DomainError,
     Func,
     Mul,
+    Neg,
     Pow,
+    Sub,
     Var,
     _children,
+    _is_const,
     _op_of,
+    s_add,
+    s_div,
+    s_mul,
+    s_neg,
+    s_pow,
+    s_sub,
 )
 from minimaxcert.fixtures import load_fixture
 from minimaxcert.linalg import LpProblem, nullspace_basis, solve_lp
@@ -78,16 +91,169 @@ def evaluate(expr, x, y, strict=True):
     right, where the entries of x and y may be scalars or broadcastable
     arrays.  It applies the package's numpy kernels node by node, after the
     numpy domain tests when `strict`, and is the reference the compiled Tape
-    is checked against: strict for its scalar mode, not for its array mode."""
+    is checked against: strict for its scalar mode, not for its array mode,
+    which computes on numpy scalars also between constants (0/0 is NaN) and
+    with numpy's warnings off."""
     kind = type(expr)
     if kind is Const:
-        return expr.value
+        return expr.value if strict else np.float64(expr.value)
     if kind is Var:
         return x[expr.index] if expr.kind == "x" else y[expr.index]
     args = [evaluate(child, x, y, strict) for child in _children(expr)]
     if strict:
         check_domain(expr, args[0], args[-1])
-    return _op_of(expr)(args[0], args[-1])
+        return _op_of(expr)(args[0], args[-1])
+    with np.errstate(all="ignore"):
+        return _op_of(expr)(args[0], args[-1])
+
+
+def _var_bit(var):
+    """The bit of a variable in a node's variable mask: x_k and y_k take bits
+    2k and 2k + 1."""
+    return 1 << (2 * var.index + (var.kind == "y"))
+
+
+class Differentiator:
+    """Partial derivatives by one variable at a time: the per-(node,
+    variable) differentiator that `expressions.Gradients` replaced, kept as
+    the reference its tables and tapes are checked against.
+
+    Each (subexpression, variable) pair is differentiated at most once, and a
+    subtree that does not contain the variable is not walked for it: each
+    node keeps the bitmask of the variables it contains, and a node without
+    the variable has the same derivative for every such variable (a zero
+    constant, of the sign the rules give it: cos(x1) by y1 is -0.0), worked
+    out once under bit 0.  Results are memoised by id(node); the masks hold
+    every node so keyed, so the ids stay valid while the differentiator
+    lives."""
+
+    def __init__(self):
+        self._masks = {}
+        self._memo = {}
+
+    def __call__(self, expr, var):
+        return self._d(expr, _var_bit(var))
+
+    def _mask(self, node):
+        kind = type(node)
+        if kind is Var:
+            return _var_bit(node)
+        if kind is Const:
+            return 0
+        hit = self._masks.get(id(node))
+        if hit is None:
+            if kind not in _OPS and kind is not Func:
+                raise TypeError(f"unknown node {node!r}")
+            mask = self._mask(node.a)  # one frame per level
+            if kind is not Neg and kind is not Func:
+                mask |= self._mask(node.b)
+            hit = self._masks[id(node)] = (node, mask)
+        return hit[1]
+
+    def _d(self, expr, bit):
+        """The derivative of expr by the variable of `bit` (0: by a variable
+        expr does not contain)."""
+        kind = type(expr)
+        if kind is Const:
+            return _ZERO
+        if kind is Var:
+            return _ONE if _var_bit(expr) == bit else _ZERO
+        if not self._mask(expr) & bit:
+            bit = 0
+        key = (id(expr), bit)
+        out = self._memo.get(key)
+        if out is not None:
+            return out
+        da = self._d(expr.a, bit)
+        if kind is Add:
+            out = s_add(da, self._d(expr.b, bit))
+        elif kind is Sub:
+            out = s_sub(da, self._d(expr.b, bit))
+        elif kind is Mul:
+            out = s_add(s_mul(da, expr.b), s_mul(expr.a, self._d(expr.b, bit)))
+        elif kind is Div:
+            db = self._d(expr.b, bit)
+            out = s_div(
+                s_sub(s_mul(da, expr.b), s_mul(expr.a, db)),
+                s_pow(expr.b, Const(2.0)),
+            )
+        elif kind is Pow:
+            db = self._d(expr.b, bit)
+            if _is_const(db, 0.0) and isinstance(expr.b, Const):
+                c = expr.b.value
+                out = s_mul(s_mul(Const(c), s_pow(expr.a, Const(c - 1.0))), da)
+            else:  # general a^b: a^b * (db*log a + b*da/a)
+                out = s_mul(
+                    expr,
+                    s_add(s_mul(db, Func("log", expr.a)), s_mul(expr.b, s_div(da, expr.a))),
+                )
+        elif kind is Neg:
+            out = s_neg(da)
+        elif kind is Func and expr.name in _FUNCTION_RULES:
+            out = _FUNCTION_RULES[expr.name](expr, da)
+        else:
+            raise TypeError(f"unknown node {expr!r}")
+        self._memo[key] = out
+        return out
+
+
+def dense_tables(spec, d=None):
+    """spec's derivative tables as the per-pair reference builds them: for
+    each function the gradient lists "x" (and "y") and the matrices "xx",
+    "yx" and "yy" (x-only data: "x" and "xx"), entry by entry from the
+    differentiator `d` (a shared `Differentiator` by default), with Hessian
+    entry (i, j), i <= j, the derivative of gradient entry i by variable j
+    and entry (j, i) the same Expr."""
+    d = Differentiator() if d is None else d
+    xs = [Var("x", i) for i in range(spec.n)]
+    ys = [Var("y", i) for i in range(spec.m)]
+
+    def hess(gr, vs):
+        rows = [[None] * len(vs) for _ in vs]
+        for i, gi in enumerate(gr):
+            for j in range(i, len(vs)):
+                rows[i][j] = rows[j][i] = d(gi, vs[j])
+        return rows
+
+    def row(e, inner=True):
+        ex = [d(e, v) for v in xs]
+        out = {"x": ex, "xx": hess(ex, xs)}
+        if inner:
+            ey = [d(e, v) for v in ys]
+            out.update(y=ey, yx=[[d(gj, v) for v in xs] for gj in ey], yy=hess(ey, ys))
+        return out
+
+    return {"f": row(spec.f), "h": [row(e) for e in spec.h], "g": [row(e) for e in spec.g],
+            "H": [row(e, inner=False) for e in spec.H],
+            "G": [row(e, inner=False) for e in spec.G]}
+
+
+def sparse_block(entries):
+    """A dense table block (a list, or a list of rows) in the (fill, entries)
+    form of `ProblemSpec._tables`: constant entries join the fill, where
+    they sit in the tape's template either way."""
+    block = np.array(entries, dtype=object)
+    fill = np.array([e.value if type(e) is Const else 0.0 for e in block.flat])
+    return (fill.reshape(block.shape),
+            [(k, e) for k, e in enumerate(block.flat) if type(e) is not Const])
+
+
+def reference_tables(spec, d=None):
+    """`dense_tables(spec, d)` in the form of `ProblemSpec._tables`, ready to
+    be compiled in its place."""
+    return {name: [{b: sparse_block(block) for b, block in row.items()} for row in rows]
+            if isinstance(rows, list) else {b: sparse_block(block) for b, block in rows.items()}
+            for name, rows in dense_tables(spec, d).items()}
+
+
+def dense_block(fill, entries):
+    """A block of `ProblemSpec._tables` as an object array of expressions,
+    the fill's entries as constants."""
+    block = np.empty(fill.size, dtype=object)
+    block[:] = [Const(float(v)) for v in fill.flat]
+    for k, e in entries:
+        block[k] = e
+    return block.reshape(fill.shape)
 
 
 def brute_force_min_quadratic_on_cone(M, E, F, tol=1e-9):

@@ -910,6 +910,39 @@ def test_licq_probe_passes_the_oracle(config):
     assert verify_minimax_definition(spec, [0.0], [0.0], config.oracle_grid()).passed
 
 
+# inf - inf: a NaN that no domain test catches
+_NAN = "(1e308*1e308 - 1e308*1e308)"
+
+
+@pytest.mark.parametrize("text, m, message", [
+    # each certified or refuted at the origin while its NaN went unchecked
+    pytest.param(f"dims 1 1 0 0 0 0\nf = x1^2 - y1^2 + {_NAN}\n", 1,
+                 "non-finite value of f in", id="f"),
+    pytest.param(f"dims 1 1 0 0 0 1\nf = x1^2 - y1^2\nG1 = x1 - 1 + {_NAN}\n", 1,
+                 "non-finite value of G1 in", id="G1"),
+    pytest.param(f"dims 1 1 0 1 0 0\nf = x1^2 - y1^2\ng1 = y1 - 1 + {_NAN}\n", 1,
+                 "non-finite value of g1 in", id="g1"),
+    pytest.param(f"dims 1 2 1 0 0 0\nf = x1^2 - y1^2 - y2^2\nh1 = y2 + {_NAN}\n", 2,
+                 "non-finite value of h1 in", id="h1"),
+    # the values are finite; a Hessian entry is 1e308*2*2 = inf
+    pytest.param("dims 1 1 0 1 0 0\nf = x1^2 - y1^2\ng1 = y1 - 1 + 1e308*(2*x1^2)\n", 1,
+                 "non-finite derivative value of g1 in", id="g1-hessian"),
+    pytest.param("dims 1 1 0 0 0 0\nf = x1^2 - y1^2 + 1e308*(2*y1^2)\n", 1,
+                 "non-finite derivative value of f in", id="f-hessian"),
+])
+def test_non_finite_problem_data_is_an_evaluation_error(text, m, message):
+    """A non-finite value or derivative of any problem function at the
+    candidate is a DomainError naming that function: an `evaluation` error
+    check and an inconclusive verdict."""
+    from minimaxcert.conditions import ERROR
+    from minimaxcert.problem import parse_problem
+
+    rep = certify(parse_problem(text), CandidatePoint([0.0], [0.0] * m))
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    check = result(rep, "evaluation")
+    assert check.status == ERROR and message in check.detail
+
+
 @st.composite
 def _small_problems(draw):
     """Problem text with n, m <= 2: a concave-in-y quadratic f with small

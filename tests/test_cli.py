@@ -267,6 +267,17 @@ def test_deeply_nested_expression_is_usage_error(tmp_path, capsys, shape, cmd):
     assert "Traceback" not in err
 
 
+def test_oracle_runs_a_constant_division_by_zero(tmp_path, capsys):
+    # G1 is NaN everywhere; the grids mask it instead of raising
+    prob = tmp_path / "zdiv.prob"
+    prob.write_text("dims 1 1 0 0 0 1\nf = x1^2 - y1^2\nG1 = x1 - 1 + 0/0\n",
+                    encoding="utf-8")
+    assert main(["oracle", str(prob), "--x=0", "--y=0"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    assert captured.out.startswith("definition check:")
+
+
 def test_domain_error_is_usage_error(tmp_path, capsys):
     # the gradient of -sqrt(y1^2 + x1^2) divides by zero at the origin
     prob = tmp_path / "cone.prob"

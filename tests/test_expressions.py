@@ -3,16 +3,16 @@ import pytest
 
 from minimaxcert.expressions import (
     Const,
-    Differentiator,
     DomainError,
     ExpressionError,
+    Gradients,
     Var,
     differentiate,
     parse_expression,
     to_string,
 )
 
-from conftest import evaluate
+from conftest import Differentiator, evaluate, reference_tables
 
 
 def central_fd(expr, x, y, var, step=1e-6):
@@ -164,6 +164,26 @@ def test_array_evaluation_broadcasts():
     (vals,) = Tape([expr]).arrays([0.3], [ys])
     assert vals.shape == (11,)
     assert vals[5] == pytest.approx(0.0)  # y = 0
+
+
+def test_array_mode_divides_constants_as_numpy_does():
+    """Between two constants the array mode computes on numpy scalars, so
+    1/0 is inf and 0/0 NaN without a warning, where the scalar mode raises
+    DomainError."""
+    import warnings
+
+    from minimaxcert.expressions import Add, Div, Mul, Tape
+
+    zero, one, x1 = Const(0.0), Const(1.0), Var("x", 0)
+    tape = Tape([Div(zero, zero), Div(one, zero), Add(x1, Div(Const(-1.0), zero)),
+                 Mul(Const(1e308), Const(1e308))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nan, inf, col, big = tape.arrays([np.array([[1.0], [2.0]])], [])
+    assert np.isnan(nan) and inf == np.inf and big == np.inf
+    assert col.shape == (2, 1) and np.all(col == -np.inf)
+    with pytest.raises(DomainError, match="division by zero"):
+        tape([1.0], [])
 
 
 # --- the compiled tape agrees with the tree walk ------------------------------
@@ -408,22 +428,30 @@ def test_mixed_partials_agree_in_both_orders(tree_and_pair, x, y):
 _VARS = [Var("x", i) for i in range(3)] + [Var("y", i) for i in range(2)]
 
 
+def _partial(grads, expr, var):
+    partials, zero = grads(expr)
+    return partials.get(2 * var.index + (var.kind == "y"), zero)
+
+
 @settings(max_examples=150)
 @given(_entries(), st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]))
 def test_shared_differentiator_matches_one_shot_differentiate(entries, c):
-    """A Differentiator shared by a whole table, first and second derivatives
+    """One Gradients shared by a whole table, first and second derivatives
     by every variable as ProblemSpec._tables uses it, gives each entry what
-    entry-by-entry `differentiate` gives; to_string prints the sign of zero,
-    which == ignores.  The entries include subtrees free of a variable."""
+    entry-by-entry `differentiate` gives, and what the per-pair reference
+    differentiator gives; to_string prints the sign of zero, which ==
+    ignores.  The entries include subtrees free of a variable."""
     x1, x2 = Var("x", 0), Var("x", 1)
     entries = [*entries, Func("cos", x1), Neg(x2), Mul(Const(c), x1)]
-    d = Differentiator()
+    grads, ref = Gradients(), Differentiator()
     for e in entries:
         for u in _VARS:
-            shared, plain = d(e, u), differentiate(e, u)
-            assert to_string(shared) == to_string(plain)
+            shared, plain = _partial(grads, e, u), differentiate(e, u)
+            assert to_string(shared) == to_string(plain) == to_string(ref(e, u))
             for v in _VARS:
-                assert to_string(d(shared, v)) == to_string(differentiate(plain, v))
+                want = to_string(differentiate(plain, v))
+                assert to_string(_partial(grads, shared, v)) == want
+                assert to_string(ref(ref(e, u), v)) == want
 
 
 @pytest.mark.parametrize("text, want", [
@@ -435,7 +463,70 @@ def test_derivative_by_an_absent_variable_keeps_its_sign_of_zero(text, want):
     absent variable, with the sign the differentiation rules give it (the
     tape keeps 0.0 and -0.0 apart)."""
     expr = parse_expression(text)
-    d = Differentiator()
+    partials, zero = Gradients()(expr)
+    assert to_string(zero) == want
     for var in (Var("y", 0), Var("y", 1), Var("x", 2)):
-        assert to_string(d(expr, var)) == want
+        assert 2 * var.index + (var.kind == "y") not in partials
+        assert to_string(Differentiator()(expr, var)) == want
         assert to_string(differentiate(expr, var)) == want
+
+
+# --- the sparse tables compile to the per-pair reference's tapes ------------
+
+def _x_only(e):
+    """e with every y_k replaced by x_k: data for H and G."""
+    if isinstance(e, Var):
+        return Var("x", e.index)
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, (Neg, Func)):
+        return type(e)(e.name, _x_only(e.a)) if isinstance(e, Func) else Neg(_x_only(e.a))
+    return type(e)(_x_only(e.a), _x_only(e.b))
+
+
+_X1, _Y1 = Var("x", 0), Var("y", 0)
+# signed zeros (cos(x1) by y1 is -0.0, and Add folds -(x1*0)'s -0.0 by x1
+# into 0.0), folding between constants, ^ with a constant exponent, and a
+# "zero" made from inf that is not a constant
+_SPECIAL = [Func("cos", _X1), Neg(Func("cos", Var("x", 1))), Add(Const(2.0), Const(-0.0)),
+            Sub(Const(-0.0), Const(0.0)), Mul(Const(-0.0), _Y1), Pow(_X1, Const(3.0)),
+            Pow(Add(_X1, _Y1), Const(-0.5)), Pow(Const(2.0), Const(0.5)),
+            Add(Pow(_Y1, Const(2.0)), Mul(Const(-2.5), Var("x", 2))),
+            Add(Neg(Mul(_X1, Const(0.0))), _Y1), Pow(_X1, Mul(_Y1, Const(np.inf)))]
+
+
+def tape_code(tape):
+    """Everything a compiled tape holds, comparable with ==: a float kernel
+    that tests a domain is a partial with its node bound."""
+    return (tape._array_code,
+            [(getattr(op, "func", op), getattr(op, "args", ()), s, a, b)
+             for op, s, a, b in tape._float_code],
+            tape._out_pos.tolist(), tape._out_slot, tape.template.tobytes(),
+            [repr(v) for v in tape._init], tape._loads)
+
+
+@settings(max_examples=200)
+@given(_entries(), st.lists(st.sampled_from(_SPECIAL), max_size=4), st.integers(0, 2))
+def test_sparse_tables_compile_to_the_per_pair_reference_tape(entries, special, split):
+    """ProblemSpec's tables, all partial derivatives of a node at once, and
+    the per-pair reference's dense tables compile to equal bundle and upper
+    tapes: instructions, template bits (-0.0 included), positions, slots and
+    loads, hence also the same DomainError first."""
+    from minimaxcert.problem import ProblemSpec
+
+    exprs = [*special, *entries]
+    f, rest = exprs[0], exprs[1:]
+    h, g = rest[:split], rest[split:]
+    outer = [_x_only(e) for e in exprs[-2:]]
+
+    def spec():
+        return ProblemSpec(3, 2, len(h), len(g), 1, len(outer) - 1, f, h, g,
+                           outer[:1], outer[1:])
+
+    new, ref = spec(), spec()
+    ref.__dict__["_tables"] = reference_tables(ref)
+    for program in ("_bundle_program", "_upper_program"):
+        got, want = getattr(new, program), getattr(ref, program)
+        assert tape_code(got.tape) == tape_code(want.tape)
+        assert got.layout == want.layout
+        assert got.owners == want.owners
