@@ -33,7 +33,6 @@ from .nonsmooth import (
     enumerate_b_selectors,
     kkt_map_directional,
     phi_generalized_gradients,
-    project_nonpositive,
 )
 from .oracle import GridSpec, fd_derivatives, grid_local_maximize, verify_minimax_definition
 from .problem import (

@@ -358,10 +358,7 @@ def _pipeline(spec, candidate, config, progress: _Progress):
 
 def _run_smooth(spec, candidate, decision, config, results, notes):
     try:
-        sol = solve_lower(
-            spec, candidate.x, (candidate.y, decision.mu, decision.lam), config,
-            path="smooth",
-        )
+        sol = solve_lower(spec, candidate.x, (candidate.y, decision.mu, decision.lam), config)
     except NewtonError as exc:
         results.append(
             ConditionCheck("sensitivity_system", ERROR, None, None, KIND_INFO,
@@ -494,10 +491,7 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
         )
     )
     try:
-        sol = solve_lower(
-            spec, candidate.x, (candidate.y, decision.mu, decision.lam), config,
-            path="nonsmooth",
-        )
+        sol = solve_lower(spec, candidate.x, (candidate.y, decision.mu, decision.lam), config)
     except NewtonError as exc:
         results.append(
             ConditionCheck("first_order_nonsmooth", ERROR, None, None,

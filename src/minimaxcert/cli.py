@@ -177,11 +177,11 @@ def _cmd_certify(args) -> int:
 def _cmd_value_derivs(args) -> int:
     spec, config = _load(args)
     cand = _candidates(args, spec)[0]
-    sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config, "smooth")
+    sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config)
     vd = value_derivatives(spec, sol, config)
 
     def phi_at(xv):
-        s = solve_lower(spec, xv, (sol.y, sol.mu, sol.lam), config, "smooth")
+        s = solve_lower(spec, xv, (sol.y, sol.mu, sol.lam), config)
         return eval_bundle(spec, s.x, s.y).f
 
     grad_fd, hess_fd = fd_derivatives(phi_at, cand.x, config.fd_step,
@@ -225,7 +225,7 @@ def _cmd_value_derivs(args) -> int:
 def _cmd_solve_lower(args) -> int:
     spec, config = _load(args)
     cand = _candidates(args, spec)[0]
-    sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config, "smooth")
+    sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config)
     doc = {
         "version": VERSION,
         "problem_digest": problem_digest(spec),
@@ -276,8 +276,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_subdiff(args) -> int:
     spec, config = _load(args)
     cand = _candidates(args, spec)[0]
-    sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config,
-                      "nonsmooth")
+    sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config)
     gset = phi_generalized_gradients(spec, sol, config, kind="outer_approx")
     items = [
         {"W": list(W.values), "binary": W.binary, "gradient": vec.tolist()}

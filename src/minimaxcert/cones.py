@@ -1,5 +1,5 @@
-"""Polyhedral cones {d : E d = 0, F d <= 0}: membership, faces, rays, the
-exact minimum of a quadratic over the cone, and sampling.
+"""Polyhedral cones {d : E d = 0, F d <= 0} (`Cone`): membership, faces,
+rays, the exact minimum of a quadratic over the cone, and sampling.
 
 Every face of the cone lies in some ker [E; F_S], S a subset of F's rows.
 `min_quadratic_on_cone` walks those faces depth first and prunes by
@@ -10,11 +10,12 @@ enumerates every subset (`_face_bases`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .linalg import LpProblem, nullspace_basis, solve_lp
+from .linalg import nullspace_basis
 from .problem import memoised
 
 CONE_TOL = 1e-10
@@ -50,28 +51,18 @@ def cone_contains(E: np.ndarray, F: np.ndarray, d: np.ndarray, tol: float = 1e-9
     return True
 
 
-def cone_is_trivial(E: np.ndarray, F: np.ndarray, dim: int, tol: float = 1e-9) -> bool:
-    """True when the cone is {0}: every coordinate extreme over cone-box is 0."""
-    E = _as_rows(E, dim)
-    F = _as_rows(F, dim)
-    for j in range(dim):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(dim)
-            c[j] = sgn
-            sol = solve_lp(
-                LpProblem(
-                    c,
-                    A_eq=E if E.shape[0] else None,
-                    b_eq=np.zeros(E.shape[0]) if E.shape[0] else None,
-                    A_in=F if F.shape[0] else None,
-                    b_in=np.zeros(F.shape[0]) if F.shape[0] else None,
-                    lower=-np.ones(dim),
-                    upper=np.ones(dim),
-                )
-            )
-            if sol.status != "optimal" or sol.value > tol:
-                return False
-    return True
+@dataclass
+class Cone:
+    """The cone {d : E d = 0, F d <= 0}; ker E spans its affine hull.  An
+    upper critical cone with a known multiplier keeps its reduced form, the
+    cone of the sufficient check, as `reduced`."""
+
+    E: np.ndarray
+    F: np.ndarray
+    reduced: Cone | None = None
+
+    def contains(self, d: np.ndarray, tol: float = 1e-9) -> bool:
+        return cone_contains(self.E, self.F, d, tol)
 
 
 def _face_bases(E: np.ndarray, F: np.ndarray):

@@ -7,6 +7,9 @@ the parametric solution map.
 A(x, W) of the projected KKT map for a projection selector W.  The Newton
 steps, the smooth-path sensitivity system (W = 1 on gamma, 0 on alpha) and
 the nonsmooth selector sweep all build their matrices with it.
+
+`solve_lower` stops at `tol_newton` with its last iterate's residual; it
+has no path, which `certify.classify_path` alone picks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .conditions import (
     ConditionCheck,
 )
 from .config import CheckConfig
-from .cones import budget_detail, cone_contains, min_quadratic_on_cone
+from .cones import Cone, budget_detail, min_quadratic_on_cone
 from .linalg import (
     SingularMatrixError,
     max_eigenvalue_on_subspace,
@@ -146,19 +149,6 @@ def classify_partition(g: np.ndarray, lam: np.ndarray, tol_act: float) -> Active
     return ActivePartition(tuple(alpha), tuple(beta), tuple(gamma), tol_act)
 
 
-@dataclass
-class ConeRep:
-    """Polyhedral cone rows: E d = 0, F d <= 0; ker E is its affine hull's
-    linear span."""
-
-    E: np.ndarray
-    F: np.ndarray
-    dim: int
-
-    def contains(self, d: np.ndarray, tol: float = 1e-9) -> bool:
-        return cone_contains(self.E, self.F, d, tol)
-
-
 def critical_cone_lower(
     spec: ProblemSpec,
     x,
@@ -167,7 +157,7 @@ def critical_cone_lower(
     lam,
     partition: ActivePartition,
     tol_kkt: float = 1e-8,
-) -> ConeRep:
+) -> Cone:
     """Critical cone of the inner problem in reduced form (stationarity makes
     the objective-gradient row redundant: equalities on alpha, inequalities on
     beta)."""
@@ -185,7 +175,7 @@ def critical_cone_lower(
         if partition.beta
         else np.zeros((0, m))
     )
-    return ConeRep(E=E, F=F, dim=m)
+    return Cone(E, F)
 
 
 @dataclass
@@ -265,7 +255,7 @@ class LowerConditionsReport:
 
     checks: dict[str, ConditionCheck]
     partition: ActivePartition | None = None
-    cone: ConeRep | None = None
+    cone: Cone | None = None
     mu: np.ndarray | None = None
     lam: np.ndarray | None = None
 
@@ -419,7 +409,6 @@ class KktSolution:
     mu: np.ndarray
     lam: np.ndarray
     residual: float
-    path: str  # 'smooth' | 'nonsmooth', a label: both run the same Newton
     trace: list[float] = field(default_factory=list)
     iterations: int = 0
     notes: str = ""  # solve_lower leaves it empty; perfbench's tracer still reads it
@@ -444,25 +433,35 @@ def kkt_jacobian_blocks(lag: LagrangianEval, bundle: DerivativeBundle, w_diag: n
     return A
 
 
-def _semismooth_newton(spec, x, y0, mu0, lam0, config):
+def solve_lower(
+    spec: ProblemSpec,
+    x,
+    seed: tuple,
+    config: CheckConfig | None = None,
+) -> KktSolution:
+    """Solve the inner KKT system at x from a seed (y0, mu0, lam0) by
+    semismooth Newton on the projected system, until the residual is at most
+    `tol_newton`.  The solution's residual and slacks are those of the last
+    iterate, whose point is not evaluated again."""
+    config = config or CheckConfig()
     m, m1, m2 = spec.m, spec.m1, spec.m2
-    y = np.array(y0, dtype=float)
-    mu = np.array(mu0, dtype=float)
-    lam = np.array(lam0, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y0, mu0, lam0 = seed
+    y = np.array(y0, dtype=float, ndmin=1)
+    mu = np.zeros(m1) if mu0 is None else np.array(mu0, dtype=float, ndmin=1)
+    lam = np.zeros(m2) if lam0 is None else np.array(lam0, dtype=float, ndmin=1)
     trace: list[float] = []
     for it in range(config.newton_max_iter):
         bundle = eval_bundle(spec, x, y)
-        lag = lagrangian_eval(bundle, mu, lam)
-        proj = np.minimum(lam + bundle.g, 0.0)
-        F = np.concatenate([lag.grad_y, bundle.h, bundle.g - proj])
-        res = float(np.max(np.abs(F), initial=0.0))
+        F, res = kkt_residual_from_bundle(bundle, mu, lam)
         trace.append(res)
         if res <= config.tol_newton:
-            return y, mu, lam, trace
+            w = np.sqrt(np.maximum(0.0, -bundle.g))
+            return KktSolution(x, y, w, mu, lam, res, trace, len(trace))
         if not np.isfinite(res) or (len(trace) > 3 and res > 1e8 * (1.0 + trace[0])):
             raise NewtonError(f"divergence at iteration {it} (residual {res:.3e})", trace)
         w_diag = (lam + bundle.g < 0.0).astype(float) if m2 else np.zeros(0)
-        A = kkt_jacobian_blocks(lag, bundle, w_diag)
+        A = kkt_jacobian_blocks(lagrangian_eval(bundle, mu, lam), bundle, w_diag)
         try:
             delta = solve_linear(A, -F)
         except SingularMatrixError as exc:
@@ -475,29 +474,3 @@ def _semismooth_newton(spec, x, y0, mu0, lam0, config):
         f"(last residual {trace[-1]:.3e})",
         trace,
     )
-
-
-def solve_lower(
-    spec: ProblemSpec,
-    x,
-    seed: tuple,
-    config: CheckConfig | None = None,
-    path: str = "smooth",
-) -> KktSolution:
-    """Solve the inner KKT system at x from a seed (y0, mu0, lam0) by
-    semismooth Newton on the projected system.  `path` ('smooth' or
-    'nonsmooth') only labels the solution; the smooth path is the case
-    without degenerate indices."""
-    if path not in ("smooth", "nonsmooth"):
-        raise ValueError(f"unknown path {path!r}")
-    config = config or CheckConfig()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y0, mu0, lam0 = seed
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    mu0 = np.zeros(spec.m1) if mu0 is None else np.atleast_1d(np.asarray(mu0, dtype=float))
-    lam0 = np.zeros(spec.m2) if lam0 is None else np.atleast_1d(np.asarray(lam0, dtype=float))
-    y, mu, lam, trace = _semismooth_newton(spec, x, y0, mu0, lam0, config)
-    bundle = eval_bundle(spec, x, y)
-    w = np.sqrt(np.maximum(0.0, -bundle.g))
-    _, norm = kkt_residual_from_bundle(bundle, mu, lam)
-    return KktSolution(x, y, w, mu, lam, norm, path, trace, len(trace))

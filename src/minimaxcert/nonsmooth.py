@@ -2,14 +2,17 @@
 A(x,W), the solution-map sensitivity blocks H(x,W), and the resulting
 directional-derivative / subgradient candidate sets.
 
+`_solution_point` opens every inner solution, here and in `value_function`:
+it is the one check that a `KktSolution` has converged (at `tol_newton`).
+
 Everything runs off one selector sweep per nonsmooth solution
-(`selector_sweep`).  It evaluates the derivative bundle and the Lagrangian
-once and takes the 2^|beta| B-selectors, the binary selectors on the
-degenerate set beta.  Under the standing regularity assumption (LICQ plus
-strong second-order sufficiency, hence strong regularity) every element of
-the Clarke generalized Jacobian is nonsingular and phi is C^1 with
-grad phi = grad_x L, so a grid over the Clarke box cannot change a verdict:
-only `subdiff` (`phi_generalized_gradients(kind="outer_approx")`) adds it.
+(`selector_sweep`).  It opens the solution once and takes the 2^|beta|
+B-selectors, the binary selectors on the degenerate set beta.  Under the
+standing regularity assumption (LICQ plus strong second-order sufficiency,
+hence strong regularity) every element of the Clarke generalized Jacobian
+is nonsingular and phi is C^1 with grad phi = grad_x L, so a grid over the
+Clarke box cannot change a verdict: only `subdiff`
+(`phi_generalized_gradients(kind="outer_approx")`) adds it.
 The sweep assembles every A(x, W) as one stack (`lower.kkt_jacobian_blocks`
 on the stacked selector diagonals, the assembler the inner Newton uses too)
 with its right-hand-side stack, factors the stack with one batched
@@ -58,11 +61,6 @@ LAMBDA_SIGN_CONVENTION = "kkt-derivative (lambda column negated, sigma = -1)"
 
 class SelectorCapError(Exception):
     pass
-
-
-def project_nonpositive(v: np.ndarray) -> np.ndarray:
-    """Componentwise projection onto the nonpositive orthant: min(v, 0)."""
-    return np.minimum(np.asarray(v, dtype=float), 0.0)
 
 
 @dataclass(frozen=True)
@@ -137,11 +135,16 @@ def clarke_selector_grid(
     return out
 
 
-def _solution_point(spec: ProblemSpec, sol: KktSolution):
-    if sol.residual > 1e-8:
-        raise ValueError(f"solution residual {sol.residual:.3e} exceeds 1e-8")
+def _solution_point(spec: ProblemSpec, sol: KktSolution, config: CheckConfig | None = None):
+    """(bundle, Lagrangian, partition) at a solution whose residual is within
+    `tol_newton`, where `solve_lower` stops; a ValueError otherwise."""
+    config = config or CheckConfig()
+    if not sol.residual <= config.tol_newton:
+        raise ValueError(f"solution residual {sol.residual:.3e} exceeds "
+                         f"tol_newton {config.tol_newton:.1e}")
     bundle = eval_bundle(spec, sol.x, sol.y)
-    return bundle, lagrangian_eval(bundle, sol.mu, sol.lam)
+    return (bundle, lagrangian_eval(bundle, sol.mu, sol.lam),
+            classify_partition(bundle.g, sol.lam, config.tol_act))
 
 
 @dataclass
@@ -199,8 +202,7 @@ def selector_sweep(
     the B-selectors, then (with clarke) the Clarke grid points not among them.
     Raises SelectorCapError before any factoring when a cap is exceeded."""
     config = config or CheckConfig()
-    bundle, lag = _solution_point(spec, sol)
-    partition = classify_partition(bundle.g, sol.lam, config.tol_act)
+    bundle, lag, partition = _solution_point(spec, sol, config)
     selectors = enumerate_b_selectors(partition, config.selector_cap)
     if clarke:
         grid = clarke_selector_grid(partition, config.beta_grid_resolution,
@@ -210,23 +212,26 @@ def selector_sweep(
     return stack_selectors(bundle, lag, selectors)
 
 
-def _single_selector(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> SelectorSweep:
+def _single_selector(spec, sol, W: WSelector, config) -> SelectorSweep:
     """The sweep's stacked step on a one-selector stack."""
-    return stack_selectors(*_solution_point(spec, sol), [W])
+    return stack_selectors(*_solution_point(spec, sol, config)[:2], [W])
 
 
-def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:
+def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector,
+                      config: CheckConfig | None = None) -> np.ndarray:
     """Bordered matrix of order m + m1 + m2 for the selector W."""
-    return _single_selector(spec, sol, W).A[0].copy()
+    return _single_selector(spec, sol, W, config).A[0].copy()
 
 
-def a_matrix_min_pivot(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> float:
-    return float(_single_selector(spec, sol, W).lu.min_pivots[0])
+def a_matrix_min_pivot(spec: ProblemSpec, sol: KktSolution, W: WSelector,
+                       config: CheckConfig | None = None) -> float:
+    return float(_single_selector(spec, sol, W, config).lu.min_pivots[0])
 
 
-def assemble_h_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector) -> np.ndarray:
+def assemble_h_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector,
+                      config: CheckConfig | None = None) -> np.ndarray:
     """H(x, W) = A(x, W)^{-1} (grad_yx L; J_x h; (I - W) J_x g)."""
-    return _single_selector(spec, sol, W).h_matrix(0).copy()
+    return _single_selector(spec, sol, W, config).h_matrix(0).copy()
 
 
 @dataclass
@@ -240,16 +245,6 @@ class GeneralizedDerivativeSet:
     @property
     def vectors(self) -> list[np.ndarray]:
         return [v for _, v in self.items]
-
-    def closest_to(self, target: np.ndarray) -> tuple[float, np.ndarray | None]:
-        best = np.inf
-        best_vec = None
-        for _, v in self.items:
-            dist = float(np.max(np.abs(v - target)))
-            if dist < best:
-                best = dist
-                best_vec = v
-        return best, best_vec
 
 
 def _candidate_set(kind: str, sweep: SelectorSweep, rows: np.ndarray) -> GeneralizedDerivativeSet:

@@ -128,6 +128,16 @@ def _feasible(values, equalities: int, feas_tol: float):
     return feas
 
 
+def _violation(values, equalities: int) -> float:
+    """The largest violation among scalar constraint values, read as
+    `_feasible` reads them; NaN counts as inf."""
+    worst = 0.0
+    for k, c in enumerate(values):
+        c = abs(float(c)) if k < equalities else float(c)
+        worst = max(worst, math.inf if math.isnan(c) else c)
+    return worst
+
+
 def _masked_argmax(spec: ProblemSpec, x, ys, rows: int, feas_tol: float):
     """Row-wise argmax of f(x, .) over the feasible points of a y-grid.
 
@@ -191,6 +201,8 @@ def verify_minimax_definition(
     """Grid check of both defining inequalities on a shrinking delta ladder:
     y-candidates may not beat f(x*, y*) on Y(x*), and nearby feasible x must
     reach at least f(x*, y*) when maximizing over the eta(delta) ball.
+    A candidate that violates h, g, H or G by more than feas_tol (NaN
+    included) fails before the ladder, on side "feasibility".
     Raises GridTooLargeError, before evaluating anything, when the first
     level's x-grid times y-grid exceeds MAX_LEVEL_POINTS."""
     grid = grid or GridSpec()
@@ -205,12 +217,21 @@ def verify_minimax_definition(
         raise GridTooLargeError(points)
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
-    _, outer, objective = spec._oracle_tapes
+    inner, outer, objective = spec._oracle_tapes
     f_star = float(objective(x_star, y_star)[0])
     report = OracleReport(
         passed=True, worst_violation=0.0, worst_side=None, worst_witness=None,
         f_star=f_star,
     )
+    # an infeasible candidate leaves every grid empty, which would pass
+    at_star = ((inner.arrays(x_star, y_star)[:-1], spec.m1),
+               (outer.arrays(x_star, np.zeros(spec.m)), spec.n1))
+    if not all(_feasible(values, eq, grid.feas_tol) for values, eq in at_star):
+        report.passed, report.worst_side = False, "feasibility"
+        report.worst_violation = max(_violation(values, eq) for values, eq in at_star)
+        report.notes.append(f"candidate infeasible: constraint violation "
+                            f"{report.worst_violation:.3e} exceeds feas_tol {grid.feas_tol:g}")
+        return report
 
     deltas = [grid.delta0 * 0.5**k for k in range(grid.levels)]
     for delta in deltas:

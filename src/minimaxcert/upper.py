@@ -26,7 +26,7 @@ from .conditions import (
     ConditionCheck,
 )
 from .config import CheckConfig
-from .cones import budget_detail, cone_contains, min_quadratic_on_cone
+from .cones import Cone, budget_detail, min_quadratic_on_cone
 from .linalg import LpProblem, smallest_singular_value, solve_lp
 from .lower import KktSolution
 from .nonsmooth import GeneralizedDerivativeSet, SelectorSweep, selector_sweep
@@ -274,31 +274,16 @@ def upper_kkt_and_polytope(
     return poly
 
 
-@dataclass
-class UpperConeRep:
-    """Critical cone rows: E = JH, F = [JG_I; working-gradient row (<= 0)].
-
-    The reduced form (equalities forced by positive multipliers) is kept
-    alongside when a multiplier is available.
-    """
-
-    E: np.ndarray
-    F: np.ndarray
-    dim: int
-    reduced_E: np.ndarray | None = None
-    reduced_F: np.ndarray | None = None
-
-    def contains(self, d, tol: float = 1e-9) -> bool:
-        return cone_contains(self.E, self.F, d, tol)
-
-
 def critical_cone_upper(
     spec: ProblemSpec,
     x,
     working_grad: np.ndarray,
     multiplier: tuple[np.ndarray, np.ndarray] | None = None,
     config: CheckConfig | None = None,
-) -> UpperConeRep:
+) -> Cone:
+    """Critical cone rows: E = JH, F = [JG_I; working-gradient row (<= 0)].
+    With a multiplier, its reduced form (equalities forced by positive
+    multipliers, no gradient row) is the cone's `reduced`."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
     aset = compute_upper_active_set(spec, x, config.tol_act)
@@ -309,19 +294,13 @@ def critical_cone_upper(
         F_rows.append(data.JG[list(aset.I)])
     F_rows.append(r0.reshape(1, -1))
     F = np.vstack(F_rows)
-    rep = UpperConeRep(E=E, F=F, dim=spec.n)
+    cone = Cone(E, F)
     if multiplier is not None:
-        u, v = multiplier
+        v = multiplier[1]
         strong = [i for i in aset.I if v[i] > config.tol_act]
         weak = [i for i in aset.I if v[i] <= config.tol_act]
-        red_E_rows = [E]
-        if strong:
-            red_E_rows.append(data.JG[strong])
-        rep.reduced_E = np.vstack([r for r in red_E_rows if r.size]) if any(
-            r.size for r in red_E_rows
-        ) else np.zeros((0, spec.n))
-        rep.reduced_F = data.JG[weak] if weak else np.zeros((0, spec.n))
-    return rep
+        cone.reduced = Cone(np.vstack([E, data.JG[strong]]), data.JG[weak])
+    return cone
 
 
 def _curvature_lp_max(poly: LambdaPolytope, data: UpperData, d: np.ndarray) -> float:
@@ -406,7 +385,7 @@ def second_order_necessary(
     x,
     vd: ValueDerivatives,
     poly: LambdaPolytope,
-    cone: UpperConeRep,
+    cone: Cone,
     config: CheckConfig | None = None,
 ) -> tuple[ConditionCheck, list[tuple[np.ndarray, float]]]:
     """q_sup(d) >= 0 (to tolerance) on the critical cone, by the face test;
@@ -431,7 +410,7 @@ def second_order_sufficient(
     x,
     vd: ValueDerivatives,
     poly: LambdaPolytope,
-    cone: UpperConeRep,
+    cone: Cone,
     config: CheckConfig | None = None,
 ) -> ConditionCheck:
     """q_sup(d) >= tol_pd on the unit directions of the reduced critical cone,
@@ -442,9 +421,8 @@ def second_order_sufficient(
             "second_order_sufficient", INCONCLUSIVE, None, config.tol_pd,
             kind=KIND_SUFFICIENT, detail="multiplier polytope is empty",
         )
-    E = cone.reduced_E if cone.reduced_E is not None else cone.E
-    F = cone.reduced_F if cone.reduced_F is not None else cone.F
-    test = _cone_curvature(spec, x, vd, poly, E, F)
+    reduced = cone.reduced or cone
+    test = _cone_curvature(spec, x, vd, poly, reduced.E, reduced.F)
     return _cone_verdict("second_order_sufficient", KIND_SUFFICIENT, test, config.tol_pd,
                          config)
 

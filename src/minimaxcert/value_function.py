@@ -14,6 +14,9 @@ is rhs^T diag(I, I, -I) once the gamma rows, whose rhs rows are zero, drop
 out, and K is symmetric on the rest.  So hess phi is symmetric in exact
 arithmetic, and the assembled product differs from its transpose by rounding
 only.
+
+Each function opens its solution with `nonsmooth._solution_point`; the
+sensitivity system checks beta before it enumerates or factors anything.
 """
 
 from __future__ import annotations
@@ -23,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CheckConfig
-from .lower import KktSolution, classify_partition, lagrangian_eval
-from .nonsmooth import enumerate_b_selectors, stack_selectors
-from .problem import ProblemSpec, eval_bundle
-
-SMOOTH_RESIDUAL_TOL = 1e-8
+from .lower import KktSolution
+from .nonsmooth import _solution_point, enumerate_b_selectors, stack_selectors
+from .problem import ProblemSpec
 
 
 class SingularSensitivityError(Exception):
@@ -52,52 +53,17 @@ class SensitivitySystem:
     condition_warning: bool
 
 
-def _check_residual(sol: KktSolution) -> None:
-    if sol.residual > SMOOTH_RESIDUAL_TOL:
-        raise ValueError(
-            f"solution residual {sol.residual:.3e} exceeds {SMOOTH_RESIDUAL_TOL:.1e}"
-        )
-
-
 def assemble_sensitivity_system(
     spec: ProblemSpec, sol: KktSolution, config: CheckConfig | None = None
 ) -> SensitivitySystem:
-    config = config or CheckConfig()
-    if sol.path != "smooth":
-        raise ValueError("sensitivity system requires a smooth-path solution")
-    _check_residual(sol)
-    bundle = eval_bundle(spec, sol.x, sol.y)
-    partition = classify_partition(bundle.g, sol.lam, config.tol_act)
-    if partition.beta:
-        names = ", ".join(f"g{i + 1}" for i in partition.beta)
-        raise SingularSensitivityError(
-            f"{names} active with zero multiplier (strict complementarity fails)"
-        )
-    lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    sweep = stack_selectors(bundle, lag, enumerate_b_selectors(partition))
-    error = sweep.lu.error(0)
-    if error is not None:
-        raise SingularSensitivityError(
-            f"sensitivity matrix A(x, W) is singular to tolerance (pivot {error.pivot:.3e})",
-            error.pivot,
-        ) from error
-    A = sweep.A[0]
-    condition = float(np.linalg.cond(A, 1)) if A.size else 1.0
-    return SensitivitySystem(
-        A=A,
-        rhs=sweep.rhs[0],
-        H=sweep.H[0],
-        min_pivot=float(sweep.lu.min_pivots[0]),
-        condition=condition,
-        condition_warning=condition > config.cond_warn,
-    )
+    """The sensitivity system that value_derivatives assembles."""
+    return value_derivatives(spec, sol, config).system
 
 
-def phi_gradient(spec: ProblemSpec, sol: KktSolution) -> np.ndarray:
+def phi_gradient(spec: ProblemSpec, sol: KktSolution,
+                 config: CheckConfig | None = None) -> np.ndarray:
     """grad phi(x) = grad_x L(x; y(x), mu(x), lam(x))."""
-    _check_residual(sol)
-    bundle = eval_bundle(spec, sol.x, sol.y)
-    return lagrangian_eval(bundle, sol.mu, sol.lam).grad_x
+    return _solution_point(spec, sol, config)[1].grad_x
 
 
 @dataclass
@@ -115,18 +81,39 @@ def value_derivatives(
     with the assembled sensitivity system.  That product is symmetric in exact
     arithmetic (see the module docstring), so it is symmetrised on return and
     not checked: its asymmetry is rounding, and a test bounds it."""
-    system = assemble_sensitivity_system(spec, sol, config)
-    bundle = eval_bundle(spec, sol.x, sol.y)
-    lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    raw = lag.xx - np.hstack([lag.yx.T, bundle.h_jx.T, -bundle.g_jx.T]) @ system.H
+    config = config or CheckConfig()
+    bundle, lag, partition = _solution_point(spec, sol, config)
+    if partition.beta:
+        names = ", ".join(f"g{i + 1}" for i in partition.beta)
+        raise SingularSensitivityError(
+            f"{names} active with zero multiplier (strict complementarity fails)"
+        )
+    sweep = stack_selectors(bundle, lag, enumerate_b_selectors(partition))
+    error = sweep.lu.error(0)
+    if error is not None:
+        raise SingularSensitivityError(
+            f"sensitivity matrix A(x, W) is singular to tolerance (pivot {error.pivot:.3e})",
+            error.pivot,
+        ) from error
+    A = sweep.A[0]
+    condition = float(np.linalg.cond(A, 1)) if A.size else 1.0
+    raw = lag.xx - np.hstack([lag.yx.T, bundle.h_jx.T, -bundle.g_jx.T]) @ sweep.H[0]
     return ValueDerivatives(
         value=bundle.f,
         gradient=lag.grad_x,
         hessian=0.5 * (raw + raw.T),
-        system=system,
+        system=SensitivitySystem(
+            A=A,
+            rhs=sweep.rhs[0],
+            H=sweep.H[0],
+            min_pivot=float(sweep.lu.min_pivots[0]),
+            condition=condition,
+            condition_warning=condition > config.cond_warn,
+        ),
     )
 
 
-def phi_hessian(spec: ProblemSpec, sol: KktSolution) -> np.ndarray:
+def phi_hessian(spec: ProblemSpec, sol: KktSolution,
+                config: CheckConfig | None = None) -> np.ndarray:
     """hess phi(x), as computed by value_derivatives."""
-    return value_derivatives(spec, sol).hessian
+    return value_derivatives(spec, sol, config).hessian

@@ -282,6 +282,30 @@ def brute_force_min_quadratic_on_cone(M, E, F, tol=1e-9):
     return best, witness
 
 
+def cone_is_trivial(E, F, dim, tol=1e-9):
+    """True when the cone {E d = 0, F d <= 0} is {0}: every coordinate's
+    extremes over the cone within the unit box are 0.  It is the LP
+    reference for a trivial cone."""
+    for j in range(dim):
+        for sgn in (1.0, -1.0):
+            sol = solve_lp(LpProblem(
+                np.where(np.arange(dim) == j, sgn, 0.0),
+                E if E.shape[0] else None, np.zeros(E.shape[0]) if E.shape[0] else None,
+                F if F.shape[0] else None, np.zeros(F.shape[0]) if F.shape[0] else None,
+                -np.ones(dim), np.ones(dim)))
+            if sol.status != "optimal" or sol.value > tol:
+                return False
+    return True
+
+
+def closest_to(gset, target):
+    """(max-norm distance, vector) of the candidate in a
+    `GeneralizedDerivativeSet` nearest to target; (inf, None) when it has no
+    candidates."""
+    return min(((float(np.max(np.abs(v - target))), v) for v in gset.vectors),
+               key=lambda item: item[0], default=(np.inf, None))
+
+
 def coordinate_lp_bounded(poly):
     """Boundedness of a nonempty multiplier polytope by its 2 (n1 + |I|)
     coordinate LPs: every min and max of one coordinate of (u, v_I) over

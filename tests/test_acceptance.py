@@ -40,7 +40,7 @@ def _report(criterion: int, ok: bool, detail: str):
 
 def _phi_func(spec, config, sol):
     def func(xv):
-        s = solve_lower(spec, xv, (sol.y, sol.mu, sol.lam), config, "smooth")
+        s = solve_lower(spec, xv, (sol.y, sol.mu, sol.lam), config)
         return eval_bundle(spec, s.x, s.y).f
 
     return func
@@ -56,7 +56,7 @@ def test_criterion_1_value_derivatives_match_fd(p1, p2, config):
     instances = [random_smooth_instance(rng, max_dim=3, max_m2=2) for _ in range(10)]
     cases += [(spec, x, y) for spec, x, y, _, _ in instances]
     for spec, x, y0 in cases:
-        sol = solve_lower(spec, x, (y0, None, None), config, "smooth")
+        sol = solve_lower(spec, x, (y0, None, None), config)
         vd = value_derivatives(spec, sol, config)
         grad_fd, hess_fd = fd_derivatives(
             _phi_func(spec, config, sol), x, config.fd_step, config.fd_hess_step
@@ -75,16 +75,15 @@ def test_criterion_1_value_derivatives_match_fd(p1, p2, config):
 
 
 def test_criterion_2_fixture_values(p1, p2, config):
-    sol1 = solve_lower(p1, [0.0], ([0.0], None, None), config, "smooth")
+    sol1 = solve_lower(p1, [0.0], ([0.0], None, None), config)
     vd = value_derivatives(p1, sol1, config)
     ok = abs(vd.gradient[0]) <= 1e-10 and abs(vd.hessian[0, 0] - 1.0) <= 1e-8
 
-    sol2 = solve_lower(p2, [0.0], ([0.0], None, None), config, "nonsmooth")
+    sol2 = solve_lower(p2, [0.0], ([0.0], None, None), config)
     details = []
     for d, expected in ((-1.0, -1.0), (1.0, 0.0)):
         t = 1e-6
-        st = solve_lower(p2, [d * t], (sol2.y, sol2.mu, sol2.lam), config,
-                         "nonsmooth")
+        st = solve_lower(p2, [d * t], (sol2.y, sol2.mu, sol2.lam), config)
         tracked = float((st.y[0] - sol2.y[0]) / t)
         cands = kkt_map_directional(p2, sol2, [d], config)
         member = min(abs(float(v[0]) - tracked) for _, v in cands.items)
@@ -110,12 +109,12 @@ def test_criterion_3_nonsingularity_suites(p1, p2, p3, p4, config):
     n_matrices = 0
     for spec, x, y in candidates:
         assert check_assumption_a(spec, x, y, config).assumption_a
-        base = solve_lower(spec, x, (y, None, None), config, "nonsmooth")
+        base = solve_lower(spec, x, (y, None, None), config)
         points = [base]
         for delta in (1e-3, -1e-3, 5e-4, -5e-4):
             points.append(
                 solve_lower(spec, x + delta, (base.y, base.mu, base.lam),
-                            config, "nonsmooth")
+                            config)
             )
         for sol in points:
             bundle = eval_bundle(spec, sol.x, sol.y)
@@ -135,7 +134,7 @@ def test_criterion_3_nonsingularity_suites(p1, p2, p3, p4, config):
 
 
 def test_criterion_4_newton_quadratic_convergence(p1, config):
-    sol = solve_lower(p1, [0.3], ([0.0], None, [0.0]), config, "smooth")
+    sol = solve_lower(p1, [0.3], ([0.0], None, [0.0]), config)
     trace = sol.trace
     ok = sol.residual <= 1e-10 and len(trace) <= 10
     ratios = []

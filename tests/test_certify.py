@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minimaxcert import (
     CandidatePoint,
@@ -20,6 +20,7 @@ from minimaxcert.certify import (
     VERDICT_REFUTED,
 )
 from minimaxcert.conditions import SATISFIED, VIOLATED
+from minimaxcert.fixtures import fixture_text
 from minimaxcert.oracle import grid_local_maximize
 from minimaxcert.report import dumps_canonical, report_to_doc
 
@@ -863,6 +864,8 @@ def test_other_value_errors_still_surface(config, p1, monkeypatch):
 
 # dims 1 1 0 2 0 0 with g1 = g2 = -y1: two active rows in one y
 TWIN_ROWS_TEXT = "dims 1 1 0 2 0 0\nf = -(y1 - x1)^2\ng1 = -y1\ng2 = -y1\n"
+# two degenerate indices at the origin for x <= 0
+DEGENERATE_PAIR_TEXT = "dims 1 2 0 2 0 0\nf = -(y1-x1)^2 - (y2-x1)^2\ng1 = y1\ng2 = y2\n"
 
 
 @pytest.mark.parametrize("text, x, y, tols, verdict, code", [
@@ -888,6 +891,16 @@ TWIN_ROWS_TEXT = "dims 1 1 0 2 0 0\nf = -(y1 - x1)^2\ng1 = -y1\ng2 = -y1\n"
     # inner maximiser y = x
     pytest.param("P2", "-1e-9", "0", {"tol_act": 1e-10, "tol_kkt": 1e-8}, VERDICT_REFUTED, 2,
                  id="P2-tight-act"),
+    # residuals of 5e-7 and 4e-7 within a loosened tol_newton: the solution
+    # is accepted at tol_newton, and P1's phi'(0.5) = 0.5 refutes
+    pytest.param("P1", "0.5", "0.5000005", {"tol_kkt": 1e-6, "tol_newton": 1e-6},
+                 VERDICT_REFUTED, 2, id="P1-loose-newton"),
+    pytest.param("P2", "-3e-7", "-5e-7", {"tol_act": 1e-6, "tol_kkt": 1e-6, "tol_newton": 1e-6},
+                 VERDICT_INCONCLUSIVE, 3, id="P2-loose-newton"),
+    # beta = {1, 2} at tol_act, above selector_cap: the sensitivity system
+    # fails on beta before any selector is enumerated
+    pytest.param(DEGENERATE_PAIR_TEXT, "2.5e-9", "0,0", {"tol_sc": 1e-10, "selector_cap": 1},
+                 VERDICT_INCONCLUSIVE, 3, id="beta-above-selector-cap"),
 ])
 def test_probe_verdicts_and_exit_codes(text, x, y, tols, verdict, code, tmp_path):
     from minimaxcert.cli import main
@@ -1000,6 +1013,39 @@ def test_certify_is_total(problem, exponents):
         doc = json.loads(dumps_canonical(report_to_doc(rep)))
         assert doc["verdict"] == rep.verdict in (VERDICT_CERTIFIED, VERDICT_NECESSARY,
                                                  VERDICT_REFUTED, VERDICT_INCONCLUSIVE)
+
+
+@settings(max_examples=300)
+@given(problem=_small_problems(),
+       exponents=st.lists(st.floats(-10, -6), min_size=7, max_size=7))
+@example(problem=(fixture_text("P1"), [0.5], [0.5 + 5e-7]),
+         exponents=[-8, -6, -8, -8, -8, -8, -6])
+@example(problem=(fixture_text("P2"), [-3e-7], [-5e-7]),
+         exponents=[-6, -6, -8, -8, -8, -8, -6])
+def test_certify_is_total_at_any_tol_newton(problem, exponents):
+    """As `test_certify_is_total`, with `tol_newton` drawn in 1e-10..1e-6
+    too: a solution that `solve_lower` accepts is accepted by everything that
+    opens it."""
+    from minimaxcert.problem import parse_problem
+
+    text, x, y = problem
+    names = (*_TOLERANCES, "tol_newton")
+    config = CheckConfig(**{k: 10.0**e for k, e in zip(names, exponents)})
+    rep = certify(parse_problem(text), CandidatePoint(x, y), config)
+    doc = json.loads(dumps_canonical(report_to_doc(rep)))
+    assert doc["verdict"] == rep.verdict in (VERDICT_CERTIFIED, VERDICT_NECESSARY,
+                                             VERDICT_REFUTED, VERDICT_INCONCLUSIVE)
+
+
+def test_degenerate_pair_checks_beta_before_the_selector_cap():
+    from minimaxcert.problem import parse_problem
+
+    config = CheckConfig(tol_sc=1e-10, selector_cap=1)
+    rep = certify(parse_problem(DEGENERATE_PAIR_TEXT), CandidatePoint([2.5e-9], [0.0, 0.0]),
+                  config)
+    assert rep.path == PATH_SMOOTH and rep.verdict == VERDICT_INCONCLUSIVE
+    check = result(rep, "sensitivity_system")
+    assert check.status == VIOLATED and "g1, g2 active with zero multiplier" in check.detail
 
 
 # --- large second derivatives: Hessians are symmetric by construction -------------

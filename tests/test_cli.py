@@ -268,11 +268,12 @@ def test_deeply_nested_expression_is_usage_error(tmp_path, capsys, shape, cmd):
 
 
 def test_oracle_runs_a_constant_division_by_zero(tmp_path, capsys):
-    # G1 is NaN everywhere; the grids mask it instead of raising
+    # G1 is NaN everywhere; the oracle reads it as infeasible instead of
+    # raising, so the candidate fails (exit 2)
     prob = tmp_path / "zdiv.prob"
     prob.write_text("dims 1 1 0 0 0 1\nf = x1^2 - y1^2\nG1 = x1 - 1 + 0/0\n",
                     encoding="utf-8")
-    assert main(["oracle", str(prob), "--x=0", "--y=0"]) == 0
+    assert main(["oracle", str(prob), "--x=0", "--y=0"]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and "Warning" not in captured.err
     assert captured.out.startswith("definition check:")

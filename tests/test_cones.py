@@ -4,13 +4,12 @@ from hypothesis import given, settings, strategies as st
 from minimaxcert.cones import (
     RAY_SUBSET_CAP,
     cone_contains,
-    cone_is_trivial,
     min_quadratic_on_cone,
     sample_cone,
 )
 from minimaxcert.problem import bundle_memo
 
-from conftest import brute_force_min_quadratic_on_cone
+from conftest import brute_force_min_quadratic_on_cone, cone_is_trivial
 
 
 def test_sample_cone_directions_are_unit_distinct_and_in_the_cone():

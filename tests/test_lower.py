@@ -12,7 +12,7 @@ from minimaxcert import (
 )
 from minimaxcert.conditions import VIOLATED, INCONCLUSIVE
 from minimaxcert.cones import cone_contains
-from minimaxcert.lower import NewtonError, PartitionError
+from minimaxcert.lower import NewtonError, PartitionError, kkt_residual_from_bundle
 from minimaxcert.oracle import grid_local_maximize
 from minimaxcert.problem import eval_bundle, parse_problem
 
@@ -216,7 +216,7 @@ def test_abs_rejected_by_condition_checks(config):
 # --- Newton solver ----------------------------------------------------------
 
 def test_solve_lower_p1(p1, config):
-    sol = solve_lower(p1, [0.3], ([0.0], None, [0.0]), config, "smooth")
+    sol = solve_lower(p1, [0.3], ([0.0], None, [0.0]), config)
     assert sol.y[0] == pytest.approx(0.3, abs=1e-10)
     assert sol.lam[0] == pytest.approx(0.0, abs=1e-10)
     assert sol.w[0] == pytest.approx(0.8366600265340756, abs=1e-10)  # sqrt(0.7)
@@ -224,13 +224,13 @@ def test_solve_lower_p1(p1, config):
 
 
 def test_solve_lower_p2_interior(p2, config):
-    sol = solve_lower(p2, [-0.5], ([0.0], None, [0.0]), config, "smooth")
+    sol = solve_lower(p2, [-0.5], ([0.0], None, [0.0]), config)
     assert sol.y[0] == pytest.approx(-0.5, abs=1e-9)
     assert sol.lam[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_solve_lower_p2_boundary(p2, config):
-    sol = solve_lower(p2, [0.5], ([0.0], None, [0.0]), config, "smooth")
+    sol = solve_lower(p2, [0.5], ([0.0], None, [0.0]), config)
     assert sol.y[0] == pytest.approx(0.0, abs=1e-9)
     assert sol.lam[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -239,7 +239,7 @@ def test_quadratic_convergence_trace(config):
     # genuinely nonlinear stationarity (x - y^3 - y = 0); P1 is linear and
     # converges in one step
     spec = parse_problem("dims 1 1 0 0 0 0\nf = x1*y1 - 0.25*y1^4 - 0.5*y1^2\n")
-    sol = solve_lower(spec, [0.9], ([0.0], None, None), config, "smooth")
+    sol = solve_lower(spec, [0.9], ([0.0], None, None), config)
     trace = [r for r in sol.trace if r > 0]
     assert len(trace) >= 3
     for prev, curr in zip(trace[-3:], trace[-2:]):
@@ -249,23 +249,37 @@ def test_quadratic_convergence_trace(config):
 def test_solve_lower_keeps_an_exact_kkt_seed(p1, config):
     # y = 1, lam = 0.2 solves P1 at x = 1.2: no Newton step is taken
     seed = (np.array([1.0]), np.zeros(0), np.array([0.2]))
-    sol = solve_lower(p1, [1.2], seed, config, "smooth")
+    sol = solve_lower(p1, [1.2], seed, config)
     assert len(sol.trace) == 1 and sol.trace[0] <= config.tol_newton
     for got, want in zip((sol.y, sol.mu, sol.lam), seed):
         assert np.array_equal(got, want)
 
 
 def test_solve_lower_semismooth_path(p2, config):
-    sol = solve_lower(p2, [0.5], ([0.0], None, [0.0]), config, "nonsmooth")
-    assert sol.path == "nonsmooth"
+    sol = solve_lower(p2, [0.5], ([0.0], None, [0.0]), config)
     assert sol.y[0] == pytest.approx(0.0, abs=1e-10)
     assert sol.lam[0] == pytest.approx(1.0, abs=1e-10)
     assert abs(sol.w[0] ** 2 + 0.0) <= 1e-8  # w = sqrt(-g) = 0
 
 
+def test_solve_lower_residual_is_that_of_the_returned_point(p2, config):
+    """The residual is the last iterate's, bit for bit what
+    kkt_residual_from_bundle gives at the returned point."""
+    rng = np.random.default_rng(5)
+    cases = [(p2, [0.5], [0.0]),
+             (parse_problem("dims 1 1 0 0 0 0\nf = x1*y1 - 0.25*y1^4 - 0.5*y1^2\n"), [0.9], [0.0])]
+    for _ in range(4):
+        spec, x, y, _, _ = random_smooth_instance(rng)
+        cases.append((spec, x, y + rng.uniform(-0.05, 0.05, spec.m)))
+    for spec, x, y0 in cases:
+        sol = solve_lower(spec, x, (y0, None, None), config)
+        _, norm = kkt_residual_from_bundle(eval_bundle(spec, sol.x, sol.y), sol.mu, sol.lam)
+        assert sol.residual.hex() == norm.hex() == sol.trace[-1].hex()
+
+
 def test_solve_lower_slack_identity(p1, config):
     for x in (-0.4, 0.0, 0.7):
-        sol = solve_lower(p1, [x], ([0.0], None, [0.0]), config, "smooth")
+        sol = solve_lower(p1, [x], ([0.0], None, [0.0]), config)
         g = sol.y[0] - 1.0
         assert abs(sol.w[0] ** 2 + g) <= 1e-8
         assert sol.lam[0] >= -1e-10
@@ -275,7 +289,7 @@ def test_solve_lower_matches_grid_oracle(p1, p2, config):
     for spec, xs in ((p1, [-0.4, -0.2, 0.0, 0.2, 0.4]),
                      (p2, [-0.4, -0.2, 0.0, 0.2, 0.4])):
         for x in xs:
-            sol = solve_lower(spec, [x], ([0.0], None, [0.0]), config, "smooth")
+            sol = solve_lower(spec, [x], ([0.0], None, [0.0]), config)
             res = grid_local_maximize(spec, [x], [0.0], 0.6, 1201)
             step = 2 * 0.6 / 1200
             assert abs(sol.y[0] - res.y[0]) <= 2 * step
@@ -284,7 +298,7 @@ def test_solve_lower_matches_grid_oracle(p1, p2, config):
 def test_ju_persists_on_grid(p1, config):
     # Jacobian uniqueness at x* propagates to a neighborhood of solutions
     for x in (-0.02, -0.01, 0.0, 0.01, 0.02):
-        sol = solve_lower(p1, [x], ([0.0], None, [0.0]), config, "smooth")
+        sol = solve_lower(p1, [x], ([0.0], None, [0.0]), config)
         rep = check_jacobian_uniqueness(p1, [x], sol.y, sol.mu, sol.lam, config)
         assert rep.jacobian_uniqueness
 
@@ -294,7 +308,7 @@ def test_solve_lower_random_instances(config):
     for _ in range(5):
         spec, x, y, mu, lam = random_smooth_instance(rng)
         y0 = y + rng.uniform(-0.05, 0.05, spec.m)
-        sol = solve_lower(spec, x, (y0, None, None), config, "smooth")
+        sol = solve_lower(spec, x, (y0, None, None), config)
         assert sol.residual <= 1e-10
         assert np.max(np.abs(sol.y - y)) <= 1e-6
 
@@ -306,5 +320,5 @@ def test_newton_error_reports_trace():
     spec = parse_problem("dims 1 1 0 0 0 0\nf = x1*y1 - 0.25*y1^4 - 0.5*y1^2\n")
     tight = CheckConfig(newton_max_iter=2)
     with pytest.raises(NewtonError) as err:
-        solve_lower(spec, [0.9], ([-50.0], None, None), tight, "smooth")
+        solve_lower(spec, [0.9], ([-50.0], None, None), tight)
     assert len(err.value.trace) >= 1

@@ -9,7 +9,6 @@ from minimaxcert import (
     kkt_map_directional,
     phi_generalized_gradients,
     phi_gradient,
-    project_nonpositive,
     solve_lower,
 )
 from minimaxcert.lower import classify_partition
@@ -21,27 +20,17 @@ from minimaxcert.nonsmooth import (
 )
 from minimaxcert.problem import eval_bundle
 
-from conftest import corner_instance
+from conftest import closest_to, corner_instance
 
 
 def nonsmooth_solution(spec, x, config, y0=None):
     y0 = y0 if y0 is not None else [0.0] * spec.m
-    return solve_lower(spec, x, (y0, None, None), config, "nonsmooth")
+    return solve_lower(spec, x, (y0, None, None), config)
 
 
 def partition_at(spec, sol, config):
     bundle = eval_bundle(spec, sol.x, sol.y)
     return classify_partition(bundle.g, sol.lam, config.tol_act)
-
-
-# --- projection ---------------------------------------------------------------
-
-def test_project_nonpositive():
-    assert project_nonpositive(np.array([-3.0]))[0] == -3.0
-    assert project_nonpositive(np.array([2.0]))[0] == 0.0
-    assert np.allclose(
-        project_nonpositive(np.array([0.5, -0.5, 0.0])), [0.0, -0.5, 0.0]
-    )
 
 
 # --- selectors ------------------------------------------------------------------
@@ -162,7 +151,7 @@ def test_directional_candidates_p2(p2, config):
         assert any(abs(y - expected) <= 1e-9 for y in ys)
         # FD on the tracked path confirms membership of the y-component
         t = 1e-6
-        st = solve_lower(p2, [d * t], (sol.y, sol.mu, sol.lam), config, "nonsmooth")
+        st = solve_lower(p2, [d * t], (sol.y, sol.mu, sol.lam), config)
         fd = float((st.y[0] - sol.y[0]) / t)
         assert min(abs(y - fd) for y in ys) <= 1e-6
 
@@ -178,7 +167,7 @@ def test_directional_unique_on_smooth_point(p1, config):
 def test_directional_fd_membership_random_directions(config):
     # corner instance with beta = {1}: candidates bracket both branches
     spec, x_star, y_star = corner_instance()
-    sol = solve_lower(spec, x_star, (y_star, None, None), config, "nonsmooth")
+    sol = solve_lower(spec, x_star, (y_star, None, None), config)
     assert check_assumption_a(spec, x_star, y_star, config).assumption_a
     rng = np.random.default_rng(13)
     size = spec.m + spec.m1 + spec.m2
@@ -189,10 +178,10 @@ def test_directional_fd_membership_random_directions(config):
         assert cands.items
         for t in (1e-4, 1e-5):
             st = solve_lower(spec, sol.x + t * d, (sol.y, sol.mu, sol.lam),
-                             config, "nonsmooth")
+                             config)
             fd = np.concatenate([(st.y - sol.y), (st.mu - sol.mu),
                                  (st.lam - sol.lam)]) / t
-            dist, _ = cands.closest_to(fd)
+            dist, _ = closest_to(cands, fd)
             assert dist <= 1e-3
 
 
@@ -226,7 +215,7 @@ def test_phi_gradients_separable(config):
 def test_phi_gradients_match_smooth_gradient(p1, config):
     # on smooth fixtures the single candidate equals the smooth-path gradient
     for x in (-0.3, 0.0, 0.4):
-        sol = solve_lower(p1, [x], ([0.0], None, None), config, "smooth")
+        sol = solve_lower(p1, [x], ([0.0], None, None), config)
         gset = phi_generalized_gradients(p1, sol, config)
         assert len(gset.items) == 1
         assert abs(gset.items[0][1][0] - phi_gradient(p1, sol)[0]) <= 1e-10
@@ -298,7 +287,7 @@ def test_nonsingularity_persists_under_perturbation(p1, p2, p4, config):
         deltas = [1e-3, -1e-3, 5e-4, -5e-4]
         for delta in deltas:
             xp = sol.x + delta
-            sp = solve_lower(spec, xp, (sol.y, sol.mu, sol.lam), config, "nonsmooth")
+            sp = solve_lower(spec, xp, (sol.y, sol.mu, sol.lam), config)
             part = partition_at(spec, sp, config)
             for w in enumerate_b_selectors(part, config.selector_cap):
                 assert a_matrix_min_pivot(spec, sp, w) >= 1e-8

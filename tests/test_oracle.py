@@ -83,7 +83,7 @@ def test_grid_maximize_agrees_with_newton(p1, p2, config):
     for spec, xs in ((p1, (-0.4, -0.2, 0.0, 0.2, 0.4)),
                      (p2, (-0.4, -0.2, 0.0, 0.2, 0.4))):
         for x in xs:
-            sol = solve_lower(spec, [x], ([0.0], None, None), config, "smooth")
+            sol = solve_lower(spec, [x], ([0.0], None, None), config)
             res = grid_local_maximize(spec, [x], [0.0], 0.6, 1201)
             step = 1.2 / 1200
             assert abs(res.y[0] - sol.y[0]) <= 2 * step
@@ -153,6 +153,25 @@ def test_definition_rejects_large_problems():
     )
     with pytest.raises(ValueError):
         verify_minimax_definition(spec, [0.0, 0.0, 0.0], [0.0], GridSpec())
+
+
+@pytest.mark.parametrize("text, x, violation", [
+    # a NaN outer constraint at x*: every x-grid was empty, and the check passed
+    ("dims 1 1 0 0 0 1\nf = x1^2 - y1^2\nG1 = x1 - 1 + 0/0\n", "0", math.inf),
+    ("dims 1 1 0 0 0 1\nf = x1^2 - y1^2\nG1 = x1 - 1\n", "2", 1.0),
+    ("dims 1 1 0 1 0 0\nf = x1^2 - y1^2\ng1 = y1 + 1\n", "0", 1.0),
+], ids=["G-nan", "G-violated", "g-violated"])
+def test_definition_fails_an_infeasible_candidate(text, x, violation, tmp_path, capsys):
+    from minimaxcert.cli import main
+
+    rep = verify_minimax_definition(parse_problem(text), [float(x)], [0.0])
+    assert not rep.passed and rep.worst_side == "feasibility"
+    assert rep.worst_violation == violation and not rep.levels
+    assert rep.notes and "infeasible" in rep.notes[0]
+    prob = tmp_path / "p.prob"
+    prob.write_text(text, encoding="utf-8")
+    assert main(["oracle", str(prob), "--x", x, "--y", "0"]) == 2
+    assert "definition check: fail" in capsys.readouterr().out
 
 
 # --- grid validation --------------------------------------------------------------
@@ -260,7 +279,8 @@ def _reference_grid_local_maximize(spec, x, center, radius, points, feas_tol=1e-
 
 
 def _reference_verify_minimax_definition(spec, x_star, y_star, grid):
-    """The definition check with one grid maximization per feasible x point."""
+    """The definition check with one grid maximization per feasible x point,
+    after the candidate's own feasibility test."""
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
     f_star = float(evaluate(spec.f, x_star, y_star))
@@ -268,6 +288,18 @@ def _reference_verify_minimax_definition(spec, x_star, y_star, grid):
         passed=True, worst_violation=0.0, worst_side=None, worst_witness=None,
         f_star=f_star,
     )
+    at_star = [(e, x_star, y_star, k < spec.m1) for k, e in enumerate(spec.h + spec.g)]
+    at_star += [(e, x_star, np.zeros(spec.m), k < spec.n1)
+                for k, e in enumerate(spec.H + spec.G)]
+    viols = [float(evaluate(e, x, y, strict=False)) for e, x, y, _ in at_star]
+    viols = [np.inf if np.isnan(v) else abs(v) if eq else v
+             for v, (*_, eq) in zip(viols, at_star)]
+    worst = max(viols, default=0.0)
+    if worst > grid.feas_tol:
+        report.passed, report.worst_side, report.worst_violation = False, "feasibility", worst
+        report.notes.append(f"candidate infeasible: constraint violation {worst:.3e} "
+                            f"exceeds feas_tol {grid.feas_tol:g}")
+        return report
 
     def npts(radius):
         return 2 * max(1, int(np.ceil(radius / grid.step))) + 1

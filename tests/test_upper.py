@@ -24,7 +24,7 @@ from conftest import affine_expr, coordinate_lp_bounded
 
 def smooth_vd(spec, x, config, y0=None):
     y0 = y0 if y0 is not None else [0.0] * spec.m
-    sol = solve_lower(spec, x, (y0, None, None), config, "smooth")
+    sol = solve_lower(spec, x, (y0, None, None), config)
     return sol, value_derivatives(spec, sol, config)
 
 
@@ -174,7 +174,7 @@ def test_polytope_bounded_exactly_when_mfcq_holds(system, config):
 # --- critical cone -----------------------------------------------------------------
 
 def test_upper_cone_p4_is_trivial(p4, config):
-    from minimaxcert.cones import cone_is_trivial
+    from conftest import cone_is_trivial
 
     cone = critical_cone_upper(p4, [1.0], np.array([1.0]), None, config)
     assert cone.F.shape == (2, 1)
@@ -190,7 +190,7 @@ def test_upper_cone_full_rank_equalities(config):
     spec = parse_problem(
         "dims 2 1 0 0 2 0\nf = x1*y1 - y1^2\nH1 = x1\nH2 = x2\n"
     )
-    from minimaxcert.cones import cone_is_trivial
+    from conftest import cone_is_trivial
 
     cone = critical_cone_upper(spec, [0.0, 0.0], np.array([0.3, -0.2]), None, config)
     assert cone_is_trivial(cone.E, cone.F, 2)
@@ -199,7 +199,7 @@ def test_upper_cone_full_rank_equalities(config):
 def test_upper_cone_reduction_with_multiplier(p4, config):
     poly = upper_kkt_and_polytope(p4, [1.0], np.array([1.0]), config)
     cone = critical_cone_upper(p4, [1.0], np.array([1.0]), poly.vertices[0], config)
-    assert cone.reduced_E.shape[0] == 1  # v > 0 forces the bound to equality
+    assert cone.reduced.E.shape[0] == 1  # v > 0 forces the bound to equality
 
 
 # --- second-order conditions ---------------------------------------------------------
@@ -317,7 +317,7 @@ def test_second_order_reduces_to_hessian_eigenvalue_without_constraints(config):
 # --- nonsmooth first-order -------------------------------------------------------------
 
 def test_first_order_nonsmooth_p2_origin(p2, config):
-    sol = solve_lower(p2, [0.0], ([0.0], None, None), config, "nonsmooth")
+    sol = solve_lower(p2, [0.0], ([0.0], None, None), config)
     check, gset = first_order_nonsmooth_necessary(p2, [0.0], sol, config)
     assert check.status == SATISFIED
     assert check.witness["u"] == []
@@ -330,14 +330,14 @@ def test_first_order_nonsmooth_p2_origin(p2, config):
 def test_first_order_nonsmooth_detects_nonstationary(p2, config):
     # x = 0.3 tracks y = 0 with lam = 0.6; phi'(0.3) = -0.6 != 0 and the
     # selector family is exact (beta empty), so the verdict is a disproof
-    sol = solve_lower(p2, [0.3], ([0.0], None, None), config, "nonsmooth")
+    sol = solve_lower(p2, [0.3], ([0.0], None, None), config)
     check, gset = first_order_nonsmooth_necessary(p2, [0.3], sol, config)
     assert check.status == VIOLATED
     assert check.value == pytest.approx(0.6, abs=1e-9)
 
 
 def test_first_order_nonsmooth_p4(p4, config):
-    sol = solve_lower(p4, [1.0], ([1.0], None, None), config, "nonsmooth")
+    sol = solve_lower(p4, [1.0], ([1.0], None, None), config)
     check, _ = first_order_nonsmooth_necessary(p4, [1.0], sol, config)
     assert check.status == SATISFIED
     assert check.witness["v"][0] == pytest.approx(1.0, abs=1e-9)
@@ -347,6 +347,6 @@ def test_first_order_nonsmooth_not_found_is_not_disproof(config):
     # beta nonempty and a working gradient that no sampled selector matches:
     # the search reports not-found rather than violated
     spec = parse_problem("dims 1 1 0 1 0 0\nf = -(y1-x1)^2 + 0.5*x1\ng1 = y1\n")
-    sol = solve_lower(spec, [0.0], ([0.0], None, None), config, "nonsmooth")
+    sol = solve_lower(spec, [0.0], ([0.0], None, None), config)
     check, _ = first_order_nonsmooth_necessary(spec, [0.0], sol, config)
     assert check.status == NOT_FOUND_SAMPLED

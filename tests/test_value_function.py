@@ -21,12 +21,12 @@ from conftest import random_smooth_instance
 def smooth_solution(spec, x, config, seed_y=None, seed_lam=None):
     y0 = seed_y if seed_y is not None else [0.0] * spec.m
     lam0 = seed_lam if seed_lam is not None else None
-    return solve_lower(spec, x, (y0, None, lam0), config, "smooth")
+    return solve_lower(spec, x, (y0, None, lam0), config)
 
 
 def phi_of(spec, config, sol):
     def func(xv):
-        s = solve_lower(spec, xv, (sol.y, sol.mu, sol.lam), config, "smooth")
+        s = solve_lower(spec, xv, (sol.y, sol.mu, sol.lam), config)
         return eval_bundle(spec, s.x, s.y).f
 
     return func
@@ -60,12 +60,6 @@ def test_sensitivity_degenerate_no_constraints(config):
     assert system.A[0, 0] == pytest.approx(-2.0)
 
 
-def test_sensitivity_rejects_nonsmooth_path(p2, config):
-    sol = solve_lower(p2, [0.5], ([0.0], None, [0.0]), config, "nonsmooth")
-    with pytest.raises(ValueError):
-        assemble_sensitivity_system(p2, sol, config)
-
-
 def test_singular_k_is_reported(p2, config):
     # at the degenerate point (beta nonempty, g = lam = 0) strict
     # complementarity fails: the smooth-path hypotheses genuinely fail there
@@ -73,7 +67,7 @@ def test_singular_k_is_reported(p2, config):
 
     sol = KktSolution(
         x=np.array([0.0]), y=np.array([0.0]), w=np.array([0.0]),
-        mu=np.zeros(0), lam=np.array([0.0]), residual=0.0, path="smooth",
+        mu=np.zeros(0), lam=np.array([0.0]), residual=0.0,
     )
     with pytest.raises(SingularSensitivityError):
         assemble_sensitivity_system(p2, sol, config)
@@ -91,6 +85,19 @@ def test_phi_gradient_p1(p1, config):
 def test_phi_gradient_p2_interior(p2, config):
     sol = smooth_solution(p2, [-0.5], config)
     assert phi_gradient(p2, sol)[0] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_solution_is_opened_at_tol_newton(p1):
+    # y off P1's maximiser at x = 0.5 by 5e-7: the seed is the solution at
+    # tol_newton = 1e-6, and every function that opens it checks that bound
+    loose = CheckConfig(tol_newton=1e-6)
+    sol = solve_lower(p1, [0.5], ([0.5 + 5e-7], None, None), loose)
+    assert sol.iterations == 1 and 0.0 < sol.residual <= loose.tol_newton
+    assert phi_gradient(p1, sol, loose)[0] == pytest.approx(0.5, abs=1e-6)
+    assert value_derivatives(p1, sol, loose).hessian[0, 0] == pytest.approx(1.0)
+    for opens in (phi_gradient, assemble_sensitivity_system, value_derivatives):
+        with pytest.raises(ValueError, match="exceeds tol_newton 1.0e-10"):
+            opens(p1, sol)
 
 
 # --- Hessian -----------------------------------------------------------------
@@ -139,9 +146,9 @@ def test_hessian_consistent_with_gradient_jacobian(p1, config):
         sol = smooth_solution(p1, [x], config)
         vd = value_derivatives(p1, sol, config)
         gp = phi_gradient(p1, solve_lower(p1, [x + h], (sol.y, sol.mu, sol.lam),
-                                          config, "smooth"))
+                                          config))
         gm = phi_gradient(p1, solve_lower(p1, [x - h], (sol.y, sol.mu, sol.lam),
-                                          config, "smooth"))
+                                          config))
         fd = (gp[0] - gm[0]) / (2 * h)
         assert abs(vd.hessian[0, 0] - fd) <= 1e-6
 
@@ -150,7 +157,7 @@ def test_random_instances_match_fd(config):
     rng = np.random.default_rng(17)
     for _ in range(4):
         spec, x, y, mu, lam = random_smooth_instance(rng, max_dim=2, max_m2=2)
-        sol = solve_lower(spec, x, (y, mu, lam), config, "smooth")
+        sol = solve_lower(spec, x, (y, mu, lam), config)
         vd = value_derivatives(spec, sol, config)
         grad_fd, hess_fd = fd_derivatives(
             phi_of(spec, config, sol), x, config.fd_step, config.fd_hess_step
@@ -169,7 +176,7 @@ def test_value_hessian_is_symmetric_and_matches_central_differences(seed):
     difference of it is exact up to rounding."""
     config = CheckConfig()
     spec, x, y, mu, lam = random_smooth_instance(np.random.default_rng(seed))
-    sol = solve_lower(spec, x, (y, mu, lam), config, "smooth")
+    sol = solve_lower(spec, x, (y, mu, lam), config)
     vd = value_derivatives(spec, sol, config)
     bundle = eval_bundle(spec, sol.x, sol.y)
     lag = lagrangian_eval(bundle, sol.mu, sol.lam)
@@ -181,8 +188,7 @@ def test_value_hessian_is_symmetric_and_matches_central_differences(seed):
     start = (sol.y, sol.mu, sol.lam)
     columns = []
     for e in np.eye(spec.n):
-        plus, minus = (phi_gradient(spec, solve_lower(spec, x + s * t * e, start, config,
-                                                      "smooth"))
+        plus, minus = (phi_gradient(spec, solve_lower(spec, x + s * t * e, start, config))
                        for s in (1.0, -1.0))
         columns.append((plus - minus) / (2 * t))
     fd = np.column_stack(columns)
@@ -206,12 +212,12 @@ def test_symmetric_display_equals_exact_jacobian_assembly(config):
     ))
     step = 1e-6
     for spec, x, y, mu, lam in specs:
-        sol = solve_lower(spec, x, (y, mu, lam), config, "smooth")
+        sol = solve_lower(spec, x, (y, mu, lam), config)
         system = assemble_sensitivity_system(spec, sol, config)
         assert np.allclose(system.A @ system.H, system.rhs, atol=1e-9)
 
         def triple(xv):
-            s = solve_lower(spec, xv, (sol.y, sol.mu, sol.lam), config, "smooth")
+            s = solve_lower(spec, xv, (sol.y, sol.mu, sol.lam), config)
             return np.concatenate([s.y, s.mu, s.lam])
 
         jac_fd = np.column_stack([
