@@ -93,7 +93,7 @@ class PathDecision:
 
 def _resolve_multipliers(spec, candidate: CandidatePoint, config: CheckConfig):
     """Verify supplied multipliers or recover them; report both on mismatch."""
-    rec = recover_multipliers(spec, candidate.x, candidate.y, config.tol_act)
+    rec = recover_multipliers(spec, candidate.x, candidate.y, config)
     supplied_residual = None
     detail = ""
     if candidate.lam is not None or candidate.mu is not None:
@@ -125,7 +125,7 @@ def classify_path(
         feas_notes.append(f"|h| = {float(np.max(np.abs(bundle.h))):.3e}")
     if bundle.g.size and float(np.max(bundle.g)) > config.tol_act:
         feas_notes.append(f"max g = {float(np.max(bundle.g)):.3e}")
-    upper_set = compute_upper_active_set(spec, candidate.x, config.tol_act)
+    upper_set = compute_upper_active_set(spec, candidate.x, config)
     if not upper_set.feasible:
         feas_notes.append(f"outer violation {upper_set.worst_violation:.3e}")
     mu, lam, rec, supplied_residual, mult_detail = _resolve_multipliers(
@@ -366,7 +366,7 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
         )
         return
     drift = float(np.max(np.abs(sol.y - candidate.y), initial=0.0))
-    if drift > 1e-6:
+    if drift > config.tol_act:
         notes.append(f"inner refinement moved y by {drift:.3e}")
     try:
         vd = value_derivatives(spec, sol, config)
@@ -396,8 +396,7 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
     poly = upper_kkt_and_polytope(spec, candidate.x, vd.gradient, config)
     if poly.nonempty:
         fo = ConditionCheck(
-            "first_order", SATISFIED,
-            float(np.max(np.abs(poly.r0), initial=0.0)) if not poly.active and spec.n1 == 0 else None,
+            "first_order", SATISFIED, poly.vertex_residual(*poly.point),
             config.tol_kkt, KIND_NECESSARY,
             detail=f"{len(poly.vertices)} vertices"
             + ("" if poly.bounded else "; polytope unbounded (flagged)"),
@@ -515,9 +514,9 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
         results.append(
             ConditionCheck(
                 "b_selector_nonsingularity",
-                SATISFIED if piv >= 1e-8 else VIOLATED,
+                VIOLATED if np.any(sweep.lu.step >= 0) else SATISFIED,
                 piv,
-                1e-8,
+                None,
                 KIND_INFO,
                 detail=f"{len(sweep.selectors)} binary selectors",
             )

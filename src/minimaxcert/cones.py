@@ -5,7 +5,7 @@ Every face of the cone lies in some ker [E; F_S], S a subset of F's rows.
 `min_quadratic_on_cone` walks those faces depth first and prunes by
 sub-faces, so it decides cone-curvature questions exactly where a sampler
 could miss a thin ray, and usually stops at the first face; `cone_rays`
-enumerates every subset (`_face_bases`).
+enumerates every subset.
 """
 
 from __future__ import annotations
@@ -15,10 +15,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import nullspace_basis
+from .linalg import RANK_TOL, nullspace_basis
 from .problem import memoised
 
-CONE_TOL = 1e-10
+# Noise floors: membership allows |E d| and max(F d) up to MEMBERSHIP_TOL max(1, |d|),
+# the rounding of a face eigenvector, so no CheckConfig field moves it
+MEMBERSHIP_TOL = 1e-9
+ZERO_NORM = 1e-12  # a vector shorter than this has no direction
 # cone_rays enumerates all 2^nF subsets of F's rows, so it gives up above
 # this many rows
 RAY_SUBSET_CAP = 14
@@ -41,12 +44,12 @@ def _as_rows(A: np.ndarray | None, dim: int) -> np.ndarray:
     return np.atleast_2d(A)
 
 
-def cone_contains(E: np.ndarray, F: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> bool:
+def cone_contains(E: np.ndarray, F: np.ndarray, d: np.ndarray) -> bool:
     d = np.asarray(d, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(d), initial=0.0)))
-    if E.shape[0] and float(np.max(np.abs(E @ d))) > tol * scale:
+    tol = MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(d), initial=0.0)))
+    if E.shape[0] and float(np.max(np.abs(E @ d))) > tol:
         return False
-    if F.shape[0] and float(np.max(F @ d)) > tol * scale:
+    if F.shape[0] and float(np.max(F @ d)) > tol:
         return False
     return True
 
@@ -61,20 +64,11 @@ class Cone:
     F: np.ndarray
     reduced: Cone | None = None
 
-    def contains(self, d: np.ndarray, tol: float = 1e-9) -> bool:
-        return cone_contains(self.E, self.F, d, tol)
+    def contains(self, d: np.ndarray) -> bool:
+        return cone_contains(self.E, self.F, d)
 
 
-def _face_bases(E: np.ndarray, F: np.ndarray):
-    """Orthonormal bases of ker [E; F_S] for every subset S of F's rows,
-    smallest subsets first (the caller checks RAY_SUBSET_CAP)."""
-    nF = F.shape[0]
-    for size in range(0, nF + 1):
-        for subset in combinations(range(nF), size):
-            yield nullspace_basis(np.vstack([E, F[list(subset)]]), CONE_TOL)
-
-
-def cone_rays(E: np.ndarray, F: np.ndarray, dim: int, tol: float = 1e-9) -> list[np.ndarray]:
+def cone_rays(E: np.ndarray, F: np.ndarray, dim: int) -> list[np.ndarray]:
     """Extreme-ray candidates via active-subset enumeration (small dims only)."""
     E = _as_rows(E, dim)
     F = _as_rows(F, dim)
@@ -83,10 +77,10 @@ def cone_rays(E: np.ndarray, F: np.ndarray, dim: int, tol: float = 1e-9) -> list
 
     def push(r: np.ndarray):
         nrm = float(np.linalg.norm(r))
-        if nrm < 1e-12:
+        if nrm < ZERO_NORM:
             return
         r = r / nrm
-        if not cone_contains(E, F, r, tol):
+        if not cone_contains(E, F, r):
             return
         key = tuple(np.round(r, 9))
         if key not in seen:
@@ -95,10 +89,12 @@ def cone_rays(E: np.ndarray, F: np.ndarray, dim: int, tol: float = 1e-9) -> list
 
     if F.shape[0] > RAY_SUBSET_CAP:
         return rays
-    for basis in _face_bases(E, F):
-        if basis.shape[1] == 1:
-            push(basis[:, 0])
-            push(-basis[:, 0])
+    for size in range(F.shape[0] + 1):  # the kernels ker [E; F_S], smallest S first
+        for subset in combinations(range(F.shape[0]), size):
+            basis = nullspace_basis(np.vstack([E, F[list(subset)]]), RANK_TOL)
+            if basis.shape[1] == 1:
+                push(basis[:, 0])
+                push(-basis[:, 0])
     return rays
 
 
@@ -116,7 +112,7 @@ def _face_minimum(M: np.ndarray, rows: np.ndarray,
 
 
 def _bottom_eigenpair(M: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray] | None:
-    Z = nullspace_basis(rows, CONE_TOL)
+    Z = nullspace_basis(rows, RANK_TOL)
     if Z.shape[1] == 0:
         return None
     reduced = Z.T @ M @ Z
@@ -127,8 +123,8 @@ def _bottom_eigenpair(M: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarra
     return float(values[0]), v
 
 
-def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray, dim: int,
-                          tol: float = 1e-9) -> tuple[float, np.ndarray | None] | None:
+def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray,
+                          dim: int) -> tuple[float, np.ndarray | None] | None:
     """Exact minimum of d^T M d over the unit directions of the cone, with a
     unit witness attaining it: (+inf, None) on the trivial cone, None when
     the walk would visit more than FACE_BUDGET faces.
@@ -162,7 +158,7 @@ def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray, dim: int,
             continue
         value, v = face
         for d in (v, 0.0 - v):  # 0.0 - v: no negative zeros in witnesses
-            if cone_contains(E, F, d, tol):
+            if cone_contains(E, F, d):
                 best, witness = value, d
                 break
         else:  # children add one index above max S, the smallest popped first
@@ -170,8 +166,8 @@ def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray, dim: int,
     return best, witness
 
 
-def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int, seed: int,
-                tol: float = 1e-9) -> list[np.ndarray]:
+def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int,
+                seed: int) -> list[np.ndarray]:
     """Deterministic unit directions in the cone: rays, sums of ray pairs, then
     seeded rejection samples drawn one at a time from ker E (a draw outside
     the cone is retried once with its most violated face projected out).
@@ -179,17 +175,17 @@ def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int, seed: int,
     and tools that want spread-out cone directions."""
     E = _as_rows(E, dim)
     F = _as_rows(F, dim)
-    Z = nullspace_basis(E, CONE_TOL)
+    Z = nullspace_basis(E, RANK_TOL)
     k = Z.shape[1]
     out: list[np.ndarray] = []
     seen: set[tuple] = set()
 
     def push(d: np.ndarray) -> bool:
         nrm = float(np.linalg.norm(d))
-        if nrm < 1e-12:
+        if nrm < ZERO_NORM:
             return False
         d = d / nrm
-        if not cone_contains(E, F, d, tol):
+        if not cone_contains(E, F, d):
             return False
         key = tuple(np.round(d, 9))
         if key in seen:
@@ -201,7 +197,7 @@ def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int, seed: int,
     if k == 0:
         return out
 
-    rays = cone_rays(E, F, dim, tol)
+    rays = cone_rays(E, F, dim)
     for r in rays:
         push(r)
     if k == 1:  # only two unit directions exist in a 1-D nullspace
@@ -219,7 +215,7 @@ def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int, seed: int,
         attempts += 1
         zeta = rng.standard_normal(k)
         nz = float(np.linalg.norm(zeta))
-        if nz < 1e-12:
+        if nz < ZERO_NORM:
             continue
         zeta /= nz
         d = Z @ zeta
@@ -231,9 +227,8 @@ def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int, seed: int,
             i = int(np.argmax(viol))
             face = F[i] @ Z
             nf = float(np.linalg.norm(face))
-            if nf > 1e-12:
+            if nf > ZERO_NORM:
                 zeta2 = zeta - (face @ zeta / nf**2) * face
-                if float(np.linalg.norm(zeta2)) > 1e-9:
-                    d2 = Z @ zeta2
-                    push(d2) or push(-d2)
+                d2 = Z @ zeta2  # push drops it when it is shorter than ZERO_NORM
+                push(d2) or push(-d2)
     return out[: max(count, len(rays))]

@@ -50,8 +50,10 @@ class CheckConfig:
         self.oracle_grid()  # the oracle_* keys follow GridSpec's rules
 
     def oracle_grid(self) -> GridSpec:
+        """The oracle grid, judging feasibility at `tol_act` as the pipeline does."""
         return GridSpec(delta0=self.oracle_delta0, step=self.oracle_step,
-                        eta_factor=self.oracle_eta_factor, tol=self.oracle_tol)
+                        eta_factor=self.oracle_eta_factor, tol=self.oracle_tol,
+                        feas_tol=self.tol_act)
 
     def replace(self, **kw) -> "CheckConfig":
         data = self.as_dict()

@@ -3,7 +3,8 @@
 Matrices are plain numpy ndarrays (row-major).  The linear solver is
 partial-pivoted elimination with an explicit, reported pivot threshold; the LP
 solver is a dense two-phase simplex with Bland's anti-cycling rule.  Both are
-deterministic.  Nullspaces and restricted eigenvalues use numpy's SVD/eigh.
+deterministic.  The LP's feasibility tolerance is the caller's `CheckConfig`
+field.  Nullspaces and restricted eigenvalues use numpy's SVD/eigh.
 
 One LU kernel serves every caller.  `plu_batch` factors a stack of
 equal-order matrices with each elimination step vectorised over the stack:
@@ -35,9 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PIVOT_RTOL = 1e-12
-SOLVE_RESIDUAL_TOL = 1e-10
-LP_TOL = 1e-9
+# Noise floors: each tells rounding from data, which no CheckConfig field should move.
+PIVOT_RTOL = 1e-12  # LU pivot, relative to max(1, |A|), below which A is singular
+SOLVE_RESIDUAL_TOL = 1e-10  # solve_linear's residual bound, relative to 1 + |b|_inf
+LP_PIVOT_TOL = 1e-9  # simplex pivot and ratio threshold (feasibility is the caller's)
+RANK_TOL = 1e-10  # singular values of constraint rows at or below it are zero
 
 
 class SingularMatrixError(Exception):
@@ -221,7 +224,7 @@ def plu_batch(As: np.ndarray, rhs: np.ndarray | None = None) -> PLUBatch:
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve Az = b; guarantees ||Az - b||_inf <= 1e-10 (1 + ||b||_inf) or raises."""
+    """Solve Az = b; guarantees |Az - b|_inf <= SOLVE_RESIDUAL_TOL (1 + |b|_inf) or raises."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     factors = plu(A)
@@ -266,10 +269,8 @@ def smallest_singular_value(A: np.ndarray) -> float:
 
 
 def max_eigenvalue_on_subspace(M: np.ndarray, basis: np.ndarray) -> float:
-    """Largest eigenvalue of basis^T M basis; -inf for a zero-column basis."""
+    """Largest eigenvalue of basis^T M basis, symmetrised; -inf for a zero-column basis."""
     M = np.asarray(M, dtype=float)
-    if M.size and float(np.max(np.abs(M - M.T))) > 1e-10:
-        raise ValueError("matrix is not symmetric to 1e-10")
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[1] == 0:
         return -np.inf
@@ -389,13 +390,13 @@ def _to_standard_form(p: LpProblem):
     return A, b, c_std, const, (T, offsets, ns)
 
 
-def _simplex_phase(T, basis, cost_row, max_iter, tol):
+def _simplex_phase(T, basis, cost_row, max_iter):
     """Run Bland-rule simplex on tableau T (rows x cols+1, rhs last column).
 
     cost_row holds reduced costs for maximization (positive = improving) with
     the objective value's negative in its last entry.  Mutates T/basis/cost_row.
     """
-    m = T.shape[0]
+    m, tol = T.shape[0], LP_PIVOT_TOL
     it = 0
     while True:
         it += 1
@@ -430,14 +431,14 @@ def _simplex_phase(T, basis, cost_row, max_iter, tol):
         basis[leave] = enter
 
 
-def solve_lp(p: LpProblem, tol: float = LP_TOL, max_iter: int = 5000) -> LpSolution:
-    """Dense two-phase simplex with Bland's rule; deterministic.  A NaN or an
-    infinity in b_eq, or a NaN or -inf in b_in, leaves no feasible point."""
+def solve_lp(p: LpProblem, feas_tol: float, max_iter: int = 5000) -> LpSolution:
+    """Two-phase simplex with Bland's rule, feasible to feas_tol * max(1, |b|_inf);
+    deterministic.  A NaN or an infinity in b_eq, or a NaN or -inf in b_in, is infeasible."""
     if not np.all(np.isfinite(p.b_eq)) or np.any(np.isnan(p.b_in) | (p.b_in == -np.inf)):
         return LpSolution("infeasible", None, None)
     nv = p.c.shape[0]
     if nv == 0:
-        feas = np.all(np.abs(p.b_eq) <= tol) and np.all(p.b_in >= -tol)
+        feas = np.all(np.abs(p.b_eq) <= feas_tol) and np.all(p.b_in >= -feas_tol)
         if feas:
             return LpSolution("optimal", np.zeros(0), 0.0)
         return LpSolution("infeasible", None, None)
@@ -458,11 +459,11 @@ def solve_lp(p: LpProblem, tol: float = LP_TOL, max_iter: int = 5000) -> LpSolut
     cost = np.zeros(ncols + m + 1)
     cost[:ncols] = T[:, :ncols].sum(axis=0)  # reduced costs of max(-sum artificials)
     cost[-1] = b.sum()
-    iters = _simplex_phase(T, basis, cost, max_iter, tol)
+    iters = _simplex_phase(T, basis, cost, max_iter)
     if iters < 0:
         raise LpCyclingError("phase-1 reported unbounded; artificial sum is bounded")
     phase1 = cost[-1]  # remaining infeasibility
-    if phase1 > tol * max(1.0, float(np.max(np.abs(b), initial=0.0))):
+    if phase1 > feas_tol * max(1.0, float(np.max(np.abs(b), initial=0.0))):
         return LpSolution("infeasible", None, None, iterations=iters)
 
     # drive residual artificials out of the basis, drop redundant rows
@@ -471,7 +472,7 @@ def solve_lp(p: LpProblem, tol: float = LP_TOL, max_iter: int = 5000) -> LpSolut
         if basis[i] >= ncols:
             pivot_col = -1
             for j in range(ncols):
-                if abs(T[i, j]) > tol:
+                if abs(T[i, j]) > LP_PIVOT_TOL:
                     pivot_col = j
                     break
             if pivot_col < 0:
@@ -492,7 +493,7 @@ def solve_lp(p: LpProblem, tol: float = LP_TOL, max_iter: int = 5000) -> LpSolut
     for i, bi in enumerate(basis2):
         if abs(cost2[bi]) > 0.0:
             cost2 -= cost2[bi] * T2[i]
-    iters2 = _simplex_phase(T2, basis2, cost2, max_iter, tol)
+    iters2 = _simplex_phase(T2, basis2, cost2, max_iter)
     if iters2 < 0:
         return LpSolution("unbounded", None, None, iterations=iters)
 

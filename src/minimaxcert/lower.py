@@ -28,6 +28,7 @@ from .conditions import (
 from .config import CheckConfig
 from .cones import Cone, budget_detail, min_quadratic_on_cone
 from .linalg import (
+    RANK_TOL,
     SingularMatrixError,
     max_eigenvalue_on_subspace,
     nullspace_basis,
@@ -35,8 +36,6 @@ from .linalg import (
     solve_linear,
 )
 from .problem import DerivativeBundle, ProblemSpec, eval_bundle, memoised
-
-NULLSPACE_TOL = 1e-10
 
 
 class PartitionError(Exception):
@@ -98,8 +97,9 @@ def kkt_residual_lower(spec: ProblemSpec, x, y, mu, lam) -> tuple[np.ndarray, fl
     return kkt_residual_from_bundle(bundle, mu, lam)
 
 
-def kkt_residual_from_bundle(bundle: DerivativeBundle, mu, lam) -> tuple[np.ndarray, float]:
-    lag = lagrangian_eval(bundle, mu, lam)
+def kkt_residual_from_bundle(bundle: DerivativeBundle, mu, lam,
+                             lag: LagrangianEval | None = None) -> tuple[np.ndarray, float]:
+    lag = lag or lagrangian_eval(bundle, mu, lam)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     proj = np.minimum(lam + bundle.g, 0.0)
     residual = np.concatenate([lag.grad_y, bundle.h, bundle.g - proj])
@@ -156,15 +156,16 @@ def critical_cone_lower(
     mu,
     lam,
     partition: ActivePartition,
-    tol_kkt: float = 1e-8,
+    config: CheckConfig | None = None,
 ) -> Cone:
     """Critical cone of the inner problem in reduced form (stationarity makes
     the objective-gradient row redundant: equalities on alpha, inequalities on
     beta)."""
+    config = config or CheckConfig()
     bundle = eval_bundle(spec, x, y)
     _, norm = kkt_residual_from_bundle(bundle, mu, lam)
-    if norm > tol_kkt:
-        raise ValueError(f"not a KKT point: residual {norm:.3e} > {tol_kkt:.1e}")
+    if norm > config.tol_kkt:
+        raise ValueError(f"not a KKT point: residual {norm:.3e} > {config.tol_kkt:.1e}")
     m = spec.m
     E_rows = [bundle.h_jy]
     if partition.alpha:
@@ -200,10 +201,12 @@ def _licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
     return smallest_singular_value(np.vstack([bundle.h_jy, bundle.g_jy[list(active)]]))
 
 
-def recover_multipliers(spec: ProblemSpec, x, y, tol_act: float = 1e-8) -> RecoveredMultipliers:
+def recover_multipliers(spec: ProblemSpec, x, y,
+                        config: CheckConfig | None = None) -> RecoveredMultipliers:
     """Least-squares multipliers from stationarity over the active set, as
     read-only arrays.  Inside `bundle_memo` each distinct (x, y, tol_act) is
     recovered once."""
+    tol_act = (config or CheckConfig()).tol_act
     bundle = eval_bundle(spec, x, y)
     return memoised(bundle, ("multipliers", tol_act),
                     lambda: _recover_multipliers(spec, bundle, tol_act))
@@ -324,11 +327,11 @@ def check_jacobian_uniqueness(
     )
 
     lag = lagrangian_eval(bundle, mu, lam)
-    cone = critical_cone_lower(spec, x, y, mu, lam, partition, config.tol_kkt)
+    cone = critical_cone_lower(spec, x, y, mu, lam, partition, config)
     # one curvature bound on aff C = ker E serves both second-order checks
     # unless C has faces and the bound fails; then the face test gives the
     # largest curvature on C itself, with a unit direction attaining it
-    top = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E, NULLSPACE_TOL))
+    top = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E, RANK_TOL))
     witness, detail = None, "negative definite on aff C" if partition.beta else ""
     if partition.beta and top > -config.tol_pd:
         exact = min_quadratic_on_cone(-lag.yy, cone.E, cone.F, spec.m)
@@ -358,7 +361,7 @@ def check_assumption_a(
     config = config or CheckConfig()
     _require_smooth(spec)
     bundle = eval_bundle(spec, x, y)
-    rec = recover_multipliers(spec, x, y, config.tol_act)
+    rec = recover_multipliers(spec, x, y, config)
     checks: dict[str, ConditionCheck] = {}
     exist = rec.admissible and rec.residual <= config.tol_kkt
     checks["multipliers_exist"] = ConditionCheck(
@@ -376,9 +379,8 @@ def check_assumption_a(
     if exist:
         partition = classify_partition(bundle.g, rec.lam, config.tol_act)
         lag = lagrangian_eval(bundle, rec.mu, rec.lam)
-        cone = critical_cone_lower(spec, x, y, rec.mu, rec.lam, partition, config.tol_kkt)
-        basis = nullspace_basis(cone.E, NULLSPACE_TOL)
-        maxeig = max_eigenvalue_on_subspace(lag.yy, basis)
+        cone = critical_cone_lower(spec, x, y, rec.mu, rec.lam, partition, config)
+        maxeig = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E, RANK_TOL))
         checks["strong_sosc"] = ConditionCheck(
             "strong_sosc",
             SATISFIED if maxeig <= -config.tol_pd else VIOLATED,
@@ -453,7 +455,8 @@ def solve_lower(
     trace: list[float] = []
     for it in range(config.newton_max_iter):
         bundle = eval_bundle(spec, x, y)
-        F, res = kkt_residual_from_bundle(bundle, mu, lam)
+        lag = lagrangian_eval(bundle, mu, lam)
+        F, res = kkt_residual_from_bundle(bundle, mu, lam, lag)
         trace.append(res)
         if res <= config.tol_newton:
             w = np.sqrt(np.maximum(0.0, -bundle.g))
@@ -461,7 +464,7 @@ def solve_lower(
         if not np.isfinite(res) or (len(trace) > 3 and res > 1e8 * (1.0 + trace[0])):
             raise NewtonError(f"divergence at iteration {it} (residual {res:.3e})", trace)
         w_diag = (lam + bundle.g < 0.0).astype(float) if m2 else np.zeros(0)
-        A = kkt_jacobian_blocks(lagrangian_eval(bundle, mu, lam), bundle, w_diag)
+        A = kkt_jacobian_blocks(lag, bundle, w_diag)
         try:
             delta = solve_linear(A, -F)
         except SingularMatrixError as exc:

@@ -160,7 +160,7 @@ def grid_local_maximize(
     center,
     radius: float,
     points: int,
-    feas_tol: float = 1e-9,
+    feas_tol: float = GridSpec.feas_tol,
 ) -> GridMaxResult:
     """argmax of f(x, .) over the feasible grid points in a box around center."""
     if radius <= 0:

@@ -27,7 +27,7 @@ from .conditions import (
 )
 from .config import CheckConfig
 from .cones import Cone, budget_detail, min_quadratic_on_cone
-from .linalg import LpProblem, smallest_singular_value, solve_lp
+from .linalg import RANK_TOL, LpProblem, smallest_singular_value, solve_lp
 from .lower import KktSolution
 from .nonsmooth import GeneralizedDerivativeSet, SelectorSweep, selector_sweep
 from .problem import ProblemSpec, memoised
@@ -63,7 +63,9 @@ class UpperActiveSet:
     worst_violation: float
 
 
-def compute_upper_active_set(spec: ProblemSpec, x, tol_act: float = 1e-8) -> UpperActiveSet:
+def compute_upper_active_set(spec: ProblemSpec, x,
+                             config: CheckConfig | None = None) -> UpperActiveSet:
+    tol_act = (config or CheckConfig()).tol_act
     data = upper_data(spec, x)
     viol = 0.0
     if data.H.size:
@@ -96,7 +98,7 @@ def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> MfcqR
 
 def _check_mfcq(spec: ProblemSpec, x: np.ndarray, config: CheckConfig) -> MfcqResult:
     data = upper_data(spec, x)
-    aset = compute_upper_active_set(spec, x, config.tol_act)
+    aset = compute_upper_active_set(spec, x, config)
     if not aset.feasible:
         raise ValueError(
             f"x is infeasible for the outer constraints "
@@ -132,7 +134,7 @@ def _check_mfcq(spec: ProblemSpec, x: np.ndarray, config: CheckConfig) -> MfcqRe
         b_eq = np.zeros(spec.n1)
     lower = np.concatenate([-np.ones(n), [-np.inf]])
     upper = np.concatenate([np.ones(n), [np.inf]])
-    sol = solve_lp(LpProblem(c, A_eq, b_eq, A_in, b_in, lower, upper))
+    sol = solve_lp(LpProblem(c, A_eq, b_eq, A_in, b_in, lower, upper), config.tol_mfcq)
     if sol.status != "optimal":
         check = ConditionCheck(
             "mfcq", ERROR, None, config.tol_mfcq, kind=KIND_QUALIFICATION,
@@ -203,39 +205,40 @@ def _outer_multiplier(data: UpperData, active: tuple[int, ...], r: np.ndarray,
                       tol_kkt: float, parts=None) -> tuple[np.ndarray, np.ndarray] | None:
     """One outer multiplier (u, v) for the gradient r, or None when there is
     none.  With no multiplier variables the zero multiplier serves when
-    max|r| <= tol_kkt; otherwise the zero-objective LP over (u, v_I) decides
-    (`solve_lp` finds a non-finite r infeasible).  `parts` are r's
+    max|r| <= tol_kkt; otherwise the zero-objective LP over (u, v_I), feasible
+    to tol_kkt, decides (`solve_lp` finds a non-finite r infeasible).  `parts` are r's
     `_lambda_lp_parts` when the caller has them."""
     A_eq, b_eq, lower, nvar = parts or _lambda_lp_parts(data, active, r)
     if nvar == 0:
         # written as `<=` so that a NaN fails it, as an inf does
         z = np.zeros(0) if float(np.max(np.abs(r), initial=0.0)) <= tol_kkt else None
     else:
-        sol = solve_lp(LpProblem(np.zeros(nvar), A_eq, b_eq, None, None, lower, None))
+        sol = solve_lp(LpProblem(np.zeros(nvar), A_eq, b_eq, None, None, lower, None), tol_kkt)
         z = sol.z if sol.status == "optimal" else None
     return None if z is None else _split(z, data.JH.shape[0], active, data.JG.shape[0])
 
 
-def _basic_multipliers(parts, n1: int, active: tuple[int, ...], n2: int):
+def _basic_multipliers(parts, spec: ProblemSpec, active: tuple[int, ...],
+                       config: CheckConfig):
     """The polytope's vertices: the basic solutions over the JH^T columns plus
     each subset of the active JG^T columns, kept when they solve the system
-    to 1e-9 with v >= -1e-9."""
+    to tol_kkt with v >= -tol_act."""
     A_eq, b_eq, _, nvar = parts
-    vertices, seen = [], set()
+    n1, vertices, seen = spec.n1, [], set()
     for size in range(0, len(active) + 1):
         for subset in combinations(range(n1, nvar), size):
             cols = [*range(n1), *subset]
             M = A_eq[:, cols]
-            if smallest_singular_value(M.T) < 1e-10:
+            if smallest_singular_value(M.T) <= RANK_TOL:
                 continue  # columns dependent: not a basic solution
             z = np.zeros(nvar)
             if cols:
                 z[cols], *_ = np.linalg.lstsq(M, b_eq, rcond=None)
-            if float(np.max(np.abs(M @ z[cols] - b_eq), initial=0.0)) > 1e-9:
+            if float(np.max(np.abs(M @ z[cols] - b_eq), initial=0.0)) > config.tol_kkt:
                 continue
-            if np.any(z[n1:] < -1e-9):
+            if np.any(z[n1:] < -config.tol_act):
                 continue
-            u, v = _split(z, n1, active, n2)
+            u, v = _split(z, n1, active, spec.n2)
             key = tuple(np.round(np.concatenate([u, v]), 9))
             if key not in seen:
                 seen.add(key)
@@ -255,7 +258,7 @@ def upper_kkt_and_polytope(
     some d has JH d = 0 and JG_I d < 0, which is MFCQ at x (Gauvin 1977)."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
-    active = compute_upper_active_set(spec, x, config.tol_act).I
+    active = compute_upper_active_set(spec, x, config).I
     r0 = np.atleast_1d(np.asarray(working_grad, dtype=float))
     parts = _lambda_lp_parts(data, active, r0)
     point = _outer_multiplier(data, active, r0, config.tol_kkt, parts)
@@ -270,7 +273,7 @@ def upper_kkt_and_polytope(
         poly.enum_capped = True
     else:
         # with no multiplier variables the polytope is the one point {0}
-        poly.vertices = _basic_multipliers(parts, spec.n1, active, spec.n2) if nvar else [point]
+        poly.vertices = _basic_multipliers(parts, spec, active, config) if nvar else [point]
     return poly
 
 
@@ -286,7 +289,7 @@ def critical_cone_upper(
     multipliers, no gradient row) is the cone's `reduced`."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
-    aset = compute_upper_active_set(spec, x, config.tol_act)
+    aset = compute_upper_active_set(spec, x, config)
     r0 = np.atleast_1d(np.asarray(working_grad, dtype=float))
     E = data.JH if spec.n1 else np.zeros((0, spec.n))
     F_rows = []
@@ -303,30 +306,26 @@ def critical_cone_upper(
     return cone
 
 
-def _curvature_lp_max(poly: LambdaPolytope, data: UpperData, d: np.ndarray) -> float:
+def _curvature_lp_max(poly: LambdaPolytope, data: UpperData, d: np.ndarray,
+                      tol_kkt: float) -> float:
     """max over the polytope of sum_j u_j <Hxx_j d, d> + sum_i v_i <Gxx_i d, d>:
     over the vertices when they were enumerated and the polytope is bounded,
-    else by LP (+inf when unbounded, NaN when the LP fails)."""
+    else by LP feasible to tol_kkt (+inf when unbounded, NaN when the LP fails)."""
     n1 = data.JH.shape[0]
     coef_u = np.array([float(d @ data.Hxx[j] @ d) for j in range(n1)])
     coef_v = np.array([float(d @ data.Gxx[i] @ d) for i in poly.active])
     if poly.vertices and poly.bounded:
-        best = -np.inf
-        for u, v in poly.vertices:
-            val = float(coef_u @ u) + float(
-                sum(coef_v[j] * v[i] for j, i in enumerate(poly.active))
-            )
-            best = max(best, val)
-        return best
+        return max(float(coef_u @ u) + float(sum(c * v[i] for c, i in zip(coef_v, poly.active)))
+                   for u, v in poly.vertices)
     A_eq, b_eq, lower, _ = _lambda_lp_parts(data, poly.active, poly.r0)
     c = np.concatenate([coef_u, coef_v])
-    sol = solve_lp(LpProblem(c, A_eq, b_eq, None, None, lower, None))
+    sol = solve_lp(LpProblem(c, A_eq, b_eq, None, None, lower, None), tol_kkt)
     if sol.status == "unbounded":
         return np.inf
     return float(sol.value) if sol.status == "optimal" else np.nan
 
 
-def _cone_curvature(spec, x, vd, poly, E, F):
+def _cone_curvature(spec, x, vd, poly, E, F, config):
     """Face test of q_sup(d) = d^T hess(phi) d + max over the multiplier
     polytope of the constraint curvature, on the cone {E d = 0, F d <= 0}.
 
@@ -350,7 +349,8 @@ def _cone_curvature(spec, x, vd, poly, E, F):
         lower = max(lower, exact[0])
         if exact[1] is not None:
             d = exact[1]
-            witnesses.append((d, float(d @ vd.hessian @ d) + _curvature_lp_max(poly, data, d)))
+            witnesses.append((d, float(d @ vd.hessian @ d)
+                              + _curvature_lp_max(poly, data, d, config.tol_kkt)))
     return single, lower, witnesses
 
 
@@ -399,7 +399,7 @@ def second_order_necessary(
             ),
             [],
         )
-    test = _cone_curvature(spec, x, vd, poly, cone.E, cone.F)
+    test = _cone_curvature(spec, x, vd, poly, cone.E, cone.F, config)
     check = _cone_verdict("second_order_necessary", KIND_NECESSARY, test, -config.tol_pd,
                           config)
     return check, [] if test is None else test[2]
@@ -422,7 +422,7 @@ def second_order_sufficient(
             kind=KIND_SUFFICIENT, detail="multiplier polytope is empty",
         )
     reduced = cone.reduced or cone
-    test = _cone_curvature(spec, x, vd, poly, reduced.E, reduced.F)
+    test = _cone_curvature(spec, x, vd, poly, reduced.E, reduced.F, config)
     return _cone_verdict("second_order_sufficient", KIND_SUFFICIENT, test, config.tol_pd,
                          config)
 
@@ -441,7 +441,7 @@ def first_order_nonsmooth_necessary(
     A(x, W) come from `sweep`, built here when not given."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
-    aset = compute_upper_active_set(spec, x, config.tol_act)
+    aset = compute_upper_active_set(spec, x, config)
     sweep = sweep or selector_sweep(spec, sol, config)
     exact_family = "beta" not in sweep.selectors[0].provenance
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from minimaxcert import CheckConfig, check_jacobian_uniqueness
-from minimaxcert.cones import CONE_TOL, cone_contains
+from minimaxcert.cones import cone_contains
 from minimaxcert.expressions import (
     _FUNCTION_RULES,
     _ONE,
@@ -32,7 +32,7 @@ from minimaxcert.expressions import (
     s_sub,
 )
 from minimaxcert.fixtures import load_fixture
-from minimaxcert.linalg import LpProblem, nullspace_basis, solve_lp
+from minimaxcert.linalg import RANK_TOL, LpProblem, nullspace_basis, solve_lp
 from minimaxcert.problem import ProblemSpec
 
 # property tests replay the same examples on every run and have no time limit
@@ -256,7 +256,7 @@ def dense_block(fill, entries):
     return block.reshape(fill.shape)
 
 
-def brute_force_min_quadratic_on_cone(M, E, F, tol=1e-9):
+def brute_force_min_quadratic_on_cone(M, E, F):
     """The exhaustive face loop: the bottom eigenpair of Z^T M Z on
     Z = ker [E; F_S] for every one of the 2^|F| subsets S of F's rows,
     smallest subsets first, keeping the least eigenvalue whose eigenvector
@@ -266,7 +266,7 @@ def brute_force_min_quadratic_on_cone(M, E, F, tol=1e-9):
     best, witness = np.inf, None
     for size in range(F.shape[0] + 1):
         for subset in combinations(range(F.shape[0]), size):
-            Z = nullspace_basis(np.vstack([E, F[list(subset)]]), CONE_TOL)
+            Z = nullspace_basis(np.vstack([E, F[list(subset)]]), RANK_TOL)
             if Z.shape[1] == 0:
                 continue
             reduced = Z.T @ M @ Z
@@ -276,7 +276,7 @@ def brute_force_min_quadratic_on_cone(M, E, F, tol=1e-9):
             v = Z @ vectors[:, 0]
             v = v / np.linalg.norm(v)
             for d in (v, 0.0 - v):
-                if cone_contains(E, F, d, tol):
+                if cone_contains(E, F, d):
                     best, witness = float(values[0]), d
                     break
     return best, witness
@@ -292,7 +292,7 @@ def cone_is_trivial(E, F, dim, tol=1e-9):
                 np.where(np.arange(dim) == j, sgn, 0.0),
                 E if E.shape[0] else None, np.zeros(E.shape[0]) if E.shape[0] else None,
                 F if F.shape[0] else None, np.zeros(F.shape[0]) if F.shape[0] else None,
-                -np.ones(dim), np.ones(dim)))
+                -np.ones(dim), np.ones(dim)), 1e-9)
             if sol.status != "optimal" or sol.value > tol:
                 return False
     return True
@@ -316,7 +316,7 @@ def coordinate_lp_bounded(poly):
     lower = np.concatenate([np.full(n1, -np.inf), np.zeros(nvar - n1)])
     return all(
         solve_lp(LpProblem(np.where(np.arange(nvar) == j, sgn, 0.0), A_eq, -poly.r0,
-                           None, None, lower, None)).status != "unbounded"
+                           None, None, lower, None), 1e-9).status != "unbounded"
         for j in range(nvar) for sgn in (1.0, -1.0)
     )
 

@@ -210,6 +210,15 @@ def test_oracle_condition_included_when_requested(p1):
     assert oracle_check.value <= 1e-9
 
 
+def test_oracle_judges_feasibility_at_tol_act(p1):
+    # y = 1 + 5e-9 exceeds g1 = y1 - 1 <= 0 by 5e-9, within tol_act, so both
+    # the pipeline and the grid oracle take it as feasible; the grid then
+    # finds the right inequality fail, as phi'(1) = 1 says it must
+    rep = certify(p1, CandidatePoint([1.0], [1.0 + 5e-9]), CheckConfig(run_oracle=True))
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert result(rep, "definition_oracle").detail == "worst side: right"
+
+
 def test_oracle_over_the_grid_cap_is_skipped(config):
     # n = m = 2 at the default grid: 201^2 x-points by 401^2 y-points at the
     # first level, refused before anything is evaluated
@@ -412,6 +421,39 @@ def test_several_multipliers_bound_q_sup_from_below(text, verdict, necessary, su
     assert result(rep, "second_order_sufficient").status == sufficient
 
 
+@pytest.mark.parametrize("text", [
+    "dims 2 1 0 0 0 0\nf = 5e-9*x1 + x1^2 + x2^2 - y1^2\n",
+    # G1 active: v = 1 leaves the same stationarity residual, which the
+    # multiplier LP also reads at tol_kkt
+    "dims 2 1 0 0 0 1\nf = 5e-9*x1 + x2 + x1^2 + x2^2 - y1^2\nG1 = -x2\n",
+])
+def test_first_order_residual_within_tol_kkt_with_or_without_constraints(text, config):
+    from minimaxcert.problem import parse_problem
+
+    rep = certify(parse_problem(text), CandidatePoint([0.0, 0.0], [0.0]), config)
+    assert rep.verdict == VERDICT_CERTIFIED
+    first_order = result(rep, "first_order")
+    assert first_order.status == SATISFIED
+    assert first_order.value == pytest.approx(5e-9, rel=1e-12)
+
+
+@pytest.mark.parametrize("cap", [12, 1])
+def test_multipliers_within_tol_kkt_by_vertices_and_by_lp(cap, config):
+    # {v1 + 2 v2 = 1, v >= 0} solves stationarity to 5e-9, read at tol_kkt by
+    # the vertex enumeration (cap 12) and by the curvature LP (cap 1); and
+    # phi(-t, 0) = -5e-9 t - t^2 < phi(0), so the candidate is refuted
+    from minimaxcert.problem import parse_problem
+
+    spec = parse_problem("dims 2 1 0 0 0 2\nf = 5e-9*x1 + x2 - x1^2 + x2^2 - y1^2\n"
+                         "G1 = -x2\nG2 = -2*x2\n")
+    rep = certify(spec, CandidatePoint([0.0, 0.0], [0.0]), config.replace(vertex_enum_cap=cap))
+    assert rep.verdict == VERDICT_REFUTED
+    assert result(rep, "first_order").status == SATISFIED
+    son = result(rep, "second_order_necessary")
+    assert son.status == VIOLATED
+    assert son.value == pytest.approx(-2.0)
+
+
 def test_capped_vertex_enumeration_uses_one_lp_multiplier(config):
     # with no vertices enumerated, one feasible multiplier gives the quadratic
     # and q_sup at its face witness refutes
@@ -434,7 +476,8 @@ def test_capped_polytope_solves_its_multiplier_lp_once(config, monkeypatch):
 
     calls = []
     solve_lp = upper.solve_lp
-    monkeypatch.setattr(upper, "solve_lp", lambda p: calls.append(p) or solve_lp(p))
+    monkeypatch.setattr(upper, "solve_lp",
+                        lambda p, feas_tol: calls.append(p) or solve_lp(p, feas_tol))
     rep = certify(_sampled_sufficiency_counterexample(2, 1e6),
                   CandidatePoint([0.0, 0.0], [0.0]), config.replace(vertex_enum_cap=1))
     assert rep.verdict == VERDICT_REFUTED
@@ -530,6 +573,18 @@ def test_large_beta_reaches_necessary_conditions(k, config):
     assert rep.verdict == VERDICT_NECESSARY
     assert result(rep, "b_selector_nonsingularity").detail == f"{2 ** k} binary selectors"
     assert result(rep, "first_order_nonsmooth").status == SATISFIED
+
+
+def test_selector_nonsingularity_reads_the_sweeps_pivot_test(config):
+    # the sweep's own singularity rule decides, so the check has no
+    # tolerance of its own
+    from conftest import degenerate_text
+    from minimaxcert.problem import parse_problem
+
+    rep = certify(parse_problem(degenerate_text(2)), CandidatePoint([0.0] * 2, [0.0] * 2),
+                  config)
+    check = result(rep, "b_selector_nonsingularity")
+    assert (check.status, check.tolerance) == (SATISFIED, None)
 
 
 def test_sweep_factors_each_selector_once(config, monkeypatch):
@@ -726,9 +781,9 @@ def test_lagrangian_and_multipliers_computed_once_per_call(config, monkeypatch, 
                       for a in (lag.grad_y, lag.grad_x, lag.yy, lag.yx, lag.xx))
         return lag
 
-    def asking_recover(spec, x, y, tol_act=1e-8):
-        asked_recs.add((*point(x, y), tol_act))
-        rec = recover_multipliers(spec, x, y, tol_act)
+    def asking_recover(spec, x, y, config=None):
+        asked_recs.add((*point(x, y), (config or CheckConfig()).tol_act))
+        rec = recover_multipliers(spec, x, y, config)
         frozen.extend(a.flags.writeable is False for a in (rec.mu, rec.lam))
         return rec
 
@@ -761,7 +816,7 @@ def test_lagrangian_and_multipliers_computed_once_per_call(config, monkeypatch, 
         lam[0] = 1.0
         grads = [lagrangian_eval(bundle, [], v).grad_y.tolist() for v in (lam, 2 * lam)]
         assert grads[0] != grads[1]
-        actives = [recover_multipliers(spec, candidate.x, near, tol).active
+        actives = [recover_multipliers(spec, candidate.x, near, CheckConfig(tol_act=tol)).active
                    for tol in (1e-8, 1e-2)]
         assert actives == [(), tuple(range(spec.m2))]
 

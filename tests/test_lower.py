@@ -246,6 +246,19 @@ def test_quadratic_convergence_trace(config):
         assert curr <= 1e3 * prev**2
 
 
+def test_solve_lower_computes_one_lagrangian_per_iterate(config, monkeypatch):
+    # outside bundle_memo nothing is shared, so each iterate's Lagrangian
+    # must serve both its residual and its Newton matrix
+    from minimaxcert import lower
+
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = x1*y1 - 0.25*y1^4 - 0.5*y1^2\n")
+    computed, lagrangian = [], lower._lagrangian
+    monkeypatch.setattr(lower, "_lagrangian", lambda *args: computed.append(1) or lagrangian(*args))
+    sol = solve_lower(spec, [0.9], ([0.0], None, None), config)
+    assert sol.iterations == 6
+    assert len(computed) == sol.iterations
+
+
 def test_solve_lower_keeps_an_exact_kkt_seed(p1, config):
     # y = 1, lam = 0.2 solves P1 at x = 1.2: no Newton step is taken
     seed = (np.array([1.0]), np.zeros(0), np.array([0.2]))

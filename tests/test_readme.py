@@ -1,8 +1,11 @@
 """README's `python` blocks run as written, so the library example keeps up
-with the API."""
+with the API, and its Tolerances table names every `tol_*` field."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from minimaxcert import CheckConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +17,11 @@ def test_readme_python_blocks_run(capsys):
     for code in blocks:
         exec(compile(code, str(README), "exec"), {})
     assert "certified-local-minimax" in capsys.readouterr().out
+
+
+def test_readme_tolerance_table_names_every_tol_field():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = {m.group(1) for m in re.finditer(r"^\| `(\w+)` \|", section, re.M)}
+    names = {f.name for f in fields(CheckConfig) if f.name.startswith("tol_")}
+    assert names and names <= rows
