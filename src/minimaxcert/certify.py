@@ -511,15 +511,10 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
         )
     else:
         piv = float(np.min(sweep.lu.min_pivots, initial=np.inf))
+        status = VIOLATED if np.any(sweep.lu.step >= 0) else SATISFIED  # the sweep's own test
         results.append(
-            ConditionCheck(
-                "b_selector_nonsingularity",
-                VIOLATED if np.any(sweep.lu.step >= 0) else SATISFIED,
-                piv,
-                None,
-                KIND_INFO,
-                detail=f"{len(sweep.selectors)} binary selectors",
-            )
+            ConditionCheck("b_selector_nonsingularity", status, piv, None, KIND_INFO,
+                           detail=f"{len(sweep.selectors)} binary selectors")
         )
 
     mfcq = check_mfcq(spec, candidate.x, config)

@@ -18,10 +18,9 @@ import numpy as np
 from .linalg import RANK_TOL, nullspace_basis
 from .problem import memoised
 
-# Noise floors: membership allows |E d| and max(F d) up to MEMBERSHIP_TOL max(1, |d|),
-# the rounding of a face eigenvector, so no CheckConfig field moves it
-MEMBERSHIP_TOL = 1e-9
+MEMBERSHIP_TOL = 1e-9  # |E d|, max(F d) allowed, times max(1, |d|): face-eigenvector rounding
 ZERO_NORM = 1e-12  # a vector shorter than this has no direction
+RETRY_MIN_NORM = 1e-9  # a shorter projected retry in sample_cone is rounding, not a direction
 # cone_rays enumerates all 2^nF subsets of F's rows, so it gives up above
 # this many rows
 RAY_SUBSET_CAP = 14
@@ -229,6 +228,7 @@ def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int,
             nf = float(np.linalg.norm(face))
             if nf > ZERO_NORM:
                 zeta2 = zeta - (face @ zeta / nf**2) * face
-                d2 = Z @ zeta2  # push drops it when it is shorter than ZERO_NORM
-                push(d2) or push(-d2)
+                if float(np.linalg.norm(zeta2)) > RETRY_MIN_NORM:
+                    d2 = Z @ zeta2
+                    push(d2) or push(-d2)
     return out[: max(count, len(rays))]

@@ -94,12 +94,11 @@ def _lagrangian(bundle: DerivativeBundle, mu: np.ndarray, lam: np.ndarray) -> La
 def kkt_residual_lower(spec: ProblemSpec, x, y, mu, lam) -> tuple[np.ndarray, float]:
     """Stacked residual (grad_y L; h; g - Pi_{<=0}(lam + g)) and its inf-norm."""
     bundle = eval_bundle(spec, x, y)
-    return kkt_residual_from_bundle(bundle, mu, lam)
+    return kkt_residual_from_bundle(bundle, lagrangian_eval(bundle, mu, lam), lam)
 
 
-def kkt_residual_from_bundle(bundle: DerivativeBundle, mu, lam,
-                             lag: LagrangianEval | None = None) -> tuple[np.ndarray, float]:
-    lag = lag or lagrangian_eval(bundle, mu, lam)
+def kkt_residual_from_bundle(bundle: DerivativeBundle, lag: LagrangianEval,
+                             lam) -> tuple[np.ndarray, float]:
     lam = np.asarray(lam, dtype=float).reshape(-1)
     proj = np.minimum(lam + bundle.g, 0.0)
     residual = np.concatenate([lag.grad_y, bundle.h, bundle.g - proj])
@@ -163,7 +162,7 @@ def critical_cone_lower(
     beta)."""
     config = config or CheckConfig()
     bundle = eval_bundle(spec, x, y)
-    _, norm = kkt_residual_from_bundle(bundle, mu, lam)
+    _, norm = kkt_residual_from_bundle(bundle, lagrangian_eval(bundle, mu, lam), lam)
     if norm > config.tol_kkt:
         raise ValueError(f"not a KKT point: residual {norm:.3e} > {config.tol_kkt:.1e}")
     m = spec.m
@@ -239,7 +238,7 @@ def _recover_multipliers(spec: ProblemSpec, bundle: DerivativeBundle,
         feas_notes.append("negative recovered multiplier")
     elif not feas_notes:
         lam = np.maximum(lam, 0.0)
-    _, norm = kkt_residual_from_bundle(bundle, mu, lam)
+    _, norm = kkt_residual_from_bundle(bundle, lagrangian_eval(bundle, mu, lam), lam)
     mu.flags.writeable = lam.flags.writeable = False
     return RecoveredMultipliers(
         mu=mu,
@@ -296,7 +295,8 @@ def check_jacobian_uniqueness(
     mu = np.zeros(spec.m1) if mu is None else np.asarray(mu, dtype=float).reshape(-1)
     lam = np.zeros(spec.m2) if lam is None else np.asarray(lam, dtype=float).reshape(-1)
     checks: dict[str, ConditionCheck] = {}
-    _, norm = kkt_residual_from_bundle(bundle, mu, lam)
+    lag = lagrangian_eval(bundle, mu, lam)
+    _, norm = kkt_residual_from_bundle(bundle, lag, lam)
     # a residual within tol_kkt may still leave a sign outside tol_act
     partition, why, detail = None, "kkt residual too large", ""
     if norm <= config.tol_kkt:
@@ -326,7 +326,6 @@ def check_jacobian_uniqueness(
         "strict_complementarity", SATISFIED if sc_ok else VIOLATED, margin, config.tol_sc
     )
 
-    lag = lagrangian_eval(bundle, mu, lam)
     cone = critical_cone_lower(spec, x, y, mu, lam, partition, config)
     # one curvature bound on aff C = ker E serves both second-order checks
     # unless C has faces and the bound fails; then the face test gives the
@@ -456,7 +455,7 @@ def solve_lower(
     for it in range(config.newton_max_iter):
         bundle = eval_bundle(spec, x, y)
         lag = lagrangian_eval(bundle, mu, lam)
-        F, res = kkt_residual_from_bundle(bundle, mu, lam, lag)
+        F, res = kkt_residual_from_bundle(bundle, lag, lam)
         trace.append(res)
         if res <= config.tol_newton:
             w = np.sqrt(np.maximum(0.0, -bundle.g))

@@ -203,28 +203,28 @@ def _split(z: np.ndarray, n1: int, active: tuple[int, ...], n2: int):
 
 def _outer_multiplier(data: UpperData, active: tuple[int, ...], r: np.ndarray,
                       tol_kkt: float, parts=None) -> tuple[np.ndarray, np.ndarray] | None:
-    """One outer multiplier (u, v) for the gradient r, or None when there is
-    none.  With no multiplier variables the zero multiplier serves when
-    max|r| <= tol_kkt; otherwise the zero-objective LP over (u, v_I), feasible
-    to tol_kkt, decides (`solve_lp` finds a non-finite r infeasible).  `parts` are r's
-    `_lambda_lp_parts` when the caller has them."""
+    """One outer multiplier (u, v) for the gradient r, or None: the zero
+    multiplier, or with multiplier variables the zero-objective LP's point,
+    kept when its stationarity residual is at most tol_kkt, as every vertex
+    is.  `parts` are r's `_lambda_lp_parts` when the caller has them."""
     A_eq, b_eq, lower, nvar = parts or _lambda_lp_parts(data, active, r)
-    if nvar == 0:
-        # written as `<=` so that a NaN fails it, as an inf does
-        z = np.zeros(0) if float(np.max(np.abs(r), initial=0.0)) <= tol_kkt else None
-    else:
+    z = np.zeros(0)
+    if nvar:  # solve_lp finds a non-finite r infeasible
         sol = solve_lp(LpProblem(np.zeros(nvar), A_eq, b_eq, None, None, lower, None), tol_kkt)
-        z = sol.z if sol.status == "optimal" else None
-    return None if z is None else _split(z, data.JH.shape[0], active, data.JG.shape[0])
+        if sol.status != "optimal":
+            return None
+        z = sol.z
+    u, v = _split(z, data.JH.shape[0], active, data.JG.shape[0])
+    # written as `<=` so that a NaN fails it, as an inf does
+    return (u, v) if _stationarity_residual(data.JH, data.JG, u, v, r) <= tol_kkt else None
 
 
-def _basic_multipliers(parts, spec: ProblemSpec, active: tuple[int, ...],
-                       config: CheckConfig):
+def _basic_multipliers(data: UpperData, r0, parts, active, config: CheckConfig):
     """The polytope's vertices: the basic solutions over the JH^T columns plus
-    each subset of the active JG^T columns, kept when they solve the system
-    to tol_kkt with v >= -tol_act."""
+    each subset of the active JG^T columns, kept when v >= -tol_act and, with
+    v clipped at 0, the stationarity residual is at most tol_kkt."""
     A_eq, b_eq, _, nvar = parts
-    n1, vertices, seen = spec.n1, [], set()
+    n1, vertices, seen = data.JH.shape[0], [], set()
     for size in range(0, len(active) + 1):
         for subset in combinations(range(n1, nvar), size):
             cols = [*range(n1), *subset]
@@ -234,11 +234,11 @@ def _basic_multipliers(parts, spec: ProblemSpec, active: tuple[int, ...],
             z = np.zeros(nvar)
             if cols:
                 z[cols], *_ = np.linalg.lstsq(M, b_eq, rcond=None)
-            if float(np.max(np.abs(M @ z[cols] - b_eq), initial=0.0)) > config.tol_kkt:
-                continue
             if np.any(z[n1:] < -config.tol_act):
                 continue
-            u, v = _split(z, n1, active, spec.n2)
+            u, v = _split(z, n1, active, data.JG.shape[0])
+            if not _stationarity_residual(data.JH, data.JG, u, v, r0) <= config.tol_kkt:
+                continue
             key = tuple(np.round(np.concatenate([u, v]), 9))
             if key not in seen:
                 seen.add(key)
@@ -273,7 +273,7 @@ def upper_kkt_and_polytope(
         poly.enum_capped = True
     else:
         # with no multiplier variables the polytope is the one point {0}
-        poly.vertices = _basic_multipliers(parts, spec, active, config) if nvar else [point]
+        poly.vertices = _basic_multipliers(data, r0, parts, active, config) if nvar else [point]
     return poly
 
 
@@ -315,8 +315,13 @@ def _curvature_lp_max(poly: LambdaPolytope, data: UpperData, d: np.ndarray,
     coef_u = np.array([float(d @ data.Hxx[j] @ d) for j in range(n1)])
     coef_v = np.array([float(d @ data.Gxx[i] @ d) for i in poly.active])
     if poly.vertices and poly.bounded:
-        return max(float(coef_u @ u) + float(sum(c * v[i] for c, i in zip(coef_v, poly.active)))
-                   for u, v in poly.vertices)
+        best = -np.inf
+        for u, v in poly.vertices:
+            val = float(coef_u @ u) + float(
+                sum(coef_v[j] * v[i] for j, i in enumerate(poly.active))
+            )
+            best = max(best, val)
+        return best
     A_eq, b_eq, lower, _ = _lambda_lp_parts(data, poly.active, poly.r0)
     c = np.concatenate([coef_u, coef_v])
     sol = solve_lp(LpProblem(c, A_eq, b_eq, None, None, lower, None), tol_kkt)

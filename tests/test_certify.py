@@ -423,8 +423,8 @@ def test_several_multipliers_bound_q_sup_from_below(text, verdict, necessary, su
 
 @pytest.mark.parametrize("text", [
     "dims 2 1 0 0 0 0\nf = 5e-9*x1 + x1^2 + x2^2 - y1^2\n",
-    # G1 active: v = 1 leaves the same stationarity residual, which the
-    # multiplier LP also reads at tol_kkt
+    # G1 active: v = 1 leaves the same stationarity residual, which decides
+    # at tol_kkt whichever way the multiplier is found
     "dims 2 1 0 0 0 1\nf = 5e-9*x1 + x2 + x1^2 + x2^2 - y1^2\nG1 = -x2\n",
 ])
 def test_first_order_residual_within_tol_kkt_with_or_without_constraints(text, config):
@@ -435,6 +435,18 @@ def test_first_order_residual_within_tol_kkt_with_or_without_constraints(text, c
     first_order = result(rep, "first_order")
     assert first_order.status == SATISFIED
     assert first_order.value == pytest.approx(5e-9, rel=1e-12)
+
+
+def test_first_order_residual_beyond_tol_kkt_refutes_with_a_large_gradient(config):
+    # v = 1000 leaves the residual 5e-6 > tol_kkt however large the gradient
+    # the LP scales its feasibility by; phi(-t, 0) = -5e-6 t + t^2 < phi(0)
+    from minimaxcert.problem import parse_problem
+
+    spec = parse_problem("dims 2 1 0 0 0 1\nf = 5e-6*x1 + 1000*x2 + x1^2 + x2^2 - y1^2\n"
+                         "G1 = -x2\n")
+    rep = certify(spec, CandidatePoint([0.0, 0.0], [0.0]), config)
+    assert rep.verdict == VERDICT_REFUTED
+    assert result(rep, "first_order").status == VIOLATED
 
 
 @pytest.mark.parametrize("cap", [12, 1])

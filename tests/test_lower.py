@@ -12,7 +12,9 @@ from minimaxcert import (
 )
 from minimaxcert.conditions import VIOLATED, INCONCLUSIVE
 from minimaxcert.cones import cone_contains
-from minimaxcert.lower import NewtonError, PartitionError, kkt_residual_from_bundle
+from minimaxcert.lower import (
+    NewtonError, PartitionError, kkt_residual_from_bundle, lagrangian_eval,
+)
 from minimaxcert.oracle import grid_local_maximize
 from minimaxcert.problem import eval_bundle, parse_problem
 
@@ -286,7 +288,9 @@ def test_solve_lower_residual_is_that_of_the_returned_point(p2, config):
         cases.append((spec, x, y + rng.uniform(-0.05, 0.05, spec.m)))
     for spec, x, y0 in cases:
         sol = solve_lower(spec, x, (y0, None, None), config)
-        _, norm = kkt_residual_from_bundle(eval_bundle(spec, sol.x, sol.y), sol.mu, sol.lam)
+        bundle = eval_bundle(spec, sol.x, sol.y)
+        _, norm = kkt_residual_from_bundle(bundle, lagrangian_eval(bundle, sol.mu, sol.lam),
+                                           sol.lam)
         assert sol.residual.hex() == norm.hex() == sol.trace[-1].hex()
 
 
