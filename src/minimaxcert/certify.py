@@ -396,10 +396,9 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
     poly = upper_kkt_and_polytope(spec, candidate.x, vd.gradient, config)
     if poly.nonempty:
         fo = ConditionCheck(
-            "first_order", SATISFIED, poly.vertex_residual(*poly.point),
+            "first_order", SATISFIED, poly.residual(*poly.point),
             config.tol_kkt, KIND_NECESSARY,
-            detail=f"{len(poly.vertices)} vertices"
-            + ("" if poly.bounded else "; polytope unbounded (flagged)"),
+            detail="" if poly.bounded else "polytope unbounded (flagged)",
         )
     elif mfcq_ok:
         fo = ConditionCheck(
@@ -419,11 +418,11 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
             _verify_upper_multipliers(spec, candidate, vd.gradient, poly, config)
         )
 
-    multiplier = poly.vertices[0] if poly.vertices else None
-    cone = critical_cone_upper(spec, candidate.x, vd.gradient, multiplier, config)
+    # every multiplier gives the same reduced cone, the critical cone without
+    # its gradient row, so the polytope's LP point serves
+    cone = critical_cone_upper(spec, candidate.x, vd.gradient, poly.point, config)
     if mfcq_ok and poly.nonempty:
-        son, _ = second_order_necessary(spec, candidate.x, vd, poly, cone, config)
-        results.append(son)
+        results.append(second_order_necessary(spec, candidate.x, vd, poly, cone, config))
     else:
         results.append(
             ConditionCheck(
@@ -447,10 +446,10 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
 
 def _verify_upper_multipliers(spec, candidate, working_grad, poly, config):
     """Supplied (u, v) are verified against the stationarity system rather
-    than recomputed; the recomputed vertices stay in the polytope result."""
+    than recomputed; the polytope's own point stays in the polytope result."""
     u = candidate.u if candidate.u is not None else np.zeros(spec.n1)
     v = candidate.v if candidate.v is not None else np.zeros(spec.n2)
-    residual = poly.vertex_residual(u, v)
+    residual = poly.residual(u, v)
     neg = float(np.min(v, initial=0.0))
     comp = 0.0
     if spec.n2:

@@ -26,7 +26,6 @@ class CheckConfig:
     beta_grid_resolution: int = 5  # Clarke grid points per beta index (subdiff only)
     selector_cap: int = 16  # max |beta| for B-selector enumeration
     clarke_grid_cap: int = 4096  # max Clarke grid selectors (subdiff only)
-    vertex_enum_cap: int = 12  # n1 + |I| bound for vertex enumeration
     # condition-number warning for the smooth-path sensitivity matrix A(x, W)
     cond_warn: float = 1e12
     # oracle defaults
@@ -44,7 +43,7 @@ class CheckConfig:
             if f.name.startswith(("tol_", "fd_", "cond_")) and not value > 0:
                 raise ValueError(f"{f.name} must be positive")
         for name in ("newton_max_iter", "beta_grid_resolution", "selector_cap",
-                     "clarke_grid_cap", "vertex_enum_cap"):
+                     "clarke_grid_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         self.oracle_grid()  # the oracle_* keys follow GridSpec's rules

@@ -3,14 +3,20 @@ cones, and the second-order / nonsmooth first-order optimality tests.
 
 Every question of the form "is there an outer multiplier (u, v) for this
 gradient, and which one" goes to `_outer_multiplier`: the polytope's
-emptiness and its LP point, which the second-order checks reuse when no
-vertices were enumerated, and each selector's first-order test.
+emptiness and its LP point, where the second-order checks start, and each
+selector's first-order test.
+
+The second-order checks bound min over unit cone directions d of
+q_sup(d) = d^T hess(phi) d + max over the polytope of the constraint
+curvature.  `_cone_curvature` does it by Kelley's cutting-plane method
+(J. SIAM 1960) over the polytope: g(lambda) = min_d d^T M(lambda) d is
+concave, so each multiplier tried gives a sound lower bound, and each face
+witness a cut of the LP that bounds max g from above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +38,9 @@ from .lower import KktSolution
 from .nonsmooth import GeneralizedDerivativeSet, SelectorSweep, selector_sweep
 from .problem import ProblemSpec, memoised
 from .value_function import ValueDerivatives
+
+# the cutting-plane loop of `_cone_curvature` stops after this many face tests
+CUT_ROUNDS = 10
 
 
 @dataclass
@@ -159,7 +168,7 @@ class LambdaPolytope:
     """Upper multipliers: {(u, v): JH^T u + JG^T v = -r0, v >= 0 on I, v = 0 off I}.
 
     `point` is the one member that `_outer_multiplier` found (None when the
-    set is empty); `vertices` are enumerated only up to `vertex_enum_cap`."""
+    set is empty); `single` holds when `point` is the only member."""
 
     r0: np.ndarray
     JH: np.ndarray
@@ -167,11 +176,10 @@ class LambdaPolytope:
     active: tuple[int, ...]
     nonempty: bool
     point: tuple[np.ndarray, np.ndarray] | None = None
-    vertices: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     bounded: bool | None = None
-    enum_capped: bool = False
+    single: bool = False
 
-    def vertex_residual(self, u: np.ndarray, v: np.ndarray) -> float:
+    def residual(self, u: np.ndarray, v: np.ndarray) -> float:
         return _stationarity_residual(self.JH, self.JG, u, v, self.r0)
 
 
@@ -195,7 +203,7 @@ def _lambda_lp_parts(data: UpperData, active: tuple[int, ...], r0: np.ndarray):
 
 def _split(z: np.ndarray, n1: int, active: tuple[int, ...], n2: int):
     """(u, v) from a vector over (u, v_I): v clipped at 0 and 0 off I.  The
-    clip keeps a -0.0, as max(z, 0.0) does, so vertices keep their bits."""
+    clip keeps a -0.0, as max(z, 0.0) does."""
     v = np.zeros(n2)
     v[list(active)] = np.where(z[n1:] < 0.0, 0.0, z[n1:])
     return z[:n1], v
@@ -205,8 +213,8 @@ def _outer_multiplier(data: UpperData, active: tuple[int, ...], r: np.ndarray,
                       tol_kkt: float, parts=None) -> tuple[np.ndarray, np.ndarray] | None:
     """One outer multiplier (u, v) for the gradient r, or None: the zero
     multiplier, or with multiplier variables the zero-objective LP's point,
-    kept when its stationarity residual is at most tol_kkt, as every vertex
-    is.  `parts` are r's `_lambda_lp_parts` when the caller has them."""
+    kept when its stationarity residual is at most tol_kkt, as every
+    multiplier is.  `parts` are r's `_lambda_lp_parts` when the caller has them."""
     A_eq, b_eq, lower, nvar = parts or _lambda_lp_parts(data, active, r)
     z = np.zeros(0)
     if nvar:  # solve_lp finds a non-finite r infeasible
@@ -219,43 +227,18 @@ def _outer_multiplier(data: UpperData, active: tuple[int, ...], r: np.ndarray,
     return (u, v) if _stationarity_residual(data.JH, data.JG, u, v, r) <= tol_kkt else None
 
 
-def _basic_multipliers(data: UpperData, r0, parts, active, config: CheckConfig):
-    """The polytope's vertices: the basic solutions over the JH^T columns plus
-    each subset of the active JG^T columns, kept when v >= -tol_act and, with
-    v clipped at 0, the stationarity residual is at most tol_kkt."""
-    A_eq, b_eq, _, nvar = parts
-    n1, vertices, seen = data.JH.shape[0], [], set()
-    for size in range(0, len(active) + 1):
-        for subset in combinations(range(n1, nvar), size):
-            cols = [*range(n1), *subset]
-            M = A_eq[:, cols]
-            if smallest_singular_value(M.T) <= RANK_TOL:
-                continue  # columns dependent: not a basic solution
-            z = np.zeros(nvar)
-            if cols:
-                z[cols], *_ = np.linalg.lstsq(M, b_eq, rcond=None)
-            if np.any(z[n1:] < -config.tol_act):
-                continue
-            u, v = _split(z, n1, active, data.JG.shape[0])
-            if not _stationarity_residual(data.JH, data.JG, u, v, r0) <= config.tol_kkt:
-                continue
-            key = tuple(np.round(np.concatenate([u, v]), 9))
-            if key not in seen:
-                seen.add(key)
-                vertices.append((u, v))
-    return vertices
-
-
 def upper_kkt_and_polytope(
     spec: ProblemSpec, x, working_grad: np.ndarray, config: CheckConfig | None = None
 ) -> LambdaPolytope:
     """Emptiness and `point` by one `_outer_multiplier` solve; boundedness
-    from MFCQ; vertices by basis enumeration when small.
+    from MFCQ; `single` from the rank of the multiplier system.
 
     A nonempty polytope is bounded exactly when its recession cone
     {(u, v_I): JH^T u + JG_I^T v = 0, v >= 0} is {0}, and by Motzkin's
     transposition theorem that holds exactly when JH has full row rank and
-    some d has JH d = 0 and JG_I d < 0, which is MFCQ at x (Gauvin 1977)."""
+    some d has JH d = 0 and JG_I d < 0, which is MFCQ at x (Gauvin 1977).
+    It is a single point when there are no multiplier variables or the
+    system's columns are independent."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
     active = compute_upper_active_set(spec, x, config).I
@@ -268,12 +251,8 @@ def upper_kkt_and_polytope(
         return poly
 
     poly.bounded = check_mfcq(spec, x, config).check.ok
-    nvar = parts[3]
-    if nvar > config.vertex_enum_cap:
-        poly.enum_capped = True
-    else:
-        # with no multiplier variables the polytope is the one point {0}
-        poly.vertices = _basic_multipliers(data, r0, parts, active, config) if nvar else [point]
+    A_eq, _, _, nvar = parts
+    poly.single = nvar == 0 or smallest_singular_value(A_eq.T) > RANK_TOL
     return poly
 
 
@@ -306,24 +285,20 @@ def critical_cone_upper(
     return cone
 
 
+def _curvature_coefficients(data: UpperData, active: tuple[int, ...],
+                            d: np.ndarray) -> np.ndarray:
+    """(<Hxx_j d, d>, <Gxx_i d, d> for i in active): the curvature along d
+    per multiplier variable (u, v_I)."""
+    return np.concatenate([np.einsum("a,jab,b->j", d, data.Hxx, d),
+                           np.einsum("a,iab,b->i", d, data.Gxx[list(active)], d)])
+
+
 def _curvature_lp_max(poly: LambdaPolytope, data: UpperData, d: np.ndarray,
                       tol_kkt: float) -> float:
-    """max over the polytope of sum_j u_j <Hxx_j d, d> + sum_i v_i <Gxx_i d, d>:
-    over the vertices when they were enumerated and the polytope is bounded,
-    else by LP feasible to tol_kkt (+inf when unbounded, NaN when the LP fails)."""
-    n1 = data.JH.shape[0]
-    coef_u = np.array([float(d @ data.Hxx[j] @ d) for j in range(n1)])
-    coef_v = np.array([float(d @ data.Gxx[i] @ d) for i in poly.active])
-    if poly.vertices and poly.bounded:
-        best = -np.inf
-        for u, v in poly.vertices:
-            val = float(coef_u @ u) + float(
-                sum(coef_v[j] * v[i] for j, i in enumerate(poly.active))
-            )
-            best = max(best, val)
-        return best
+    """max over the polytope of sum_j u_j <Hxx_j d, d> + sum_i v_i <Gxx_i d, d>,
+    by LP feasible to tol_kkt (+inf when unbounded, NaN when the LP fails)."""
     A_eq, b_eq, lower, _ = _lambda_lp_parts(data, poly.active, poly.r0)
-    c = np.concatenate([coef_u, coef_v])
+    c = _curvature_coefficients(data, poly.active, d)
     sol = solve_lp(LpProblem(c, A_eq, b_eq, None, None, lower, None), tol_kkt)
     if sol.status == "unbounded":
         return np.inf
@@ -331,39 +306,66 @@ def _curvature_lp_max(poly: LambdaPolytope, data: UpperData, d: np.ndarray,
 
 
 def _cone_curvature(spec, x, vd, poly, E, F, config):
-    """Face test of q_sup(d) = d^T hess(phi) d + max over the multiplier
-    polytope of the constraint curvature, on the cone {E d = 0, F d <= 0}.
+    """Lower bound of min q_sup(d) over the unit directions of the cone
+    {E d = 0, F d <= 0}, q_sup(d) = d^T hess(phi) d + max over the
+    multiplier polytope of the constraint curvature.
 
-    Each enumerated vertex (u, v), or the polytope's LP point when none were
-    enumerated, gives the quadratic of hess(phi) + sum u_j Hxx_j
-    + sum v_i Gxx_i, which is at most q_sup; so the largest of their exact
-    cone minima is a lower bound of min q_sup over unit cone directions, and
-    the bound is exact when the polytope is a single point.  Returns None
-    when a face walk runs out of its budget (`cones.FACE_BUDGET`), else
-    (single point, lower bound, [(witness d, q_sup(d))] over the quadratics'
-    face witnesses); the bound is +inf and the list empty on the trivial
-    cone."""
+    Each multiplier lambda = (u, v) gives M(lambda) = hess(phi)
+    + sum u_j Hxx_j + sum v_i Gxx_i, whose exact cone minimum g(lambda) is at
+    most min q_sup; g is concave, and the best g found is the bound, exact
+    when the polytope is a single point.  The loop starts at the polytope's
+    LP point.  Each face witness d_k cuts g(lambda) <= d_k^T M(lambda) d_k,
+    and the next lambda maximises t under every cut over the polytope (one LP
+    at feas_tol = tol_kkt), whose value bounds max g from above.  It stops on
+    a single point, when that value is within tol_pd of the best g, when the
+    LP is not optimal (an unbounded polytope), when the LP's multiplier
+    misses stationarity by more than tol_kkt, or after CUT_ROUNDS face tests.
+
+    Returns None when a face walk runs out of its budget
+    (`cones.FACE_BUDGET`), else (single point, lower bound, face witnesses);
+    the bound is +inf and the list empty on the trivial cone."""
     data = upper_data(spec, x)
-    single = spec.n1 + len(poly.active) == 0 or (len(poly.vertices) == 1 and poly.bounded)
-    lower, witnesses = -np.inf, []
-    for u, v in poly.vertices or [poly.point]:
+    A_eq, b_eq, lower, nvar = _lambda_lp_parts(data, poly.active, poly.r0)
+    n1, n2 = data.JH.shape[0], data.JG.shape[0]
+    best, witnesses, cuts, rhs = -np.inf, [], [], []
+    u, v = poly.point
+    for _ in range(CUT_ROUNDS):
         M = vd.hessian + np.einsum("j,jab->ab", u, data.Hxx) + np.einsum("i,iab->ab", v, data.Gxx)
-        exact = min_quadratic_on_cone(M, E, F, spec.n)
-        if exact is None:
+        face = min_quadratic_on_cone(M, E, F, spec.n)
+        if face is None:
             return None
-        lower = max(lower, exact[0])
-        if exact[1] is not None:
-            d = exact[1]
-            witnesses.append((d, float(d @ vd.hessian @ d)
-                              + _curvature_lp_max(poly, data, d, config.tol_kkt)))
-    return single, lower, witnesses
+        g, d = face
+        best = max(best, g)
+        if d is None:  # the trivial cone
+            break
+        witnesses.append(d)
+        if poly.single:
+            break
+        # the cut t <= d^T hess(phi) d + coefficients . (u, v_I), over (u, v_I, t)
+        cuts.append(np.append(-_curvature_coefficients(data, poly.active, d), 1.0))
+        rhs.append(float(d @ vd.hessian @ d))
+        sol = solve_lp(LpProblem(np.append(np.zeros(nvar), 1.0),
+                                 np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))]), b_eq,
+                                 np.array(cuts), np.array(rhs),
+                                 np.append(lower, -np.inf), None), config.tol_kkt)
+        if sol.status != "optimal" or sol.value - best <= config.tol_pd:
+            break
+        u, v = _split(sol.z[:nvar], n1, poly.active, n2)
+        if not _stationarity_residual(data.JH, data.JG, u, v, poly.r0) <= config.tol_kkt:
+            break
+    return poly.single, best, witnesses
 
 
-def _cone_verdict(name, kind, test, threshold, config) -> ConditionCheck:
+def _cone_check(name, kind, threshold, spec, x, vd, poly, E, F, config) -> ConditionCheck:
     """`satisfied` when the lower bound reaches `threshold`; on a single-point
     polytope the bound is exact, so `violated` otherwise; with several
-    multipliers `violated` only at a witness with q_sup <= -tol_pd, else
-    `inconclusive`."""
+    multipliers `violated` only at a face witness with q_sup <= -tol_pd,
+    else `inconclusive`.  q_sup is evaluated only when the bound does not
+    decide."""
+    if not poly.nonempty:
+        return ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd, kind=kind,
+                              detail="multiplier polytope is empty")
+    test = _cone_curvature(spec, x, vd, poly, E, F, config)
     if test is None:
         return ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd, kind=kind,
                               detail=budget_detail())
@@ -371,13 +373,15 @@ def _cone_verdict(name, kind, test, threshold, config) -> ConditionCheck:
     if lower >= threshold:
         detail = ("critical cone is trivial" if lower == np.inf
                   else "exact minimum over the cone's faces" if single
-                  else "lower bound from the multiplier vertices' face minima")
+                  else "lower bound from the cutting-plane multipliers' face minima")
         return ConditionCheck(name, SATISFIED, lower, config.tol_pd, kind=kind, detail=detail)
     if single:
         return ConditionCheck(name, VIOLATED, lower, config.tol_pd, kind=kind,
-                              witness=witnesses[0][0].tolist(),
+                              witness=witnesses[0].tolist(),
                               detail="exact minimum over the cone's faces")
-    d, q = min(witnesses, key=lambda item: item[1])
+    data = upper_data(spec, x)
+    d, q = min(((d, float(d @ vd.hessian @ d) + _curvature_lp_max(poly, data, d, config.tol_kkt))
+                for d in witnesses), key=lambda item: item[1])
     if q <= -config.tol_pd:
         return ConditionCheck(name, VIOLATED, q, config.tol_pd, kind=kind, witness=d.tolist(),
                               detail="q_sup at a face witness")
@@ -392,22 +396,12 @@ def second_order_necessary(
     poly: LambdaPolytope,
     cone: Cone,
     config: CheckConfig | None = None,
-) -> tuple[ConditionCheck, list[tuple[np.ndarray, float]]]:
-    """q_sup(d) >= 0 (to tolerance) on the critical cone, by the face test;
-    the evidence is (d, q_sup(d)) at each face witness."""
+) -> ConditionCheck:
+    """q_sup(d) >= 0 (to tolerance) on the unit directions of the critical
+    cone, by the face test."""
     config = config or CheckConfig()
-    if not poly.nonempty:
-        return (
-            ConditionCheck(
-                "second_order_necessary", INCONCLUSIVE, None, config.tol_pd,
-                kind=KIND_NECESSARY, detail="multiplier polytope is empty",
-            ),
-            [],
-        )
-    test = _cone_curvature(spec, x, vd, poly, cone.E, cone.F, config)
-    check = _cone_verdict("second_order_necessary", KIND_NECESSARY, test, -config.tol_pd,
-                          config)
-    return check, [] if test is None else test[2]
+    return _cone_check("second_order_necessary", KIND_NECESSARY, -config.tol_pd,
+                       spec, x, vd, poly, cone.E, cone.F, config)
 
 
 def second_order_sufficient(
@@ -421,15 +415,9 @@ def second_order_sufficient(
     """q_sup(d) >= tol_pd on the unit directions of the reduced critical cone,
     by the face test; the margin is the growth rate estimate."""
     config = config or CheckConfig()
-    if not poly.nonempty:
-        return ConditionCheck(
-            "second_order_sufficient", INCONCLUSIVE, None, config.tol_pd,
-            kind=KIND_SUFFICIENT, detail="multiplier polytope is empty",
-        )
     reduced = cone.reduced or cone
-    test = _cone_curvature(spec, x, vd, poly, reduced.E, reduced.F, config)
-    return _cone_verdict("second_order_sufficient", KIND_SUFFICIENT, test, config.tol_pd,
-                         config)
+    return _cone_check("second_order_sufficient", KIND_SUFFICIENT, config.tol_pd,
+                       spec, x, vd, poly, reduced.E, reduced.F, config)
 
 
 def first_order_nonsmooth_necessary(

@@ -32,7 +32,13 @@ from minimaxcert.expressions import (
     s_sub,
 )
 from minimaxcert.fixtures import load_fixture
-from minimaxcert.linalg import RANK_TOL, LpProblem, nullspace_basis, solve_lp
+from minimaxcert.linalg import (
+    RANK_TOL,
+    LpProblem,
+    nullspace_basis,
+    smallest_singular_value,
+    solve_lp,
+)
 from minimaxcert.problem import ProblemSpec
 
 # property tests replay the same examples on every run and have no time limit
@@ -319,6 +325,35 @@ def coordinate_lp_bounded(poly):
                            None, None, lower, None), 1e-9).status != "unbounded"
         for j in range(nvar) for sgn in (1.0, -1.0)
     )
+
+
+def basic_multipliers(poly, config):
+    """The vertices of a multiplier polytope by basis enumeration: the basic
+    solutions over the JH^T columns plus each subset of the active JG^T
+    columns, kept when v >= -tol_act and, with v clipped at 0, the
+    stationarity residual is at most tol_kkt.  One lstsq and one SVD per
+    subset, so small systems only; it is the reference the cutting-plane
+    bound of `upper._cone_curvature` is checked against."""
+    n1 = poly.JH.shape[0]
+    A_eq = np.hstack([poly.JH.T, poly.JG[list(poly.active)].T])
+    vertices, seen = [], set()
+    for size in range(len(poly.active) + 1):
+        for subset in combinations(range(n1, A_eq.shape[1]), size):
+            cols = [*range(n1), *subset]
+            if smallest_singular_value(A_eq[:, cols].T) <= RANK_TOL:
+                continue  # columns dependent: not a basic solution
+            z = np.zeros(A_eq.shape[1])
+            if cols:
+                z[cols], *_ = np.linalg.lstsq(A_eq[:, cols], -poly.r0, rcond=None)
+            if np.any(z[n1:] < -config.tol_act):
+                continue
+            u, v = z[:n1], np.zeros(poly.JG.shape[0])
+            v[list(poly.active)] = np.maximum(z[n1:], 0.0)
+            key = tuple(np.round(np.concatenate([u, v]), 9))
+            if poly.residual(u, v) <= config.tol_kkt and key not in seen:
+                seen.add(key)
+                vertices.append((u, v))
+    return vertices
 
 
 def xvar(i):

@@ -323,7 +323,7 @@ def test_sampled_sufficiency_counterexample_is_refuted_on_its_ray(n, config):
     assert abs(son.value + 2e-3) <= 1e-6
 
 
-@pytest.mark.parametrize("n", [15, 20])
+@pytest.mark.parametrize("n", [10, 12, 15, 20])
 def test_sampled_sufficiency_counterexample_is_refuted_at_large_n(n, config):
     # the root face holds the ray, so the walk stops there however many rows
     # the cone has (n + 1)
@@ -394,31 +394,33 @@ def test_certified_smooth_candidate_runs_one_eigh(config, monkeypatch):
 
 # phi = x1 + c(x2, x3) with two outer constraints active at the origin along
 # the same gradient (-1, 0, ...): the multipliers form the segment v1 + v2 = 1,
-# the critical cone is {d1 = 0}, and the vertices (1, 0) and (0, 1) give two
-# quadratics, each a lower bound of q_sup
-@pytest.mark.parametrize("text, verdict, necessary, sufficient", [
-    # q_sup = -2 + max(4, 0) = 2 on the line: the larger vertex minimum proves it
+# the critical cone is {d1 = 0}, and every multiplier on the segment gives a
+# quadratic whose cone minimum g(v) is a lower bound of min q_sup
+@pytest.mark.parametrize("text, verdict, necessary, sufficient, margin", [
+    # q_sup = -2 + max(4 v1) = 2 on the line, reached by g at v = (1, 0)
     ("dims 2 1 0 0 0 2\nf = x1 - x2^2 - y1^2\nG1 = -x1 + 2*x2^2\nG2 = -x1\n",
-     VERDICT_CERTIFIED, SATISFIED, SATISFIED),
-    # q_sup = -2 + max(0.5, 0) = -1.5 at the face witness (0, 1): refuted
+     VERDICT_CERTIFIED, SATISFIED, SATISFIED, 2.0),
+    # q_sup = -2 + max(0.5 v1) = -1.5 at the face witness (0, 1): refuted
     ("dims 2 1 0 0 0 2\nf = x1 - x2^2 - y1^2\nG1 = -x1 + 0.25*x2^2\nG2 = -x1\n",
-     VERDICT_REFUTED, VIOLATED, VIOLATED),
-    # q_sup = |d2^2 - d3^2| >= 0, each vertex quadratic has minimum -1, and
-    # q_sup = 1 at both face witnesses: the test cannot tell
+     VERDICT_REFUTED, VIOLATED, VIOLATED, -1.5),
+    # g(v) = -|v1 - v2| on the plane {d1 = 0}, so max g = 0 at v = (1/2, 1/2)
+    # = min q_sup, q_sup = |d2^2 - d3^2| >= 0: the necessary check holds at 0,
+    # and 0 < tol_pd leaves the sufficient one undecided
     ("dims 3 1 0 0 0 2\nf = x1 - y1^2\nG1 = -x1 + 0.5*x2^2 - 0.5*x3^2\n"
      "G2 = -x1 - 0.5*x2^2 + 0.5*x3^2\n",
-     VERDICT_INCONCLUSIVE, "inconclusive", "inconclusive"),
+     VERDICT_NECESSARY, SATISFIED, "inconclusive", 0.0),
 ])
 def test_several_multipliers_bound_q_sup_from_below(text, verdict, necessary, sufficient,
-                                                    config):
+                                                    margin, config):
     from minimaxcert.problem import parse_problem
 
     spec = parse_problem(text)
     rep = certify(spec, CandidatePoint([0.0] * spec.n, [0.0]), config)
-    assert result(rep, "first_order").detail == "2 vertices"
+    assert result(rep, "first_order").status == SATISFIED
     assert rep.verdict == verdict
     assert result(rep, "second_order_necessary").status == necessary
     assert result(rep, "second_order_sufficient").status == sufficient
+    assert result(rep, "second_order_necessary").value == pytest.approx(margin, abs=1e-12)
 
 
 @pytest.mark.parametrize("text", [
@@ -449,16 +451,15 @@ def test_first_order_residual_beyond_tol_kkt_refutes_with_a_large_gradient(confi
     assert result(rep, "first_order").status == VIOLATED
 
 
-@pytest.mark.parametrize("cap", [12, 1])
-def test_multipliers_within_tol_kkt_by_vertices_and_by_lp(cap, config):
+def test_multipliers_within_tol_kkt_by_lp(config):
     # {v1 + 2 v2 = 1, v >= 0} solves stationarity to 5e-9, read at tol_kkt by
-    # the vertex enumeration (cap 12) and by the curvature LP (cap 1); and
+    # the multiplier LP, the cut LP and the curvature LP; and
     # phi(-t, 0) = -5e-9 t - t^2 < phi(0), so the candidate is refuted
     from minimaxcert.problem import parse_problem
 
     spec = parse_problem("dims 2 1 0 0 0 2\nf = 5e-9*x1 + x2 - x1^2 + x2^2 - y1^2\n"
                          "G1 = -x2\nG2 = -2*x2\n")
-    rep = certify(spec, CandidatePoint([0.0, 0.0], [0.0]), config.replace(vertex_enum_cap=cap))
+    rep = certify(spec, CandidatePoint([0.0, 0.0], [0.0]), config)
     assert rep.verdict == VERDICT_REFUTED
     assert result(rep, "first_order").status == SATISFIED
     son = result(rep, "second_order_necessary")
@@ -466,34 +467,27 @@ def test_multipliers_within_tol_kkt_by_vertices_and_by_lp(cap, config):
     assert son.value == pytest.approx(-2.0)
 
 
-def test_capped_vertex_enumeration_uses_one_lp_multiplier(config):
-    # with no vertices enumerated, one feasible multiplier gives the quadratic
-    # and q_sup at its face witness refutes
-    rep = certify(_sampled_sufficiency_counterexample(2, 1e6),
-                  CandidatePoint([0.0, 0.0], [0.0]), config.replace(vertex_enum_cap=1))
-    assert result(rep, "first_order").detail == "0 vertices"
-    assert rep.verdict == VERDICT_REFUTED
-    son = result(rep, "second_order_necessary")
-    assert son.status == VIOLATED
-    assert abs(son.value + 2e-3) <= 1e-6
-
-
 def test_capped_polytope_solves_its_multiplier_lp_once(config, monkeypatch):
-    # one certify of the capped n = 2 counterexample runs 4 upper-level LPs:
-    # the MFCQ direction LP, which also decides the polytope's boundedness,
-    # the polytope's one multiplier LP and one curvature LP per second-order
-    # check; the two checks read the polytope's LP point instead of solving
-    # for it again
+    # one certify of the counterexample runs 2 upper-level LPs at any n: the
+    # MFCQ direction LP, which also decides the polytope's boundedness, and
+    # the polytope's one multiplier LP.  The JG_I columns -e_i are
+    # independent, so the polytope is that one point, and each second-order
+    # check is one face test at it, exact, with no cut LP
     from minimaxcert import upper
 
-    calls = []
-    solve_lp = upper.solve_lp
+    calls, faces = [], []
+    solve_lp, face_test = upper.solve_lp, upper.min_quadratic_on_cone
     monkeypatch.setattr(upper, "solve_lp",
                         lambda p, feas_tol: calls.append(p) or solve_lp(p, feas_tol))
-    rep = certify(_sampled_sufficiency_counterexample(2, 1e6),
-                  CandidatePoint([0.0, 0.0], [0.0]), config.replace(vertex_enum_cap=1))
-    assert rep.verdict == VERDICT_REFUTED
-    assert len(calls) == 4
+    monkeypatch.setattr(upper, "min_quadratic_on_cone",
+                        lambda *a: faces.append(a) or face_test(*a))
+    for n in (2, 12):
+        calls.clear()
+        faces.clear()
+        rep = certify(_sampled_sufficiency_counterexample(n, 1e6),
+                      CandidatePoint([0.0] * n, [0.0]), config)
+        assert rep.verdict == VERDICT_REFUTED
+        assert (len(calls), len(faces)) == (2, 2)
 
 
 def test_face_test_above_the_cap_is_inconclusive(config, monkeypatch):

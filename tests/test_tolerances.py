@@ -5,14 +5,18 @@ A float literal in (0, 1e-5) under `src/minimaxcert/` (outside `config.py`,
 the home of the `tol_*` fields) is allowed only as the value of a
 module-level UPPER_CASE assignment, the floor's one home, or as a `GridSpec`
 field default, which `perfbench/run.py` and the tests build without a config.
+Conversely, every `CheckConfig` field is read by the code it configures, so
+that no knob outlives its code.
 """
 
 import ast
 import io
 import tokenize
+from dataclasses import fields
 from pathlib import Path
 
 import minimaxcert
+from minimaxcert import CheckConfig
 
 SRC = Path(minimaxcert.__file__).resolve().parent
 
@@ -66,3 +70,24 @@ def test_the_scan_sees_literals_outside_named_homes(tmp_path):
     assert small_float_literals(source) == [
         "sample.py:4: 1e-9", "sample.py:5: 1e-10", "sample.py:6: 2.5e-7",
     ]
+
+
+def _attributes(tree: ast.AST, owner: str | None = None) -> set[str]:
+    """The attribute names read in tree, only those of the name `owner` when given."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and (owner is None or isinstance(node.value, ast.Name) and node.value.id == owner)}
+
+
+def test_every_config_field_is_read_outside_config():
+    # a field counts as read when src/ outside config.py reads it, or reads a
+    # CheckConfig method that reads it (the oracle_* keys reach the oracle
+    # through oracle_grid()); validation alone does not count
+    read = set().union(*(_attributes(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in SRC.glob("*.py") if path.name != "config.py"))
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "CheckConfig")
+    for method in config.body:
+        if isinstance(method, ast.FunctionDef) and method.name in read:
+            read |= _attributes(method, "self")
+    assert [f.name for f in fields(CheckConfig) if f.name not in read] == []

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,15 @@ from minimaxcert.conditions import (
     VIOLATED,
 )
 from minimaxcert.problem import ProblemSpec, parse_problem
+from minimaxcert.upper import _cone_curvature, _curvature_lp_max, upper_data
 
-from conftest import affine_expr, coordinate_lp_bounded
+from conftest import (
+    affine_expr,
+    basic_multipliers,
+    brute_force_min_quadratic_on_cone,
+    coordinate_lp_bounded,
+    quadratic_objective,
+)
 
 
 def smooth_vd(spec, x, config, y0=None):
@@ -76,24 +85,24 @@ def test_polytope_single_vertex_p4(p4, config):
     poly = upper_kkt_and_polytope(p4, [1.0], np.array([1.0]), config)
     assert poly.nonempty
     assert poly.bounded
-    assert len(poly.vertices) == 1
-    u, v = poly.vertices[0]
+    assert poly.single
+    u, v = poly.point
     assert v[0] == pytest.approx(1.0, abs=1e-10)
-    assert poly.vertex_residual(u, v) <= 1e-9
+    assert poly.residual(u, v) <= 1e-9
 
 
 def test_polytope_zero_system_p1(p1, config):
     poly = upper_kkt_and_polytope(p1, [0.0], np.array([0.0]), config)
     assert poly.nonempty
-    assert len(poly.vertices) == 1
-    u, v = poly.vertices[0]
+    assert poly.single
+    u, v = poly.point
     assert np.allclose(v, 0.0)
 
 
 def test_polytope_empty_without_constraints(p2, config):
     poly = upper_kkt_and_polytope(p2, [0.0], np.array([1.0]), config)
     assert not poly.nonempty
-    assert poly.vertices == []
+    assert poly.point is None
 
 
 @pytest.mark.filterwarnings("error")
@@ -106,7 +115,6 @@ def test_non_finite_gradient_has_no_multipliers(name, x, value, request, config)
     poly = upper_kkt_and_polytope(spec, [x], np.array([value]), config)
     assert not poly.nonempty
     assert poly.point is None
-    assert poly.vertices == []
 
 
 def test_polytope_unbounded_flag(p3, config):
@@ -122,11 +130,11 @@ def test_polytope_emptiness_agrees_with_vertex_enumeration(p1, p4, config):
         for _ in range(6):
             r0 = rng.uniform(-1.0, 1.0, 1)
             poly = upper_kkt_and_polytope(spec, x, r0, config)
-            if poly.nonempty and poly.bounded and not poly.enum_capped:
-                assert bool(poly.vertices) == poly.nonempty
-            if poly.vertices:
-                for u, v in poly.vertices:
-                    assert poly.vertex_residual(u, v) <= 1e-9
+            vertices = basic_multipliers(poly, config)
+            if poly.bounded is not False:  # None when the polytope is empty
+                assert bool(vertices) == poly.nonempty
+            for u, v in vertices:
+                assert poly.residual(u, v) <= 1e-9
 
 
 @st.composite
@@ -198,7 +206,7 @@ def test_upper_cone_full_rank_equalities(config):
 
 def test_upper_cone_reduction_with_multiplier(p4, config):
     poly = upper_kkt_and_polytope(p4, [1.0], np.array([1.0]), config)
-    cone = critical_cone_upper(p4, [1.0], np.array([1.0]), poly.vertices[0], config)
+    cone = critical_cone_upper(p4, [1.0], np.array([1.0]), poly.point, config)
     assert cone.reduced.E.shape[0] == 1  # v > 0 forces the bound to equality
 
 
@@ -207,11 +215,10 @@ def test_upper_cone_reduction_with_multiplier(p4, config):
 def test_second_order_necessary_p1(p1, config):
     sol, vd = smooth_vd(p1, [0.0], config)
     poly = upper_kkt_and_polytope(p1, [0.0], vd.gradient, config)
-    cone = critical_cone_upper(p1, [0.0], vd.gradient, poly.vertices[0], config)
-    check, evidence = second_order_necessary(p1, [0.0], vd, poly, cone, config)
+    cone = critical_cone_upper(p1, [0.0], vd.gradient, poly.point, config)
+    check = second_order_necessary(p1, [0.0], vd, poly, cone, config)
     assert check.status == SATISFIED
     assert check.value == pytest.approx(1.0, abs=1e-8)  # q(d) = d^2 on |d| = 1
-    assert evidence
 
 
 def test_second_order_necessary_vacuous_p4_cone(p4, config):
@@ -219,11 +226,9 @@ def test_second_order_necessary_vacuous_p4_cone(p4, config):
     sol, vd = smooth_vd(p1_like_p4(), [1.0], config, y0=[0.5])
     poly = upper_kkt_and_polytope(p1_like_p4(), [1.0], np.array([1.0]), config)
     cone = critical_cone_upper(p1_like_p4(), [1.0], np.array([1.0]), None, config)
-    check, evidence = second_order_necessary(
-        p1_like_p4(), [1.0], vd, poly, cone, config
-    )
+    check = second_order_necessary(p1_like_p4(), [1.0], vd, poly, cone, config)
     assert check.status == SATISFIED
-    assert evidence == []
+    assert check.value == np.inf
 
 
 def p1_like_p4():
@@ -238,7 +243,7 @@ def test_second_order_necessary_violated_on_flipped_problem(config):
     sol, vd = smooth_vd(spec, [0.0], config)
     poly = upper_kkt_and_polytope(spec, [0.0], vd.gradient, config)
     cone = critical_cone_upper(spec, [0.0], vd.gradient, None, config)
-    check, _ = second_order_necessary(spec, [0.0], vd, poly, cone, config)
+    check = second_order_necessary(spec, [0.0], vd, poly, cone, config)
     assert check.status == VIOLATED
     assert check.value == pytest.approx(-1.0, abs=1e-8)
     assert abs(abs(check.witness[0]) - 1.0) <= 1e-9
@@ -247,7 +252,7 @@ def test_second_order_necessary_violated_on_flipped_problem(config):
 def test_second_order_sufficient_p1_exact(p1, config):
     sol, vd = smooth_vd(p1, [0.0], config)
     poly = upper_kkt_and_polytope(p1, [0.0], vd.gradient, config)
-    cone = critical_cone_upper(p1, [0.0], vd.gradient, poly.vertices[0], config)
+    cone = critical_cone_upper(p1, [0.0], vd.gradient, poly.point, config)
     check = second_order_sufficient(p1, [0.0], vd, poly, cone, config)
     assert check.status == SATISFIED
     assert check.value == pytest.approx(1.0, abs=1e-8)
@@ -259,8 +264,7 @@ def test_second_order_sufficient_vacuous_p4(p4, config):
     spec = p1_like_p4()
     sol, vd = smooth_vd(spec, [1.0], config, y0=[0.5])
     poly = upper_kkt_and_polytope(spec, [1.0], vd.gradient, config)
-    cone = critical_cone_upper(spec, [1.0], vd.gradient,
-                               poly.vertices[0] if poly.vertices else None, config)
+    cone = critical_cone_upper(spec, [1.0], vd.gradient, poly.point, config)
     check = second_order_sufficient(spec, [1.0], vd, poly, cone, config)
     assert check.ok
     assert check.value == np.inf
@@ -277,24 +281,25 @@ def test_second_order_sufficient_violated_on_flipped_problem(config):
 
 
 def test_second_order_sampled_agrees_with_exact_on_singleton_subspace(config):
-    # 2-D outer space, subspace cone, singleton polytope: the polytope's LP
-    # point gives the same quadratic as its one vertex, so the same margin
+    # 2-D outer space, subspace cone, singleton polytope {0}: the cone reduced
+    # by the polytope's point and the cone without a multiplier (whose one
+    # row, grad phi = 0, is a zero row) give the same margin, the bottom
+    # eigenvalue of hess(phi) = diag(1.5, 1)
     spec = parse_problem(
         "dims 2 2 0 0 0 0\n"
         "f = x1*y1 + x2*y2 - 0.5*y1^2 - 0.5*y2^2 + 0.25*x1^2\n"
     )
     sol, vd = smooth_vd(spec, [0.0, 0.0], config)
     poly = upper_kkt_and_polytope(spec, [0.0, 0.0], vd.gradient, config)
-    cone = critical_cone_upper(spec, [0.0, 0.0], vd.gradient,
-                               poly.vertices[0], config)
-    exact = second_order_sufficient(spec, [0.0, 0.0], vd, poly, cone, config)
+    assert poly.single
+    reduced = critical_cone_upper(spec, [0.0, 0.0], vd.gradient, poly.point, config)
+    exact = second_order_sufficient(spec, [0.0, 0.0], vd, poly, reduced, config)
     assert exact.status == SATISFIED
-    # discard the vertex list so that the check reads `poly.point`
-    poly_point = upper_kkt_and_polytope(spec, [0.0, 0.0], vd.gradient, config)
-    poly_point.vertices = []
-    from_point = second_order_sufficient(spec, [0.0, 0.0], vd, poly_point, cone, config)
-    assert from_point.status == SATISFIED
-    assert from_point.value == exact.value
+    full = critical_cone_upper(spec, [0.0, 0.0], vd.gradient, None, config)
+    assert full.reduced is None
+    from_full = second_order_sufficient(spec, [0.0, 0.0], vd, poly, full, config)
+    assert from_full.status == SATISFIED
+    assert from_full.value == exact.value == pytest.approx(1.0, abs=1e-8)
 
 
 def test_second_order_reduces_to_hessian_eigenvalue_without_constraints(config):
@@ -306,12 +311,67 @@ def test_second_order_reduces_to_hessian_eigenvalue_without_constraints(config):
     sol, vd = smooth_vd(spec, [0.0, 0.0], config)
     poly = upper_kkt_and_polytope(spec, [0.0, 0.0], vd.gradient, config)
     cone = critical_cone_upper(spec, [0.0, 0.0], vd.gradient, None, config)
-    check, evidence = second_order_necessary(spec, [0.0, 0.0], vd, poly, cone, config)
-    min_eig = float(np.linalg.eigvalsh(vd.hessian)[0])
-    sampled_min = min(q for _, q in evidence)
+    check = second_order_necessary(spec, [0.0, 0.0], vd, poly, cone, config)
     assert check.status == SATISFIED
-    assert sampled_min >= min_eig - 1e-9
-    assert sampled_min == pytest.approx(min_eig, abs=1e-3)
+    assert check.value == pytest.approx(float(np.linalg.eigvalsh(vd.hessian)[0]), abs=1e-12)
+
+
+@st.composite
+def _curved_multiplier_systems(draw):
+    """(spec, r, hess phi): n <= 3 and k <= 3 outer constraints
+    G_i = a_i . x + 0.5 x^T Q_i x, all active at x = 0, with small integer
+    data.  Every a_i has first entry -1, so d = e1 is strictly feasible (MFCQ)
+    and the polytope {v >= 0 : sum v_i a_i = -r} is bounded; r is built from
+    some v >= 0, so it is nonempty."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                        dtype=float).reshape(rows, cols)
+
+    A = np.hstack([-np.ones((k, 1)), matrix(k, n - 1)])
+    Qs = [matrix(n, n) for _ in range(k)]
+    Qs = [Q + Q.T for Q in Qs]
+    v = np.array(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), dtype=float)
+    P = matrix(n, n)
+    G = [quadratic_objective(np.zeros((1, 1)), np.zeros((1, n)), Q, np.zeros(1), a)
+         for a, Q in zip(A, Qs)]
+    spec = ProblemSpec(n=n, m=1, m1=0, m2=0, n1=0, n2=k,
+                       f=parse_problem("dims 1 1 0 0 0 0\nf = -y1^2\n").f, H=[], G=G)
+    return spec, -(A.T @ v), P + P.T
+
+
+@settings(max_examples=200)
+@given(system=_curved_multiplier_systems())
+def test_cutting_plane_bound_against_the_vertices(system, config):
+    """The bound is at least the best vertex's face minimum (up to tol_pd),
+    at most q_sup at every face witness, and on a single-point polytope the
+    exact face minimum of its one quadratic.  The vertices come from the
+    basis enumeration reference and the face minima from the exhaustive face
+    loop, on the critical cone {JG_I d <= 0, r . d <= 0}."""
+    spec, r, hessian = system
+    x = np.zeros(spec.n)
+    vd = SimpleNamespace(hessian=hessian)
+    data = upper_data(spec, x)
+    poly = upper_kkt_and_polytope(spec, x, r, config)
+    assert poly.nonempty and poly.bounded
+    cone = critical_cone_upper(spec, x, r, None, config)
+    single, bound, witnesses = _cone_curvature(spec, x, vd, poly, cone.E, cone.F, config)
+
+    def face_minimum(u, v):
+        M = hessian + np.einsum("i,iab->ab", v, data.Gxx)
+        return brute_force_min_quadratic_on_cone(M, cone.E, cone.F)[0]
+
+    vertices = basic_multipliers(poly, config)
+    assert vertices
+    assert bound >= max(face_minimum(u, v) for u, v in vertices) - config.tol_pd
+    for d in witnesses:
+        q_sup = float(d @ hessian @ d) + _curvature_lp_max(poly, data, d, config.tol_kkt)
+        assert bound <= q_sup + config.tol_pd
+    if single:
+        assert len(vertices) == 1
+        assert bound == pytest.approx(face_minimum(*poly.point), abs=1e-9)
 
 
 # --- nonsmooth first-order -------------------------------------------------------------
