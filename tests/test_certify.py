@@ -24,6 +24,8 @@ from minimaxcert.fixtures import fixture_text
 from minimaxcert.oracle import grid_local_maximize
 from minimaxcert.report import dumps_canonical, report_to_doc
 
+from conftest import basic_multipliers
+
 
 def result(report, name):
     return next(c for c in report.results if c.name == name)
@@ -451,14 +453,23 @@ def test_first_order_residual_beyond_tol_kkt_refutes_with_a_large_gradient(confi
     assert result(rep, "first_order").status == VIOLATED
 
 
-def test_multipliers_within_tol_kkt_by_lp(config):
-    # {v1 + 2 v2 = 1, v >= 0} solves stationarity to 5e-9, read at tol_kkt by
-    # the multiplier LP, the cut LP and the curvature LP; and
+@pytest.mark.parametrize("rounds", [12, 1])
+def test_multipliers_within_tol_kkt_by_vertices_and_by_lp(rounds, config, monkeypatch):
+    # {v1 + 2 v2 = 1, v >= 0} solves stationarity to 5e-9: both its vertices
+    # pass tol_kkt in the reference enumeration, and the multiplier LP, the
+    # cut LP and the curvature LP read it at tol_kkt, whether the cutting-plane
+    # loop may run 12 face tests or only the one at the LP point; and
     # phi(-t, 0) = -5e-9 t - t^2 < phi(0), so the candidate is refuted
+    from minimaxcert import upper
     from minimaxcert.problem import parse_problem
 
     spec = parse_problem("dims 2 1 0 0 0 2\nf = 5e-9*x1 + x2 - x1^2 + x2^2 - y1^2\n"
                          "G1 = -x2\nG2 = -2*x2\n")
+    poly = upper.upper_kkt_and_polytope(spec, [0.0, 0.0], np.array([5e-9, 1.0]), config)
+    assert poly.nonempty and not poly.single
+    vertices = sorted(tuple(v) for _, v in basic_multipliers(poly, config))
+    assert np.allclose(vertices, [(0.0, 0.5), (1.0, 0.0)], rtol=0.0, atol=1e-12)
+    monkeypatch.setattr(upper, "CUT_ROUNDS", rounds)
     rep = certify(spec, CandidatePoint([0.0, 0.0], [0.0]), config)
     assert rep.verdict == VERDICT_REFUTED
     assert result(rep, "first_order").status == SATISFIED
