@@ -372,7 +372,7 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
         vd = value_derivatives(spec, sol, config)
     except SingularSensitivityError as exc:
         results.append(
-            ConditionCheck("sensitivity_system", VIOLATED, exc.pivot, None,
+            ConditionCheck("sensitivity_system", VIOLATED, exc.sigma_min, None,
                            KIND_INFO, detail=str(exc))
         )
         return
@@ -380,7 +380,7 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
         ConditionCheck(
             "sensitivity_system",
             SATISFIED,
-            vd.system.min_pivot,
+            vd.system.sigma_min,
             None,
             KIND_INFO,
             detail=(
@@ -509,10 +509,10 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
                            KIND_INFO, detail=cap_detail)
         )
     else:
-        piv = float(np.min(sweep.lu.min_pivots, initial=np.inf))
-        status = VIOLATED if np.any(sweep.lu.step >= 0) else SATISFIED  # the sweep's own test
+        margin = float(np.min(sweep.solved.sigma_min, initial=np.inf))
+        status = VIOLATED if sweep.solved.singular.any() else SATISFIED  # the sweep's own test
         results.append(
-            ConditionCheck("b_selector_nonsingularity", status, piv, None, KIND_INFO,
+            ConditionCheck("b_selector_nonsingularity", status, margin, None, KIND_INFO,
                            detail=f"{len(sweep.selectors)} binary selectors")
         )
 

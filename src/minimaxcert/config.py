@@ -26,7 +26,8 @@ class CheckConfig:
     beta_grid_resolution: int = 5  # Clarke grid points per beta index (subdiff only)
     selector_cap: int = 16  # max |beta| for B-selector enumeration
     clarke_grid_cap: int = 4096  # max Clarke grid selectors (subdiff only)
-    # condition-number warning for the smooth-path sensitivity matrix A(x, W)
+    # warning on the 2-norm condition sigma_max / sigma_min of the smooth-path
+    # sensitivity matrix A(x, W)
     cond_warn: float = 1e12
     # oracle defaults
     oracle_delta0: float = 0.1

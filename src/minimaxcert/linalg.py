@@ -1,33 +1,35 @@
 """Dense linear algebra and a small LP kernel.
 
-Matrices are plain numpy ndarrays (row-major).  The linear solver is
-partial-pivoted elimination with an explicit, reported pivot threshold; the LP
-solver is a dense two-phase simplex with Bland's anti-cycling rule.  Both are
-deterministic.  The LP's feasibility tolerance is the caller's `CheckConfig`
-field.  Nullspaces and restricted eigenvalues use numpy's SVD/eigh.
+Matrices are plain numpy ndarrays (row-major).  Square systems are solved
+by LAPACK through numpy, behind an explicit, reported singularity test; the
+LP solver is a dense two-phase simplex with Bland's anti-cycling rule.  The
+LP's feasibility tolerance is the caller's `CheckConfig` field.  Nullspaces
+and restricted eigenvalues use numpy's SVD/eigh.
 
-One LU kernel serves every caller.  `plu_batch` factors a stack of
-equal-order matrices with each elimination step vectorised over the stack:
-the selector sweep passes hundreds of matrices of order about 10 at once,
-and the smooth-path sensitivity system is its stack of one.  `plu` is the
-stack of one for the inner Newton steps.  The kernel eliminates one work
-array [perm | A | rhs] with the stack axis last (Golub & Van Loan, Matrix
-Computations, 4th ed., sections 3.2 and 3.4):
+One kernel serves every square solve.  `solve_stack` takes a stack of
+equal-order matrices: the selector sweep passes hundreds of matrices of
+order about 10 at once, and the smooth-path sensitivity system is its stack
+of one.  It
 
-- a right-hand side handed to `plu_batch` rides along, and the rank-one
-  update of each step is also the forward sweep on its columns;
-- the permutation is a column of the work array, so one row swap moves
-  L\\U, perm and rhs together;
-- the pivots are read once at the end as |diag(U)|;
-- every expression of the loop broadcasts over the trailing stack axis, so a
-  stack of one runs the same loop on its matrix view.
+- marks a slice with a non-finite entry singular, with margin NaN, and
+  leaves it out of the LAPACK calls (one NaN slice makes a batched SVD
+  raise);
+- takes the singular values of the other slices with one batched
+  `np.linalg.svd(..., compute_uv=False)`, and calls a slice singular when
+  not sigma_min > SINGULAR_RTOL * max(sigma_max, 1).  sigma_min is the
+  2-norm distance to the nearest singular matrix (Eckart-Young-Mirsky), so
+  unlike the pivots of a partial-pivot LU it cannot hide a near-singularity:
+  Kahan's M = T^T T, T = I minus the strict upper triangle of ones, has
+  pivots 1 and sigma_min 8.2e-12 at order 20 (Higham, Accuracy and
+  Stability of Numerical Algorithms, 2002, sections 8 and 9);
+- solves the nonsingular slices against a right-hand side with one batched
+  `np.linalg.solve` (LAPACK's LU with partial pivoting), leaving NaN on the
+  singular ones.
 
-Every slice runs the elementwise operations of the classic one-matrix
-elimination in the same order, so a slice's factors, pivots, breakdown and
-solution do not depend on the stack it was factored in, nor on whether its
-right-hand side rode along or was substituted afterwards (`_lu_solve`).  The
-one exception is the sign and payload of a NaN made where two NaNs meet,
-which IEEE 754 leaves unspecified and numpy's loops pick by their layout.
+numpy's batched linalg calls run LAPACK on each slice in turn, so a slice's
+singular values and solution do not depend on the stack it came in, nor on
+which other slices were left out.  `solve_linear`, the inner Newton step,
+runs the same test on its one matrix and gates the solve on its residual.
 """
 
 from __future__ import annotations
@@ -37,21 +39,26 @@ from dataclasses import dataclass
 import numpy as np
 
 # Noise floors: each tells rounding from data, which no CheckConfig field should move.
-PIVOT_RTOL = 1e-12  # LU pivot, relative to max(1, |A|), below which A is singular
+SINGULAR_RTOL = 1e-12  # sigma_min, relative to max(1, sigma_max), at or below which A is singular
 SOLVE_RESIDUAL_TOL = 1e-10  # solve_linear's residual bound, relative to 1 + |b|_inf
 LP_PIVOT_TOL = 1e-9  # simplex pivot and ratio threshold (feasibility is the caller's)
 RANK_TOL = 1e-10  # singular values of constraint rows at or below it are zero
 
 
 class SingularMatrixError(Exception):
-    def __init__(self, pivot: float, step: int, scale: float):
-        self.pivot = pivot
-        self.step = step
-        self.scale = scale
-        super().__init__(
-            f"matrix singular to tolerance: pivot {pivot:.3e} at step {step} "
-            f"(threshold {PIVOT_RTOL:.0e} * scale {scale:.3e})"
-        )
+    """A matrix singular to tolerance; sigma_min and sigma_max are NaN when
+    it has a non-finite entry."""
+
+    def __init__(self, sigma_min: float, sigma_max: float):
+        self.sigma_min = sigma_min
+        self.sigma_max = sigma_max
+        if np.isnan(sigma_min):
+            super().__init__("matrix singular: non-finite entries")
+        else:
+            super().__init__(
+                f"matrix singular to tolerance: sigma_min {sigma_min:.3e} "
+                f"(threshold {SINGULAR_RTOL:.0e} * max(sigma_max {sigma_max:.3e}, 1))"
+            )
 
 
 class LinearSolveError(Exception):
@@ -59,168 +66,80 @@ class LinearSolveError(Exception):
 
 
 @dataclass
-class PLUFactors:
-    """Combined L\\U storage with row permutation and pivot magnitudes."""
+class SolvedStack:
+    """A stack of square matrices with each slice's extreme singular values
+    and singularity flag, and A^{-1} rhs of every slice when the stack was
+    solved with a right-hand side.  Singular slices of a solution are NaN."""
 
-    lu: np.ndarray
-    perm: np.ndarray
-    pivots: np.ndarray
-    scale: float
-
-    @property
-    def min_pivot(self) -> float:
-        return float(self.pivots.min()) if self.pivots.size else np.inf
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        B = _lu_solve(self.lu, b.reshape(len(self.perm), -1)[self.perm])
-        return B[:, 0] if b.ndim == 1 else B
-
-
-def plu(A: np.ndarray) -> PLUFactors:
-    """Partial-pivoted LU; raises SingularMatrixError below the pivot threshold."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise LinearSolveError(f"expected a square matrix, got shape {A.shape}")
-    batch = plu_batch(A[None])
-    error = batch.error(0)
-    if error is not None:
-        raise error
-    return batch.factors(0)
-
-
-@dataclass
-class PLUBatch:
-    """`plu` of every slice of a stack of equal-order matrices, with
-    A^{-1} rhs of every slice when the stack was factored with a right-hand
-    side.
-
-    A slice whose pivot fell below its threshold at step k has step[s] = k,
-    and its pivots after k, lu, perm, solution and solves are meaningless.
-    step[s] = -1 marks a slice that factored."""
-
-    lu: np.ndarray  # (S, n, n)
-    perm: np.ndarray  # (S, n)
-    pivots: np.ndarray  # (S, n)
-    scale: np.ndarray  # (S,)
-    step: np.ndarray  # (S,)
+    A: np.ndarray  # (S, n, n)
+    sigma_min: np.ndarray  # (S,): the nonsingularity margin; NaN where A is non-finite
+    sigma_max: np.ndarray  # (S,)
+    singular: np.ndarray  # (S,) bool
     solution: np.ndarray | None = None  # shaped like rhs
 
-    @property
-    def min_pivots(self) -> np.ndarray:
-        """Per slice: the smallest pivot, or the breakdown pivot when singular."""
-        if self.pivots.shape[1] == 0:
-            return np.full(len(self.step), np.inf)
-        rows = np.arange(len(self.step))
-        return np.where(self.step < 0, self.pivots.min(axis=1),
-                        self.pivots[rows, np.maximum(self.step, 0)])
-
     def error(self, s: int) -> SingularMatrixError | None:
-        """The SingularMatrixError `plu` raises on slice s, or None."""
-        k = int(self.step[s])
-        if k < 0:
+        """The SingularMatrixError of slice s, or None."""
+        if not self.singular[s]:
             return None
-        return SingularMatrixError(self.pivots[s, k], k, float(self.scale[s]))
-
-    def factors(self, s: int) -> PLUFactors:
-        """Slice s as PLUFactors over views of the stack (factored slices only)."""
-        return PLUFactors(lu=self.lu[s], perm=self.perm[s], pivots=self.pivots[s],
-                          scale=float(self.scale[s]))
+        return SingularMatrixError(float(self.sigma_min[s]), float(self.sigma_max[s]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """`PLUFactors.solve` of every slice at once; b is (S, n) or (S, n, r)."""
+        """A^{-1} b of every slice at once, NaN on the singular ones; b is
+        (S, n) or (S, n, r)."""
         b = np.asarray(b, dtype=float)
-        S, n = self.perm.shape
-        B = b.reshape(S, n, -1)[np.arange(S)[:, None], self.perm]
-        with np.errstate(all="ignore"):  # singular slices may divide by zero
-            _lu_solve(self.lu.transpose(1, 2, 0), B.transpose(1, 2, 0))
-        return B[:, :, 0] if b.ndim == 2 else B
+        B = b[..., None] if b.ndim == 2 else b
+        X = np.full(B.shape, np.nan)
+        ok = ~self.singular
+        X[ok] = np.linalg.solve(self.A[ok], B[ok])
+        return X[..., 0] if b.ndim == 2 else X
 
 
-def _lu_solve(lu: np.ndarray, B: np.ndarray, forward: bool = True) -> np.ndarray:
-    """Substitution in place on B = P b: the forward sweep with the unit
-    lower triangle of lu (skipped with forward=False, where `plu_batch` ran
-    it inside the elimination), then the backward sweep with the upper
-    triangle.  One matrix, lu (n, n) and B (n, r), or a stack with the stack
-    axis last, lu (n, n, S) and B (n, r, S): the same expressions broadcast
-    over it."""
-    n = lu.shape[0]
-    if forward:
-        for k in range(n):
-            B[k + 1 :] -= lu[k + 1 :, k, None] * B[k, None]
-    for k in range(n - 1, -1, -1):
-        B[k] /= lu[k, k]
-        B[:k] -= lu[:k, k, None] * B[k, None]
-    return B
-
-
-def _swap_rows(W: np.ndarray, k: int, p) -> None:
-    """Swap row k with row p of a work array: of the matrix (n, c), or of
-    each slice of the stack (n, c, S), p then holding one row per slice (a
-    no-op where p == k)."""
-    if W.ndim == 2:
-        row_p = W[p].copy()
-        W[p] = W[k]
-    else:
-        slices = np.arange(W.shape[2])
-        row_p = W[p, :, slices].T
-        W[p, :, slices] = W[k].T
-    W[k] = row_p
-
-
-def plu_batch(As: np.ndarray, rhs: np.ndarray | None = None) -> PLUBatch:
-    """Partial-pivoted LU of each slice of As (S, n, n), vectorised over the
-    slices, and with rhs ((S, n) or (S, n, r)) the solution A^{-1} rhs of
-    every slice.
-
-    The stack is eliminated in one work array [perm | A | rhs] of shape
-    (n, 1 + n + r, S).  One row swap moves the permutation, L\\U and the
-    right-hand side together, and the rank-one update of step k runs the
-    forward sweep on the rhs columns with the rest of the row; the backward
-    sweep follows.  Every expression of the loop broadcasts over the
-    trailing stack axis, so a stack of one runs the same loop on the matrix
-    view work[..., 0] and pays no stack indexing.  Every slice goes through
-    the same elementwise operations in the same order (first-index argmax,
-    row swap, column division, rank-one update), so its lu, perm, pivots,
-    scale and solution do not depend on S, and equal those of factoring
-    first and substituting after.  pivots is |diag(U)|: row k of U is final
-    once step k has swapped it in.  A slice whose pivot falls below
-    PIVOT_RTOL * max(scale, 1) at step k records step = k; that pivot and
-    step make its SingularMatrixError."""
+def solve_stack(As: np.ndarray, rhs: np.ndarray | None = None) -> SolvedStack:
+    """The singularity test of every slice of As (S, n, n) and, with rhs
+    ((S, n) or (S, n, r)), the solution A^{-1} rhs of every nonsingular
+    slice: one batched SVD and one batched solve (see the module docstring).
+    An order-0 slice is nonsingular with margin +inf."""
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1] != As.shape[2]:
         raise LinearSolveError(f"expected a stack of square matrices, got shape {As.shape}")
-    S, n, _ = As.shape
-    B = np.zeros((S, n, 0)) if rhs is None else np.asarray(rhs, dtype=float)
-    B = B[:, :, None] if B.ndim == 2 else B
-    work = np.empty((n, 1 + n + B.shape[2], S))
-    work[:, 0] = np.arange(n)[:, None]
-    work[:, 1 : n + 1] = As.transpose(1, 2, 0)
-    work[:, n + 1 :] = B.transpose(1, 2, 0)
-    W = work[..., 0] if S == 1 else work
-    with np.errstate(all="ignore"):  # slices past their breakdown may divide by 0
-        for k in range(n):
-            c = k + 1  # column k of A
-            off = np.abs(W[k:, c]).argmax(axis=0)
-            if np.count_nonzero(off):
-                _swap_rows(W, k, k + off)
-            W[k + 1 :, c] /= W[k, c]
-            W[k + 1 :, c + 1 :] -= W[k + 1 :, c, None] * W[k, None, c + 1 :]
-        if rhs is not None:
-            _lu_solve(W[:, 1 : n + 1], W[:, n + 1 :], forward=False)
-    lu = work[:, 1 : n + 1].transpose(2, 0, 1)
-    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
-    # a slice breaks down at its first pivot below the threshold; the steps
-    # after it run on meaningless entries that no caller reads
-    scale = np.max(np.abs(As), axis=(1, 2), initial=0.0)
-    low = pivots < (PIVOT_RTOL * np.maximum(scale, 1.0))[:, None]
-    step = np.where(low.any(axis=1), np.argmax(low, axis=1), -1)
-    solution = None
-    if rhs is not None:  # C order: numpy's matrix products round differently on strided views
-        solution = np.ascontiguousarray(work[:, n + 1 :].transpose(2, 0, 1))
-        solution = solution[:, :, 0] if np.ndim(rhs) == 2 else solution
-    return PLUBatch(lu=lu, perm=work[:, 0].T.astype(np.intp), pivots=pivots,
-                    scale=scale, step=step, solution=solution)
+    finite = np.isfinite(As).all(axis=(1, 2))
+    sigma = np.linalg.svd(As[finite], compute_uv=False)
+    sigma_min = np.full(len(As), np.nan)
+    sigma_max = np.full(len(As), np.nan)
+    sigma_min[finite] = sigma.min(axis=1, initial=np.inf)
+    sigma_max[finite] = sigma.max(axis=1, initial=0.0)
+    singular = ~(sigma_min > SINGULAR_RTOL * np.maximum(sigma_max, 1.0))
+    solved = SolvedStack(As, sigma_min, sigma_max, singular)
+    if rhs is not None:
+        solved.solution = solved.solve(rhs)
+    return solved
+
+
+@dataclass
+class SolvedMatrix:
+    """A nonsingular matrix: the stack of one of `solve_stack`, read without
+    the stack axis."""
+
+    stack: SolvedStack
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b for b (n,) or (n, r)."""
+        return self.stack.solve(np.asarray(b, dtype=float)[None])[0]
+
+
+def plu(A: np.ndarray) -> SolvedMatrix:
+    """`solve_stack`'s test of the one matrix A, raising its
+    SingularMatrixError.  The name is kept because perfbench's tracer wraps
+    `linalg.plu` to count the Newton step's solves, until an in-package
+    trace replaces the tracer's list of wrapped names."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise LinearSolveError(f"expected a square matrix, got shape {A.shape}")
+    stack = solve_stack(A[None])
+    error = stack.error(0)
+    if error is not None:
+        raise error
+    return SolvedMatrix(stack)
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,19 +15,20 @@ Clarke box cannot change a verdict: only `subdiff`
 (`phi_generalized_gradients(kind="outer_approx")`) adds it.
 The sweep assembles every A(x, W) as one stack (`lower.kkt_jacobian_blocks`
 on the stacked selector diagonals, the assembler the inner Newton uses too)
-with its right-hand-side stack, factors the stack with one batched
-partial-pivot LU (`linalg.plu_batch`) and solves every H(x, W) =
-A(x, W)^{-1} rhs in one stacked substitution (`stack_selectors`, which also
+with its right-hand-side stack, and `linalg.solve_stack` settles the stack
+in two LAPACK calls: one batched SVD gives every A(x, W) its singularity
+test and its margin sigma_min, and one batched solve gives every
+nonsingular H(x, W) = A(x, W)^{-1} rhs (`stack_selectors`, which also
 builds the smooth path's one-selector sensitivity system in
-`value_function`).  Pivots, LU entries, H entries
-and SingularMatrixErrors equal those of factoring each matrix alone bit for
-bit, so verdicts and reports do not depend on the batching.  The
+`value_function`).  numpy runs LAPACK slice by slice, so the singular
+values, H entries and SingularMatrixErrors equal those of each matrix alone
+bit for bit, and verdicts and reports do not depend on the batching.  The
 `SelectorSweep` keeps the selectors and those stacks, and its consumers index
 them: `kkt_map_directional` and `phi_generalized_gradients` here, the
 B-selector nonsingularity check in `certify`, and the admissible-selector
 search `upper.first_order_nonsmooth_necessary`.  `assemble_a_matrix`,
 `assemble_h_matrix` and `a_matrix_min_pivot` run the same stacked step on a
-one-selector stack and return fresh arrays.
+one-selector stack and return fresh values.
 
 Sign convention: A is assembled as the exact (y, mu, lambda)-derivative of
 the projected KKT map (the lambda column carries -J_y g^T and -W), so it is
@@ -46,7 +47,7 @@ from itertools import product
 import numpy as np
 
 from .config import CheckConfig
-from .linalg import PLUBatch, plu_batch
+from .linalg import SolvedStack, solve_stack
 from .lower import (
     ActivePartition,
     KktSolution,
@@ -155,40 +156,39 @@ class SelectorSweep:
     selectors: list[WSelector]  # the B-selectors, bitmask order (then new grid points)
     A: np.ndarray  # (S, N, N): A(x, W)
     rhs: np.ndarray  # (S, N, n): (grad_yx L; J_x h; (I - W) J_x g)
-    H: np.ndarray  # (S, N, n): A^{-1} rhs; meaningless where A is singular
-    lu: PLUBatch
+    H: np.ndarray  # (S, N, n): A^{-1} rhs; NaN where A is singular
+    solved: SolvedStack
     grad_x: np.ndarray  # grad_x L
     stack: np.ndarray  # (grad_y L; h; -g)
 
     def h_matrix(self, s: int) -> np.ndarray:
-        """H(x, W_s); raises the SingularMatrixError that stopped its LU."""
-        error = self.lu.error(s)
+        """H(x, W_s); raises the SingularMatrixError of a singular A(x, W_s)."""
+        error = self.solved.error(s)
         if error is not None:
             raise error
         return self.H[s]
 
     def phi_gradients(self) -> np.ndarray:
         """Candidate gradients grad_x L - H(x, W)^T (grad_y L; h; -g), one row
-        per selector; rows of singular selectors are meaningless."""
-        with np.errstate(all="ignore"):  # singular slices of H may hold inf/nan
-            return self.grad_x - np.swapaxes(self.H, 1, 2) @ self.stack
+        per selector; rows of singular selectors are NaN."""
+        return self.grad_x - np.swapaxes(self.H, 1, 2) @ self.stack
 
 
 def stack_selectors(bundle, lag, selectors: list[WSelector]) -> SelectorSweep:
     """The sweep's stacked step: assemble every A(x, W) and its right-hand
-    side as one stack, factor the stack with one batched LU and solve every
-    H(x, W) at once."""
+    side as one stack, test every A(x, W) for singularity and solve every
+    nonsingular H(x, W) at once."""
     w = np.array([W.values for W in selectors], dtype=float).reshape(
         len(selectors), bundle.g.shape[0])
     A = kkt_jacobian_blocks(lag, bundle, w)
     top = np.vstack([lag.yx, bundle.h_jx])
     rhs = np.concatenate([np.broadcast_to(top, (len(selectors),) + top.shape),
                           (1.0 - w)[:, :, None] * bundle.g_jx], axis=1)
-    batch = plu_batch(A, rhs)
-    H = batch.solution
-    for arr in (A, rhs, H, batch.lu, batch.perm, batch.pivots):
+    solved = solve_stack(A, rhs)
+    H = solved.solution
+    for arr in (A, rhs, H, solved.sigma_min, solved.sigma_max, solved.singular):
         arr.flags.writeable = False
-    return SelectorSweep(selectors, A, rhs, H, batch, lag.grad_x,
+    return SelectorSweep(selectors, A, rhs, H, solved, lag.grad_x,
                          np.concatenate([lag.grad_y, bundle.h, -bundle.g]))
 
 
@@ -198,9 +198,9 @@ def selector_sweep(
     config: CheckConfig | None = None,
     clarke: bool = False,
 ) -> SelectorSweep:
-    """Evaluate the solution once and factor A(x, W) once per distinct selector:
-    the B-selectors, then (with clarke) the Clarke grid points not among them.
-    Raises SelectorCapError before any factoring when a cap is exceeded."""
+    """Evaluate the solution once and solve with A(x, W) once per distinct
+    selector: the B-selectors, then (with clarke) the Clarke grid points not
+    among them.  Raises SelectorCapError before any solve when a cap is exceeded."""
     config = config or CheckConfig()
     bundle, lag, partition = _solution_point(spec, sol, config)
     selectors = enumerate_b_selectors(partition, config.selector_cap)
@@ -225,7 +225,8 @@ def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector,
 
 def a_matrix_min_pivot(spec: ProblemSpec, sol: KktSolution, W: WSelector,
                        config: CheckConfig | None = None) -> float:
-    return float(_single_selector(spec, sol, W, config).lu.min_pivots[0])
+    """The nonsingularity margin of A(x, W): its smallest singular value."""
+    return float(_single_selector(spec, sol, W, config).solved.sigma_min[0])
 
 
 def assemble_h_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector,
@@ -248,11 +249,11 @@ class GeneralizedDerivativeSet:
 
 
 def _candidate_set(kind: str, sweep: SelectorSweep, rows: np.ndarray) -> GeneralizedDerivativeSet:
-    """Row s of the stacked candidates for each selector whose A(x, W) factored;
-    the SingularMatrixError for the others."""
+    """Row s of the stacked candidates for each selector whose A(x, W) is
+    nonsingular; the SingularMatrixError for the others."""
     out = GeneralizedDerivativeSet(kind=kind)
     for s, W in enumerate(sweep.selectors):
-        error = sweep.lu.error(s)
+        error = sweep.solved.error(s)
         if error is not None:
             out.errors.append((W, str(error)))
         else:
@@ -270,7 +271,7 @@ def kkt_map_directional(
     binary selector.  The true directional derivative is a member."""
     d_x = np.atleast_1d(np.asarray(d_x, dtype=float))
     sweep = selector_sweep(spec, sol, config)
-    return _candidate_set("directional", sweep, -sweep.lu.solve(sweep.rhs @ d_x))
+    return _candidate_set("directional", sweep, -sweep.solved.solve(sweep.rhs @ d_x))
 
 
 def phi_generalized_gradients(

@@ -430,7 +430,7 @@ def first_order_nonsmooth_necessary(
     """Search the B-selectors W for one whose candidate gradient admits upper
     KKT multipliers, asking `_outer_multiplier` once per selector.  A failed
     search is a disproof only when the selector family is exact (beta empty);
-    otherwise it reports not-found.  The selectors and their factored
+    otherwise it reports not-found.  The selectors and their solved
     A(x, W) come from `sweep`, built here when not given."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
@@ -440,10 +440,10 @@ def first_order_nonsmooth_necessary(
 
     gset = GeneralizedDerivativeSet(kind="b_subdifferential")
     gradients = sweep.phi_gradients()
-    singular = sweep.lu.step >= 0
+    singular = sweep.solved.singular
     for s, W in enumerate(sweep.selectors):
         if singular[s]:
-            gset.errors.append((W, str(sweep.lu.error(s))))
+            gset.errors.append((W, str(sweep.solved.error(s))))
             continue
         r = gradients[s]
         gset.items.append((W, r))

@@ -15,8 +15,13 @@ out, and K is symmetric on the rest.  So hess phi is symmetric in exact
 arithmetic, and the assembled product differs from its transpose by rounding
 only.
 
+A(x, W) is nonsingular when `linalg.solve_stack`'s test passes: its
+smallest singular value sigma_min, the margin reported, exceeds
+`linalg.SINGULAR_RTOL` * max(sigma_max, 1).  The condition estimate is the
+2-norm sigma_max / sigma_min from the same SVD.
+
 Each function opens its solution with `nonsmooth._solution_point`; the
-sensitivity system checks beta before it enumerates or factors anything.
+sensitivity system checks beta before it enumerates or solves anything.
 """
 
 from __future__ import annotations
@@ -35,20 +40,21 @@ class SingularSensitivityError(Exception):
     """No sensitivity system at this solution: an inequality is degenerate
     (active with a zero multiplier) or A(x, W) is singular to tolerance."""
 
-    def __init__(self, reason: str, pivot: float | None = None):
-        self.pivot = pivot
+    def __init__(self, reason: str, sigma_min: float | None = None):
+        self.sigma_min = sigma_min
         super().__init__(f"{reason}; Jacobian uniqueness cannot hold at this solution")
 
 
 @dataclass
 class SensitivitySystem:
     """A(x, W) (order m + m1 + m2), its right-hand side rhs (same rows, n
-    columns) and H = A^{-1} rhs for the smooth path's selector W."""
+    columns) and H = A^{-1} rhs for the smooth path's selector W, with A's
+    smallest singular value (the margin) and 2-norm condition."""
 
     A: np.ndarray
     rhs: np.ndarray
     H: np.ndarray
-    min_pivot: float
+    sigma_min: float
     condition: float
     condition_warning: bool
 
@@ -89,14 +95,12 @@ def value_derivatives(
             f"{names} active with zero multiplier (strict complementarity fails)"
         )
     sweep = stack_selectors(bundle, lag, enumerate_b_selectors(partition))
-    error = sweep.lu.error(0)
+    error = sweep.solved.error(0)
     if error is not None:
-        raise SingularSensitivityError(
-            f"sensitivity matrix A(x, W) is singular to tolerance (pivot {error.pivot:.3e})",
-            error.pivot,
-        ) from error
+        raise SingularSensitivityError(f"sensitivity {error}", error.sigma_min) from error
     A = sweep.A[0]
-    condition = float(np.linalg.cond(A, 1)) if A.size else 1.0
+    sigma_min = float(sweep.solved.sigma_min[0])
+    condition = float(sweep.solved.sigma_max[0]) / sigma_min if A.size else 1.0
     raw = lag.xx - np.hstack([lag.yx.T, bundle.h_jx.T, -bundle.g_jx.T]) @ sweep.H[0]
     return ValueDerivatives(
         value=bundle.f,
@@ -106,7 +110,7 @@ def value_derivatives(
             A=A,
             rhs=sweep.rhs[0],
             H=sweep.H[0],
-            min_pivot=float(sweep.lu.min_pivots[0]),
+            sigma_min=sigma_min,
             condition=condition,
             condition_warning=condition > config.cond_warn,
         ),

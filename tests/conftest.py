@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +48,31 @@ from minimaxcert.problem import ProblemSpec
 # (the bit-for-bit comparisons run reference code that is slow by design)
 settings.register_profile("minimaxcert", deadline=None, derandomize=True)
 settings.load_profile("minimaxcert")
+
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def perfbench_workloads():
+    """The benchmark's seeded problem generators (perfbench/workloads.py,
+    numpy only), loaded as the module `perfbench_workloads`."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, WORKLOADS_PATH)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up by name
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def kahan_problem_text(m: int) -> str:
+    """dims 1 m: f = x1^2 + x1*y1 - sum_i 0.5*(y_i - sum_{j>i} y_j)^2, whose
+    inner Hessian -T^T T (T = I minus the strict upper triangle of ones) is
+    singular to tolerance at m = 20 though partial pivoting sees pivots of 1."""
+    terms = " ".join(
+        f"- 0.5*(y{i}" + "".join(f" - y{j}" for j in range(i + 1, m + 1)) + ")^2"
+        for i in range(1, m + 1))
+    return f"dims 1 {m} 0 0 0 0\nf = x1^2 + x1*y1 {terms}\n"
 
 
 @pytest.fixture(scope="session")

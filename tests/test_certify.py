@@ -617,20 +617,20 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     factored = []
     batches = []
     bundles = []
-    plu_batch = minimaxcert.linalg.plu_batch
+    solve_stack = minimaxcert.linalg.solve_stack
 
-    def counting_plu_batch(As, rhs=None):
+    def counting_solve_stack(As, rhs=None):
         batches.append(len(As))
         factored.extend(np.asarray(A).tobytes() for A in As)
-        return plu_batch(As, rhs)
+        return solve_stack(As, rhs)
 
     def counting_bundle(spec, x, y):
         bundles.append((x, y))
         return eval_bundle(spec, x, y)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("minimaxcert") and getattr(module, "plu_batch", None) is plu_batch:
-            monkeypatch.setattr(module, "plu_batch", counting_plu_batch)
+        if name.startswith("minimaxcert") and getattr(module, "solve_stack", None) is solve_stack:
+            monkeypatch.setattr(module, "solve_stack", counting_solve_stack)
     # the sweep lives in nonsmooth; the search in upper must read it rather
     # than evaluate the bundle again
     for module in (minimaxcert.nonsmooth, minimaxcert.upper):
@@ -642,7 +642,7 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     assert result(rep, "b_selector_nonsingularity").detail == "8 binary selectors"
     assert len(factored) == len(set(factored)) == 8
     assert len(bundles) == 1
-    assert len(batches) == 1  # one batched factorisation per sweep
+    assert len(batches) == 1  # one batched SVD and solve per sweep
 
 
 # --- evaluation failures and the per-call bundle memo -----------------------------
@@ -1347,3 +1347,43 @@ def test_lower_sonc_agrees_with_reference(text, x, y, config):
         assert got.witness == witness
     if got.status == VIOLATED and got.witness is not None:
         assert cone.contains(np.array(got.witness))
+
+
+# --- determinism across BLAS threads ----------------------------------------------
+
+_SMOOTH_REPORTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import minimaxcert as mc
+import workloads
+from minimaxcert.report import dumps_canonical, report_to_doc
+
+wl = workloads.smooth(7)
+problem = mc.parse_problem(wl.problems["lattice"])
+for i in range(len(wl.cycle)):
+    c = wl.op(i).candidates[0]
+    print(dumps_canonical(report_to_doc(mc.certify(problem, mc.CandidatePoint(c.x, c.y)))))
+"""
+
+
+def test_reports_do_not_depend_on_blas_threads():
+    """The n = m = 20 lattice problem of the `smooth` benchmark gives the same
+    canonical report bytes with one and with two OpenBLAS threads."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from conftest import WORKLOADS_PATH
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _SMOOTH_REPORTS, str(WORKLOADS_PATH.parent)],
+                             env=env, capture_output=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0].count(b"\n") == 4
+    assert b'"verdict":"certified-local-minimax"' in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minimaxcert.linalg import (
-    PIVOT_RTOL,
+    SINGULAR_RTOL,
+    SOLVE_RESIDUAL_TOL,
     LinearSolveError,
     LpProblem,
     SingularMatrixError,
     max_eigenvalue_on_subspace,
     nullspace_basis,
     plu,
-    plu_batch,
     smallest_singular_value,
     solve_linear,
     solve_lp,
+    solve_stack,
 )
 
 
@@ -32,10 +33,12 @@ def test_solve_sensitivity_fixture():
     assert np.allclose(z, [-1.0, 0.5, 0.0], atol=1e-12)
 
 
-def test_singular_matrix_reports_pivot():
+def test_singular_matrix_reports_sigma_min():
     with pytest.raises(SingularMatrixError) as err:
         solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
-    assert err.value.pivot < 1e-10
+    assert err.value.sigma_min < 1e-10
+    assert err.value.sigma_max == pytest.approx(2.0)
+    assert "sigma_min" in str(err.value)
 
 
 def test_solve_residual_on_random_well_conditioned():
@@ -210,24 +213,103 @@ def test_plu_solve_multiple_rhs():
     assert np.max(np.abs(A @ X - B)) < 1e-10
 
 
-# --- the batched LU ------------------------------------------------------------
+# --- the LAPACK kernel ---------------------------------------------------------
+
+def _kahan(n):
+    """M = T^T T with T = I minus the strict upper triangle of ones."""
+    T = np.eye(n) - np.triu(np.ones((n, n)), 1)
+    return T.T @ T
+
+
+def _partial_pivot_pivots(A):
+    """|diag(U)| of a textbook partial-pivot LU of A."""
+    U = A.copy()
+    n = len(U)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(U[k:, k])))
+        U[[k, p]] = U[[p, k]]
+        U[k + 1 :] -= np.outer(U[k + 1 :, k] / U[k, k], U[k])
+    return np.abs(np.diag(U))
+
+
+@pytest.mark.parametrize("n, sigma_min", [(20, 8.19e-12), (30, 4.5e-16)])
+def test_kahan_matrix_is_singular_though_its_pivots_are_one(n, sigma_min):
+    """Partial pivoting sees pivots of 1 on Kahan's T^T T; its smallest
+    singular value, the 2-norm distance to singularity, is below the rule's
+    threshold."""
+    M = _kahan(n)
+    assert np.array_equal(_partial_pivot_pivots(M), np.ones(n))
+    solved = solve_stack(M[None], np.ones((1, n)))
+    assert solved.sigma_min[0] == pytest.approx(sigma_min, rel=0.05)
+    assert solved.sigma_min[0] <= SINGULAR_RTOL * solved.sigma_max[0]
+    assert solved.singular[0] and np.isnan(solved.solution).all()
+    with pytest.raises(SingularMatrixError, match="sigma_min"):
+        solve_linear(M, np.ones(n))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_singularity_rule_at_both_sides_of_the_threshold(scale):
+    """Singular exactly when sigma_min <= SINGULAR_RTOL * max(sigma_max, 1);
+    the margins are the singular values."""
+    threshold = SINGULAR_RTOL * max(scale, 1.0)
+    sigmas = [2.0 * threshold, threshold, 0.5 * threshold, 0.0]
+    As = np.array([np.diag([scale, s]) for s in sigmas])
+    solved = solve_stack(As)
+    assert solved.singular.tolist() == [False, True, True, True]
+    assert solved.sigma_min.tolist() == sigmas
+    assert solved.sigma_max.tolist() == [scale] * 4
+    assert solved.error(0) is None
+    for s in (1, 2, 3):
+        error = solved.error(s)
+        assert (error.sigma_min, error.sigma_max) == (sigmas[s], scale)
+
+
+def test_solve_stack_solution_residual():
+    rng = np.random.default_rng(3)
+    As = rng.standard_normal((40, 8, 8)) + 4.0 * np.eye(8)
+    B = rng.standard_normal((40, 8, 3))
+    solved = solve_stack(As, B)
+    assert not solved.singular.any()
+    assert np.all(solved.sigma_max / solved.sigma_min < 1e3)
+    bound = SOLVE_RESIDUAL_TOL * (1.0 + np.max(np.abs(B)))
+    assert np.max(np.abs(As @ solved.solution - B)) <= bound
+    x = solved.solve(B[:, :, 0])  # a stack of vectors
+    assert x.shape == (40, 8)
+    assert np.max(np.abs((As @ x[:, :, None])[:, :, 0] - B[:, :, 0])) <= bound
+
+
+def test_order_zero_stack_has_infinite_margin():
+    solved = solve_stack(np.zeros((3, 0, 0)), np.zeros((3, 0, 2)))
+    assert solved.sigma_min.tolist() == [np.inf] * 3
+    assert not solved.singular.any()
+    assert solved.solution.shape == (3, 0, 2)
+
+
+def test_solve_stack_rejects_non_square_stacks():
+    with pytest.raises(LinearSolveError):
+        solve_stack(np.zeros((2, 3, 2)))
+    with pytest.raises(LinearSolveError):
+        solve_stack(np.eye(3))
+    with pytest.raises(LinearSolveError):
+        plu(np.zeros((2, 3)))
+
 
 # how one slice of a drawn stack is built
 _SLICE_KINDS = ("gaussian", "ties", "signed-zeros", "zero-column", "duplicate-row",
-                "tiny", "near-threshold", "at-threshold", "zero")
+                "tiny", "near-threshold", "at-threshold", "zero", "kahan", "non-finite")
 
 
 @st.composite
 def _stacks(draw):
     """A stack (S, n, n), S in 1..20 and n in 1..9, whose slices are a mix of
-    regular, tied, rank-deficient and badly scaled matrices, and a right-hand
-    side stack (S, n) or (S, n, r)."""
+    regular, tied, rank-deficient, badly scaled and non-finite matrices, and
+    a right-hand side stack (S, n) or (S, n, r)."""
     n = draw(st.integers(1, 9))
     kinds = draw(st.lists(st.sampled_from(_SLICE_KINDS), min_size=1, max_size=20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     As = rng.standard_normal((len(kinds), n, n))
     for A, kind in zip(As, kinds):
-        if kind == "ties":  # small integers: equal magnitudes in pivot columns
+        if kind == "ties":  # small integers: equal magnitudes
             A[:] = rng.integers(-2, 3, (n, n))
         elif kind == "signed-zeros":
             A[:] = -rng.integers(-1, 2, (n, n)).astype(float)
@@ -238,12 +320,16 @@ def _stacks(draw):
             A[j] = A[i]
         elif kind == "tiny":
             A *= 1e-14
-        elif kind == "near-threshold":  # pivots on both sides of PIVOT_RTOL
+        elif kind == "near-threshold":  # singular values on both sides of SINGULAR_RTOL
             A *= 1e-12
-        elif kind == "at-threshold":  # every pivot equals the threshold
+        elif kind == "at-threshold":  # every singular value equals the threshold
             A[:] = 1e-12 * np.eye(n)[rng.permutation(n)]
         elif kind == "zero":
             A[:] = 0.0
+        elif kind == "kahan":
+            A[:] = _kahan(n)
+        elif kind == "non-finite":
+            A[tuple(rng.integers(n, size=2))] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
     r = draw(st.integers(0, 3))
     b = rng.standard_normal((len(kinds), n) if r == 0 else (len(kinds), n, r))
     return As, b
@@ -253,134 +339,59 @@ def _bits(a):
     return np.asarray(a).tobytes()
 
 
-def _reference_plu(A):
-    """Textbook one-matrix partial-pivot LU with the library's threshold rule:
-    (lu, perm, pivots, scale), or the SingularMatrixError it stops with."""
-    n = A.shape[0]
-    lu = A.copy()
-    perm = np.arange(n)
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    threshold = PIVOT_RTOL * max(scale, 1.0)
-    pivots = np.zeros(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        pivot = abs(lu[p, k])
-        pivots[k] = pivot
-        if pivot < threshold:
-            return SingularMatrixError(pivot, k, scale)
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm, pivots, scale
-
-
-def _reference_solve(lu, perm, b):
-    n = lu.shape[0]
-    B = b.reshape(n, -1)[perm].astype(float)
-    for k in range(n):  # forward
-        B[k + 1 :] -= np.outer(lu[k + 1 :, k], B[k])
-    for k in range(n - 1, -1, -1):  # backward
-        B[k] /= lu[k, k]
-        B[:k] -= np.outer(lu[:k, k], B[k])
-    return B[:, 0] if b.ndim == 1 else B
-
-
 @settings(max_examples=300)
 @given(_stacks())
-def test_plu_batch_matches_plu_bit_for_bit(stack):
-    """Every slice of a stack, and `plu` on that slice alone, equal the
-    textbook one-matrix elimination bit for bit."""
+def test_solve_stack_matches_per_slice_lapack_bit_for_bit(stack):
+    """Every slice of a stack, of the stack's finite slices alone and of
+    `plu` on that slice alone, equals numpy's one-matrix SVD and solve bit
+    for bit; a non-finite slice is singular with NaN margins."""
     As, b = stack
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # broken-down slices must not leak warnings
-        batch = plu_batch(As)
-        X = batch.solve(b)
-    assert X.shape == b.shape
+        warnings.simplefilter("error")  # singular slices must not leak warnings
+        solved = solve_stack(As, b)
+        finite = np.isfinite(As).all(axis=(1, 2))
+        alone = solve_stack(As[finite], b[finite])
+    assert solved.solution.shape == b.shape
     for s, A in enumerate(As):
-        ref = _reference_plu(A)
-        if isinstance(ref, SingularMatrixError):
+        error = solved.error(s)
+        if not finite[s]:
+            assert np.isnan(solved.sigma_min[s]) and np.isnan(solved.sigma_max[s])
+            assert str(error) == "matrix singular: non-finite entries"
+            assert np.isnan(solved.solution[s]).all()
+            continue
+        sigma = np.linalg.svd(A, compute_uv=False)
+        assert (_bits(solved.sigma_min[s]), _bits(solved.sigma_max[s])) == (
+            _bits(sigma[-1]), _bits(sigma[0]))
+        assert solved.singular[s] == (not sigma[-1] > SINGULAR_RTOL * max(sigma[0], 1.0))
+        if solved.singular[s]:
+            assert np.isnan(solved.solution[s]).all()
             with pytest.raises(SingularMatrixError) as single:
                 plu(A)
-            for err in (batch.error(s), single.value):
-                assert err is not None
-                assert (_bits(err.pivot), err.step, err.scale) == (
-                    _bits(ref.pivot), ref.step, ref.scale)
-                assert str(err) == str(ref)
-            assert _bits(batch.min_pivots[s]) == _bits(ref.pivot)
+            assert str(single.value) == str(error)
             continue
-        lu, perm, pivots, scale = ref
-        assert batch.error(s) is None
-        for got in (batch.factors(s), plu(A)):
-            assert _bits(got.lu) == _bits(lu)
-            assert np.array_equal(got.perm, perm)
-            assert _bits(got.pivots) == _bits(pivots)
-            assert _bits(got.scale) == _bits(scale)
-            assert _bits(got.solve(b[s])) == _bits(_reference_solve(lu, perm, b[s]))
-        assert _bits(batch.min_pivots[s]) == _bits(pivots.min())
-        assert _bits(X[s]) == _bits(_reference_solve(lu, perm, b[s]))
+        assert error is None
+        B = b[s].reshape(len(A), -1)
+        X = np.linalg.solve(A, B).reshape(b[s].shape)
+        assert _bits(solved.solution[s]) == _bits(X) == _bits(plu(A).solve(b[s]))
+    for name in ("sigma_min", "sigma_max", "singular", "solution"):
+        assert _bits(getattr(alone, name)) == _bits(getattr(solved, name)[finite])
 
 
-@st.composite
-def _fused_stacks(draw):
-    """A `_stacks` stack, often cut to a stack of one, with some entries of
-    A and of the right-hand side set to +-inf or NaN, and a right-hand side
-    of one column (S, n) or several (S, n, r)."""
-    As, _ = draw(_stacks())
-    if draw(st.booleans()):
-        As = As[:1]
-    S, n, _ = As.shape
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    r = draw(st.integers(1, 4))
-    b = rng.standard_normal((S, n) if r == 1 and draw(st.booleans()) else (S, n, r))
-    for arr in (As, b):
-        for _ in range(draw(st.integers(0, 2))):
-            index = tuple(int(rng.integers(d)) for d in arr.shape)
-            arr[index] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
-    return As, b
-
-
-def _float_bits(a):
-    """Bytes of a with every NaN written as the one NaN.  Where two NaNs meet
-    in a product or a difference, IEEE 754 leaves the sign and payload of the
-    result unspecified, and which operand's NaN numpy returns depends on how
-    its loop is laid out: the fused rows are longer than the rows of a
-    separate substitution."""
-    a = np.asarray(a, dtype=float)
-    return np.where(np.isnan(a), np.nan, a).tobytes()
-
-
-@settings(max_examples=300)
-@given(_fused_stacks())
-def test_fused_solve_matches_textbook_substitution_bit_for_bit(stack):
-    """The right-hand side carried through the elimination gives, on every
-    slice that factors, the bits of the textbook factor-then-substitute
-    solve, and leaves the factors as they are without it.  A NaN is
-    compared as NaN (see `_float_bits`)."""
-    As, b = stack
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # broken-down slices must not leak warnings
-        fused = plu_batch(As, b)
-        alone = plu_batch(As)
-    assert fused.solution.shape == b.shape
-    assert _float_bits(fused.lu) == _float_bits(alone.lu)
-    for name in ("perm", "pivots", "scale", "step"):
-        assert _bits(getattr(fused, name)) == _bits(getattr(alone, name))
-    for s, A in enumerate(As):
-        with np.errstate(all="ignore"):
-            ref = _reference_plu(A)
-            if isinstance(ref, SingularMatrixError):
-                assert fused.step[s] == ref.step
-                continue
-            lu, perm, _, _ = ref
-            assert fused.step[s] == -1 and np.array_equal(fused.perm[s], perm)
-            assert _float_bits(fused.solution[s]) == _float_bits(
-                _reference_solve(lu, perm, b[s]))
-
-
-def test_plu_batch_rejects_non_square_stacks():
-    with pytest.raises(LinearSolveError):
-        plu_batch(np.zeros((2, 3, 2)))
-    with pytest.raises(LinearSolveError):
-        plu_batch(np.eye(3))
+def test_non_finite_slices_are_singular_and_leave_the_others_bit_identical():
+    rng = np.random.default_rng(7)
+    As = rng.standard_normal((6, 5, 5)) + 3.0 * np.eye(5)
+    rhs = rng.standard_normal((6, 5, 2))
+    clean = solve_stack(As, rhs)
+    dirty = As.copy()
+    dirty[1, 2, 3] = np.nan
+    dirty[4, 0, 0] = np.inf
+    solved = solve_stack(dirty, rhs)  # no LinAlgError from the batched SVD
+    assert np.flatnonzero(solved.singular).tolist() == [1, 4]
+    rest = [0, 2, 3, 5]
+    for name in ("sigma_min", "sigma_max", "solution"):
+        assert _bits(getattr(solved, name)[rest]) == _bits(getattr(clean, name)[rest])
+    for s in (1, 4):
+        assert np.isnan(solved.sigma_min[s]) and np.isnan(solved.solution[s]).all()
+        assert "non-finite entries" in str(solved.error(s))
+    with pytest.raises(SingularMatrixError, match="non-finite entries"):
+        solve_linear(dirty[1], rhs[1, :, 0])

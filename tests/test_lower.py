@@ -18,7 +18,7 @@ from minimaxcert.lower import (
 from minimaxcert.oracle import grid_local_maximize
 from minimaxcert.problem import eval_bundle, parse_problem
 
-from conftest import random_smooth_instance
+from conftest import kahan_problem_text, perfbench_workloads, random_smooth_instance
 
 
 # --- KKT residual -----------------------------------------------------------
@@ -292,6 +292,45 @@ def test_solve_lower_residual_is_that_of_the_returned_point(p2, config):
         _, norm = kkt_residual_from_bundle(bundle, lagrangian_eval(bundle, sol.mu, sol.lam),
                                            sol.lam)
         assert sol.residual.hex() == norm.hex() == sol.trace[-1].hex()
+
+
+def _newton_cases(p1):
+    """(spec, x, y*) on P1 and on a seeded n = m = 3 lattice problem with
+    one binding and one slack inner constraint."""
+    lattice = perfbench_workloads().LatticeProblem.generate(
+        np.random.default_rng(5), n=3, m2=2, active=1)
+    x = 2.0 * np.pi * np.array([1.0, 0.0, -1.0])
+    return [(p1, np.array([0.3]), np.array([0.3])),
+            (parse_problem(lattice.text()), x, lattice.solution(x))]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["P1", "lattice"])
+def test_newton_steps_meet_the_solve_residual_gate(case, p1, config, monkeypatch):
+    from minimaxcert import lower
+    from minimaxcert.linalg import SOLVE_RESIDUAL_TOL
+
+    spec, x, y_star = _newton_cases(p1)[case]
+    steps, solve_linear = [], lower.solve_linear
+
+    def recording_solve_linear(A, b):
+        z = solve_linear(A, b)
+        steps.append((A, b, z))
+        return z
+
+    monkeypatch.setattr(lower, "solve_linear", recording_solve_linear)
+    sol = solve_lower(spec, x, (y_star + 1e-3, None, None), config)
+    assert sol.residual <= config.tol_newton
+    assert np.max(np.abs(sol.y - y_star)) <= 1e-8
+    assert steps
+    for A, b, z in steps:
+        bound = SOLVE_RESIDUAL_TOL * (1.0 + np.max(np.abs(b)))
+        assert np.max(np.abs(A @ z - b)) <= bound
+
+
+def test_singular_newton_matrix_names_sigma_min(config):
+    spec = parse_problem(kahan_problem_text(20))
+    with pytest.raises(NewtonError, match="singular semismooth Newton matrix.*sigma_min 8.187e-12"):
+        solve_lower(spec, [0.0], ([1e-3] * 20, None, None), config)
 
 
 def test_solve_lower_slack_identity(p1, config):

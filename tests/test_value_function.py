@@ -15,7 +15,7 @@ from minimaxcert.oracle import fd_derivatives
 from minimaxcert.problem import eval_bundle, parse_problem
 from minimaxcert.value_function import SingularSensitivityError
 
-from conftest import random_smooth_instance
+from conftest import kahan_problem_text, random_smooth_instance
 
 
 def smooth_solution(spec, x, config, seed_y=None, seed_lam=None):
@@ -229,6 +229,22 @@ def test_symmetric_display_equals_exact_jacobian_assembly(config):
         _, hess_fd = fd_derivatives(phi_of(spec, config, sol), x,
                                     config.fd_step, config.fd_hess_step)
         assert np.max(np.abs(vd.hessian - hess_fd)) <= 1e-4
+
+
+def test_kahan_sensitivity_matrix_is_singular(config):
+    """A(x, W) = -T^T T at m = 20: partial pivoting saw pivots of 1 and
+    returned a hess phi of rounding noise (about 9e10); sigma_min = 8.187e-12
+    is below the threshold 1e-12 * sigma_max = 1.4e-10."""
+    from minimaxcert import CandidatePoint, certify
+
+    spec = parse_problem(kahan_problem_text(20))
+    sol = smooth_solution(spec, [0.0], config)
+    with pytest.raises(SingularSensitivityError, match="sigma_min 8.187e-12") as err:
+        value_derivatives(spec, sol, config)
+    assert err.value.sigma_min == pytest.approx(8.187e-12, rel=1e-3)
+    # lower SOSC fails first, so certify takes the invalid path as before
+    rep = certify(spec, CandidatePoint([0.0], [0.0] * 20), config)
+    assert (rep.path, rep.verdict) == ("invalid", "inconclusive")
 
 
 def test_condition_estimate_attached(p1, p2, config):
