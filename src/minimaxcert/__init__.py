@@ -52,12 +52,6 @@ from .upper import (
     second_order_sufficient,
     upper_kkt_and_polytope,
 )
-from .value_function import (
-    SensitivitySystem,
-    assemble_sensitivity_system,
-    phi_gradient,
-    phi_hessian,
-    value_derivatives,
-)
+from .value_function import value_derivatives
 
 __version__ = VERSION

@@ -21,7 +21,6 @@ from .conditions import (
     KIND_NECESSARY,
     KIND_QUALIFICATION,
     KIND_SUFFICIENT,
-    NOT_FOUND_SAMPLED,
     SATISFIED,
     SKIPPED,
     VIOLATED,
@@ -231,7 +230,7 @@ def overall_verdict(path: str, results: list[ConditionCheck]) -> str:
         evaluated = [c for c in necessary if c.status != SKIPPED]
         if (
             first_order is not None
-            and first_order.status not in (SKIPPED, NOT_FOUND_SAMPLED, ERROR)
+            and first_order.status not in (SKIPPED, ERROR)
             and evaluated
             and all(c.ok for c in evaluated)
         ):
@@ -376,22 +375,15 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
                            KIND_INFO, detail=str(exc))
         )
         return
+    sigma_min = float(vd.sweep.solved.sigma_min[0])
+    condition = float(vd.sweep.solved.sigma_max[0]) / sigma_min
     results.append(
-        ConditionCheck(
-            "sensitivity_system",
-            SATISFIED,
-            vd.system.sigma_min,
-            None,
-            KIND_INFO,
-            detail=(
-                f"condition estimate {vd.system.condition:.3e}"
-                + ("; ill-conditioning warning" if vd.system.condition_warning else "")
-            ),
-        )
+        ConditionCheck("sensitivity_system", SATISFIED, sigma_min, None, KIND_INFO,
+                       detail=f"condition estimate {condition:.3e}")
     )
     mfcq = check_mfcq(spec, candidate.x, config)
-    results.append(mfcq.check)
-    mfcq_ok = mfcq.check.ok
+    results.append(mfcq)
+    mfcq_ok = mfcq.ok
 
     poly = upper_kkt_and_polytope(spec, candidate.x, vd.gradient, config)
     if poly.nonempty:
@@ -517,14 +509,14 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
         )
 
     mfcq = check_mfcq(spec, candidate.x, config)
-    results.append(mfcq.check)
+    results.append(mfcq)
     if sweep is None:
         results.append(
             ConditionCheck("first_order_nonsmooth", ERROR, None, config.tol_kkt,
                            KIND_NECESSARY, detail=cap_detail)
         )
         return
-    if not mfcq.check.ok:
+    if not mfcq.ok:
         results.append(
             ConditionCheck(
                 "first_order_nonsmooth", SKIPPED, None, config.tol_kkt,
@@ -534,9 +526,4 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
         )
         return
     fo, _ = first_order_nonsmooth_necessary(spec, candidate.x, sol, config, sweep)
-    if fo.status == NOT_FOUND_SAMPLED:
-        fo = ConditionCheck(
-            fo.name, INCONCLUSIVE, fo.value, fo.tolerance, fo.kind, fo.witness,
-            fo.detail,
-        )
     results.append(fo)

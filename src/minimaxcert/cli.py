@@ -105,13 +105,16 @@ def _candidates(args, spec) -> list[CandidatePoint]:
         raise ValueError("--x and --y are required for this command")
     if len(args.x) != len(args.y):
         raise ValueError("--x and --y must be given the same number of times")
+    count = len(args.x)
+    for flag, lst in (("--mu", args.mu), ("--lambda", args.lam), ("--u", args.u),
+                      ("--v", args.v)):
+        if len(lst) not in (0, 1, count):
+            raise ValueError(f"{flag} is given {len(lst)} times and --x {count} times: "
+                             f"give it once, or once per candidate")
 
     def pick(lst, i):
-        if not lst:
-            return None
-        if len(lst) == 1 and len(args.x) > 1:
-            return lst[0]
-        return lst[i] if i < len(lst) else None
+        """The flag's value for candidate i: one value serves every candidate."""
+        return lst[i if len(lst) > 1 else 0] if lst else None
 
     out = []
     for i in range(len(args.x)):

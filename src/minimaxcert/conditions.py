@@ -7,7 +7,6 @@ from dataclasses import dataclass
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
-NOT_FOUND_SAMPLED = "not found (sampled)"
 SKIPPED = "skipped"
 ERROR = "error"
 

@@ -26,9 +26,6 @@ class CheckConfig:
     beta_grid_resolution: int = 5  # Clarke grid points per beta index (subdiff only)
     selector_cap: int = 16  # max |beta| for B-selector enumeration
     clarke_grid_cap: int = 4096  # max Clarke grid selectors (subdiff only)
-    # warning on the 2-norm condition sigma_max / sigma_min of the smooth-path
-    # sensitivity matrix A(x, W)
-    cond_warn: float = 1e12
     # oracle defaults
     oracle_delta0: float = 0.1
     oracle_step: float = 1e-3
@@ -41,7 +38,7 @@ class CheckConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
-            if f.name.startswith(("tol_", "fd_", "cond_")) and not value > 0:
+            if f.name.startswith(("tol_", "fd_")) and not value > 0:
                 raise ValueError(f"{f.name} must be positive")
         for name in ("newton_max_iter", "beta_grid_resolution", "selector_cap",
                      "clarke_grid_cap"):

@@ -19,15 +19,16 @@ with its right-hand-side stack, and `linalg.solve_stack` settles the stack
 in two LAPACK calls: one batched SVD gives every A(x, W) its singularity
 test and its margin sigma_min, and one batched solve gives every
 nonsingular H(x, W) = A(x, W)^{-1} rhs (`stack_selectors`, which also
-builds the smooth path's one-selector sensitivity system in
-`value_function`).  numpy runs LAPACK slice by slice, so the singular
-values, H entries and SingularMatrixErrors equal those of each matrix alone
-bit for bit, and verdicts and reports do not depend on the batching.  The
-`SelectorSweep` keeps the selectors and those stacks, and its consumers index
-them: `kkt_map_directional` and `phi_generalized_gradients` here, the
-B-selector nonsingularity check in `certify`, and the admissible-selector
-search `upper.first_order_nonsmooth_necessary`.  `assemble_a_matrix`,
-`assemble_h_matrix` and `a_matrix_min_pivot` run the same stacked step on a
+builds the smooth path's one-selector sensitivity system, the sweep that
+`value_function.value_derivatives` returns).  numpy runs LAPACK slice by
+slice, so the singular values, H entries and SingularMatrixErrors equal
+those of each matrix alone bit for bit, and verdicts and reports do not
+depend on the batching.  The `SelectorSweep` keeps the selectors and those
+stacks, and its consumers index them: `kkt_map_directional` and
+`phi_generalized_gradients` here, the B-selector nonsingularity check and
+the smooth path's sensitivity-system check in `certify`, and the
+admissible-selector search `upper.first_order_nonsmooth_necessary`.
+`assemble_a_matrix` and `assemble_h_matrix` run the same stacked step on a
 one-selector stack and return fresh values.
 
 Sign convention: A is assembled as the exact (y, mu, lambda)-derivative of
@@ -221,12 +222,6 @@ def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector,
                       config: CheckConfig | None = None) -> np.ndarray:
     """Bordered matrix of order m + m1 + m2 for the selector W."""
     return _single_selector(spec, sol, W, config).A[0].copy()
-
-
-def a_matrix_min_pivot(spec: ProblemSpec, sol: KktSolution, W: WSelector,
-                       config: CheckConfig | None = None) -> float:
-    """The nonsingularity margin of A(x, W): its smallest singular value."""
-    return float(_single_selector(spec, sol, W, config).solved.sigma_min[0])
 
 
 def assemble_h_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector,

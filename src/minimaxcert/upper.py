@@ -26,7 +26,6 @@ from .conditions import (
     KIND_NECESSARY,
     KIND_QUALIFICATION,
     KIND_SUFFICIENT,
-    NOT_FOUND_SAMPLED,
     SATISFIED,
     VIOLATED,
     ConditionCheck,
@@ -85,16 +84,7 @@ def compute_upper_active_set(spec: ProblemSpec, x,
     return UpperActiveSet(I=active, n1=spec.n1, feasible=viol <= tol_act, worst_violation=viol)
 
 
-@dataclass
-class MfcqResult:
-    check: ConditionCheck
-    witness: np.ndarray | None
-    active: tuple[int, ...]
-    jh_sigma_min: float
-    lp_value: float | None
-
-
-def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> MfcqResult:
+def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> ConditionCheck:
     """Full-rank equality Jacobian plus a strictly feasible direction, found by
     LP: maximize t s.t. JH d = 0, dG_i . d + t <= 0 (active i), |d|_inf <= 1.
     Inside `bundle_memo` each distinct (x, tol_act, tol_mfcq) is checked once
@@ -105,7 +95,7 @@ def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> MfcqR
                     lambda: _check_mfcq(spec, x, config))
 
 
-def _check_mfcq(spec: ProblemSpec, x: np.ndarray, config: CheckConfig) -> MfcqResult:
+def _check_mfcq(spec: ProblemSpec, x: np.ndarray, config: CheckConfig) -> ConditionCheck:
     data = upper_data(spec, x)
     aset = compute_upper_active_set(spec, x, config)
     if not aset.feasible:
@@ -115,18 +105,16 @@ def _check_mfcq(spec: ProblemSpec, x: np.ndarray, config: CheckConfig) -> MfcqRe
         )
     sigma = smallest_singular_value(data.JH) if spec.n1 else np.inf
     if spec.n1 and sigma < config.tol_mfcq:
-        check = ConditionCheck(
+        return ConditionCheck(
             "mfcq", VIOLATED, sigma, config.tol_mfcq,
             kind=KIND_QUALIFICATION,
             detail="equality-constraint Jacobian is rank deficient",
         )
-        return MfcqResult(check, None, aset.I, sigma, None)
     if not aset.I:
-        check = ConditionCheck(
+        return ConditionCheck(
             "mfcq", SATISFIED, np.inf, config.tol_mfcq, kind=KIND_QUALIFICATION,
             detail="no active inequalities",
         )
-        return MfcqResult(check, np.zeros(spec.n), aset.I, sigma, None)
     n = spec.n
     nI = len(aset.I)
     # variables (d, t)
@@ -145,14 +133,13 @@ def _check_mfcq(spec: ProblemSpec, x: np.ndarray, config: CheckConfig) -> MfcqRe
     upper = np.concatenate([np.ones(n), [np.inf]])
     sol = solve_lp(LpProblem(c, A_eq, b_eq, A_in, b_in, lower, upper), config.tol_mfcq)
     if sol.status != "optimal":
-        check = ConditionCheck(
+        return ConditionCheck(
             "mfcq", ERROR, None, config.tol_mfcq, kind=KIND_QUALIFICATION,
             detail=f"direction LP returned {sol.status}",
         )
-        return MfcqResult(check, None, aset.I, sigma, None)
     tstar = float(sol.value)
     ok = tstar > config.tol_mfcq
-    check = ConditionCheck(
+    return ConditionCheck(
         "mfcq",
         SATISFIED if ok else VIOLATED,
         tstar,
@@ -160,7 +147,6 @@ def _check_mfcq(spec: ProblemSpec, x: np.ndarray, config: CheckConfig) -> MfcqRe
         kind=KIND_QUALIFICATION,
         witness=sol.z[:n].tolist() if ok else None,
     )
-    return MfcqResult(check, sol.z[:n] if ok else None, aset.I, sigma, tstar)
 
 
 @dataclass
@@ -250,7 +236,7 @@ def upper_kkt_and_polytope(
     if point is None:
         return poly
 
-    poly.bounded = check_mfcq(spec, x, config).check.ok
+    poly.bounded = check_mfcq(spec, x, config).ok
     A_eq, _, _, nvar = parts
     poly.single = nvar == 0 or smallest_singular_value(A_eq.T) > RANK_TOL
     return poly
@@ -430,8 +416,8 @@ def first_order_nonsmooth_necessary(
     """Search the B-selectors W for one whose candidate gradient admits upper
     KKT multipliers, asking `_outer_multiplier` once per selector.  A failed
     search is a disproof only when the selector family is exact (beta empty);
-    otherwise it reports not-found.  The selectors and their solved
-    A(x, W) come from `sweep`, built here when not given."""
+    otherwise it is inconclusive.  The selectors and their solved A(x, W)
+    come from `sweep`, built here when not given."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
     aset = compute_upper_active_set(spec, x, config)
@@ -476,7 +462,7 @@ def first_order_nonsmooth_necessary(
         )
         return check, gset
     check = ConditionCheck(
-        "first_order_nonsmooth", NOT_FOUND_SAMPLED, None, config.tol_kkt,
+        "first_order_nonsmooth", INCONCLUSIVE, None, config.tol_kkt,
         kind=KIND_NECESSARY,
         detail=f"no admissible selector among {len(sweep.selectors)} samples; "
         "not a disproof",

@@ -17,11 +17,11 @@ only.
 
 A(x, W) is nonsingular when `linalg.solve_stack`'s test passes: its
 smallest singular value sigma_min, the margin reported, exceeds
-`linalg.SINGULAR_RTOL` * max(sigma_max, 1).  The condition estimate is the
-2-norm sigma_max / sigma_min from the same SVD.
+`linalg.SINGULAR_RTOL` * max(sigma_max, 1).  The condition estimate that
+`certify` reports is the 2-norm sigma_max / sigma_min from the same SVD.
 
-Each function opens its solution with `nonsmooth._solution_point`; the
-sensitivity system checks beta before it enumerates or solves anything.
+`value_derivatives` opens its solution with `nonsmooth._solution_point` and
+checks beta before it enumerates or solves anything.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import CheckConfig
 from .lower import KktSolution
-from .nonsmooth import _solution_point, enumerate_b_selectors, stack_selectors
+from .nonsmooth import SelectorSweep, _solution_point, enumerate_b_selectors, stack_selectors
 from .problem import ProblemSpec
 
 
@@ -46,38 +46,15 @@ class SingularSensitivityError(Exception):
 
 
 @dataclass
-class SensitivitySystem:
-    """A(x, W) (order m + m1 + m2), its right-hand side rhs (same rows, n
-    columns) and H = A^{-1} rhs for the smooth path's selector W, with A's
-    smallest singular value (the margin) and 2-norm condition."""
-
-    A: np.ndarray
-    rhs: np.ndarray
-    H: np.ndarray
-    sigma_min: float
-    condition: float
-    condition_warning: bool
-
-
-def assemble_sensitivity_system(
-    spec: ProblemSpec, sol: KktSolution, config: CheckConfig | None = None
-) -> SensitivitySystem:
-    """The sensitivity system that value_derivatives assembles."""
-    return value_derivatives(spec, sol, config).system
-
-
-def phi_gradient(spec: ProblemSpec, sol: KktSolution,
-                 config: CheckConfig | None = None) -> np.ndarray:
-    """grad phi(x) = grad_x L(x; y(x), mu(x), lam(x))."""
-    return _solution_point(spec, sol, config)[1].grad_x
-
-
-@dataclass
 class ValueDerivatives:
+    """phi, grad phi and hess phi with the one-selector sweep they came from:
+    A(x, W) is `sweep.A[0]`, its right-hand side `sweep.rhs[0]`, H(x, W)
+    `sweep.H[0]`, and its singular values are in `sweep.solved`."""
+
     value: float
     gradient: np.ndarray
     hessian: np.ndarray
-    system: SensitivitySystem
+    sweep: SelectorSweep
 
 
 def value_derivatives(
@@ -87,7 +64,6 @@ def value_derivatives(
     with the assembled sensitivity system.  That product is symmetric in exact
     arithmetic (see the module docstring), so it is symmetrised on return and
     not checked: its asymmetry is rounding, and a test bounds it."""
-    config = config or CheckConfig()
     bundle, lag, partition = _solution_point(spec, sol, config)
     if partition.beta:
         names = ", ".join(f"g{i + 1}" for i in partition.beta)
@@ -98,26 +74,6 @@ def value_derivatives(
     error = sweep.solved.error(0)
     if error is not None:
         raise SingularSensitivityError(f"sensitivity {error}", error.sigma_min) from error
-    A = sweep.A[0]
-    sigma_min = float(sweep.solved.sigma_min[0])
-    condition = float(sweep.solved.sigma_max[0]) / sigma_min if A.size else 1.0
     raw = lag.xx - np.hstack([lag.yx.T, bundle.h_jx.T, -bundle.g_jx.T]) @ sweep.H[0]
-    return ValueDerivatives(
-        value=bundle.f,
-        gradient=lag.grad_x,
-        hessian=0.5 * (raw + raw.T),
-        system=SensitivitySystem(
-            A=A,
-            rhs=sweep.rhs[0],
-            H=sweep.H[0],
-            sigma_min=sigma_min,
-            condition=condition,
-            condition_warning=condition > config.cond_warn,
-        ),
-    )
-
-
-def phi_hessian(spec: ProblemSpec, sol: KktSolution,
-                config: CheckConfig | None = None) -> np.ndarray:
-    """hess phi(x), as computed by value_derivatives."""
-    return value_derivatives(spec, sol, config).hessian
+    return ValueDerivatives(value=bundle.f, gradient=lag.grad_x,
+                            hessian=0.5 * (raw + raw.T), sweep=sweep)

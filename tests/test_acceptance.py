@@ -19,12 +19,7 @@ from minimaxcert.certify import (
 )
 from minimaxcert.conditions import VIOLATED
 from minimaxcert.expressions import Var, differentiate, parse_expression
-from minimaxcert.lower import classify_partition
-from minimaxcert.nonsmooth import (
-    a_matrix_min_pivot,
-    clarke_selector_grid,
-    enumerate_b_selectors,
-)
+from minimaxcert.nonsmooth import selector_sweep
 from minimaxcert.oracle import GridSpec, fd_derivatives, verify_minimax_definition
 from minimaxcert.problem import eval_bundle
 from minimaxcert.report import dumps_canonical, report_to_doc
@@ -105,7 +100,7 @@ def test_criterion_3_nonsingularity_suites(p1, p2, p3, p4, config):
         (p3, np.array([0.0]), np.array([0.0])),
         (p4, np.array([1.0]), np.array([1.0])),
     ]
-    min_pivot = np.inf
+    min_sigma = np.inf
     n_matrices = 0
     for spec, x, y in candidates:
         assert check_assumption_a(spec, x, y, config).assumption_a
@@ -117,19 +112,16 @@ def test_criterion_3_nonsingularity_suites(p1, p2, p3, p4, config):
                             config)
             )
         for sol in points:
-            bundle = eval_bundle(spec, sol.x, sol.y)
-            part = classify_partition(bundle.g, sol.lam, config.tol_act)
-            sels = enumerate_b_selectors(part, config.selector_cap)
-            sels += clarke_selector_grid(part, 5, config.clarke_grid_cap)
-            for w in sels:
-                min_pivot = min(min_pivot, a_matrix_min_pivot(spec, sol, w))
-                n_matrices += 1
-    ok = min_pivot >= 1e-8
+            # every B-selector and Clarke grid point: the sweep that subdiff runs
+            solved = selector_sweep(spec, sol, config, clarke=True).solved
+            min_sigma = min(min_sigma, float(np.min(solved.sigma_min)))
+            n_matrices += len(solved.sigma_min)
+    ok = min_sigma >= 1e-8
     _report(
         3,
         ok,
         f"{n_matrices} selector matrices over 4 candidates x 5 points: "
-        f"smallest pivot {min_pivot:.3e} (>= 1e-8)",
+        f"smallest sigma_min {min_sigma:.3e} (>= 1e-8)",
     )
 
 

@@ -264,8 +264,6 @@ def test_bad_oracle_grid_fails_at_config(p1, bad):
     ("fd_step", float("nan"), "fd_step must be finite"),
     ("fd_step", 0.0, "fd_step must be positive"),
     ("fd_hess_step", -1e-3, "fd_hess_step must be positive"),
-    ("cond_warn", float("inf"), "cond_warn must be finite"),
-    ("cond_warn", 0.0, "cond_warn must be positive"),
     ("oracle_tol", float("inf"), "oracle_tol must be finite"),
     ("oracle_tol", -1e-9, "tol and feas_tol must be finite and >= 0"),
 ])

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minimaxcert.cli import main
+from minimaxcert.config import CheckConfig
 from minimaxcert.fixtures import fixture_text
 from minimaxcert.report import dumps_canonical, loads, render_summary
 
@@ -113,6 +114,38 @@ def test_multiple_candidates_parallel(prob_files, tmp_path, capsys):
     assert docs[1]["verdict"] == "refuted"
 
 
+@pytest.mark.parametrize("flag", ["--mu", "--lambda", "--u", "--v"])
+def test_multiplier_flag_count_must_match_candidates(prob_files, capsys, flag):
+    # given once it serves every candidate, and once per candidate it is
+    # matched by position; any other count would drop or ignore values
+    point = ["--x=.5", "--y=.5"] * 3
+    assert main(["certify", prob_files["P2"], *point, f"{flag}=1", f"{flag}=7"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag} is given 2 times and --x 3 times: "
+        "give it once, or once per candidate\n")
+    assert main(["certify", prob_files["P2"], "--x=.5", "--y=.5", f"{flag}=1",
+                 f"{flag}=7"]) == 1
+    assert f"{flag} is given 2 times and --x 1 times" in capsys.readouterr().err
+
+
+def test_multiplier_flag_once_or_once_per_candidate(prob_files, tmp_path, capsys):
+    # P2's inner solution at x = 0.5 is y = 0 with lam = 1: every candidate
+    # gets the value meant for it, and it verifies
+    out = tmp_path / "r.json"
+    point = ["--x=.5", "--y=0"] * 3
+    for values in ([], ["1"], ["1", "1", "1"]):
+        code = main(["certify", prob_files["P2"], *point,
+                     *(f"--lambda={v}" for v in values), "--json", str(out)])
+        capsys.readouterr()
+        docs = json.loads(out.read_text(encoding="utf-8"))
+        assert code != 1 and len(docs) == 3
+        assert [d["candidate"].get("lam") for d in docs] == [[1.0] if values else None] * 3
+        details = {r["detail"] for d in docs for r in d["results"] if r["name"] == "multipliers"}
+        assert len(details) == 1
+        assert details.pop().startswith("supplied multipliers verified" if values
+                                        else "multipliers recovered")
+
+
 def test_value_derivs_command(prob_files, capsys):
     assert main(["value-derivs", prob_files["P1"], "--x", "0.3", "--y", "0"]) == 0
     out = capsys.readouterr().out
@@ -215,13 +248,17 @@ def test_config_file_overrides(prob_files, tmp_path, capsys):
 
 def test_bad_config_key_is_usage_error(prob_files, tmp_path, capsys):
     # cone_samples went with the cone sampler: the face test has no knob;
-    # slack_floor went with the squared-slack Newton
+    # slack_floor went with the squared-slack Newton; cond_warn could not fire
+    # once a nonsingular A(x, W) had condition below 1e12
     cfg = tmp_path / "conf.txt"
-    for line in ("frobnicate = 1", "cone_samples = 64", "slack_floor = 1e-12"):
-        cfg.write_text(line + "\n", encoding="utf-8")
+    for key, value in (("frobnicate", 1), ("cone_samples", 64), ("slack_floor", 1e-12),
+                       ("cond_warn", 1e6)):
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         assert main(["certify", prob_files["P1"], "--x", "0", "--y", "0",
                      "--config", str(cfg)]) == 1
         assert "unknown config key" in capsys.readouterr().err
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            CheckConfig(**{key: value})
 
 
 @pytest.mark.parametrize("cmd", ["certify", "oracle"])

@@ -8,15 +8,15 @@ from minimaxcert import (
     enumerate_b_selectors,
     kkt_map_directional,
     phi_generalized_gradients,
-    phi_gradient,
     solve_lower,
+    value_derivatives,
 )
 from minimaxcert.lower import classify_partition
 from minimaxcert.nonsmooth import (
     SelectorCapError,
     WSelector,
-    a_matrix_min_pivot,
     clarke_selector_grid,
+    selector_sweep,
 )
 from minimaxcert.problem import eval_bundle
 
@@ -91,8 +91,8 @@ def test_a_matrix_p2_both_selectors(p2, config):
     assert np.allclose(np.abs(A1), [[2.0, 1.0], [0.0, 1.0]], atol=1e-9)
     assert abs(np.linalg.det(A0)) == pytest.approx(1.0, abs=1e-9)
     assert abs(np.linalg.det(A1)) == pytest.approx(2.0, abs=1e-9)
-    assert a_matrix_min_pivot(p2, sol, w0) >= 1e-8
-    assert a_matrix_min_pivot(p2, sol, w1) >= 1e-8
+    # the sweep's margin sigma_min of both selectors, in order w0, w1
+    assert min(selector_sweep(p2, sol, config).solved.sigma_min) >= 1e-8
 
 
 def test_a_matrix_p1_gamma_case(p1, config):
@@ -218,7 +218,7 @@ def test_phi_gradients_match_smooth_gradient(p1, config):
         sol = solve_lower(p1, [x], ([0.0], None, None), config)
         gset = phi_generalized_gradients(p1, sol, config)
         assert len(gset.items) == 1
-        assert abs(gset.items[0][1][0] - phi_gradient(p1, sol)[0]) <= 1e-10
+        assert abs(gset.items[0][1][0] - value_derivatives(p1, sol).gradient[0]) <= 1e-10
 
 
 def test_outer_approx_includes_clarke_samples(p2, config):
@@ -273,13 +273,11 @@ def fixture_solutions(p1, p2, p4, config):
 
 
 def test_all_selector_matrices_nonsingular(p1, p2, p4, config):
+    # every B-selector and Clarke grid point, the sweep that subdiff runs
     for spec, sol in fixture_solutions(p1, p2, p4, config):
         assert check_assumption_a(spec, sol.x, sol.y, config).assumption_a
-        part = partition_at(spec, sol, config)
-        for w in enumerate_b_selectors(part, config.selector_cap):
-            assert a_matrix_min_pivot(spec, sol, w) >= 1e-8
-        for w in clarke_selector_grid(part, 5, config.clarke_grid_cap):
-            assert a_matrix_min_pivot(spec, sol, w) >= 1e-8
+        solved = selector_sweep(spec, sol, config, clarke=True).solved
+        assert min(solved.sigma_min) >= 1e-8
 
 
 def test_nonsingularity_persists_under_perturbation(p1, p2, p4, config):
@@ -288,11 +286,8 @@ def test_nonsingularity_persists_under_perturbation(p1, p2, p4, config):
         for delta in deltas:
             xp = sol.x + delta
             sp = solve_lower(spec, xp, (sol.y, sol.mu, sol.lam), config)
-            part = partition_at(spec, sp, config)
-            for w in enumerate_b_selectors(part, config.selector_cap):
-                assert a_matrix_min_pivot(spec, sp, w) >= 1e-8
-            for w in clarke_selector_grid(part, 5, config.clarke_grid_cap):
-                assert a_matrix_min_pivot(spec, sp, w) >= 1e-8
+            solved = selector_sweep(spec, sp, config, clarke=True).solved
+            assert min(solved.sigma_min) >= 1e-8
 
 
 # --- the stacked sweep against the per-selector reference ---------------------------
@@ -325,7 +320,6 @@ def _reference_a(lag, bundle, w):
 def test_sweep_matches_per_selector_reference_bit_for_bit(p1, p2, p4, config):
     from minimaxcert.linalg import SINGULAR_RTOL, SingularMatrixError
     from minimaxcert.lower import kkt_jacobian_blocks, lagrangian_eval
-    from minimaxcert.nonsmooth import selector_sweep
 
     singular = 0
     for spec, sol in _sweep_cases(p1, p2, p4, config):

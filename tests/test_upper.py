@@ -15,12 +15,17 @@ from minimaxcert import (
     value_derivatives,
 )
 from minimaxcert.conditions import (
-    NOT_FOUND_SAMPLED,
+    INCONCLUSIVE,
     SATISFIED,
     VIOLATED,
 )
 from minimaxcert.problem import ProblemSpec, parse_problem
-from minimaxcert.upper import _cone_curvature, _curvature_lp_max, upper_data
+from minimaxcert.upper import (
+    _cone_curvature,
+    _curvature_lp_max,
+    compute_upper_active_set,
+    upper_data,
+)
 
 from conftest import (
     affine_expr,
@@ -40,23 +45,23 @@ def smooth_vd(spec, x, config, y0=None):
 # --- MFCQ ----------------------------------------------------------------------
 
 def test_mfcq_opposing_gradients_fail(p3, config):
-    res = check_mfcq(p3, [0.0], config)
-    assert res.check.status == VIOLATED
-    assert res.lp_value == pytest.approx(0.0, abs=1e-9)
+    check = check_mfcq(p3, [0.0], config)
+    assert check.status == VIOLATED
+    assert check.value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mfcq_vacuous_when_inactive(p1, config):
-    res = check_mfcq(p1, [0.0], config)
-    assert res.check.status == SATISFIED
-    assert res.active == ()
-    assert np.allclose(res.witness, 0.0)
+    check = check_mfcq(p1, [0.0], config)
+    assert check.status == SATISFIED
+    assert check.value == np.inf and check.detail == "no active inequalities"
+    assert compute_upper_active_set(p1, [0.0], config).I == ()
 
 
 def test_mfcq_single_active_bound(p4, config):
-    res = check_mfcq(p4, [1.0], config)
-    assert res.check.status == SATISFIED
-    assert res.lp_value == pytest.approx(1.0, abs=1e-9)
-    assert res.witness[0] == pytest.approx(1.0, abs=1e-9)
+    check = check_mfcq(p4, [1.0], config)
+    assert check.status == SATISFIED
+    assert check.value == pytest.approx(1.0, abs=1e-9)
+    assert check.witness[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mfcq_verdict_invariant_under_row_rescaling(config):
@@ -64,13 +69,13 @@ def test_mfcq_verdict_invariant_under_row_rescaling(config):
     verdicts = set()
     for a, b in ((1.0, 1.0), (7.5, 0.25), (100.0, 3.0)):
         spec = parse_problem(base.format(a=a, b=b))
-        verdicts.add(check_mfcq(spec, [0.0], config).check.status)
+        verdicts.add(check_mfcq(spec, [0.0], config).status)
     assert verdicts == {VIOLATED}
     good = "dims 1 1 0 0 0 1\nf = x1*y1 - y1^2\nG1 = {a}*x1\n"
     verdicts = set()
     for a in (1.0, 12.0, 0.05):
         spec = parse_problem(good.format(a=a))
-        verdicts.add(check_mfcq(spec, [0.0], config).check.status)
+        verdicts.add(check_mfcq(spec, [0.0], config).status)
     assert verdicts == {SATISFIED}
 
 
@@ -176,7 +181,7 @@ def test_polytope_bounded_exactly_when_mfcq_holds(system, config):
     poly = upper_kkt_and_polytope(spec, np.zeros(n), r, config)
     assert poly.nonempty
     reference = coordinate_lp_bounded(poly)
-    assert poly.bounded == check_mfcq(spec, np.zeros(n), config).check.ok == reference
+    assert poly.bounded == check_mfcq(spec, np.zeros(n), config).ok == reference
 
 
 # --- critical cone -----------------------------------------------------------------
@@ -405,8 +410,8 @@ def test_first_order_nonsmooth_p4(p4, config):
 
 def test_first_order_nonsmooth_not_found_is_not_disproof(config):
     # beta nonempty and a working gradient that no sampled selector matches:
-    # the search reports not-found rather than violated
+    # the search is inconclusive rather than violated
     spec = parse_problem("dims 1 1 0 1 0 0\nf = -(y1-x1)^2 + 0.5*x1\ng1 = y1\n")
     sol = solve_lower(spec, [0.0], ([0.0], None, None), config)
     check, _ = first_order_nonsmooth_necessary(spec, [0.0], sol, config)
-    assert check.status == NOT_FOUND_SAMPLED
+    assert check.status == INCONCLUSIVE

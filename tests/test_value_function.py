@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minimaxcert import (
-    CheckConfig,
-    assemble_sensitivity_system,
-    phi_gradient,
-    phi_hessian,
-    solve_lower,
-    value_derivatives,
-)
+from minimaxcert import CheckConfig, solve_lower, value_derivatives
 from minimaxcert.lower import lagrangian_eval
 from minimaxcert.oracle import fd_derivatives
 from minimaxcert.problem import eval_bundle, parse_problem
@@ -37,27 +30,27 @@ def phi_of(spec, config, sol):
 def test_sensitivity_system_p1_origin(p1, config):
     # g1 = y1 - 1 is inactive (gamma, W = 1): its row is -lam' = 0
     sol = smooth_solution(p1, [0.0], config)
-    system = assemble_sensitivity_system(p1, sol, config)
-    assert np.array_equal(system.A, [[-1.0, -1.0], [0.0, -1.0]])
-    assert np.array_equal(system.rhs.ravel(), [1.0, 0.0])
+    sweep = value_derivatives(p1, sol, config).sweep
+    assert np.array_equal(sweep.A[0], [[-1.0, -1.0], [0.0, -1.0]])
+    assert np.array_equal(sweep.rhs[0].ravel(), [1.0, 0.0])
 
 
 def test_sensitivity_blocks_active_case(p2, config):
     # lam = 1 (alpha, W = 0): the constraint row is J_y g with a zero lambda
     # entry, and its right-hand side is J_x g
     sol = smooth_solution(p2, [0.5], config)
-    system = assemble_sensitivity_system(p2, sol, config)
-    assert np.array_equal(system.A, [[-2.0, -1.0], [1.0, 0.0]])
-    assert np.array_equal(system.rhs.ravel(), [2.0, 0.0])
-    assert system.H.shape == (2, 1)
+    sweep = value_derivatives(p2, sol, config).sweep
+    assert np.array_equal(sweep.A[0], [[-2.0, -1.0], [1.0, 0.0]])
+    assert np.array_equal(sweep.rhs[0].ravel(), [2.0, 0.0])
+    assert sweep.H.shape == (1, 2, 1)
 
 
 def test_sensitivity_degenerate_no_constraints(config):
     spec = parse_problem("dims 1 1 0 0 0 0\nf = -(y1-x1)^2\n")
     sol = smooth_solution(spec, [0.3], config)
-    system = assemble_sensitivity_system(spec, sol, config)
-    assert system.A.shape == (1, 1)
-    assert system.A[0, 0] == pytest.approx(-2.0)
+    sweep = value_derivatives(spec, sol, config).sweep
+    assert sweep.A.shape == (1, 1, 1)
+    assert sweep.A[0, 0, 0] == pytest.approx(-2.0)
 
 
 def test_singular_k_is_reported(p2, config):
@@ -70,49 +63,49 @@ def test_singular_k_is_reported(p2, config):
         mu=np.zeros(0), lam=np.array([0.0]), residual=0.0,
     )
     with pytest.raises(SingularSensitivityError):
-        assemble_sensitivity_system(p2, sol, config)
+        value_derivatives(p2, sol, config)
 
 
 # --- gradient ----------------------------------------------------------------
 
 def test_phi_gradient_p1(p1, config):
     sol = smooth_solution(p1, [0.3], config)
-    assert phi_gradient(p1, sol)[0] == pytest.approx(0.3, abs=1e-10)
+    assert value_derivatives(p1, sol).gradient[0] == pytest.approx(0.3, abs=1e-10)
     sol0 = smooth_solution(p1, [0.0], config)
-    assert phi_gradient(p1, sol0)[0] == pytest.approx(0.0, abs=1e-10)
+    assert value_derivatives(p1, sol0).gradient[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_phi_gradient_p2_interior(p2, config):
     sol = smooth_solution(p2, [-0.5], config)
-    assert phi_gradient(p2, sol)[0] == pytest.approx(0.0, abs=1e-9)
+    assert value_derivatives(p2, sol).gradient[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_solution_is_opened_at_tol_newton(p1):
     # y off P1's maximiser at x = 0.5 by 5e-7: the seed is the solution at
-    # tol_newton = 1e-6, and every function that opens it checks that bound
+    # tol_newton = 1e-6, and value_derivatives, which opens it, checks that bound
     loose = CheckConfig(tol_newton=1e-6)
     sol = solve_lower(p1, [0.5], ([0.5 + 5e-7], None, None), loose)
     assert sol.iterations == 1 and 0.0 < sol.residual <= loose.tol_newton
-    assert phi_gradient(p1, sol, loose)[0] == pytest.approx(0.5, abs=1e-6)
-    assert value_derivatives(p1, sol, loose).hessian[0, 0] == pytest.approx(1.0)
-    for opens in (phi_gradient, assemble_sensitivity_system, value_derivatives):
-        with pytest.raises(ValueError, match="exceeds tol_newton 1.0e-10"):
-            opens(p1, sol)
+    vd = value_derivatives(p1, sol, loose)
+    assert vd.gradient[0] == pytest.approx(0.5, abs=1e-6)
+    assert vd.hessian[0, 0] == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="exceeds tol_newton 1.0e-10"):
+        value_derivatives(p1, sol)
 
 
 # --- Hessian -----------------------------------------------------------------
 
 def test_phi_hessian_p1(p1, config):
     sol = smooth_solution(p1, [0.0], config)
-    assert phi_hessian(p1, sol)[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert value_derivatives(p1, sol).hessian[0, 0] == pytest.approx(1.0, abs=1e-9)
     sol5 = smooth_solution(p1, [0.5], config)
-    assert phi_hessian(p1, sol5)[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert value_derivatives(p1, sol5).hessian[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phi_hessian_unconstrained_toy(config):
     spec = parse_problem("dims 1 1 0 0 0 0\nf = -(y1-x1)^2\n")
     sol = smooth_solution(spec, [0.2], config)
-    assert phi_hessian(spec, sol)[0, 0] == pytest.approx(0.0, abs=1e-10)
+    assert value_derivatives(spec, sol).hessian[0, 0] == pytest.approx(0.0, abs=1e-10)
 
 
 # --- FD agreement ------------------------------------------------------------
@@ -145,10 +138,9 @@ def test_hessian_consistent_with_gradient_jacobian(p1, config):
     for x in (-0.2, 0.0, 0.3):
         sol = smooth_solution(p1, [x], config)
         vd = value_derivatives(p1, sol, config)
-        gp = phi_gradient(p1, solve_lower(p1, [x + h], (sol.y, sol.mu, sol.lam),
-                                          config))
-        gm = phi_gradient(p1, solve_lower(p1, [x - h], (sol.y, sol.mu, sol.lam),
-                                          config))
+        gp, gm = (value_derivatives(p1, solve_lower(p1, [x + s], (sol.y, sol.mu, sol.lam),
+                                                    config)).gradient
+                  for s in (h, -h))
         fd = (gp[0] - gm[0]) / (2 * h)
         assert abs(vd.hessian[0, 0] - fd) <= 1e-6
 
@@ -180,7 +172,7 @@ def test_value_hessian_is_symmetric_and_matches_central_differences(seed):
     vd = value_derivatives(spec, sol, config)
     bundle = eval_bundle(spec, sol.x, sol.y)
     lag = lagrangian_eval(bundle, sol.mu, sol.lam)
-    raw = lag.xx - np.hstack([lag.yx.T, bundle.h_jx.T, -bundle.g_jx.T]) @ vd.system.H
+    raw = lag.xx - np.hstack([lag.yx.T, bundle.h_jx.T, -bundle.g_jx.T]) @ vd.sweep.H[0]
     assert np.max(np.abs(raw - raw.T), initial=0.0) <= 1e-10 * (1 + np.max(np.abs(raw)))
     np.testing.assert_array_equal(vd.hessian, 0.5 * (raw + raw.T))
 
@@ -188,7 +180,8 @@ def test_value_hessian_is_symmetric_and_matches_central_differences(seed):
     start = (sol.y, sol.mu, sol.lam)
     columns = []
     for e in np.eye(spec.n):
-        plus, minus = (phi_gradient(spec, solve_lower(spec, x + s * t * e, start, config))
+        plus, minus = (value_derivatives(spec, solve_lower(spec, x + s * t * e, start,
+                                                           config)).gradient
                        for s in (1.0, -1.0))
         columns.append((plus - minus) / (2 * t))
     fd = np.column_stack(columns)
@@ -213,8 +206,9 @@ def test_symmetric_display_equals_exact_jacobian_assembly(config):
     step = 1e-6
     for spec, x, y, mu, lam in specs:
         sol = solve_lower(spec, x, (y, mu, lam), config)
-        system = assemble_sensitivity_system(spec, sol, config)
-        assert np.allclose(system.A @ system.H, system.rhs, atol=1e-9)
+        vd = value_derivatives(spec, sol, config)
+        A, H, rhs = vd.sweep.A[0], vd.sweep.H[0], vd.sweep.rhs[0]
+        assert np.allclose(A @ H, rhs, atol=1e-9)
 
         def triple(xv):
             s = solve_lower(spec, xv, (sol.y, sol.mu, sol.lam), config)
@@ -224,8 +218,7 @@ def test_symmetric_display_equals_exact_jacobian_assembly(config):
             (triple(x + step * e) - triple(x - step * e)) / (2 * step)
             for e in np.eye(spec.n)
         ])
-        assert np.max(np.abs(-system.H - jac_fd)) <= 1e-5
-        vd = value_derivatives(spec, sol, config)
+        assert np.max(np.abs(-H - jac_fd)) <= 1e-5
         _, hess_fd = fd_derivatives(phi_of(spec, config, sol), x,
                                     config.fd_step, config.fd_hess_step)
         assert np.max(np.abs(vd.hessian - hess_fd)) <= 1e-4
@@ -248,10 +241,18 @@ def test_kahan_sensitivity_matrix_is_singular(config):
 
 
 def test_condition_estimate_attached(p1, p2, config):
-    sol = smooth_solution(p1, [0.0], config)
-    system = assemble_sensitivity_system(p1, sol, config)
-    assert system.condition > 0
-    assert not system.condition_warning
+    # certify reports the sweep's sigma_min as the margin and
+    # sigma_max / sigma_min as the condition estimate
+    from minimaxcert import CandidatePoint, certify
+
+    solved = value_derivatives(p1, smooth_solution(p1, [0.0], config), config).sweep.solved
+    assert not solved.singular[0]
+    condition = solved.sigma_max[0] / solved.sigma_min[0]
+    assert condition > 0
+    rep = certify(p1, CandidatePoint([0.0], [0.0]), config)
+    check = next(c for c in rep.results if c.name == "sensitivity_system")
+    assert check.value == solved.sigma_min[0]
+    assert check.detail == f"condition estimate {condition:.3e}"
     # g1 = -1e-6 is inactive but close: A(x, W) stays well conditioned
-    sol = smooth_solution(p2, [-1e-6], config)
-    assert assemble_sensitivity_system(p2, sol, config).condition < 10
+    solved = value_derivatives(p2, smooth_solution(p2, [-1e-6], config), config).sweep.solved
+    assert solved.sigma_max[0] / solved.sigma_min[0] < 10
