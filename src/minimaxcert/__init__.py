@@ -46,7 +46,6 @@ from .problem import (
 )
 from .upper import (
     check_mfcq,
-    critical_cone_upper,
     first_order_nonsmooth_necessary,
     second_order_necessary,
     second_order_sufficient,

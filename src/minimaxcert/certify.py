@@ -51,11 +51,9 @@ from .problem import (
 from .upper import (
     check_mfcq,
     compute_upper_active_set,
-    critical_cone_upper,
     first_order_nonsmooth_necessary,
     second_order_necessary,
     second_order_sufficient,
-    upper_data,
     upper_kkt_and_polytope,
 )
 from .value_function import SingularSensitivityError, value_derivatives
@@ -390,7 +388,8 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
         fo = ConditionCheck(
             "first_order", SATISFIED, poly.residual(*poly.point),
             config.tol_kkt, KIND_NECESSARY,
-            detail="" if poly.bounded else "polytope unbounded (flagged)",
+            # by Gauvin (1977) the polytope is bounded exactly when MFCQ holds
+            detail="" if mfcq_ok else "polytope unbounded (flagged)",
         )
     elif mfcq_ok:
         fo = ConditionCheck(
@@ -407,14 +406,13 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
 
     if candidate.u is not None or candidate.v is not None:
         results.append(
-            _verify_upper_multipliers(spec, candidate, vd.gradient, poly, config)
+            _verify_upper_multipliers(spec, candidate, poly, config)
         )
 
-    # every multiplier gives the same reduced cone, the critical cone without
-    # its gradient row, so the polytope's LP point serves
-    cone = critical_cone_upper(spec, candidate.x, vd.gradient, poly.point, config)
+    # the necessary check runs on poly.cone and the sufficient one on
+    # poly.reduced, which every multiplier gives alike, so the LP point serves
     if mfcq_ok and poly.nonempty:
-        results.append(second_order_necessary(spec, candidate.x, vd, poly, cone, config))
+        results.append(second_order_necessary(vd, poly, config))
     else:
         results.append(
             ConditionCheck(
@@ -424,9 +422,7 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
             )
         )
     if poly.nonempty:
-        results.append(
-            second_order_sufficient(spec, candidate.x, vd, poly, cone, config)
-        )
+        results.append(second_order_sufficient(vd, poly, config))
     else:
         results.append(
             ConditionCheck(
@@ -436,16 +432,14 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
         )
 
 
-def _verify_upper_multipliers(spec, candidate, working_grad, poly, config):
+def _verify_upper_multipliers(spec, candidate, poly, config):
     """Supplied (u, v) are verified against the stationarity system rather
     than recomputed; the polytope's own point stays in the polytope result."""
     u = candidate.u if candidate.u is not None else np.zeros(spec.n1)
     v = candidate.v if candidate.v is not None else np.zeros(spec.n2)
     residual = poly.residual(u, v)
     neg = float(np.min(v, initial=0.0))
-    comp = 0.0
-    if spec.n2:
-        comp = float(np.max(np.abs(v * upper_data(spec, candidate.x).G), initial=0.0))
+    comp = float(np.max(np.abs(v * poly.data.G), initial=0.0))
     ok = residual <= config.tol_kkt and neg >= -config.tol_act and comp <= config.tol_act
     return ConditionCheck(
         "upper_multipliers",

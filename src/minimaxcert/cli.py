@@ -131,6 +131,15 @@ def _candidates(args, spec) -> list[CandidatePoint]:
     return out
 
 
+def _candidate(args, spec) -> CandidatePoint:
+    """The one candidate of a single-candidate command."""
+    candidates = _candidates(args, spec)
+    if len(candidates) > 1:
+        raise ValueError(f"{args.cmd} takes one candidate, and --x and --y are given "
+                         f"{len(candidates)} times")
+    return candidates[0]
+
+
 def _emit(doc, json_path):
     text = dumps_canonical(doc)
     if json_path:
@@ -179,7 +188,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_value_derivs(args) -> int:
     spec, config = _load(args)
-    cand = _candidates(args, spec)[0]
+    cand = _candidate(args, spec)
     sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config)
     vd = value_derivatives(spec, sol, config)
 
@@ -227,7 +236,7 @@ def _cmd_value_derivs(args) -> int:
 
 def _cmd_solve_lower(args) -> int:
     spec, config = _load(args)
-    cand = _candidates(args, spec)[0]
+    cand = _candidate(args, spec)
     sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config)
     doc = {
         "version": VERSION,
@@ -253,7 +262,7 @@ def _cmd_solve_lower(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec, config = _load(args)
-    cand = _candidates(args, spec)[0]
+    cand = _candidate(args, spec)
     grid = config.oracle_grid()
     rep = verify_minimax_definition(spec, cand.x, cand.y, grid)
     doc = {
@@ -278,7 +287,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_subdiff(args) -> int:
     spec, config = _load(args)
-    cand = _candidates(args, spec)[0]
+    cand = _candidate(args, spec)
     sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config)
     gset = phi_generalized_gradients(spec, sol, config, kind="outer_approx")
     items = [

@@ -55,13 +55,10 @@ def cone_contains(E: np.ndarray, F: np.ndarray, d: np.ndarray) -> bool:
 
 @dataclass
 class Cone:
-    """The cone {d : E d = 0, F d <= 0}; ker E spans its affine hull.  An
-    upper critical cone with a known multiplier keeps its reduced form, the
-    cone of the sufficient check, as `reduced`."""
+    """The cone {d : E d = 0, F d <= 0}; ker E spans its affine hull."""
 
     E: np.ndarray
     F: np.ndarray
-    reduced: Cone | None = None
 
     def contains(self, d: np.ndarray) -> bool:
         return cone_contains(self.E, self.F, d)

@@ -1,5 +1,5 @@
-"""Outer-minimization conditions: MFCQ, the multiplier polytope, critical
-cones, and the second-order / nonsmooth first-order optimality tests.
+"""Outer-minimization conditions: MFCQ, the multiplier polytope with its
+critical cones, and the second-order / nonsmooth first-order optimality tests.
 
 Every question of the form "is there an outer multiplier (u, v) for this
 gradient, and which one" goes to `_outer_multiplier`: the polytope's
@@ -66,7 +66,6 @@ def upper_data(spec: ProblemSpec, x) -> UpperData:
 @dataclass
 class UpperActiveSet:
     I: tuple[int, ...]
-    n1: int
     feasible: bool
     worst_violation: float
 
@@ -81,7 +80,7 @@ def compute_upper_active_set(spec: ProblemSpec, x,
     if data.G.size:
         viol = max(viol, float(np.max(data.G)))
     active = tuple(i for i in range(spec.n2) if abs(data.G[i]) <= tol_act)
-    return UpperActiveSet(I=active, n1=spec.n1, feasible=viol <= tol_act, worst_violation=viol)
+    return UpperActiveSet(I=active, feasible=viol <= tol_act, worst_violation=viol)
 
 
 def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> ConditionCheck:
@@ -151,22 +150,33 @@ def _check_mfcq(spec: ProblemSpec, x: np.ndarray, config: CheckConfig) -> Condit
 
 @dataclass
 class LambdaPolytope:
-    """Upper multipliers: {(u, v): JH^T u + JG^T v = -r0, v >= 0 on I, v = 0 off I}.
+    """Upper multipliers: {(u, v): JH^T u + JG^T v = -r0, v >= 0 on I, v = 0 off I},
+    with the outer data it was read from (`data`) and its system's
+    `_lambda_lp_parts` (`parts`).
 
+    `cone` is the critical cone {JH d = 0, JG_I d <= 0, r0 . d <= 0}.
     `point` is the one member that `_outer_multiplier` found (None when the
-    set is empty); `single` holds when `point` is the only member."""
+    set is empty); `single` holds when `point` is the only member.  With a
+    point, `reduced` is the critical cone in its reduced form, the cone of
+    the sufficient check: rows of I whose multiplier exceeds tol_act become
+    equalities and the gradient row goes.  Every multiplier reduces the cone
+    to the same set, so the point serves."""
 
     r0: np.ndarray
-    JH: np.ndarray
-    JG: np.ndarray
+    data: UpperData
     active: tuple[int, ...]
-    nonempty: bool
+    parts: tuple
+    cone: Cone
     point: tuple[np.ndarray, np.ndarray] | None = None
-    bounded: bool | None = None
+    reduced: Cone | None = None
     single: bool = False
 
+    @property
+    def nonempty(self) -> bool:
+        return self.point is not None
+
     def residual(self, u: np.ndarray, v: np.ndarray) -> float:
-        return _stationarity_residual(self.JH, self.JG, u, v, self.r0)
+        return _stationarity_residual(self.data.JH, self.data.JG, u, v, self.r0)
 
 
 def _stationarity_residual(JH, JG, u, v, r) -> float:
@@ -216,59 +226,34 @@ def _outer_multiplier(data: UpperData, active: tuple[int, ...], r: np.ndarray,
 def upper_kkt_and_polytope(
     spec: ProblemSpec, x, working_grad: np.ndarray, config: CheckConfig | None = None
 ) -> LambdaPolytope:
-    """Emptiness and `point` by one `_outer_multiplier` solve; boundedness
-    from MFCQ; `single` from the rank of the multiplier system.
+    """The outer level at x: emptiness and `point` by one `_outer_multiplier`
+    solve, the critical cone and its reduced form, and `single` from the rank
+    of the multiplier system.
 
     A nonempty polytope is bounded exactly when its recession cone
     {(u, v_I): JH^T u + JG_I^T v = 0, v >= 0} is {0}, and by Motzkin's
     transposition theorem that holds exactly when JH has full row rank and
-    some d has JH d = 0 and JG_I d < 0, which is MFCQ at x (Gauvin 1977).
-    It is a single point when there are no multiplier variables or the
-    system's columns are independent."""
+    some d has JH d = 0 and JG_I d < 0, which is MFCQ at x (Gauvin 1977), so
+    `check_mfcq` answers it.  It is a single point when there are no
+    multiplier variables or the system's columns are independent."""
     config = config or CheckConfig()
     data = upper_data(spec, x)
     active = compute_upper_active_set(spec, x, config).I
     r0 = np.atleast_1d(np.asarray(working_grad, dtype=float))
     parts = _lambda_lp_parts(data, active, r0)
     point = _outer_multiplier(data, active, r0, config.tol_kkt, parts)
-    poly = LambdaPolytope(r0=r0, JH=data.JH, JG=data.JG, active=active,
-                          nonempty=point is not None, point=point)
+    cone = Cone(data.JH, np.vstack([data.JG[list(active)], r0.reshape(1, -1)]))
+    poly = LambdaPolytope(r0, data, active, parts, cone, point)
     if point is None:
         return poly
 
-    poly.bounded = check_mfcq(spec, x, config).ok
+    v = point[1]
+    strong = [i for i in active if v[i] > config.tol_act]
+    weak = [i for i in active if v[i] <= config.tol_act]
+    poly.reduced = Cone(np.vstack([data.JH, data.JG[strong]]), data.JG[weak])
     A_eq, _, _, nvar = parts
     poly.single = nvar == 0 or smallest_singular_value(A_eq.T) > RANK_TOL
     return poly
-
-
-def critical_cone_upper(
-    spec: ProblemSpec,
-    x,
-    working_grad: np.ndarray,
-    multiplier: tuple[np.ndarray, np.ndarray] | None = None,
-    config: CheckConfig | None = None,
-) -> Cone:
-    """Critical cone rows: E = JH, F = [JG_I; working-gradient row (<= 0)].
-    With a multiplier, its reduced form (equalities forced by positive
-    multipliers, no gradient row) is the cone's `reduced`."""
-    config = config or CheckConfig()
-    data = upper_data(spec, x)
-    aset = compute_upper_active_set(spec, x, config)
-    r0 = np.atleast_1d(np.asarray(working_grad, dtype=float))
-    E = data.JH if spec.n1 else np.zeros((0, spec.n))
-    F_rows = []
-    if aset.I:
-        F_rows.append(data.JG[list(aset.I)])
-    F_rows.append(r0.reshape(1, -1))
-    F = np.vstack(F_rows)
-    cone = Cone(E, F)
-    if multiplier is not None:
-        v = multiplier[1]
-        strong = [i for i in aset.I if v[i] > config.tol_act]
-        weak = [i for i in aset.I if v[i] <= config.tol_act]
-        cone.reduced = Cone(np.vstack([E, data.JG[strong]]), data.JG[weak])
-    return cone
 
 
 def _curvature_coefficients(data: UpperData, active: tuple[int, ...],
@@ -279,22 +264,21 @@ def _curvature_coefficients(data: UpperData, active: tuple[int, ...],
                            np.einsum("a,iab,b->i", d, data.Gxx[list(active)], d)])
 
 
-def _curvature_lp_max(poly: LambdaPolytope, data: UpperData, d: np.ndarray,
-                      tol_kkt: float) -> float:
+def _curvature_lp_max(poly: LambdaPolytope, d: np.ndarray, tol_kkt: float) -> float:
     """max over the polytope of sum_j u_j <Hxx_j d, d> + sum_i v_i <Gxx_i d, d>,
     by LP feasible to tol_kkt (+inf when unbounded, NaN when the LP fails)."""
-    A_eq, b_eq, lower, _ = _lambda_lp_parts(data, poly.active, poly.r0)
-    c = _curvature_coefficients(data, poly.active, d)
+    A_eq, b_eq, lower, _ = poly.parts
+    c = _curvature_coefficients(poly.data, poly.active, d)
     sol = solve_lp(LpProblem(c, A_eq, b_eq, None, None, lower, None), tol_kkt)
     if sol.status == "unbounded":
         return np.inf
     return float(sol.value) if sol.status == "optimal" else np.nan
 
 
-def _cone_curvature(spec, x, vd, poly, E, F, config):
-    """Lower bound of min q_sup(d) over the unit directions of the cone
-    {E d = 0, F d <= 0}, q_sup(d) = d^T hess(phi) d + max over the
-    multiplier polytope of the constraint curvature.
+def _cone_curvature(vd, poly, cone, config):
+    """Lower bound of min q_sup(d) over the unit directions of `cone`, one of
+    the polytope's critical cones, where q_sup(d) = d^T hess(phi) d + max over
+    the multiplier polytope of the constraint curvature.
 
     Each multiplier lambda = (u, v) gives M(lambda) = hess(phi)
     + sum u_j Hxx_j + sum v_i Gxx_i, whose exact cone minimum g(lambda) is at
@@ -310,14 +294,14 @@ def _cone_curvature(spec, x, vd, poly, E, F, config):
     Returns None when a face walk runs out of its budget
     (`cones.FACE_BUDGET`), else (single point, lower bound, face witnesses);
     the bound is +inf and the list empty on the trivial cone."""
-    data = upper_data(spec, x)
-    A_eq, b_eq, lower, nvar = _lambda_lp_parts(data, poly.active, poly.r0)
+    data = poly.data
+    A_eq, b_eq, lower, nvar = poly.parts
     n1, n2 = data.JH.shape[0], data.JG.shape[0]
     best, witnesses, cuts, rhs = -np.inf, [], [], []
     u, v = poly.point
     for _ in range(CUT_ROUNDS):
         M = vd.hessian + np.einsum("j,jab->ab", u, data.Hxx) + np.einsum("i,iab->ab", v, data.Gxx)
-        face = min_quadratic_on_cone(M, E, F, spec.n)
+        face = min_quadratic_on_cone(M, cone.E, cone.F, M.shape[0])
         if face is None:
             return None
         g, d = face
@@ -337,12 +321,12 @@ def _cone_curvature(spec, x, vd, poly, E, F, config):
         if sol.status != "optimal" or sol.value - best <= config.tol_pd:
             break
         u, v = _split(sol.z[:nvar], n1, poly.active, n2)
-        if not _stationarity_residual(data.JH, data.JG, u, v, poly.r0) <= config.tol_kkt:
+        if not poly.residual(u, v) <= config.tol_kkt:
             break
     return poly.single, best, witnesses
 
 
-def _cone_check(name, kind, threshold, spec, x, vd, poly, E, F, config) -> ConditionCheck:
+def _cone_check(name, kind, threshold, vd, poly, cone, config) -> ConditionCheck:
     """`satisfied` when the lower bound reaches `threshold`; on a single-point
     polytope the bound is exact, so `violated` otherwise; with several
     multipliers `violated` only at a face witness with q_sup <= -tol_pd,
@@ -351,7 +335,7 @@ def _cone_check(name, kind, threshold, spec, x, vd, poly, E, F, config) -> Condi
     if not poly.nonempty:
         return ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd, kind=kind,
                               detail="multiplier polytope is empty")
-    test = _cone_curvature(spec, x, vd, poly, E, F, config)
+    test = _cone_curvature(vd, poly, cone, config)
     if test is None:
         return ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd, kind=kind,
                               detail=budget_detail())
@@ -365,8 +349,7 @@ def _cone_check(name, kind, threshold, spec, x, vd, poly, E, F, config) -> Condi
         return ConditionCheck(name, VIOLATED, lower, config.tol_pd, kind=kind,
                               witness=witnesses[0].tolist(),
                               detail="exact minimum over the cone's faces")
-    data = upper_data(spec, x)
-    d, q = min(((d, float(d @ vd.hessian @ d) + _curvature_lp_max(poly, data, d, config.tol_kkt))
+    d, q = min(((d, float(d @ vd.hessian @ d) + _curvature_lp_max(poly, d, config.tol_kkt))
                 for d in witnesses), key=lambda item: item[1])
     if q <= -config.tol_pd:
         return ConditionCheck(name, VIOLATED, q, config.tol_pd, kind=kind, witness=d.tolist(),
@@ -375,35 +358,22 @@ def _cone_check(name, kind, threshold, spec, x, vd, poly, E, F, config) -> Condi
                           detail=f"min q_sup lies in [{lower:.6g}, {q:.6g}]")
 
 
-def second_order_necessary(
-    spec: ProblemSpec,
-    x,
-    vd: ValueDerivatives,
-    poly: LambdaPolytope,
-    cone: Cone,
-    config: CheckConfig | None = None,
-) -> ConditionCheck:
+def second_order_necessary(vd: ValueDerivatives, poly: LambdaPolytope,
+                           config: CheckConfig | None = None) -> ConditionCheck:
     """q_sup(d) >= 0 (to tolerance) on the unit directions of the critical
-    cone, by the face test."""
+    cone `poly.cone`, by the face test."""
     config = config or CheckConfig()
     return _cone_check("second_order_necessary", KIND_NECESSARY, -config.tol_pd,
-                       spec, x, vd, poly, cone.E, cone.F, config)
+                       vd, poly, poly.cone, config)
 
 
-def second_order_sufficient(
-    spec: ProblemSpec,
-    x,
-    vd: ValueDerivatives,
-    poly: LambdaPolytope,
-    cone: Cone,
-    config: CheckConfig | None = None,
-) -> ConditionCheck:
-    """q_sup(d) >= tol_pd on the unit directions of the reduced critical cone,
-    by the face test; the margin is the growth rate estimate."""
+def second_order_sufficient(vd: ValueDerivatives, poly: LambdaPolytope,
+                            config: CheckConfig | None = None) -> ConditionCheck:
+    """q_sup(d) >= tol_pd on the unit directions of the reduced critical cone
+    `poly.reduced`, by the face test; the margin is the growth rate estimate."""
     config = config or CheckConfig()
-    reduced = cone.reduced or cone
     return _cone_check("second_order_sufficient", KIND_SUFFICIENT, config.tol_pd,
-                       spec, x, vd, poly, reduced.E, reduced.F, config)
+                       vd, poly, poly.reduced, config)
 
 
 def first_order_nonsmooth_necessary(

@@ -344,9 +344,10 @@ def coordinate_lp_bounded(poly):
     """Boundedness of a nonempty multiplier polytope by its 2 (n1 + |I|)
     coordinate LPs: every min and max of one coordinate of (u, v_I) over
     {JH^T u + JG_I^T v = -r0, v >= 0} is a bounded LP.  It is the reference
-    the MFCQ reading of `upper_kkt_and_polytope` is checked against."""
-    A_eq = np.hstack([poly.JH.T, poly.JG[list(poly.active)].T])
-    n1, nvar = poly.JH.shape[0], A_eq.shape[1]
+    `check_mfcq` is checked against, by Gauvin (1977)."""
+    JH, JG = poly.data.JH, poly.data.JG
+    A_eq = np.hstack([JH.T, JG[list(poly.active)].T])
+    n1, nvar = JH.shape[0], A_eq.shape[1]
     lower = np.concatenate([np.full(n1, -np.inf), np.zeros(nvar - n1)])
     return all(
         solve_lp(LpProblem(np.where(np.arange(nvar) == j, sgn, 0.0), A_eq, -poly.r0,
@@ -362,8 +363,9 @@ def basic_multipliers(poly, config):
     stationarity residual is at most tol_kkt.  One lstsq and one SVD per
     subset, so small systems only; it is the reference the cutting-plane
     bound of `upper._cone_curvature` is checked against."""
-    n1 = poly.JH.shape[0]
-    A_eq = np.hstack([poly.JH.T, poly.JG[list(poly.active)].T])
+    JH, JG = poly.data.JH, poly.data.JG
+    n1 = JH.shape[0]
+    A_eq = np.hstack([JH.T, JG[list(poly.active)].T])
     vertices, seen = [], set()
     for size in range(len(poly.active) + 1):
         for subset in combinations(range(n1, A_eq.shape[1]), size):
@@ -375,7 +377,7 @@ def basic_multipliers(poly, config):
                 z[cols], *_ = np.linalg.lstsq(A_eq[:, cols], -poly.r0, rcond=None)
             if np.any(z[n1:] < -config.tol_act):
                 continue
-            u, v = z[:n1], np.zeros(poly.JG.shape[0])
+            u, v = z[:n1], np.zeros(JG.shape[0])
             v[list(poly.active)] = np.maximum(z[n1:], 0.0)
             key = tuple(np.round(np.concatenate([u, v]), 9))
             if poly.residual(u, v) <= config.tol_kkt and key not in seen:

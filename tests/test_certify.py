@@ -19,7 +19,7 @@ from minimaxcert.certify import (
     VERDICT_NECESSARY,
     VERDICT_REFUTED,
 )
-from minimaxcert.conditions import SATISFIED, VIOLATED
+from minimaxcert.conditions import SATISFIED, SKIPPED, VIOLATED
 from minimaxcert.fixtures import fixture_text
 from minimaxcert.oracle import grid_local_maximize
 from minimaxcert.report import dumps_canonical, report_to_doc
@@ -97,7 +97,15 @@ def test_first_order_witness_at_an_exact_kkt_candidate(p1, config):
 
 def test_certify_p3_reports_mfcq_violated(p3, config):
     rep = certify(p3, CandidatePoint([0.0], [0.0]), config)
-    assert result(rep, "mfcq").status == VIOLATED
+    mfcq = result(rep, "mfcq")
+    assert mfcq.status == VIOLATED and mfcq.value == 0.0
+    # the opposing bounds give a ray of outer multipliers: the polytope is
+    # unbounded exactly where MFCQ fails (Gauvin 1977), and the first-order
+    # check says so while it holds
+    first_order = result(rep, "first_order")
+    assert first_order.status == SATISFIED
+    assert first_order.detail == "polytope unbounded (flagged)"
+    assert result(rep, "second_order_necessary").status == SKIPPED
     # sufficiency is vacuous on the pinned feasible set, so the point still
     # certifies; the oracle concordance test backs this up
     assert rep.verdict == VERDICT_CERTIFIED

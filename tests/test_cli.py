@@ -146,6 +146,18 @@ def test_multiplier_flag_once_or_once_per_candidate(prob_files, tmp_path, capsys
                                         else "multipliers recovered")
 
 
+@pytest.mark.parametrize("command", ["value-derivs", "solve-lower", "oracle", "subdiff"])
+def test_single_candidate_commands_refuse_more_candidates(prob_files, capsys, command):
+    # these commands report on one point, so a second --x/--y pair would be
+    # ignored without a word
+    point = ["--x", "0.3", "--y", "0", "--x", "0.1", "--y", "0"]
+    assert main([command, prob_files["P1"], *point]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {command} takes one candidate, and --x and --y are given 2 times\n")
+
+
 def test_value_derivs_command(prob_files, capsys):
     assert main(["value-derivs", prob_files["P1"], "--x", "0.3", "--y", "0"]) == 0
     out = capsys.readouterr().out

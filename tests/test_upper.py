@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from minimaxcert import (
     check_mfcq,
-    critical_cone_upper,
     first_order_nonsmooth_necessary,
     second_order_necessary,
     second_order_sufficient,
@@ -20,11 +19,11 @@ from minimaxcert.conditions import (
     VIOLATED,
 )
 from minimaxcert.problem import ProblemSpec, parse_problem
+from minimaxcert.cones import Cone
 from minimaxcert.upper import (
     _cone_curvature,
     _curvature_lp_max,
     compute_upper_active_set,
-    upper_data,
 )
 
 from conftest import (
@@ -89,7 +88,7 @@ def test_mfcq_rejects_infeasible_point(p4, config):
 def test_polytope_single_vertex_p4(p4, config):
     poly = upper_kkt_and_polytope(p4, [1.0], np.array([1.0]), config)
     assert poly.nonempty
-    assert poly.bounded
+    assert check_mfcq(p4, [1.0], config).ok
     assert poly.single
     u, v = poly.point
     assert v[0] == pytest.approx(1.0, abs=1e-10)
@@ -126,7 +125,7 @@ def test_polytope_unbounded_flag(p3, config):
     # opposing gradients with zero working gradient: a ray of multipliers
     poly = upper_kkt_and_polytope(p3, [0.0], np.array([0.0]), config)
     assert poly.nonempty
-    assert poly.bounded is False
+    assert not check_mfcq(p3, [0.0], config).ok
 
 
 def test_polytope_emptiness_agrees_with_vertex_enumeration(p1, p4, config):
@@ -136,7 +135,7 @@ def test_polytope_emptiness_agrees_with_vertex_enumeration(p1, p4, config):
             r0 = rng.uniform(-1.0, 1.0, 1)
             poly = upper_kkt_and_polytope(spec, x, r0, config)
             vertices = basic_multipliers(poly, config)
-            if poly.bounded is not False:  # None when the polytope is empty
+            if check_mfcq(spec, x, config).ok:
                 assert bool(vertices) == poly.nonempty
             for u, v in vertices:
                 assert poly.residual(u, v) <= 1e-9
@@ -163,25 +162,60 @@ def _multiplier_systems(draw):
     return JH, JG, -(JH.T @ u + JG.T @ v)
 
 
-@settings(max_examples=300)
-@given(system=_multiplier_systems())
-def test_polytope_bounded_exactly_when_mfcq_holds(system, config):
-    """Gauvin (1977): the multiplier polytope is bounded exactly when MFCQ
-    holds, which is how `upper_kkt_and_polytope` reads it; the coordinate
-    LPs are the reference.  Duplicated or opposed rows, and more equality
-    rows than variables, make both fail."""
-    JH, JG, r = system
-    n = JH.shape[1]
-    spec = ProblemSpec(
-        n=n, m=1, m1=0, m2=0, n1=JH.shape[0], n2=JG.shape[0],
+def _system_spec(JH, JG):
+    """The problem whose outer constraints H = JH x, G = JG x are all active
+    at x = 0."""
+    return ProblemSpec(
+        n=JH.shape[1], m=1, m1=0, m2=0, n1=JH.shape[0], n2=JG.shape[0],
         f=parse_problem("dims 1 1 0 0 0 0\nf = -y1^2\n").f,
         H=[affine_expr([0.0], row, 0.0) for row in JH],
         G=[affine_expr([0.0], row, 0.0) for row in JG],
     )
-    poly = upper_kkt_and_polytope(spec, np.zeros(n), r, config)
+
+
+@settings(max_examples=300)
+@given(system=_multiplier_systems())
+def test_polytope_bounded_exactly_when_mfcq_holds(system, config):
+    """Gauvin (1977): the multiplier polytope is bounded exactly when MFCQ
+    holds, so `check_mfcq` answers its boundedness; the coordinate LPs are
+    the reference.  Duplicated or opposed rows, and more equality rows than
+    variables, make both fail."""
+    JH, JG, r = system
+    spec = _system_spec(JH, JG)
+    x = np.zeros(JH.shape[1])
+    poly = upper_kkt_and_polytope(spec, x, r, config)
     assert poly.nonempty
-    reference = coordinate_lp_bounded(poly)
-    assert poly.bounded == check_mfcq(spec, np.zeros(n), config).ok == reference
+    assert check_mfcq(spec, x, config).ok == coordinate_lp_bounded(poly)
+
+
+@settings(max_examples=300)
+@given(system=_multiplier_systems(), data=st.data())
+def test_every_multiplier_reduces_to_the_same_cone(system, data, config):
+    """Every multiplier reduces the critical cone to the same set: for d in
+    the cone and any (u, v), r . d = -v . JG_I d >= 0, so r . d = 0 forces
+    JG_i d = 0 wherever v_i > 0.  So the brute-force cone minimum of a
+    symmetric M is one number on the cone reduced by each vertex, on
+    `poly.reduced` and on `poly.cone`."""
+    JH, JG, r = system
+    n = JH.shape[1]
+    P = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)),
+                 dtype=float).reshape(n, n)
+    M = P + P.T
+    poly = upper_kkt_and_polytope(_system_spec(JH, JG), np.zeros(n), r, config)
+    assert poly.nonempty
+
+    def reduced_by(v):
+        strong = [i for i in poly.active if v[i] > config.tol_act]
+        weak = [i for i in poly.active if v[i] <= config.tol_act]
+        return Cone(np.vstack([JH, JG[strong]]), JG[weak])
+
+    cones = [reduced_by(v) for _, v in basic_multipliers(poly, config)]
+    cones += [poly.reduced, poly.cone]
+    minima = [brute_force_min_quadratic_on_cone(M, cone.E, cone.F)[0] for cone in cones]
+    if minima[-1] == np.inf:
+        assert minima == [np.inf] * len(minima)
+    else:
+        assert minima == pytest.approx([minima[-1]] * len(minima), abs=1e-9)
 
 
 # --- critical cone -----------------------------------------------------------------
@@ -189,13 +223,13 @@ def test_polytope_bounded_exactly_when_mfcq_holds(system, config):
 def test_upper_cone_p4_is_trivial(p4, config):
     from conftest import cone_is_trivial
 
-    cone = critical_cone_upper(p4, [1.0], np.array([1.0]), None, config)
+    cone = upper_kkt_and_polytope(p4, [1.0], np.array([1.0]), config).cone
     assert cone.F.shape == (2, 1)
     assert cone_is_trivial(cone.E, cone.F, 1)
 
 
 def test_upper_cone_p1_is_full_line(p1, config):
-    cone = critical_cone_upper(p1, [0.0], np.array([0.0]), None, config)
+    cone = upper_kkt_and_polytope(p1, [0.0], np.array([0.0]), config).cone
     assert cone.contains(np.array([1.0])) and cone.contains(np.array([-1.0]))
 
 
@@ -205,14 +239,13 @@ def test_upper_cone_full_rank_equalities(config):
     )
     from conftest import cone_is_trivial
 
-    cone = critical_cone_upper(spec, [0.0, 0.0], np.array([0.3, -0.2]), None, config)
+    cone = upper_kkt_and_polytope(spec, [0.0, 0.0], np.array([0.3, -0.2]), config).cone
     assert cone_is_trivial(cone.E, cone.F, 2)
 
 
 def test_upper_cone_reduction_with_multiplier(p4, config):
     poly = upper_kkt_and_polytope(p4, [1.0], np.array([1.0]), config)
-    cone = critical_cone_upper(p4, [1.0], np.array([1.0]), poly.point, config)
-    assert cone.reduced.E.shape[0] == 1  # v > 0 forces the bound to equality
+    assert poly.reduced.E.shape[0] == 1  # v > 0 forces the bound to equality
 
 
 # --- second-order conditions ---------------------------------------------------------
@@ -220,8 +253,7 @@ def test_upper_cone_reduction_with_multiplier(p4, config):
 def test_second_order_necessary_p1(p1, config):
     sol, vd = smooth_vd(p1, [0.0], config)
     poly = upper_kkt_and_polytope(p1, [0.0], vd.gradient, config)
-    cone = critical_cone_upper(p1, [0.0], vd.gradient, poly.point, config)
-    check = second_order_necessary(p1, [0.0], vd, poly, cone, config)
+    check = second_order_necessary(vd, poly, config)
     assert check.status == SATISFIED
     assert check.value == pytest.approx(1.0, abs=1e-8)  # q(d) = d^2 on |d| = 1
 
@@ -230,8 +262,7 @@ def test_second_order_necessary_vacuous_p4_cone(p4, config):
     # build the same quadratic machinery but with the trivial cone of P4
     sol, vd = smooth_vd(p1_like_p4(), [1.0], config, y0=[0.5])
     poly = upper_kkt_and_polytope(p1_like_p4(), [1.0], np.array([1.0]), config)
-    cone = critical_cone_upper(p1_like_p4(), [1.0], np.array([1.0]), None, config)
-    check = second_order_necessary(p1_like_p4(), [1.0], vd, poly, cone, config)
+    check = second_order_necessary(vd, poly, config)
     assert check.status == SATISFIED
     assert check.value == np.inf
 
@@ -247,8 +278,7 @@ def test_second_order_necessary_violated_on_flipped_problem(config):
     spec = parse_problem("dims 1 1 0 0 0 0\nf = -0.5*x1^2 - 0.5*y1^2\n")
     sol, vd = smooth_vd(spec, [0.0], config)
     poly = upper_kkt_and_polytope(spec, [0.0], vd.gradient, config)
-    cone = critical_cone_upper(spec, [0.0], vd.gradient, None, config)
-    check = second_order_necessary(spec, [0.0], vd, poly, cone, config)
+    check = second_order_necessary(vd, poly, config)
     assert check.status == VIOLATED
     assert check.value == pytest.approx(-1.0, abs=1e-8)
     assert abs(abs(check.witness[0]) - 1.0) <= 1e-9
@@ -257,8 +287,7 @@ def test_second_order_necessary_violated_on_flipped_problem(config):
 def test_second_order_sufficient_p1_exact(p1, config):
     sol, vd = smooth_vd(p1, [0.0], config)
     poly = upper_kkt_and_polytope(p1, [0.0], vd.gradient, config)
-    cone = critical_cone_upper(p1, [0.0], vd.gradient, poly.point, config)
-    check = second_order_sufficient(p1, [0.0], vd, poly, cone, config)
+    check = second_order_sufficient(vd, poly, config)
     assert check.status == SATISFIED
     assert check.value == pytest.approx(1.0, abs=1e-8)
 
@@ -269,8 +298,7 @@ def test_second_order_sufficient_vacuous_p4(p4, config):
     spec = p1_like_p4()
     sol, vd = smooth_vd(spec, [1.0], config, y0=[0.5])
     poly = upper_kkt_and_polytope(spec, [1.0], vd.gradient, config)
-    cone = critical_cone_upper(spec, [1.0], vd.gradient, poly.point, config)
-    check = second_order_sufficient(spec, [1.0], vd, poly, cone, config)
+    check = second_order_sufficient(vd, poly, config)
     assert check.ok
     assert check.value == np.inf
 
@@ -279,17 +307,16 @@ def test_second_order_sufficient_violated_on_flipped_problem(config):
     spec = parse_problem("dims 1 1 0 0 0 0\nf = -0.5*x1^2 - 0.5*y1^2\n")
     sol, vd = smooth_vd(spec, [0.0], config)
     poly = upper_kkt_and_polytope(spec, [0.0], vd.gradient, config)
-    cone = critical_cone_upper(spec, [0.0], vd.gradient, None, config)
-    check = second_order_sufficient(spec, [0.0], vd, poly, cone, config)
+    check = second_order_sufficient(vd, poly, config)
     assert check.status == VIOLATED
     assert check.value == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_second_order_sampled_agrees_with_exact_on_singleton_subspace(config):
-    # 2-D outer space, subspace cone, singleton polytope {0}: the cone reduced
-    # by the polytope's point and the cone without a multiplier (whose one
-    # row, grad phi = 0, is a zero row) give the same margin, the bottom
-    # eigenvalue of hess(phi) = diag(1.5, 1)
+    # 2-D outer space, subspace cone, singleton polytope {0}: the reduced cone
+    # of the sufficient check and the critical cone of the necessary one
+    # (whose one row, grad phi = 0, is a zero row) give the same margin, the
+    # bottom eigenvalue of hess(phi) = diag(1.5, 1)
     spec = parse_problem(
         "dims 2 2 0 0 0 0\n"
         "f = x1*y1 + x2*y2 - 0.5*y1^2 - 0.5*y2^2 + 0.25*x1^2\n"
@@ -297,12 +324,9 @@ def test_second_order_sampled_agrees_with_exact_on_singleton_subspace(config):
     sol, vd = smooth_vd(spec, [0.0, 0.0], config)
     poly = upper_kkt_and_polytope(spec, [0.0, 0.0], vd.gradient, config)
     assert poly.single
-    reduced = critical_cone_upper(spec, [0.0, 0.0], vd.gradient, poly.point, config)
-    exact = second_order_sufficient(spec, [0.0, 0.0], vd, poly, reduced, config)
+    exact = second_order_sufficient(vd, poly, config)
     assert exact.status == SATISFIED
-    full = critical_cone_upper(spec, [0.0, 0.0], vd.gradient, None, config)
-    assert full.reduced is None
-    from_full = second_order_sufficient(spec, [0.0, 0.0], vd, poly, full, config)
+    from_full = second_order_necessary(vd, poly, config)
     assert from_full.status == SATISFIED
     assert from_full.value == exact.value == pytest.approx(1.0, abs=1e-8)
 
@@ -315,8 +339,7 @@ def test_second_order_reduces_to_hessian_eigenvalue_without_constraints(config):
     )
     sol, vd = smooth_vd(spec, [0.0, 0.0], config)
     poly = upper_kkt_and_polytope(spec, [0.0, 0.0], vd.gradient, config)
-    cone = critical_cone_upper(spec, [0.0, 0.0], vd.gradient, None, config)
-    check = second_order_necessary(spec, [0.0, 0.0], vd, poly, cone, config)
+    check = second_order_necessary(vd, poly, config)
     assert check.status == SATISFIED
     assert check.value == pytest.approx(float(np.linalg.eigvalsh(vd.hessian)[0]), abs=1e-12)
 
@@ -358,21 +381,20 @@ def test_cutting_plane_bound_against_the_vertices(system, config):
     spec, r, hessian = system
     x = np.zeros(spec.n)
     vd = SimpleNamespace(hessian=hessian)
-    data = upper_data(spec, x)
     poly = upper_kkt_and_polytope(spec, x, r, config)
-    assert poly.nonempty and poly.bounded
-    cone = critical_cone_upper(spec, x, r, None, config)
-    single, bound, witnesses = _cone_curvature(spec, x, vd, poly, cone.E, cone.F, config)
+    assert poly.nonempty and check_mfcq(spec, x, config).ok
+    cone = poly.cone
+    single, bound, witnesses = _cone_curvature(vd, poly, cone, config)
 
     def face_minimum(u, v):
-        M = hessian + np.einsum("i,iab->ab", v, data.Gxx)
+        M = hessian + np.einsum("i,iab->ab", v, poly.data.Gxx)
         return brute_force_min_quadratic_on_cone(M, cone.E, cone.F)[0]
 
     vertices = basic_multipliers(poly, config)
     assert vertices
     assert bound >= max(face_minimum(u, v) for u, v in vertices) - config.tol_pd
     for d in witnesses:
-        q_sup = float(d @ hessian @ d) + _curvature_lp_max(poly, data, d, config.tol_kkt)
+        q_sup = float(d @ hessian @ d) + _curvature_lp_max(poly, d, config.tol_kkt)
         assert bound <= q_sup + config.tol_pd
     if single:
         assert len(vertices) == 1
