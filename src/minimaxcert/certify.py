@@ -1,16 +1,24 @@
 """Certification pipeline: route a candidate down the smooth or nonsmooth
 path, run every applicable condition, and assemble the verdict.
 
-Verdict rules: a violated necessary condition (with its preconditions
-verified) refutes; a satisfied sufficient condition on the smooth path
-certifies.  Both levels' second-order conditions are decided exactly on the
-critical cone's faces; a search that is not exhaustive (the nonsmooth
-first-order selector search with beta nonempty) never refutes.
+Each condition holds under named hypotheses, and `REQUIRES` is their one
+table: for each gated check, the checks that must be `satisfied` in the same
+report.  Every result carries its entry as `requires`.  A check that cannot
+be computed without its requirements goes through `_gated`, which reports it
+`skipped` ("requires ...") when one is missing; the others are computed
+anyway and keep their status.  `overall_verdict` is the one rule: a violated
+necessary check refutes only when its requirements are all satisfied, and
+`second_order_sufficient`, satisfied with its requirements, certifies on the
+smooth path only.  It also names the checks the verdict was decided by.
+
+Both levels' second-order conditions are decided exactly on the critical
+cone's faces; a search that is not exhaustive (the nonsmooth first-order
+selector search with beta nonempty) never refutes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,6 +80,19 @@ PATH_INVALID = "invalid"
 # the error check that ends a run whose evaluation failed
 CHECK_EVALUATION = "evaluation"
 
+# the checks each gated check needs `satisfied` in the same report: the inner
+# KKT conditions are necessary under LICQ; the outer ones need the value
+# function's derivatives (the sensitivity system), first order needs MFCQ
+# (Gauvin 1977), and both second-order checks a multiplier (first order)
+REQUIRES = {
+    "lower_kkt": ("lower_licq",),
+    "lower_second_order_necessary": ("lower_kkt", "lower_licq"),
+    "first_order": ("sensitivity_system", "mfcq"),
+    "second_order_necessary": ("sensitivity_system", "mfcq", "first_order"),
+    "second_order_sufficient": ("sensitivity_system", "first_order"),
+    "first_order_nonsmooth": ("assumption_a", "mfcq"),
+}
+
 
 @dataclass
 class PathDecision:
@@ -85,7 +106,6 @@ class PathDecision:
     feasibility_detail: str
     multiplier_detail: str
     supplied_residual: float | None = None
-    licq_sigma: float = np.inf
 
 
 def _resolve_multipliers(spec, candidate: CandidatePoint, config: CheckConfig):
@@ -140,20 +160,18 @@ def classify_path(
             feasibility_detail="; ".join(feas_notes),
             multiplier_detail=mult_detail,
             supplied_residual=supplied_residual,
-            licq_sigma=rec.licq_sigma_min,
         )
     ju = check_jacobian_uniqueness(spec, candidate.x, candidate.y, mu, lam, config)
     if ju.jacobian_uniqueness:
         return PathDecision(
-            PATH_SMOOTH, None, mu, lam, ju, None, True, "", mult_detail,
-            supplied_residual, rec.licq_sigma_min,
+            PATH_SMOOTH, None, mu, lam, ju, None, True, "", mult_detail, supplied_residual
         )
     assa = check_assumption_a(spec, candidate.x, candidate.y, config)
     sc_failed = ju.checks["strict_complementarity"].status == VIOLATED
     if assa.assumption_a and sc_failed:
         return PathDecision(
             PATH_NONSMOOTH, None, assa.mu, assa.lam, ju, assa, True, "",
-            mult_detail, supplied_residual, rec.licq_sigma_min,
+            mult_detail, supplied_residual,
         )
     order = ("kkt", "licq", "strict_complementarity", "sosc")
     first = next((name for name in order if not ju.checks[name].ok), "sosc")
@@ -165,8 +183,7 @@ def classify_path(
                 first = name
                 break
     return PathDecision(
-        PATH_INVALID, first, mu, lam, ju, assa, True, "", mult_detail,
-        supplied_residual, rec.licq_sigma_min,
+        PATH_INVALID, first, mu, lam, ju, assa, True, "", mult_detail, supplied_residual
     )
 
 
@@ -179,13 +196,12 @@ class CertificateReport:
     verdict: str
     config: CheckConfig
     notes: list[str] = field(default_factory=list)
+    decided_by: list[str] = field(default_factory=list)
     command: str = "certify"
     version: str = VERSION
 
 
-def _lower_checks_to_results(ju: LowerConditionsReport, licq_sigma: float,
-                             config: CheckConfig) -> list[ConditionCheck]:
-    out = []
+def _lower_checks_to_results(ju: LowerConditionsReport) -> list[ConditionCheck]:
     mapping = {
         "kkt": ("lower_kkt", KIND_NECESSARY),
         "licq": ("lower_licq", KIND_QUALIFICATION),
@@ -193,47 +209,51 @@ def _lower_checks_to_results(ju: LowerConditionsReport, licq_sigma: float,
         "sosc": ("lower_sosc", KIND_INFO),
         "sonc": ("lower_second_order_necessary", KIND_NECESSARY),
     }
-    for src, (name, kind) in mapping.items():
-        if src not in ju.checks:
-            continue
-        c = ju.checks[src]
-        kind_eff = kind
-        if src == "kkt" and c.status == VIOLATED and licq_sigma < config.tol_licq:
-            # without LICQ the KKT system is not a necessary condition
-            kind_eff = KIND_INFO
-        if src == "sonc" and (c.status == SKIPPED or licq_sigma < config.tol_licq):
-            # nor is the second-order condition, which needs a KKT point too
-            kind_eff = KIND_INFO
-        out.append(
-            ConditionCheck(name, c.status, c.value, c.tolerance, kind_eff,
-                           c.witness, c.detail)
-        )
-    return out
+    return [replace(ju.checks[src], name=name, kind=kind) for src, (name, kind) in mapping.items()]
 
 
-def overall_verdict(path: str, results: list[ConditionCheck]) -> str:
-    necessary = [c for c in results if c.kind == KIND_NECESSARY]
-    if any(c.status == VIOLATED for c in necessary):
-        return VERDICT_REFUTED
-    sufficient = next(
-        (c for c in results if c.name == "second_order_sufficient"), None
+def _gated(results: list[ConditionCheck], name: str, kind: str, tolerance, run):
+    """Append `run()` when every check `name` requires is satisfied so far,
+    else a `skipped` check that names the missing ones."""
+    satisfied = {c.name for c in results if c.ok}
+    missing = [r for r in REQUIRES[name] if r not in satisfied]
+    results.append(
+        ConditionCheck(name, SKIPPED, None, tolerance, kind,
+                       detail="requires " + ", ".join(missing))
+        if missing else run()
     )
-    if path == PATH_SMOOTH and sufficient is not None and sufficient.status == SATISFIED:
-        return VERDICT_CERTIFIED
+
+
+def overall_verdict(path: str, results: list[ConditionCheck]) -> tuple[str, list[str]]:
+    """The verdict and the names of the checks it was decided by.
+
+    `refuted`: each violated necessary check whose `requires` are all
+    satisfied.  `certified-local-minimax`: `second_order_sufficient`,
+    satisfied with its `requires`, on the smooth path.
+    `necessary-conditions-pass`: on either path, a first-order check that ran
+    and every necessary check that ran satisfied; they are its deciders."""
+    satisfied = {c.name for c in results if c.ok}
+    verified = [c for c in results if satisfied.issuperset(c.requires)]
+    refuting = [c.name for c in verified if c.kind == KIND_NECESSARY and c.status == VIOLATED]
+    if refuting:
+        return VERDICT_REFUTED, refuting
+    if path == PATH_SMOOTH and any(
+        c.name == "second_order_sufficient" and c.ok for c in verified
+    ):
+        return VERDICT_CERTIFIED, ["second_order_sufficient"]
     if path in (PATH_SMOOTH, PATH_NONSMOOTH):
         first_order = next(
             (c for c in results if c.name in ("first_order", "first_order_nonsmooth")),
             None,
         )
-        evaluated = [c for c in necessary if c.status != SKIPPED]
+        evaluated = [c for c in results if c.kind == KIND_NECESSARY and c.status != SKIPPED]
         if (
             first_order is not None
             and first_order.status not in (SKIPPED, ERROR)
-            and evaluated
             and all(c.ok for c in evaluated)
         ):
-            return VERDICT_NECESSARY
-    return VERDICT_INCONCLUSIVE
+            return VERDICT_NECESSARY, [c.name for c in evaluated]
+    return VERDICT_INCONCLUSIVE, []
 
 
 @dataclass
@@ -266,14 +286,18 @@ def certify(
                 ConditionCheck(CHECK_EVALUATION, ERROR, None, None, KIND_NECESSARY,
                                detail=f"{progress.stage} failed: {exc}")
             )
+    for check in progress.results:
+        check.requires = REQUIRES.get(check.name, ())
+    verdict, decided_by = overall_verdict(progress.path, progress.results)
     return CertificateReport(
         problem_digest=problem_digest(spec),
         candidate=candidate,
         path=progress.path,
         results=progress.results,
-        verdict=overall_verdict(progress.path, progress.results),
+        verdict=verdict,
         config=config,
         notes=progress.notes,
+        decided_by=decided_by,
     )
 
 
@@ -308,7 +332,7 @@ def _pipeline(spec, candidate, config, progress: _Progress):
         return
 
     ju = decision.ju_report
-    results.extend(_lower_checks_to_results(ju, decision.licq_sigma, config))
+    results.extend(_lower_checks_to_results(ju))
     if decision.path == PATH_INVALID:
         if decision.assa_report is not None:
             a = decision.assa_report
@@ -381,7 +405,6 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
     )
     mfcq = check_mfcq(spec, candidate.x, config)
     results.append(mfcq)
-    mfcq_ok = mfcq.ok
 
     poly = upper_kkt_and_polytope(spec, candidate.x, vd.gradient, config)
     if poly.nonempty:
@@ -389,18 +412,13 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
             "first_order", SATISFIED, poly.residual(*poly.point),
             config.tol_kkt, KIND_NECESSARY,
             # by Gauvin (1977) the polytope is bounded exactly when MFCQ holds
-            detail="" if mfcq_ok else "polytope unbounded (flagged)",
+            detail="" if mfcq.ok else "polytope unbounded (flagged)",
         )
-    elif mfcq_ok:
+    else:
         fo = ConditionCheck(
             "first_order", VIOLATED, None, config.tol_kkt, KIND_NECESSARY,
             witness=vd.gradient.tolist(),
             detail="no upper multipliers reproduce the value-function gradient",
-        )
-    else:
-        fo = ConditionCheck(
-            "first_order", INCONCLUSIVE, None, config.tol_kkt, KIND_NECESSARY,
-            detail="polytope empty but the constraint qualification failed",
         )
     results.append(fo)
 
@@ -411,25 +429,10 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
 
     # the necessary check runs on poly.cone and the sufficient one on
     # poly.reduced, which every multiplier gives alike, so the LP point serves
-    if mfcq_ok and poly.nonempty:
-        results.append(second_order_necessary(vd, poly, config))
-    else:
-        results.append(
-            ConditionCheck(
-                "second_order_necessary", SKIPPED, None, config.tol_pd,
-                KIND_NECESSARY,
-                detail="requires the constraint qualification and a nonempty polytope",
-            )
-        )
-    if poly.nonempty:
-        results.append(second_order_sufficient(vd, poly, config))
-    else:
-        results.append(
-            ConditionCheck(
-                "second_order_sufficient", SKIPPED, None, config.tol_pd,
-                KIND_SUFFICIENT, detail="multiplier polytope is empty",
-            )
-        )
+    _gated(results, "second_order_necessary", KIND_NECESSARY, config.tol_pd,
+           lambda: second_order_necessary(vd, poly, config))
+    _gated(results, "second_order_sufficient", KIND_SUFFICIENT, config.tol_pd,
+           lambda: second_order_sufficient(vd, poly, config))
 
 
 def _verify_upper_multipliers(spec, candidate, poly, config):
@@ -502,22 +505,12 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
                            detail=f"{len(sweep.selectors)} binary selectors")
         )
 
-    mfcq = check_mfcq(spec, candidate.x, config)
-    results.append(mfcq)
+    results.append(check_mfcq(spec, candidate.x, config))
     if sweep is None:
         results.append(
             ConditionCheck("first_order_nonsmooth", ERROR, None, config.tol_kkt,
                            KIND_NECESSARY, detail=cap_detail)
         )
         return
-    if not mfcq.ok:
-        results.append(
-            ConditionCheck(
-                "first_order_nonsmooth", SKIPPED, None, config.tol_kkt,
-                KIND_NECESSARY,
-                detail="requires the constraint qualification",
-            )
-        )
-        return
-    fo, _ = first_order_nonsmooth_necessary(spec, candidate.x, sol, config, sweep)
-    results.append(fo)
+    _gated(results, "first_order_nonsmooth", KIND_NECESSARY, config.tol_kkt,
+           lambda: first_order_nonsmooth_necessary(spec, candidate.x, sol, config, sweep)[0])

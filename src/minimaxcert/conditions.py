@@ -19,7 +19,9 @@ KIND_INFO = "info"
 
 @dataclass
 class ConditionCheck:
-    """One verdict with its numeric evidence and the tolerance it was tested at."""
+    """One verdict with its numeric evidence and the tolerance it was tested at.
+    `requires` names the checks that must be `satisfied` in the same report
+    before this one may decide a verdict (`certify.REQUIRES`)."""
 
     name: str
     status: str
@@ -28,6 +30,7 @@ class ConditionCheck:
     kind: str = KIND_INFO
     witness: object = None
     detail: str = ""
+    requires: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:

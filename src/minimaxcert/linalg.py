@@ -250,7 +250,6 @@ class LpSolution:
     z: np.ndarray | None
     value: float | None
     iterations: int = 0
-    dual_objective: float | None = None
 
 
 class LpCyclingError(Exception):
@@ -420,24 +419,4 @@ def solve_lp(p: LpProblem, feas_tol: float, max_iter: int = 5000) -> LpSolution:
     for i, bi in enumerate(basis2):
         s[bi] = T2[i, -1]
     z = offsets + T_map @ s[:ns]
-    value = float(c_std @ s) + const
-
-    # dual certificate: y solves B^T y = c_B over the surviving rows
-    dual_std = np.zeros(m)
-    rows = keep_rows
-    if rows:
-        B = A[rows][:, basis2].T
-        try:
-            y = np.linalg.solve(B, c_std[basis2])
-        except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(B, c_std[basis2], rcond=None)[0]
-        for r, i in enumerate(rows):
-            dual_std[i] = y[r]
-    dual_obj = float(dual_std @ b) + const
-    return LpSolution(
-        "optimal",
-        z,
-        value,
-        iterations=iters + iters2,
-        dual_objective=dual_obj,
-    )
+    return LpSolution("optimal", z, float(c_std @ s) + const, iterations=iters + iters2)

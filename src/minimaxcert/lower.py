@@ -37,6 +37,12 @@ from .linalg import (
 )
 from .problem import DerivativeBundle, ProblemSpec, eval_bundle, memoised
 
+# noise floors of `solve_lower`'s divergence gate: after more than
+# DIVERGENCE_MIN_STEPS iterates, a residual above DIVERGENCE_GROWTH times
+# (1 + the seed's residual) is a diverging iteration, not a slow one
+DIVERGENCE_MIN_STEPS = 3
+DIVERGENCE_GROWTH = 1e8
+
 
 class PartitionError(Exception):
     """An index fits none of the (alpha, beta, gamma) classes."""
@@ -287,8 +293,11 @@ def check_jacobian_uniqueness(
     """Def-style check of (a) KKT, (b) LICQ, (c) strict complementarity,
     (d) second-order sufficiency on the critical cone (`sosc`), plus the
     second-order necessary condition, curvature <= 0 on that cone (`sonc`).
-    Both read one eigenvalue bound on the cone's affine hull; when the cone
-    has faces and the bound fails, the exact face test settles them."""
+    LICQ is decided at the active set {|g_i| <= tol_act} whether or not KKT
+    holds, since it is the hypothesis under which KKT is necessary; the
+    others need a KKT point.  Both curvature checks read one eigenvalue
+    bound on the cone's affine hull; when the cone has faces and the bound
+    fails, the exact face test settles them."""
     config = config or CheckConfig()
     _require_smooth(spec)
     bundle = eval_bundle(spec, x, y)
@@ -306,17 +315,19 @@ def check_jacobian_uniqueness(
             why = detail = f"no active-set partition: {exc}"
     checks["kkt"] = ConditionCheck("kkt", VIOLATED if partition is None else SATISFIED, norm,
                                    config.tol_kkt, detail=detail)
+    # a partition's active set, when there is one, and the memo key that
+    # `recover_multipliers` asked for, so no second SVD
+    sigma = licq_sigma(bundle, tuple(i for i in range(spec.m2)
+                                     if abs(bundle.g[i]) <= config.tol_act))
+    checks["licq"] = ConditionCheck(
+        "licq", SATISFIED if sigma >= config.tol_licq else VIOLATED, sigma, config.tol_licq
+    )
     if partition is None:
-        for name in ("licq", "strict_complementarity", "sosc"):
+        for name in ("strict_complementarity", "sosc"):
             checks[name] = ConditionCheck(name, INCONCLUSIVE, None, None, detail=why)
         checks["sonc"] = ConditionCheck("sonc", SKIPPED, None, config.tol_pd,
                                         detail="no KKT point")
         return LowerConditionsReport(checks=checks, mu=mu, lam=lam)
-
-    sigma = licq_sigma(bundle, partition.active)
-    checks["licq"] = ConditionCheck(
-        "licq", SATISFIED if sigma >= config.tol_licq else VIOLATED, sigma, config.tol_licq
-    )
 
     margin = (
         float(np.min(lam - bundle.g)) if spec.m2 else np.inf
@@ -460,7 +471,8 @@ def solve_lower(
         if res <= config.tol_newton:
             w = np.sqrt(np.maximum(0.0, -bundle.g))
             return KktSolution(x, y, w, mu, lam, res, trace, len(trace))
-        if not np.isfinite(res) or (len(trace) > 3 and res > 1e8 * (1.0 + trace[0])):
+        if not np.isfinite(res) or (len(trace) > DIVERGENCE_MIN_STEPS
+                                    and res > DIVERGENCE_GROWTH * (1.0 + trace[0])):
             raise NewtonError(f"divergence at iteration {it} (residual {res:.3e})", trace)
         w_diag = (lam + bundle.g < 0.0).astype(float) if m2 else np.zeros(0)
         A = kkt_jacobian_blocks(lag, bundle, w_diag)

@@ -2,10 +2,15 @@
 and the human-readable summary rendered purely from the JSON content.
 
 Top level: {version, problem_digest, command, config, candidate, path,
-results[], verdict, notes[]};  each result: {name, status, kind, margin,
-tolerance, witness?, detail?}.  Finite floats carry 17 significant digits;
-non-finite values are the strings "inf"/"-inf"/"nan" (strict JSON has no
-literals for them).
+results[], verdict, decided_by[], notes[]};  each result: {name, status,
+kind, margin, tolerance, requires[]?, witness?, detail?}.  `requires` names
+the checks that must be `satisfied` in the same report before the result may
+decide the verdict (`certify.REQUIRES`, written only when nonempty);
+`decided_by` names the checks the verdict was decided by: the refuting
+checks, `second_order_sufficient`, the necessary checks that passed, or none
+when inconclusive.  Finite floats carry 17 significant digits; non-finite
+values are the strings "inf"/"-inf"/"nan" (strict JSON has no literals for
+them).
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ def check_to_dict(check: ConditionCheck) -> dict:
         "margin": _jsonable(check.value),
         "tolerance": _jsonable(check.tolerance),
     }
+    if check.requires:
+        out["requires"] = list(check.requires)
     if check.witness is not None:
         out["witness"] = _jsonable(check.witness)
     if check.detail:
@@ -68,6 +75,7 @@ def report_to_doc(report: CertificateReport) -> dict:
         "path": report.path,
         "results": [check_to_dict(c) for c in report.results],
         "verdict": report.verdict,
+        "decided_by": list(report.decided_by),
         "notes": list(report.notes),
     }
 

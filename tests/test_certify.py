@@ -24,7 +24,7 @@ from minimaxcert.fixtures import fixture_text
 from minimaxcert.oracle import grid_local_maximize
 from minimaxcert.report import dumps_canonical, report_to_doc
 
-from conftest import basic_multipliers
+from conftest import basic_multipliers, perfbench_workloads
 
 
 def result(report, name):
@@ -946,7 +946,11 @@ TWIN_ROWS_TEXT = "dims 1 1 0 2 0 0\nf = -(y1 - x1)^2\ng1 = -y1\ng2 = -y1\n"
 DEGENERATE_PAIR_TEXT = "dims 1 2 0 2 0 0\nf = -(y1-x1)^2 - (y2-x1)^2\ng1 = y1\ng2 = y2\n"
 
 
-@pytest.mark.parametrize("text, x, y, tols, verdict, code", [
+# dims 1 1 0 0 0 1 with G1 = x1^2: x = 0 is the whole feasible set, and MFCQ
+# fails there (grad G1 = 0)
+NO_MFCQ_TEXT = "dims 1 1 0 0 0 1\nf = {f}\nG1 = x1^2\n"
+
+PROBES = [
     # Y(x) = {0}, so phi = x^2 and the origin is local minimax (the oracle
     # agrees); two active rows in one y leave LICQ failing, so the KKT
     # violation is no disproof
@@ -979,7 +983,21 @@ DEGENERATE_PAIR_TEXT = "dims 1 2 0 2 0 0\nf = -(y1-x1)^2 - (y2-x1)^2\ng1 = y1\ng
     # fails on beta before any selector is enumerated
     pytest.param(DEGENERATE_PAIR_TEXT, "2.5e-9", "0,0", {"tol_sc": 1e-10, "selector_cap": 1},
                  VERDICT_INCONCLUSIVE, 3, id="beta-above-selector-cap"),
-])
+    # y = 2e-8 misses P1's maximiser y = 0 outside tol_kkt; g1 = y1 - 1 is
+    # inactive, so LICQ holds and the KKT violation refutes
+    pytest.param("P1", "0", "2e-8", {}, VERDICT_REFUTED, 2, id="P1-kkt-under-licq"),
+    # phi = x has no outer multiplier, but MFCQ fails, so the empty
+    # polytope is no disproof: x = 0 is the only feasible point
+    pytest.param(NO_MFCQ_TEXT.format(f="x1 - y1^2"), "0", "0", {}, VERDICT_INCONCLUSIVE, 3,
+                 id="empty-polytope-without-mfcq"),
+    # phi = -x^2: first order holds at u = 0, and the second-order necessary
+    # check is skipped without MFCQ
+    pytest.param(NO_MFCQ_TEXT.format(f="-x1^2 - y1^2"), "0", "0", {}, VERDICT_NECESSARY, 0,
+                 id="second-order-skipped-without-mfcq"),
+]
+
+
+@pytest.mark.parametrize("text, x, y, tols, verdict, code", PROBES)
 def test_probe_verdicts_and_exit_codes(text, x, y, tols, verdict, code, tmp_path):
     from minimaxcert.cli import main
     from minimaxcert.fixtures import FIXTURE_NAMES, fixture_text
@@ -991,6 +1009,76 @@ def test_probe_verdicts_and_exit_codes(text, x, y, tols, verdict, code, tmp_path
             "--json", str(out)]
     assert main(argv) == code
     assert json.loads(out.read_text())["verdict"] == verdict
+
+
+def _probe_reports():
+    from minimaxcert.fixtures import FIXTURE_NAMES
+    from minimaxcert.problem import parse_problem
+
+    for probe in PROBES:
+        text, x, y, tols = probe.values[:4]
+        spec = parse_problem(fixture_text(text) if text in FIXTURE_NAMES else text)
+        candidate = CandidatePoint([float(v) for v in x.split(",")],
+                                   [float(v) for v in y.split(",")])
+        yield certify(spec, candidate, CheckConfig().replace(**tols))
+
+
+def _workload_reports(source):
+    """certify's reports on the benchmark's generated candidates: a seeded
+    n = m = 3 lattice problem, the |beta| = 4 selector problem, or one
+    fixture's cli-batch families (its reference points, bands and tiny
+    offsets), with y moved off the inner maximiser as well."""
+    from minimaxcert.problem import parse_problem
+
+    wl = perfbench_workloads()
+    if source == "lattice":
+        lattice = wl.LatticeProblem.generate(np.random.default_rng(11), n=3, m2=2, active=1)
+        text, rng = lattice.text(), np.random.default_rng(12)
+        cands = [lattice.candidate(np.array([i, 0, -1]), wl._shift(rng, 3) if i % 2 else None)
+                 for i in range(6)]
+    elif source == "selector":
+        selector = wl.selector(1)
+        text = selector.problems["degenerate"]
+        cands = [selector.op(i).candidates[0] for i in range(8)]
+    else:
+        text = fixture_text(source)
+        cands = wl._fixture_candidates(source, np.random.default_rng(13), 0)
+    points = [(c.x, c.y) for c in cands]
+    if source not in ("lattice", "selector"):
+        points += [(x, (y[0] + 0.5,)) for x, y in points[:8]]
+    spec = parse_problem(text)
+    for x, y in points:
+        yield certify(spec, CandidatePoint(x, y), CheckConfig())
+
+
+@pytest.mark.parametrize("source", ["lattice", "selector", "P1", "P2", "P3", "P4", "probes"])
+def test_reports_keep_the_verdict_rule(source):
+    """On canonical JSON reports: `refuted` names a violated necessary check
+    whose requirements are satisfied; `certified-local-minimax` is the smooth
+    path's `second_order_sufficient`, satisfied with its requirements; every
+    necessary check but `evaluation` states requirements."""
+    reports = _probe_reports() if source == "probes" else _workload_reports(source)
+    verdicts = set()
+    for report in reports:
+        doc = json.loads(dumps_canonical(report_to_doc(report)))
+        results = {r["name"]: r for r in doc["results"]}
+        satisfied = {name for name, r in results.items() if r["status"] == SATISFIED}
+
+        def verified(name):
+            return satisfied.issuperset(results[name].get("requires", []))
+
+        verdicts.add(doc["verdict"])
+        if doc["verdict"] == VERDICT_REFUTED:
+            assert any(results[name]["kind"] == "necessary" and results[name]["status"] == VIOLATED
+                       and verified(name) for name in doc["decided_by"]), doc
+        if doc["verdict"] == VERDICT_CERTIFIED:
+            sufficient = results["second_order_sufficient"]
+            assert doc["path"] == PATH_SMOOTH and sufficient["status"] == SATISFIED
+            assert sufficient.get("requires") and verified("second_order_sufficient"), doc
+        for r in doc["results"]:
+            if r["kind"] == "necessary" and r["name"] != "evaluation":
+                assert r.get("requires"), (r["name"], doc)
+    assert verdicts & {VERDICT_REFUTED, VERDICT_CERTIFIED, VERDICT_NECESSARY}
 
 
 def test_licq_probe_passes_the_oracle(config):

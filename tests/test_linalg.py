@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -189,7 +190,21 @@ def test_lp_equalities_and_free_variables():
     assert sol.value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_lp_duals_reproduce_objective():
+def _best_vertex(c, A, b):
+    """max c.z over {A z <= b} by brute force: every vertex is the solution
+    of nv linearly independent rows held at equality."""
+    nv, best = len(c), -np.inf
+    for rows in itertools.combinations(range(len(b)), nv):
+        M = A[list(rows)]
+        if abs(np.linalg.det(M)) < 1e-12:
+            continue
+        z = np.linalg.solve(M, b[list(rows)])
+        if np.all(A @ z <= b + 1e-9):
+            best = max(best, float(c @ z))
+    return best
+
+
+def test_lp_optimum_matches_the_best_vertex():
     rng = np.random.default_rng(23)
     for _ in range(20):
         nv = int(rng.integers(1, 5))
@@ -202,7 +217,10 @@ def test_lp_duals_reproduce_objective():
         assert sol.status == "optimal"
         assert np.all(A_in @ sol.z <= b_in + 1e-9)
         assert np.all(sol.z >= -1.0 - 1e-9) and np.all(sol.z <= 1.0 + 1e-9)
-        assert sol.dual_objective == pytest.approx(sol.value, abs=1e-8)
+        # the box -1 <= z <= 1 as rows, so the polytope is bounded
+        A = np.vstack([A_in, np.eye(nv), -np.eye(nv)])
+        b = np.concatenate([b_in, np.ones(2 * nv)])
+        assert sol.value == pytest.approx(_best_vertex(c, A, b), abs=1e-8)
 
 
 def test_plu_solve_multiple_rhs():

@@ -10,7 +10,7 @@ from minimaxcert import (
     recover_multipliers,
     solve_lower,
 )
-from minimaxcert.conditions import VIOLATED, INCONCLUSIVE
+from minimaxcert.conditions import INCONCLUSIVE, SATISFIED, VIOLATED
 from minimaxcert.cones import cone_contains
 from minimaxcert.lower import (
     NewtonError, PartitionError, kkt_residual_from_bundle, lagrangian_eval,
@@ -175,7 +175,10 @@ def test_ju_non_kkt_marks_rest_inconclusive(p1, config):
     rep = check_jacobian_uniqueness(p1, [0.0], [0.5], None, [0.0], config)
     assert rep.checks["kkt"].status == VIOLATED
     assert rep.checks["kkt"].value == pytest.approx(0.5)
-    for name in ("licq", "strict_complementarity", "sosc"):
+    # LICQ, the hypothesis under which KKT is necessary, is decided anyway:
+    # g1 = y1 - 1 is inactive at y = 0.5, so no row is active
+    assert rep.checks["licq"].status == SATISFIED and rep.checks["licq"].value == np.inf
+    for name in ("strict_complementarity", "sosc"):
         assert rep.checks[name].status == INCONCLUSIVE
 
 
@@ -205,7 +208,8 @@ def test_ju_rejects_a_kkt_residual_whose_signs_fit_no_partition(p2, config):
     kkt = rep.checks["kkt"]
     assert kkt.status == VIOLATED and kkt.value <= config.tol_kkt
     assert kkt.detail == "no active-set partition: index 1: negative multiplier -2.000e-09"
-    assert rep.checks["licq"].status == INCONCLUSIVE
+    # the active set {g1} has J_y g1 = 1, so LICQ holds
+    assert rep.checks["licq"].status == SATISFIED and rep.checks["licq"].value == 1.0
     assert rep.partition is None
 
 

@@ -1,8 +1,8 @@
 """Every numeric decision in `minimaxcert` reads a `CheckConfig` field or a
-named noise floor: no module hides a small float literal.
+named noise floor: no module hides a small or a large float literal.
 
-A float literal in (0, 1e-5) under `src/minimaxcert/` (outside `config.py`,
-the home of the `tol_*` fields) is allowed only as the value of a
+A float literal in (0, 1e-5), or of at least 1e5, under `src/minimaxcert/`
+(outside `config.py`, the home of the `tol_*` fields) is allowed only as the value of a
 module-level UPPER_CASE assignment, the floor's one home, or as a `GridSpec`
 field default, which `perfbench/run.py` and the tests build without a config.
 Conversely, every `CheckConfig` field is read by the code it configures, so
@@ -36,8 +36,9 @@ def _allowed_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def small_float_literals(path: Path) -> list[str]:
-    """'file:line: literal' for each unnamed float literal in (0, 1e-5)."""
+def unnamed_float_literals(path: Path) -> list[str]:
+    """'file:line: literal' for each unnamed float literal in (0, 1e-5) or
+    of at least 1e5: a tolerance, or a growth or scale bound."""
     text = path.read_text(encoding="utf-8")
     allowed = _allowed_lines(ast.parse(text))
     hits = []
@@ -45,14 +46,14 @@ def small_float_literals(path: Path) -> list[str]:
         if tok.type != tokenize.NUMBER or tok.string[-1] in "jJ":
             continue
         value = float(tok.string.replace("_", "")) if not tok.string.isdigit() else 0.0
-        if 0.0 < value < 1e-5 and tok.start[0] not in allowed:
+        if (0.0 < value < 1e-5 or value >= 1e5) and tok.start[0] not in allowed:
             hits.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     return hits
 
 
 def test_no_unnamed_tolerance_literals():
     hits = [hit for path in sorted(SRC.glob("*.py")) if path.name != "config.py"
-            for hit in small_float_literals(path)]
+            for hit in unnamed_float_literals(path)]
     assert hits == []
 
 
@@ -60,15 +61,19 @@ def test_the_scan_sees_literals_outside_named_homes(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text(
         "FLOOR = 1e-12\n"
+        "GROWTH = 1e8\n"
         "class GridSpec:\n"
         "    tol: float = 1e-9\n"
         "def f(x, tol=1e-9):\n"
         "    local = 1e-10\n"
-        "    return x > -2.5e-7 and x < 1e-5 and x != 0.5\n",
+        "    return x > -2.5e-7 and x < 1e-5 and x != 0.5 and x < 99999.0\n"
+        "def g(x, steps=100000):\n"
+        "    return x > 1e5 * (1.0 + steps) or x < -2.5E+12\n",
         encoding="utf-8",
     )
-    assert small_float_literals(source) == [
-        "sample.py:4: 1e-9", "sample.py:5: 1e-10", "sample.py:6: 2.5e-7",
+    assert unnamed_float_literals(source) == [
+        "sample.py:5: 1e-9", "sample.py:6: 1e-10", "sample.py:7: 2.5e-7",
+        "sample.py:9: 1e5", "sample.py:9: 2.5E+12",
     ]
 
 
