@@ -18,7 +18,7 @@ selector search with beta nonempty) never refutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -209,7 +209,12 @@ def _lower_checks_to_results(ju: LowerConditionsReport) -> list[ConditionCheck]:
         "sosc": ("lower_sosc", KIND_INFO),
         "sonc": ("lower_second_order_necessary", KIND_NECESSARY),
     }
-    return [replace(ju.checks[src], name=name, kind=kind) for src, (name, kind) in mapping.items()]
+    out = []
+    for src, (name, kind) in mapping.items():
+        c = ju.checks[src]
+        out.append(ConditionCheck(name, c.status, c.value, c.tolerance, kind, c.witness,
+                                  c.detail, c.requires))
+    return out
 
 
 def _gated(results: list[ConditionCheck], name: str, kind: str, tolerance, run):

@@ -9,6 +9,7 @@ parse error.  A certify run whose evaluation failed (its report ends in an
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -58,7 +59,12 @@ def _parse_vector(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Reusing it is safe: `parse_args`
+    returns a fresh Namespace, the `append` actions copy their `[]` default
+    before appending, and argparse looks up sys.stdout and sys.stderr only
+    when it prints."""
     parser = argparse.ArgumentParser(
         prog="minimaxcert",
         description="Certify candidate local minimax points of constrained "

@@ -16,7 +16,6 @@ them).
 from __future__ import annotations
 
 import json
-import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -27,7 +26,23 @@ from .conditions import ConditionCheck
 SCHEMA_VERSION = "0.1.0"
 
 
+# exact types that `_jsonable` returns unchanged; subclasses of them take
+# the isinstance chain
+_PLAIN = frozenset((float, str, int, bool, type(None)))
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _jsonable(value):
+    t = type(value)
+    if t in _PLAIN:
+        return value
+    if t is np.ndarray and value.ndim and value.dtype == _FLOAT64:
+        return value.tolist()  # nested lists of floats, as the walk below gives
+    if t is list or t is tuple:
+        return [v if type(v) in _PLAIN else _jsonable(v) for v in value]
+    if t is dict:
+        return {k if type(k) is str else str(k): v if type(v) in _PLAIN else _jsonable(v)
+                for k, v in value.items()}
     if value is None or isinstance(value, (str, bool, int)):
         return value
     if isinstance(value, (float, np.floating)):
@@ -80,55 +95,107 @@ def report_to_doc(report: CertificateReport) -> dict:
     }
 
 
-def _format_float(v: float) -> str:
-    if math.isnan(v):
-        return '"nan"'
-    if math.isinf(v):
-        return '"inf"' if v > 0 else '"-inf"'
+def _float_text(v) -> str:
+    """17 significant digits, ".0" on integral values, and "nan", "inf" and
+    "-inf" (the texts that end in a letter) as JSON strings."""
     text = format(v, ".17g")
-    if not any(c in text for c in ".eE"):
-        text += ".0"
+    if "." not in text and "e" not in text:
+        text = f'"{text}"' if text[-1] in "nf" else text + ".0"
     return text
 
 
 def dumps_canonical(doc) -> str:
     """Deterministic JSON writer (insertion order kept, floats at 17 digits)."""
-    pieces: list[str] = []
-    _write(doc, pieces)
-    return "".join(pieces)
+    return _text(doc, {}, {})
 
 
-def _write(value, out: list[str]):
+def _text(value, keys: dict, strings: dict) -> str:
+    """The canonical text of `value`.  A dict, list or tuple of exact type is
+    walked here, and its members of exact type float, str, int, bool or None
+    are written in the loop (floats as `_float_text` writes them), with no
+    call per member.  `keys` and `strings` memoise the encoded text of each
+    str key and value within one call.  Everything else goes through
+    `_other_text`."""
+    t = type(value)
+    if t is dict:
+        parts = []
+        for k, v in value.items():
+            if type(k) is str:
+                head = keys.get(k)
+                if head is None:
+                    head = keys[k] = encode_basestring_ascii(k) + ":"
+            else:
+                head = encode_basestring_ascii(str(k)) + ":"
+            tv = type(v)
+            if tv is float:
+                text = f"{v:.17g}"
+                if "." not in text and "e" not in text:
+                    text = f'"{text}"' if text[-1] in "nf" else text + ".0"
+            elif tv is str:
+                text = strings.get(v)
+                if text is None:
+                    text = strings[v] = encode_basestring_ascii(v)
+            elif v is None:
+                text = "null"
+            elif tv is int:
+                text = str(v)
+            elif v is True:
+                text = "true"
+            elif v is False:
+                text = "false"
+            else:
+                text = _text(v, keys, strings)
+            parts.append(head + text)
+        return "{" + ",".join(parts) + "}"
+    if t is list or t is tuple:
+        parts = []
+        for v in value:
+            tv = type(v)
+            if tv is float:
+                text = f"{v:.17g}"
+                if "." not in text and "e" not in text:
+                    text = f'"{text}"' if text[-1] in "nf" else text + ".0"
+            elif tv is str:
+                text = strings.get(v)
+                if text is None:
+                    text = strings[v] = encode_basestring_ascii(v)
+            elif v is None:
+                text = "null"
+            elif tv is int:
+                text = str(v)
+            elif v is True:
+                text = "true"
+            elif v is False:
+                text = "false"
+            else:
+                text = _text(v, keys, strings)
+            parts.append(text)
+        return "[" + ",".join(parts) + "]"
+    return _other_text(value, keys, strings)
+
+
+def _other_text(value, keys: dict, strings: dict) -> str:
+    """Top-level scalars, and the isinstance chain for every other type:
+    np.float64, str and int subclasses and the like take their branch, the
+    rest raise TypeError."""
     if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_format_float(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append(encode_basestring_ascii(str(k)))
-            out.append(":")
-            _write(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(",")
-            _write(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, dict):
+        return "{" + ",".join([encode_basestring_ascii(str(k)) + ":" + _text(v, keys, strings)
+                               for k, v in value.items()]) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join([_text(v, keys, strings) for v in value]) + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def loads(text: str) -> dict:
@@ -142,6 +209,14 @@ def loads(text: str) -> dict:
 
 
 def _render_value(v) -> str:
+    t = type(v)
+    if t is float:
+        return format(v, ".6g")
+    if t is str:
+        return v
+    if t is list:
+        return "[" + ", ".join([format(x, ".6g") if type(x) is float else _render_value(x)
+                                for x in v]) + "]"
     if v is None:
         return "-"
     if isinstance(v, str):
@@ -170,16 +245,15 @@ def render_summary(doc: dict) -> str:
         lines.append(f"path: {doc['path']}")
     results = doc.get("results", [])
     if results:
-        name_w = max(len(r.get("name", "")) for r in results)
-        status_w = max(len(r.get("status", "")) for r in results)
+        names = [r.get("name", "") for r in results]
+        statuses = [r.get("status", "") for r in results]
+        name_w = max(map(len, names))
+        status_w = max(map(len, statuses))
         lines.append("")
-        for r in results:
+        for r, name, status in zip(results, names, statuses):
             margin = _render_value(r.get("margin"))
             tol = _render_value(r.get("tolerance"))
-            row = (
-                f"  {r.get('name', ''):<{name_w}}  {r.get('status', ''):<{status_w}}"
-                f"  margin={margin}  tol={tol}"
-            )
+            row = f"  {name:<{name_w}}  {status:<{status_w}}  margin={margin}  tol={tol}"
             detail = r.get("detail")
             if detail:
                 row += f"  ({detail})"

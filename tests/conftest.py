@@ -1,6 +1,8 @@
 import importlib.util
+import math
 import sys
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,58 @@ def p4():
 @pytest.fixture(scope="session")
 def config():
     return CheckConfig()
+
+
+def _reference_format_float(v: float) -> str:
+    if math.isnan(v):
+        return '"nan"'
+    if math.isinf(v):
+        return '"inf"' if v > 0 else '"-inf"'
+    text = format(v, ".17g")
+    if not any(c in text for c in ".eE"):
+        text += ".0"
+    return text
+
+
+def _reference_write(value, out: list[str]):
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(_reference_format_float(value))
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(value.items()):
+            if i:
+                out.append(",")
+            out.append(encode_basestring_ascii(str(k)))
+            out.append(":")
+            _reference_write(v, out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(value):
+            if i:
+                out.append(",")
+            _reference_write(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def reference_dumps_canonical(doc) -> str:
+    """The canonical report writer as one isinstance chain per value, one call
+    per value: the reference that pins the bytes of `report.dumps_canonical`."""
+    pieces: list[str] = []
+    _reference_write(doc, pieces)
+    return "".join(pieces)
 
 
 def check_domain(expr, a, b):

@@ -1,15 +1,24 @@
+import argparse
 import json
+import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from minimaxcert import cli
 from minimaxcert.cli import main
 from minimaxcert.config import CheckConfig
 from minimaxcert.fixtures import fixture_text
 from minimaxcert.report import dumps_canonical, loads, render_summary
 
-from conftest import CROSS_TEXT, VALUE_ASYMMETRY_TEXT
+from conftest import (
+    CROSS_TEXT,
+    VALUE_ASYMMETRY_TEXT,
+    perfbench_workloads,
+    reference_dumps_canonical,
+)
 
 
 @pytest.fixture()
@@ -96,6 +105,132 @@ def test_canonical_writer_matches_json_dumps_on_text(doc):
     """Keys, strings, integers, booleans and null come out as json.dumps
     writes them with its default ensure_ascii and compact separators."""
     assert dumps_canonical(doc) == json.dumps(doc, separators=(",", ":"))
+
+
+class _Str(str):
+    """A str subclass: both writers take its isinstance branch."""
+
+
+class _Int(int):
+    """An int subclass, likewise."""
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e17, 1e-300, 3.0, -2.0, 1e300,
+     math.inf, -math.inf, math.nan])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(10**30, 10**40)
+            | _FLOATS | _FLOATS.map(np.float64) | _TEXT | _TEXT.map(_Str)
+            | st.integers().map(_Int))
+_KEYS = (_TEXT | _TEXT.map(_Str) | st.booleans() | st.integers() | st.none() | _FLOATS
+         | _FLOATS.map(np.float64))
+_RICH_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=16,
+)
+
+
+@given(_RICH_DOCS)
+@example([{1: 0}, {True: 0}, {1.0: 0}, {np.float64(1.0): 0}, {"1": 0}, {_Str("1"): "1"}])
+def test_canonical_writer_matches_the_reference(doc):
+    """Floats at their edges, np.float64, bools, big ints, tuples, str and int
+    subclasses and non-str keys come out as the reference writes them."""
+    assert dumps_canonical(doc) == reference_dumps_canonical(doc)
+
+
+@pytest.mark.parametrize("value", [np.float32(1.5), np.int64(3), np.zeros(2), {1, 2}],
+                         ids=["float32", "int64", "ndarray", "set"])
+@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1.0, v], lambda v: {"k": v},
+                                  lambda v: ({"a": [v]},)],
+                         ids=["bare", "list", "dict", "nested"])
+def test_writers_refuse_the_same_types(value, wrap):
+    messages = []
+    for writer in (dumps_canonical, reference_dumps_canonical):
+        with pytest.raises(TypeError) as info:
+            writer(wrap(value))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.fixture()
+def checked_writer(monkeypatch):
+    """cli's writer, checked against the reference on every document; the
+    texts written, in order."""
+    written = []
+
+    def writer(doc):
+        text = dumps_canonical(doc)
+        assert text == reference_dumps_canonical(doc)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "dumps_canonical", writer)
+    return written
+
+
+def test_certify_documents_match_the_reference_writer(checked_writer, tmp_path, capsys):
+    # one benchmark op per problem: 40 candidates on P1-P4 and a lattice file
+    wl = perfbench_workloads().cli_batch(3)
+    for i, key in enumerate(wl.cycle):
+        path = tmp_path / f"{key}.prob"
+        path.write_text(wl.problems[key], encoding="utf-8")
+        op = wl.op(i)
+        argv = ["certify", str(path)]
+        for c in op.candidates:
+            argv += ["--x=" + ",".join(map(repr, c.x)), "--y=" + ",".join(map(repr, c.y))]
+        assert main(argv) == op.exit_code
+    capsys.readouterr()
+    assert len(checked_writer) == len(wl.cycle)
+    assert all(len(json.loads(text)) == len(op.candidates) for text in checked_writer)
+
+
+_POINTS = {"P1": ("0.3", "0.3"), "P2": ("-0.5", "-0.5"), "P3": ("0", "0"),
+           "P4": ("1.5", "1")}
+
+
+@pytest.mark.parametrize("command", ["validate", "value-derivs", "solve-lower", "oracle",
+                                     "subdiff"])
+def test_other_documents_match_the_reference_writer(checked_writer, prob_files, capsys,
+                                                     command):
+    for key, (x, y) in _POINTS.items():
+        point = [] if command == "validate" else ["--x", x, "--y", y]
+        assert main([command, prob_files[key], *point]) in (0, 2)
+    capsys.readouterr()
+    assert len(checked_writer) == len(_POINTS)
+
+
+def test_parser_reuse_keeps_calls_apart(prob_files, tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; appended values, usage errors
+    and exit codes stay with their own call."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        three = ["--x", "0", "--y", "0", "--x", "0.5", "--y", "0.5", "--x", "0.2", "--y", "0.2"]
+        assert main(["certify", prob_files["P1"], *three, "--json", str(first)]) == 2
+        assert main(["certify", prob_files["P1"], "--x", "0.1", "--y", "0.1",
+                     "--json", str(second)]) == 2
+        docs = json.loads(first.read_text(encoding="utf-8"))
+        assert [(d["candidate"]["x"], d["candidate"]["y"]) for d in docs] == [
+            ([0.0], [0.0]), ([0.5], [0.5]), ([0.2], [0.2])]
+        doc = json.loads(second.read_text(encoding="utf-8"))
+        assert (doc["candidate"]["x"], doc["candidate"]["y"]) == ([0.1], [0.1])
+        capsys.readouterr()
+        assert main(["certify", prob_files["P1"], "--x"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(["certify", prob_files["P1"], "--x", "0", "--y", "0"]) == 0
+        assert capsys.readouterr().err == ""
+        assert built.count("minimaxcert") == 1
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def test_multiple_candidates_parallel(prob_files, tmp_path, capsys):

@@ -284,6 +284,19 @@ def test_second_order_necessary_violated_on_flipped_problem(config):
     assert abs(abs(check.witness[0]) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("check", [second_order_necessary, second_order_sufficient])
+def test_second_order_on_an_empty_polytope_is_inconclusive(check, config):
+    # no outer constraint and a nonzero gradient: no multiplier, so no cone
+    # to test (certify never gets here: it needs first_order satisfied)
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = -0.5*x1^2 - 0.5*y1^2\n")
+    _, vd = smooth_vd(spec, [0.0], config)
+    poly = upper_kkt_and_polytope(spec, [0.0], np.array([1.0]), config)
+    assert poly.point is None
+    result = check(vd, poly, config)
+    assert (result.status, result.detail) == (INCONCLUSIVE, "multiplier polytope is empty")
+    assert result.value is None
+
+
 def test_second_order_sufficient_p1_exact(p1, config):
     sol, vd = smooth_vd(p1, [0.0], config)
     poly = upper_kkt_and_polytope(p1, [0.0], vd.gradient, config)
