@@ -58,7 +58,7 @@ class CheckConfig:
         return CheckConfig(**data)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @classmethod
     def from_file(cls, path: str) -> "CheckConfig":
@@ -79,6 +79,10 @@ class CheckConfig:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
                 overrides[key] = _coerce(value, valid[key])
         return cls(**overrides)
+
+
+# in declaration order; read by as_dict on every report, so listed once
+_FIELD_NAMES = tuple(f.name for f in fields(CheckConfig))
 
 
 def _coerce(text: str, annotation) -> object:

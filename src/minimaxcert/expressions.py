@@ -10,13 +10,24 @@ derivatives at once, for the variables it contains, and one signed zero for
 every other, so a derivative table costs in proportion to its nonzero
 entries.
 
+Inside a `shared_nodes` block (a problem's parse and derivative-table
+build) there is one object per structure: the parser, the s_* constructors
+with their constant folding, and the differentiation rules return the node
+made earlier in the block wherever it equals the one asked for, so equal
+subtrees are one DAG node, and every walk that memoises by node id
+(`Gradients`, `Tape`'s compile, `variables_of`, `uses_abs`, `to_string`)
+visits each structure once.  Nodes hold no reference back to their parents,
+so the graphs are acyclic: reference counting frees what a build drops,
+which lets a build run with the cyclic collector paused.
+
 `Tape` is the one evaluator.  It compiles a list of expressions once into a
-straight-line program (nodes are frozen dataclasses, so equal subexpressions
-are hash-consed into one instruction) and runs it in two modes: at a scalar
-point, into one flat vector (`certify`), or on broadcastable arrays, giving
-each expression's value shaped the way its operands broadcast (the oracle).
-The scalar mode is strict: it runs on Python floats, calls numpy only for
-the functions and ^ (the same ufuncs, so the same values), and raises
+straight-line program (equal subexpressions become one instruction) and
+runs it in two modes: at a scalar point, into one flat vector (`certify`),
+or on broadcastable arrays, giving each expression's value shaped the way
+its operands broadcast (the oracle).  Each mode's kernels are bound on its
+first run, so a tape run in one mode never builds the other's.  The scalar
+mode is strict: it runs on Python floats, calls numpy only for the
+functions and ^ (the same ufuncs, so the same values), and raises
 DomainError where a value leaves its domain.  The array mode is permissive:
 it runs the numpy kernels, on numpy values with numpy's warnings off, and
 lets NaN and inf through.
@@ -27,8 +38,11 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -110,6 +124,95 @@ class Func(Expr):
 
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt", "abs", "sign")
+
+
+# shared results of differentiation, and the 0.0 and 1.0 of every cons table:
+# derivative tables are mostly zeros, and nodes are immutable, so one instance
+# of each serves every entry
+_ZERO = Const(0.0)
+_ONE = Const(1.0)
+
+
+# ---------------------------------------------------------------------------
+# one object per structure
+#
+# Inside `shared_nodes` every node is made through the block's cons table,
+# keyed by the node type, the function name and the operands' ids (a
+# constant by its type and repr, a variable by its kind and index).  Leaves
+# are shared, so by induction a structure made twice in the block has the
+# same operand objects, hence the same key.  A key's ids stay valid because
+# the table holds the node, and so its operands.
+
+_shared: ContextVar[dict | None] = ContextVar("shared_nodes", default=None)
+
+
+def _const_key(value) -> tuple:
+    """Constants are one node with the same type and repr, so 0.0 and -0.0
+    stay apart; a NaN is keyed by its bits, sign included."""
+    return (Const, type(value), repr(value) if value == value else struct.pack("<d", value))
+
+
+@contextmanager
+def shared_nodes(table: dict | None = None):
+    """Inside the block, the parser, the s_* constructors and the
+    differentiation rules make each structure once: a node equal to one
+    made earlier in the block (the same type, function name and operand
+    objects, or a constant of the same type and repr) is that object.
+    Yields the cons table; hand it to a later block to go on sharing with
+    the nodes this one made.  Drop it when the build is done: it holds
+    every node it made."""
+    if table is None:
+        table = {_const_key(0.0): _ZERO, _const_key(1.0): _ONE}
+    token = _shared.set(table)
+    try:
+        yield table
+    finally:
+        _shared.reset(token)
+
+
+def _const(value) -> Const:
+    table = _shared.get()
+    if table is None:
+        return Const(value)
+    key = _const_key(value)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = Const(value)
+    return node
+
+
+def _var(kind: str, index: int) -> Var:
+    table = _shared.get()
+    if table is None:
+        return Var(kind, index)
+    key = (Var, kind, index)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = Var(kind, index)
+    return node
+
+
+def _op(kind: type, a: Expr, b: Expr | None = None) -> Expr:
+    """The binary node kind(a, b), or Neg(a) when b is None."""
+    table = _shared.get()
+    if table is None:
+        return kind(a) if b is None else kind(a, b)
+    key = (kind, id(a), id(b))
+    node = table.get(key)
+    if node is None:
+        node = table[key] = kind(a) if b is None else kind(a, b)
+    return node
+
+
+def _func(name: str, a: Expr) -> Func:
+    table = _shared.get()
+    if table is None:
+        return Func(name, a)
+    key = (Func, name, id(a))
+    node = table.get(key)
+    if node is None:
+        node = table[key] = Func(name, a)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +300,11 @@ def _op_of(expr: Expr, floats: bool = False):
 def _intern(node: Expr, seen: dict, index: dict, nodes: list) -> int:
     """Index in `nodes` of the subexpression equal to node, appending it (after
     its operands) when new.  Constants are equal only with the same type and
-    repr, so 0.0 and -0.0 stay apart.  `seen` maps the ids of operation nodes
-    already interned, so a shared subtree is walked once."""
+    repr, so 0.0 and -0.0 stay apart.  `seen` maps the ids of nodes already
+    interned, so a shared subtree is walked once."""
+    found = seen.get(id(node))
+    if found is not None:
+        return found
     kind = type(node)
     args: tuple[int, ...] = ()
     if kind is Const:
@@ -206,9 +312,6 @@ def _intern(node: Expr, seen: dict, index: dict, nodes: list) -> int:
     elif kind is Var:
         key = (kind, node.kind, node.index)
     else:
-        found = seen.get(id(node))
-        if found is not None:
-            return found
         args = (_intern(node.a, seen, index, nodes),)  # one frame per level
         if kind is not Neg and kind is not Func:
             args += (_intern(node.b, seen, index, nodes),)
@@ -217,8 +320,7 @@ def _intern(node: Expr, seen: dict, index: dict, nodes: list) -> int:
     if found is None:
         found = index[key] = len(nodes)
         nodes.append((node, args))
-    if args:
-        seen[id(node)] = found
+    seen[id(node)] = found
     return found
 
 
@@ -264,15 +366,17 @@ class Tape:
     entries are mostly zeros (the derivative tables) writes those into the
     template itself and hands over the rest.
 
-    Each entry point has one mode, and its own code, compiled in the one
-    loop.  `__call__` loads x and y as Python floats and runs the float
-    kernels: + - * and negation are plain float arithmetic, the domain tests
-    of /, ^, log and sqrt are float comparisons that raise DomainError, and
-    every function and ^ calls the same numpy ufunc as the numpy kernel, so
-    values (up to the sign and payload of a NaN) are those of a run on numpy
-    scalars.  `arrays` runs the numpy kernels on numpy values, constants
-    included, with numpy's warnings off, and raises no DomainError: a value
-    outside a domain comes out NaN or inf.
+    Each entry point has one mode, and its own kernels, bound on its first
+    call: certify's tapes run only at scalar points and the oracle's grid
+    tapes only on arrays, so each binds one list.  `__call__` loads x and
+    y as Python floats and runs the float kernels: + - * and negation are
+    plain float arithmetic, the domain tests of /, ^, log and sqrt are
+    float comparisons that raise DomainError, and every function and ^
+    calls the same numpy ufunc as the numpy kernel, so values (up to the
+    sign and payload of a NaN) are those of a run on numpy scalars.
+    `arrays` runs the numpy kernels on numpy values, constants included,
+    with numpy's warnings off, and raises no DomainError: a value outside
+    a domain comes out NaN or inf.
     """
 
     def __init__(self, exprs, positions=None, template=None):
@@ -295,20 +399,31 @@ class Tape:
         # constants are preset, variables loaded, and operations computed in order
         self._init: list = [None] * (max(slot, default=-1) + 1)
         self._loads: dict[str, list] = {"x": [], "y": []}
-        self._float_code: list = []  # (float kernel, slot, operand slots)
-        self._array_code: list = []  # (numpy kernel, slot, operand slots)
+        self._program: list = []  # (node, slot, operand slots)
         for (node, args), s in zip(nodes, slot):
             if args:
-                operands = (s, slot[args[0]], slot[args[-1]])
-                self._float_code.append((_op_of(node, floats=True), *operands))
-                self._array_code.append((_op_of(node), *operands))
+                self._program.append((node, s, slot[args[0]], slot[args[-1]]))
             elif type(node) is Var:
                 self._loads[node.kind].append((s, node.index))
             else:
                 self._init[s] = node.value
-        # the array mode computes on numpy scalars also between two constants:
-        # 0/0 is NaN there, where Python floats raise ZeroDivisionError
-        self._array_init = [v if v is None else np.float64(v) for v in self._init]
+
+    @cached_property
+    def _float_code(self) -> list:
+        """(float kernel, slot, operand slots) of each operation."""
+        return [(_op_of(node, floats=True), s, a, b) for node, s, a, b in self._program]
+
+    @cached_property
+    def _array_code(self) -> list:
+        """(numpy kernel, slot, operand slots) of each operation."""
+        return [(_op_of(node), s, a, b) for node, s, a, b in self._program]
+
+    @cached_property
+    def _array_init(self) -> list:
+        """The constants as numpy scalars: the array mode computes on them also
+        between two constants, where 0/0 is NaN and Python floats raise
+        ZeroDivisionError."""
+        return [v if v is None else np.float64(v) for v in self._init]
 
     def _run(self, x, y, init: list, code: list) -> list:
         """The slot values after every instruction of `code` ran, starting
@@ -348,23 +463,41 @@ class Tape:
         return out
 
 
-def uses_abs(expr: Expr) -> bool:
-    """True if any abs node occurs (condition checks reject these)."""
-    if isinstance(expr, Func) and expr.name == "abs":
-        return True
-    for child in _children(expr):
-        if uses_abs(child):
+def uses_abs(expr: Expr, seen: set | None = None) -> bool:
+    """True if any abs node occurs (condition checks reject these).  `seen`
+    holds the ids of the nodes visited, so a node shared within expr is
+    visited once; calls on nodes that stay alive may pass one set to share
+    it between them, until one returns True."""
+    seen = set() if seen is None else seen
+    todo = [expr]
+    while todo:
+        e = todo.pop()
+        if id(e) in seen:
+            continue
+        if type(e) is Func and e.name == "abs":
             return True
+        seen.add(id(e))
+        todo += _children(e)
     return False
 
 
-def variables_of(expr: Expr) -> set[tuple[str, int]]:
-    if isinstance(expr, Var):
-        return {(expr.kind, expr.index)}
-    out: set[tuple[str, int]] = set()
-    for child in _children(expr):
-        out |= variables_of(child)
-    return out
+def variables_of(expr: Expr, memo: dict | None = None) -> set[tuple[str, int]]:
+    """The (kind, index) of each variable in expr.  `memo` maps id(node) to
+    the variables of each node already visited, so a node shared within
+    expr is visited once; calls on nodes that stay alive may pass one memo
+    to share it between them.  The sets it returns are the memo's: read
+    them, do not change them."""
+    memo = {} if memo is None else memo
+    found = memo.get(id(expr))
+    if found is None:
+        if type(expr) is Var:
+            found = {(expr.kind, expr.index)}
+        else:
+            found = set()
+            for child in _children(expr):
+                found |= variables_of(child, memo)
+        memo[id(expr)] = found
+    return found
 
 
 def _children(expr: Expr) -> tuple[Expr, ...]:
@@ -379,12 +512,6 @@ def _children(expr: Expr) -> tuple[Expr, ...]:
 # differentiation (with light smart-constructor simplification)
 
 
-# shared results of differentiation: derivative tables are mostly zeros, and
-# nodes are immutable, so one instance of each serves every entry
-_ZERO = Const(0.0)
-_ONE = Const(1.0)
-
-
 def _is_const(e: Expr, v: float | None = None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
@@ -392,34 +519,34 @@ def _is_const(e: Expr, v: float | None = None) -> bool:
 def s_add(a: Expr, b: Expr) -> Expr:
     ca, cb = type(a) is Const, type(b) is Const
     if ca and cb:
-        return Const(a.value + b.value)
+        return _const(a.value + b.value)
     if ca and a.value == 0.0:
         return b
     if cb and b.value == 0.0:
         return a
-    return Add(a, b)
+    return _op(Add, a, b)
 
 
 def s_sub(a: Expr, b: Expr) -> Expr:
     ca, cb = type(a) is Const, type(b) is Const
     if ca and cb:
-        return Const(a.value - b.value)
+        return _const(a.value - b.value)
     if cb and b.value == 0.0:
         return a
     if ca and a.value == 0.0:
         return s_neg(b)
-    return Sub(a, b)
+    return _op(Sub, a, b)
 
 
 def s_mul(a: Expr, b: Expr) -> Expr:
     ca, cb = type(a) is Const, type(b) is Const
     if ca and cb:
-        return Const(a.value * b.value)
+        return _const(a.value * b.value)
     if ca:  # b is not a constant
-        return _ZERO if a.value == 0.0 else b if a.value == 1.0 else Mul(a, b)
+        return _ZERO if a.value == 0.0 else b if a.value == 1.0 else _op(Mul, a, b)
     if cb:
-        return _ZERO if b.value == 0.0 else a if b.value == 1.0 else Mul(a, b)
-    return Mul(a, b)
+        return _ZERO if b.value == 0.0 else a if b.value == 1.0 else _op(Mul, a, b)
+    return _op(Mul, a, b)
 
 
 def s_div(a: Expr, b: Expr) -> Expr:
@@ -427,7 +554,7 @@ def s_div(a: Expr, b: Expr) -> Expr:
         return _ZERO
     if type(b) is Const and b.value == 1.0:
         return a
-    return Div(a, b)
+    return _op(Div, a, b)
 
 
 def s_pow(a: Expr, b: Expr) -> Expr:
@@ -436,15 +563,15 @@ def s_pow(a: Expr, b: Expr) -> Expr:
             return a
         if b.value == 0.0:
             return _ONE
-    return Pow(a, b)
+    return _op(Pow, a, b)
 
 
 def s_neg(a: Expr) -> Expr:
     if type(a) is Const:
-        return Const(-a.value)
+        return _const(-a.value)
     if type(a) is Neg:
         return a.a
-    return Neg(a)
+    return _op(Neg, a)
 
 
 def differentiate(expr: Expr, var: Var) -> Expr:
@@ -461,13 +588,13 @@ def _var_key(var: Var) -> int:
 
 # d f(a) = f'(a) da for each function f, given the node f(a) and da
 _FUNCTION_RULES = {
-    "sin": lambda e, da: s_mul(Func("cos", e.a), da),
-    "cos": lambda e, da: s_neg(s_mul(Func("sin", e.a), da)),
+    "sin": lambda e, da: s_mul(_func("cos", e.a), da),
+    "cos": lambda e, da: s_neg(s_mul(_func("sin", e.a), da)),
     "exp": lambda e, da: s_mul(e, da),
     "log": lambda e, da: s_div(da, e.a),
-    "sqrt": lambda e, da: s_div(da, s_mul(Const(2.0), e)),
+    "sqrt": lambda e, da: s_div(da, s_mul(_const(2.0), e)),
     # nondifferentiable at 0; sign(0)=0 surfaces there during evaluation
-    "abs": lambda e, da: s_mul(Func("sign", e.a), da),
+    "abs": lambda e, da: s_mul(_func("sign", e.a), da),
     "sign": lambda e, da: _ZERO,
 }
 
@@ -475,9 +602,9 @@ _FUNCTION_RULES = {
 def _d_pow(e: Pow, da: Expr, db: Expr) -> Expr:
     if _is_const(db, 0.0) and isinstance(e.b, Const):
         c = e.b.value
-        return s_mul(s_mul(Const(c), s_pow(e.a, Const(c - 1.0))), da)
+        return s_mul(s_mul(_const(c), s_pow(e.a, _const(c - 1.0))), da)
     # general a^b: a^b * (db*log a + b*da/a)
-    return s_mul(e, s_add(s_mul(db, Func("log", e.a)), s_mul(e.b, s_div(da, e.a))))
+    return s_mul(e, s_add(s_mul(db, _func("log", e.a)), s_mul(e.b, s_div(da, e.a))))
 
 
 # d e for each operation, given the node e and its operands' derivatives da
@@ -487,7 +614,7 @@ _RULES = {
     Sub: lambda e, da, db: s_sub(da, db),
     Mul: lambda e, da, db: s_add(s_mul(da, e.b), s_mul(e.a, db)),
     Div: lambda e, da, db: s_div(s_sub(s_mul(da, e.b), s_mul(e.a, db)),
-                                 s_pow(e.b, Const(2.0))),
+                                 s_pow(e.b, _const(2.0))),
     Pow: _d_pow,
     Neg: lambda e, da, db: s_neg(da),
     Func: lambda e, da, db: _FUNCTION_RULES[e.name](e, da),
@@ -609,7 +736,7 @@ def _parse_sum(tz: _Tokenizer) -> Expr:
         if kind == "op" and val in "+-":
             tz.next()
             rhs = _parse_term(tz)
-            node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+            node = _op(Add if val == "+" else Sub, node, rhs)
         else:
             return node
 
@@ -621,7 +748,7 @@ def _parse_term(tz: _Tokenizer) -> Expr:
         if kind == "op" and val in "*/":
             tz.next()
             rhs = _parse_unary(tz)
-            node = Mul(node, rhs) if val == "*" else Div(node, rhs)
+            node = _op(Mul if val == "*" else Div, node, rhs)
         else:
             return node
 
@@ -630,7 +757,7 @@ def _parse_unary(tz: _Tokenizer) -> Expr:
     kind, val, _ = tz.peek()
     if kind == "op" and val == "-":
         tz.next()
-        return Neg(_parse_unary(tz))
+        return _op(Neg, _parse_unary(tz))
     return _parse_power(tz)
 
 
@@ -640,7 +767,7 @@ def _parse_power(tz: _Tokenizer) -> Expr:
     if kind == "op" and val == "^":
         tz.next()
         # right-associative; exponent may carry a unary minus
-        return Pow(base, _parse_unary_power(tz))
+        return _op(Pow, base, _parse_unary_power(tz))
     return base
 
 
@@ -648,18 +775,18 @@ def _parse_unary_power(tz: _Tokenizer) -> Expr:
     kind, val, _ = tz.peek()
     if kind == "op" and val == "-":
         tz.next()
-        return Neg(_parse_unary_power(tz))
+        return _op(Neg, _parse_unary_power(tz))
     return _parse_power(tz)
 
 
 def _parse_atom(tz: _Tokenizer) -> Expr:
     kind, val, col = tz.next()
     if kind == "num":
-        return Const(float(val))
+        return _const(float(val))
     if kind == "ident":
         m = _VAR_RE.match(val)
         if m:
-            return Var(m.group(1), int(m.group(2)) - 1)
+            return _var(m.group(1), int(m.group(2)) - 1)
         if val in FUNCTION_NAMES:
             k2, v2, c2 = tz.next()
             if not (k2 == "op" and v2 == "("):
@@ -668,7 +795,7 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
             k3, v3, c3 = tz.next()
             if not (k3 == "op" and v3 == ")"):
                 raise ExpressionError("expected ')'", tz.line, c3)
-            return Func(val, arg)
+            return _func(val, arg)
         raise ExpressionError(f"unknown identifier {val!r}", tz.line, col)
     if kind == "op" and val == "(":
         inner = _parse_sum(tz)
@@ -703,31 +830,41 @@ def _prec(expr: Expr) -> int:
     return _PREC_ATOM
 
 
-def to_string(expr: Expr) -> str:
-    """Render in the problem-file grammar; reparsing yields an equal tree."""
+def to_string(expr: Expr, memo: dict | None = None) -> str:
+    """Render in the problem-file grammar; reparsing yields an equal tree.
+    `memo` maps id(node) to the text of each node already rendered, so a
+    node shared within expr is rendered once; calls on nodes that stay
+    alive may pass one memo to share it between them."""
+    memo = {} if memo is None else memo
+    text = memo.get(id(expr))
+    if text is not None:
+        return text
     if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return f"{expr.kind}{expr.index + 1}"
-    if isinstance(expr, Add):
-        return f"{_wrap(expr.a, _PREC_ADD)} + {_wrap(expr.b, _PREC_ADD + 1)}"
-    if isinstance(expr, Sub):
-        return f"{_wrap(expr.a, _PREC_ADD)} - {_wrap(expr.b, _PREC_ADD + 1)}"
-    if isinstance(expr, Mul):
-        return f"{_wrap(expr.a, _PREC_MUL)}*{_wrap(expr.b, _PREC_MUL + 1)}"
-    if isinstance(expr, Div):
-        return f"{_wrap(expr.a, _PREC_MUL)}/{_wrap(expr.b, _PREC_MUL + 1)}"
-    if isinstance(expr, Neg):
-        return f"-{_wrap(expr.a, _PREC_NEG)}"
-    if isinstance(expr, Pow):
-        return f"{_wrap(expr.a, _PREC_ATOM)}^{_wrap(expr.b, _PREC_NEG)}"
-    if isinstance(expr, Func):
-        return f"{expr.name}({to_string(expr.a)})"
-    raise TypeError(f"unknown node {expr!r}")
+        text = repr(expr.value)
+    elif isinstance(expr, Var):
+        text = f"{expr.kind}{expr.index + 1}"
+    elif isinstance(expr, Add):
+        text = f"{_wrap(expr.a, _PREC_ADD, memo)} + {_wrap(expr.b, _PREC_ADD + 1, memo)}"
+    elif isinstance(expr, Sub):
+        text = f"{_wrap(expr.a, _PREC_ADD, memo)} - {_wrap(expr.b, _PREC_ADD + 1, memo)}"
+    elif isinstance(expr, Mul):
+        text = f"{_wrap(expr.a, _PREC_MUL, memo)}*{_wrap(expr.b, _PREC_MUL + 1, memo)}"
+    elif isinstance(expr, Div):
+        text = f"{_wrap(expr.a, _PREC_MUL, memo)}/{_wrap(expr.b, _PREC_MUL + 1, memo)}"
+    elif isinstance(expr, Neg):
+        text = f"-{_wrap(expr.a, _PREC_NEG, memo)}"
+    elif isinstance(expr, Pow):
+        text = f"{_wrap(expr.a, _PREC_ATOM, memo)}^{_wrap(expr.b, _PREC_NEG, memo)}"
+    elif isinstance(expr, Func):
+        text = f"{expr.name}({to_string(expr.a, memo)})"
+    else:
+        raise TypeError(f"unknown node {expr!r}")
+    memo[id(expr)] = text
+    return text
 
 
-def _wrap(expr: Expr, min_prec: int) -> str:
-    text = to_string(expr)
+def _wrap(expr: Expr, min_prec: int, memo: dict) -> str:
+    text = to_string(expr, memo)
     if _prec(expr) < min_prec:
         return f"({text})"
     return text

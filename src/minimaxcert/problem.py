@@ -14,7 +14,17 @@ The on-disk format is line oriented:
 Derivatives are exact: `ProblemSpec` builds its symbolic derivative tables
 lazily, once, and compiles them into one `Tape` per spec (`_bundle_program`,
 plus the x-only `_upper_program` behind `upper.upper_data`, and the grid
-oracle's `_oracle_tapes`), also once.  The tables are sparse: one
+oracle's `_oracle_tapes`), also once.  `parse_problem` and the table build
+share one cons table (`expressions.shared_nodes`): within a spec's build
+each structure is one `Expr` object, in the parsed trees and in their
+derivatives alike, so each distinct subtree is differentiated once and
+compiled once.  The spec hands the table from its parse to its table build
+and drops it when the tables are done.  The parse and the table and
+program builds run with the cyclic collector paused (restored after, also
+when they raise): they make thousands of immutable nodes and the tuples,
+lists and dicts that hold them, none of them in a cycle, so reference
+counting frees what a build drops and a collection during it would free
+none of it.  The tables are sparse: one
 `Gradients` serves the whole build and gives each (sub)expression all of its
 partial derivatives in one pass, for the variables it contains, plus one
 exact zero, of the sign the rules give it, for every other; it is dropped
@@ -40,6 +50,7 @@ cached across calls.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import re
@@ -59,6 +70,7 @@ from .expressions import (
     Gradients,
     Tape,
     parse_expression,
+    shared_nodes,
     to_string,
     uses_abs,
     variables_of,
@@ -115,8 +127,9 @@ class ProblemSpec:
                 raise ProblemFormatError(
                     f"{name} has {len(exprs)} entries, declared {want}"
                 )
+        seen: dict = {}  # shared by the functions, which share nodes
         for label, expr in self._labelled():
-            for kind, idx in variables_of(expr):
+            for kind, idx in variables_of(expr, seen):
                 limit = self.n if kind == "x" else self.m
                 if idx >= limit:
                     raise ProblemFormatError(
@@ -156,7 +169,8 @@ class ProblemSpec:
     @cached_property
     def smooth_for_conditions(self) -> bool:
         """abs is parsed but rejected by the condition-checking entry points."""
-        return not any(uses_abs(e) for _, e in self._labelled())
+        seen: set = set()  # shared by the functions, which share nodes
+        return not any(uses_abs(e, seen) for _, e in self._labelled())
 
     @cached_property
     def digest(self) -> str:
@@ -175,7 +189,13 @@ class ProblemSpec:
         `entries` holds the others as (row-major offset, Expr) pairs in
         offset order.  Entry (i, j), i <= j, of a Hessian is entry j of the
         gradient of gradient entry i, and entry (j, i) is the same Expr: C^2
-        data has symmetric Hessians."""
+        data has symmetric Hessians.  The nodes are made in the cons table
+        of the spec's parse (a new one for a spec built from trees), which
+        is dropped here."""
+        with _collector_paused(), shared_nodes(self.__dict__.pop("_nodes", None)):
+            return self._build_tables()
+
+    def _build_tables(self):
         n, m = self.n, self.m
         grads = Gradients()  # shared by every entry; dropped with this frame
 
@@ -252,7 +272,8 @@ class ProblemSpec:
                 visits += [(f"{c}_{b}", k, owner, *row[b]) for b in ("xx", "yx", "yy")]
         visits += _values("f", [self.f])
         visits += [("f" + b, 0, f_owner, *t["f"][b]) for b in ("x", "y")]
-        return BlockProgram.compile(shapes, visits)
+        with _collector_paused():
+            return BlockProgram.compile(shapes, visits)
 
     @cached_property
     def _upper_program(self) -> BlockProgram:
@@ -267,18 +288,34 @@ class ProblemSpec:
             for k, row in enumerate(t[val]):
                 owner = _derivatives_of(f"{val}{k + 1}", exprs[k])
                 visits += [(jac, k, owner, *row["x"]), (hess, k, owner, *row["xx"])]
-        return BlockProgram.compile(shapes, visits)
+        with _collector_paused():
+            return BlockProgram.compile(shapes, visits)
 
     @cached_property
     def _oracle_tapes(self) -> tuple[Tape, Tape, Tape]:
         """The grid oracle's tapes: [h..., g..., f] and [H..., G...], run in
         array mode over its grids, and [f], run strictly at (x*, y*), where
         only f's own domain may fail."""
-        return Tape([*self.h, *self.g, self.f]), Tape([*self.H, *self.G]), Tape([self.f])
+        with _collector_paused():
+            return Tape([*self.h, *self.g, self.f]), Tape([*self.H, *self.G]), Tape([self.f])
 
 
 def _first(pair):
     return pair[0]
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic collector off, and restore its state
+    after.  Sound for a spec's builds: what they make holds no cycle, so
+    reference counting frees whatever they drop."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _derivatives_of(label: str, expr: Expr) -> tuple[str, Expr]:
@@ -477,7 +514,16 @@ _ASSIGN_RE = re.compile(r"^\s*([fhgHG])([0-9]*)\s*=\s*(.*)$")
 
 
 def parse_problem(text: str) -> ProblemSpec:
-    """Parse problem text into a validated ProblemSpec."""
+    """Parse problem text into a validated ProblemSpec, whose equal
+    subexpressions are one object.  The spec keeps the cons table for its
+    table build."""
+    with _collector_paused(), shared_nodes() as nodes:
+        spec = _parse_problem(text)
+    spec._nodes = nodes
+    return spec
+
+
+def _parse_problem(text: str) -> ProblemSpec:
     dims = None
     dims_line = 0
     assigns: dict[str, tuple[Expr, int]] = {}
@@ -554,15 +600,8 @@ def parse_problem(text: str) -> ProblemSpec:
 
 def serialize_problem(spec: ProblemSpec) -> str:
     lines = [f"dims {spec.n} {spec.m} {spec.m1} {spec.m2} {spec.n1} {spec.n2}"]
-    lines.append(f"f = {to_string(spec.f)}")
-    for k, e in enumerate(spec.h):
-        lines.append(f"h{k + 1} = {to_string(e)}")
-    for k, e in enumerate(spec.g):
-        lines.append(f"g{k + 1} = {to_string(e)}")
-    for k, e in enumerate(spec.H):
-        lines.append(f"H{k + 1} = {to_string(e)}")
-    for k, e in enumerate(spec.G):
-        lines.append(f"G{k + 1} = {to_string(e)}")
+    texts: dict = {}  # shared by the functions, which share nodes
+    lines += [f"{label} = {to_string(e, texts)}" for label, e in spec._labelled()]
     return "\n".join(lines) + "\n"
 
 

@@ -285,6 +285,15 @@ def test_bad_config_value_fails_at_config(key, value, message):
     assert CheckConfig(oracle_tol=0.0).oracle_grid().tol == 0.0
 
 
+def test_config_dict_lists_every_field_in_declaration_order():
+    from dataclasses import fields
+
+    config = CheckConfig(tol_act=2e-8, selector_cap=5, run_oracle=True)
+    want = [(f.name, getattr(config, f.name)) for f in fields(CheckConfig)]
+    assert list(config.as_dict().items()) == want
+    assert config.replace(tol_kkt=3e-8).as_dict() == {**dict(want), "tol_kkt": 3e-8}
+
+
 def test_random_certified_instances_confirmed_by_oracle(config):
     from conftest import random_certifiable_instance
     from minimaxcert.oracle import GridSpec, verify_minimax_definition
