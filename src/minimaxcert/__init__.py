@@ -21,7 +21,6 @@ from .lower import (
     check_assumption_a,
     check_jacobian_uniqueness,
     classify_partition,
-    critical_cone_lower,
     kkt_residual_lower,
     recover_multipliers,
     solve_lower,

@@ -340,17 +340,9 @@ def _pipeline(spec, candidate, config, progress: _Progress):
     results.extend(_lower_checks_to_results(ju))
     if decision.path == PATH_INVALID:
         if decision.assa_report is not None:
-            a = decision.assa_report
-            results.append(
-                ConditionCheck(
-                    "assumption_a",
-                    SATISFIED if a.assumption_a else VIOLATED,
-                    a.checks["strong_sosc"].value,
-                    config.tol_pd,
-                    KIND_QUALIFICATION,
-                    detail=f"first failing condition: {decision.first_failing}",
-                )
-            )
+            results.append(_assumption_a_result(
+                decision.assa_report, config,
+                f"first failing condition: {decision.first_failing}"))
         notes.append(f"path invalid: first failing condition {decision.first_failing}")
         return
 
@@ -462,6 +454,14 @@ def _verify_upper_multipliers(spec, candidate, poly, config):
     )
 
 
+def _assumption_a_result(a: LowerConditionsReport, config: CheckConfig,
+                         detail: str = "") -> ConditionCheck:
+    """The `assumption_a` qualification, valued by the strong SOSC bound."""
+    return ConditionCheck("assumption_a", SATISFIED if a.assumption_a else VIOLATED,
+                          a.checks["strong_sosc"].value, config.tol_pd, KIND_QUALIFICATION,
+                          detail=detail)
+
+
 def _run_nonsmooth(spec, candidate, decision, config, results, notes):
     a = decision.assa_report
     results.append(
@@ -473,15 +473,7 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
             KIND_INFO,
         )
     )
-    results.append(
-        ConditionCheck(
-            "assumption_a",
-            SATISFIED if a.assumption_a else VIOLATED,
-            a.checks["strong_sosc"].value,
-            config.tol_pd,
-            KIND_QUALIFICATION,
-        )
-    )
+    results.append(_assumption_a_result(a, config))
     try:
         sol = solve_lower(spec, candidate.x, (candidate.y, decision.mu, decision.lam), config)
     except NewtonError as exc:

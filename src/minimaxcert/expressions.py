@@ -644,6 +644,11 @@ class Gradients:
         self._memo: dict[int, tuple[Expr, dict[int, Expr], Expr]] = {}
 
     def __call__(self, expr: Expr) -> tuple[dict[int, Expr], Expr]:
+        return self._walk(expr)
+
+    def _walk(self, expr: Expr) -> tuple[dict[int, Expr], Expr]:
+        # a plain method: a recursive self(...) would go through the type's
+        # call slot, which counts twice against the recursion limit
         kind = type(expr)
         if kind is Const:
             return {}, _ZERO
@@ -655,8 +660,8 @@ class Gradients:
         rule = _RULES.get(kind)
         if rule is None or (kind is Func and expr.name not in _FUNCTION_RULES):
             raise TypeError(f"unknown node {expr!r}")
-        pa, za = self(expr.a)  # one frame per level
-        pb, zb = ({}, za) if kind is Neg or kind is Func else self(expr.b)
+        pa, za = self._walk(expr.a)  # one frame per level
+        pb, zb = ({}, za) if kind is Neg or kind is Func else self._walk(expr.b)
         zero = rule(expr, za, zb)
         partials = {}
         keep_a = (kind is Add or kind is Sub) and _is_const(zb, 0.0)
@@ -830,41 +835,40 @@ def _prec(expr: Expr) -> int:
     return _PREC_ATOM
 
 
+# each binary node's symbol and the least precedence its left and right
+# operands take without parentheses
+_INFIX = {Add: (" + ", _PREC_ADD, _PREC_ADD + 1), Sub: (" - ", _PREC_ADD, _PREC_ADD + 1),
+          Mul: ("*", _PREC_MUL, _PREC_MUL + 1), Div: ("/", _PREC_MUL, _PREC_MUL + 1),
+          Pow: ("^", _PREC_ATOM, _PREC_NEG)}
+
+
 def to_string(expr: Expr, memo: dict | None = None) -> str:
     """Render in the problem-file grammar; reparsing yields an equal tree.
     `memo` maps id(node) to the text of each node already rendered, so a
     node shared within expr is rendered once; calls on nodes that stay
-    alive may pass one memo to share it between them."""
+    alive may pass one memo to share it between them.  The walk takes one
+    frame per level of the tree."""
     memo = {} if memo is None else memo
     text = memo.get(id(expr))
     if text is not None:
         return text
-    if isinstance(expr, Const):
+    kind = type(expr)
+    if kind is Const:
         text = repr(expr.value)
-    elif isinstance(expr, Var):
+    elif kind is Var:
         text = f"{expr.kind}{expr.index + 1}"
-    elif isinstance(expr, Add):
-        text = f"{_wrap(expr.a, _PREC_ADD, memo)} + {_wrap(expr.b, _PREC_ADD + 1, memo)}"
-    elif isinstance(expr, Sub):
-        text = f"{_wrap(expr.a, _PREC_ADD, memo)} - {_wrap(expr.b, _PREC_ADD + 1, memo)}"
-    elif isinstance(expr, Mul):
-        text = f"{_wrap(expr.a, _PREC_MUL, memo)}*{_wrap(expr.b, _PREC_MUL + 1, memo)}"
-    elif isinstance(expr, Div):
-        text = f"{_wrap(expr.a, _PREC_MUL, memo)}/{_wrap(expr.b, _PREC_MUL + 1, memo)}"
-    elif isinstance(expr, Neg):
-        text = f"-{_wrap(expr.a, _PREC_NEG, memo)}"
-    elif isinstance(expr, Pow):
-        text = f"{_wrap(expr.a, _PREC_ATOM, memo)}^{_wrap(expr.b, _PREC_NEG, memo)}"
-    elif isinstance(expr, Func):
+    elif kind is Func:
         text = f"{expr.name}({to_string(expr.a, memo)})"
+    elif kind is Neg:
+        a = to_string(expr.a, memo)
+        text = f"-({a})" if _prec(expr.a) < _PREC_NEG else f"-{a}"
+    elif kind in _INFIX:
+        symbol, min_a, min_b = _INFIX[kind]
+        a, b = to_string(expr.a, memo), to_string(expr.b, memo)
+        a = f"({a})" if _prec(expr.a) < min_a else a
+        b = f"({b})" if _prec(expr.b) < min_b else b
+        text = f"{a}{symbol}{b}"
     else:
         raise TypeError(f"unknown node {expr!r}")
     memo[id(expr)] = text
-    return text
-
-
-def _wrap(expr: Expr, min_prec: int, memo: dict) -> str:
-    text = to_string(expr, memo)
-    if _prec(expr) < min_prec:
-        return f"({text})"
     return text

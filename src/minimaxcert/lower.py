@@ -3,6 +3,12 @@ constraint qualifications, second-order conditions (sufficient `sosc`,
 necessary `sonc`, strong `strong_sosc`), and the semismooth Newton solver for
 the parametric solution map.
 
+Jacobian uniqueness and Assumption A are conditions on the same inner KKT
+point and share one analysis of it: the activity test `active_set`, one
+LICQ check there, and `critical_curvature`, the critical cone with the
+largest eigenvalue of L_yy on its affine hull, once per Lagrangian and
+partition.
+
 `kkt_jacobian_blocks` is the one bordered-KKT assembler: the exact Jacobian
 A(x, W) of the projected KKT map for a projection selector W.  The Newton
 steps, the smooth-path sensitivity system (W = 1 on gamma, 0 on alpha) and
@@ -154,45 +160,19 @@ def classify_partition(g: np.ndarray, lam: np.ndarray, tol_act: float) -> Active
     return ActivePartition(tuple(alpha), tuple(beta), tuple(gamma), tol_act)
 
 
-def critical_cone_lower(
-    spec: ProblemSpec,
-    x,
-    y,
-    mu,
-    lam,
-    partition: ActivePartition,
-    config: CheckConfig | None = None,
-) -> Cone:
-    """Critical cone of the inner problem in reduced form (stationarity makes
-    the objective-gradient row redundant: equalities on alpha, inequalities on
-    beta)."""
-    config = config or CheckConfig()
-    bundle = eval_bundle(spec, x, y)
-    _, norm = kkt_residual_from_bundle(bundle, lagrangian_eval(bundle, mu, lam), lam)
-    if norm > config.tol_kkt:
-        raise ValueError(f"not a KKT point: residual {norm:.3e} > {config.tol_kkt:.1e}")
-    m = spec.m
-    E_rows = [bundle.h_jy]
-    if partition.alpha:
-        E_rows.append(bundle.g_jy[list(partition.alpha)])
-    E = np.vstack(E_rows) if any(r.size for r in E_rows) else np.zeros((0, m))
-    F = (
-        bundle.g_jy[list(partition.beta)]
-        if partition.beta
-        else np.zeros((0, m))
-    )
-    return Cone(E, F)
-
-
 @dataclass
 class RecoveredMultipliers:
     mu: np.ndarray
     lam: np.ndarray
     residual: float
-    licq_sigma_min: float
     active: tuple[int, ...]
     admissible: bool  # feasible, no multiplier below -tol_act; lam then clipped at 0
     detail: str = ""
+
+
+def active_set(bundle: DerivativeBundle, tol_act: float) -> tuple[int, ...]:
+    """The inner activity test: the indices i with |g_i| <= tol_act."""
+    return tuple(i for i in range(bundle.g.shape[0]) if abs(bundle.g[i]) <= tol_act)
 
 
 def licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
@@ -204,6 +184,32 @@ def licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
 
 def _licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
     return smallest_singular_value(np.vstack([bundle.h_jy, bundle.g_jy[list(active)]]))
+
+
+def _licq_check(bundle: DerivativeBundle, config: CheckConfig) -> ConditionCheck:
+    """LICQ at the active set, which both inner hypotheses read."""
+    sigma = licq_sigma(bundle, active_set(bundle, config.tol_act))
+    return ConditionCheck("licq", SATISFIED if sigma >= config.tol_licq else VIOLATED,
+                          sigma, config.tol_licq)
+
+
+def critical_curvature(bundle: DerivativeBundle, lag: LagrangianEval,
+                       partition: ActivePartition) -> tuple[Cone, float]:
+    """The inner critical cone at a KKT point in reduced form (stationarity
+    makes the objective-gradient row redundant: equalities on alpha,
+    inequalities on beta), and the largest eigenvalue of L_yy on its affine
+    hull ker E.  Inside `bundle_memo` each distinct (Lagrangian, alpha, beta)
+    is built once."""
+    return memoised(lag, ("critical_curvature", partition.alpha, partition.beta),
+                    lambda: _critical_curvature(bundle, lag, partition))
+
+
+def _critical_curvature(bundle: DerivativeBundle, lag: LagrangianEval,
+                        partition: ActivePartition) -> tuple[Cone, float]:
+    cone = Cone(np.vstack([bundle.h_jy, bundle.g_jy[list(partition.alpha)]]),
+                bundle.g_jy[list(partition.beta)])
+    cone.E.flags.writeable = cone.F.flags.writeable = False
+    return cone, max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E, RANK_TOL))
 
 
 def recover_multipliers(spec: ProblemSpec, x, y,
@@ -219,7 +225,7 @@ def recover_multipliers(spec: ProblemSpec, x, y,
 
 def _recover_multipliers(spec: ProblemSpec, bundle: DerivativeBundle,
                          tol_act: float) -> RecoveredMultipliers:
-    active = [i for i in range(spec.m2) if abs(bundle.g[i]) <= tol_act]
+    active = list(active_set(bundle, tol_act))
     feas_notes = []
     if np.any(bundle.g > tol_act):
         feas_notes.append("inequality infeasible")
@@ -238,7 +244,6 @@ def _recover_multipliers(spec: ProblemSpec, bundle: DerivativeBundle,
         mu = z[: spec.m1]
         for j, i in enumerate(active):
             lam[i] = z[spec.m1 + j]
-    sigma = licq_sigma(bundle, tuple(active))
     neg = float(np.min(lam[active], initial=0.0)) if active else 0.0
     if neg < -tol_act:
         feas_notes.append("negative recovered multiplier")
@@ -250,7 +255,6 @@ def _recover_multipliers(spec: ProblemSpec, bundle: DerivativeBundle,
         mu=mu,
         lam=lam,
         residual=norm,
-        licq_sigma_min=sigma,
         active=tuple(active),
         admissible=not feas_notes,
         detail="; ".join(feas_notes),
@@ -315,13 +319,7 @@ def check_jacobian_uniqueness(
             why = detail = f"no active-set partition: {exc}"
     checks["kkt"] = ConditionCheck("kkt", VIOLATED if partition is None else SATISFIED, norm,
                                    config.tol_kkt, detail=detail)
-    # a partition's active set, when there is one, and the memo key that
-    # `recover_multipliers` asked for, so no second SVD
-    sigma = licq_sigma(bundle, tuple(i for i in range(spec.m2)
-                                     if abs(bundle.g[i]) <= config.tol_act))
-    checks["licq"] = ConditionCheck(
-        "licq", SATISFIED if sigma >= config.tol_licq else VIOLATED, sigma, config.tol_licq
-    )
+    checks["licq"] = _licq_check(bundle, config)
     if partition is None:
         for name in ("strict_complementarity", "sosc"):
             checks[name] = ConditionCheck(name, INCONCLUSIVE, None, None, detail=why)
@@ -337,11 +335,10 @@ def check_jacobian_uniqueness(
         "strict_complementarity", SATISFIED if sc_ok else VIOLATED, margin, config.tol_sc
     )
 
-    cone = critical_cone_lower(spec, x, y, mu, lam, partition, config)
     # one curvature bound on aff C = ker E serves both second-order checks
     # unless C has faces and the bound fails; then the face test gives the
     # largest curvature on C itself, with a unit direction attaining it
-    top = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E, RANK_TOL))
+    cone, top = critical_curvature(bundle, lag, partition)
     witness, detail = None, "negative definite on aff C" if partition.beta else ""
     if partition.beta and top > -config.tol_pd:
         exact = min_quadratic_on_cone(-lag.yy, cone.E, cone.F, spec.m)
@@ -378,24 +375,14 @@ def check_assumption_a(
         "multipliers_exist", SATISFIED if exist else VIOLATED, rec.residual, config.tol_kkt,
         detail=rec.detail,
     )
-    checks["licq"] = ConditionCheck(
-        "licq",
-        SATISFIED if rec.licq_sigma_min >= config.tol_licq else VIOLATED,
-        rec.licq_sigma_min,
-        config.tol_licq,
-    )
-    partition = None
-    cone = None
+    checks["licq"] = _licq_check(bundle, config)
+    partition = cone = None
     if exist:
         partition = classify_partition(bundle.g, rec.lam, config.tol_act)
-        lag = lagrangian_eval(bundle, rec.mu, rec.lam)
-        cone = critical_cone_lower(spec, x, y, rec.mu, rec.lam, partition, config)
-        maxeig = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E, RANK_TOL))
+        cone, top = critical_curvature(bundle, lagrangian_eval(bundle, rec.mu, rec.lam),
+                                       partition)
         checks["strong_sosc"] = ConditionCheck(
-            "strong_sosc",
-            SATISFIED if maxeig <= -config.tol_pd else VIOLATED,
-            maxeig,
-            config.tol_pd,
+            "strong_sosc", SATISFIED if top <= -config.tol_pd else VIOLATED, top, config.tol_pd
         )
     else:
         checks["strong_sosc"] = ConditionCheck(

@@ -865,9 +865,8 @@ TWO_ACTIVE_TEXT = ("dims 2 2 0 2 0 0\n"
     pytest.param(TWO_ACTIVE_TEXT, [0.0, 0.0], id="two-active"),
 ])
 def test_licq_sigma_computed_once_per_point(config, monkeypatch, text, x):
-    """`recover_multipliers` and `check_jacobian_uniqueness` read the same
-    sigma_min of (J_y h; J_y g[active]): one SVD per distinct (bundle,
-    active) inside one `certify` call."""
+    """The inner LICQ check reads the sigma_min of (J_y h; J_y g[active]):
+    one SVD per distinct (bundle, active) inside one `certify` call."""
     from minimaxcert import lower
     from minimaxcert.fixtures import load_fixture
     from minimaxcert.problem import bundle_memo, eval_bundle, parse_problem
@@ -901,9 +900,9 @@ def test_licq_sigma_computed_once_per_point(config, monkeypatch, text, x):
     rep = certify(spec, candidate, config)
     assert rep.path == PATH_SMOOTH
     assert dumps_canonical(report_to_doc(rep)) == want
-    # both callers ask; each distinct request runs one SVD
+    # each distinct request runs one SVD
     assert len(svds) == len(computed) == len(set(computed)) >= 1
-    assert set(computed) == set(asked) and len(asked) > len(computed)
+    assert set(computed) == set(asked)
     # the memo closes with the call: a second call computes again
     done = len(computed)
     certify(spec, candidate, config)
@@ -915,6 +914,56 @@ def test_licq_sigma_computed_once_per_point(config, monkeypatch, text, x):
         sigmas = [lower.licq_sigma(bundle, a) for a in actives]
         assert sigmas == [compute(bundle, a) for a in actives]
         assert sigmas[0] == np.inf and np.isfinite(sigmas[1:]).all()
+
+
+@pytest.mark.parametrize("case", ["P2", "P2-supplied", "selector"])
+def test_inner_point_analysed_once(config, monkeypatch, case):
+    """Jacobian uniqueness and Assumption A share one analysis of the inner
+    KKT point: a nonsmooth candidate builds its critical cone and hull
+    eigenvalue once and runs one LICQ SVD; supplied multipliers that differ
+    from the recovered ones get one cone and bound of their own."""
+    from minimaxcert import lower
+    from minimaxcert.fixtures import load_fixture
+    from minimaxcert.problem import parse_problem
+
+    if case == "selector":
+        wl = perfbench_workloads().selector(1)
+        spec, c = parse_problem(wl.problems["degenerate"]), wl.op(0).candidates[0]
+        candidate = CandidatePoint(c.x, c.y)
+    else:
+        # lam = 5e-9 passes the supplied-multiplier test (residual 5e-9) and
+        # fails strict complementarity; the recovered lam is 0
+        spec = load_fixture("P2")
+        candidate = CandidatePoint([0.0], [0.0], lam=[5e-9] if case == "P2-supplied" else None)
+    want = dumps_canonical(report_to_doc(certify(spec, candidate, config)))
+    build, eig, licq = (lower._critical_curvature, lower.max_eigenvalue_on_subspace,
+                        lower._licq_sigma)
+    lags, eigs, svds = [], [], []
+
+    def counting_build(bundle, lag, partition):
+        lags.append(id(lag))
+        return build(bundle, lag, partition)
+
+    def counting_eig(M, basis):
+        eigs.append(M.shape)
+        return eig(M, basis)
+
+    def counting_licq(bundle, active):
+        svds.append(active)
+        return licq(bundle, active)
+
+    monkeypatch.setattr(lower, "_critical_curvature", counting_build)
+    monkeypatch.setattr(lower, "max_eigenvalue_on_subspace", counting_eig)
+    monkeypatch.setattr(lower, "_licq_sigma", counting_licq)
+
+    rep = certify(spec, candidate, config)
+    assert rep.path == PATH_NONSMOOTH
+    assert dumps_canonical(report_to_doc(rep)) == want
+    multipliers = next(c for c in rep.results if c.name == "multipliers")
+    assert (multipliers.detail == "supplied multipliers verified") == (case == "P2-supplied")
+    distinct = 2 if case == "P2-supplied" else 1
+    assert len(lags) == len(set(lags)) == len(eigs) == distinct
+    assert len(svds) == 1
 
 
 # --- the remaining ValueErrors become evaluation error checks -----------------------

@@ -433,9 +433,9 @@ def test_non_finite_config_value_is_usage_error(prob_files, tmp_path, capsys, cm
 
 
 _DEEP_F = {
-    "sum": "x1^2 - y1^2 + " + " + ".join(f"{k}*y1" for k in range(600)),
+    "sum": "x1^2 - y1^2 + " + " + ".join(f"{k}*y1" for k in range(2000)),
     "parentheses": "x1^2 - " + "(" * 250 + "y1^2" + ")" * 250,
-    "unary-minus": "x1^2 - y1^2 + " + "-" * 600 + "y1",
+    "unary-minus": "x1^2 - y1^2 + " + "-" * 2000 + "y1",
 }
 
 
@@ -449,6 +449,18 @@ def test_deeply_nested_expression_is_usage_error(tmp_path, capsys, shape, cmd):
     err = capsys.readouterr().err
     assert err.startswith("error: an expression is nested too deeply")
     assert "Traceback" not in err
+
+
+def test_flat_sum_of_600_terms_certifies(tmp_path, capsys):
+    # the parser builds a left-deep chain, so every tree walk recurses once
+    # per term: each must take one frame per level to stay under the limit
+    prob = tmp_path / "flat.prob"
+    terms = " + ".join(["x1*y1"] * 600)
+    prob.write_text(f"dims 1 1 0 0 0 0\nf = {terms} - y1^2 + x1^2\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["certify", str(prob), "--x", "0", "--y", "0", "--json", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(out.read_text(encoding="utf-8"))["verdict"] == "certified-local-minimax"
 
 
 def test_oracle_runs_a_constant_division_by_zero(tmp_path, capsys):

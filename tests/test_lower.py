@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minimaxcert import (
     check_assumption_a,
     check_jacobian_uniqueness,
     classify_partition,
-    critical_cone_lower,
     kkt_residual_lower,
     recover_multipliers,
     solve_lower,
 )
 from minimaxcert.conditions import INCONCLUSIVE, SATISFIED, VIOLATED
 from minimaxcert.cones import cone_contains
+from minimaxcert.config import CheckConfig
+from minimaxcert.fixtures import fixture_text
+from minimaxcert.linalg import RANK_TOL, max_eigenvalue_on_subspace, nullspace_basis
 from minimaxcert.lower import (
     NewtonError, PartitionError, kkt_residual_from_bundle, lagrangian_eval,
 )
@@ -117,21 +120,20 @@ def test_partition_permutation_invariance():
 # --- critical cone ----------------------------------------------------------
 
 def test_cone_p1_origin_is_full_line(p1):
-    part = classify_partition(np.array([-1.0]), np.array([0.0]), 1e-8)
-    cone = critical_cone_lower(p1, [0.0], [0.0], np.zeros(0), [0.0], part)
+    rep = check_jacobian_uniqueness(p1, [0.0], [0.0], None, [0.0])
+    cone = rep.cone
     assert cone.E.shape[0] == 0 and cone.F.shape[0] == 0
     assert cone.contains(np.array([1.0])) and cone.contains(np.array([-1.0]))
     # paper-literal form agrees (the objective-gradient row vanishes here):
     # equalities from J_y h, inequalities from the active g rows and grad_y f
     bundle = eval_bundle(p1, [0.0], [0.0])
-    literal_F = np.vstack([bundle.g_jy[list(part.active)], bundle.fy.reshape(1, -1)])
+    literal_F = np.vstack([bundle.g_jy[list(rep.partition.active)], bundle.fy.reshape(1, -1)])
     assert cone_contains(bundle.h_jy, literal_F, np.array([1.0]))
     assert cone_contains(bundle.h_jy, literal_F, np.array([-1.0]))
 
 
 def test_cone_p2_origin_is_halfline(p2):
-    part = classify_partition(np.array([0.0]), np.array([0.0]), 1e-8)
-    cone = critical_cone_lower(p2, [0.0], [0.0], np.zeros(0), [0.0], part)
+    cone = check_jacobian_uniqueness(p2, [0.0], [0.0], None, [0.0]).cone
     assert cone.F.shape == (1, 1)
     assert cone.contains(np.array([-1.0]))
     assert not cone.contains(np.array([1.0]))
@@ -141,17 +143,17 @@ def test_cone_p2_origin_is_halfline(p2):
 
 def test_cone_alpha_gives_equality_row(p2):
     # at x = 0.5 the constraint is active with positive multiplier
-    part = classify_partition(np.array([0.0]), np.array([1.0]), 1e-8)
-    cone = critical_cone_lower(p2, [0.5], [0.0], np.zeros(0), [1.0], part)
-    assert cone.E.shape == (1, 1)
-    assert not cone.contains(np.array([1.0]))
-    assert not cone.contains(np.array([-1.0]))
+    rep = check_jacobian_uniqueness(p2, [0.5], [0.0], None, [1.0])
+    assert rep.partition.alpha == (0,)
+    assert rep.cone.E.shape == (1, 1)
+    assert not rep.cone.contains(np.array([1.0]))
+    assert not rep.cone.contains(np.array([-1.0]))
 
 
-def test_cone_requires_kkt_point(p1):
-    part = classify_partition(np.array([-0.5]), np.array([0.0]), 1e-8)
-    with pytest.raises(ValueError):
-        critical_cone_lower(p1, [0.0], [0.5], np.zeros(0), [0.0], part)
+def test_no_kkt_point_gives_no_cone(p1):
+    rep = check_jacobian_uniqueness(p1, [0.0], [0.5], None, [0.0])
+    assert rep.checks["kkt"].status == VIOLATED
+    assert rep.partition is None and rep.cone is None
 
 
 # --- Jacobian uniqueness / Assumption A -------------------------------------
@@ -211,6 +213,64 @@ def test_ju_rejects_a_kkt_residual_whose_signs_fit_no_partition(p2, config):
     # the active set {g1} has J_y g1 = 1, so LICQ holds
     assert rep.checks["licq"].status == SATISFIED and rep.checks["licq"].value == 1.0
     assert rep.partition is None
+
+
+# problem text and inner KKT point y(x) of the one-dimensional sources; the
+# convex one's inner point minimises, so strong SOSC fails there
+_INNER_POINT = {
+    "P1": (fixture_text("P1"), lambda x: min(x, 1.0)),
+    "P2": (fixture_text("P2"), lambda x: min(x, 0.0)),
+    "convex": ("dims 1 1 0 1 0 0\nf = (y1-x1)^2\ng1 = y1\n", lambda x: min(x, 0.0)),
+}
+_COORD = st.sampled_from([-1.0, -1e-9, 0.0, 1e-9, 0.5, 1.0, 1.5]) | st.floats(-2.0, 2.0)
+_OFFSET = st.sampled_from([0.0, 1e-9, -1e-9, 1e-7, 0.1])
+
+
+def _analysis_point(source, a, offset):
+    """(spec, x, y) near an inner KKT point: a one-dimensional source at
+    x = a, the |beta| = 4 selector problem at its candidate a, or a random
+    instance of seed a at its solution; y moved by offset."""
+    if source in _INNER_POINT:
+        text, inner = _INNER_POINT[source]
+        return parse_problem(text), [a], [inner(a) + offset]
+    if source == "selector":
+        selector = perfbench_workloads().selector(1)
+        c = selector.op(a).candidates[0]
+        return parse_problem(selector.problems["degenerate"]), list(c.x), \
+            [v + offset for v in c.y]
+    spec, x, y, _, _ = random_smooth_instance(np.random.default_rng(a))
+    return spec, x, y + offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(point=st.one_of(
+    st.tuples(st.sampled_from(sorted(_INNER_POINT)), _COORD, _OFFSET),
+    st.tuples(st.just("selector"), st.integers(0, 7), _OFFSET),
+    st.tuples(st.just("random"), st.integers(0, 2**16), _OFFSET),
+))
+def test_assumption_a_reads_jacobian_uniqueness_at_the_recovered_multipliers(point):
+    """Wherever Assumption A's multipliers exist, its LICQ check, partition,
+    cone and strong SOSC value are those of Jacobian uniqueness at the
+    recovered multipliers; strong SOSC is the largest eigenvalue of L_yy on
+    the cone's affine hull, which JU's own curvature checks read unless the
+    cone has faces and the bound fails."""
+    spec, x, y = _analysis_point(*point)
+    config = CheckConfig()
+    assa = check_assumption_a(spec, x, y, config)
+    if not assa.checks["multipliers_exist"].ok:
+        return
+    ju = check_jacobian_uniqueness(spec, x, y, assa.mu, assa.lam, config)
+    licq = ju.checks["licq"], assa.checks["licq"]
+    assert licq[0].status == licq[1].status and licq[0].value == licq[1].value
+    assert ju.checks["kkt"].ok and ju.partition == assa.partition
+    assert np.array_equal(ju.cone.E, assa.cone.E) and np.array_equal(ju.cone.F, assa.cone.F)
+    lag = lagrangian_eval(eval_bundle(spec, x, y), assa.mu, assa.lam)
+    hull = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(assa.cone.E, RANK_TOL))
+    strong = assa.checks["strong_sosc"]
+    assert strong.value == hull
+    assert strong.ok == (hull <= -config.tol_pd)
+    if not ju.partition.beta or hull <= -config.tol_pd:
+        assert ju.checks["sosc"].value == hull
 
 
 def test_abs_rejected_by_condition_checks(config):
