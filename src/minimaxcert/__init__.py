@@ -26,7 +26,6 @@ from .lower import (
     solve_lower,
 )
 from .nonsmooth import (
-    WSelector,
     assemble_a_matrix,
     assemble_h_matrix,
     enumerate_b_selectors,

@@ -27,7 +27,7 @@ from .conditions import ERROR
 from .config import CheckConfig
 from .expressions import DomainError
 from .lower import NewtonError, solve_lower
-from .nonsmooth import SelectorCapError, phi_generalized_gradients
+from .nonsmooth import SelectorCapError, is_binary, phi_generalized_gradients
 from .oracle import fd_derivatives, verify_minimax_definition
 from .problem import (
     CandidatePoint,
@@ -146,6 +146,24 @@ def _candidate(args, spec) -> CandidatePoint:
     return candidates[0]
 
 
+def _solved_candidate(args, spec, config):
+    """The one candidate and its inner solution, Newton started from the
+    candidate's (y, mu, lambda)."""
+    cand = _candidate(args, spec)
+    return cand, solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config)
+
+
+def _header(args, spec, config=None, cand=None) -> dict:
+    """A document's opening keys: version, problem digest and command, then
+    the config and the candidate for the commands that write them."""
+    doc = {"version": VERSION, "problem_digest": problem_digest(spec), "command": args.cmd}
+    if config is not None:
+        doc["config"] = config.as_dict()
+    if cand is not None:
+        doc["candidate"] = {"x": cand.x.tolist(), "y": cand.y.tolist()}
+    return doc
+
+
 def _emit(doc, json_path):
     text = dumps_canonical(doc)
     if json_path:
@@ -156,16 +174,13 @@ def _emit(doc, json_path):
 
 def _cmd_validate(args) -> int:
     spec, _ = _load(args)
-    doc = {
-        "version": VERSION,
-        "problem_digest": problem_digest(spec),
-        "command": "validate",
+    doc = _header(args, spec) | {
         "dims": {"n": spec.n, "m": spec.m, "m1": spec.m1, "m2": spec.m2,
                  "n1": spec.n1, "n2": spec.n2},
         "verdict": "valid",
     }
     _emit(doc, args.json_path)
-    print(f"valid problem ({problem_digest(spec)[:16]}): "
+    print(f"valid problem ({doc['problem_digest'][:16]}): "
           f"n={spec.n} m={spec.m} m1={spec.m1} m2={spec.m2} "
           f"n1={spec.n1} n2={spec.n2}")
     return EXIT_OK
@@ -194,8 +209,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_value_derivs(args) -> int:
     spec, config = _load(args)
-    cand = _candidate(args, spec)
-    sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config)
+    cand, sol = _solved_candidate(args, spec, config)
     vd = value_derivatives(spec, sol, config)
 
     def phi_at(xv):
@@ -220,12 +234,7 @@ def _cmd_value_derivs(args) -> int:
                 "fd": float(hess_fd[i, j]),
                 "abs_diff": float(abs(vd.hessian[i, j] - hess_fd[i, j])),
             })
-    doc = {
-        "version": VERSION,
-        "problem_digest": problem_digest(spec),
-        "command": "value-derivs",
-        "config": config.as_dict(),
-        "candidate": {"x": cand.x.tolist(), "y": cand.y.tolist()},
+    doc = _header(args, spec, config, cand) | {
         "value": vd.value,
         "gradient": vd.gradient.tolist(),
         "hessian": [row.tolist() for row in vd.hessian],
@@ -242,13 +251,8 @@ def _cmd_value_derivs(args) -> int:
 
 def _cmd_solve_lower(args) -> int:
     spec, config = _load(args)
-    cand = _candidate(args, spec)
-    sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config)
-    doc = {
-        "version": VERSION,
-        "problem_digest": problem_digest(spec),
-        "command": "solve-lower",
-        "config": config.as_dict(),
+    _, sol = _solved_candidate(args, spec, config)
+    doc = _header(args, spec, config) | {
         "x": sol.x.tolist(),
         "y": sol.y.tolist(),
         "w": sol.w.tolist(),
@@ -271,12 +275,7 @@ def _cmd_oracle(args) -> int:
     cand = _candidate(args, spec)
     grid = config.oracle_grid()
     rep = verify_minimax_definition(spec, cand.x, cand.y, grid)
-    doc = {
-        "version": VERSION,
-        "problem_digest": problem_digest(spec),
-        "command": "oracle",
-        "config": config.as_dict(),
-        "candidate": {"x": cand.x.tolist(), "y": cand.y.tolist()},
+    doc = _header(args, spec, config, cand) | {
         "f_star": rep.f_star,
         "worst_violation": rep.worst_violation,
         "worst_side": rep.worst_side,
@@ -293,21 +292,15 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_subdiff(args) -> int:
     spec, config = _load(args)
-    cand = _candidate(args, spec)
-    sol = solve_lower(spec, cand.x, (cand.y, cand.mu, cand.lam), config)
+    cand, sol = _solved_candidate(args, spec, config)
     gset = phi_generalized_gradients(spec, sol, config, kind="outer_approx")
     items = [
-        {"W": list(W.values), "binary": W.binary, "gradient": vec.tolist()}
+        {"W": W.tolist(), "binary": bool(is_binary(W)), "gradient": vec.tolist()}
         for W, vec in gset.items
     ]
-    doc = {
-        "version": VERSION,
-        "problem_digest": problem_digest(spec),
-        "command": "subdiff",
-        "config": config.as_dict(),
-        "candidate": {"x": cand.x.tolist(), "y": cand.y.tolist()},
+    doc = _header(args, spec, config, cand) | {
         "candidates": items,
-        "errors": [{"W": list(W.values), "error": msg} for W, msg in gset.errors],
+        "errors": [{"W": W.tolist(), "error": msg} for W, msg in gset.errors],
         "verdict": "computed",
     }
     _emit(doc, args.json_path)

@@ -26,11 +26,11 @@ class CheckConfig:
     beta_grid_resolution: int = 5  # Clarke grid points per beta index (subdiff only)
     selector_cap: int = 16  # max |beta| for B-selector enumeration
     clarke_grid_cap: int = 4096  # max Clarke grid selectors (subdiff only)
-    # oracle defaults
-    oracle_delta0: float = 0.1
-    oracle_step: float = 1e-3
-    oracle_eta_factor: float = 2.0
-    oracle_tol: float = 1e-9
+    # oracle defaults, those of GridSpec
+    oracle_delta0: float = GridSpec.delta0
+    oracle_step: float = GridSpec.step
+    oracle_eta_factor: float = GridSpec.eta_factor
+    oracle_tol: float = GridSpec.tol
     run_oracle: bool = False
 
     def __post_init__(self):

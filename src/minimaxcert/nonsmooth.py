@@ -5,14 +5,22 @@ directional-derivative / subgradient candidate sets.
 `_solution_point` opens every inner solution, here and in `value_function`:
 it is the one check that a `KktSolution` has converged (at `tol_newton`).
 
+A selector W is diagonal, and a selector is the row of its diagonal: 0 on
+alpha, 1 on gamma and in [0, 1] on the degenerate set beta.  Selectors come
+and go as the rows of one read-only (S, m2) float array, never one object
+each: `enumerate_b_selectors` gives the 2^|beta| B-selectors, binary on
+beta, by bit arithmetic in bitmask order, and `clarke_selector_grid` a grid
+over the Clarke box in `itertools.product` order.
+
 Everything runs off one selector sweep per nonsmooth solution
-(`selector_sweep`).  It opens the solution once and takes the 2^|beta|
-B-selectors, the binary selectors on the degenerate set beta.  Under the
-standing regularity assumption (LICQ plus strong second-order sufficiency,
-hence strong regularity) every element of the Clarke generalized Jacobian
-is nonsingular and phi is C^1 with grad phi = grad_x L, so a grid over the
-Clarke box cannot change a verdict: only `subdiff`
-(`phi_generalized_gradients(kind="outer_approx")`) adds it.
+(`selector_sweep`).  It opens the solution once and takes the B-selectors.
+Under the standing regularity assumption (LICQ plus strong second-order
+sufficiency, hence strong regularity) every element of the Clarke
+generalized Jacobian is nonsingular and phi is C^1 with grad phi = grad_x L,
+so a grid over the Clarke box cannot change a verdict: only `subdiff`
+(`phi_generalized_gradients(kind="outer_approx")`) appends the grid rows
+that are not all 0/1.  Those that are all 0/1 are B-selectors already, so
+`is_binary` marks exactly the B-selector rows of a sweep.
 The sweep assembles every A(x, W) as one stack (`lower.kkt_jacobian_blocks`
 on the stacked selector diagonals, the assembler the inner Newton uses too)
 with its right-hand-side stack, and `linalg.solve_stack` settles the stack
@@ -23,13 +31,15 @@ builds the smooth path's one-selector sensitivity system, the sweep that
 `value_function.value_derivatives` returns).  numpy runs LAPACK slice by
 slice, so the singular values, H entries and SingularMatrixErrors equal
 those of each matrix alone bit for bit, and verdicts and reports do not
-depend on the batching.  The `SelectorSweep` keeps the selectors and those
-stacks, and its consumers index them: `kkt_map_directional` and
-`phi_generalized_gradients` here, the B-selector nonsingularity check and
-the smooth path's sensitivity-system check in `certify`, and the
-admissible-selector search `upper.first_order_nonsmooth_necessary`.
+depend on the batching.  The `SelectorSweep` keeps the selector rows and
+those stacks, with one flag for the whole family, `exact` (beta is empty, so
+the one selector is the whole generalized Jacobian), and its consumers index
+them: `kkt_map_directional` and `phi_generalized_gradients` here, the
+B-selector nonsingularity check and the smooth path's sensitivity-system
+check in `certify`, and the admissible-selector search
+`upper.first_order_nonsmooth_necessary`.
 `assemble_a_matrix` and `assemble_h_matrix` run the same stacked step on a
-one-selector stack and return fresh values.
+one-selector stack, given one selector row, and return fresh values.
 
 Sign convention: A is assembled as the exact (y, mu, lambda)-derivative of
 the projected KKT map (the lambda column carries -J_y g^T and -W), so it is
@@ -43,7 +53,6 @@ LAMBDA_SIGN_CONVENTION.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -65,76 +74,42 @@ class SelectorCapError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class WSelector:
-    """Diagonal selector from the generalized Jacobian of the projection:
-    0 on alpha, 1 on gamma, [0,1] (binary for B-elements) on beta."""
-
-    values: tuple[float, ...]
-    provenance: tuple[str, ...]
-    binary: bool
-
-    def __post_init__(self):
-        for v, tag in zip(self.values, self.provenance):
-            if tag == "alpha" and v != 0.0:
-                raise ValueError("selector must be 0 on alpha")
-            if tag == "gamma" and v != 1.0:
-                raise ValueError("selector must be 1 on gamma")
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("selector entries must lie in [0, 1]")
-            if self.binary and tag == "beta" and v not in (0.0, 1.0):
-                raise ValueError("B-subdifferential selectors are binary on beta")
-
-    @property
-    def diag(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+def _selector_rows(partition: ActivePartition, on_beta: np.ndarray) -> np.ndarray:
+    """One read-only selector row per row of `on_beta`: 0 on alpha, 1 on
+    gamma and that row's entries on beta."""
+    rows = np.zeros((on_beta.shape[0], partition.size))
+    rows[:, list(partition.gamma)] = 1.0
+    rows[:, list(partition.beta)] = on_beta
+    rows.flags.writeable = False
+    return rows
 
 
-def _base_selector(partition: ActivePartition) -> tuple[list[float], list[str]]:
-    values = [0.0] * partition.size
-    tags = ["alpha"] * partition.size
-    for i in partition.beta:
-        tags[i] = "beta"
-    for i in partition.gamma:
-        values[i] = 1.0
-        tags[i] = "gamma"
-    return values, tags
-
-
-def enumerate_b_selectors(
-    partition: ActivePartition, cap: int = 16
-) -> list[WSelector]:
-    """All 2^|beta| binary selectors, beta-subset bitmask ascending."""
-    beta = list(partition.beta)
-    if len(beta) > cap:
-        raise SelectorCapError(f"{len(beta)} degenerate indices exceed cap {cap}")
-    values, tags = _base_selector(partition)
-    out = []
-    for mask in range(1 << len(beta)):
-        vals = list(values)
-        for bit, idx in enumerate(beta):
-            vals[idx] = 1.0 if (mask >> bit) & 1 else 0.0
-        out.append(WSelector(tuple(vals), tuple(tags), binary=True))
-    return out
+def enumerate_b_selectors(partition: ActivePartition, cap: int = 16) -> np.ndarray:
+    """All 2^|beta| binary selectors, beta-subset bitmask ascending: on beta,
+    row s holds the bits of s, beta's first index the lowest bit."""
+    k = len(partition.beta)
+    if k > cap:
+        raise SelectorCapError(f"{k} degenerate indices exceed cap {cap}")
+    return _selector_rows(partition, (np.arange(1 << k)[:, None] >> np.arange(k)) & 1)
 
 
 def clarke_selector_grid(
     partition: ActivePartition, resolution: int = 5, cap: int = 4096
-) -> list[WSelector]:
-    """Grid sample of the Clarke box: `resolution` points per beta index."""
-    beta = list(partition.beta)
-    count = resolution ** len(beta)
+) -> np.ndarray:
+    """Grid sample of the Clarke box: `resolution` points per beta index, in
+    `itertools.product` order (beta's last index varies fastest)."""
+    k = len(partition.beta)
+    count = resolution ** k
     if count > cap:
         raise SelectorCapError(f"{count} grid selectors exceed cap {cap}")
-    values, tags = _base_selector(partition)
     levels = np.linspace(0.0, 1.0, resolution)
-    out = []
-    for combo in product(levels, repeat=len(beta)):
-        vals = list(values)
-        for idx, v in zip(beta, combo):
-            vals[idx] = float(v)
-        out.append(WSelector(tuple(vals), tuple(tags), binary=False))
-    return out
+    return _selector_rows(partition, levels[np.indices((resolution,) * k).reshape(k, count).T])
+
+
+def is_binary(W: np.ndarray) -> np.ndarray:
+    """Per selector row: every entry is 0 or 1, which on a sweep's rows marks
+    the B-selectors."""
+    return np.all((W == 0.0) | (W == 1.0), axis=-1)
 
 
 def _solution_point(spec: ProblemSpec, sol: KktSolution, config: CheckConfig | None = None):
@@ -151,10 +126,13 @@ def _solution_point(spec: ProblemSpec, sol: KktSolution, config: CheckConfig | N
 
 @dataclass
 class SelectorSweep:
-    """Selectors at one nonsmooth solution as a struct of arrays: slice s of
-    every stack belongs to selectors[s].  The stacks are read-only."""
+    """Selectors at one nonsmooth solution as a struct of arrays: row s of
+    `selectors` is the diagonal of W_s, and slice s of every stack belongs to
+    it.  Every array is read-only.  `exact` says the family is the whole
+    generalized Jacobian (beta is empty: one selector)."""
 
-    selectors: list[WSelector]  # the B-selectors, bitmask order (then new grid points)
+    selectors: np.ndarray  # (S, m2): the B-selectors, bitmask order (then new grid points)
+    exact: bool
     A: np.ndarray  # (S, N, N): A(x, W)
     rhs: np.ndarray  # (S, N, n): (grad_yx L; J_x h; (I - W) J_x g)
     H: np.ndarray  # (S, N, n): A^{-1} rhs; NaN where A is singular
@@ -175,21 +153,19 @@ class SelectorSweep:
         return self.grad_x - np.swapaxes(self.H, 1, 2) @ self.stack
 
 
-def stack_selectors(bundle, lag, selectors: list[WSelector]) -> SelectorSweep:
-    """The sweep's stacked step: assemble every A(x, W) and its right-hand
-    side as one stack, test every A(x, W) for singularity and solve every
-    nonsingular H(x, W) at once."""
-    w = np.array([W.values for W in selectors], dtype=float).reshape(
-        len(selectors), bundle.g.shape[0])
-    A = kkt_jacobian_blocks(lag, bundle, w)
+def stack_selectors(bundle, lag, selectors: np.ndarray, exact: bool) -> SelectorSweep:
+    """The sweep's stacked step on the (S, m2) selector rows: assemble every
+    A(x, W) and its right-hand side as one stack, test every A(x, W) for
+    singularity and solve every nonsingular H(x, W) at once."""
+    A = kkt_jacobian_blocks(lag, bundle, selectors)
     top = np.vstack([lag.yx, bundle.h_jx])
     rhs = np.concatenate([np.broadcast_to(top, (len(selectors),) + top.shape),
-                          (1.0 - w)[:, :, None] * bundle.g_jx], axis=1)
+                          (1.0 - selectors)[:, :, None] * bundle.g_jx], axis=1)
     solved = solve_stack(A, rhs)
     H = solved.solution
-    for arr in (A, rhs, H, solved.sigma_min, solved.sigma_max, solved.singular):
+    for arr in (selectors, A, rhs, H, solved.sigma_min, solved.sigma_max, solved.singular):
         arr.flags.writeable = False
-    return SelectorSweep(selectors, A, rhs, H, solved, lag.grad_x,
+    return SelectorSweep(selectors, exact, A, rhs, H, solved, lag.grad_x,
                          np.concatenate([lag.grad_y, bundle.h, -bundle.g]))
 
 
@@ -208,23 +184,24 @@ def selector_sweep(
     if clarke:
         grid = clarke_selector_grid(partition, config.beta_grid_resolution,
                                     config.clarke_grid_cap)
-        seen = {W.values for W in selectors}
-        selectors += [W for W in grid if W.values not in seen]
-    return stack_selectors(bundle, lag, selectors)
+        selectors = np.concatenate([selectors, grid[~is_binary(grid)]])
+    return stack_selectors(bundle, lag, selectors, not partition.beta)
 
 
-def _single_selector(spec, sol, W: WSelector, config) -> SelectorSweep:
+def _single_selector(spec, sol, W: np.ndarray, config) -> SelectorSweep:
     """The sweep's stacked step on a one-selector stack."""
-    return stack_selectors(*_solution_point(spec, sol, config)[:2], [W])
+    bundle, lag, partition = _solution_point(spec, sol, config)
+    return stack_selectors(bundle, lag, np.asarray(W, dtype=float).reshape(1, -1),
+                           not partition.beta)
 
 
-def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector,
+def assemble_a_matrix(spec: ProblemSpec, sol: KktSolution, W: np.ndarray,
                       config: CheckConfig | None = None) -> np.ndarray:
-    """Bordered matrix of order m + m1 + m2 for the selector W."""
+    """Bordered matrix of order m + m1 + m2 for the selector row W."""
     return _single_selector(spec, sol, W, config).A[0].copy()
 
 
-def assemble_h_matrix(spec: ProblemSpec, sol: KktSolution, W: WSelector,
+def assemble_h_matrix(spec: ProblemSpec, sol: KktSolution, W: np.ndarray,
                       config: CheckConfig | None = None) -> np.ndarray:
     """H(x, W) = A(x, W)^{-1} (grad_yx L; J_x h; (I - W) J_x g)."""
     return _single_selector(spec, sol, W, config).h_matrix(0).copy()
@@ -235,8 +212,8 @@ class GeneralizedDerivativeSet:
     """Per-selector candidates; kind tags which object they approximate."""
 
     kind: str  # 'directional' | 'b_subdifferential' | 'outer_approx'
-    items: list[tuple[WSelector, np.ndarray]] = field(default_factory=list)
-    errors: list[tuple[WSelector, str]] = field(default_factory=list)
+    items: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)  # (W row, vector)
+    errors: list[tuple[np.ndarray, str]] = field(default_factory=list)
 
     @property
     def vectors(self) -> list[np.ndarray]:

@@ -392,7 +392,6 @@ def first_order_nonsmooth_necessary(
     data = upper_data(spec, x)
     aset = compute_upper_active_set(spec, x, config)
     sweep = sweep or selector_sweep(spec, sol, config)
-    exact_family = "beta" not in sweep.selectors[0].provenance
 
     gset = GeneralizedDerivativeSet(kind="b_subdifferential")
     gradients = sweep.phi_gradients()
@@ -410,7 +409,7 @@ def first_order_nonsmooth_necessary(
                 "first_order_nonsmooth", SATISFIED,
                 _stationarity_residual(data.JH, data.JG, u, v, r), config.tol_kkt,
                 kind=KIND_NECESSARY,
-                witness={"W": list(W.values), "u": u.tolist(), "v": v.tolist()},
+                witness={"W": W.tolist(), "u": u.tolist(), "v": v.tolist()},
             )
             return check, gset
     if singular.all():
@@ -421,7 +420,7 @@ def first_order_nonsmooth_necessary(
             "standing regularity assumption",
         )
         return check, gset
-    if exact_family:
+    if sweep.exact:
         dist = min(
             (float(np.max(np.abs(r))) for _, r in gset.items), default=np.inf
         )

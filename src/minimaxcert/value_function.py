@@ -70,7 +70,7 @@ def value_derivatives(
         raise SingularSensitivityError(
             f"{names} active with zero multiplier (strict complementarity fails)"
         )
-    sweep = stack_selectors(bundle, lag, enumerate_b_selectors(partition))
+    sweep = stack_selectors(bundle, lag, enumerate_b_selectors(partition), True)
     error = sweep.solved.error(0)
     if error is not None:
         raise SingularSensitivityError(f"sensitivity {error}", error.sigma_min) from error

@@ -1,7 +1,7 @@
 import importlib.util
 import math
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -384,6 +384,51 @@ def cone_is_trivial(E, F, dim, tol=1e-9):
             if sol.status != "optimal" or sol.value > tol:
                 return False
     return True
+
+
+def _reference_base(partition):
+    """A selector's fixed entries: 0 on alpha (and on beta), 1 on gamma."""
+    base = [0.0] * partition.size
+    for i in partition.gamma:
+        base[i] = 1.0
+    return base
+
+
+def reference_b_selectors(partition):
+    """The 2^|beta| B-selectors as tuples, built by the bitmask loop: 0 on
+    alpha, 1 on gamma, and on beta the bits of the mask, beta's first index
+    the lowest bit, masks ascending.  It is the reference the array form of
+    `nonsmooth.enumerate_b_selectors` is checked against."""
+    base = _reference_base(partition)
+    out = []
+    for mask in range(1 << len(partition.beta)):
+        vals = list(base)
+        for bit, idx in enumerate(partition.beta):
+            vals[idx] = 1.0 if (mask >> bit) & 1 else 0.0
+        out.append(tuple(vals))
+    return out
+
+
+def reference_clarke_grid(partition, resolution):
+    """The Clarke grid as tuples, one per `itertools.product` combination of
+    `resolution` levels in [0, 1] on beta."""
+    base = _reference_base(partition)
+    out = []
+    for combo in product(np.linspace(0.0, 1.0, resolution), repeat=len(partition.beta)):
+        vals = list(base)
+        for idx, v in zip(partition.beta, combo):
+            vals[idx] = float(v)
+        out.append(tuple(vals))
+    return out
+
+
+def reference_sweep_selectors(partition, resolution):
+    """The selectors of a sweep with the Clarke grid: the B-selectors, then
+    the grid points not among them (a tuple-set dedup)."""
+    selectors = reference_b_selectors(partition)
+    seen = set(selectors)
+    return selectors + [w for w in reference_clarke_grid(partition, resolution)
+                        if w not in seen]
 
 
 def closest_to(gset, target):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minimaxcert import (
+    CheckConfig,
     assemble_a_matrix,
     assemble_h_matrix,
     check_assumption_a,
@@ -14,13 +17,18 @@ from minimaxcert import (
 from minimaxcert.lower import classify_partition
 from minimaxcert.nonsmooth import (
     SelectorCapError,
-    WSelector,
     clarke_selector_grid,
     selector_sweep,
 )
-from minimaxcert.problem import eval_bundle
+from minimaxcert.problem import eval_bundle, parse_problem
 
-from conftest import closest_to, corner_instance
+from conftest import (
+    closest_to,
+    corner_instance,
+    reference_b_selectors,
+    reference_clarke_grid,
+    reference_sweep_selectors,
+)
 
 
 def nonsmooth_solution(spec, x, config, y0=None):
@@ -39,20 +47,20 @@ def test_selector_forced_entries():
     part = classify_partition(np.array([0.0, -1.0]), np.array([1.0, 0.0]), 1e-8)
     sels = enumerate_b_selectors(part)
     assert len(sels) == 1
-    assert sels[0].values == (0.0, 1.0)
+    assert sels[0].tolist() == [0.0, 1.0]
 
 
 def test_selector_beta_enumeration_order():
     part = classify_partition(np.array([0.0]), np.array([0.0]), 1e-8)
     sels = enumerate_b_selectors(part)
-    assert [s.values for s in sels] == [(0.0,), (1.0,)]
+    assert sels.tolist() == [[0.0], [1.0]]
 
 
 def test_selector_two_beta_bitmask_order():
     part = classify_partition(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 1e-8)
     sels = enumerate_b_selectors(part)
-    assert [s.values for s in sels] == [
-        (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)
+    assert sels.tolist() == [
+        [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]
     ]
 
 
@@ -64,18 +72,56 @@ def test_selector_cap():
         enumerate_b_selectors(part, cap=16)
 
 
-def test_selector_invariants_enforced():
-    with pytest.raises(ValueError):
-        WSelector((1.0,), ("alpha",), binary=True)
-    with pytest.raises(ValueError):
-        WSelector((0.5,), ("beta",), binary=True)
-    WSelector((0.5,), ("beta",), binary=False)  # Clarke element is fine
+_LABELS = st.sampled_from(("alpha", "beta", "gamma"))
+
+
+def _labelled_problem(labels):
+    """An inner problem whose solution at x = 0 (y = 0) has the partition the
+    labels give: g_i = y_i active with multiplier 2 (alpha) or 0 (beta), or
+    g_i = y_i - 1 inactive (gamma)."""
+    f = " ".join(f"- (y{i} - 1)^2" if lab == "alpha" else f"- y{i}^2"
+                 for i, lab in enumerate(labels or [None], start=1))
+    g = "".join(f"g{i} = y{i}{' - 1' if lab == 'gamma' else ''}\n"
+                for i, lab in enumerate(labels, start=1))
+    m = max(len(labels), 1)
+    return parse_problem(f"dims 1 {m} 0 {len(labels)} 0 0\nf = x1^2 {f}\n{g}")
+
+
+@given(st.lists(_LABELS, max_size=8).filter(lambda labs: labs.count("beta") <= 6),
+       st.integers(1, 5))
+def test_selector_rows_match_the_loop_reference(labels, resolution):
+    # the selector arrays against the loop enumeration, the product grid and
+    # the tuple dedup they replaced: same rows, order and value bits
+    config = CheckConfig(beta_grid_resolution=resolution, clarke_grid_cap=5 ** 6)
+    spec = _labelled_problem(labels)
+    sol = nonsmooth_solution(spec, [0.0], config)
+    part = partition_at(spec, sol, config)
+    assert (part.alpha, part.beta, part.gamma) == tuple(
+        tuple(i for i, lab in enumerate(labels) if lab == name)
+        for name in ("alpha", "beta", "gamma"))
+    m2 = len(labels)
+    b_rows = enumerate_b_selectors(part)
+    grid = clarke_selector_grid(part, resolution, config.clarke_grid_cap)
+    sweep = selector_sweep(spec, sol, config, clarke=True)
+    for rows, ref in ((b_rows, reference_b_selectors(part)),
+                      (grid, reference_clarke_grid(part, resolution)),
+                      (sweep.selectors, reference_sweep_selectors(part, resolution))):
+        assert rows.shape == (len(ref), m2)
+        assert rows.dtype == np.float64 and not rows.flags.writeable
+        assert rows.tobytes() == np.array(ref, dtype=float).tobytes()
+        # the invariants of a selector of the projection's generalized Jacobian
+        assert np.all(rows[:, list(part.alpha)] == 0.0)
+        assert np.all(rows[:, list(part.gamma)] == 1.0)
+        assert np.all((rows >= 0.0) & (rows <= 1.0))
+    assert np.all(np.isin(b_rows[:, list(part.beta)], (0.0, 1.0)))
+    assert np.array_equal(sweep.selectors[: len(b_rows)], b_rows)
+    assert sweep.exact == (not part.beta)
 
 
 def test_clarke_grid_density():
     part = classify_partition(np.array([0.0]), np.array([0.0]), 1e-8)
     grid = clarke_selector_grid(part, resolution=5)
-    assert [w.values[0] for w in grid] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert [w.tolist()[0] for w in grid] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 # --- A and H -------------------------------------------------------------------
@@ -99,7 +145,7 @@ def test_a_matrix_p1_gamma_case(p1, config):
     sol = nonsmooth_solution(p1, [0.0], config)
     part = partition_at(p1, sol, config)
     (w,) = enumerate_b_selectors(part)
-    assert w.values == (1.0,)
+    assert w.tolist() == [1.0]
     A = assemble_a_matrix(p1, sol, w)
     assert np.allclose(np.abs(A), [[1.0, 1.0], [0.0, 1.0]], atol=1e-9)
     assert abs(np.linalg.det(A)) == pytest.approx(1.0, abs=1e-9)
@@ -331,8 +377,7 @@ def test_sweep_matches_per_selector_reference_bit_for_bit(p1, p2, p4, config):
         for clarke in (False, True):
             sweep = selector_sweep(spec, sol, config, clarke=clarke)
             gradients = sweep.phi_gradients()
-            for s, W in enumerate(sweep.selectors):
-                w = W.diag
+            for s, w in enumerate(sweep.selectors):
                 A = _reference_a(lag, bundle, w)
                 assert kkt_jacobian_blocks(lag, bundle, w).tobytes() == A.tobytes()
                 rhs = np.vstack([lag.yx, bundle.h_jx, (1.0 - w)[:, None] * bundle.g_jx])
@@ -357,5 +402,6 @@ def test_sweep_matches_per_selector_reference_bit_for_bit(p1, p2, p4, config):
                 assert gradients[s].tobytes() == grad.tobytes()
                 if not clarke:
                     dy = -np.linalg.solve(A, (rhs @ d_x)[:, None])[:, 0]
-                    assert [v.tobytes() for u, v in directional.items if u == W] == [dy.tobytes()]
+                    assert [v.tobytes() for u, v in directional.items
+                            if np.array_equal(u, w)] == [dy.tobytes()]
     assert singular  # the flat case reaches the singular branch
