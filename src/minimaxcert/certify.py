@@ -12,8 +12,8 @@ necessary check refutes only when its requirements are all satisfied, and
 smooth path only.  It also names the checks the verdict was decided by.
 
 Both levels' second-order conditions are decided exactly on the critical
-cone's faces; a search that is not exhaustive (the nonsmooth first-order
-selector search with beta nonempty) never refutes.
+cone's faces.  Nonsmooth first order asks whether grad_x L admits an outer
+multiplier; while beta is nonempty a negative answer does not refute.
 """
 
 from __future__ import annotations

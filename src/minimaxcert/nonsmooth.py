@@ -36,8 +36,8 @@ those stacks, with one flag for the whole family, `exact` (beta is empty, so
 the one selector is the whole generalized Jacobian), and its consumers index
 them: `kkt_map_directional` and `phi_generalized_gradients` here, the
 B-selector nonsingularity check and the smooth path's sensitivity-system
-check in `certify`, and the admissible-selector search
-`upper.first_order_nonsmooth_necessary`.
+check in `certify`, and `upper.first_order_nonsmooth_necessary`, which
+reads the sweep's grad_x L and returns its B-subdifferential.
 `assemble_a_matrix` and `assemble_h_matrix` run the same stacked step on a
 one-selector stack, given one selector row, and return fresh values.
 

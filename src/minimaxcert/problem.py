@@ -14,7 +14,9 @@ The on-disk format is line oriented:
 Derivatives are exact: `ProblemSpec` builds its symbolic derivative tables
 lazily, once, and compiles them into one `Tape` per spec (`_bundle_program`,
 plus the x-only `_upper_program` behind `upper.upper_data`, and the grid
-oracle's `_oracle_tapes`), also once.  `parse_problem` and the table build
+oracle's `_oracle_tapes`), also once; it drops the tables when the two
+programs that read them, `_bundle_program` and `_upper_program`, are both
+compiled.  `parse_problem` and the table build
 share one cons table (`expressions.shared_nodes`): within a spec's build
 each structure is one `Expr` object, in the parsed trees and in their
 derivatives alike, so each distinct subtree is differentiated once and
@@ -275,7 +277,7 @@ class ProblemSpec:
         visits += _values("f", [self.f])
         visits += [("f" + b, 0, f_owner, *t["f"][b]) for b in ("x", "y")]
         with _collector_paused():
-            return BlockProgram.compile(shapes, visits)
+            return self._release_tables(BlockProgram.compile(shapes, visits), "_upper_program")
 
     @cached_property
     def _upper_program(self) -> BlockProgram:
@@ -291,7 +293,14 @@ class ProblemSpec:
                 owner = _derivatives_of(f"{val}{k + 1}", exprs[k])
                 visits += [(jac, k, owner, *row["x"]), (hess, k, owner, *row["xx"])]
         with _collector_paused():
-            return BlockProgram.compile(shapes, visits)
+            return self._release_tables(BlockProgram.compile(shapes, visits), "_bundle_program")
+
+    def _release_tables(self, program: BlockProgram, other: str) -> BlockProgram:
+        """`program`, with the tables dropped when the `other` program, the
+        last to read them, is compiled too."""
+        if other in self.__dict__:
+            self.__dict__.pop("_tables", None)
+        return program
 
     @cached_property
     def _oracle_tapes(self) -> tuple[Tape, Tape, Tape]:
@@ -458,8 +467,7 @@ _bundle_memo: ContextVar[dict | None] = ContextVar("bundle_memo", default=None)
 @contextmanager
 def bundle_memo():
     """Inside the block, eval_bundle evaluates each distinct (spec, x, y) and
-    upper.upper_data each distinct (spec, x) once, upper.check_mfcq checks
-    each distinct (spec, x, tol_act, tol_mfcq) once, the Lagrangian and the
+    upper.upper_data each distinct (spec, x) once, the Lagrangian and the
     recovered multipliers are computed once per bundle and distinct
     (mu, lam) or tol_act, the LICQ margin once per bundle and active set,
     the inner critical cone and its hull bound once per Lagrangian and

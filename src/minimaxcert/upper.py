@@ -2,9 +2,12 @@
 critical cones, and the second-order / nonsmooth first-order optimality tests.
 
 Every question of the form "is there an outer multiplier (u, v) for this
-gradient, and which one" goes to `_outer_multiplier`: the polytope's
-emptiness and its LP point, where the second-order checks start, and each
-selector's first-order test.
+gradient, and which one" goes to `_outer_multiplier`, once per outer level
+(`upper_kkt_and_polytope`): the polytope's emptiness and its LP point, where
+the second-order checks start.  Both paths ask it of one gradient.  On the
+nonsmooth path that is grad_x L: under the standing assumption phi is C^1
+with grad phi = grad_x L (Fiacco 1983), which every B-selector's candidate
+gradient equals at a KKT point.
 
 The second-order checks bound min over unit cone directions d of
 q_sup(d) = d^T hess(phi) d + max over the polytope of the constraint
@@ -34,7 +37,12 @@ from .config import CheckConfig
 from .cones import Cone, budget_detail, min_quadratic_on_cone
 from .linalg import RANK_TOL, LpProblem, smallest_singular_value, solve_lp
 from .lower import KktSolution
-from .nonsmooth import GeneralizedDerivativeSet, SelectorSweep, selector_sweep
+from .nonsmooth import (
+    GeneralizedDerivativeSet,
+    SelectorSweep,
+    _candidate_set,
+    selector_sweep,
+)
 from .problem import ProblemSpec, memoised
 from .value_function import ValueDerivatives
 
@@ -86,15 +94,8 @@ def compute_upper_active_set(spec: ProblemSpec, x,
 def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> ConditionCheck:
     """Full-rank equality Jacobian plus a strictly feasible direction, found by
     LP: maximize t s.t. JH d = 0, dG_i . d + t <= 0 (active i), |d|_inf <= 1.
-    Inside `bundle_memo` each distinct (x, tol_act, tol_mfcq) is checked once
-    and the result shared."""
+    A ValueError at an x that violates the outer constraints."""
     config = config or CheckConfig()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return memoised(spec, ("mfcq", x.tobytes(), config.tol_act, config.tol_mfcq),
-                    lambda: _check_mfcq(spec, x, config))
-
-
-def _check_mfcq(spec: ProblemSpec, x: np.ndarray, config: CheckConfig) -> ConditionCheck:
     data = upper_data(spec, x)
     aset = compute_upper_active_set(spec, x, config)
     if not aset.feasible:
@@ -206,12 +207,12 @@ def _split(z: np.ndarray, n1: int, active: tuple[int, ...], n2: int):
 
 
 def _outer_multiplier(data: UpperData, active: tuple[int, ...], r: np.ndarray,
-                      tol_kkt: float, parts=None) -> tuple[np.ndarray, np.ndarray] | None:
+                      tol_kkt: float, parts) -> tuple[np.ndarray, np.ndarray] | None:
     """One outer multiplier (u, v) for the gradient r, or None: the zero
     multiplier, or with multiplier variables the zero-objective LP's point,
     kept when its stationarity residual is at most tol_kkt, as every
-    multiplier is.  `parts` are r's `_lambda_lp_parts` when the caller has them."""
-    A_eq, b_eq, lower, nvar = parts or _lambda_lp_parts(data, active, r)
+    multiplier is.  `parts` are r's `_lambda_lp_parts`."""
+    A_eq, b_eq, lower, nvar = parts
     z = np.zeros(0)
     if nvar:  # solve_lp finds a non-finite r infeasible
         sol = solve_lp(LpProblem(np.zeros(nvar), A_eq, b_eq, None, None, lower, None), tol_kkt)
@@ -383,36 +384,17 @@ def first_order_nonsmooth_necessary(
     config: CheckConfig | None = None,
     sweep: SelectorSweep | None = None,
 ) -> tuple[ConditionCheck, GeneralizedDerivativeSet]:
-    """Search the B-selectors W for one whose candidate gradient admits upper
-    KKT multipliers, asking `_outer_multiplier` once per selector.  A failed
-    search is a disproof only when the selector family is exact (beta empty);
-    otherwise it is inconclusive.  The selectors and their solved A(x, W)
-    come from `sweep`, built here when not given."""
+    """Outer first order at a nonsmooth solution: does grad phi = grad_x L
+    admit an outer multiplier?  It is `upper_kkt_and_polytope`'s question,
+    asked once, as on the smooth path.  An empty polytope is a disproof only
+    when the selector family is exact (beta empty); otherwise it is
+    inconclusive.  Also returns the B-subdifferential, whose every
+    nonsingular candidate equals grad_x L at a KKT point.  The selectors and
+    their solved A(x, W) come from `sweep`, built here when not given."""
     config = config or CheckConfig()
-    data = upper_data(spec, x)
-    aset = compute_upper_active_set(spec, x, config)
     sweep = sweep or selector_sweep(spec, sol, config)
-
-    gset = GeneralizedDerivativeSet(kind="b_subdifferential")
-    gradients = sweep.phi_gradients()
-    singular = sweep.solved.singular
-    for s, W in enumerate(sweep.selectors):
-        if singular[s]:
-            gset.errors.append((W, str(sweep.solved.error(s))))
-            continue
-        r = gradients[s]
-        gset.items.append((W, r))
-        point = _outer_multiplier(data, aset.I, r, config.tol_kkt)
-        if point is not None:
-            u, v = point
-            check = ConditionCheck(
-                "first_order_nonsmooth", SATISFIED,
-                _stationarity_residual(data.JH, data.JG, u, v, r), config.tol_kkt,
-                kind=KIND_NECESSARY,
-                witness={"W": W.tolist(), "u": u.tolist(), "v": v.tolist()},
-            )
-            return check, gset
-    if singular.all():
+    gset = _candidate_set("b_subdifferential", sweep, sweep.phi_gradients())
+    if sweep.solved.singular.all():
         check = ConditionCheck(
             "first_order_nonsmooth", ERROR, None, config.tol_kkt,
             kind=KIND_NECESSARY,
@@ -420,20 +402,24 @@ def first_order_nonsmooth_necessary(
             "standing regularity assumption",
         )
         return check, gset
-    if sweep.exact:
-        dist = min(
-            (float(np.max(np.abs(r))) for _, r in gset.items), default=np.inf
-        )
+    poly = upper_kkt_and_polytope(spec, x, sweep.grad_x, config)
+    if poly.nonempty:
+        u, v = poly.point
         check = ConditionCheck(
-            "first_order_nonsmooth", VIOLATED, dist, config.tol_kkt,
-            kind=KIND_NECESSARY,
+            "first_order_nonsmooth", SATISFIED, poly.residual(u, v), config.tol_kkt,
+            kind=KIND_NECESSARY, witness={"u": u.tolist(), "v": v.tolist()},
+        )
+    elif sweep.exact:
+        check = ConditionCheck(
+            "first_order_nonsmooth", VIOLATED, float(np.max(np.abs(sweep.grad_x))),
+            config.tol_kkt, kind=KIND_NECESSARY,
             detail="selector family is exact here and no multiplier exists",
         )
-        return check, gset
-    check = ConditionCheck(
-        "first_order_nonsmooth", INCONCLUSIVE, None, config.tol_kkt,
-        kind=KIND_NECESSARY,
-        detail=f"no admissible selector among {len(sweep.selectors)} samples; "
-        "not a disproof",
-    )
+    else:
+        check = ConditionCheck(
+            "first_order_nonsmooth", INCONCLUSIVE, None, config.tol_kkt,
+            kind=KIND_NECESSARY,
+            detail="grad_x L admits no outer multiplier; not a disproof "
+            "while beta is nonempty",
+        )
     return check, gset

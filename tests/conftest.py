@@ -10,6 +10,14 @@ import pytest
 from hypothesis import settings
 
 from minimaxcert import CheckConfig, check_jacobian_uniqueness
+from minimaxcert.conditions import (
+    ERROR,
+    INCONCLUSIVE,
+    KIND_NECESSARY,
+    SATISFIED,
+    VIOLATED,
+    ConditionCheck,
+)
 from minimaxcert.cones import cone_contains
 from minimaxcert.expressions import (
     _FUNCTION_RULES,
@@ -44,7 +52,9 @@ from minimaxcert.linalg import (
     smallest_singular_value,
     solve_lp,
 )
+from minimaxcert.nonsmooth import GeneralizedDerivativeSet, selector_sweep
 from minimaxcert.problem import ProblemSpec
+from minimaxcert.upper import upper_kkt_and_polytope
 
 # property tests replay the same examples on every run and have no time limit
 # (the bit-for-bit comparisons run reference code that is slow by design)
@@ -429,6 +439,40 @@ def reference_sweep_selectors(partition, resolution):
     seen = set(selectors)
     return selectors + [w for w in reference_clarke_grid(partition, resolution)
                         if w not in seen]
+
+
+def reference_first_order_nonsmooth(spec, x, sol, config, sweep=None):
+    """The selector search: one outer-multiplier question per B-selector's
+    candidate gradient grad_x L - H(x, W)^T (grad_y L; h; -g), stopping at
+    the first selector that admits one (its witness names W).  A failed
+    search is a disproof only when the family is exact (beta empty).  It is
+    the reference `upper.first_order_nonsmooth_necessary`, which asks the
+    question once of grad_x L, is checked against; returns (check, gset)
+    with the candidates tried."""
+    sweep = sweep or selector_sweep(spec, sol, config)
+    gset = GeneralizedDerivativeSet(kind="b_subdifferential")
+    gradients = sweep.phi_gradients()
+    for s, W in enumerate(sweep.selectors):
+        if sweep.solved.singular[s]:
+            gset.errors.append((W, str(sweep.solved.error(s))))
+            continue
+        r = gradients[s]
+        gset.items.append((W, r))
+        poly = upper_kkt_and_polytope(spec, x, r, config)
+        if poly.nonempty:
+            u, v = poly.point
+            witness = {"W": W.tolist(), "u": u.tolist(), "v": v.tolist()}
+            return ConditionCheck("first_order_nonsmooth", SATISFIED, poly.residual(u, v),
+                                  config.tol_kkt, KIND_NECESSARY, witness), gset
+    if sweep.solved.singular.all():
+        status, margin = ERROR, None
+    elif sweep.exact:
+        status = VIOLATED
+        margin = min(float(np.max(np.abs(r))) for _, r in gset.items)
+    else:
+        status, margin = INCONCLUSIVE, None
+    return ConditionCheck("first_order_nonsmooth", status, margin, config.tol_kkt,
+                          KIND_NECESSARY), gset
 
 
 def closest_to(gset, target):

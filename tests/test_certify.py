@@ -1007,6 +1007,7 @@ DEGENERATE_PAIR_TEXT = "dims 1 2 0 2 0 0\nf = -(y1-x1)^2 - (y2-x1)^2\ng1 = y1\ng
 # dims 1 1 0 0 0 1 with G1 = x1^2: x = 0 is the whole feasible set, and MFCQ
 # fails there (grad G1 = 0)
 NO_MFCQ_TEXT = "dims 1 1 0 0 0 1\nf = {f}\nG1 = x1^2\n"
+KINK_TEXT = "dims 1 1 0 1 0 0\nf = {f}\ng1 = y1\n"
 
 PROBES = [
     # Y(x) = {0}, so phi = x^2 and the origin is local minimax (the oracle
@@ -1052,6 +1053,23 @@ PROBES = [
     # check is skipped without MFCQ
     pytest.param(NO_MFCQ_TEXT.format(f="-x1^2 - y1^2"), "0", "0", {}, VERDICT_NECESSARY, 0,
                  id="second-order-skipped-without-mfcq"),
+    # g1 = y1 at the origin: beta = {1}, the nonsmooth path, whose first
+    # order reads grad phi = grad_x L and which has no second-order check.
+    # phi = 0 for x <= 0 and -x^2 for x > 0: not local minimax, yet first
+    # order holds
+    pytest.param(KINK_TEXT.format(f="-(y1-x1)^2"), "0", "0", {}, VERDICT_NECESSARY, 0,
+                 id="kink-not-minimax"),
+    # grad phi = 1 and no outer constraint: not local minimax, but with beta
+    # nonempty the empty polytope does not refute
+    pytest.param(KINK_TEXT.format(f="-(y1-x1)^2 + x1"), "0", "0", {}, VERDICT_INCONCLUSIVE, 3,
+                 id="kink-gradient"),
+    # phi >= x^2: a strict local minimax point, which the nonsmooth path does
+    # not certify
+    pytest.param(KINK_TEXT.format(f="-(y1-x1)^2 + 2*x1^2"), "0", "0", {}, VERDICT_NECESSARY, 0,
+                 id="kink-strict-minimax"),
+    # |g| <= tol_act puts P2 at x = y = -1e-10 on the nonsmooth path; phi = 0
+    # near it, so it is local minimax
+    pytest.param("P2", "-1e-10", "-1e-10", {}, VERDICT_NECESSARY, 0, id="P2-near-kink"),
 ]
 
 

@@ -6,7 +6,9 @@ A change that means to alter a report rewrites the files with
 
     python tests/test_golden.py
 
-and says so in CHANGES.md; the test prints a diff on any mismatch.
+which writes only the files whose text changed, removes those that no case
+names, and prints their names; the change says so in CHANGES.md.  The test
+prints a diff on any mismatch.
 """
 
 import difflib
@@ -108,14 +110,23 @@ def test_every_golden_file_has_a_case():
 
 
 def regenerate():
+    """Rewrite the golden files whose text changed, remove those of no case,
+    and print their names."""
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         texts = {name: run_case(name, Path(tmp)) for name in CASES}
-    for old in GOLDEN.glob("*.txt"):
-        old.unlink()
+    for old in sorted(GOLDEN.glob("*.txt")):
+        if old.stem not in texts:
+            old.unlink()
+            print(f"removed {old.name}")
+    changed = 0
     for name, text in texts.items():
-        (GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8")
-    print(f"wrote {len(texts)} golden files to {GOLDEN}")
+        path = GOLDEN / f"{name}.txt"
+        if not path.exists() or path.read_text(encoding="utf-8") != text:
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {path.name}")
+            changed += 1
+    print(f"{changed} of {len(texts)} golden files changed in {GOLDEN}")
 
 
 if __name__ == "__main__":

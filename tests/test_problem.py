@@ -115,6 +115,34 @@ def test_cross_blocks_are_mutual_transposes():
         assert not hasattr(b, "fxy")
 
 
+def test_certify_releases_the_tables_and_keeps_the_outputs():
+    """The derivative tables go once both certify programs are compiled, and
+    the programs' outputs stay bit-identical to a fresh spec's."""
+    from minimaxcert.certify import certify
+    from minimaxcert.upper import upper_data
+
+    text = ("dims 2 2 1 1 1 1\n"
+            "f = x1*y1 - y1^2 - y2^2 + exp(x2*y2) + x1^2\n"
+            "h1 = y1 + y2 - x2\n"
+            "g1 = y1*x1 - 1\n"
+            "H1 = x1 - x2^2\n"
+            "G1 = x1*x2 - 1\n")
+    spec = parse_problem(text)
+    eval_bundle(spec, [0.5, 0.25], [0.1, 0.2])
+    assert "_tables" in vars(spec)  # the upper program still reads them
+    certify(spec, CandidatePoint([0.0, 0.0], [0.0, 0.0]))
+    assert "_tables" not in vars(spec)
+    fresh = parse_problem(text)
+    for x, y in (([0.0, 0.0], [0.0, 0.0]), ([0.7, -1.3], [0.4, 2.1])):
+        got, want = eval_bundle(spec, x, y), eval_bundle(fresh, x, y)
+        for name, value in vars(want).items():
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(value).tobytes()
+        got, want = upper_data(spec, x), upper_data(fresh, x)
+        for name, value in vars(want).items():
+            assert getattr(got, name).tobytes() == value.tobytes()
+    assert "_tables" not in vars(spec)
+
+
 def test_hessian_tables_hold_one_expr_per_unordered_pair():
     from minimaxcert.expressions import Var, differentiate, to_string
 

@@ -99,10 +99,12 @@ def _dense_tables(tables):
 def test_sharing_leaves_tapes_outputs_and_tables_unchanged(name, monkeypatch):
     text = TEXTS[name]
     shared = parse_problem(text)
+    shared_tables = shared._tables
     with monkeypatch.context() as m:
         _unshared(m)
         plain = parse_problem(text)
-        plain._tables
+        plain_tables = plain._tables
+    # compiling both programs drops each spec's tables
     (tapes, layouts), (plain_tapes, plain_layouts) = _tapes(shared), _tapes(plain)
     assert layouts == plain_layouts
     assert [_tape_code(t) for t in tapes] == [_tape_code(t) for t in plain_tapes]
@@ -111,8 +113,8 @@ def test_sharing_leaves_tapes_outputs_and_tables_unchanged(name, monkeypatch):
         x, y = rng.uniform(-2.0, 2.0, shared.n), rng.uniform(-2.0, 2.0, shared.m)
         for got, want in zip(tapes, plain_tapes):
             assert _run(got, x, y) == _run(want, x, y)
-    assert _dense_tables(shared._tables) == _dense_tables(reference_tables(shared))
-    assert _dense_tables(plain._tables) == _dense_tables(shared._tables)
+    assert _dense_tables(shared_tables) == _dense_tables(reference_tables(shared))
+    assert _dense_tables(plain_tables) == _dense_tables(shared_tables)
 
 
 def _structure_key(node, numbers):

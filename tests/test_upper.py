@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from minimaxcert import (
     check_mfcq,
@@ -420,10 +420,9 @@ def test_first_order_nonsmooth_p2_origin(p2, config):
     sol = solve_lower(p2, [0.0], ([0.0], None, None), config)
     check, gset = first_order_nonsmooth_necessary(p2, [0.0], sol, config)
     assert check.status == SATISFIED
-    assert check.witness["u"] == []
-    assert check.witness["v"] == []
-    # the search stops at the first admissible selector
-    assert len(gset.items) >= 1
+    assert check.witness == {"u": [], "v": []}
+    # the whole B-subdifferential comes back, each candidate grad_x L = 0
+    assert len(gset.items) == 2 and not gset.errors
     assert gset.items[0][1][0] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -450,3 +449,115 @@ def test_first_order_nonsmooth_not_found_is_not_disproof(config):
     sol = solve_lower(spec, [0.0], ([0.0], None, None), config)
     check, _ = first_order_nonsmooth_necessary(spec, [0.0], sol, config)
     assert check.status == INCONCLUSIVE
+
+
+def test_nonsmooth_certify_asks_for_one_outer_multiplier(p2, monkeypatch):
+    """First order on the nonsmooth path is one question, of grad_x L, as on
+    the smooth path: one `_outer_multiplier` call per certify, also at the
+    16 selectors of the |beta| = 4 problem and when no multiplier exists."""
+    from minimaxcert import upper
+    from minimaxcert.certify import certify
+    from minimaxcert.problem import CandidatePoint
+
+    from conftest import degenerate_text
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return outer_multiplier(*args)
+
+    outer_multiplier = upper._outer_multiplier
+    monkeypatch.setattr(upper, "_outer_multiplier", counted)
+    shifted = parse_problem(degenerate_text(4).replace("f = ", "f = 0.5*x1 "))
+    for spec, point, status in ((p2, [0.0], SATISFIED), (shifted, [0.0] * 4, INCONCLUSIVE)):
+        calls.clear()
+        report = certify(spec, CandidatePoint(point, point))
+        assert report.path == "nonsmooth"
+        assert next(c for c in report.results
+                    if c.name == "first_order_nonsmooth").status == status
+        assert len(calls) == 1
+
+
+@st.composite
+def _nonsmooth_instances(draw):
+    """(spec, x*, y*, lam*): a quadratic inner problem, n, m <= 2, with
+    negative definite L_yy and affine rows: degenerate ones (active, zero
+    multiplier), perhaps a strongly active one and an inactive one, active
+    gradients well conditioned; and perhaps an active affine outer row G.
+    f's linear x term puts grad_x L at 0, at -v JG with v >= 0 (admissible
+    when G is there), or at a random vector."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    degenerate = draw(st.integers(1, m))
+    strong = draw(st.integers(0, m - degenerate))
+    inactive = draw(st.integers(0, 1))
+    outer = draw(st.booleans())
+    target = draw(st.sampled_from(["zero", "admissible", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, m)
+    L = rng.standard_normal((m, m))
+    Q, R = -(L @ L.T + 0.3 * np.eye(m)), rng.standard_normal((m, n))
+    B = rng.standard_normal((n, n))
+    P = 0.5 * (B + B.T)
+    rows, lam = [], np.zeros(degenerate + strong + inactive)
+    for i in range(lam.size):
+        a, b = rng.standard_normal(m), rng.standard_normal(n)
+        c = -float(a @ y + b @ x)
+        if i >= degenerate + strong:
+            c -= rng.uniform(0.5, 1.5)
+        elif i >= degenerate:
+            lam[i] = rng.uniform(0.5, 1.5)
+        rows.append((a, b, c))
+    active = np.array([a for a, _, _ in rows[:degenerate + strong]])
+    assume(np.linalg.svd(active, compute_uv=False)[-1] >= 0.3)
+    q = -(Q @ y + R @ x) + lam @ np.array([a for a, _, _ in rows])
+    G = []
+    aG = rng.standard_normal(n)
+    if outer:
+        G = [affine_expr(np.zeros(0), aG, -float(aG @ x))]
+    want = {"zero": np.zeros(n), "admissible": -rng.uniform(0.5, 1.5) * aG * outer,
+            "random": rng.standard_normal(n)}[target]
+
+    def spec(p):
+        return ProblemSpec(n=n, m=m, m1=0, m2=lam.size, n1=0, n2=len(G),
+                           f=quadratic_objective(Q, R, P, q, p),
+                           g=[affine_expr(a, b, c) for a, b, c in rows], G=G)
+
+    from minimaxcert.lower import lagrangian_eval
+    from minimaxcert.problem import eval_bundle
+
+    plain = lagrangian_eval(eval_bundle(spec(np.zeros(n)), x, y), np.zeros(0), lam).grad_x
+    return spec(want - plain), x, y, lam
+
+
+@settings(max_examples=150)
+@given(instance=_nonsmooth_instances())
+def test_first_order_nonsmooth_matches_the_selector_search(instance, config):
+    """At a KKT point with beta nonempty the one question of grad_x L gives
+    the status the per-selector search gives, and every nonsingular
+    B-selector's candidate gradient lies within
+    (m + m1 + m2) max|H(x, W)| max(|grad_y L|, |h|, |g on alpha and beta|)
+    of grad_x L, up to the rounding of its one subtraction: the gamma rows
+    of H(x, W) are 0."""
+    from minimaxcert.nonsmooth import _solution_point, selector_sweep
+
+    from conftest import reference_first_order_nonsmooth
+
+    spec, x, y, lam = instance
+    sol = solve_lower(spec, x, (y, np.zeros(0), lam), config)
+    bundle, lag, partition = _solution_point(spec, sol, config)
+    assert partition.beta
+    sweep = selector_sweep(spec, sol, config)
+    check, gset = first_order_nonsmooth_necessary(spec, x, sol, config, sweep)
+    want, _ = reference_first_order_nonsmooth(spec, x, sol, config, sweep)
+    assert check.status == want.status
+    assert len(gset.items) + len(gset.errors) == len(sweep.selectors)
+
+    near = np.concatenate([lag.grad_y, bundle.h, bundle.g[list(partition.active)]])
+    scale = float(np.max(np.abs(near), initial=0.0))
+    rounding = np.spacing(np.abs(sweep.grad_x))
+    for s, r in enumerate(sweep.phi_gradients()):
+        if sweep.solved.singular[s]:
+            continue
+        bound = sweep.stack.size * float(np.max(np.abs(sweep.H[s]))) * scale
+        assert np.all(np.abs(r - sweep.grad_x) <= bound + rounding)
