@@ -1,15 +1,16 @@
 """Certification pipeline: route a candidate down the smooth or nonsmooth
 path, run every applicable condition, and assemble the verdict.
 
-Each condition holds under named hypotheses, and `REQUIRES` is their one
-table: for each gated check, the checks that must be `satisfied` in the same
-report.  Every result carries its entry as `requires`.  A check that cannot
-be computed without its requirements goes through `_gated`, which reports it
-`skipped` ("requires ...") when one is missing; the others are computed
-anyway and keep their status.  `overall_verdict` is the one rule: a violated
-necessary check refutes only when its requirements are all satisfied, and
-`second_order_sufficient`, satisfied with its requirements, certifies on the
-smooth path only.  It also names the checks the verdict was decided by.
+Each condition holds under named hypotheses, and `conditions.POLICY` is
+their one table: for each deciding check, its kind and the checks that must
+be `satisfied` in the same report, which every result reads from its name as
+`kind` and `requires`.  A check that cannot be computed without its
+requirements goes through `_gated`, which reports it `skipped` ("requires
+...") when one is missing; the others are computed anyway and keep their
+status.  `overall_verdict` is the one rule: a violated necessary check
+refutes only when its requirements are all satisfied, and a satisfied
+sufficient check with its requirements certifies, on the smooth path only.
+It also names the checks the verdict was decided by.
 
 Both levels' second-order conditions are decided exactly on the critical
 cone's faces.  Nonsmooth first order asks whether grad_x L admits an outer
@@ -25,10 +26,9 @@ import numpy as np
 from .conditions import (
     ERROR,
     INCONCLUSIVE,
-    KIND_INFO,
     KIND_NECESSARY,
-    KIND_QUALIFICATION,
     KIND_SUFFICIENT,
+    POLICY,
     SATISFIED,
     SKIPPED,
     VIOLATED,
@@ -79,20 +79,6 @@ PATH_INVALID = "invalid"
 
 # the error check that ends a run whose evaluation failed
 CHECK_EVALUATION = "evaluation"
-
-# the checks each gated check needs `satisfied` in the same report: the inner
-# KKT conditions are necessary under LICQ; the outer ones need the value
-# function's derivatives (the sensitivity system), first order needs MFCQ
-# (Gauvin 1977), and both second-order checks a multiplier (first order)
-REQUIRES = {
-    "lower_kkt": ("lower_licq",),
-    "lower_second_order_necessary": ("lower_kkt", "lower_licq"),
-    "first_order": ("sensitivity_system", "mfcq"),
-    "second_order_necessary": ("sensitivity_system", "mfcq", "first_order"),
-    "second_order_sufficient": ("sensitivity_system", "first_order"),
-    "first_order_nonsmooth": ("assumption_a", "mfcq"),
-}
-
 
 @dataclass
 class PathDecision:
@@ -203,27 +189,26 @@ class CertificateReport:
 
 def _lower_checks_to_results(ju: LowerConditionsReport) -> list[ConditionCheck]:
     mapping = {
-        "kkt": ("lower_kkt", KIND_NECESSARY),
-        "licq": ("lower_licq", KIND_QUALIFICATION),
-        "strict_complementarity": ("lower_strict_complementarity", KIND_INFO),
-        "sosc": ("lower_sosc", KIND_INFO),
-        "sonc": ("lower_second_order_necessary", KIND_NECESSARY),
+        "kkt": "lower_kkt",
+        "licq": "lower_licq",
+        "strict_complementarity": "lower_strict_complementarity",
+        "sosc": "lower_sosc",
+        "sonc": "lower_second_order_necessary",
     }
     out = []
-    for src, (name, kind) in mapping.items():
+    for src, name in mapping.items():
         c = ju.checks[src]
-        out.append(ConditionCheck(name, c.status, c.value, c.tolerance, kind, c.witness,
-                                  c.detail, c.requires))
+        out.append(ConditionCheck(name, c.status, c.value, c.tolerance, c.witness, c.detail))
     return out
 
 
-def _gated(results: list[ConditionCheck], name: str, kind: str, tolerance, run):
+def _gated(results: list[ConditionCheck], name: str, tolerance, run):
     """Append `run()` when every check `name` requires is satisfied so far,
     else a `skipped` check that names the missing ones."""
     satisfied = {c.name for c in results if c.ok}
-    missing = [r for r in REQUIRES[name] if r not in satisfied]
+    missing = [r for r in POLICY[name][1] if r not in satisfied]
     results.append(
-        ConditionCheck(name, SKIPPED, None, tolerance, kind,
+        ConditionCheck(name, SKIPPED, None, tolerance,
                        detail="requires " + ", ".join(missing))
         if missing else run()
     )
@@ -233,8 +218,8 @@ def overall_verdict(path: str, results: list[ConditionCheck]) -> tuple[str, list
     """The verdict and the names of the checks it was decided by.
 
     `refuted`: each violated necessary check whose `requires` are all
-    satisfied.  `certified-local-minimax`: `second_order_sufficient`,
-    satisfied with its `requires`, on the smooth path.
+    satisfied.  `certified-local-minimax`: each satisfied sufficient check
+    whose `requires` are all satisfied, on the smooth path.
     `necessary-conditions-pass`: on either path, a first-order check that ran
     and every necessary check that ran satisfied; they are its deciders."""
     satisfied = {c.name for c in results if c.ok}
@@ -242,10 +227,9 @@ def overall_verdict(path: str, results: list[ConditionCheck]) -> tuple[str, list
     refuting = [c.name for c in verified if c.kind == KIND_NECESSARY and c.status == VIOLATED]
     if refuting:
         return VERDICT_REFUTED, refuting
-    if path == PATH_SMOOTH and any(
-        c.name == "second_order_sufficient" and c.ok for c in verified
-    ):
-        return VERDICT_CERTIFIED, ["second_order_sufficient"]
+    certifying = [c.name for c in verified if c.kind == KIND_SUFFICIENT and c.ok]
+    if path == PATH_SMOOTH and certifying:
+        return VERDICT_CERTIFIED, certifying
     if path in (PATH_SMOOTH, PATH_NONSMOOTH):
         first_order = next(
             (c for c in results if c.name in ("first_order", "first_order_nonsmooth")),
@@ -288,11 +272,9 @@ def certify(
             _pipeline(spec, candidate, config, progress)
         except (DomainError, NonsmoothDataError, CandidateShapeError) as exc:
             progress.results.append(
-                ConditionCheck(CHECK_EVALUATION, ERROR, None, None, KIND_NECESSARY,
+                ConditionCheck(CHECK_EVALUATION, ERROR, None, None,
                                detail=f"{progress.stage} failed: {exc}")
             )
-    for check in progress.results:
-        check.requires = REQUIRES.get(check.name, ())
     verdict, decided_by = overall_verdict(progress.path, progress.results)
     return CertificateReport(
         problem_digest=problem_digest(spec),
@@ -315,7 +297,6 @@ def _pipeline(spec, candidate, config, progress: _Progress):
             SATISFIED if decision.feasible else VIOLATED,
             None,
             config.tol_act,
-            KIND_INFO,
             detail=decision.feasibility_detail,
         )
     )
@@ -325,14 +306,12 @@ def _pipeline(spec, candidate, config, progress: _Progress):
             SATISFIED,
             decision.supplied_residual,
             config.tol_kkt,
-            KIND_INFO,
             detail=decision.multiplier_detail,
         )
     )
     if not decision.feasible:
         results.append(
-            ConditionCheck("path", INCONCLUSIVE, None, None, KIND_INFO,
-                           detail="candidate infeasible")
+            ConditionCheck("path", INCONCLUSIVE, None, None, detail="candidate infeasible")
         )
         return
 
@@ -359,7 +338,7 @@ def _pipeline(spec, candidate, config, progress: _Progress):
             rep = verify_minimax_definition(spec, candidate.x, candidate.y, grid)
         except GridTooLargeError as exc:
             results.append(ConditionCheck("definition_oracle", SKIPPED, None, grid.tol,
-                                          KIND_INFO, detail=str(exc)))
+                                          detail=str(exc)))
             return
         results.append(
             ConditionCheck(
@@ -367,7 +346,6 @@ def _pipeline(spec, candidate, config, progress: _Progress):
                 SATISFIED if rep.passed else VIOLATED,
                 rep.worst_violation,
                 grid.tol,
-                KIND_INFO,
                 witness=rep.worst_witness,
                 detail=f"worst side: {rep.worst_side}" if rep.worst_side else "",
             )
@@ -379,7 +357,7 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
         sol = solve_lower(spec, candidate.x, (candidate.y, decision.mu, decision.lam), config)
     except NewtonError as exc:
         results.append(
-            ConditionCheck("sensitivity_system", ERROR, None, None, KIND_INFO,
+            ConditionCheck("sensitivity_system", ERROR, None, None,
                            detail=f"inner refinement failed: {exc}")
         )
         return
@@ -390,14 +368,13 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
         vd = value_derivatives(spec, sol, config)
     except SingularSensitivityError as exc:
         results.append(
-            ConditionCheck("sensitivity_system", VIOLATED, exc.sigma_min, None,
-                           KIND_INFO, detail=str(exc))
+            ConditionCheck("sensitivity_system", VIOLATED, exc.sigma_min, None, detail=str(exc))
         )
         return
     sigma_min = float(vd.sweep.solved.sigma_min[0])
     condition = float(vd.sweep.solved.sigma_max[0]) / sigma_min
     results.append(
-        ConditionCheck("sensitivity_system", SATISFIED, sigma_min, None, KIND_INFO,
+        ConditionCheck("sensitivity_system", SATISFIED, sigma_min, None,
                        detail=f"condition estimate {condition:.3e}")
     )
     mfcq = check_mfcq(spec, candidate.x, config)
@@ -407,13 +384,13 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
     if poly.nonempty:
         fo = ConditionCheck(
             "first_order", SATISFIED, poly.residual(*poly.point),
-            config.tol_kkt, KIND_NECESSARY,
+            config.tol_kkt,
             # by Gauvin (1977) the polytope is bounded exactly when MFCQ holds
             detail="" if mfcq.ok else "polytope unbounded (flagged)",
         )
     else:
         fo = ConditionCheck(
-            "first_order", VIOLATED, None, config.tol_kkt, KIND_NECESSARY,
+            "first_order", VIOLATED, None, config.tol_kkt,
             witness=vd.gradient.tolist(),
             detail="no upper multipliers reproduce the value-function gradient",
         )
@@ -426,9 +403,9 @@ def _run_smooth(spec, candidate, decision, config, results, notes):
 
     # the necessary check runs on poly.cone and the sufficient one on
     # poly.reduced, which every multiplier gives alike, so the LP point serves
-    _gated(results, "second_order_necessary", KIND_NECESSARY, config.tol_pd,
+    _gated(results, "second_order_necessary", config.tol_pd,
            lambda: second_order_necessary(vd, poly, config))
-    _gated(results, "second_order_sufficient", KIND_SUFFICIENT, config.tol_pd,
+    _gated(results, "second_order_sufficient", config.tol_pd,
            lambda: second_order_sufficient(vd, poly, config))
 
 
@@ -446,7 +423,6 @@ def _verify_upper_multipliers(spec, candidate, poly, config):
         SATISFIED if ok else VIOLATED,
         residual,
         config.tol_kkt,
-        KIND_INFO,
         detail="supplied (u, v) verified against the stationarity system"
         if ok
         else f"supplied (u, v) rejected (residual {residual:.3e}, "
@@ -458,8 +434,7 @@ def _assumption_a_result(a: LowerConditionsReport, config: CheckConfig,
                          detail: str = "") -> ConditionCheck:
     """The `assumption_a` qualification, valued by the strong SOSC bound."""
     return ConditionCheck("assumption_a", SATISFIED if a.assumption_a else VIOLATED,
-                          a.checks["strong_sosc"].value, config.tol_pd, KIND_QUALIFICATION,
-                          detail=detail)
+                          a.checks["strong_sosc"].value, config.tol_pd, detail=detail)
 
 
 def _run_nonsmooth(spec, candidate, decision, config, results, notes):
@@ -470,7 +445,6 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
             a.checks["strong_sosc"].status,
             a.checks["strong_sosc"].value,
             config.tol_pd,
-            KIND_INFO,
         )
     )
     results.append(_assumption_a_result(a, config))
@@ -479,7 +453,7 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
     except NewtonError as exc:
         results.append(
             ConditionCheck("first_order_nonsmooth", ERROR, None, None,
-                           KIND_NECESSARY, detail=f"inner refinement failed: {exc}")
+                           detail=f"inner refinement failed: {exc}")
         )
         return
 
@@ -491,23 +465,21 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
         sweep = None
         cap_detail = str(exc)
         results.append(
-            ConditionCheck("b_selector_nonsingularity", ERROR, None, None,
-                           KIND_INFO, detail=cap_detail)
+            ConditionCheck("b_selector_nonsingularity", ERROR, None, None, detail=cap_detail)
         )
     else:
         margin = float(np.min(sweep.solved.sigma_min, initial=np.inf))
         status = VIOLATED if sweep.solved.singular.any() else SATISFIED  # the sweep's own test
         results.append(
-            ConditionCheck("b_selector_nonsingularity", status, margin, None, KIND_INFO,
+            ConditionCheck("b_selector_nonsingularity", status, margin, None,
                            detail=f"{len(sweep.selectors)} binary selectors")
         )
 
     results.append(check_mfcq(spec, candidate.x, config))
     if sweep is None:
         results.append(
-            ConditionCheck("first_order_nonsmooth", ERROR, None, config.tol_kkt,
-                           KIND_NECESSARY, detail=cap_detail)
+            ConditionCheck("first_order_nonsmooth", ERROR, None, config.tol_kkt, detail=cap_detail)
         )
         return
-    _gated(results, "first_order_nonsmooth", KIND_NECESSARY, config.tol_kkt,
+    _gated(results, "first_order_nonsmooth", config.tol_kkt,
            lambda: first_order_nonsmooth_necessary(spec, candidate.x, sol, config, sweep)[0])

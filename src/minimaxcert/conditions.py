@@ -1,4 +1,6 @@
-"""Condition verdicts shared by the lower-level, upper-level and certifier."""
+"""Condition verdicts shared by the lower-level, upper-level and certifier,
+and the verdict policy: `POLICY` is the one table of each deciding check's
+kind and requirements."""
 
 from __future__ import annotations
 
@@ -16,22 +18,47 @@ KIND_SUFFICIENT = "sufficient"
 KIND_QUALIFICATION = "qualification"
 KIND_INFO = "info"
 
+# name -> (kind, the checks that must be `satisfied` in the same report before
+# it may decide a verdict); every other name is `info` with none.  The inner
+# KKT conditions are necessary under LICQ; the outer ones need the value
+# function's derivatives (the sensitivity system), first order needs MFCQ
+# (Gauvin 1977), both second-order checks a multiplier (first order), and
+# nonsmooth first order the standing assumption (Assumption A)
+POLICY = {
+    "evaluation": (KIND_NECESSARY, ()),
+    "lower_licq": (KIND_QUALIFICATION, ()),
+    "lower_kkt": (KIND_NECESSARY, ("lower_licq",)),
+    "lower_second_order_necessary": (KIND_NECESSARY, ("lower_kkt", "lower_licq")),
+    "assumption_a": (KIND_QUALIFICATION, ()),
+    "mfcq": (KIND_QUALIFICATION, ()),
+    "first_order": (KIND_NECESSARY, ("sensitivity_system", "mfcq")),
+    "second_order_necessary": (KIND_NECESSARY, ("sensitivity_system", "mfcq", "first_order")),
+    "second_order_sufficient": (KIND_SUFFICIENT, ("sensitivity_system", "first_order")),
+    "first_order_nonsmooth": (KIND_NECESSARY, ("assumption_a", "mfcq")),
+}
+_INFO = (KIND_INFO, ())
+
 
 @dataclass
 class ConditionCheck:
-    """One verdict with its numeric evidence and the tolerance it was tested at.
-    `requires` names the checks that must be `satisfied` in the same report
-    before this one may decide a verdict (`certify.REQUIRES`)."""
+    """One verdict with its numeric evidence and the tolerance it was tested
+    at.  Its `kind` and `requires` follow from its name (`POLICY`)."""
 
     name: str
     status: str
     value: float | None = None
     tolerance: float | None = None
-    kind: str = KIND_INFO
     witness: object = None
     detail: str = ""
-    requires: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
         return self.status == SATISFIED
+
+    @property
+    def kind(self) -> str:
+        return POLICY.get(self.name, _INFO)[0]
+
+    @property
+    def requires(self) -> tuple[str, ...]:
+        return POLICY.get(self.name, _INFO)[1]

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import RANK_TOL, nullspace_basis
+from .linalg import nullspace_basis
 from .problem import memoised
 
 MEMBERSHIP_TOL = 1e-9  # |E d|, max(F d) allowed, times max(1, |d|): face-eigenvector rounding
@@ -87,7 +87,7 @@ def cone_rays(E: np.ndarray, F: np.ndarray, dim: int) -> list[np.ndarray]:
         return rays
     for size in range(F.shape[0] + 1):  # the kernels ker [E; F_S], smallest S first
         for subset in combinations(range(F.shape[0]), size):
-            basis = nullspace_basis(np.vstack([E, F[list(subset)]]), RANK_TOL)
+            basis = nullspace_basis(np.vstack([E, F[list(subset)]]))
             if basis.shape[1] == 1:
                 push(basis[:, 0])
                 push(-basis[:, 0])
@@ -108,7 +108,7 @@ def _face_minimum(M: np.ndarray, rows: np.ndarray,
 
 
 def _bottom_eigenpair(M: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray] | None:
-    Z = nullspace_basis(rows, RANK_TOL)
+    Z = nullspace_basis(rows)
     if Z.shape[1] == 0:
         return None
     reduced = Z.T @ M @ Z
@@ -171,7 +171,7 @@ def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int,
     and tools that want spread-out cone directions."""
     E = _as_rows(E, dim)
     F = _as_rows(F, dim)
-    Z = nullspace_basis(E, RANK_TOL)
+    Z = nullspace_basis(E)
     k = Z.shape[1]
     out: list[np.ndarray] = []
     seen: set[tuple] = set()

@@ -160,18 +160,14 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def nullspace_basis(A: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical nullspace: ||A b||_inf <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def nullspace_basis(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical nullspace of the 2-D A:
+    the right singular vectors whose singular values are at most RANK_TOL."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        A = np.atleast_2d(A)
-    ncols = A.shape[1]
     if A.shape[0] == 0 or not np.any(A):
-        return np.eye(ncols)
+        return np.eye(A.shape[1])
     _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > RANK_TOL))
     return vt[rank:].T.copy()
 
 

@@ -34,7 +34,6 @@ from .conditions import (
 from .config import CheckConfig
 from .cones import Cone, budget_detail, min_quadratic_on_cone
 from .linalg import (
-    RANK_TOL,
     SingularMatrixError,
     max_eigenvalue_on_subspace,
     nullspace_basis,
@@ -209,7 +208,7 @@ def _critical_curvature(bundle: DerivativeBundle, lag: LagrangianEval,
     cone = Cone(np.vstack([bundle.h_jy, bundle.g_jy[list(partition.alpha)]]),
                 bundle.g_jy[list(partition.beta)])
     cone.E.flags.writeable = cone.F.flags.writeable = False
-    return cone, max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E, RANK_TOL))
+    return cone, max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E))
 
 
 def recover_multipliers(spec: ProblemSpec, x, y,

@@ -21,12 +21,13 @@ share one cons table (`expressions.shared_nodes`): within a spec's build
 each structure is one `Expr` object, in the parsed trees and in their
 derivatives alike, so each distinct subtree is differentiated once and
 compiled once.  The spec hands the table from its parse to its table build
-and drops it when the tables are done.  The parse and the table and
-program builds run with the cyclic collector paused (restored after, also
-when they raise): they make thousands of immutable nodes and the tuples,
-lists and dicts that hold them, none of them in a cycle, so reference
-counting frees what a build drops and a collection during it would free
-none of it.  The tables are sparse: one
+and drops it when the tables are done.  The table build and the bundle
+compile run with the cyclic collector paused (restored after, also when
+they raise): they make thousands of immutable nodes and the tuples, lists
+and dicts that hold them, none of them in a cycle, so reference counting
+frees what a build drops and a collection during it would free none of
+it.  The parse and the smaller compiles make too few to pay for a pause.
+The tables are sparse: one
 `Gradients` serves the whole build and gives each (sub)expression all of its
 partial derivatives in one pass, for the variables it contains, plus one
 exact zero, of the sign the rules give it, for every other; it is dropped
@@ -292,8 +293,7 @@ class ProblemSpec:
             for k, row in enumerate(t[val]):
                 owner = _derivatives_of(f"{val}{k + 1}", exprs[k])
                 visits += [(jac, k, owner, *row["x"]), (hess, k, owner, *row["xx"])]
-        with _collector_paused():
-            return self._release_tables(BlockProgram.compile(shapes, visits), "_bundle_program")
+        return self._release_tables(BlockProgram.compile(shapes, visits), "_bundle_program")
 
     def _release_tables(self, program: BlockProgram, other: str) -> BlockProgram:
         """`program`, with the tables dropped when the `other` program, the
@@ -307,8 +307,7 @@ class ProblemSpec:
         """The grid oracle's tapes: [h..., g..., f] and [H..., G...], run in
         array mode over its grids, and [f], run strictly at (x*, y*), where
         only f's own domain may fail."""
-        with _collector_paused():
-            return Tape([*self.h, *self.g, self.f]), Tape([*self.H, *self.G]), Tape([self.f])
+        return Tape([*self.h, *self.g, self.f]), Tape([*self.H, *self.G]), Tape([self.f])
 
 
 def _first(pair):
@@ -529,7 +528,7 @@ def parse_problem(text: str) -> ProblemSpec:
     """Parse problem text into a validated ProblemSpec, whose equal
     subexpressions are one object.  The spec keeps the cons table for its
     table build."""
-    with _collector_paused(), shared_nodes() as nodes:
+    with shared_nodes() as nodes:
         spec = _parse_problem(text)
     spec._nodes = nodes
     return spec

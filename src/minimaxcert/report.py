@@ -3,14 +3,14 @@ and the human-readable summary rendered purely from the JSON content.
 
 Top level: {version, problem_digest, command, config, candidate, path,
 results[], verdict, decided_by[], notes[]};  each result: {name, status,
-kind, margin, tolerance, requires[]?, witness?, detail?}.  `requires` names
-the checks that must be `satisfied` in the same report before the result may
-decide the verdict (`certify.REQUIRES`, written only when nonempty);
-`decided_by` names the checks the verdict was decided by: the refuting
-checks, `second_order_sufficient`, the necessary checks that passed, or none
-when inconclusive.  Finite floats carry 17 significant digits; non-finite
-values are the strings "inf"/"-inf"/"nan" (strict JSON has no literals for
-them).
+kind, margin, tolerance, requires[]?, witness?, detail?}.  `kind` and
+`requires`, the checks that must be `satisfied` in the same report before the
+result may decide the verdict, are its name's entry in `conditions.POLICY`
+(`requires` written only when nonempty); `decided_by` names the checks the
+verdict was decided by: the refuting checks, the sufficient check that
+certified, the necessary checks that passed, or none when inconclusive.
+Finite floats carry 17 significant digits; non-finite values are the strings
+"inf"/"-inf"/"nan" (strict JSON has no literals for them).
 """
 
 from __future__ import annotations

@@ -26,9 +26,6 @@ import numpy as np
 from .conditions import (
     ERROR,
     INCONCLUSIVE,
-    KIND_NECESSARY,
-    KIND_QUALIFICATION,
-    KIND_SUFFICIENT,
     SATISFIED,
     VIOLATED,
     ConditionCheck,
@@ -107,12 +104,11 @@ def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> Condi
     if spec.n1 and sigma < config.tol_mfcq:
         return ConditionCheck(
             "mfcq", VIOLATED, sigma, config.tol_mfcq,
-            kind=KIND_QUALIFICATION,
             detail="equality-constraint Jacobian is rank deficient",
         )
     if not aset.I:
         return ConditionCheck(
-            "mfcq", SATISFIED, np.inf, config.tol_mfcq, kind=KIND_QUALIFICATION,
+            "mfcq", SATISFIED, np.inf, config.tol_mfcq,
             detail="no active inequalities",
         )
     n = spec.n
@@ -134,7 +130,7 @@ def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> Condi
     sol = solve_lp(LpProblem(c, A_eq, b_eq, A_in, b_in, lower, upper), config.tol_mfcq)
     if sol.status != "optimal":
         return ConditionCheck(
-            "mfcq", ERROR, None, config.tol_mfcq, kind=KIND_QUALIFICATION,
+            "mfcq", ERROR, None, config.tol_mfcq,
             detail=f"direction LP returned {sol.status}",
         )
     tstar = float(sol.value)
@@ -144,7 +140,6 @@ def check_mfcq(spec: ProblemSpec, x, config: CheckConfig | None = None) -> Condi
         SATISFIED if ok else VIOLATED,
         tstar,
         config.tol_mfcq,
-        kind=KIND_QUALIFICATION,
         witness=sol.z[:n].tolist() if ok else None,
     )
 
@@ -327,35 +322,35 @@ def _cone_curvature(vd, poly, cone, config):
     return poly.single, best, witnesses
 
 
-def _cone_check(name, kind, threshold, vd, poly, cone, config) -> ConditionCheck:
+def _cone_check(name, threshold, vd, poly, cone, config) -> ConditionCheck:
     """`satisfied` when the lower bound reaches `threshold`; on a single-point
     polytope the bound is exact, so `violated` otherwise; with several
     multipliers `violated` only at a face witness with q_sup <= -tol_pd,
     else `inconclusive`.  q_sup is evaluated only when the bound does not
     decide."""
     if not poly.nonempty:
-        return ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd, kind=kind,
+        return ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd,
                               detail="multiplier polytope is empty")
     test = _cone_curvature(vd, poly, cone, config)
     if test is None:
-        return ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd, kind=kind,
+        return ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd,
                               detail=budget_detail())
     single, lower, witnesses = test
     if lower >= threshold:
         detail = ("critical cone is trivial" if lower == np.inf
                   else "exact minimum over the cone's faces" if single
                   else "lower bound from the cutting-plane multipliers' face minima")
-        return ConditionCheck(name, SATISFIED, lower, config.tol_pd, kind=kind, detail=detail)
+        return ConditionCheck(name, SATISFIED, lower, config.tol_pd, detail=detail)
     if single:
-        return ConditionCheck(name, VIOLATED, lower, config.tol_pd, kind=kind,
+        return ConditionCheck(name, VIOLATED, lower, config.tol_pd,
                               witness=witnesses[0].tolist(),
                               detail="exact minimum over the cone's faces")
     d, q = min(((d, float(d @ vd.hessian @ d) + _curvature_lp_max(poly, d, config.tol_kkt))
                 for d in witnesses), key=lambda item: item[1])
     if q <= -config.tol_pd:
-        return ConditionCheck(name, VIOLATED, q, config.tol_pd, kind=kind, witness=d.tolist(),
+        return ConditionCheck(name, VIOLATED, q, config.tol_pd, witness=d.tolist(),
                               detail="q_sup at a face witness")
-    return ConditionCheck(name, INCONCLUSIVE, lower, config.tol_pd, kind=kind,
+    return ConditionCheck(name, INCONCLUSIVE, lower, config.tol_pd,
                           detail=f"min q_sup lies in [{lower:.6g}, {q:.6g}]")
 
 
@@ -364,8 +359,7 @@ def second_order_necessary(vd: ValueDerivatives, poly: LambdaPolytope,
     """q_sup(d) >= 0 (to tolerance) on the unit directions of the critical
     cone `poly.cone`, by the face test."""
     config = config or CheckConfig()
-    return _cone_check("second_order_necessary", KIND_NECESSARY, -config.tol_pd,
-                       vd, poly, poly.cone, config)
+    return _cone_check("second_order_necessary", -config.tol_pd, vd, poly, poly.cone, config)
 
 
 def second_order_sufficient(vd: ValueDerivatives, poly: LambdaPolytope,
@@ -373,8 +367,7 @@ def second_order_sufficient(vd: ValueDerivatives, poly: LambdaPolytope,
     """q_sup(d) >= tol_pd on the unit directions of the reduced critical cone
     `poly.reduced`, by the face test; the margin is the growth rate estimate."""
     config = config or CheckConfig()
-    return _cone_check("second_order_sufficient", KIND_SUFFICIENT, config.tol_pd,
-                       vd, poly, poly.reduced, config)
+    return _cone_check("second_order_sufficient", config.tol_pd, vd, poly, poly.reduced, config)
 
 
 def first_order_nonsmooth_necessary(
@@ -397,7 +390,6 @@ def first_order_nonsmooth_necessary(
     if sweep.solved.singular.all():
         check = ConditionCheck(
             "first_order_nonsmooth", ERROR, None, config.tol_kkt,
-            kind=KIND_NECESSARY,
             detail="every selector matrix was singular: inconsistent with the "
             "standing regularity assumption",
         )
@@ -407,18 +399,17 @@ def first_order_nonsmooth_necessary(
         u, v = poly.point
         check = ConditionCheck(
             "first_order_nonsmooth", SATISFIED, poly.residual(u, v), config.tol_kkt,
-            kind=KIND_NECESSARY, witness={"u": u.tolist(), "v": v.tolist()},
+            witness={"u": u.tolist(), "v": v.tolist()},
         )
     elif sweep.exact:
         check = ConditionCheck(
             "first_order_nonsmooth", VIOLATED, float(np.max(np.abs(sweep.grad_x))),
-            config.tol_kkt, kind=KIND_NECESSARY,
+            config.tol_kkt,
             detail="selector family is exact here and no multiplier exists",
         )
     else:
         check = ConditionCheck(
             "first_order_nonsmooth", INCONCLUSIVE, None, config.tol_kkt,
-            kind=KIND_NECESSARY,
             detail="grad_x L admits no outer multiplier; not a disproof "
             "while beta is nonempty",
         )

@@ -13,7 +13,6 @@ from minimaxcert import CheckConfig, check_jacobian_uniqueness
 from minimaxcert.conditions import (
     ERROR,
     INCONCLUSIVE,
-    KIND_NECESSARY,
     SATISFIED,
     VIOLATED,
     ConditionCheck,
@@ -364,7 +363,7 @@ def brute_force_min_quadratic_on_cone(M, E, F):
     best, witness = np.inf, None
     for size in range(F.shape[0] + 1):
         for subset in combinations(range(F.shape[0]), size):
-            Z = nullspace_basis(np.vstack([E, F[list(subset)]]), RANK_TOL)
+            Z = nullspace_basis(np.vstack([E, F[list(subset)]]))
             if Z.shape[1] == 0:
                 continue
             reduced = Z.T @ M @ Z
@@ -463,7 +462,7 @@ def reference_first_order_nonsmooth(spec, x, sol, config, sweep=None):
             u, v = poly.point
             witness = {"W": W.tolist(), "u": u.tolist(), "v": v.tolist()}
             return ConditionCheck("first_order_nonsmooth", SATISFIED, poly.residual(u, v),
-                                  config.tol_kkt, KIND_NECESSARY, witness), gset
+                                  config.tol_kkt, witness), gset
     if sweep.solved.singular.all():
         status, margin = ERROR, None
     elif sweep.exact:
@@ -471,8 +470,7 @@ def reference_first_order_nonsmooth(spec, x, sol, config, sweep=None):
         margin = min(float(np.max(np.abs(r))) for _, r in gset.items)
     else:
         status, margin = INCONCLUSIVE, None
-    return ConditionCheck("first_order_nonsmooth", status, margin, config.tol_kkt,
-                          KIND_NECESSARY), gset
+    return ConditionCheck("first_order_nonsmooth", status, margin, config.tol_kkt), gset
 
 
 def closest_to(gset, target):

@@ -1009,6 +1009,9 @@ DEGENERATE_PAIR_TEXT = "dims 1 2 0 2 0 0\nf = -(y1-x1)^2 - (y2-x1)^2\ng1 = y1\ng
 NO_MFCQ_TEXT = "dims 1 1 0 0 0 1\nf = {f}\nG1 = x1^2\n"
 KINK_TEXT = "dims 1 1 0 1 0 0\nf = {f}\ng1 = y1\n"
 
+# the inner refinement's Newton solve stops after one step short of tol_newton
+NEWTON_FAILS = {"newton_max_iter": 1, "tol_newton": 1e-14}
+
 PROBES = [
     # Y(x) = {0}, so phi = x^2 and the origin is local minimax (the oracle
     # agrees); two active rows in one y leave LICQ failing, so the KKT
@@ -1070,6 +1073,15 @@ PROBES = [
     # |g| <= tol_act puts P2 at x = y = -1e-10 on the nonsmooth path; phi = 0
     # near it, so it is local minimax
     pytest.param("P2", "-1e-10", "-1e-10", {}, VERDICT_NECESSARY, 0, id="P2-near-kink"),
+    # one Newton step cannot refine y to 1e-14: the inner refinement fails on
+    # either path, and its error check refutes nothing
+    pytest.param("P1", "0", "1e-9", NEWTON_FAILS, VERDICT_INCONCLUSIVE, 3,
+                 id="P1-newton-fails"),
+    pytest.param("P2", "0", "1e-12", NEWTON_FAILS, VERDICT_INCONCLUSIVE, 3,
+                 id="P2-newton-fails"),
+    # log(x1) at x1 = -1 leaves its domain: the `evaluation` error check
+    pytest.param("dims 1 1 0 0 0 0\nf = log(x1) - y1^2\n", "-1", "0", {},
+                 VERDICT_INCONCLUSIVE, 1, id="evaluation-error"),
 ]
 
 
@@ -1085,6 +1097,23 @@ def test_probe_verdicts_and_exit_codes(text, x, y, tols, verdict, code, tmp_path
             "--json", str(out)]
     assert main(argv) == code
     assert json.loads(out.read_text())["verdict"] == verdict
+
+
+@pytest.mark.parametrize("name, y, path, check, kind", [
+    ("P1", 1e-9, PATH_SMOOTH, "sensitivity_system", "info"),
+    ("P2", 1e-12, PATH_NONSMOOTH, "first_order_nonsmooth", "necessary"),
+])
+def test_newton_failure_ends_the_path_in_an_error_check(name, y, path, check, kind):
+    """A failed inner refinement ends its path in an `error` check; on the
+    nonsmooth path that check is necessary, and an error never refutes."""
+    from minimaxcert.conditions import ERROR
+    from minimaxcert.fixtures import load_fixture
+
+    rep = certify(load_fixture(name), CandidatePoint([0.0], [y]), CheckConfig(**NEWTON_FAILS))
+    failed = rep.results[-1]
+    assert (rep.path, failed.name, failed.status, failed.kind) == (path, check, ERROR, kind)
+    assert failed.detail.startswith("inner refinement failed")
+    assert rep.verdict == VERDICT_INCONCLUSIVE
 
 
 def _probe_reports():
@@ -1155,6 +1184,36 @@ def test_reports_keep_the_verdict_rule(source):
             if r["kind"] == "necessary" and r["name"] != "evaluation":
                 assert r.get("requires"), (r["name"], doc)
     assert verdicts & {VERDICT_REFUTED, VERDICT_CERTIFIED, VERDICT_NECESSARY}
+
+
+# the checks that never decide a verdict, and so are not in conditions.POLICY
+INFO_CHECKS = {
+    "feasibility", "multipliers", "path", "lower_strict_complementarity", "lower_sosc",
+    "lower_strong_sosc", "sensitivity_system", "upper_multipliers",
+    "b_selector_nonsingularity", "definition_oracle",
+}
+
+
+def test_policy_names_the_checks_certify_emits(tmp_path):
+    """Over the golden certify cases and the probes, every emitted check is
+    a `POLICY` key or an info check, and every `POLICY` key and requirement
+    is emitted, so a misspelt name cannot silently become `info`."""
+    from minimaxcert.conditions import KIND_INFO, POLICY
+
+    from test_golden import CASES, run_case
+
+    emitted = set()
+    for report in _probe_reports():
+        emitted.update(c.name for c in report.results)
+    for name, (command, *_) in CASES.items():
+        if command == "certify":
+            doc = json.loads(run_case(name, tmp_path).split("--- json\n", 1)[1])
+            emitted.update(r["name"] for r in doc["results"])
+    assert emitted <= POLICY.keys() | INFO_CHECKS
+    assert not POLICY.keys() & INFO_CHECKS
+    assert all(kind != KIND_INFO for kind, _ in POLICY.values())
+    needed = set(POLICY).union(*(requires for _, requires in POLICY.values()))
+    assert needed <= emitted, sorted(needed - emitted)
 
 
 def test_licq_probe_passes_the_oracle(config):
@@ -1461,7 +1520,7 @@ def _reference_lower_sonc(spec, candidate, config):
         return "skipped", None, None, None
     lag = lagrangian_eval(eval_bundle(spec, candidate.x, candidate.y),
                           decision.mu, decision.lam)
-    bound = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(ju.cone.E, 1e-10))
+    bound = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(ju.cone.E))
     if ju.cone.F.shape[0] == 0:
         worst, witness = bound, None
     else:

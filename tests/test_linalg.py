@@ -56,21 +56,21 @@ def test_solve_residual_on_random_well_conditioned():
 
 
 def test_nullspace_axis_case():
-    basis = nullspace_basis(np.array([[1.0, 0.0]]), 1e-10)
+    basis = nullspace_basis(np.array([[1.0, 0.0]]))
     assert basis.shape == (2, 1)
     assert abs(abs(basis[1, 0]) - 1.0) < 1e-12
     assert np.max(np.abs(np.array([[1.0, 0.0]]) @ basis)) <= 1e-10
 
 
 def test_nullspace_zero_matrix():
-    basis = nullspace_basis(np.zeros((1, 2)), 1e-10)
+    basis = nullspace_basis(np.zeros((1, 2)))
     assert basis.shape == (2, 2)
     assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-10)
 
 
 def test_nullspace_sum_row():
     A = np.array([[1.0, 1.0]])
-    basis = nullspace_basis(A, 1e-10)
+    basis = nullspace_basis(A)
     assert basis.shape == (2, 1)
     assert np.max(np.abs(A @ basis)) <= 1e-12
     assert abs(abs(basis[0, 0]) - 1 / np.sqrt(2)) < 1e-12
@@ -82,7 +82,7 @@ def test_nullspace_orthonormal_property():
         rows = int(rng.integers(0, 4))
         cols = int(rng.integers(1, 6))
         A = rng.standard_normal((rows, cols)) if rows else np.zeros((0, cols))
-        basis = nullspace_basis(A, 1e-10)
+        basis = nullspace_basis(A)
         if basis.shape[1]:
             assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-10
         if rows:

@@ -55,6 +55,25 @@ def test_dimension_mismatches_rejected():
         parse_problem("dims 1 1 0 0 0 0\nf = x2\n")  # x2 out of range
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("f = x1\n", "first line must be 'dims n m m1 m2 n1 n2'", 1),
+    ("dims 1 1 0 0 0\nf = x1\n", "dims expects 6 integers", 1),
+    ("# header\ndims 1 1 0 0 0 x\nf = x1\n", "dims entries must be integers", 2),
+    ("dims 1 1 0 -1 0 0\nf = x1\n", "dims entries must be nonnegative", 1),
+    ("dims 1 1 0 0 0 0\nf := x1\n", "expected an assignment, got 'f := x1'", 2),
+    ("dims 1 1 0 0 0 0\nf1 = x1\n", "objective is plain 'f'", 2),
+    ("dims 1 1 0 1 0 0\nf = x1\ng = y1\n", "constraint 'g' needs an index", 3),
+    ("dims 1 1 0 0 0 0\nf = x1\n\nf = y1\n", "duplicate assignment for f", 4),
+    ("# no dims\n\n", "missing 'dims' line", 0),
+    ("dims 1 1 0 1 0 0\ng1 = y1\n", "missing objective 'f'", 0),
+])
+def test_grammar_errors_name_their_line(text, message, line):
+    with pytest.raises(ProblemFormatError) as err:
+        parse_problem(text)
+    assert str(err.value) == (f"line {line}: {message}" if line else message)
+    assert err.value.line == line
+
+
 def test_syntax_error_carries_line():
     with pytest.raises(ProblemFormatError) as err:
         parse_problem("dims 1 1 0 0 0 0\nf = x1 + + y1\n")

@@ -181,6 +181,9 @@ def test_negative_zero_fill_keeps_its_sign_in_the_template():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_builds_leave_the_collector_as_they_found_it(enabled, monkeypatch):
+    """The table build and the bundle compile run with the collector paused;
+    the parse, the x-only compile and the oracle's tapes run in the state the
+    caller left, and every build restores it."""
     states = []  # the collector's state in each parse, table build and compile
 
     def recorded(build):
@@ -195,14 +198,18 @@ def test_builds_leave_the_collector_as_they_found_it(enabled, monkeypatch):
     (gc.enable if enabled else gc.disable)()
     try:
         spec = parse_problem(TEXTS["P1"])
-        assert gc.isenabled() is enabled
+        assert set(states) == {enabled} and gc.isenabled() is enabled
         for bad in ("dims 1 1\n", "dims 1 1 0 0 0 0\nf = x1 + + y1\n",
                     "dims 1 1 0 0 0 0\nf = frob(x1)\n", "dims 1 1 0 0 0 1\nf = x1\nG1 = y1\n"):
             with pytest.raises(ProblemFormatError):
                 parse_problem(bad)
             assert gc.isenabled() is enabled
-        spec._tables, spec._bundle_program, spec._upper_program, spec._oracle_tapes
-        assert gc.isenabled() is enabled
+        for name, paused in (("_tables", True), ("_bundle_program", True),
+                             ("_upper_program", False), ("_oracle_tapes", False)):
+            states.clear()
+            getattr(spec, name)
+            assert set(states) == {enabled and not paused}, name
+            assert gc.isenabled() is enabled
 
         def fail():
             raise RuntimeError("build failed")
@@ -214,7 +221,6 @@ def test_builds_leave_the_collector_as_they_found_it(enabled, monkeypatch):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert states and not any(states)
 
 
 def test_each_tape_binds_only_the_kernels_of_the_mode_it_runs():
