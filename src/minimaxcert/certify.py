@@ -25,6 +25,7 @@ import numpy as np
 
 from .conditions import (
     ERROR,
+    FIRST_ORDER,
     INCONCLUSIVE,
     KIND_NECESSARY,
     KIND_SUFFICIENT,
@@ -231,10 +232,7 @@ def overall_verdict(path: str, results: list[ConditionCheck]) -> tuple[str, list
     if path == PATH_SMOOTH and certifying:
         return VERDICT_CERTIFIED, certifying
     if path in (PATH_SMOOTH, PATH_NONSMOOTH):
-        first_order = next(
-            (c for c in results if c.name in ("first_order", "first_order_nonsmooth")),
-            None,
-        )
+        first_order = next((c for c in results if c.name in FIRST_ORDER), None)
         evaluated = [c for c in results if c.kind == KIND_NECESSARY and c.status != SKIPPED]
         if (
             first_order is not None
@@ -262,9 +260,10 @@ def certify(
 
     Within one call each distinct (x, y) is evaluated once (`bundle_memo`).
     An evaluation that fails (a value leaves its domain, the problem uses
-    abs()) or a candidate whose shape does not match the problem ends the run
-    with an `error` check, CHECK_EVALUATION, that names the stage it was in;
-    such a run is never certified.  Other exceptions propagate."""
+    abs() or sign()) or a candidate whose shape does not match the problem
+    ends the run with an `error` check, CHECK_EVALUATION, that names the
+    stage it was in; such a run is never certified.  Other exceptions
+    propagate."""
     config = config or CheckConfig()
     progress = _Progress([], [f"lambda sign convention: {LAMBDA_SIGN_CONVENTION}"])
     with bundle_memo():

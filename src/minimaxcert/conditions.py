@@ -1,6 +1,7 @@
 """Condition verdicts shared by the lower-level, upper-level and certifier,
 and the verdict policy: `POLICY` is the one table of each deciding check's
-kind and requirements."""
+kind and requirements, and `FIRST_ORDER` names the checks that let a path
+pass its necessary conditions."""
 
 from __future__ import annotations
 
@@ -37,6 +38,10 @@ POLICY = {
     "first_order_nonsmooth": (KIND_NECESSARY, ("assumption_a", "mfcq")),
 }
 _INFO = (KIND_INFO, ())
+
+# the first-order check of each path (smooth, nonsmooth): a path passes its
+# necessary conditions only when one of these ran to a verdict
+FIRST_ORDER = ("first_order", "first_order_nonsmooth")
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 Expressions are immutable trees over the variables x1..xn, y1..ym with the
 arithmetic ops +, -, *, /, ^ and the functions sin, cos, exp, log, sqrt, abs
-(plus an internal sign node produced by differentiating abs).  Evaluation
-accepts floats or numpy arrays per variable; differentiation is closed (the
-derivative of an expression is an expression).  `Gradients` differentiates
+and sign (which differentiating abs also makes).  Evaluation accepts floats
+or numpy arrays per variable; differentiation is closed (the derivative of
+an expression is an expression).  `Gradients` differentiates
 in sparse forward mode: one pass per node gives all of its partial
 derivatives at once, for the variables it contains, and one signed zero for
 every other, so a derivative table costs in proportion to its nonzero
@@ -15,10 +15,10 @@ build) there is one object per structure: the parser, the s_* constructors
 with their constant folding, and the differentiation rules return the node
 made earlier in the block wherever it equals the one asked for, so equal
 subtrees are one DAG node, and every walk that memoises by node id
-(`Gradients`, `Tape`'s compile, `variables_of`, `uses_abs`, `to_string`)
-visits each structure once.  Nodes hold no reference back to their parents,
-so the graphs are acyclic: reference counting frees what a build drops,
-which lets a build run with the cyclic collector paused.
+(`Gradients`, `Tape`'s compile, `variables_of`, `uses_nonsmooth`,
+`to_string`) visits each structure once.  Nodes hold no reference back to
+their parents, so the graphs are acyclic: reference counting frees what a
+build drops, which lets a build run with the cyclic collector paused.
 
 `Tape` is the one evaluator.  It compiles a list of expressions once into a
 straight-line program (equal subexpressions become one instruction) and
@@ -170,64 +170,50 @@ def shared_nodes(table: dict | None = None):
         _shared.reset(token)
 
 
-def _const(value) -> Const:
+def _cons(key: tuple, kind: type, *args) -> Expr:
+    """The node kind(*args): inside `shared_nodes`, the one made earlier in
+    the block under `key`, made and kept there when there is none."""
     table = _shared.get()
     if table is None:
-        return Const(value)
-    key = _const_key(value)
+        return kind(*args)
     node = table.get(key)
     if node is None:
-        node = table[key] = Const(value)
+        node = table[key] = kind(*args)
     return node
+
+
+def _const(value) -> Const:
+    return _cons(_const_key(value), Const, value)
 
 
 def _var(kind: str, index: int) -> Var:
-    table = _shared.get()
-    if table is None:
-        return Var(kind, index)
-    key = (Var, kind, index)
-    node = table.get(key)
-    if node is None:
-        node = table[key] = Var(kind, index)
-    return node
+    return _cons((Var, kind, index), Var, kind, index)
 
 
 def _op(kind: type, a: Expr, b: Expr | None = None) -> Expr:
     """The binary node kind(a, b), or Neg(a) when b is None."""
-    table = _shared.get()
-    if table is None:
-        return kind(a) if b is None else kind(a, b)
     key = (kind, id(a), id(b))
-    node = table.get(key)
-    if node is None:
-        node = table[key] = kind(a) if b is None else kind(a, b)
-    return node
+    return _cons(key, kind, a) if b is None else _cons(key, kind, a, b)
 
 
 def _func(name: str, a: Expr) -> Func:
-    table = _shared.get()
-    if table is None:
-        return Func(name, a)
-    key = (Func, name, id(a))
-    node = table.get(key)
-    if node is None:
-        node = table[key] = Func(name, a)
-    return node
+    return _cons((Func, name, id(a)), Func, name, a)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# Each operation has two kernels, functions of its operand values (unary ops
-# ignore the second).  The numpy kernels serve the array mode, which runs
-# them with numpy's warnings off and lets NaN and inf flow through a domain
-# violation or an overflow (the grid oracle masks them).  The float kernels
-# serve the scalar mode on Python floats and raise DomainError
-# on log/sqrt/power/division violations: the same IEEE + - * and negation,
-# float comparisons for the domain tests, and the same numpy ufunc for every
-# function and ^.  Only a NaN's sign and payload where two NaN operands meet
-# may differ from a run on numpy scalars: IEEE 754 leaves them unspecified,
-# and CPython's specialised float ops pass on the other operand's NaN.
+# Each operation has two kernels, its row of `_KERNELS`: functions of its
+# operand values (unary ops ignore the second).  The numpy kernels serve the
+# array mode, which runs them with numpy's warnings off and lets NaN and inf
+# flow through a domain violation or an overflow (the grid oracle masks
+# them).  The float kernels serve the scalar mode on Python floats and raise
+# DomainError on log/sqrt/power/division violations: the same IEEE + - * and
+# negation, float comparisons for the domain tests, and the same numpy ufunc
+# for every function and ^.  Only a NaN's sign and payload where two NaN
+# operands meet may differ from a run on numpy scalars: IEEE 754 leaves them
+# unspecified, and CPython's specialised float ops pass on the other
+# operand's NaN.
 
 
 # The float kernels that test a domain take first the node they name in a
@@ -263,23 +249,25 @@ def _sqrt_float(expr, val, _):
     return float(np.sqrt(val))
 
 
-def _ufunc(f):
-    return lambda val, _: f(val)
+def _ufunc(f, float_kernel=None) -> tuple:
+    """The kernel pair of the function f: f itself on numpy values, and
+    `float_kernel` (by default f, its result made a float) on floats."""
+    return (lambda val, _: f(val)), float_kernel or (lambda val, _: float(f(val)))
 
 
-def _ufunc_float(f):
-    return lambda val, _: float(f(val))
+def _neg(val, _):
+    return -val
 
 
-# the functions defined everywhere need no domain test
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sign": np.sign}
-_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-        Div: operator.truediv, Pow: np.power, Neg: lambda val, _: -val}
-_FUNCTION_OPS = {name: _ufunc(f)
-                 for name, f in {**_UFUNCS, "log": np.log, "sqrt": np.sqrt}.items()}
-_FLOAT_OPS = {**_OPS, Div: _div_float, Pow: _pow_float}
-_FLOAT_FUNCTION_OPS = {**{name: _ufunc_float(f) for name, f in _UFUNCS.items()},
-                       "log": _log_float, "sqrt": _sqrt_float}
+# (numpy kernel, float kernel) of each operation, keyed by its node type or,
+# for a Func, its function name; the functions defined everywhere need no
+# domain test
+_KERNELS = {Add: (operator.add, operator.add), Sub: (operator.sub, operator.sub),
+            Mul: (operator.mul, operator.mul), Div: (operator.truediv, _div_float),
+            Pow: (np.power, _pow_float), Neg: (_neg, _neg),
+            "sin": _ufunc(np.sin), "cos": _ufunc(np.cos), "exp": _ufunc(np.exp),
+            "log": _ufunc(np.log, _log_float), "sqrt": _ufunc(np.sqrt, _sqrt_float),
+            "abs": _ufunc(np.abs), "sign": _ufunc(np.sign)}
 _DOMAIN_TESTED = (_div_float, _pow_float, _log_float, _sqrt_float)
 
 
@@ -287,13 +275,10 @@ def _op_of(expr: Expr, floats: bool = False):
     """The function that applies expr's own operation to its operand values:
     the float kernel, with expr bound when it tests a domain, when `floats`,
     else the numpy one."""
-    kind = type(expr)
-    if kind is Func:
-        op = (_FLOAT_FUNCTION_OPS if floats else _FUNCTION_OPS).get(expr.name)
-    else:
-        op = (_FLOAT_OPS if floats else _OPS).get(kind)
-    if op is None:
+    kernels = _KERNELS.get(expr.name if type(expr) is Func else type(expr))
+    if kernels is None:
         raise TypeError(f"unknown node {expr!r}")
+    op = kernels[1] if floats else kernels[0]
     return partial(op, expr) if op in _DOMAIN_TESTED else op
 
 
@@ -463,18 +448,18 @@ class Tape:
         return out
 
 
-def uses_abs(expr: Expr, seen: set | None = None) -> bool:
-    """True if any abs node occurs (condition checks reject these).  `seen`
-    holds the ids of the nodes visited, so a node shared within expr is
-    visited once; calls on nodes that stay alive may pass one set to share
-    it between them, until one returns True."""
+def uses_nonsmooth(expr: Expr, seen: set | None = None) -> bool:
+    """True if an abs or sign node occurs (condition checks reject these:
+    neither is C^2 at 0).  `seen` holds the ids of the nodes visited, so a
+    node shared within expr is visited once; calls on nodes that stay alive
+    may pass one set to share it between them, until one returns True."""
     seen = set() if seen is None else seen
     todo = [expr]
     while todo:
         e = todo.pop()
         if id(e) in seen:
             continue
-        if type(e) is Func and e.name == "abs":
+        if type(e) is Func and e.name in ("abs", "sign"):
             return True
         seen.add(id(e))
         todo += _children(e)
@@ -772,16 +757,8 @@ def _parse_power(tz: _Tokenizer) -> Expr:
     if kind == "op" and val == "^":
         tz.next()
         # right-associative; exponent may carry a unary minus
-        return _op(Pow, base, _parse_unary_power(tz))
+        return _op(Pow, base, _parse_unary(tz))
     return base
-
-
-def _parse_unary_power(tz: _Tokenizer) -> Expr:
-    kind, val, _ = tz.peek()
-    if kind == "op" and val == "-":
-        tz.next()
-        return _op(Neg, _parse_unary_power(tz))
-    return _parse_power(tz)
 
 
 def _parse_atom(tz: _Tokenizer) -> Expr:
@@ -796,19 +773,20 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
             k2, v2, c2 = tz.next()
             if not (k2 == "op" and v2 == "("):
                 raise ExpressionError(f"expected '(' after {val}", tz.line, c2)
-            arg = _parse_sum(tz)
-            k3, v3, c3 = tz.next()
-            if not (k3 == "op" and v3 == ")"):
-                raise ExpressionError("expected ')'", tz.line, c3)
-            return _func(val, arg)
+            return _func(val, _closed(tz, _parse_sum(tz)))
         raise ExpressionError(f"unknown identifier {val!r}", tz.line, col)
     if kind == "op" and val == "(":
-        inner = _parse_sum(tz)
-        k2, v2, c2 = tz.next()
-        if not (k2 == "op" and v2 == ")"):
-            raise ExpressionError("expected ')'", tz.line, c2)
-        return inner
+        return _closed(tz, _parse_sum(tz))
     raise ExpressionError(f"unexpected token {val!r}", tz.line, col)
+
+
+def _closed(tz: _Tokenizer, inner: Expr) -> Expr:
+    """inner, once the parenthesis it was parsed in is closed: called after
+    the parse of inner returns, so it adds no frame per nesting level."""
+    kind, val, col = tz.next()
+    if not (kind == "op" and val == ")"):
+        raise ExpressionError("expected ')'", tz.line, col)
+    return inner
 
 
 # ---------------------------------------------------------------------------

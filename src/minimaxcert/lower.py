@@ -54,7 +54,8 @@ class PartitionError(Exception):
 
 
 class NonsmoothDataError(ValueError):
-    """The problem uses abs(), which the condition checks cannot handle."""
+    """The problem uses abs() or sign(), which the condition checks cannot
+    handle."""
 
 
 class NewtonError(Exception):
@@ -285,8 +286,8 @@ class LowerConditionsReport:
 def _require_smooth(spec: ProblemSpec):
     if not spec.smooth_for_conditions:
         raise NonsmoothDataError(
-            "problem uses abs(); condition checks require twice continuously "
-            "differentiable data"
+            "problem uses abs() or sign(); condition checks require twice "
+            "continuously differentiable data"
         )
 
 

@@ -77,7 +77,7 @@ from .expressions import (
     parse_expression,
     shared_nodes,
     to_string,
-    uses_abs,
+    uses_nonsmooth,
     variables_of,
 )
 
@@ -96,7 +96,7 @@ class ProblemFormatError(Exception):
         super().__init__(message)
 
 
-@dataclass(eq=False)
+@dataclass
 class ProblemSpec:
     """A constrained min-max instance min_x max_y f(x,y) with
 
@@ -156,26 +156,14 @@ class ProblemSpec:
         for k, e in enumerate(self.G):
             yield f"G{k + 1}", e
 
-    def __eq__(self, other):
-        if not isinstance(other, ProblemSpec):
-            return NotImplemented
-        return (
-            (self.n, self.m, self.m1, self.m2, self.n1, self.n2)
-            == (other.n, other.m, other.m1, other.m2, other.n1, other.n2)
-            and self.f == other.f
-            and self.h == other.h
-            and self.g == other.g
-            and self.H == other.H
-            and self.G == other.G
-        )
-
     # -- per-spec invariants, computed on first use --------------------------
 
     @cached_property
     def smooth_for_conditions(self) -> bool:
-        """abs is parsed but rejected by the condition-checking entry points."""
+        """abs and sign are parsed but rejected by the condition-checking
+        entry points."""
         seen: set = set()  # shared by the functions, which share nodes
-        return not any(uses_abs(e, seen) for _, e in self._labelled())
+        return not any(uses_nonsmooth(e, seen) for _, e in self._labelled())
 
     @cached_property
     def digest(self) -> str:
@@ -578,28 +566,19 @@ def _parse_problem(text: str) -> ProblemSpec:
     if "f" not in assigns:
         raise ProblemFormatError("missing objective 'f'")
 
-    def collect(prefix: str, count: int) -> list[Expr]:
-        out = []
-        for k in range(1, count + 1):
-            key = f"{prefix}{k}"
+    expected = {name: [f"{name}{k}" for k in range(1, count + 1)]
+                for name, count in (("h", m1), ("g", m2), ("H", n1), ("G", n2))}
+    for keys in expected.values():
+        for key in keys:
             if key not in assigns:
                 raise ProblemFormatError(f"missing {key} (declared by dims)", dims_line)
-            out.append(assigns[key][0])
-        return out
-
-    h = collect("h", m1)
-    g = collect("g", m2)
-    HU = collect("H", n1)
-    GU = collect("G", n2)
-    declared = {"f"} | {f"h{k}" for k in range(1, m1 + 1)}
-    declared |= {f"g{k}" for k in range(1, m2 + 1)}
-    declared |= {f"H{k}" for k in range(1, n1 + 1)}
-    declared |= {f"G{k}" for k in range(1, n2 + 1)}
+    declared = {"f"}.union(*expected.values())
     for key, (_, lineno) in assigns.items():
         if key not in declared:
             raise ProblemFormatError(f"{key} not covered by dims", lineno)
+    exprs = {name: [assigns[key][0] for key in keys] for name, keys in expected.items()}
     try:
-        spec = ProblemSpec(n, m, m1, m2, n1, n2, assigns["f"][0], h, g, HU, GU)
+        spec = ProblemSpec(n, m, m1, m2, n1, n2, assigns["f"][0], **exprs)
     except ProblemFormatError as exc:
         # attach the offending line when the validation names a constraint
         for key, (_, lineno) in assigns.items():

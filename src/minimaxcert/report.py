@@ -43,14 +43,12 @@ def _jsonable(value):
     if t is dict:
         return {k if type(k) is str else str(k): v if type(v) in _PLAIN else _jsonable(v)
                 for k, v in value.items()}
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()  # a Python scalar, or nested lists of them
     if value is None or isinstance(value, (str, bool, int)):
         return value
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, (float, np.floating)):  # .tolist() keeps a longdouble
         return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

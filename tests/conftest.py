@@ -20,8 +20,8 @@ from minimaxcert.conditions import (
 from minimaxcert.cones import cone_contains
 from minimaxcert.expressions import (
     _FUNCTION_RULES,
+    _KERNELS,
     _ONE,
-    _OPS,
     _ZERO,
     Add,
     Const,
@@ -239,7 +239,7 @@ class Differentiator:
             return 0
         hit = self._masks.get(id(node))
         if hit is None:
-            if kind not in _OPS and kind is not Func:
+            if kind not in _KERNELS and kind is not Func:
                 raise TypeError(f"unknown node {node!r}")
             mask = self._mask(node.a)  # one frame per level
             if kind is not Neg and kind is not Func:

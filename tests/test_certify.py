@@ -666,9 +666,12 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     # the gradient of -sqrt(y1^2 + x1^2) divides by zero at the origin
     ("dims 1 1 0 0 0 0\nf = -sqrt(y1^2+x1^2)\n", "0", "division by zero"),
     ("dims 1 1 0 0 0 0\nf = -y1^2 + abs(x1)\n", "0", "problem uses abs()"),
+    # sign is not C^2 at 0 either: phi(t) = t^2 - 0.001 < phi(0) for small t > 0
+    ("dims 1 1 0 0 0 0\nf = x1^2 - 0.001*sign(x1) - y1^2\n", "0",
+     "problem uses abs() or sign()"),
     ("dims 1 1 0 1 0 0\nf = -y1^2 + log(x1)\ng1 = y1 - 1\n", "-1",
      "log of a non-positive value"),
-], ids=["sqrt-at-origin", "abs", "log-of-negative"])
+], ids=["sqrt-at-origin", "abs", "sign", "log-of-negative"])
 def test_evaluation_failure_is_an_error_check(text, x, message, config, tmp_path, capsys):
     import json
 
@@ -1197,8 +1200,10 @@ INFO_CHECKS = {
 def test_policy_names_the_checks_certify_emits(tmp_path):
     """Over the golden certify cases and the probes, every emitted check is
     a `POLICY` key or an info check, and every `POLICY` key and requirement
-    is emitted, so a misspelt name cannot silently become `info`."""
-    from minimaxcert.conditions import KIND_INFO, POLICY
+    is emitted, so a misspelt name cannot silently become `info`.  Each
+    first-order check the verdict rule reads is a necessary `POLICY` key
+    that some case emits."""
+    from minimaxcert.conditions import FIRST_ORDER, KIND_INFO, KIND_NECESSARY, POLICY
 
     from test_golden import CASES, run_case
 
@@ -1214,6 +1219,8 @@ def test_policy_names_the_checks_certify_emits(tmp_path):
     assert all(kind != KIND_INFO for kind, _ in POLICY.values())
     needed = set(POLICY).union(*(requires for _, requires in POLICY.values()))
     assert needed <= emitted, sorted(needed - emitted)
+    assert FIRST_ORDER and all(POLICY[name][0] == KIND_NECESSARY for name in FIRST_ORDER)
+    assert set(FIRST_ORDER) <= emitted
 
 
 def test_licq_probe_passes_the_oracle(config):

@@ -153,6 +153,23 @@ def test_writers_refuse_the_same_types(value, wrap):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("value, want", [
+    (np.array(0.25), 0.25), (np.bool_(True), True), (np.float32(1.5), 1.5),
+    (np.int64(3), 3), (np.array([[1, 2]], dtype=np.int32), [[1, 2]]),
+], ids=["0-d-array", "bool_", "float32", "int64", "int-array"])
+def test_reports_write_numpy_values_as_their_python_values(value, want):
+    from minimaxcert import load_fixture
+    from minimaxcert.certify import certify
+    from minimaxcert.problem import CandidatePoint
+    from minimaxcert.report import report_to_doc
+
+    report = certify(load_fixture("P1"), CandidatePoint([0.0], [0.0]))
+    report.results[0].witness = value
+    witness = report_to_doc(report)["results"][0]["witness"]
+    assert witness == want and type(witness) is type(want)
+    assert json.loads(dumps_canonical(report_to_doc(report)))["results"][0]["witness"] == want
+
+
 @pytest.fixture()
 def checked_writer(monkeypatch):
     """cli's writer, checked against the reference on every document; the
@@ -435,6 +452,7 @@ def test_non_finite_config_value_is_usage_error(prob_files, tmp_path, capsys, cm
 _DEEP_F = {
     "sum": "x1^2 - y1^2 + " + " + ".join(f"{k}*y1" for k in range(2000)),
     "parentheses": "x1^2 - " + "(" * 250 + "y1^2" + ")" * 250,
+    "whole-f-parenthesised": "(" * 300 + "x1^2 - y1^2" + ")" * 300,
     "unary-minus": "x1^2 - y1^2 + " + "-" * 2000 + "y1",
 }
 
@@ -449,6 +467,16 @@ def test_deeply_nested_expression_is_usage_error(tmp_path, capsys, shape, cmd):
     err = capsys.readouterr().err
     assert err.startswith("error: an expression is nested too deeply")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--x", "a", "--y", "0"], "argument --x: bad vector 'a'"),
+    (["--x", "0", "--x", "1", "--y", "0"],
+     "error: --x and --y must be given the same number of times"),
+], ids=["bad-vector", "count-mismatch"])
+def test_bad_candidate_flags_are_usage_errors(prob_files, capsys, flags, message):
+    assert main(["certify", prob_files["P1"], *flags]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_flat_sum_of_600_terms_certifies(tmp_path, capsys):

@@ -6,6 +6,8 @@ from minimaxcert.expressions import (
     DomainError,
     ExpressionError,
     Gradients,
+    Neg,
+    Pow,
     Var,
     differentiate,
     parse_expression,
@@ -133,6 +135,18 @@ def test_unary_minus_precedence():
 def test_power_right_associative():
     expr = parse_expression("x1^2^3")
     assert evaluate(expr, [2.0], [0.0]) == 2.0**8
+
+
+def test_exponent_takes_a_unary_minus():
+    # the exponent of ^ is a unary expression: 2^-x1^2 is 2^(-(x1^2)), and
+    # any number of minus signs may lead it
+    x1, x2 = Var("x", 0), Var("x", 1)
+    assert parse_expression("2^-x1^2") == Pow(Const(2.0), Neg(Pow(x1, Const(2.0))))
+    assert parse_expression("x1^--x2") == Pow(x1, Neg(Neg(x2)))
+    assert evaluate(parse_expression("2^-x1^2"), [1.0], [0.0]) == 0.5
+    for text in ("2^-x1^2", "x1^--x2"):
+        tree = parse_expression(text)
+        assert parse_expression(to_string(tree)) == tree
 
 
 def test_domain_errors():

@@ -90,6 +90,15 @@ def test_parse_serialize_parse_idempotent():
         assert problem_digest(again) == problem_digest(spec)
 
 
+def test_spec_equality_compares_the_fields():
+    spec = parse_problem(fixture_text("P1"))
+    assert spec == parse_problem(fixture_text("P1"))
+    assert spec != parse_problem(fixture_text("P2"))
+    assert spec != parse_problem(fixture_text("P1").replace("f = ", "f = 1 + ", 1))
+    assert (spec == 0) is False and spec != 0
+    assert type(spec).__hash__ is None  # mutable fields: unhashable
+
+
 def test_comments_and_blank_lines_ignored():
     spec = parse_problem("# header\n\ndims 1 1 0 0 0 0  # dims\nf = x1*y1 # objective\n")
     assert evaluate(spec.f, [2.0], [3.0]) == 6.0
