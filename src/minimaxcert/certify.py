@@ -1,6 +1,11 @@
 """Certification pipeline: route a candidate down the smooth or nonsmooth
 path, run every applicable condition, and assemble the verdict.
 
+`classify_path` decides the path from the inner hypotheses
+(`lower.JACOBIAN_UNIQUENESS`, `lower.ASSUMPTION_A`), and its `PathDecision`
+carries the report rows it was read from, so each row is built once, where
+its evidence is.
+
 Each condition holds under named hypotheses, and `conditions.POLICY` is
 their one table: for each deciding check, its kind and the checks that must
 be `satisfied` in the same report, which every result reads from its name as
@@ -38,6 +43,8 @@ from .conditions import (
 from .config import CheckConfig
 from .expressions import DomainError
 from .lower import (
+    ASSUMPTION_A,
+    JACOBIAN_UNIQUENESS,
     LowerConditionsReport,
     NewtonError,
     NonsmoothDataError,
@@ -83,36 +90,38 @@ CHECK_EVALUATION = "evaluation"
 
 @dataclass
 class PathDecision:
+    """The path, the first failing condition on the invalid path, the inner
+    multipliers the path runs at, and the report rows it was read from."""
+
     path: str
     first_failing: str | None
     mu: np.ndarray
     lam: np.ndarray
+    rows: list[ConditionCheck]
     ju_report: LowerConditionsReport | None
-    assa_report: LowerConditionsReport | None
-    feasible: bool
-    feasibility_detail: str
-    multiplier_detail: str
-    supplied_residual: float | None = None
 
 
 def _resolve_multipliers(spec, candidate: CandidatePoint, config: CheckConfig):
-    """Verify supplied multipliers or recover them; report both on mismatch."""
+    """Verify supplied multipliers or recover them, reporting both on a
+    mismatch: (mu, lam, the `multipliers` row)."""
     rec = recover_multipliers(spec, candidate.x, candidate.y, config)
-    supplied_residual = None
-    detail = ""
+    mu, lam, residual = rec.mu, rec.lam, None
+    detail = f"multipliers recovered by least squares (residual {rec.residual:.3e})"
     if candidate.lam is not None or candidate.mu is not None:
-        mu = candidate.mu if candidate.mu is not None else np.zeros(spec.m1)
-        lam = candidate.lam if candidate.lam is not None else np.zeros(spec.m2)
-        _, supplied_residual = kkt_residual_lower(spec, candidate.x, candidate.y, mu, lam)
-        if supplied_residual <= config.tol_kkt and float(np.min(lam, initial=0.0)) >= -config.tol_act:
-            return mu, lam, rec, supplied_residual, "supplied multipliers verified"
-        detail = (
-            f"supplied multipliers rejected (residual {supplied_residual:.3e}); "
-            f"recomputed values used (residual {rec.residual:.3e})"
-        )
-    else:
-        detail = f"multipliers recovered by least squares (residual {rec.residual:.3e})"
-    return rec.mu, rec.lam, rec, supplied_residual, detail
+        supplied_mu = candidate.mu if candidate.mu is not None else np.zeros(spec.m1)
+        supplied_lam = candidate.lam if candidate.lam is not None else np.zeros(spec.m2)
+        _, residual = kkt_residual_lower(spec, candidate.x, candidate.y,
+                                         supplied_mu, supplied_lam)
+        if (residual <= config.tol_kkt
+                and float(np.min(supplied_lam, initial=0.0)) >= -config.tol_act):
+            mu, lam, detail = supplied_mu, supplied_lam, "supplied multipliers verified"
+        else:
+            detail = (
+                f"supplied multipliers rejected (residual {residual:.3e}); "
+                f"recomputed values used (residual {rec.residual:.3e})"
+            )
+    return mu, lam, ConditionCheck("multipliers", SATISFIED, residual, config.tol_kkt,
+                                   detail=detail)
 
 
 def classify_path(
@@ -120,7 +129,10 @@ def classify_path(
 ) -> PathDecision:
     """smooth iff Jacobian uniqueness holds; nonsmooth iff the standing
     regularity assumption holds while strict complementarity fails;
-    invalid otherwise, naming the first failing condition."""
+    invalid otherwise, naming the first failing condition.  The decision
+    carries the report rows it was read from: feasibility, multipliers and
+    the inner checks, then, when Assumption A was tested, `assumption_a`
+    (after `lower_strong_sosc` on the nonsmooth path)."""
     config = config or CheckConfig()
     candidate.validate_against(spec)
     bundle = eval_bundle(spec, candidate.x, candidate.y)
@@ -132,46 +144,32 @@ def classify_path(
     upper_set = compute_upper_active_set(spec, candidate.x, config)
     if not upper_set.feasible:
         feas_notes.append(f"outer violation {upper_set.worst_violation:.3e}")
-    mu, lam, rec, supplied_residual, mult_detail = _resolve_multipliers(
-        spec, candidate, config
-    )
+    mu, lam, multipliers = _resolve_multipliers(spec, candidate, config)
+    rows = [ConditionCheck("feasibility", VIOLATED if feas_notes else SATISFIED, None,
+                           config.tol_act, detail="; ".join(feas_notes)),
+            multipliers]
     if feas_notes:
-        return PathDecision(
-            path=PATH_INVALID,
-            first_failing="feasibility",
-            mu=mu,
-            lam=lam,
-            ju_report=None,
-            assa_report=None,
-            feasible=False,
-            feasibility_detail="; ".join(feas_notes),
-            multiplier_detail=mult_detail,
-            supplied_residual=supplied_residual,
-        )
+        return PathDecision(PATH_INVALID, "feasibility", mu, lam, rows, None)
     ju = check_jacobian_uniqueness(spec, candidate.x, candidate.y, mu, lam, config)
-    if ju.jacobian_uniqueness:
-        return PathDecision(
-            PATH_SMOOTH, None, mu, lam, ju, None, True, "", mult_detail, supplied_residual
-        )
+    rows += ju.checks.values()
+    first = ju.first_failing(JACOBIAN_UNIQUENESS)
+    if first is None:
+        return PathDecision(PATH_SMOOTH, None, mu, lam, rows, ju)
     assa = check_assumption_a(spec, candidate.x, candidate.y, config)
-    sc_failed = ju.checks["strict_complementarity"].status == VIOLATED
-    if assa.assumption_a and sc_failed:
-        return PathDecision(
-            PATH_NONSMOOTH, None, assa.mu, assa.lam, ju, assa, True, "",
-            mult_detail, supplied_residual,
-        )
-    order = ("kkt", "licq", "strict_complementarity", "sosc")
-    first = next((name for name in order if not ju.checks[name].ok), "sosc")
-    if first == "strict_complementarity":
+    if first == "lower_strict_complementarity":
         # strict complementarity alone would route to the nonsmooth path, so
         # the real blocker is whatever failed in the standing assumption
-        for name in ("multipliers_exist", "licq", "strong_sosc"):
-            if not assa.checks[name].ok:
-                first = name
-                break
-    return PathDecision(
-        PATH_INVALID, first, mu, lam, ju, assa, True, "", mult_detail, supplied_residual
+        first = assa.first_failing(ASSUMPTION_A)
+    strong = assa.checks["lower_strong_sosc"]
+    # the qualification, valued by the strong SOSC bound
+    qualification = ConditionCheck(
+        "assumption_a", SATISFIED if assa.assumption_a else VIOLATED, strong.value,
+        config.tol_pd, detail="" if first is None else f"first failing condition: {first}",
     )
+    if first is None:
+        return PathDecision(PATH_NONSMOOTH, None, assa.mu, assa.lam,
+                            [*rows, strong, qualification], ju)
+    return PathDecision(PATH_INVALID, first, mu, lam, [*rows, qualification], ju)
 
 
 @dataclass
@@ -186,21 +184,6 @@ class CertificateReport:
     decided_by: list[str] = field(default_factory=list)
     command: str = "certify"
     version: str = VERSION
-
-
-def _lower_checks_to_results(ju: LowerConditionsReport) -> list[ConditionCheck]:
-    mapping = {
-        "kkt": "lower_kkt",
-        "licq": "lower_licq",
-        "strict_complementarity": "lower_strict_complementarity",
-        "sosc": "lower_sosc",
-        "sonc": "lower_second_order_necessary",
-    }
-    out = []
-    for src, name in mapping.items():
-        c = ju.checks[src]
-        out.append(ConditionCheck(name, c.status, c.value, c.tolerance, c.witness, c.detail))
-    return out
 
 
 def _gated(results: list[ConditionCheck], name: str, tolerance, run):
@@ -290,37 +273,13 @@ def certify(
 def _pipeline(spec, candidate, config, progress: _Progress):
     results, notes = progress.results, progress.notes
     decision = classify_path(spec, candidate, config)
-    results.append(
-        ConditionCheck(
-            "feasibility",
-            SATISFIED if decision.feasible else VIOLATED,
-            None,
-            config.tol_act,
-            detail=decision.feasibility_detail,
-        )
-    )
-    results.append(
-        ConditionCheck(
-            "multipliers",
-            SATISFIED,
-            decision.supplied_residual,
-            config.tol_kkt,
-            detail=decision.multiplier_detail,
-        )
-    )
-    if not decision.feasible:
+    results.extend(decision.rows)
+    if decision.first_failing == "feasibility":
         results.append(
             ConditionCheck("path", INCONCLUSIVE, None, None, detail="candidate infeasible")
         )
         return
-
-    ju = decision.ju_report
-    results.extend(_lower_checks_to_results(ju))
     if decision.path == PATH_INVALID:
-        if decision.assa_report is not None:
-            results.append(_assumption_a_result(
-                decision.assa_report, config,
-                f"first failing condition: {decision.first_failing}"))
         notes.append(f"path invalid: first failing condition {decision.first_failing}")
         return
 
@@ -429,24 +388,7 @@ def _verify_upper_multipliers(spec, candidate, poly, config):
     )
 
 
-def _assumption_a_result(a: LowerConditionsReport, config: CheckConfig,
-                         detail: str = "") -> ConditionCheck:
-    """The `assumption_a` qualification, valued by the strong SOSC bound."""
-    return ConditionCheck("assumption_a", SATISFIED if a.assumption_a else VIOLATED,
-                          a.checks["strong_sosc"].value, config.tol_pd, detail=detail)
-
-
 def _run_nonsmooth(spec, candidate, decision, config, results, notes):
-    a = decision.assa_report
-    results.append(
-        ConditionCheck(
-            "lower_strong_sosc",
-            a.checks["strong_sosc"].status,
-            a.checks["strong_sosc"].value,
-            config.tol_pd,
-        )
-    )
-    results.append(_assumption_a_result(a, config))
     try:
         sol = solve_lower(spec, candidate.x, (candidate.y, decision.mu, decision.lam), config)
     except NewtonError as exc:

@@ -1,5 +1,6 @@
-"""Polyhedral cones {d : E d = 0, F d <= 0} (`Cone`): membership, faces,
-rays, the exact minimum of a quadratic over the cone, and sampling.
+"""Polyhedral cones {d : E d = 0, F d <= 0} (`Cone`, with the basis `hull`
+of its affine hull ker E built once): membership, faces, rays, the exact
+minimum of a quadratic over the cone, and sampling.
 
 Every face of the cone lies in some ker [E; F_S], S a subset of F's rows.
 `min_quadratic_on_cone` walks those faces depth first and prunes by
@@ -11,6 +12,7 @@ enumerates every subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -55,10 +57,16 @@ def cone_contains(E: np.ndarray, F: np.ndarray, d: np.ndarray) -> bool:
 
 @dataclass
 class Cone:
-    """The cone {d : E d = 0, F d <= 0}; ker E spans its affine hull."""
+    """The cone {d : E d = 0, F d <= 0}, E and F with one column per
+    coordinate; ker E spans its affine hull."""
 
     E: np.ndarray
     F: np.ndarray
+
+    @cached_property
+    def hull(self) -> np.ndarray:
+        """Orthonormal basis (columns) of ker E, built on first use."""
+        return nullspace_basis(self.E)
 
     def contains(self, d: np.ndarray) -> bool:
         return cone_contains(self.E, self.F, d)
@@ -94,21 +102,21 @@ def cone_rays(E: np.ndarray, F: np.ndarray, dim: int) -> list[np.ndarray]:
     return rays
 
 
-def _face_minimum(M: np.ndarray, rows: np.ndarray,
-                  root: bool) -> tuple[float, np.ndarray] | None:
-    """(lambda_min, read-only unit bottom eigenvector) of d^T M d on ker rows,
-    None when the kernel is {0}.  Inside `bundle_memo` a root face (rows = E)
-    is computed once per distinct (M, E), keyed on their shapes and bytes, so
-    the necessary and sufficient checks share it; deeper faces are not kept,
-    so a walk adds one memo entry however many faces it visits."""
-    if not root:
-        return _bottom_eigenpair(M, rows)
-    key = ("face", M.shape, M.tobytes(), rows.shape, rows.tobytes())
-    return memoised(_face_minimum, key, lambda: _bottom_eigenpair(M, rows))
+def _face_minimum(M: np.ndarray, cone: Cone,
+                  S: tuple[int, ...]) -> tuple[float, np.ndarray] | None:
+    """(lambda_min, read-only unit bottom eigenvector) of d^T M d on the face
+    ker [E; F_S], None when the kernel is {0}.  The root face (S empty) is
+    the cone's hull; inside `bundle_memo` it is computed once per distinct
+    (M, E), keyed on their shapes and bytes, so the necessary and sufficient
+    checks share it; deeper faces are not kept, so a walk adds one memo
+    entry however many faces it visits."""
+    if S:
+        return _bottom_eigenpair(M, nullspace_basis(np.vstack([cone.E, cone.F[list(S)]])))
+    key = ("face", M.shape, M.tobytes(), cone.E.shape, cone.E.tobytes())
+    return memoised(_face_minimum, key, lambda: _bottom_eigenpair(M, cone.hull))
 
 
-def _bottom_eigenpair(M: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray] | None:
-    Z = nullspace_basis(rows)
+def _bottom_eigenpair(M: np.ndarray, Z: np.ndarray) -> tuple[float, np.ndarray] | None:
     if Z.shape[1] == 0:
         return None
     reduced = Z.T @ M @ Z
@@ -119,8 +127,7 @@ def _bottom_eigenpair(M: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarra
     return float(values[0]), v
 
 
-def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray,
-                          dim: int) -> tuple[float, np.ndarray | None] | None:
+def min_quadratic_on_cone(M: np.ndarray, cone: Cone) -> tuple[float, np.ndarray | None] | None:
     """Exact minimum of d^T M d over the unit directions of the cone, with a
     unit witness attaining it: (+inf, None) on the trivial cone, None when
     the walk would visit more than FACE_BUDGET faces.
@@ -139,8 +146,6 @@ def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray,
     are no smaller (Cauchy interlacing); the walk skips them when the kernel
     is {0}, when lambda_min is at or above the incumbent, or when the bottom
     eigenvector lies in the cone and becomes the incumbent."""
-    E = _as_rows(E, dim)
-    F = _as_rows(F, dim)
     M = np.asarray(M, dtype=float)
     best, witness = np.inf, None
     stack, visited = [()], 0
@@ -149,16 +154,16 @@ def min_quadratic_on_cone(M: np.ndarray, E: np.ndarray, F: np.ndarray,
             return None
         visited += 1
         S = stack.pop()
-        face = _face_minimum(M, np.vstack([E, F[list(S)]]), not S)
+        face = _face_minimum(M, cone, S)
         if face is None or face[0] >= best:
             continue
         value, v = face
         for d in (v, 0.0 - v):  # 0.0 - v: no negative zeros in witnesses
-            if cone_contains(E, F, d):
+            if cone.contains(d):
                 best, witness = value, d
                 break
         else:  # children add one index above max S, the smallest popped first
-            stack.extend((*S, i) for i in range(F.shape[0] - 1, S[-1] if S else -1, -1))
+            stack.extend((*S, i) for i in range(cone.F.shape[0] - 1, S[-1] if S else -1, -1))
     return best, witness
 
 

@@ -41,7 +41,7 @@ import re
 import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -491,6 +491,30 @@ def _children(expr: Expr) -> tuple[Expr, ...]:
     if isinstance(expr, (Neg, Func)):
         return (expr.a,)
     return ()
+
+
+def same_tree(a, b) -> bool:
+    """a == b for dataclasses whose fields hold values, `Expr` trees or lists
+    of them, compared field by field as the dataclass `==` does (so
+    Const(0.0) equals Const(-0.0)) but with an explicit stack: the dataclass
+    `==` recurses per level, and a flat sum of a few hundred terms is deeper
+    than the interpreter allows."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:  # as a tuple compares its members
+            continue
+        if isinstance(a, list):
+            if type(b) is not list or len(a) != len(b):
+                return False
+            stack.extend(zip(a, b))
+        elif is_dataclass(a):
+            if type(a) is not type(b):
+                return False
+            stack.extend((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+        elif a != b:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Inner maximization analysis: KKT residuals, active-set partitions,
-constraint qualifications, second-order conditions (sufficient `sosc`,
-necessary `sonc`, strong `strong_sosc`), and the semismooth Newton solver for
-the parametric solution map.
+constraint qualifications, second-order conditions (sufficient `lower_sosc`,
+necessary `lower_second_order_necessary`, strong `lower_strong_sosc`), and
+the semismooth Newton solver for the parametric solution map.
 
 Jacobian uniqueness and Assumption A are conditions on the same inner KKT
 point and share one analysis of it: the activity test `active_set`, one
 LICQ check there, and `critical_curvature`, the critical cone with the
-largest eigenvalue of L_yy on its affine hull, once per Lagrangian and
-partition.
+largest eigenvalue of L_yy on its affine hull (`Cone.hull`), once per
+Lagrangian and partition.  Each check carries the name a `certify` report
+prints, and `JACOBIAN_UNIQUENESS` and `ASSUMPTION_A` list each hypothesis's
+conditions once, in the order that names the first to fail.
 
 `kkt_jacobian_blocks` is the one bordered-KKT assembler: the exact Jacobian
 A(x, W) of the projected KKT map for a projection selector W.  The Newton
@@ -36,7 +38,6 @@ from .cones import Cone, budget_detail, min_quadratic_on_cone
 from .linalg import (
     SingularMatrixError,
     max_eigenvalue_on_subspace,
-    nullspace_basis,
     smallest_singular_value,
     solve_linear,
 )
@@ -47,6 +48,12 @@ from .problem import DerivativeBundle, ProblemSpec, eval_bundle, memoised
 # (1 + the seed's residual) is a diverging iteration, not a slow one
 DIVERGENCE_MIN_STEPS = 3
 DIVERGENCE_GROWTH = 1e8
+
+# the conditions of each inner hypothesis, in the order that names the first
+# to fail: Jacobian uniqueness (the smooth path) and Assumption A, strong
+# regularity of the inner KKT system (Robinson 1980; the nonsmooth path)
+JACOBIAN_UNIQUENESS = ("lower_kkt", "lower_licq", "lower_strict_complementarity", "lower_sosc")
+ASSUMPTION_A = ("multipliers_exist", "lower_licq", "lower_strong_sosc")
 
 
 class PartitionError(Exception):
@@ -189,7 +196,7 @@ def _licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
 def _licq_check(bundle: DerivativeBundle, config: CheckConfig) -> ConditionCheck:
     """LICQ at the active set, which both inner hypotheses read."""
     sigma = licq_sigma(bundle, active_set(bundle, config.tol_act))
-    return ConditionCheck("licq", SATISFIED if sigma >= config.tol_licq else VIOLATED,
+    return ConditionCheck("lower_licq", SATISFIED if sigma >= config.tol_licq else VIOLATED,
                           sigma, config.tol_licq)
 
 
@@ -209,7 +216,7 @@ def _critical_curvature(bundle: DerivativeBundle, lag: LagrangianEval,
     cone = Cone(np.vstack([bundle.h_jy, bundle.g_jy[list(partition.alpha)]]),
                 bundle.g_jy[list(partition.beta)])
     cone.E.flags.writeable = cone.F.flags.writeable = False
-    return cone, max_eigenvalue_on_subspace(lag.yy, nullspace_basis(cone.E))
+    return cone, max_eigenvalue_on_subspace(lag.yy, cone.hull)
 
 
 def recover_multipliers(spec: ProblemSpec, x, y,
@@ -271,16 +278,18 @@ class LowerConditionsReport:
     mu: np.ndarray | None = None
     lam: np.ndarray | None = None
 
-    def all_satisfied(self, names) -> bool:
-        return all(name in self.checks and self.checks[name].ok for name in names)
+    def first_failing(self, hypothesis: tuple[str, ...]) -> str | None:
+        """The first condition of `hypothesis` that is not satisfied, None
+        when it holds."""
+        return next((name for name in hypothesis if not self.checks[name].ok), None)
 
     @property
     def jacobian_uniqueness(self) -> bool:
-        return self.all_satisfied(("kkt", "licq", "strict_complementarity", "sosc"))
+        return self.first_failing(JACOBIAN_UNIQUENESS) is None
 
     @property
     def assumption_a(self) -> bool:
-        return self.all_satisfied(("multipliers_exist", "licq", "strong_sosc"))
+        return self.first_failing(ASSUMPTION_A) is None
 
 
 def _require_smooth(spec: ProblemSpec):
@@ -295,8 +304,9 @@ def check_jacobian_uniqueness(
     spec: ProblemSpec, x, y, mu, lam, config: CheckConfig | None = None
 ) -> LowerConditionsReport:
     """Def-style check of (a) KKT, (b) LICQ, (c) strict complementarity,
-    (d) second-order sufficiency on the critical cone (`sosc`), plus the
-    second-order necessary condition, curvature <= 0 on that cone (`sonc`).
+    (d) second-order sufficiency on the critical cone (`lower_sosc`), plus
+    the second-order necessary condition, curvature <= 0 on that cone
+    (`lower_second_order_necessary`).
     LICQ is decided at the active set {|g_i| <= tol_act} whether or not KKT
     holds, since it is the hypothesis under which KKT is necessary; the
     others need a KKT point.  Both curvature checks read one eigenvalue
@@ -317,22 +327,22 @@ def check_jacobian_uniqueness(
             partition = classify_partition(bundle.g, lam, config.tol_act)
         except PartitionError as exc:
             why = detail = f"no active-set partition: {exc}"
-    checks["kkt"] = ConditionCheck("kkt", VIOLATED if partition is None else SATISFIED, norm,
-                                   config.tol_kkt, detail=detail)
-    checks["licq"] = _licq_check(bundle, config)
+    checks["lower_kkt"] = ConditionCheck("lower_kkt", VIOLATED if partition is None else SATISFIED,
+                                         norm, config.tol_kkt, detail=detail)
+    checks["lower_licq"] = _licq_check(bundle, config)
     if partition is None:
-        for name in ("strict_complementarity", "sosc"):
+        for name in ("lower_strict_complementarity", "lower_sosc"):
             checks[name] = ConditionCheck(name, INCONCLUSIVE, None, None, detail=why)
-        checks["sonc"] = ConditionCheck("sonc", SKIPPED, None, config.tol_pd,
-                                        detail="no KKT point")
+        checks["lower_second_order_necessary"] = ConditionCheck(
+            "lower_second_order_necessary", SKIPPED, None, config.tol_pd, detail="no KKT point")
         return LowerConditionsReport(checks=checks, mu=mu, lam=lam)
 
     margin = (
         float(np.min(lam - bundle.g)) if spec.m2 else np.inf
     )
     sc_ok = margin >= config.tol_sc
-    checks["strict_complementarity"] = ConditionCheck(
-        "strict_complementarity", SATISFIED if sc_ok else VIOLATED, margin, config.tol_sc
+    checks["lower_strict_complementarity"] = ConditionCheck(
+        "lower_strict_complementarity", SATISFIED if sc_ok else VIOLATED, margin, config.tol_sc
     )
 
     # one curvature bound on aff C = ker E serves both second-order checks
@@ -341,20 +351,21 @@ def check_jacobian_uniqueness(
     cone, top = critical_curvature(bundle, lag, partition)
     witness, detail = None, "negative definite on aff C" if partition.beta else ""
     if partition.beta and top > -config.tol_pd:
-        exact = min_quadratic_on_cone(-lag.yy, cone.E, cone.F, spec.m)
+        exact = min_quadratic_on_cone(-lag.yy, cone)
         if exact is None:
             detail = budget_detail()
-            for name in ("sosc", "sonc"):
+            for name in ("lower_sosc", "lower_second_order_necessary"):
                 checks[name] = ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd,
                                               detail=detail)
             return LowerConditionsReport(checks=checks, partition=partition, cone=cone,
                                          mu=mu, lam=lam)
         top, detail = 0.0 - exact[0], "largest curvature on C from its faces"
         witness = None if exact[1] is None else exact[1].tolist()
-    for name, ok in (("sosc", top <= -config.tol_pd), ("sonc", top <= config.tol_pd)):
+    for name, ok in (("lower_sosc", top <= -config.tol_pd),
+                     ("lower_second_order_necessary", top <= config.tol_pd)):
         checks[name] = ConditionCheck(
             name, SATISFIED if ok else VIOLATED, top, config.tol_pd,
-            witness=None if ok else witness, detail=detail if name == "sosc" else "",
+            witness=None if ok else witness, detail=detail if name == "lower_sosc" else "",
         )
     return LowerConditionsReport(checks=checks, partition=partition, cone=cone, mu=mu, lam=lam)
 
@@ -375,18 +386,19 @@ def check_assumption_a(
         "multipliers_exist", SATISFIED if exist else VIOLATED, rec.residual, config.tol_kkt,
         detail=rec.detail,
     )
-    checks["licq"] = _licq_check(bundle, config)
+    checks["lower_licq"] = _licq_check(bundle, config)
     partition = cone = None
     if exist:
         partition = classify_partition(bundle.g, rec.lam, config.tol_act)
         cone, top = critical_curvature(bundle, lagrangian_eval(bundle, rec.mu, rec.lam),
                                        partition)
-        checks["strong_sosc"] = ConditionCheck(
-            "strong_sosc", SATISFIED if top <= -config.tol_pd else VIOLATED, top, config.tol_pd
+        checks["lower_strong_sosc"] = ConditionCheck(
+            "lower_strong_sosc", SATISFIED if top <= -config.tol_pd else VIOLATED, top,
+            config.tol_pd,
         )
     else:
-        checks["strong_sosc"] = ConditionCheck(
-            "strong_sosc", INCONCLUSIVE, None, config.tol_pd,
+        checks["lower_strong_sosc"] = ConditionCheck(
+            "lower_strong_sosc", INCONCLUSIVE, None, config.tol_pd,
             detail="no KKT multipliers recovered",
         )
     return LowerConditionsReport(

@@ -75,6 +75,7 @@ from .expressions import (
     Gradients,
     Tape,
     parse_expression,
+    same_tree,
     shared_nodes,
     to_string,
     uses_nonsmooth,
@@ -144,6 +145,13 @@ class ProblemSpec:
                     raise ProblemFormatError(
                         f"{label} is an upper-level constraint but references y{idx + 1}"
                     )
+
+    def __eq__(self, other):
+        """Field by field, without recursion (`same_tree`); a spec stays
+        unhashable, its lists being mutable."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return same_tree(self, other)
 
     def _labelled(self):
         yield "f", self.f

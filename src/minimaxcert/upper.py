@@ -297,7 +297,7 @@ def _cone_curvature(vd, poly, cone, config):
     u, v = poly.point
     for _ in range(CUT_ROUNDS):
         M = vd.hessian + np.einsum("j,jab->ab", u, data.Hxx) + np.einsum("i,iab->ab", v, data.Gxx)
-        face = min_quadratic_on_cone(M, cone.E, cone.F, M.shape[0])
+        face = min_quadratic_on_cone(M, cone)
         if face is None:
             return None
         g, d = face

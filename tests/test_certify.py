@@ -46,7 +46,7 @@ def test_classify_nonsmooth(p2, config):
 def test_classify_invalid_on_non_kkt(p1, config):
     d = classify_path(p1, CandidatePoint([0.0], [0.5]), config)
     assert d.path == PATH_INVALID
-    assert d.first_failing == "kkt"
+    assert d.first_failing == "lower_kkt"
 
 
 def test_classify_invalid_on_infeasible(p4, config):
@@ -61,7 +61,7 @@ def test_classify_invalid_on_curvature(config):
     spec = parse_problem("dims 1 1 0 1 0 0\nf = (y1-x1)^2\ng1 = y1\n")
     d = classify_path(spec, CandidatePoint([0.0], [0.0]), config)
     assert d.path == PATH_INVALID
-    assert d.first_failing == "strong_sosc"
+    assert d.first_failing == "lower_strong_sosc"
 
 
 # --- headline verdicts ---------------------------------------------------------------
@@ -1202,18 +1202,31 @@ def test_policy_names_the_checks_certify_emits(tmp_path):
     a `POLICY` key or an info check, and every `POLICY` key and requirement
     is emitted, so a misspelt name cannot silently become `info`.  Each
     first-order check the verdict rule reads is a necessary `POLICY` key
-    that some case emits."""
+    that some case emits.  Each inner check has one name, the one a report
+    prints: the lower checks (but `multipliers_exist`, which no row
+    carries) are emitted under their own names, the hypothesis tuples list
+    only them, and an invalid path's note names one of them or
+    `feasibility`."""
     from minimaxcert.conditions import FIRST_ORDER, KIND_INFO, KIND_NECESSARY, POLICY
+    from minimaxcert.lower import (
+        ASSUMPTION_A,
+        JACOBIAN_UNIQUENESS,
+        check_assumption_a,
+        check_jacobian_uniqueness,
+    )
+    from minimaxcert.problem import parse_problem
 
     from test_golden import CASES, run_case
 
-    emitted = set()
+    emitted, notes = set(), []
     for report in _probe_reports():
         emitted.update(c.name for c in report.results)
+        notes += report.notes
     for name, (command, *_) in CASES.items():
         if command == "certify":
             doc = json.loads(run_case(name, tmp_path).split("--- json\n", 1)[1])
             emitted.update(r["name"] for r in doc["results"])
+            notes += doc["notes"]
     assert emitted <= POLICY.keys() | INFO_CHECKS
     assert not POLICY.keys() & INFO_CHECKS
     assert all(kind != KIND_INFO for kind, _ in POLICY.values())
@@ -1221,6 +1234,17 @@ def test_policy_names_the_checks_certify_emits(tmp_path):
     assert needed <= emitted, sorted(needed - emitted)
     assert FIRST_ORDER and all(POLICY[name][0] == KIND_NECESSARY for name in FIRST_ORDER)
     assert set(FIRST_ORDER) <= emitted
+
+    inner = set()
+    for source in ("P1", "P2"):
+        spec = parse_problem(fixture_text(source))
+        inner.update(check_jacobian_uniqueness(spec, [0.0], [0.0], None, None).checks)
+        inner.update(check_assumption_a(spec, [0.0], [0.0]).checks)
+    assert inner - {"multipliers_exist"} <= emitted, sorted(inner - emitted)
+    assert set(JACOBIAN_UNIQUENESS) | set(ASSUMPTION_A) <= inner
+    prefix = "path invalid: first failing condition "
+    named = {note.removeprefix(prefix) for note in notes if note.startswith(prefix)}
+    assert named and named <= inner | {"feasibility"}, sorted(named)
 
 
 def test_licq_probe_passes_the_oracle(config):

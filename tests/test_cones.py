@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from minimaxcert.cones import (
     RAY_SUBSET_CAP,
+    Cone,
     cone_contains,
     min_quadratic_on_cone,
     sample_cone,
@@ -55,7 +56,7 @@ def _quadratic_cones(draw):
 @given(_quadratic_cones())
 def test_min_quadratic_on_cone_is_the_exact_minimum(case):
     M, E, F, dim = case
-    value, witness = min_quadratic_on_cone(M, E, F, dim)
+    value, witness = min_quadratic_on_cone(M, Cone(E, F))
     scale = max(1.0, float(np.max(np.abs(M))))
     if witness is None:
         assert value == np.inf
@@ -109,10 +110,10 @@ def _awkward_cones(draw):
 def test_branch_and_bound_matches_the_exhaustive_face_loop(case):
     M, E, F, dim = case
     ref_value, ref_witness = brute_force_min_quadratic_on_cone(M, E, F)
-    value, witness = min_quadratic_on_cone(M, E, F, dim)
+    value, witness = min_quadratic_on_cone(M, Cone(E, F))
     with bundle_memo():  # faces memoised, the second walk from the memo alone
         for _ in range(2):
-            again = min_quadratic_on_cone(M, E, F, dim)
+            again = min_quadratic_on_cone(M, Cone(E, F))
             assert again[0] == value
             assert (again[1] is None) == (witness is None)
             assert witness is None or again[1].tobytes() == witness.tobytes()
@@ -129,23 +130,23 @@ def test_branch_and_bound_matches_the_exhaustive_face_loop(case):
 def test_min_quadratic_on_cone_trivial_and_capped(monkeypatch):
     # x >= 0 and x <= 0 in the plane, x2 = 0: only the origin is left
     E, F = np.array([[0.0, 1.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert min_quadratic_on_cone(-np.eye(2), E, F, 2) == (np.inf, None)
+    assert min_quadratic_on_cone(-np.eye(2), Cone(E, F)) == (np.inf, None)
     # more rows than cone_rays enumerates: decided at the first face
     many = np.vstack([np.eye(3)] * 5)
     assert many.shape[0] > RAY_SUBSET_CAP
-    value, witness = min_quadratic_on_cone(np.eye(3), np.zeros((0, 3)), many, 3)
+    value, witness = min_quadratic_on_cone(np.eye(3), Cone(np.zeros((0, 3)), many))
     assert value == 1.0 and cone_contains(np.zeros((0, 3)), many, witness)
     # on the quadrant the bottom eigenvector (1, -1) of [[0, 1], [1, 0]] is
     # outside the cone, so the walk visits the faces {}, {x1 = 0} (value 0,
     # witness e2, which prunes {x1 = x2 = 0}) and {x2 = 0}
     M, quadrant = np.array([[0.0, 1.0], [1.0, 0.0]]), -np.eye(2)
     monkeypatch.setattr("minimaxcert.cones.FACE_BUDGET", 3)
-    value, witness = min_quadratic_on_cone(M, np.zeros((0, 2)), quadrant, 2)
+    value, witness = min_quadratic_on_cone(M, Cone(np.zeros((0, 2)), quadrant))
     assert value == 0.0 and witness.tolist() == [0.0, 1.0]
     for budget in (2, 0):
         monkeypatch.setattr("minimaxcert.cones.FACE_BUDGET", budget)
-        assert min_quadratic_on_cone(M, np.zeros((0, 2)), quadrant, 2) is None
-    assert min_quadratic_on_cone(-np.eye(2), E, F, 2) is None
+        assert min_quadratic_on_cone(M, Cone(np.zeros((0, 2)), quadrant)) is None
+    assert min_quadratic_on_cone(-np.eye(2), Cone(E, F)) is None
 
 
 def test_face_walk_memoises_only_its_root_face():
@@ -155,9 +156,9 @@ def test_face_walk_memoises_only_its_root_face():
 
     M, quadrant = np.array([[0.0, 1.0], [1.0, 0.0]]), -np.eye(2)
     with bundle_memo():
-        first = min_quadratic_on_cone(M, np.zeros((0, 2)), quadrant, 2)
+        first = min_quadratic_on_cone(M, Cone(np.zeros((0, 2)), quadrant))
         assert len(_bundle_memo.get()) == 1
-        second = min_quadratic_on_cone(M, np.zeros((0, 2)), quadrant, 2)
+        second = min_quadratic_on_cone(M, Cone(np.zeros((0, 2)), quadrant))
         assert len(_bundle_memo.get()) == 1
     assert first[0] == second[0] == 0.0 and first[1].tobytes() == second[1].tobytes()
 
@@ -168,6 +169,6 @@ def test_min_quadratic_on_cone_finds_a_thin_ray():
     ray = np.array([1.0, 0.6]) / np.linalg.norm([1.0, 0.6])
     a = np.array([-0.6, 1.0])
     M = 1e6 * np.outer(a, a) - 1e-3 * np.eye(2)
-    value, witness = min_quadratic_on_cone(M, np.zeros((0, 2)), -np.eye(2), 2)
+    value, witness = min_quadratic_on_cone(M, Cone(np.zeros((0, 2)), -np.eye(2)))
     assert abs(value + 1e-3) <= 1e-9
     assert float(witness @ ray) >= 1.0 - 1e-12

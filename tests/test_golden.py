@@ -50,9 +50,11 @@ CASES = {
     "certify-P1-origin": ("certify", "P1", _origin()),
     "certify-P1-refuted": ("certify", "P1", ["--x", "0.5", "--y", "0.5"]),
     "certify-P1-lambda": ("certify", "P1", [*_origin(), "--lambda", "0"]),
+    "certify-P1-not-kkt": ("certify", "P1", ["--x", "0", "--y", "0.5"]),
     "certify-P2-origin": ("certify", "P2", _origin()),
     "certify-P2-lambda": ("certify", "P2", [*_origin(), "--lambda", "0.5"]),
     "certify-P3-origin": ("certify", "P3", _origin()),
+    "certify-P3-infeasible": ("certify", "P3", ["--x", "0.5", "--y", "0.5"]),
     "certify-P4-origin": ("certify", "P4", _origin()),
     "certify-P4-bound": ("certify", "P4", ["--x", "1", "--y", "1"]),
     "certify-selector-lattice": ("certify", "selector", _selector_point("lattice")),

@@ -152,8 +152,28 @@ def test_cone_alpha_gives_equality_row(p2):
 
 def test_no_kkt_point_gives_no_cone(p1):
     rep = check_jacobian_uniqueness(p1, [0.0], [0.5], None, [0.0])
-    assert rep.checks["kkt"].status == VIOLATED
+    assert rep.checks["lower_kkt"].status == VIOLATED
     assert rep.partition is None and rep.cone is None
+
+
+def test_face_walk_reads_the_hull_basis_the_bound_built(monkeypatch, config):
+    # L_yy = diag(2, -2) on the cone {d1 <= 0}: the hull bound fails, so the
+    # face walk runs, and its root face is the hull whose basis the bound built
+    import sys
+
+    from minimaxcert import linalg
+
+    spec = parse_problem("dims 1 2 0 1 0 0\nf = y1^2 - y2^2 + x1^2\ng1 = y1\n")
+    calls, basis = [], linalg.nullspace_basis
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("minimaxcert") and \
+                getattr(module, "nullspace_basis", None) is basis:
+            monkeypatch.setattr(module, "nullspace_basis",
+                                lambda A: calls.append(np.array(A)) or basis(A))
+    rep = check_jacobian_uniqueness(spec, [0.0], [0.0, 0.0], None, [0.0], config)
+    assert rep.checks["lower_sosc"].detail == "largest curvature on C from its faces"
+    E = rep.cone.E
+    assert sum(A.shape == E.shape and np.array_equal(A, E) for A in calls) == 1
 
 
 # --- Jacobian uniqueness / Assumption A -------------------------------------
@@ -162,32 +182,33 @@ def test_ju_p1_origin_all_satisfied(p1, config):
     rep = check_jacobian_uniqueness(p1, [0.0], [0.0], None, [0.0], config)
     assert rep.jacobian_uniqueness
     assert rep.partition.gamma == (0,)
-    assert rep.checks["strict_complementarity"].value == pytest.approx(1.0)
-    assert rep.checks["sosc"].value == pytest.approx(-1.0)
+    assert rep.checks["lower_strict_complementarity"].value == pytest.approx(1.0)
+    assert rep.checks["lower_sosc"].value == pytest.approx(-1.0)
 
 
 def test_ju_p2_origin_strict_complementarity_fails(p2, config):
     rep = check_jacobian_uniqueness(p2, [0.0], [0.0], None, [0.0], config)
     assert not rep.jacobian_uniqueness
-    assert rep.checks["strict_complementarity"].status == VIOLATED
-    assert rep.checks["strict_complementarity"].value == pytest.approx(0.0)
+    assert rep.checks["lower_strict_complementarity"].status == VIOLATED
+    assert rep.checks["lower_strict_complementarity"].value == pytest.approx(0.0)
 
 
 def test_ju_non_kkt_marks_rest_inconclusive(p1, config):
     rep = check_jacobian_uniqueness(p1, [0.0], [0.5], None, [0.0], config)
-    assert rep.checks["kkt"].status == VIOLATED
-    assert rep.checks["kkt"].value == pytest.approx(0.5)
+    assert rep.checks["lower_kkt"].status == VIOLATED
+    assert rep.checks["lower_kkt"].value == pytest.approx(0.5)
     # LICQ, the hypothesis under which KKT is necessary, is decided anyway:
     # g1 = y1 - 1 is inactive at y = 0.5, so no row is active
-    assert rep.checks["licq"].status == SATISFIED and rep.checks["licq"].value == np.inf
-    for name in ("strict_complementarity", "sosc"):
+    licq = rep.checks["lower_licq"]
+    assert licq.status == SATISFIED and licq.value == np.inf
+    for name in ("lower_strict_complementarity", "lower_sosc"):
         assert rep.checks[name].status == INCONCLUSIVE
 
 
 def test_assumption_a_p2(p2, config):
     rep = check_assumption_a(p2, [0.0], [0.0], config)
     assert rep.assumption_a
-    assert rep.checks["strong_sosc"].value == pytest.approx(-2.0)
+    assert rep.checks["lower_strong_sosc"].value == pytest.approx(-2.0)
 
 
 def test_assumption_a_p1(p1, config):
@@ -199,19 +220,19 @@ def test_assumption_a_violated_by_sign_flip(config):
     spec = parse_problem("dims 1 1 0 1 0 0\nf = (y1-x1)^2\ng1 = y1\n")
     rep = check_assumption_a(spec, [0.0], [0.0], config)
     assert not rep.assumption_a
-    assert rep.checks["strong_sosc"].status == VIOLATED
-    assert rep.checks["strong_sosc"].value == pytest.approx(2.0)
+    assert rep.checks["lower_strong_sosc"].status == VIOLATED
+    assert rep.checks["lower_strong_sosc"].value == pytest.approx(2.0)
 
 
 def test_ju_rejects_a_kkt_residual_whose_signs_fit_no_partition(p2, config):
     # lam = -2e-9 passes tol_kkt = 1e-8 but not the sign test at tol_act = 1e-10
     config = config.replace(tol_act=1e-10)
     rep = check_jacobian_uniqueness(p2, [-1e-9], [0.0], np.zeros(0), [-2e-9], config)
-    kkt = rep.checks["kkt"]
+    kkt = rep.checks["lower_kkt"]
     assert kkt.status == VIOLATED and kkt.value <= config.tol_kkt
     assert kkt.detail == "no active-set partition: index 1: negative multiplier -2.000e-09"
     # the active set {g1} has J_y g1 = 1, so LICQ holds
-    assert rep.checks["licq"].status == SATISFIED and rep.checks["licq"].value == 1.0
+    assert rep.checks["lower_licq"].status == SATISFIED and rep.checks["lower_licq"].value == 1.0
     assert rep.partition is None
 
 
@@ -260,17 +281,17 @@ def test_assumption_a_reads_jacobian_uniqueness_at_the_recovered_multipliers(poi
     if not assa.checks["multipliers_exist"].ok:
         return
     ju = check_jacobian_uniqueness(spec, x, y, assa.mu, assa.lam, config)
-    licq = ju.checks["licq"], assa.checks["licq"]
+    licq = ju.checks["lower_licq"], assa.checks["lower_licq"]
     assert licq[0].status == licq[1].status and licq[0].value == licq[1].value
-    assert ju.checks["kkt"].ok and ju.partition == assa.partition
+    assert ju.checks["lower_kkt"].ok and ju.partition == assa.partition
     assert np.array_equal(ju.cone.E, assa.cone.E) and np.array_equal(ju.cone.F, assa.cone.F)
     lag = lagrangian_eval(eval_bundle(spec, x, y), assa.mu, assa.lam)
     hull = max_eigenvalue_on_subspace(lag.yy, nullspace_basis(assa.cone.E))
-    strong = assa.checks["strong_sosc"]
+    strong = assa.checks["lower_strong_sosc"]
     assert strong.value == hull
     assert strong.ok == (hull <= -config.tol_pd)
     if not ju.partition.beta or hull <= -config.tol_pd:
-        assert ju.checks["sosc"].value == hull
+        assert ju.checks["lower_sosc"].value == hull
 
 
 def test_abs_rejected_by_condition_checks(config):

@@ -90,13 +90,28 @@ def test_parse_serialize_parse_idempotent():
         assert problem_digest(again) == problem_digest(spec)
 
 
+def _flat_sum(terms, last="x1*y1"):
+    return f"dims 1 1 0 0 0 0\nf = {' + '.join(['x1*y1'] * (terms - 1) + [last])} - y1^2\n"
+
+
 def test_spec_equality_compares_the_fields():
+    from minimaxcert.expressions import Add, Const, Var
+    from minimaxcert.problem import ProblemSpec
+
     spec = parse_problem(fixture_text("P1"))
     assert spec == parse_problem(fixture_text("P1"))
     assert spec != parse_problem(fixture_text("P2"))
     assert spec != parse_problem(fixture_text("P1").replace("f = ", "f = 1 + ", 1))
     assert (spec == 0) is False and spec != 0
     assert type(spec).__hash__ is None  # mutable fields: unhashable
+    # flat sums nest one level per term, deeper than a recursive compare goes
+    long = parse_problem(_flat_sum(900))
+    assert long == parse_problem(_flat_sum(900))
+    assert long != parse_problem(_flat_sum(900, last="x1*x1"))
+    # leaves compare by value: 0.0 == -0.0
+    y = Var("y", 0)
+    assert ProblemSpec(1, 1, 0, 0, 0, 0, Add(Const(0.0), y)) == \
+        ProblemSpec(1, 1, 0, 0, 0, 0, Add(Const(-0.0), y))
 
 
 def test_comments_and_blank_lines_ignored():
