@@ -5,19 +5,34 @@ Grid oracles are wired for n <= 2, m <= 2 only.  The definition check builds
 one inner y-grid per level and evaluates it against blocks of feasible x-grid
 points in one broadcast of the spec's tapes in array mode: x axes as (rows, 1)
 columns, y axes as (1, Y) rows, with rows * Y at most CHUNK_ELEMENTS (one row
-when Y alone exceeds it).  Time still grows with the product of the grid sizes
-(capped at MAX_LEVEL_POINTS), but the working arrays are bounded by the chunk,
-and the results are bit-identical to one grid maximization per x point.
+when Y alone exceeds it).
+
+Only the x rows with the least inner max set a level's right violation.  So a
+level that needs more than one block first probes every feasible x row against
+the inner grid's points at stride isqrt(p) on each y axis of p points, the
+centre y* included: the probe's masked max lb is a lower bound on the row's
+max V, taken from the same tape values.  The row with the least lb is evaluated
+in full, giving t = f(x*, y*) - V there.  A row with f(x*, y*) - lb < t, in the
+rounded subtraction the violations use, can neither beat nor tie that row; it
+is skipped, and only the other rows are evaluated in full.  Nothing is skipped
+when the full row is not one the check counts (an empty inner grid, or a
+violation of -inf or NaN).
+
+Time still grows with the product of the grid sizes (capped at
+MAX_LEVEL_POINTS); when no row can be skipped the probe comes on top of the
+full pass.  The working arrays are bounded by the chunk, and the results are
+bit-identical to one grid maximization per x point.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ProblemSpec
+from .problem import CandidatePoint, ProblemSpec
 
 
 @dataclass
@@ -41,6 +56,8 @@ class GridSpec:
             raise ValueError("tol and feas_tol must be finite and >= 0")
         if self.step > self.delta0:
             raise ValueError("step must not exceed delta0 (>= 3 points per axis)")
+        if not isinstance(self.levels, numbers.Integral):
+            raise ValueError(f"levels must be an integer, not {self.levels!r}")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
 
@@ -154,6 +171,19 @@ def _masked_argmax(spec: ProblemSpec, x, ys, rows: int, feas_tol: float):
     return k, fvals[np.arange(rows), k], np.count_nonzero(feas, axis=1)
 
 
+def _row_maxima(spec: ProblemSpec, xs, rows, ys, feas_tol: float):
+    """The masked max of f over the y-grid ys and its feasible count, for each
+    x-grid point xs[rows], in blocks of at most CHUNK_ELEMENTS x-by-y points."""
+    values = np.empty(rows.shape[0])
+    counts = np.empty(rows.shape[0], dtype=np.intp)
+    block = max(1, CHUNK_ELEMENTS // ys[0].shape[1])
+    for start in range(0, rows.shape[0], block):
+        part = rows[start:start + block]
+        _, values[start:start + block], counts[start:start + block] = _masked_argmax(
+            spec, [axis[part, None] for axis in xs], ys, part.shape[0], feas_tol)
+    return values, counts
+
+
 def grid_local_maximize(
     spec: ProblemSpec,
     x,
@@ -201,13 +231,18 @@ def verify_minimax_definition(
     """Grid check of both defining inequalities on a shrinking delta ladder:
     y-candidates may not beat f(x*, y*) on Y(x*), and nearby feasible x must
     reach at least f(x*, y*) when maximizing over the eta(delta) ball.
-    A candidate that violates h, g, H or G by more than feas_tol (NaN
-    included) fails before the ladder, on side "feasibility".
+    x* and y* are checked as `certify` checks a candidate, finite (ValueError)
+    and of lengths n and m (CandidateShapeError), before anything is
+    evaluated.  A candidate that violates h, g, H or G by more than feas_tol
+    (NaN included) fails before the ladder, on side "feasibility".
     Raises GridTooLargeError, before evaluating anything, when the first
     level's x-grid times y-grid exceeds MAX_LEVEL_POINTS."""
     grid = grid or GridSpec()
     if spec.n > 2 or spec.m > 2:
         raise ValueError("definition oracle supports n <= 2 and m <= 2 only")
+    candidate = CandidatePoint(x_star, y_star)
+    candidate.validate_against(spec)
+    x_star, y_star = candidate.x, candidate.y
 
     def npts(radius: float) -> int:
         return 2 * max(1, int(np.ceil(radius / grid.step))) + 1
@@ -215,8 +250,6 @@ def verify_minimax_definition(
     points = npts(grid.delta0) ** spec.n * npts(grid.eta(grid.delta0)) ** spec.m
     if points > MAX_LEVEL_POINTS:
         raise GridTooLargeError(points)
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
     inner, outer, objective = spec._oracle_tapes
     f_star = float(objective(x_star, y_star)[0])
     report = OracleReport(
@@ -261,18 +294,34 @@ def verify_minimax_definition(
             level["right_violation"] = None
             report.levels.append(level)
             continue
-        # one inner y-grid serves every x point; x rows go in blocks of at
-        # most CHUNK_ELEMENTS x-by-y points
-        inner = [axis[None, :] for axis in _mesh(_axis_grid(y_star, eta, npts(eta)))]
+        # one inner y-grid serves every x point
+        per_axis = npts(eta)
+        y_axes = _axis_grid(y_star, eta, per_axis)
+        inner = [axis[None, :] for axis in _mesh(y_axes)]
         feasible_x = np.flatnonzero(xfeas)
-        values = np.empty(feasible_x.shape[0])
-        counts = np.empty(feasible_x.shape[0], dtype=np.intp)
-        block = max(1, CHUNK_ELEMENTS // inner[0].shape[1])
-        for start in range(0, feasible_x.shape[0], block):
-            rows = feasible_x[start:start + block]
-            _, values[start:start + block], counts[start:start + block] = _masked_argmax(
-                spec, [axis[rows, None] for axis in xs], inner, rows.shape[0],
-                grid.feas_tol)
+        if feasible_x.shape[0] * inner[0].shape[1] <= CHUNK_ELEMENTS:
+            values, counts = _row_maxima(spec, xs, feasible_x, inner, grid.feas_tol)
+        else:
+            # lb, a lower bound on each row's max, from a strided probe of the
+            # inner grid through y*; a pruned row keeps its lb and its probe
+            # count, which is > 0 since lb > -inf, and counts are read as > 0
+            stride = math.isqrt(per_axis)
+            probe = [axis[None, :] for axis in _mesh(
+                [axis[per_axis // 2 % stride::stride] for axis in y_axes])]
+            values, counts = _row_maxima(spec, xs, feasible_x, probe, grid.feas_tol)
+            seed = int(np.argmin(values))
+            (v_seed,), (c_seed,) = _row_maxima(spec, xs, feasible_x[[seed]], inner,
+                                               grid.feas_tol)
+            t = f_star - v_seed
+            # viols is f_star - values, and lb <= V gives f_star - V <= f_star - lb:
+            # a row with f_star - lb < t can neither beat the seed nor tie with it
+            exact = np.ones(feasible_x.shape[0], dtype=bool)
+            if c_seed > 0 and t > -np.inf:  # the seed row is kept
+                exact = ~(f_star - values < t)
+            exact[seed] = False
+            values[seed], counts[seed] = v_seed, c_seed
+            values[exact], counts[exact] = _row_maxima(spec, xs, feasible_x[exact], inner,
+                                                       grid.feas_tol)
         # replay of a strict `viol > worst` scan in x order: the first x point
         # with the largest violation, skipping empty inner grids and NaN or -inf
         viols = f_star - values

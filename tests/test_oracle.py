@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minimaxcert import oracle, solve_lower
+from minimaxcert import CandidatePoint, oracle, solve_lower
 from minimaxcert.oracle import (
     EmptyFeasibleGridError,
     GridMaxResult,
@@ -174,9 +174,24 @@ def test_definition_fails_an_infeasible_candidate(text, x, violation, tmp_path, 
     assert "definition check: fail" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("x, y", [
+    ([math.nan], [0.0]),  # passed with f_star = nan
+    ([0.0], [math.inf]),
+    ([0.0, 5.0], [0.0]),  # passed, reading x1 alone
+    ([], [0.0]),  # raised IndexError
+], ids=["nan", "inf", "too-long", "too-short"])
+def test_definition_checks_the_candidate_as_certify_does(x, y):
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = -(y1-x1)^2 + x1^2\n")
+    with pytest.raises(ValueError) as got:
+        verify_minimax_definition(spec, x, y)
+    with pytest.raises(ValueError) as want:  # as certify and the CLI check it
+        CandidatePoint(x, y).validate_against(spec)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
 # --- grid validation --------------------------------------------------------------
 
-@pytest.mark.parametrize("levels", [0, -1])
+@pytest.mark.parametrize("levels", [0, -1, 1.5, 2.0])
 def test_grid_rejects_fewer_than_one_level(levels):
     # with no level the check would pass vacuously: f = -x1^2 - y1^2 fails the
     # right inequality at the origin by delta0^2 on the default grid
@@ -409,21 +424,27 @@ _GX_ROWS = ("u1 + u{n} - 0.03", "u{n} + 0.5")  # the second empties the x-grid
 @st.composite
 def _oracle_cases(draw):
     """(problem text, x*, y*, grid, chunk) over n, m in {1, 2}, with every kind
-    of constraint row, constant f, f independent of y and f(x*, y*) = -inf."""
+    of constraint row, constant f, f independent of y, f(x*, y*) = -inf or
+    +inf, and f(x*, y*) so large that its differences round to ties."""
     n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     coords = st.sampled_from([0.0, 0.013, -0.27, 1.5])
     x_star = [draw(coords) for _ in range(n)]
     y_star = [draw(coords) for _ in range(m)]
-    shape = draw(st.sampled_from(["terms", "constant", "x only", "-inf at x*"]))
+    shape = draw(st.sampled_from(["terms", "huge f_star", "constant", "x only",
+                                  "-inf at x*", "+inf at x*"]))
     if shape == "constant":
         f = draw(st.sampled_from(["1.5", "-0.25", "0"]))
     elif shape == "x only":
         f = "u1^2 - 0.5*u{n} + cos(u1)"
     elif shape == "-inf at x*":  # f(x*, y*) = -inf, finite at the other x points
         f = "-exp(800 - 1e7*u{n}^2) - v1^2"
+    elif shape == "+inf at x*":  # f(x*, y*) = +inf, so every kept violation is +inf
+        f = "exp(800 - 1e7*u{n}^2) - v1^2"
     else:
         terms = draw(st.lists(st.sampled_from(_F_TERMS), min_size=1, max_size=4))
         f = " + ".join(f"{draw(st.sampled_from([1, -2, 0.5]))}*({t})" for t in terms)
+        if shape == "huge f_star":  # f(x*, y*) - V rounds distinct V to ties
+            f = f"1e20 + {f}"
         f = f.replace("{i}", str(draw(st.integers(1, n))))
         f = f.replace("{j}", str(draw(st.integers(1, m))))
     rows = {key: draw(st.lists(st.sampled_from(pool), max_size=2))
@@ -446,7 +467,8 @@ def _oracle_cases(draw):
         tol=1e-9,
         levels=draw(st.integers(1, 3)),
     )
-    # one x row per block, blocks that do not divide the row count, one block
+    # one x row per block, blocks that do not divide the row count, one block;
+    # a level above one block takes the probe and skips rows
     chunk = draw(st.sampled_from([1, 50, 997, oracle.CHUNK_ELEMENTS]))
     return text, x_star, y_star, grid, chunk
 
@@ -477,3 +499,33 @@ def test_definition_matches_per_point_reference_bit_for_bit(case):
     assert _bits(res.value) == _bits(ref.value)
     assert (res.feasible_points, res.total_points) == (ref.feasible_points,
                                                        ref.total_points)
+
+
+def test_probe_skips_most_rows_on_the_benchmark_shape(monkeypatch):
+    """The n = m = 1 problem of perfbench's oracle workload (seed 1) at a lattice
+    candidate: the inner max y = c is interior and a probe point, and phi(x) >
+    phi(x*) at the other grid x, so on the two levels above one block the row of
+    x* sets t = 0 and the probe skips every other row."""
+    spec = parse_problem(
+        "dims 1 1 0 1 0 0\n"
+        "f = 0.831*(1 - cos(x1)) - 1.766*(y1 + 0.835)^2*(2 + cos(x1))\n"
+        "g1 = (y1 + 0.835) - 1\n")
+    points = []
+    masked_argmax = oracle._masked_argmax
+
+    def counting(spec, x, ys, rows, feas_tol):
+        points.append(rows * ys[0].shape[1])
+        return masked_argmax(spec, x, ys, rows, feas_tol)
+
+    monkeypatch.setattr(oracle, "_masked_argmax", counting)
+    grid = GridSpec(step=1e-3)
+    rep = verify_minimax_definition(spec, [2 * math.pi], [-0.835], grid)
+    assert rep.passed and rep.worst_violation == 0.0
+    # every feasible x point times the inner grid, and the left inequality's grids
+    full = 0
+    for k in range(grid.levels):
+        delta = grid.delta0 * 0.5**k
+        xs, ys = (2 * math.ceil(r / grid.step) + 1 for r in (delta, grid.eta(delta)))
+        full += xs * ys + xs
+    assert full == 107_810
+    assert sum(points) < full / 4
