@@ -67,7 +67,7 @@ from .problem import (
 from .upper import (
     check_mfcq,
     compute_upper_active_set,
-    first_order_nonsmooth_necessary,
+    first_order_nonsmooth,
     second_order_necessary,
     second_order_sufficient,
     upper_kkt_and_polytope,
@@ -423,4 +423,4 @@ def _run_nonsmooth(spec, candidate, decision, config, results, notes):
         )
         return
     _gated(results, "first_order_nonsmooth", config.tol_kkt,
-           lambda: first_order_nonsmooth_necessary(spec, candidate.x, sol, config, sweep)[0])
+           lambda: first_order_nonsmooth(spec, candidate.x, sweep, config))

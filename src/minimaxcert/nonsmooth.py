@@ -22,22 +22,23 @@ so a grid over the Clarke box cannot change a verdict: only `subdiff`
 that are not all 0/1.  Those that are all 0/1 are B-selectors already, so
 `is_binary` marks exactly the B-selector rows of a sweep.
 The sweep assembles every A(x, W) as one stack (`lower.kkt_jacobian_blocks`
-on the stacked selector diagonals, the assembler the inner Newton uses too)
-with its right-hand-side stack, and `linalg.solve_stack` settles the stack
-in two LAPACK calls: one batched SVD gives every A(x, W) its singularity
-test and its margin sigma_min, and one batched solve gives every
-nonsingular H(x, W) = A(x, W)^{-1} rhs (`stack_selectors`, which also
-builds the smooth path's one-selector sensitivity system, the sweep that
-`value_function.value_derivatives` returns).  numpy runs LAPACK slice by
-slice, so the singular values, H entries and SingularMatrixErrors equal
-those of each matrix alone bit for bit, and verdicts and reports do not
-depend on the batching.  The `SelectorSweep` keeps the selector rows and
-those stacks, with one flag for the whole family, `exact` (beta is empty, so
-the one selector is the whole generalized Jacobian), and its consumers index
-them: `kkt_map_directional` and `phi_generalized_gradients` here, the
-B-selector nonsingularity check and the smooth path's sensitivity-system
-check in `certify`, and `upper.first_order_nonsmooth_necessary`, which
-reads the sweep's grad_x L and returns its B-subdifferential.
+on the stacked selector diagonals, the assembler the inner Newton uses too),
+and `linalg.solve_stack` gives every A(x, W) its singularity test and its
+margin sigma_min in one batched SVD (`stack_selectors`, which also builds
+the smooth path's one-selector sensitivity system, the sweep that
+`value_function.value_derivatives` returns).  The right-hand-side stack and
+every nonsingular H(x, W) = A(x, W)^{-1} rhs, by one batched solve, are
+computed when first read.  certify's nonsmooth path reads only the singular
+values and grad_x L (under the standing assumption grad phi = grad_x L), so
+it makes no solve.  numpy runs LAPACK slice by slice, so the singular
+values, H entries and SingularMatrixErrors equal those of each matrix alone
+bit for bit, and verdicts and reports do not depend on the batching.  The
+`SelectorSweep` keeps the selector rows and those stacks, with one flag for
+the whole family, `exact` (beta is empty, so the one selector is the whole
+generalized Jacobian), and its consumers index them: `kkt_map_directional`
+and `phi_generalized_gradients` here, the B-selector nonsingularity check
+and the smooth path's sensitivity-system check in `certify`, and
+`upper.first_order_nonsmooth`, which reads the sweep's grad_x L.
 `assemble_a_matrix` and `assemble_h_matrix` run the same stacked step on a
 one-selector stack, given one selector row, and return fresh values.
 
@@ -53,6 +54,7 @@ LAMBDA_SIGN_CONVENTION.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,11 +63,12 @@ from .linalg import SolvedStack, solve_stack
 from .lower import (
     ActivePartition,
     KktSolution,
+    LagrangianEval,
     classify_partition,
     kkt_jacobian_blocks,
     lagrangian_eval,
 )
-from .problem import ProblemSpec, eval_bundle
+from .problem import DerivativeBundle, ProblemSpec, eval_bundle
 
 LAMBDA_SIGN_CONVENTION = "kkt-derivative (lambda column negated, sigma = -1)"
 
@@ -124,21 +127,49 @@ def _solution_point(spec: ProblemSpec, sol: KktSolution, config: CheckConfig | N
             classify_partition(bundle.g, sol.lam, config.tol_act))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass
 class SelectorSweep:
     """Selectors at one nonsmooth solution as a struct of arrays: row s of
     `selectors` is the diagonal of W_s, and slice s of every stack belongs to
     it.  Every array is read-only.  `exact` says the family is the whole
-    generalized Jacobian (beta is empty: one selector)."""
+    generalized Jacobian (beta is empty: one selector).  `solved` holds the
+    singularity test of every A(x, W); `rhs`, `H` and `stack` are computed
+    when first read, so only a consumer that reads H pays its batched solve."""
 
     selectors: np.ndarray  # (S, m2): the B-selectors, bitmask order (then new grid points)
     exact: bool
     A: np.ndarray  # (S, N, N): A(x, W)
-    rhs: np.ndarray  # (S, N, n): (grad_yx L; J_x h; (I - W) J_x g)
-    H: np.ndarray  # (S, N, n): A^{-1} rhs; NaN where A is singular
-    solved: SolvedStack
-    grad_x: np.ndarray  # grad_x L
-    stack: np.ndarray  # (grad_y L; h; -g)
+    solved: SolvedStack  # singular values of A, no solution
+    bundle: DerivativeBundle
+    lag: LagrangianEval
+
+    @property
+    def grad_x(self) -> np.ndarray:
+        """grad_x L."""
+        return self.lag.grad_x
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        """(S, N, n): (grad_yx L; J_x h; (I - W) J_x g)."""
+        top = np.vstack([self.lag.yx, self.bundle.h_jx])
+        return _read_only(np.concatenate(
+            [np.broadcast_to(top, (len(self.selectors),) + top.shape),
+             (1.0 - self.selectors)[:, :, None] * self.bundle.g_jx], axis=1))
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """(S, N, n): A^{-1} rhs by one batched solve; NaN where A is singular."""
+        return _read_only(self.solved.solve(self.rhs))
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """(grad_y L; h; -g)."""
+        return _read_only(np.concatenate([self.lag.grad_y, self.bundle.h, -self.bundle.g]))
 
     def h_matrix(self, s: int) -> np.ndarray:
         """H(x, W_s); raises the SingularMatrixError of a singular A(x, W_s)."""
@@ -155,18 +186,12 @@ class SelectorSweep:
 
 def stack_selectors(bundle, lag, selectors: np.ndarray, exact: bool) -> SelectorSweep:
     """The sweep's stacked step on the (S, m2) selector rows: assemble every
-    A(x, W) and its right-hand side as one stack, test every A(x, W) for
-    singularity and solve every nonsingular H(x, W) at once."""
+    A(x, W) as one stack and test every A(x, W) for singularity at once."""
     A = kkt_jacobian_blocks(lag, bundle, selectors)
-    top = np.vstack([lag.yx, bundle.h_jx])
-    rhs = np.concatenate([np.broadcast_to(top, (len(selectors),) + top.shape),
-                          (1.0 - selectors)[:, :, None] * bundle.g_jx], axis=1)
-    solved = solve_stack(A, rhs)
-    H = solved.solution
-    for arr in (selectors, A, rhs, H, solved.sigma_min, solved.sigma_max, solved.singular):
+    solved = solve_stack(A)
+    for arr in (selectors, A, solved.sigma_min, solved.sigma_max, solved.singular):
         arr.flags.writeable = False
-    return SelectorSweep(selectors, exact, A, rhs, H, solved, lag.grad_x,
-                         np.concatenate([lag.grad_y, bundle.h, -bundle.g]))
+    return SelectorSweep(selectors, exact, A, solved, bundle, lag)
 
 
 def selector_sweep(

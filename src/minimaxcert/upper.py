@@ -370,6 +370,42 @@ def second_order_sufficient(vd: ValueDerivatives, poly: LambdaPolytope,
     return _cone_check("second_order_sufficient", config.tol_pd, vd, poly, poly.reduced, config)
 
 
+def first_order_nonsmooth(
+    spec: ProblemSpec, x, sweep: SelectorSweep, config: CheckConfig | None = None
+) -> ConditionCheck:
+    """Outer first order at a nonsmooth solution: does grad phi = grad_x L
+    admit an outer multiplier?  It is `upper_kkt_and_polytope`'s question,
+    asked once, as on the smooth path.  An empty polytope is a disproof only
+    when the selector family is exact (beta empty); otherwise it is
+    inconclusive.  It reads the sweep's singularity test and grad_x L, never
+    H(x, W), so it makes no batched solve."""
+    config = config or CheckConfig()
+    if sweep.solved.singular.all():
+        return ConditionCheck(
+            "first_order_nonsmooth", ERROR, None, config.tol_kkt,
+            detail="every selector matrix was singular: inconsistent with the "
+            "standing regularity assumption",
+        )
+    poly = upper_kkt_and_polytope(spec, x, sweep.grad_x, config)
+    if poly.nonempty:
+        u, v = poly.point
+        return ConditionCheck(
+            "first_order_nonsmooth", SATISFIED, poly.residual(u, v), config.tol_kkt,
+            witness={"u": u.tolist(), "v": v.tolist()},
+        )
+    if sweep.exact:
+        return ConditionCheck(
+            "first_order_nonsmooth", VIOLATED, float(np.max(np.abs(sweep.grad_x))),
+            config.tol_kkt,
+            detail="selector family is exact here and no multiplier exists",
+        )
+    return ConditionCheck(
+        "first_order_nonsmooth", INCONCLUSIVE, None, config.tol_kkt,
+        detail="grad_x L admits no outer multiplier; not a disproof "
+        "while beta is nonempty",
+    )
+
+
 def first_order_nonsmooth_necessary(
     spec: ProblemSpec,
     x,
@@ -377,40 +413,11 @@ def first_order_nonsmooth_necessary(
     config: CheckConfig | None = None,
     sweep: SelectorSweep | None = None,
 ) -> tuple[ConditionCheck, GeneralizedDerivativeSet]:
-    """Outer first order at a nonsmooth solution: does grad phi = grad_x L
-    admit an outer multiplier?  It is `upper_kkt_and_polytope`'s question,
-    asked once, as on the smooth path.  An empty polytope is a disproof only
-    when the selector family is exact (beta empty); otherwise it is
-    inconclusive.  Also returns the B-subdifferential, whose every
-    nonsingular candidate equals grad_x L at a KKT point.  The selectors and
-    their solved A(x, W) come from `sweep`, built here when not given."""
+    """`first_order_nonsmooth` at `sol`, with the B-subdifferential, whose
+    every nonsingular candidate equals grad_x L at a KKT point; building it
+    reads H(x, W), one batched solve.  The selectors and their A(x, W) come
+    from `sweep`, built here when not given."""
     config = config or CheckConfig()
     sweep = sweep or selector_sweep(spec, sol, config)
-    gset = _candidate_set("b_subdifferential", sweep, sweep.phi_gradients())
-    if sweep.solved.singular.all():
-        check = ConditionCheck(
-            "first_order_nonsmooth", ERROR, None, config.tol_kkt,
-            detail="every selector matrix was singular: inconsistent with the "
-            "standing regularity assumption",
-        )
-        return check, gset
-    poly = upper_kkt_and_polytope(spec, x, sweep.grad_x, config)
-    if poly.nonempty:
-        u, v = poly.point
-        check = ConditionCheck(
-            "first_order_nonsmooth", SATISFIED, poly.residual(u, v), config.tol_kkt,
-            witness={"u": u.tolist(), "v": v.tolist()},
-        )
-    elif sweep.exact:
-        check = ConditionCheck(
-            "first_order_nonsmooth", VIOLATED, float(np.max(np.abs(sweep.grad_x))),
-            config.tol_kkt,
-            detail="selector family is exact here and no multiplier exists",
-        )
-    else:
-        check = ConditionCheck(
-            "first_order_nonsmooth", INCONCLUSIVE, None, config.tol_kkt,
-            detail="grad_x L admits no outer multiplier; not a disproof "
-            "while beta is nonempty",
-        )
-    return check, gset
+    return (first_order_nonsmooth(spec, x, sweep, config),
+            _candidate_set("b_subdifferential", sweep, sweep.phi_gradients()))

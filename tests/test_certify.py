@@ -657,7 +657,51 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     assert result(rep, "b_selector_nonsingularity").detail == "8 binary selectors"
     assert len(factored) == len(set(factored)) == 8
     assert len(bundles) == 1
-    assert len(batches) == 1  # one batched SVD and solve per sweep
+    assert len(batches) == 1  # one batched SVD per sweep, and no solve (see below)
+
+
+def test_batched_solves_only_where_h_is_read(p1, p2, config, monkeypatch):
+    """A sweep solves for H(x, W) only when H is read: certify's nonsmooth
+    path reads the singular values and grad_x L alone and makes no batched
+    solve, the smooth path's value_derivatives makes one, and so do the
+    directional and subgradient candidate sets."""
+    from minimaxcert.linalg import SolvedStack
+    from minimaxcert.lower import solve_lower
+    from minimaxcert.nonsmooth import (
+        kkt_map_directional,
+        phi_generalized_gradients,
+        selector_sweep,
+    )
+    from minimaxcert.problem import parse_problem
+
+    from conftest import degenerate_text
+
+    solves = []
+    solve = SolvedStack.solve
+
+    def counting_solve(self, b):
+        solves.append(len(self.A))
+        return solve(self, b)
+
+    monkeypatch.setattr(SolvedStack, "solve", counting_solve)
+
+    def count(run):
+        solves.clear()
+        run()
+        return len(solves)
+
+    spec = parse_problem(degenerate_text(3))
+    assert count(lambda: certify(spec, CandidatePoint([0.0] * 3, [0.0] * 3), config)) == 0
+    assert count(lambda: certify(p1, CandidatePoint([0.0], [0.0]), config)) == 1
+    sol = solve_lower(p2, [0.0], ([0.0], None, None), config)
+    assert count(lambda: kkt_map_directional(p2, sol, [1.0], config)) == 1
+    assert count(lambda: phi_generalized_gradients(p2, sol, config)) == 1
+
+    sweep = selector_sweep(p2, sol, config)
+    assert count(lambda: sweep.rhs) == 0
+    first = sweep.H
+    assert sweep.H is first and not first.flags.writeable
+    assert solves == [2]  # one solve of the two B-selectors' stack
 
 
 # --- evaluation failures and the per-call bundle memo -----------------------------

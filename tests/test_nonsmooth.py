@@ -363,6 +363,22 @@ def _reference_a(lag, bundle, w):
     ])
 
 
+def _assert_first_read_values(sweep, lag, bundle, stack):
+    """A sweep's right-hand sides, H and (grad_y L; h; -g), computed when
+    first read, equal the per-selector right-hand sides, `solve_stack`'s
+    solution with them (NaN on singular slices) and the stacked gradient, bit
+    for bit, read-only and the same object on every read."""
+    from minimaxcert.linalg import solve_stack
+
+    rhs = np.stack([np.vstack([lag.yx, bundle.h_jx, (1.0 - w)[:, None] * bundle.g_jx])
+                    for w in sweep.selectors])
+    want = {"rhs": rhs, "H": solve_stack(sweep.A, rhs).solution, "stack": stack}
+    for name, value in want.items():
+        got = getattr(sweep, name)
+        assert got.tobytes() == value.tobytes(), name
+        assert getattr(sweep, name) is got and not got.flags.writeable, name
+
+
 def test_sweep_matches_per_selector_reference_bit_for_bit(p1, p2, p4, config):
     from minimaxcert.linalg import SINGULAR_RTOL, SingularMatrixError
     from minimaxcert.lower import kkt_jacobian_blocks, lagrangian_eval
@@ -374,8 +390,12 @@ def test_sweep_matches_per_selector_reference_bit_for_bit(p1, p2, p4, config):
         stack = np.concatenate([lag.grad_y, bundle.h, -bundle.g])
         d_x = np.linspace(-1.0, 0.7, spec.n)
         directional = kkt_map_directional(spec, sol, d_x, config)
-        for clarke in (False, True):
+        # the values computed on first read, read before and after the
+        # candidates and h_matrix read them
+        for clarke, read_first in ((False, True), (False, False), (True, True), (True, False)):
             sweep = selector_sweep(spec, sol, config, clarke=clarke)
+            if read_first:
+                _assert_first_read_values(sweep, lag, bundle, stack)
             gradients = sweep.phi_gradients()
             for s, w in enumerate(sweep.selectors):
                 A = _reference_a(lag, bundle, w)
@@ -404,4 +424,6 @@ def test_sweep_matches_per_selector_reference_bit_for_bit(p1, p2, p4, config):
                     dy = -np.linalg.solve(A, (rhs @ d_x)[:, None])[:, 0]
                     assert [v.tobytes() for u, v in directional.items
                             if np.array_equal(u, w)] == [dy.tobytes()]
+            if not read_first:
+                _assert_first_read_values(sweep, lag, bundle, stack)
     assert singular  # the flat case reaches the singular branch

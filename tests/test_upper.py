@@ -20,10 +20,12 @@ from minimaxcert.conditions import (
 )
 from minimaxcert.problem import ProblemSpec, parse_problem
 from minimaxcert.cones import Cone
+from minimaxcert.nonsmooth import selector_sweep
 from minimaxcert.upper import (
     _cone_curvature,
     _curvature_lp_max,
     compute_upper_active_set,
+    first_order_nonsmooth,
 )
 
 from conftest import (
@@ -437,7 +439,7 @@ def test_first_order_nonsmooth_detects_nonstationary(p2, config):
 
 def test_first_order_nonsmooth_p4(p4, config):
     sol = solve_lower(p4, [1.0], ([1.0], None, None), config)
-    check, _ = first_order_nonsmooth_necessary(p4, [1.0], sol, config)
+    check = first_order_nonsmooth(p4, [1.0], selector_sweep(p4, sol, config), config)
     assert check.status == SATISFIED
     assert check.witness["v"][0] == pytest.approx(1.0, abs=1e-9)
 
@@ -447,7 +449,7 @@ def test_first_order_nonsmooth_not_found_is_not_disproof(config):
     # the search is inconclusive rather than violated
     spec = parse_problem("dims 1 1 0 1 0 0\nf = -(y1-x1)^2 + 0.5*x1\ng1 = y1\n")
     sol = solve_lower(spec, [0.0], ([0.0], None, None), config)
-    check, _ = first_order_nonsmooth_necessary(spec, [0.0], sol, config)
+    check = first_order_nonsmooth(spec, [0.0], selector_sweep(spec, sol, config), config)
     assert check.status == INCONCLUSIVE
 
 
@@ -539,7 +541,7 @@ def test_first_order_nonsmooth_matches_the_selector_search(instance, config):
     (m + m1 + m2) max|H(x, W)| max(|grad_y L|, |h|, |g on alpha and beta|)
     of grad_x L, up to the rounding of its one subtraction: the gamma rows
     of H(x, W) are 0."""
-    from minimaxcert.nonsmooth import _solution_point, selector_sweep
+    from minimaxcert.nonsmooth import _solution_point
 
     from conftest import reference_first_order_nonsmooth
 
@@ -551,6 +553,7 @@ def test_first_order_nonsmooth_matches_the_selector_search(instance, config):
     check, gset = first_order_nonsmooth_necessary(spec, x, sol, config, sweep)
     want, _ = reference_first_order_nonsmooth(spec, x, sol, config, sweep)
     assert check.status == want.status
+    assert first_order_nonsmooth(spec, x, sweep, config) == check  # certify's call
     assert len(gset.items) + len(gset.errors) == len(sweep.selectors)
 
     near = np.concatenate([lag.grad_y, bundle.h, bundle.g[list(partition.active)]])
