@@ -17,9 +17,13 @@ refutes only when its requirements are all satisfied, and a satisfied
 sufficient check with its requirements certifies, on the smooth path only.
 It also names the checks the verdict was decided by.
 
-Both levels' second-order conditions are decided exactly on the critical
-cone's faces.  Nonsmooth first order asks whether grad_x L admits an outer
-multiplier; while beta is nonempty a negative answer does not refute.
+After classification one runner, `_run_path`, serves both paths: the
+smooth path is the |beta| = 0 case, one projection selector, and
+`_PATH_ROWS` names each path's rows.  Both levels' second-order conditions
+are decided exactly on the critical cone's faces.  Nonsmooth first order
+(`first_order_nonsmooth`) asks of the runner's outer polytope whether
+grad_x L admits an outer multiplier; while beta is nonempty a negative
+answer does not refute.
 """
 
 from __future__ import annotations
@@ -285,10 +289,7 @@ def _pipeline(spec, candidate, config, progress: _Progress):
 
     progress.path = decision.path
     progress.stage = f"{decision.path} path"
-    if decision.path == PATH_SMOOTH:
-        _run_smooth(spec, candidate, decision, config, results, notes)
-    else:
-        _run_nonsmooth(spec, candidate, decision, config, results, notes)
+    _run_path(spec, candidate, decision, config, results, notes)
 
     if config.run_oracle and spec.n <= 2 and spec.m <= 2:
         grid = config.oracle_grid()
@@ -310,61 +311,82 @@ def _pipeline(spec, candidate, config, progress: _Progress):
         )
 
 
-def _run_smooth(spec, candidate, decision, config, results, notes):
+# path -> (its sweep's nonsingularity row, its first-order row, the row a
+# failed inner refinement ends in)
+_PATH_ROWS = {
+    PATH_SMOOTH: ("sensitivity_system", "first_order", "sensitivity_system"),
+    PATH_NONSMOOTH: ("b_selector_nonsingularity", "first_order_nonsmooth",
+                     "first_order_nonsmooth"),
+}
+
+
+def _run_path(spec, candidate, decision, config, results, notes):
+    """Either path after classification: refine y, test the selector sweep
+    (the smooth path's is its one selector), check MFCQ, build the outer
+    level on grad_x L once, decide first order, verify supplied (u, v), and,
+    on the smooth path, run both second-order checks."""
+    sweep_row, first_row, newton_row = _PATH_ROWS[decision.path]
     try:
         sol = solve_lower(spec, candidate.x, (candidate.y, decision.mu, decision.lam), config)
     except NewtonError as exc:
         results.append(
-            ConditionCheck("sensitivity_system", ERROR, None, None,
+            ConditionCheck(newton_row, ERROR, None, None,
                            detail=f"inner refinement failed: {exc}")
         )
         return
     drift = float(np.max(np.abs(sol.y - candidate.y), initial=0.0))
     if drift > config.tol_act:
         notes.append(f"inner refinement moved y by {drift:.3e}")
+
+    smooth = decision.path == PATH_SMOOTH
     try:
-        vd = value_derivatives(spec, sol, config)
+        # the smooth path takes its sweep from value_derivatives, with hess phi
+        vd = value_derivatives(spec, sol, config) if smooth else None
+        sweep = vd.sweep if smooth else selector_sweep(spec, sol, config)
     except SingularSensitivityError as exc:
-        results.append(
-            ConditionCheck("sensitivity_system", VIOLATED, exc.sigma_min, None, detail=str(exc))
-        )
+        results.append(ConditionCheck(sweep_row, VIOLATED, exc.sigma_min, None, detail=str(exc)))
         return
-    sigma_min = float(vd.sweep.solved.sigma_min[0])
-    condition = float(vd.sweep.solved.sigma_max[0]) / sigma_min
+    except SelectorCapError as exc:
+        results += [ConditionCheck(sweep_row, ERROR, None, None, detail=str(exc)),
+                    check_mfcq(spec, candidate.x, config),
+                    ConditionCheck(first_row, ERROR, None, config.tol_kkt, detail=str(exc))]
+        return
+    margin = float(np.min(sweep.solved.sigma_min))
+    detail = (f"condition estimate {float(sweep.solved.sigma_max[0]) / margin:.3e}" if smooth
+              else f"{len(sweep.selectors)} binary selectors")
+    # every A(x, W) must be invertible here; on the nonsmooth path strong
+    # regularity makes the whole Clarke generalized Jacobian so
     results.append(
-        ConditionCheck("sensitivity_system", SATISFIED, sigma_min, None,
-                       detail=f"condition estimate {condition:.3e}")
+        ConditionCheck(sweep_row, VIOLATED if sweep.solved.singular.any() else SATISFIED,
+                       margin, None, detail=detail)
     )
     mfcq = check_mfcq(spec, candidate.x, config)
     results.append(mfcq)
 
-    poly = upper_kkt_and_polytope(spec, candidate.x, vd.gradient, config)
-    if poly.nonempty:
-        fo = ConditionCheck(
-            "first_order", SATISFIED, poly.residual(*poly.point),
-            config.tol_kkt,
+    poly = upper_kkt_and_polytope(spec, candidate.x, sweep.grad_x, config)
+    if not smooth:
+        _gated(results, first_row, config.tol_kkt,
+               lambda: first_order_nonsmooth(sweep, poly, config))
+    elif poly.nonempty:
+        results.append(ConditionCheck(
+            first_row, SATISFIED, poly.residual(*poly.point), config.tol_kkt,
             # by Gauvin (1977) the polytope is bounded exactly when MFCQ holds
             detail="" if mfcq.ok else "polytope unbounded (flagged)",
-        )
+        ))
     else:
-        fo = ConditionCheck(
-            "first_order", VIOLATED, None, config.tol_kkt,
-            witness=vd.gradient.tolist(),
+        results.append(ConditionCheck(
+            first_row, VIOLATED, None, config.tol_kkt, witness=sweep.grad_x.tolist(),
             detail="no upper multipliers reproduce the value-function gradient",
-        )
-    results.append(fo)
-
+        ))
     if candidate.u is not None or candidate.v is not None:
-        results.append(
-            _verify_upper_multipliers(spec, candidate, poly, config)
-        )
-
-    # the necessary check runs on poly.cone and the sufficient one on
-    # poly.reduced, which every multiplier gives alike, so the LP point serves
-    _gated(results, "second_order_necessary", config.tol_pd,
-           lambda: second_order_necessary(vd, poly, config))
-    _gated(results, "second_order_sufficient", config.tol_pd,
-           lambda: second_order_sufficient(vd, poly, config))
+        results.append(_verify_upper_multipliers(spec, candidate, poly, config))
+    if smooth:
+        # the necessary check runs on poly.cone and the sufficient one on
+        # poly.reduced, which every multiplier gives alike, so the LP point serves
+        _gated(results, "second_order_necessary", config.tol_pd,
+               lambda: second_order_necessary(vd, poly, config))
+        _gated(results, "second_order_sufficient", config.tol_pd,
+               lambda: second_order_sufficient(vd, poly, config))
 
 
 def _verify_upper_multipliers(spec, candidate, poly, config):
@@ -386,41 +408,3 @@ def _verify_upper_multipliers(spec, candidate, poly, config):
         else f"supplied (u, v) rejected (residual {residual:.3e}, "
         f"min v {neg:.3e}, complementarity {comp:.3e})",
     )
-
-
-def _run_nonsmooth(spec, candidate, decision, config, results, notes):
-    try:
-        sol = solve_lower(spec, candidate.x, (candidate.y, decision.mu, decision.lam), config)
-    except NewtonError as exc:
-        results.append(
-            ConditionCheck("first_order_nonsmooth", ERROR, None, None,
-                           detail=f"inner refinement failed: {exc}")
-        )
-        return
-
-    # regularity suite: every B-selector matrix must be invertible here
-    # (strong regularity makes the whole Clarke generalized Jacobian so)
-    try:
-        sweep = selector_sweep(spec, sol, config)
-    except SelectorCapError as exc:
-        sweep = None
-        cap_detail = str(exc)
-        results.append(
-            ConditionCheck("b_selector_nonsingularity", ERROR, None, None, detail=cap_detail)
-        )
-    else:
-        margin = float(np.min(sweep.solved.sigma_min, initial=np.inf))
-        status = VIOLATED if sweep.solved.singular.any() else SATISFIED  # the sweep's own test
-        results.append(
-            ConditionCheck("b_selector_nonsingularity", status, margin, None,
-                           detail=f"{len(sweep.selectors)} binary selectors")
-        )
-
-    results.append(check_mfcq(spec, candidate.x, config))
-    if sweep is None:
-        results.append(
-            ConditionCheck("first_order_nonsmooth", ERROR, None, config.tol_kkt, detail=cap_detail)
-        )
-        return
-    _gated(results, "first_order_nonsmooth", config.tol_kkt,
-           lambda: first_order_nonsmooth(spec, candidate.x, sweep, config))

@@ -22,7 +22,8 @@ of one.  It
   Kahan's M = T^T T, T = I minus the strict upper triangle of ones, has
   pivots 1 and sigma_min 8.2e-12 at order 20 (Higham, Accuracy and
   Stability of Numerical Algorithms, 2002, sections 8 and 9);
-- solves the nonsingular slices against a right-hand side with one batched
+- solves the nonsingular slices against a right-hand side, when asked
+  (`SolvedStack.solve`), with one batched
   `np.linalg.solve` (LAPACK's LU with partial pivoting), leaving NaN on the
   singular ones.
 
@@ -68,14 +69,13 @@ class LinearSolveError(Exception):
 @dataclass
 class SolvedStack:
     """A stack of square matrices with each slice's extreme singular values
-    and singularity flag, and A^{-1} rhs of every slice when the stack was
-    solved with a right-hand side.  Singular slices of a solution are NaN."""
+    and singularity flag; `solve` gives A^{-1} b of every slice, NaN on the
+    singular ones."""
 
     A: np.ndarray  # (S, n, n)
     sigma_min: np.ndarray  # (S,): the nonsingularity margin; NaN where A is non-finite
     sigma_max: np.ndarray  # (S,)
     singular: np.ndarray  # (S,) bool
-    solution: np.ndarray | None = None  # shaped like rhs
 
     def error(self, s: int) -> SingularMatrixError | None:
         """The SingularMatrixError of slice s, or None."""
@@ -94,11 +94,10 @@ class SolvedStack:
         return X[..., 0] if b.ndim == 2 else X
 
 
-def solve_stack(As: np.ndarray, rhs: np.ndarray | None = None) -> SolvedStack:
-    """The singularity test of every slice of As (S, n, n) and, with rhs
-    ((S, n) or (S, n, r)), the solution A^{-1} rhs of every nonsingular
-    slice: one batched SVD and one batched solve (see the module docstring).
-    An order-0 slice is nonsingular with margin +inf."""
+def solve_stack(As: np.ndarray) -> SolvedStack:
+    """The singularity test of every slice of As (S, n, n) by one batched SVD
+    (see the module docstring); its `solve` is one batched solve.  An order-0
+    slice is nonsingular with margin +inf."""
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.shape[1] != As.shape[2]:
         raise LinearSolveError(f"expected a stack of square matrices, got shape {As.shape}")
@@ -109,10 +108,7 @@ def solve_stack(As: np.ndarray, rhs: np.ndarray | None = None) -> SolvedStack:
     sigma_min[finite] = sigma.min(axis=1, initial=np.inf)
     sigma_max[finite] = sigma.max(axis=1, initial=0.0)
     singular = ~(sigma_min > SINGULAR_RTOL * np.maximum(sigma_max, 1.0))
-    solved = SolvedStack(As, sigma_min, sigma_max, singular)
-    if rhs is not None:
-        solved.solution = solved.solve(rhs)
-    return solved
+    return SolvedStack(As, sigma_min, sigma_max, singular)
 
 
 @dataclass

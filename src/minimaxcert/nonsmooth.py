@@ -36,9 +36,9 @@ bit for bit, and verdicts and reports do not depend on the batching.  The
 `SelectorSweep` keeps the selector rows and those stacks, with one flag for
 the whole family, `exact` (beta is empty, so the one selector is the whole
 generalized Jacobian), and its consumers index them: `kkt_map_directional`
-and `phi_generalized_gradients` here, the B-selector nonsingularity check
-and the smooth path's sensitivity-system check in `certify`, and
-`upper.first_order_nonsmooth`, which reads the sweep's grad_x L.
+and `phi_generalized_gradients` here, `certify`'s one runner (its
+nonsingularity row and outer polytope on grad_x L, on either path), and
+`upper.first_order_nonsmooth`, which reads the singularity test.
 `assemble_a_matrix` and `assemble_h_matrix` run the same stacked step on a
 one-selector stack, given one selector row, and return fresh values.
 

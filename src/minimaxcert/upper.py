@@ -4,10 +4,11 @@ critical cones, and the second-order / nonsmooth first-order optimality tests.
 Every question of the form "is there an outer multiplier (u, v) for this
 gradient, and which one" goes to `_outer_multiplier`, once per outer level
 (`upper_kkt_and_polytope`): the polytope's emptiness and its LP point, where
-the second-order checks start.  Both paths ask it of one gradient.  On the
-nonsmooth path that is grad_x L: under the standing assumption phi is C^1
-with grad phi = grad_x L (Fiacco 1983), which every B-selector's candidate
-gradient equals at a KKT point.
+the second-order checks start.  Both paths ask it of one gradient, grad_x
+L, and `certify` builds that level once per call, for either path: on the
+nonsmooth path `first_order_nonsmooth` reads the runner's polytope, since
+under the standing assumption phi is C^1 with grad phi = grad_x L (Fiacco
+1983), which every B-selector's candidate gradient equals at a KKT point.
 
 The second-order checks bound min over unit cone directions d of
 q_sup(d) = d^T hess(phi) d + max over the polytope of the constraint
@@ -370,15 +371,15 @@ def second_order_sufficient(vd: ValueDerivatives, poly: LambdaPolytope,
     return _cone_check("second_order_sufficient", config.tol_pd, vd, poly, poly.reduced, config)
 
 
-def first_order_nonsmooth(
-    spec: ProblemSpec, x, sweep: SelectorSweep, config: CheckConfig | None = None
-) -> ConditionCheck:
+def first_order_nonsmooth(sweep: SelectorSweep, poly: LambdaPolytope,
+                          config: CheckConfig | None = None) -> ConditionCheck:
     """Outer first order at a nonsmooth solution: does grad phi = grad_x L
-    admit an outer multiplier?  It is `upper_kkt_and_polytope`'s question,
-    asked once, as on the smooth path.  An empty polytope is a disproof only
-    when the selector family is exact (beta empty); otherwise it is
-    inconclusive.  It reads the sweep's singularity test and grad_x L, never
-    H(x, W), so it makes no batched solve."""
+    admit an outer multiplier?  `poly` is the outer level built on the
+    sweep's grad_x L (`upper_kkt_and_polytope`), as on the smooth path; in
+    `certify` it is the runner's one polytope.  An empty polytope is a
+    disproof only when the selector family is exact (beta empty); otherwise
+    it is inconclusive.  It reads the sweep's singularity test and grad_x L,
+    never H(x, W), so it makes no batched solve."""
     config = config or CheckConfig()
     if sweep.solved.singular.all():
         return ConditionCheck(
@@ -386,7 +387,6 @@ def first_order_nonsmooth(
             detail="every selector matrix was singular: inconsistent with the "
             "standing regularity assumption",
         )
-    poly = upper_kkt_and_polytope(spec, x, sweep.grad_x, config)
     if poly.nonempty:
         u, v = poly.point
         return ConditionCheck(
@@ -419,5 +419,6 @@ def first_order_nonsmooth_necessary(
     from `sweep`, built here when not given."""
     config = config or CheckConfig()
     sweep = sweep or selector_sweep(spec, sol, config)
-    return (first_order_nonsmooth(spec, x, sweep, config),
+    poly = upper_kkt_and_polytope(spec, x, sweep.grad_x, config)
+    return (first_order_nonsmooth(sweep, poly, config),
             _candidate_set("b_subdifferential", sweep, sweep.phi_gradients()))

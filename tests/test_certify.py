@@ -175,6 +175,15 @@ def test_supplied_upper_multipliers_verified(p1, config):
     assert rep.verdict == VERDICT_CERTIFIED
 
 
+def test_supplied_upper_multipliers_verified_on_the_nonsmooth_path(p4, config):
+    """P4 at x = y = 1 admits the outer multiplier v = 1 (golden
+    `certify-P4-bound-v` rejects v = -3)."""
+    rep = certify(p4, CandidatePoint([1.0], [1.0], v=[1.0]), config)
+    assert rep.path == PATH_NONSMOOTH
+    assert result(rep, "upper_multipliers").status == SATISFIED
+    assert rep.verdict == VERDICT_NECESSARY
+
+
 # --- determinism / consistency -----------------------------------------------------------
 
 def test_certify_reports_byte_identical(p1, p2, config):
@@ -634,10 +643,10 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     bundles = []
     solve_stack = minimaxcert.linalg.solve_stack
 
-    def counting_solve_stack(As, rhs=None):
+    def counting_solve_stack(As):
         batches.append(len(As))
         factored.extend(np.asarray(A).tobytes() for A in As)
-        return solve_stack(As, rhs)
+        return solve_stack(As)
 
     def counting_bundle(spec, x, y):
         bundles.append((x, y))
@@ -1161,6 +1170,75 @@ def test_newton_failure_ends_the_path_in_an_error_check(name, y, path, check, ki
     assert (rep.path, failed.name, failed.status, failed.kind) == (path, check, ERROR, kind)
     assert failed.detail.startswith("inner refinement failed")
     assert rep.verdict == VERDICT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("text, path", [
+    ("dims 1 2 0 1 0 0\nf = -(y1 - x1)^2 - 0.01*y2^2\ng1 = y1\n", PATH_NONSMOOTH),
+    ("dims 1 2 0 0 0 0\nf = -(y1 - x1)^2 - 0.01*y2^2\n", PATH_SMOOTH),
+])
+def test_inner_refinement_drift_is_noted_on_both_paths(text, path, config):
+    """y2 = 4e-7 passes the inner checks at tol_kkt but lies more than tol_act
+    from the inner solution y2 = 0, which the refinement finds."""
+    from minimaxcert.problem import parse_problem
+
+    rep = certify(parse_problem(text), CandidatePoint([0.0], [0.0, 4e-7]), config)
+    assert rep.path == path
+    assert "inner refinement moved y by 4.000e-07" in rep.notes
+
+
+def test_singular_sweeps_end_each_path_as_before(monkeypatch):
+    """With every A(x, W) singular to tolerance, the smooth path ends at its
+    sensitivity system and the nonsmooth one still checks MFCQ and reports
+    first order as an error; neither is refuted."""
+    import minimaxcert.linalg
+    from minimaxcert.conditions import ERROR
+    from minimaxcert.fixtures import load_fixture
+
+    monkeypatch.setattr(minimaxcert.linalg, "SINGULAR_RTOL", 10.0)
+    origin = CandidatePoint([0.0], [0.0])
+    rep = certify(load_fixture("P1"), origin)
+    last = rep.results[-1]
+    assert rep.path == PATH_SMOOTH and rep.verdict == VERDICT_INCONCLUSIVE
+    assert (last.name, last.status) == ("sensitivity_system", VIOLATED)
+    assert "singular to tolerance" in last.detail
+
+    rep = certify(load_fixture("P2"), origin)
+    tail = rep.results[-3:]
+    assert rep.path == PATH_NONSMOOTH and rep.verdict == VERDICT_INCONCLUSIVE
+    assert [(c.name, c.status) for c in tail] == [
+        ("b_selector_nonsingularity", VIOLATED), ("mfcq", SATISFIED),
+        ("first_order_nonsmooth", ERROR)]
+    assert tail[0].detail == "2 binary selectors"
+    assert tail[2].detail.startswith("every selector matrix was singular")
+
+
+@pytest.mark.parametrize("name, x, y, v, path", [
+    ("P1", 0.0, 0.0, [0.0], PATH_SMOOTH),
+    ("P2", 0.0, 0.0, None, PATH_NONSMOOTH),
+    ("P4", 1.0, 1.0, [1.0], PATH_NONSMOOTH),
+])
+def test_outer_level_built_once_per_call_on_either_path(name, x, y, v, path, config,
+                                                        monkeypatch):
+    """The outer polytope on grad_x L is built once and read by first order,
+    the supplied (u, v) and the second-order checks alike."""
+    import sys
+
+    from minimaxcert.fixtures import load_fixture
+    from minimaxcert.upper import upper_kkt_and_polytope as build
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for modname, module in list(sys.modules.items()):
+        if (modname.startswith("minimaxcert")
+                and getattr(module, "upper_kkt_and_polytope", None) is build):
+            monkeypatch.setattr(module, "upper_kkt_and_polytope", counted)
+    rep = certify(load_fixture(name), CandidatePoint([x], [y], v=v), config)
+    assert rep.path == path
+    assert len(calls) == 1
 
 
 def _probe_reports():

@@ -57,6 +57,7 @@ CASES = {
     "certify-P3-infeasible": ("certify", "P3", ["--x", "0.5", "--y", "0.5"]),
     "certify-P4-origin": ("certify", "P4", _origin()),
     "certify-P4-bound": ("certify", "P4", ["--x", "1", "--y", "1"]),
+    "certify-P4-bound-v": ("certify", "P4", ["--x", "1", "--y", "1", "--v", "-3"]),
     "certify-selector-lattice": ("certify", "selector", _selector_point("lattice")),
     "certify-selector-shifted": ("certify", "selector", _selector_point("shifted")),
     "subdiff-P1-origin": ("subdiff", "P1", _origin()),

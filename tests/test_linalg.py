@@ -257,10 +257,10 @@ def test_kahan_matrix_is_singular_though_its_pivots_are_one(n, sigma_min):
     threshold."""
     M = _kahan(n)
     assert np.array_equal(_partial_pivot_pivots(M), np.ones(n))
-    solved = solve_stack(M[None], np.ones((1, n)))
+    solved = solve_stack(M[None])
     assert solved.sigma_min[0] == pytest.approx(sigma_min, rel=0.05)
     assert solved.sigma_min[0] <= SINGULAR_RTOL * solved.sigma_max[0]
-    assert solved.singular[0] and np.isnan(solved.solution).all()
+    assert solved.singular[0] and np.isnan(solved.solve(np.ones((1, n)))).all()
     with pytest.raises(SingularMatrixError, match="sigma_min"):
         solve_linear(M, np.ones(n))
 
@@ -286,21 +286,21 @@ def test_solve_stack_solution_residual():
     rng = np.random.default_rng(3)
     As = rng.standard_normal((40, 8, 8)) + 4.0 * np.eye(8)
     B = rng.standard_normal((40, 8, 3))
-    solved = solve_stack(As, B)
+    solved = solve_stack(As)
     assert not solved.singular.any()
     assert np.all(solved.sigma_max / solved.sigma_min < 1e3)
     bound = SOLVE_RESIDUAL_TOL * (1.0 + np.max(np.abs(B)))
-    assert np.max(np.abs(As @ solved.solution - B)) <= bound
+    assert np.max(np.abs(As @ solved.solve(B) - B)) <= bound
     x = solved.solve(B[:, :, 0])  # a stack of vectors
     assert x.shape == (40, 8)
     assert np.max(np.abs((As @ x[:, :, None])[:, :, 0] - B[:, :, 0])) <= bound
 
 
 def test_order_zero_stack_has_infinite_margin():
-    solved = solve_stack(np.zeros((3, 0, 0)), np.zeros((3, 0, 2)))
+    solved = solve_stack(np.zeros((3, 0, 0)))
     assert solved.sigma_min.tolist() == [np.inf] * 3
     assert not solved.singular.any()
-    assert solved.solution.shape == (3, 0, 2)
+    assert solved.solve(np.zeros((3, 0, 2))).shape == (3, 0, 2)
 
 
 def test_solve_stack_rejects_non_square_stacks():
@@ -366,23 +366,24 @@ def test_solve_stack_matches_per_slice_lapack_bit_for_bit(stack):
     As, b = stack
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # singular slices must not leak warnings
-        solved = solve_stack(As, b)
+        solved = solve_stack(As)
         finite = np.isfinite(As).all(axis=(1, 2))
-        alone = solve_stack(As[finite], b[finite])
-    assert solved.solution.shape == b.shape
+        alone = solve_stack(As[finite])
+        solution, alone_solution = solved.solve(b), alone.solve(b[finite])
+    assert solution.shape == b.shape
     for s, A in enumerate(As):
         error = solved.error(s)
         if not finite[s]:
             assert np.isnan(solved.sigma_min[s]) and np.isnan(solved.sigma_max[s])
             assert str(error) == "matrix singular: non-finite entries"
-            assert np.isnan(solved.solution[s]).all()
+            assert np.isnan(solution[s]).all()
             continue
         sigma = np.linalg.svd(A, compute_uv=False)
         assert (_bits(solved.sigma_min[s]), _bits(solved.sigma_max[s])) == (
             _bits(sigma[-1]), _bits(sigma[0]))
         assert solved.singular[s] == (not sigma[-1] > SINGULAR_RTOL * max(sigma[0], 1.0))
         if solved.singular[s]:
-            assert np.isnan(solved.solution[s]).all()
+            assert np.isnan(solution[s]).all()
             with pytest.raises(SingularMatrixError) as single:
                 plu(A)
             assert str(single.value) == str(error)
@@ -390,26 +391,29 @@ def test_solve_stack_matches_per_slice_lapack_bit_for_bit(stack):
         assert error is None
         B = b[s].reshape(len(A), -1)
         X = np.linalg.solve(A, B).reshape(b[s].shape)
-        assert _bits(solved.solution[s]) == _bits(X) == _bits(plu(A).solve(b[s]))
-    for name in ("sigma_min", "sigma_max", "singular", "solution"):
+        assert _bits(solution[s]) == _bits(X) == _bits(plu(A).solve(b[s]))
+    for name in ("sigma_min", "sigma_max", "singular"):
         assert _bits(getattr(alone, name)) == _bits(getattr(solved, name)[finite])
+    assert _bits(alone_solution) == _bits(solution[finite])
 
 
 def test_non_finite_slices_are_singular_and_leave_the_others_bit_identical():
     rng = np.random.default_rng(7)
     As = rng.standard_normal((6, 5, 5)) + 3.0 * np.eye(5)
     rhs = rng.standard_normal((6, 5, 2))
-    clean = solve_stack(As, rhs)
+    clean = solve_stack(As)
     dirty = As.copy()
     dirty[1, 2, 3] = np.nan
     dirty[4, 0, 0] = np.inf
-    solved = solve_stack(dirty, rhs)  # no LinAlgError from the batched SVD
+    solved = solve_stack(dirty)  # no LinAlgError from the batched SVD
+    solution = solved.solve(rhs)
     assert np.flatnonzero(solved.singular).tolist() == [1, 4]
     rest = [0, 2, 3, 5]
-    for name in ("sigma_min", "sigma_max", "solution"):
+    for name in ("sigma_min", "sigma_max"):
         assert _bits(getattr(solved, name)[rest]) == _bits(getattr(clean, name)[rest])
+    assert _bits(solution[rest]) == _bits(clean.solve(rhs)[rest])
     for s in (1, 4):
-        assert np.isnan(solved.sigma_min[s]) and np.isnan(solved.solution[s]).all()
+        assert np.isnan(solved.sigma_min[s]) and np.isnan(solution[s]).all()
         assert "non-finite entries" in str(solved.error(s))
     with pytest.raises(SingularMatrixError, match="non-finite entries"):
         solve_linear(dirty[1], rhs[1, :, 0])

@@ -372,7 +372,7 @@ def _assert_first_read_values(sweep, lag, bundle, stack):
 
     rhs = np.stack([np.vstack([lag.yx, bundle.h_jx, (1.0 - w)[:, None] * bundle.g_jx])
                     for w in sweep.selectors])
-    want = {"rhs": rhs, "H": solve_stack(sweep.A, rhs).solution, "stack": stack}
+    want = {"rhs": rhs, "H": solve_stack(sweep.A).solve(rhs), "stack": stack}
     for name, value in want.items():
         got = getattr(sweep, name)
         assert got.tobytes() == value.tobytes(), name

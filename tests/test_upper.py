@@ -439,7 +439,9 @@ def test_first_order_nonsmooth_detects_nonstationary(p2, config):
 
 def test_first_order_nonsmooth_p4(p4, config):
     sol = solve_lower(p4, [1.0], ([1.0], None, None), config)
-    check = first_order_nonsmooth(p4, [1.0], selector_sweep(p4, sol, config), config)
+    sweep = selector_sweep(p4, sol, config)
+    poly = upper_kkt_and_polytope(p4, [1.0], sweep.grad_x, config)
+    check = first_order_nonsmooth(sweep, poly, config)
     assert check.status == SATISFIED
     assert check.witness["v"][0] == pytest.approx(1.0, abs=1e-9)
 
@@ -449,7 +451,9 @@ def test_first_order_nonsmooth_not_found_is_not_disproof(config):
     # the search is inconclusive rather than violated
     spec = parse_problem("dims 1 1 0 1 0 0\nf = -(y1-x1)^2 + 0.5*x1\ng1 = y1\n")
     sol = solve_lower(spec, [0.0], ([0.0], None, None), config)
-    check = first_order_nonsmooth(spec, [0.0], selector_sweep(spec, sol, config), config)
+    sweep = selector_sweep(spec, sol, config)
+    poly = upper_kkt_and_polytope(spec, [0.0], sweep.grad_x, config)
+    check = first_order_nonsmooth(sweep, poly, config)
     assert check.status == INCONCLUSIVE
 
 
@@ -553,7 +557,8 @@ def test_first_order_nonsmooth_matches_the_selector_search(instance, config):
     check, gset = first_order_nonsmooth_necessary(spec, x, sol, config, sweep)
     want, _ = reference_first_order_nonsmooth(spec, x, sol, config, sweep)
     assert check.status == want.status
-    assert first_order_nonsmooth(spec, x, sweep, config) == check  # certify's call
+    poly = upper_kkt_and_polytope(spec, x, sweep.grad_x, config)
+    assert first_order_nonsmooth(sweep, poly, config) == check  # certify's call
     assert len(gset.items) + len(gset.errors) == len(sweep.selectors)
 
     near = np.concatenate([lag.grad_y, bundle.h, bundle.g[list(partition.active)]])
