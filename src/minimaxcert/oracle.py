@@ -22,6 +22,12 @@ Time still grows with the product of the grid sizes (capped at
 MAX_LEVEL_POINTS); when no row can be skipped the probe comes on top of the
 full pass.  The working arrays are bounded by the chunk, and the results are
 bit-identical to one grid maximization per x point.
+
+Each grid axis is np.linspace(c - r, c + r, p), built with numpy's own linspace
+arithmetic, bit for bit: step = (c + r - (c - r)) / (p - 1), arange(p) * step
++ (c - r), the last point set to c + r.  Where that step rounds to zero numpy
+takes another branch, so there the axis is np.linspace itself.  A mesh is the
+ravel of np.meshgrid(..., indexing="ij"), filled by broadcasting into one array.
 """
 
 from __future__ import annotations
@@ -94,14 +100,35 @@ def fd_derivatives(func, point, step: float = 1e-5, hess_step: float = 1e-3):
 
 
 def _axis_grid(center: np.ndarray, radius: float, points: int) -> list[np.ndarray]:
-    return [np.linspace(c - radius, c + radius, points) for c in center]
+    """np.linspace(c - radius, c + radius, points) for each c in center, bit for
+    bit: numpy's own arithmetic where the step is nonzero, and numpy itself
+    where it rounds to zero (c +- radius rounding to c, or a subnormal width),
+    since numpy then divides before it multiplies."""
+    ramp = np.arange(points, dtype=float)
+    axes = []
+    for c in center.tolist():
+        start, stop = c - radius, c + radius
+        step = (stop - start) / (points - 1)
+        if step == 0:
+            axis = np.linspace(start, stop, points)
+        else:
+            axis = ramp * step
+            axis += start
+            axis[-1] = stop
+        axes.append(axis)
+    return axes
 
 
 def _mesh(axes: list[np.ndarray]) -> list[np.ndarray]:
+    """[g.ravel() for g in np.meshgrid(*axes, indexing="ij")], as rows of one
+    array filled by broadcasting."""
     if len(axes) == 1:
         return [axes[0]]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return [g.ravel() for g in grids]
+    k = len(axes)
+    grids = np.empty((k, *(axis.shape[0] for axis in axes)), dtype=np.result_type(*axes))
+    for i, axis in enumerate(axes):
+        grids[i] = axis.reshape((-1,) + (1,) * (k - 1 - i))
+    return list(grids.reshape(k, -1))
 
 
 # x-by-y points evaluated in one broadcast block of the right inequality; the
@@ -192,9 +219,12 @@ def grid_local_maximize(
     points: int,
     feas_tol: float = GridSpec.feas_tol,
 ) -> GridMaxResult:
-    """argmax of f(x, .) over the feasible grid points in a box around center."""
+    """argmax of f(x, .) over the feasible grid points in a box around center,
+    a grid of `points` per axis from center - radius to center + radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if not isinstance(points, numbers.Integral) or points < 2:
+        raise ValueError(f"points must be an integer >= 2, not {points!r}")
     if spec.m > 2:
         raise ValueError("grid oracle supports m <= 2 only")
     x = np.atleast_1d(np.asarray(x, dtype=float))

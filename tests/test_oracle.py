@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minimaxcert import CandidatePoint, oracle, solve_lower
 from minimaxcert.oracle import (
@@ -96,6 +96,57 @@ def test_grid_maximize_2d(config):
     res = grid_local_maximize(spec, [0.2], [0.0, 0.0], 0.5, 101)
     assert res.y[0] == pytest.approx(0.2, abs=1e-2)
     assert res.y[1] == pytest.approx(0.1, abs=1e-2)
+
+
+@pytest.mark.parametrize("points", [1, 0, -3, 2.0, True, "5", None])
+def test_grid_maximize_rejects_points_below_two_or_not_integer(points, monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(oracle, "_masked_argmax", evaluated)
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = -y1^2\n")
+    with pytest.raises(ValueError, match="points"):
+        grid_local_maximize(spec, [0.0], [0.0], 0.5, points)
+
+
+def test_grid_maximize_two_points_are_the_box_ends():
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = y1\n")
+    res = grid_local_maximize(spec, [0.0], [0.25], 0.5, np.int64(2))
+    assert res.y.tolist() == [0.75] and res.total_points == 2
+
+
+# --- grid building ----------------------------------------------------------------
+
+# centres from 1e-3 to 1e17 of either sign and radii from 1e-6 to 10; above
+# about 1e10, c - r and c + r can round to c, a zero step, which np.linspace
+# handles on its own branch (dividing before it multiplies, which moves the
+# bits only when the width is subnormal, as at centre 0 and radius 5e-324)
+_CENTRES = st.builds(lambda m, e, s: s * m * 10.0**e, st.floats(1.0, 9.99),
+                     st.integers(-3, 16), st.sampled_from([1.0, -1.0]))
+_RADII = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-6, 0))
+
+
+@settings(max_examples=500)
+@given(st.lists(_CENTRES, min_size=1, max_size=2), _RADII, st.integers(2, 1000))
+@example([1e17, -3e16], 1e-6, 7)  # a zero step on both axes
+@example([0.0, 1.0], 5e-324, 5)  # a zero step of a subnormal width, and of none
+@example([0.1, 1e-3], 1e-6, 1000)
+def test_axis_grid_matches_linspace_bit_for_bit(center, radius, points):
+    got = _axis_grid(np.array(center), radius, points)
+    want = [np.linspace(c - radius, c + radius, points) for c in center]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+_AXIS = st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40)
+
+
+@given(st.lists(_AXIS, min_size=1, max_size=3))
+def test_mesh_matches_meshgrid_bit_for_bit(axes):
+    axes = [np.array(axis) for axis in axes]
+    got = _mesh(axes)
+    want = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    assert [g.dtype for g in got] == [g.dtype for g in want]
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
 
 # --- definition check -------------------------------------------------------------
@@ -268,11 +319,17 @@ def test_oracle_compiles_each_tape_once(monkeypatch):
 
 # --- bit-equality with the per-x-point oracle -------------------------------------
 
+def _reference_grid(center, radius, points):
+    """The box grid as np.linspace and np.meshgrid build it, one array per axis."""
+    axes = [np.linspace(c - radius, c + radius, points) for c in center]
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+
+
 def _reference_grid_local_maximize(spec, x, center, radius, points, feas_tol=1e-9):
     """The grid maximizer as it was before the shared masked argmax."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    ys = _mesh(_axis_grid(center, radius, points))
+    ys = _reference_grid(center, radius, points)
     total = ys[0].shape[0]
     feas = np.ones(total, dtype=bool)
     for e in spec.h:
@@ -321,7 +378,7 @@ def _reference_verify_minimax_definition(spec, x_star, y_star, grid):
 
     for delta in [grid.delta0 * 0.5**k for k in range(grid.levels)]:
         level = {"delta": delta, "eta": grid.eta(delta)}
-        ys = _mesh(_axis_grid(y_star, delta, npts(delta)))
+        ys = _reference_grid(y_star, delta, npts(delta))
         total = ys[0].shape[0]
         feas = np.ones(total, dtype=bool)
         for e in spec.h:
@@ -346,7 +403,7 @@ def _reference_verify_minimax_definition(spec, x_star, y_star, grid):
                 report.worst_side = "left"
                 report.worst_witness = [float(axis[k]) for axis in ys]
 
-        xs = _mesh(_axis_grid(x_star, delta, npts(delta)))
+        xs = _reference_grid(x_star, delta, npts(delta))
         xfeas = np.ones(xs[0].shape[0], dtype=bool)
         for e in spec.H:
             xfeas &= np.abs(np.asarray(evaluate(e, xs, np.zeros(spec.m), strict=False))) <= grid.feas_tol
