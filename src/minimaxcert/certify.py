@@ -49,7 +49,6 @@ from .expressions import DomainError
 from .lower import (
     ASSUMPTION_A,
     JACOBIAN_UNIQUENESS,
-    LowerConditionsReport,
     NewtonError,
     NonsmoothDataError,
     check_assumption_a,
@@ -102,7 +101,6 @@ class PathDecision:
     mu: np.ndarray
     lam: np.ndarray
     rows: list[ConditionCheck]
-    ju_report: LowerConditionsReport | None
 
 
 def _resolve_multipliers(spec, candidate: CandidatePoint, config: CheckConfig):
@@ -153,12 +151,12 @@ def classify_path(
                            config.tol_act, detail="; ".join(feas_notes)),
             multipliers]
     if feas_notes:
-        return PathDecision(PATH_INVALID, "feasibility", mu, lam, rows, None)
+        return PathDecision(PATH_INVALID, "feasibility", mu, lam, rows)
     ju = check_jacobian_uniqueness(spec, candidate.x, candidate.y, mu, lam, config)
     rows += ju.checks.values()
     first = ju.first_failing(JACOBIAN_UNIQUENESS)
     if first is None:
-        return PathDecision(PATH_SMOOTH, None, mu, lam, rows, ju)
+        return PathDecision(PATH_SMOOTH, None, mu, lam, rows)
     assa = check_assumption_a(spec, candidate.x, candidate.y, config)
     if first == "lower_strict_complementarity":
         # strict complementarity alone would route to the nonsmooth path, so
@@ -172,8 +170,8 @@ def classify_path(
     )
     if first is None:
         return PathDecision(PATH_NONSMOOTH, None, assa.mu, assa.lam,
-                            [*rows, strong, qualification], ju)
-    return PathDecision(PATH_INVALID, first, mu, lam, [*rows, qualification], ju)
+                            [*rows, strong, qualification])
+    return PathDecision(PATH_INVALID, first, mu, lam, [*rows, qualification])
 
 
 @dataclass
@@ -186,8 +184,6 @@ class CertificateReport:
     config: CheckConfig
     notes: list[str] = field(default_factory=list)
     decided_by: list[str] = field(default_factory=list)
-    command: str = "certify"
-    version: str = VERSION
 
 
 def _gated(results: list[ConditionCheck], name: str, tolerance, run):

@@ -36,7 +36,7 @@ from .problem import (
     parse_problem,
     problem_digest,
 )
-from .report import dumps_canonical, render_summary, report_to_doc
+from .report import SCHEMA_VERSION, dumps_canonical, render_summary, report_to_doc
 from .value_function import SingularSensitivityError, value_derivatives
 
 EXIT_OK = 0
@@ -156,7 +156,7 @@ def _solved_candidate(args, spec, config):
 def _header(args, spec, config=None, cand=None) -> dict:
     """A document's opening keys: version, problem digest and command, then
     the config and the candidate for the commands that write them."""
-    doc = {"version": VERSION, "problem_digest": problem_digest(spec), "command": args.cmd}
+    doc = {"version": SCHEMA_VERSION, "problem_digest": problem_digest(spec), "command": args.cmd}
     if config is not None:
         doc["config"] = config.as_dict()
     if cand is not None:

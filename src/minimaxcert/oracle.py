@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import CandidatePoint, ProblemSpec
+from .problem import CandidatePoint, CandidateShapeError, ProblemSpec
 
 
 @dataclass
@@ -220,15 +220,24 @@ def grid_local_maximize(
     feas_tol: float = GridSpec.feas_tol,
 ) -> GridMaxResult:
     """argmax of f(x, .) over the feasible grid points in a box around center,
-    a grid of `points` per axis from center - radius to center + radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    a grid of `points` per axis from center - radius to center + radius.
+    x and center are checked as `verify_minimax_definition` checks its
+    candidate, of lengths n and m (CandidateShapeError) and finite
+    (ValueError), before anything is evaluated."""
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, not {radius!r}")
     if not isinstance(points, numbers.Integral) or points < 2:
         raise ValueError(f"points must be an integer >= 2, not {points!r}")
     if spec.m > 2:
         raise ValueError("grid oracle supports m <= 2 only")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    if x.shape != (spec.n,):
+        raise CandidateShapeError(f"x has shape {x.shape}, expected ({spec.n},)")
+    if center.shape != (spec.m,):
+        raise CandidateShapeError(f"center has shape {center.shape}, expected ({spec.m},)")
+    if not all(map(math.isfinite, x.tolist() + center.tolist())):
+        raise ValueError("x and center entries must be finite")
     ys = _mesh(_axis_grid(center, radius, points))
     (k,), (value,), (feasible,) = _masked_argmax(
         spec, x, [axis[None, :] for axis in ys], 1, feas_tol)

@@ -11,6 +11,13 @@ verdict was decided by: the refuting checks, the sufficient check that
 certified, the necessary checks that passed, or none when inconclusive.
 Finite floats carry 17 significant digits; non-finite values are the strings
 "inf"/"-inf"/"nan" (strict JSON has no literals for them).
+
+`_jsonable` is the one converter: it turns numpy values, subclasses of the
+plain types and non-str keys into plain JSON.  `dumps_canonical` and
+`render_summary` read only plain values, as `report_to_doc` and the CLI build
+them: dicts with str keys, lists and tuples, and float, str, int, bool and
+None, each of exactly that type; the writer raises TypeError naming any other
+type.  Every document carries version SCHEMA_VERSION, which `loads` checks.
 """
 
 from __future__ import annotations
@@ -80,9 +87,9 @@ def report_to_doc(report: CertificateReport) -> dict:
         if val is not None:
             candidate[name] = _jsonable(val)
     return {
-        "version": report.version,
+        "version": SCHEMA_VERSION,
         "problem_digest": report.problem_digest,
-        "command": report.command,
+        "command": "certify",
         "config": _jsonable(report.config.as_dict()),
         "candidate": candidate,
         "path": report.path,
@@ -93,37 +100,32 @@ def report_to_doc(report: CertificateReport) -> dict:
     }
 
 
-def _float_text(v) -> str:
-    """17 significant digits, ".0" on integral values, and "nan", "inf" and
-    "-inf" (the texts that end in a letter) as JSON strings."""
-    text = format(v, ".17g")
-    if "." not in text and "e" not in text:
-        text = f'"{text}"' if text[-1] in "nf" else text + ".0"
-    return text
-
-
 def dumps_canonical(doc) -> str:
-    """Deterministic JSON writer (insertion order kept, floats at 17 digits)."""
-    return _text(doc, {}, {})
+    """Deterministic JSON writer (insertion order kept, floats at 17 digits)
+    of a plain document; anything else raises TypeError."""
+    t = type(doc)
+    if t is dict or t is list or t is tuple:
+        return _text(doc, {}, {})
+    return _text([doc], {}, {})[1:-1]  # a scalar is written as a list member
 
 
 def _text(value, keys: dict, strings: dict) -> str:
-    """The canonical text of `value`.  A dict, list or tuple of exact type is
-    walked here, and its members of exact type float, str, int, bool or None
-    are written in the loop (floats as `_float_text` writes them), with no
-    call per member.  `keys` and `strings` memoise the encoded text of each
-    str key and value within one call.  Everything else goes through
-    `_other_text`."""
+    """The canonical text of `value`, a dict with str keys, a list or a tuple,
+    each of exact type.  Members of exact type float, str, int, bool or None
+    are written in the loop, with no call per member: floats at 17
+    significant digits, ".0" on integral values, and "nan", "inf" and "-inf"
+    (the texts that end in a letter) as JSON strings.  `keys` and `strings`
+    memoise the encoded text of each key and str value within one call.
+    Any other type raises TypeError."""
     t = type(value)
     if t is dict:
         parts = []
         for k, v in value.items():
-            if type(k) is str:
-                head = keys.get(k)
-                if head is None:
-                    head = keys[k] = encode_basestring_ascii(k) + ":"
-            else:
-                head = encode_basestring_ascii(str(k)) + ":"
+            if type(k) is not str:
+                raise TypeError(f"cannot serialize a key of {type(k)!r}")
+            head = keys.get(k)
+            if head is None:
+                head = keys[k] = encode_basestring_ascii(k) + ":"
             tv = type(v)
             if tv is float:
                 text = f"{v:.17g}"
@@ -169,40 +171,24 @@ def _text(value, keys: dict, strings: dict) -> str:
                 text = _text(v, keys, strings)
             parts.append(text)
         return "[" + ",".join(parts) + "]"
-    return _other_text(value, keys, strings)
+    raise TypeError(f"cannot serialize {t!r}")
 
 
-def _other_text(value, keys: dict, strings: dict) -> str:
-    """Top-level scalars, and the isinstance chain for every other type:
-    np.float64, str and int subclasses and the like take their branch, the
-    rest raise TypeError."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, dict):
-        return "{" + ",".join([encode_basestring_ascii(str(k)) + ":" + _text(v, keys, strings)
-                               for k, v in value.items()]) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join([_text(v, keys, strings) for v in value]) + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def loads(text: str) -> dict:
+def loads(text: str):
+    """One report document, or the list of them a multi-candidate `certify`
+    writes; ValueError unless each is an object of version SCHEMA_VERSION."""
     doc = json.loads(text)
-    version = doc.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported report version {version!r} (expected {SCHEMA_VERSION})"
-        )
+    docs = doc if type(doc) is list else [doc]
+    if not docs:
+        raise ValueError("no report document: an empty list")
+    for d in docs:
+        if type(d) is not dict:
+            raise ValueError(f"a report document is a JSON object, not {type(d).__name__}")
+        version = d.get("version")
+        if version != SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported report version {version!r} (expected {SCHEMA_VERSION})"
+            )
     return doc
 
 
@@ -217,16 +203,8 @@ def _render_value(v) -> str:
                                 for x in v]) + "]"
     if v is None:
         return "-"
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
+    if t is bool:
         return "yes" if v else "no"
-    if isinstance(v, float):
-        return format(v, ".6g")
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, list):
-        return "[" + ", ".join(_render_value(x) for x in v) + "]"
     return str(v)
 
 

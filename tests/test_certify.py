@@ -8,6 +8,7 @@ from minimaxcert import (
     CandidatePoint,
     CheckConfig,
     certify,
+    check_jacobian_uniqueness,
     classify_path,
 )
 from minimaxcert.certify import (
@@ -1668,7 +1669,8 @@ def _reference_lower_sonc(spec, candidate, config):
     from minimaxcert.problem import eval_bundle
 
     decision = classify_path(spec, candidate, config)
-    ju = decision.ju_report
+    ju = check_jacobian_uniqueness(spec, candidate.x, candidate.y, decision.mu,
+                                   decision.lam, config)
     if ju.cone is None:
         return "skipped", None, None, None
     lag = lagrangian_eval(eval_bundle(spec, candidate.x, candidate.y),

@@ -7,11 +7,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from minimaxcert import cli
+from minimaxcert import CandidatePoint, certify, cli, load_fixture
 from minimaxcert.cli import main
 from minimaxcert.config import CheckConfig
 from minimaxcert.fixtures import fixture_text
-from minimaxcert.report import dumps_canonical, loads, render_summary
+from minimaxcert.problem import parse_problem
+from minimaxcert.report import (
+    SCHEMA_VERSION,
+    dumps_canonical,
+    loads,
+    render_summary,
+    report_to_doc,
+)
 
 from conftest import (
     CROSS_TEXT,
@@ -108,7 +115,8 @@ def test_canonical_writer_matches_json_dumps_on_text(doc):
 
 
 class _Str(str):
-    """A str subclass: both writers take its isinstance branch."""
+    """A str subclass: the writer refuses it, as it refuses every value that
+    is not of an exact plain type."""
 
 
 class _Int(int):
@@ -119,24 +127,40 @@ _FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e17, 1e-300, 3.0, -2.0, 1e300,
      math.inf, -math.inf, math.nan])
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(10**30, 10**40)
-            | _FLOATS | _FLOATS.map(np.float64) | _TEXT | _TEXT.map(_Str)
-            | st.integers().map(_Int))
-_KEYS = (_TEXT | _TEXT.map(_Str) | st.booleans() | st.integers() | st.none() | _FLOATS
-         | _FLOATS.map(np.float64))
-_RICH_DOCS = st.recursive(
+            | _FLOATS | _TEXT)
+_PLAIN_DOCS = st.recursive(
     _SCALARS,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(_KEYS, inner, max_size=4)),
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
     max_leaves=16,
 )
 
 
-@given(_RICH_DOCS)
-@example([{1: 0}, {True: 0}, {1.0: 0}, {np.float64(1.0): 0}, {"1": 0}, {_Str("1"): "1"}])
+@given(_PLAIN_DOCS)
+@example([0.0, -0.0, 5e-324, 1e16, 1e17, 1e300, math.nan, -math.inf, 10**40, -(10**30),
+          (1.0, "1", True, None), {"": (), "a": {"b": [2.0, -2]}}])
+@example(math.inf)
+@example(-(10**40))
 def test_canonical_writer_matches_the_reference(doc):
-    """Floats at their edges, np.float64, bools, big ints, tuples, str and int
-    subclasses and non-str keys come out as the reference writes them."""
+    """Plain documents, floats at their edges, bools, big ints and tuples
+    included, come out as the reference writes them, top-level scalars too."""
     assert dumps_canonical(doc) == reference_dumps_canonical(doc)
+
+
+@pytest.mark.parametrize("value", [np.float64(1.5), _Str("a"), _Int(3)],
+                         ids=["float64", "str-subclass", "int-subclass"])
+@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1.0, v], lambda v: {"k": v}],
+                         ids=["bare", "list", "dict"])
+def test_writer_refuses_values_of_plain_subclasses(value, wrap):
+    with pytest.raises(TypeError, match=type(value).__name__):
+        dumps_canonical(wrap(value))
+
+
+@pytest.mark.parametrize("key", [1, 1.0, True, None, np.float64(1.0), _Str("j")],
+                         ids=["int", "float", "bool", "None", "float64", "str-subclass"])
+def test_writer_refuses_keys_that_are_not_str(key):
+    with pytest.raises(TypeError, match=type(key).__name__):
+        dumps_canonical([{"k": 0, key: 0}])
 
 
 @pytest.mark.parametrize("value", [np.float32(1.5), np.int64(3), np.zeros(2), {1, 2}],
@@ -153,21 +177,95 @@ def test_writers_refuse_the_same_types(value, wrap):
     assert messages[0] == messages[1]
 
 
+def _assert_plain(value):
+    """value holds only dicts with str keys, lists, and float, str, int, bool
+    and None, each of exactly that type."""
+    t = type(value)
+    if t is dict:
+        for k, v in value.items():
+            assert type(k) is str, f"key {k!r} of {type(k)!r}"
+            _assert_plain(v)
+    elif t is list:
+        for v in value:
+            _assert_plain(v)
+    else:
+        assert t in (float, str, int, bool, type(None)), f"{value!r} of {t!r}"
+
+
 @pytest.mark.parametrize("value, want", [
     (np.array(0.25), 0.25), (np.bool_(True), True), (np.float32(1.5), 1.5),
     (np.int64(3), 3), (np.array([[1, 2]], dtype=np.int32), [[1, 2]]),
 ], ids=["0-d-array", "bool_", "float32", "int64", "int-array"])
 def test_reports_write_numpy_values_as_their_python_values(value, want):
-    from minimaxcert import load_fixture
-    from minimaxcert.certify import certify
-    from minimaxcert.problem import CandidatePoint
-    from minimaxcert.report import report_to_doc
-
     report = certify(load_fixture("P1"), CandidatePoint([0.0], [0.0]))
     report.results[0].witness = value
     witness = report_to_doc(report)["results"][0]["witness"]
     assert witness == want and type(witness) is type(want)
+    _assert_plain(report_to_doc(report))
     assert json.loads(dumps_canonical(report_to_doc(report)))["results"][0]["witness"] == want
+
+
+def test_report_documents_are_plain_on_the_golden_certify_cases(tmp_path, monkeypatch):
+    from test_golden import CASES, run_case
+
+    docs = []
+
+    def checked(report):
+        doc = report_to_doc(report)
+        _assert_plain(doc)
+        docs.append(doc)
+        return doc
+
+    monkeypatch.setattr(cli, "report_to_doc", checked)
+    names = [name for name, (command, *_) in CASES.items() if command == "certify"]
+    for name in names:
+        run_case(name, tmp_path)
+    assert len(docs) == len(names)
+
+
+@pytest.mark.parametrize("workload", ["smooth", "selector", "oracle", "cli_batch"])
+def test_report_documents_are_plain_on_the_workload_problems(workload):
+    # the first op on each of the workload's problems, every candidate of it
+    wl = getattr(perfbench_workloads(), workload)(1)
+    for i in wl.setup_ops:
+        op = wl.op(i)
+        spec = parse_problem(wl.problems[op.problem])
+        for c in op.candidates:
+            _assert_plain(report_to_doc(certify(spec, CandidatePoint(c.x, c.y))))
+
+
+_P1_ORIGIN = ["--x", "0", "--y", "0"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("validate", []),
+    ("certify", _P1_ORIGIN),
+    ("certify", [*_P1_ORIGIN, "--x", "0.5", "--y", "0.5"]),
+    ("value-derivs", _P1_ORIGIN),
+    ("solve-lower", _P1_ORIGIN),
+    ("oracle", _P1_ORIGIN),
+    ("subdiff", _P1_ORIGIN),
+], ids=["validate", "certify", "certify-two", "value-derivs", "solve-lower", "oracle",
+        "subdiff"])
+def test_loads_reads_every_document_the_commands_write(prob_files, tmp_path, capsys,
+                                                       command, flags):
+    out = tmp_path / "doc.json"
+    main([command, prob_files["P1"], *flags, "--json", str(out)])
+    capsys.readouterr()
+    text = out.read_text(encoding="utf-8")
+    doc = loads(text)
+    assert dumps_canonical(doc) == text
+    assert type(doc) is (list if flags.count("--x") > 1 else dict)
+
+
+@pytest.mark.parametrize("text", [
+    '{"version": "0.0.0"}', "{}", f'[{{"version": "{SCHEMA_VERSION}"}}, {{"version": 1}}]',
+    '"x"', "3", "null", "[]", f'[{{"version": "{SCHEMA_VERSION}"}}, 1]',
+], ids=["old-version", "no-version", "one-old-version", "str", "int", "null",
+        "empty-list", "list-of-non-object"])
+def test_loads_refuses_other_versions_and_non_objects(text):
+    with pytest.raises(ValueError, match="version|object|empty"):
+        loads(text)
 
 
 @pytest.fixture()

@@ -17,7 +17,7 @@ from minimaxcert.oracle import (
     grid_local_maximize,
     verify_minimax_definition,
 )
-from minimaxcert.problem import parse_problem
+from minimaxcert.problem import CandidateShapeError, parse_problem
 
 from conftest import evaluate
 
@@ -98,12 +98,16 @@ def test_grid_maximize_2d(config):
     assert res.y[1] == pytest.approx(0.1, abs=1e-2)
 
 
-@pytest.mark.parametrize("points", [1, 0, -3, 2.0, True, "5", None])
-def test_grid_maximize_rejects_points_below_two_or_not_integer(points, monkeypatch):
+def _refuse_evaluation(monkeypatch):
     def evaluated(*args):
         raise AssertionError("the grid was evaluated")
 
     monkeypatch.setattr(oracle, "_masked_argmax", evaluated)
+
+
+@pytest.mark.parametrize("points", [1, 0, -3, 2.0, True, "5", None])
+def test_grid_maximize_rejects_points_below_two_or_not_integer(points, monkeypatch):
+    _refuse_evaluation(monkeypatch)
     spec = parse_problem("dims 1 1 0 0 0 0\nf = -y1^2\n")
     with pytest.raises(ValueError, match="points"):
         grid_local_maximize(spec, [0.0], [0.0], 0.5, points)
@@ -113,6 +117,37 @@ def test_grid_maximize_two_points_are_the_box_ends():
     spec = parse_problem("dims 1 1 0 0 0 0\nf = y1\n")
     res = grid_local_maximize(spec, [0.0], [0.25], 0.5, np.int64(2))
     assert res.y.tolist() == [0.75] and res.total_points == 2
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_grid_maximize_rejects_radius_not_positive_and_finite(radius, monkeypatch):
+    _refuse_evaluation(monkeypatch)
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = -y1^2\n")
+    with pytest.raises(ValueError, match="radius"):
+        grid_local_maximize(spec, [0.0], [0.0], radius, 5)
+
+
+@pytest.mark.parametrize("x, center, name", [
+    ([0.0, 0.0], [0.0], "x"), ([0.0], [0.0, 0.0], "center"), ([0.0], [[0.0]], "center"),
+    ([0.0], [[0.0, 0.0]], "center"), ([[0.0]], [0.0], "x"),
+], ids=["x-length-2", "center-length-2", "center-2d", "center-2d-wide", "x-2d"])
+def test_grid_maximize_rejects_x_and_center_of_the_wrong_shape(x, center, name,
+                                                               monkeypatch):
+    _refuse_evaluation(monkeypatch)
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = -y1^2\n")
+    with pytest.raises(CandidateShapeError, match=f"^{name} has shape"):
+        grid_local_maximize(spec, x, center, 0.5, 5)
+
+
+@pytest.mark.parametrize("x, center", [
+    ([0.0], [math.nan]), ([0.0], [math.inf]), ([math.nan], [0.0]), ([-math.inf], [0.0]),
+], ids=["center-nan", "center-inf", "x-nan", "x-inf"])
+def test_grid_maximize_rejects_non_finite_x_and_center(x, center, monkeypatch):
+    _refuse_evaluation(monkeypatch)
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = -y1^2\n")
+    with pytest.raises(ValueError, match="must be finite") as info:
+        grid_local_maximize(spec, x, center, 0.5, 5)
+    assert not isinstance(info.value, CandidateShapeError)
 
 
 # --- grid building ----------------------------------------------------------------
