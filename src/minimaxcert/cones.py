@@ -1,6 +1,8 @@
-"""Polyhedral cones {d : E d = 0, F d <= 0} (`Cone`, with the basis `hull`
-of its affine hull ker E built once): membership, faces, rays, the exact
-minimum of a quadratic over the cone, and sampling.
+"""Polyhedral cones {d : E d = 0, F d <= 0}, each one `Cone` (with the basis
+`hull` of its affine hull ker E built once, and `face(S)` the kernel
+ker [E; F_S] of a face): membership, rays, the exact minimum of a quadratic
+over the cone, and sampling.  Rays and samples are unit directions, kept
+once each by `_push` (equal to DEDUP_DIGITS decimals is one direction).
 
 Every face of the cone lies in some ker [E; F_S], S a subset of F's rows.
 `min_quadratic_on_cone` walks those faces depth first and prunes by
@@ -23,6 +25,7 @@ from .problem import memoised
 MEMBERSHIP_TOL = 1e-9  # |E d|, max(F d) allowed, times max(1, |d|): face-eigenvector rounding
 ZERO_NORM = 1e-12  # a vector shorter than this has no direction
 RETRY_MIN_NORM = 1e-9  # a shorter projected retry in sample_cone is rounding, not a direction
+DEDUP_DIGITS = 9  # unit directions equal to this many decimals are one direction
 # cone_rays enumerates all 2^nF subsets of F's rows, so it gives up above
 # this many rows
 RAY_SUBSET_CAP = 14
@@ -36,28 +39,9 @@ def budget_detail() -> str:
     return f"face walk exceeded its budget of {FACE_BUDGET} faces: face test skipped"
 
 
-def _as_rows(A: np.ndarray | None, dim: int) -> np.ndarray:
-    if A is None:
-        return np.zeros((0, dim))
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return np.zeros((0, dim))
-    return np.atleast_2d(A)
-
-
-def cone_contains(E: np.ndarray, F: np.ndarray, d: np.ndarray) -> bool:
-    d = np.asarray(d, dtype=float)
-    tol = MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(d), initial=0.0)))
-    if E.shape[0] and float(np.max(np.abs(E @ d))) > tol:
-        return False
-    if F.shape[0] and float(np.max(F @ d)) > tol:
-        return False
-    return True
-
-
 @dataclass
 class Cone:
-    """The cone {d : E d = 0, F d <= 0}, E and F with one column per
+    """The cone {d : E d = 0, F d <= 0}, E and F 2-D with one column per
     coordinate; ker E spans its affine hull."""
 
     E: np.ndarray
@@ -68,38 +52,53 @@ class Cone:
         """Orthonormal basis (columns) of ker E, built on first use."""
         return nullspace_basis(self.E)
 
+    def face(self, S: tuple[int, ...]) -> np.ndarray:
+        """Orthonormal basis (columns) of ker [E; F_S], the face where the
+        rows S of F are active: the cached hull when S is empty."""
+        if not S:
+            return self.hull
+        return nullspace_basis(np.vstack([self.E, self.F[list(S)]]))
+
     def contains(self, d: np.ndarray) -> bool:
-        return cone_contains(self.E, self.F, d)
+        d = np.asarray(d, dtype=float)
+        tol = MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(d), initial=0.0)))
+        if self.E.shape[0] and float(np.max(np.abs(self.E @ d))) > tol:
+            return False
+        if self.F.shape[0] and float(np.max(self.F @ d)) > tol:
+            return False
+        return True
 
 
-def cone_rays(E: np.ndarray, F: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Extreme-ray candidates via active-subset enumeration (small dims only)."""
-    E = _as_rows(E, dim)
-    F = _as_rows(F, dim)
-    rays: list[np.ndarray] = []
-    seen: set[tuple] = set()
+def _push(found: dict[tuple, np.ndarray], cone: Cone, d: np.ndarray) -> bool:
+    """Add d / |d| to found, keyed by its rounding to DEDUP_DIGITS, when d
+    has a direction, lies in the cone and is not there yet; True when added."""
+    nrm = float(np.linalg.norm(d))
+    if nrm < ZERO_NORM:
+        return False
+    d = d / nrm
+    if not cone.contains(d):
+        return False
+    key = tuple(np.round(d, DEDUP_DIGITS))
+    if key in found:
+        return False
+    found[key] = d
+    return True
 
-    def push(r: np.ndarray):
-        nrm = float(np.linalg.norm(r))
-        if nrm < ZERO_NORM:
-            return
-        r = r / nrm
-        if not cone_contains(E, F, r):
-            return
-        key = tuple(np.round(r, 9))
-        if key not in seen:
-            seen.add(key)
-            rays.append(r)
 
-    if F.shape[0] > RAY_SUBSET_CAP:
-        return rays
-    for size in range(F.shape[0] + 1):  # the kernels ker [E; F_S], smallest S first
-        for subset in combinations(range(F.shape[0]), size):
-            basis = nullspace_basis(np.vstack([E, F[list(subset)]]))
+def cone_rays(cone: Cone) -> list[np.ndarray]:
+    """Extreme-ray candidates via active-subset enumeration (small dims only):
+    both unit directions of every one-dimensional face kernel in the cone."""
+    found: dict[tuple, np.ndarray] = {}
+    nF = cone.F.shape[0]
+    if nF > RAY_SUBSET_CAP:
+        return []
+    for size in range(nF + 1):  # the face kernels, smallest S first
+        for S in combinations(range(nF), size):
+            basis = cone.face(S)
             if basis.shape[1] == 1:
-                push(basis[:, 0])
-                push(-basis[:, 0])
-    return rays
+                _push(found, cone, basis[:, 0])
+                _push(found, cone, -basis[:, 0])
+    return list(found.values())
 
 
 def _face_minimum(M: np.ndarray, cone: Cone,
@@ -111,7 +110,7 @@ def _face_minimum(M: np.ndarray, cone: Cone,
     checks share it; deeper faces are not kept, so a walk adds one memo
     entry however many faces it visits."""
     if S:
-        return _bottom_eigenpair(M, nullspace_basis(np.vstack([cone.E, cone.F[list(S)]])))
+        return _bottom_eigenpair(M, cone.face(S))
     key = ("face", M.shape, M.tobytes(), cone.E.shape, cone.E.tobytes())
     return memoised(_face_minimum, key, lambda: _bottom_eigenpair(M, cone.hull))
 
@@ -167,52 +166,33 @@ def min_quadratic_on_cone(M: np.ndarray, cone: Cone) -> tuple[float, np.ndarray 
     return best, witness
 
 
-def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int,
-                seed: int) -> list[np.ndarray]:
+def sample_cone(cone: Cone, count: int, seed: int) -> list[np.ndarray]:
     """Deterministic unit directions in the cone: rays, sums of ray pairs, then
     seeded rejection samples drawn one at a time from ker E (a draw outside
     the cone is retried once with its most violated face projected out).
     The condition checks use min_quadratic_on_cone; this sampler serves tests
     and tools that want spread-out cone directions."""
-    E = _as_rows(E, dim)
-    F = _as_rows(F, dim)
-    Z = nullspace_basis(E)
+    Z, F = cone.hull, cone.F
     k = Z.shape[1]
-    out: list[np.ndarray] = []
-    seen: set[tuple] = set()
-
-    def push(d: np.ndarray) -> bool:
-        nrm = float(np.linalg.norm(d))
-        if nrm < ZERO_NORM:
-            return False
-        d = d / nrm
-        if not cone_contains(E, F, d):
-            return False
-        key = tuple(np.round(d, 9))
-        if key in seen:
-            return False
-        seen.add(key)
-        out.append(d)
-        return True
-
     if k == 0:
-        return out
+        return []
 
-    rays = cone_rays(E, F, dim)
+    found: dict[tuple, np.ndarray] = {}
+    rays = cone_rays(cone)
     for r in rays:
-        push(r)
+        _push(found, cone, r)
     if k == 1:  # only two unit directions exist in a 1-D nullspace
-        push(Z[:, 0])
-        push(-Z[:, 0])
-        return out
+        _push(found, cone, Z[:, 0])
+        _push(found, cone, -Z[:, 0])
+        return list(found.values())
     # boundary emphasis: normalized sums of ray pairs
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
-            push(rays[i] + rays[j])
+            _push(found, cone, rays[i] + rays[j])
 
     rng = np.random.default_rng(seed)
     attempts = 0
-    while len(out) < count and attempts < 50 * count:
+    while len(found) < count and attempts < 50 * count:
         attempts += 1
         zeta = rng.standard_normal(k)
         nz = float(np.linalg.norm(zeta))
@@ -220,7 +200,7 @@ def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int,
             continue
         zeta /= nz
         d = Z @ zeta
-        if push(d) or push(-d):
+        if _push(found, cone, d) or _push(found, cone, -d):
             continue
         if F.shape[0]:
             # project out the most violated face within ker E, then retry
@@ -232,5 +212,5 @@ def sample_cone(E: np.ndarray, F: np.ndarray, dim: int, count: int,
                 zeta2 = zeta - (face @ zeta / nf**2) * face
                 if float(np.linalg.norm(zeta2)) > RETRY_MIN_NORM:
                     d2 = Z @ zeta2
-                    push(d2) or push(-d2)
-    return out[: max(count, len(rays))]
+                    _push(found, cone, d2) or _push(found, cone, -d2)
+    return list(found.values())[: max(count, len(rays))]

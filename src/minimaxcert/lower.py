@@ -133,7 +133,6 @@ class ActivePartition:
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
     gamma: tuple[int, ...]
-    tol_act: float
 
     @property
     def active(self) -> tuple[int, ...]:
@@ -164,7 +163,7 @@ def classify_partition(g: np.ndarray, lam: np.ndarray, tol_act: float) -> Active
                     f"multiplier {lam[i]:.3e}"
                 )
             gamma.append(i)
-    return ActivePartition(tuple(alpha), tuple(beta), tuple(gamma), tol_act)
+    return ActivePartition(tuple(alpha), tuple(beta), tuple(gamma))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from minimaxcert.conditions import (
     VIOLATED,
     ConditionCheck,
 )
-from minimaxcert.cones import cone_contains
+from minimaxcert.cones import Cone
 from minimaxcert.expressions import (
     _FUNCTION_RULES,
     _KERNELS,
@@ -360,7 +360,7 @@ def brute_force_min_quadratic_on_cone(M, E, F):
     (either sign) lies in the cone.  (+inf, None) on the trivial cone.  It is
     the reference the branch and bound of `min_quadratic_on_cone` is checked
     against."""
-    best, witness = np.inf, None
+    best, witness, cone = np.inf, None, Cone(E, F)
     for size in range(F.shape[0] + 1):
         for subset in combinations(range(F.shape[0]), size):
             Z = nullspace_basis(np.vstack([E, F[list(subset)]]))
@@ -373,7 +373,7 @@ def brute_force_min_quadratic_on_cone(M, E, F):
             v = Z @ vectors[:, 0]
             v = v / np.linalg.norm(v)
             for d in (v, 0.0 - v):
-                if cone_contains(E, F, d):
+                if cone.contains(d):
                     best, witness = float(values[0]), d
                     break
     return best, witness

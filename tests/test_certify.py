@@ -1680,7 +1680,7 @@ def _reference_lower_sonc(spec, candidate, config):
         worst, witness = bound, None
     else:
         worst, witness = -np.inf, None
-        for d in sample_cone(ju.cone.E, ju.cone.F, spec.m, 256, 0):
+        for d in sample_cone(ju.cone, 256, 0):
             val = float(d @ lag.yy @ d)
             if val > worst:
                 worst, witness = val, d.tolist()

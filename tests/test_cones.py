@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from minimaxcert.cones import (
     RAY_SUBSET_CAP,
     Cone,
-    cone_contains,
+    cone_rays,
     min_quadratic_on_cone,
     sample_cone,
 )
@@ -16,20 +18,20 @@ from conftest import brute_force_min_quadratic_on_cone, cone_is_trivial
 def test_sample_cone_directions_are_unit_distinct_and_in_the_cone():
     rng = np.random.default_rng(3)
     cones = [
-        (np.zeros((0, 4)), np.eye(4), 4),  # the |beta| = 4 orthant
-        (np.zeros((0, 20)), rng.standard_normal((1, 20)), 20),  # one face
-        (rng.standard_normal((2, 5)), rng.standard_normal((3, 5)), 5),
+        Cone(np.zeros((0, 4)), np.eye(4)),  # the |beta| = 4 orthant
+        Cone(np.zeros((0, 20)), rng.standard_normal((1, 20))),  # one face
+        Cone(rng.standard_normal((2, 5)), rng.standard_normal((3, 5))),
     ]
-    for E, F, dim in cones:
-        dirs = sample_cone(E, F, dim, 256, 7)
+    for cone in cones:
+        dirs = sample_cone(cone, 256, 7)
         assert dirs
         keys = set()
         for d in dirs:
             assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
-            assert cone_contains(E, F, d)
+            assert cone.contains(d)
             keys.add(tuple(np.round(d, 9)))
         assert len(keys) == len(dirs)
-        again = sample_cone(E, F, dim, 256, 7)
+        again = sample_cone(cone, 256, 7)
         assert [d.tobytes() for d in again] == [d.tobytes() for d in dirs]
 
 
@@ -56,16 +58,17 @@ def _quadratic_cones(draw):
 @given(_quadratic_cones())
 def test_min_quadratic_on_cone_is_the_exact_minimum(case):
     M, E, F, dim = case
-    value, witness = min_quadratic_on_cone(M, Cone(E, F))
+    cone = Cone(E, F)
+    value, witness = min_quadratic_on_cone(M, cone)
     scale = max(1.0, float(np.max(np.abs(M))))
     if witness is None:
         assert value == np.inf
         assert cone_is_trivial(E, F, dim)
         return
     assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
-    assert cone_contains(E, F, witness)
+    assert cone.contains(witness)
     assert abs(float(witness @ M @ witness) - value) <= 1e-12 * scale
-    for d in sample_cone(E, F, dim, 256, 0):
+    for d in sample_cone(cone, 256, 0):
         assert value <= float(d @ M @ d) + 1e-9 * scale
 
 
@@ -123,7 +126,7 @@ def test_branch_and_bound_matches_the_exhaustive_face_loop(case):
         return
     assert abs(value - ref_value) <= 1e-12 * scale
     assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
-    assert cone_contains(E, F, witness)
+    assert Cone(E, F).contains(witness)
     assert abs(float(witness @ M @ witness) - value) <= 1e-12 * scale
 
 
@@ -135,7 +138,7 @@ def test_min_quadratic_on_cone_trivial_and_capped(monkeypatch):
     many = np.vstack([np.eye(3)] * 5)
     assert many.shape[0] > RAY_SUBSET_CAP
     value, witness = min_quadratic_on_cone(np.eye(3), Cone(np.zeros((0, 3)), many))
-    assert value == 1.0 and cone_contains(np.zeros((0, 3)), many, witness)
+    assert value == 1.0 and Cone(np.zeros((0, 3)), many).contains(witness)
     # on the quadrant the bottom eigenvector (1, -1) of [[0, 1], [1, 0]] is
     # outside the cone, so the walk visits the faces {}, {x1 = 0} (value 0,
     # witness e2, which prunes {x1 = x2 = 0}) and {x2 = 0}
@@ -172,3 +175,46 @@ def test_min_quadratic_on_cone_finds_a_thin_ray():
     value, witness = min_quadratic_on_cone(M, Cone(np.zeros((0, 2)), -np.eye(2)))
     assert abs(value + 1e-3) <= 1e-9
     assert float(witness @ ray) >= 1.0 - 1e-12
+
+
+def _digest_cones():
+    """(cone, count, seed) for 50 seeded cones in dims 1-5: empty E, a
+    one-dimensional hull and a trivial one, random E; random F rows plus a
+    zero row, a duplicated and an opposing row, or more rows than
+    RAY_SUBSET_CAP (a repeated orthant)."""
+    cases = []
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        dim, kind = 1 + (seed // 10) % 5, seed % 10
+        if kind in (0, 5):
+            E = np.zeros((0, dim))
+        elif kind == 3:
+            E = rng.standard_normal((dim - 1, dim))
+        elif kind == 7:
+            E = rng.standard_normal((dim, dim))
+        else:
+            E = rng.standard_normal((int(rng.integers(0, dim)), dim))
+        rows = list(rng.standard_normal((int(rng.integers(0, 4)), dim)))
+        if kind in (1, 5, 6):
+            rows.append(np.zeros(dim))
+        if rows and kind in (2, 5, 8):
+            rows.append(rows[0].copy())
+        if rows and kind in (4, 5, 9):
+            rows.append(-rows[0])
+        if kind == 6:
+            rows = [*rows, *np.vstack([-np.eye(dim)] * 15)]
+        cases.append((Cone(E, np.array(rows).reshape(-1, dim)), 16 + seed, seed))
+    return cases
+
+
+def test_rays_and_samples_are_bit_stable():
+    # the bytes of every ray and sample, in order, pinned to the values the
+    # (E, F, dim) form of cone_rays and sample_cone gave; the digest moves
+    # when directions are de-duplicated without rounding
+    digest = hashlib.sha256()
+    for cone, count, seed in _digest_cones():
+        assert cone.face(()) is cone.hull
+        for group in (cone_rays(cone), sample_cone(cone, count, seed)):
+            digest.update(b"|".join(d.tobytes() for d in group) + b";")
+    assert digest.hexdigest() == (
+        "fbdc60b2aaf37bb8c112a586dac694336e7a83ee370a8642c04247fe8661317a")

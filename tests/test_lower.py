@@ -11,7 +11,7 @@ from minimaxcert import (
     solve_lower,
 )
 from minimaxcert.conditions import INCONCLUSIVE, SATISFIED, VIOLATED
-from minimaxcert.cones import cone_contains
+from minimaxcert.cones import Cone
 from minimaxcert.config import CheckConfig
 from minimaxcert.fixtures import fixture_text
 from minimaxcert.linalg import max_eigenvalue_on_subspace, nullspace_basis
@@ -128,8 +128,9 @@ def test_cone_p1_origin_is_full_line(p1):
     # equalities from J_y h, inequalities from the active g rows and grad_y f
     bundle = eval_bundle(p1, [0.0], [0.0])
     literal_F = np.vstack([bundle.g_jy[list(rep.partition.active)], bundle.fy.reshape(1, -1)])
-    assert cone_contains(bundle.h_jy, literal_F, np.array([1.0]))
-    assert cone_contains(bundle.h_jy, literal_F, np.array([-1.0]))
+    literal = Cone(bundle.h_jy, literal_F)
+    assert literal.contains(np.array([1.0]))
+    assert literal.contains(np.array([-1.0]))
 
 
 def test_cone_p2_origin_is_halfline(p2):
