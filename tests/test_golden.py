@@ -68,6 +68,9 @@ CASES = {
     "value-derivs-P2-origin": ("value-derivs", "P2", _origin()),
     "solve-lower-P1-origin": ("solve-lower", "P1", _origin()),
     "oracle-P1-origin": ("oracle", "P1", _origin()),
+    "oracle-P2-origin": ("oracle", "P2", _origin()),
+    "oracle-P3-origin": ("oracle", "P3", _origin()),
+    "oracle-P4-origin": ("oracle", "P4", _origin()),
 }
 
 
