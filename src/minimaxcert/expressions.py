@@ -435,8 +435,9 @@ class Tape:
     def arrays(self, x, y) -> list:
         """The output entries as a list, in the order of `__call__`'s vector,
         where the entries of x and y may be scalars or broadcastable arrays
-        (the grid oracle passes x entries as (rows, 1) columns and y entries
-        as (1, Y) rows).  A constant entry is its float; any other is shaped
+        (the grid oracle passes x entries as scalars and y entries as 1-D
+        arrays for one row, x entries as (rows, 1) columns and y entries as
+        (1, Y) rows for a block, and 1-D x entries to its H and G tape).  A constant entry is its float; any other is shaped
         the way its operands broadcast.  No DomainError and no numpy warning
         is raised: a value outside a domain, or one that overflows, is NaN
         or inf, also where both operands are constants."""

@@ -1,11 +1,18 @@
 """Brute-force ground truth: finite differences, feasible-grid maximization,
 and a direct grid test of the two-sided local minimax definition.
 
-Grid oracles are wired for n <= 2, m <= 2 only.  The definition check builds
-one inner y-grid per level and evaluates it against blocks of feasible x-grid
-points in one broadcast of the spec's tapes in array mode: x axes as (rows, 1)
-columns, y axes as (1, Y) rows, with rows * Y at most CHUNK_ELEMENTS (one row
-when Y alone exceeds it).
+Grid oracles are wired for n <= 2, m <= 2 only.  Every grid maximization
+masks and reduces the inner tape's values by one rule, `_masked_argmax`, over
+the grid's last axis.  A one-row maximization, one x point against a y-grid,
+runs on the 1-D y-mesh with x as scalars: the left inequality's grid, which
+`grid_local_maximize` evaluates once per level, and the seed row of a level
+that probes (below).  The right inequality evaluates one inner y-grid per
+level against blocks of feasible x-grid points in one broadcast of the spec's
+tapes in array mode: x axes as (rows, 1) columns, y axes as (1, Y) rows, with
+rows * Y at most CHUNK_ELEMENTS (one row when Y alone exceeds it).  Which
+x-grid points are feasible is decided for the whole ladder at once, in one
+pass of the H and G tape over every level's x-mesh, and in none when there
+are no H or G rows.
 
 Only the x rows with the least inner max set a level's right violation.  So a
 level that needs more than one block first probes every feasible x row against
@@ -182,33 +189,57 @@ def _violation(values, equalities: int) -> float:
     return worst
 
 
-def _masked_argmax(spec: ProblemSpec, x, ys, rows: int, feas_tol: float):
-    """Row-wise argmax of f(x, .) over the feasible points of a y-grid.
+def _masked_argmax(spec: ProblemSpec, x, ys, feas_tol: float):
+    """The first argmax of f(x, .) over the feasible points of a y-grid, along
+    its last axis.
 
-    x holds scalars (rows = 1) or (rows, 1) columns and ys holds (1, Y) rows,
-    so the inner tape broadcasts h, g and f to (rows, Y).  Non-finite and
-    infeasible values become -inf, and np.argmax takes the first maximum.
-    Returns per row the argmax k, its value and the feasible count."""
+    One row passes x as scalars and ys as the 1-D y-mesh, and gets back
+    scalars.  A block passes x as (rows, 1) columns and ys as (1, Y) rows, so
+    the inner tape broadcasts h, g and f to (rows, Y), and gets back one entry
+    per row.  Non-finite and infeasible values become -inf, and np.argmax
+    takes the first maximum.  Returns the argmax k, its value and the
+    feasible count."""
     *constraints, fvals = spec._oracle_tapes[0].arrays(x, ys)
-    feas = np.broadcast_to(_feasible(constraints, spec.m1, feas_tol),
-                           (rows, ys[0].shape[1]))
-    fvals = np.asarray(fvals, dtype=float)
+    feas = _feasible(constraints, spec.m1, feas_tol)
     fvals = np.where(feas & np.isfinite(fvals), fvals, -np.inf)
-    k = np.argmax(fvals, axis=1)
-    return k, fvals[np.arange(rows), k], np.count_nonzero(feas, axis=1)
+    # one row is (Y,), and a block (rows, Y) for columns x of shape (rows, 1)
+    shape = np.shape(x[0])[:1] + ys[0].shape[-1:]
+    if fvals.shape != shape:  # a constant or y-free f and no y-dependent row
+        fvals = np.broadcast_to(fvals, shape)
+    if np.shape(feas) != shape:  # y-free rows, or none
+        feas = np.broadcast_to(feas, shape)
+    if len(shape) == 1:
+        k = fvals.argmax()
+        return k, fvals[k], np.count_nonzero(feas)
+    k = fvals.argmax(axis=1)
+    return k, fvals[np.arange(shape[0]), k], np.count_nonzero(feas, axis=1)
 
 
 def _row_maxima(spec: ProblemSpec, xs, rows, ys, feas_tol: float):
     """The masked max of f over the y-grid ys and its feasible count, for each
-    x-grid point xs[rows], in blocks of at most CHUNK_ELEMENTS x-by-y points."""
+    x-grid point xs[rows], in blocks of at most CHUNK_ELEMENTS x-by-y points.
+    ys holds (1, Y) rows."""
     values = np.empty(rows.shape[0])
     counts = np.empty(rows.shape[0], dtype=np.intp)
     block = max(1, CHUNK_ELEMENTS // ys[0].shape[1])
     for start in range(0, rows.shape[0], block):
         part = rows[start:start + block]
         _, values[start:start + block], counts[start:start + block] = _masked_argmax(
-            spec, [axis[part, None] for axis in xs], ys, part.shape[0], feas_tol)
+            spec, [axis[part, None] for axis in xs], ys, feas_tol)
     return values, counts
+
+
+def _outer_feasible(spec: ProblemSpec, meshes, feas_tol: float) -> list[np.ndarray]:
+    """The indices of the points of each x-mesh where H and G hold, from one
+    pass of the outer tape over the meshes concatenated, and from none when
+    there are no H or G rows."""
+    if not spec.n1 + spec.n2:
+        return [np.arange(mesh[0].shape[0]) for mesh in meshes]
+    flat = [np.concatenate(axes) for axes in zip(*meshes)]
+    feas = np.broadcast_to(_feasible(spec._oracle_tapes[1].arrays(flat, np.zeros(spec.m)),
+                                     spec.n1, feas_tol), flat[0].shape)
+    ends = np.cumsum([mesh[0].shape[0] for mesh in meshes[:-1]])
+    return [np.flatnonzero(part) for part in np.split(feas, ends)]
 
 
 def grid_local_maximize(
@@ -239,8 +270,7 @@ def grid_local_maximize(
     if not all(map(math.isfinite, x.tolist() + center.tolist())):
         raise ValueError("x and center entries must be finite")
     ys = _mesh(_axis_grid(center, radius, points))
-    (k,), (value,), (feasible,) = _masked_argmax(
-        spec, x, [axis[None, :] for axis in ys], 1, feas_tol)
+    k, value, feasible = _masked_argmax(spec, x, ys, feas_tol)
     if not feasible:
         raise EmptyFeasibleGridError(
             f"no feasible grid point in the ball of radius {radius} around {center}"
@@ -306,7 +336,9 @@ def verify_minimax_definition(
         return report
 
     deltas = [grid.delta0 * 0.5**k for k in range(grid.levels)]
-    for delta in deltas:
+    x_meshes = [_mesh(_axis_grid(x_star, delta, npts(delta))) for delta in deltas]
+    for delta, xs, feasible_x in zip(deltas, x_meshes,
+                                     _outer_feasible(spec, x_meshes, grid.feas_tol)):
         eta = grid.eta(delta)
         level = {"delta": delta, "eta": eta}
         # left inequality: f(x*, y) <= f(x*, y*) over Y(x*) in the delta ball
@@ -325,10 +357,7 @@ def verify_minimax_definition(
                 report.worst_witness = res.y.tolist()
 
         # right inequality: f(x*, y*) <= max f(x, .) over the eta ball
-        xs = _mesh(_axis_grid(x_star, delta, npts(delta)))
-        xfeas = np.broadcast_to(_feasible(outer.arrays(xs, np.zeros(spec.m)),
-                                          spec.n1, grid.feas_tol), xs[0].shape)
-        if not np.any(xfeas):
+        if not feasible_x.shape[0]:
             report.notes.append(f"delta={delta:g}: empty feasible x-grid")
             level["right_violation"] = None
             report.levels.append(level)
@@ -336,10 +365,10 @@ def verify_minimax_definition(
         # one inner y-grid serves every x point
         per_axis = npts(eta)
         y_axes = _axis_grid(y_star, eta, per_axis)
-        inner = [axis[None, :] for axis in _mesh(y_axes)]
-        feasible_x = np.flatnonzero(xfeas)
-        if feasible_x.shape[0] * inner[0].shape[1] <= CHUNK_ELEMENTS:
-            values, counts = _row_maxima(spec, xs, feasible_x, inner, grid.feas_tol)
+        y_mesh = _mesh(y_axes)
+        y_rows = [axis[None, :] for axis in y_mesh]
+        if feasible_x.shape[0] * y_mesh[0].shape[0] <= CHUNK_ELEMENTS:
+            values, counts = _row_maxima(spec, xs, feasible_x, y_rows, grid.feas_tol)
         else:
             # lb, a lower bound on each row's max, from a strided probe of the
             # inner grid through y*; a pruned row keeps its lb and its probe
@@ -349,8 +378,8 @@ def verify_minimax_definition(
                 [axis[per_axis // 2 % stride::stride] for axis in y_axes])]
             values, counts = _row_maxima(spec, xs, feasible_x, probe, grid.feas_tol)
             seed = int(np.argmin(values))
-            (v_seed,), (c_seed,) = _row_maxima(spec, xs, feasible_x[[seed]], inner,
-                                               grid.feas_tol)
+            _, v_seed, c_seed = _masked_argmax(
+                spec, [axis[feasible_x[seed]] for axis in xs], y_mesh, grid.feas_tol)
             t = f_star - v_seed
             # viols is f_star - values, and lb <= V gives f_star - V <= f_star - lb:
             # a row with f_star - lb < t can neither beat the seed nor tie with it
@@ -359,7 +388,7 @@ def verify_minimax_definition(
                 exact = ~(f_star - values < t)
             exact[seed] = False
             values[seed], counts[seed] = v_seed, c_seed
-            values[exact], counts[exact] = _row_maxima(spec, xs, feasible_x[exact], inner,
+            values[exact], counts[exact] = _row_maxima(spec, xs, feasible_x[exact], y_rows,
                                                        grid.feas_tol)
         # replay of a strict `viol > worst` scan in x order: the first x point
         # with the largest violation, skipping empty inner grids and NaN or -inf

@@ -1127,6 +1127,11 @@ PROBES = [
     # not certify
     pytest.param(KINK_TEXT.format(f="-(y1-x1)^2 + 2*x1^2"), "0", "0", {}, VERDICT_NECESSARY, 0,
                  id="kink-strict-minimax"),
+    # an inner equality on the nonsmooth path: h1 = y2 pins y2 = 0, and g1 = y1
+    # is active with zero multiplier, so beta = {1}; phi = x^2 for x <= 0 and
+    # 0 for x > 0, so first order holds and there is no second-order check
+    pytest.param("dims 1 2 1 1 0 0\nf = -(y1-x1)^2 - y2^2 + x1^2\nh1 = y2\ng1 = y1\n",
+                 "0", "0,0", {}, VERDICT_NECESSARY, 0, id="kink-inner-equality"),
     # |g| <= tol_act puts P2 at x = y = -1e-10 on the nonsmooth path; phi = 0
     # near it, so it is local minimax
     pytest.param("P2", "-1e-10", "-1e-10", {}, VERDICT_NECESSARY, 0, id="P2-near-kink"),

@@ -119,6 +119,21 @@ def test_grid_maximize_two_points_are_the_box_ends():
     assert res.y.tolist() == [0.75] and res.total_points == 2
 
 
+# f(0, y) = x1*y1 is -0.0 below y = 0 and +0.0 from it on; the first maximum
+# is the first -0.0, where np.maximum.reduce would give +0.0.  A constant f
+# and a y-free row are narrower than the grid and still count every point.
+@pytest.mark.parametrize("text, x, y, value", [
+    ("dims 1 1 0 0 0 0\nf = x1*y1\n", 0.0, -0.5, -0.0),
+    ("dims 1 1 0 0 0 0\nf = 1.5\n", 0.0, -0.5, 1.5),
+    ("dims 1 1 0 1 0 0\nf = x1^2\ng1 = x1 - 1\n", 0.5, -0.5, 0.25),
+], ids=["signed-zero-tie", "constant-f", "y-free-row"])
+def test_grid_maximize_takes_the_first_maximum_of_one_row(text, x, y, value):
+    res = grid_local_maximize(parse_problem(text), [x], [0.0], 0.5, 5)
+    assert [v.hex() for v in res.y.tolist()] == [y.hex()]
+    assert res.value.hex() == value.hex()
+    assert (res.feasible_points, res.total_points) == (5, 5)
+
+
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -0.5])
 def test_grid_maximize_rejects_radius_not_positive_and_finite(radius, monkeypatch):
     _refuse_evaluation(monkeypatch)
@@ -231,6 +246,26 @@ def test_definition_p3_feasible_singleton(p3):
         p3, [0.0], [0.0], GridSpec(delta0=0.1, step=1e-3, tol=1e-9)
     )
     assert rep.passed
+
+
+@pytest.mark.parametrize("name, ladder", [("P2", []), ("P3", [(201 + 101 + 51 + 27,)])])
+def test_outer_feasibility_is_one_pass_per_ladder(name, ladder, monkeypatch):
+    """Every level's x-grid is tested for H and G in one pass of the outer
+    tape over the meshes concatenated, and in none without H or G rows (P2);
+    the candidate's own test passes x* as scalars."""
+    from minimaxcert.fixtures import fixture_text
+
+    spec = parse_problem(fixture_text(name))
+    outer = spec._oracle_tapes[1]
+    arrays, shapes = outer.arrays, []
+
+    def recording(x, y):
+        shapes.append(np.shape(x[0]))
+        return arrays(x, y)
+
+    monkeypatch.setattr(outer, "arrays", recording)
+    verify_minimax_definition(spec, [0.0], [0.0], GridSpec(delta0=0.1, step=1e-3))
+    assert [shape for shape in shapes if shape] == ladder
 
 
 def test_definition_rejects_large_problems():
@@ -605,19 +640,28 @@ def test_probe_skips_most_rows_on_the_benchmark_shape(monkeypatch):
     points = []
     masked_argmax = oracle._masked_argmax
 
-    def counting(spec, x, ys, rows, feas_tol):
-        points.append(rows * ys[0].shape[1])
-        return masked_argmax(spec, x, ys, rows, feas_tol)
+    def counting(spec, x, ys, *args, **kwargs):
+        # the points of the grid the call reduces, one row or a block
+        shape = np.broadcast_shapes(*(np.shape(a) for a in [*x, *ys]))
+        points.append(math.prod(shape))
+        return masked_argmax(spec, x, ys, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_masked_argmax", counting)
     grid = GridSpec(step=1e-3)
     rep = verify_minimax_definition(spec, [2 * math.pi], [-0.835], grid)
     assert rep.passed and rep.worst_violation == 0.0
-    # every feasible x point times the inner grid, and the left inequality's grids
-    full = 0
+    # every feasible x point times the inner grid, and the left inequality's
+    # grids; and what the check evaluates whatever it skips: the left grids, and
+    # on a level above one block the probe of every x point and the seed row
+    full = floor = 0
     for k in range(grid.levels):
         delta = grid.delta0 * 0.5**k
         xs, ys = (2 * math.ceil(r / grid.step) + 1 for r in (delta, grid.eta(delta)))
         full += xs * ys + xs
-    assert full == 107_810
-    assert sum(points) < full / 4
+        if xs * ys <= oracle.CHUNK_ELEMENTS:
+            floor += xs * ys + xs
+        else:
+            probe = len(range(ys // 2 % math.isqrt(ys), ys, math.isqrt(ys)))
+            floor += xs * probe + ys + xs
+    assert (full, floor) == (107_810, 13_246)
+    assert floor <= sum(points) < full / 4
