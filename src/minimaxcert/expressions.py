@@ -437,10 +437,11 @@ class Tape:
         where the entries of x and y may be scalars or broadcastable arrays
         (the grid oracle passes x entries as scalars and y entries as 1-D
         arrays for one row, x entries as (rows, 1) columns and y entries as
-        (1, Y) rows for a block, and 1-D x entries to its H and G tape).  A constant entry is its float; any other is shaped
-        the way its operands broadcast.  No DomainError and no numpy warning
-        is raised: a value outside a domain, or one that overflows, is NaN
-        or inf, also where both operands are constants."""
+        (1, Y) rows for a block, and 1-D x entries to its H and G tape).  A
+        constant entry is its float; any other is shaped the way its
+        operands broadcast.  No DomainError and no numpy warning is raised:
+        a value outside a domain, or one that overflows, is NaN or inf, also
+        where both operands are constants."""
         with np.errstate(all="ignore"):
             vals = self._run(x, y, self._array_init, self._array_code)
         out = self.template.tolist()

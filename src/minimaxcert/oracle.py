@@ -204,9 +204,9 @@ def _masked_argmax(spec: ProblemSpec, x, ys, feas_tol: float):
     fvals = np.where(feas & np.isfinite(fvals), fvals, -np.inf)
     # one row is (Y,), and a block (rows, Y) for columns x of shape (rows, 1)
     shape = np.shape(x[0])[:1] + ys[0].shape[-1:]
-    if fvals.shape != shape:  # a constant or y-free f and no y-dependent row
+    if fvals.shape != shape:  # f and every row leave out an axis of the grid
         fvals = np.broadcast_to(fvals, shape)
-    if np.shape(feas) != shape:  # y-free rows, or none
+    if np.shape(feas) != shape:  # every row leaves out an axis, or there is none
         feas = np.broadcast_to(feas, shape)
     if len(shape) == 1:
         k = fvals.argmax()

@@ -650,9 +650,10 @@ def test_probe_skips_most_rows_on_the_benchmark_shape(monkeypatch):
     grid = GridSpec(step=1e-3)
     rep = verify_minimax_definition(spec, [2 * math.pi], [-0.835], grid)
     assert rep.passed and rep.worst_violation == 0.0
-    # every feasible x point times the inner grid, and the left inequality's
-    # grids; and what the check evaluates whatever it skips: the left grids, and
-    # on a level above one block the probe of every x point and the seed row
+    # full: every x point times the inner grid, and the left inequality's
+    # grids; floor: what the check evaluates whatever it skips, the left grids,
+    # every x point of a level of one block, and on a level above one block
+    # the probe of every x point and the seed row
     full = floor = 0
     for k in range(grid.levels):
         delta = grid.delta0 * 0.5**k
