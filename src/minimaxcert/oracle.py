@@ -9,10 +9,9 @@ runs on the 1-D y-mesh with x as scalars: the left inequality's grid, which
 that probes (below).  The right inequality evaluates one inner y-grid per
 level against blocks of feasible x-grid points in one broadcast of the spec's
 tapes in array mode: x axes as (rows, 1) columns, y axes as (1, Y) rows, with
-rows * Y at most CHUNK_ELEMENTS (one row when Y alone exceeds it).  Which
-x-grid points are feasible is decided for the whole ladder at once, in one
-pass of the H and G tape over every level's x-mesh, and in none when there
-are no H or G rows.
+rows * Y at most CHUNK_ELEMENTS (one row when Y alone exceeds it).  Each
+level tests its x-mesh against H and G in one pass of the outer tape, and in
+none when there are no H or G rows.
 
 Only the x rows with the least inner max set a level's right violation.  So a
 level that needs more than one block first probes every feasible x row against
@@ -229,19 +228,6 @@ def _row_maxima(spec: ProblemSpec, xs, rows, ys, feas_tol: float):
     return values, counts
 
 
-def _outer_feasible(spec: ProblemSpec, meshes, feas_tol: float) -> list[np.ndarray]:
-    """The indices of the points of each x-mesh where H and G hold, from one
-    pass of the outer tape over the meshes concatenated, and from none when
-    there are no H or G rows."""
-    if not spec.n1 + spec.n2:
-        return [np.arange(mesh[0].shape[0]) for mesh in meshes]
-    flat = [np.concatenate(axes) for axes in zip(*meshes)]
-    feas = np.broadcast_to(_feasible(spec._oracle_tapes[1].arrays(flat, np.zeros(spec.m)),
-                                     spec.n1, feas_tol), flat[0].shape)
-    ends = np.cumsum([mesh[0].shape[0] for mesh in meshes[:-1]])
-    return [np.flatnonzero(part) for part in np.split(feas, ends)]
-
-
 def grid_local_maximize(
     spec: ProblemSpec,
     x,
@@ -336,9 +322,7 @@ def verify_minimax_definition(
         return report
 
     deltas = [grid.delta0 * 0.5**k for k in range(grid.levels)]
-    x_meshes = [_mesh(_axis_grid(x_star, delta, npts(delta))) for delta in deltas]
-    for delta, xs, feasible_x in zip(deltas, x_meshes,
-                                     _outer_feasible(spec, x_meshes, grid.feas_tol)):
+    for delta in deltas:
         eta = grid.eta(delta)
         level = {"delta": delta, "eta": eta}
         # left inequality: f(x*, y) <= f(x*, y*) over Y(x*) in the delta ball
@@ -356,7 +340,12 @@ def verify_minimax_definition(
                 report.worst_side = "left"
                 report.worst_witness = res.y.tolist()
 
-        # right inequality: f(x*, y*) <= max f(x, .) over the eta ball
+        # right inequality: f(x*, y*) <= max f(x, .) over the eta ball; with no
+        # H or G rows every x point is feasible and no outer tape runs
+        xs = _mesh(_axis_grid(x_star, delta, npts(delta)))
+        xfeas = _feasible(outer.arrays(xs, np.zeros(spec.m)) if spec.n1 + spec.n2 else [],
+                          spec.n1, grid.feas_tol)
+        feasible_x = np.flatnonzero(np.broadcast_to(xfeas, xs[0].shape))
         if not feasible_x.shape[0]:
             report.notes.append(f"delta={delta:g}: empty feasible x-grid")
             level["right_violation"] = None

@@ -248,14 +248,13 @@ def test_definition_p3_feasible_singleton(p3):
     assert rep.passed
 
 
-@pytest.mark.parametrize("name, ladder", [("P2", []), ("P3", [(201 + 101 + 51 + 27,)])])
-def test_outer_feasibility_is_one_pass_per_ladder(name, ladder, monkeypatch):
-    """Every level's x-grid is tested for H and G in one pass of the outer
-    tape over the meshes concatenated, and in none without H or G rows (P2);
-    the candidate's own test passes x* as scalars."""
+def test_outer_feasibility_runs_no_tape_without_outer_rows(monkeypatch):
+    """Without H or G rows (P2) every x-grid point is feasible, and the ladder
+    runs no outer tape; only the candidate's own test does, with x* as
+    scalars."""
     from minimaxcert.fixtures import fixture_text
 
-    spec = parse_problem(fixture_text(name))
+    spec = parse_problem(fixture_text("P2"))
     outer = spec._oracle_tapes[1]
     arrays, shapes = outer.arrays, []
 
@@ -265,7 +264,7 @@ def test_outer_feasibility_is_one_pass_per_ladder(name, ladder, monkeypatch):
 
     monkeypatch.setattr(outer, "arrays", recording)
     verify_minimax_definition(spec, [0.0], [0.0], GridSpec(delta0=0.1, step=1e-3))
-    assert [shape for shape in shapes if shape] == ladder
+    assert shapes == [()]
 
 
 def test_definition_rejects_large_problems():
