@@ -23,7 +23,8 @@ smooth path is the |beta| = 0 case, one projection selector, and
 are decided exactly on the critical cone's faces.  Nonsmooth first order
 (`first_order_nonsmooth`) asks of the runner's outer polytope whether
 grad_x L admits an outer multiplier; while beta is nonempty a negative
-answer does not refute.
+answer does not refute.  It needs no A(x, W), so the nonsmooth path builds
+no selector sweep and `selector_cap` does not bound it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .lower import (
     recover_multipliers,
     solve_lower,
 )
-from .nonsmooth import LAMBDA_SIGN_CONVENTION, SelectorCapError, selector_sweep
+from .nonsmooth import LAMBDA_SIGN_CONVENTION, _solution_point
 from .oracle import GridTooLargeError, verify_minimax_definition
 from .problem import (
     CandidatePoint,
@@ -307,21 +308,22 @@ def _pipeline(spec, candidate, config, progress: _Progress):
         )
 
 
-# path -> (its sweep's nonsingularity row, its first-order row, the row a
-# failed inner refinement ends in)
+# path -> (its first-order row, the row a failed inner refinement ends in)
 _PATH_ROWS = {
-    PATH_SMOOTH: ("sensitivity_system", "first_order", "sensitivity_system"),
-    PATH_NONSMOOTH: ("b_selector_nonsingularity", "first_order_nonsmooth",
-                     "first_order_nonsmooth"),
+    PATH_SMOOTH: ("first_order", "sensitivity_system"),
+    PATH_NONSMOOTH: ("first_order_nonsmooth", "first_order_nonsmooth"),
 }
 
 
 def _run_path(spec, candidate, decision, config, results, notes):
-    """Either path after classification: refine y, test the selector sweep
-    (the smooth path's is its one selector), check MFCQ, build the outer
+    """Either path after classification: refine y, test the smooth path's
+    sensitivity system (its one-selector sweep), check MFCQ, build the outer
     level on grad_x L once, decide first order, verify supplied (u, v), and,
-    on the smooth path, run both second-order checks."""
-    sweep_row, first_row, newton_row = _PATH_ROWS[decision.path]
+    on the smooth path, run both second-order checks.  The nonsmooth path
+    reads grad_x L off the refined solution and builds no selector sweep:
+    Assumption A, in its report, makes every A(x, W) nonsingular (Robinson
+    1980, Thm 4.1)."""
+    first_row, newton_row = _PATH_ROWS[decision.path]
     try:
         sol = solve_lower(spec, candidate.x, (candidate.y, decision.mu, decision.lam), config)
     except NewtonError as exc:
@@ -335,34 +337,30 @@ def _run_path(spec, candidate, decision, config, results, notes):
         notes.append(f"inner refinement moved y by {drift:.3e}")
 
     smooth = decision.path == PATH_SMOOTH
-    try:
-        # the smooth path takes its sweep from value_derivatives, with hess phi
-        vd = value_derivatives(spec, sol, config) if smooth else None
-        sweep = vd.sweep if smooth else selector_sweep(spec, sol, config)
-    except SingularSensitivityError as exc:
-        results.append(ConditionCheck(sweep_row, VIOLATED, exc.sigma_min, None, detail=str(exc)))
-        return
-    except SelectorCapError as exc:
-        results += [ConditionCheck(sweep_row, ERROR, None, None, detail=str(exc)),
-                    check_mfcq(spec, candidate.x, config),
-                    ConditionCheck(first_row, ERROR, None, config.tol_kkt, detail=str(exc))]
-        return
-    margin = float(np.min(sweep.solved.sigma_min))
-    detail = (f"condition estimate {float(sweep.solved.sigma_max[0]) / margin:.3e}" if smooth
-              else f"{len(sweep.selectors)} binary selectors")
-    # every A(x, W) must be invertible here; on the nonsmooth path strong
-    # regularity makes the whole Clarke generalized Jacobian so
-    results.append(
-        ConditionCheck(sweep_row, VIOLATED if sweep.solved.singular.any() else SATISFIED,
-                       margin, None, detail=detail)
-    )
+    if smooth:
+        try:
+            vd = value_derivatives(spec, sol, config)
+        except SingularSensitivityError as exc:
+            results.append(ConditionCheck("sensitivity_system", VIOLATED, exc.sigma_min, None,
+                                          detail=str(exc)))
+            return
+        # value_derivatives raises on a singular A(x, W), so this one passes
+        solved = vd.sweep.solved
+        margin = float(solved.sigma_min[0])
+        results.append(ConditionCheck(
+            "sensitivity_system", SATISFIED, margin, None,
+            detail=f"condition estimate {float(solved.sigma_max[0]) / margin:.3e}"))
+        grad_x = vd.gradient
+    else:
+        _, lag, partition = _solution_point(spec, sol, config)
+        grad_x = lag.grad_x
     mfcq = check_mfcq(spec, candidate.x, config)
     results.append(mfcq)
 
-    poly = upper_kkt_and_polytope(spec, candidate.x, sweep.grad_x, config)
+    poly = upper_kkt_and_polytope(spec, candidate.x, grad_x, config)
     if not smooth:
         _gated(results, first_row, config.tol_kkt,
-               lambda: first_order_nonsmooth(sweep, poly, config))
+               lambda: first_order_nonsmooth(grad_x, not partition.beta, poly, config))
     elif poly.nonempty:
         results.append(ConditionCheck(
             first_row, SATISFIED, poly.residual(*poly.point), config.tol_kkt,
@@ -371,7 +369,7 @@ def _run_path(spec, candidate, decision, config, results, notes):
         ))
     else:
         results.append(ConditionCheck(
-            first_row, VIOLATED, None, config.tol_kkt, witness=sweep.grad_x.tolist(),
+            first_row, VIOLATED, None, config.tol_kkt, witness=grad_x.tolist(),
             detail="no upper multipliers reproduce the value-function gradient",
         ))
     if candidate.u is not None or candidate.v is not None:

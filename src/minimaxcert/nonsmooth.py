@@ -12,7 +12,7 @@ each: `enumerate_b_selectors` gives the 2^|beta| B-selectors, binary on
 beta, by bit arithmetic in bitmask order, and `clarke_selector_grid` a grid
 over the Clarke box in `itertools.product` order.
 
-Everything runs off one selector sweep per nonsmooth solution
+Every candidate set runs off one selector sweep per nonsmooth solution
 (`selector_sweep`).  It opens the solution once and takes the B-selectors.
 Under the standing regularity assumption (LICQ plus strong second-order
 sufficiency, hence strong regularity) every element of the Clarke
@@ -28,17 +28,19 @@ margin sigma_min in one batched SVD (`stack_selectors`, which also builds
 the smooth path's one-selector sensitivity system, the sweep that
 `value_function.value_derivatives` returns).  The right-hand-side stack and
 every nonsingular H(x, W) = A(x, W)^{-1} rhs, by one batched solve, are
-computed when first read.  certify's nonsmooth path reads only the singular
-values and grad_x L (under the standing assumption grad phi = grad_x L), so
-it makes no solve.  numpy runs LAPACK slice by slice, so the singular
-values, H entries and SingularMatrixErrors equal those of each matrix alone
-bit for bit, and verdicts and reports do not depend on the batching.  The
-`SelectorSweep` keeps the selector rows and those stacks, with one flag for
+computed when first read.  certify's nonsmooth path builds no sweep: it
+reads grad_x L and beta's emptiness off `_solution_point`, since the same
+assumption that makes grad phi = grad_x L makes every A(x, W) nonsingular,
+and its report verifies that assumption (`lower_licq`, `lower_strong_sosc`).
+numpy runs LAPACK slice by slice, so the singular values, H entries and
+SingularMatrixErrors equal those of each matrix alone bit for bit, and
+verdicts and reports do not depend on the batching.  The `SelectorSweep`
+keeps the selector rows and those stacks, with one flag for
 the whole family, `exact` (beta is empty, so the one selector is the whole
 generalized Jacobian), and its consumers index them: `kkt_map_directional`
-and `phi_generalized_gradients` here, `certify`'s one runner (its
-nonsingularity row and outer polytope on grad_x L, on either path), and
-`upper.first_order_nonsmooth`, which reads the singularity test.
+and `phi_generalized_gradients` here, `upper.first_order_nonsmooth_necessary`
+with its B-subdifferential, and, on the smooth path only, `certify`'s runner
+(its `sensitivity_system` row, by way of `value_derivatives`).
 `assemble_a_matrix` and `assemble_h_matrix` run the same stacked step on a
 one-selector stack, given one selector row, and return fresh values.
 

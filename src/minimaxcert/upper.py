@@ -371,31 +371,25 @@ def second_order_sufficient(vd: ValueDerivatives, poly: LambdaPolytope,
     return _cone_check("second_order_sufficient", config.tol_pd, vd, poly, poly.reduced, config)
 
 
-def first_order_nonsmooth(sweep: SelectorSweep, poly: LambdaPolytope,
+def first_order_nonsmooth(grad_x: np.ndarray, exact: bool, poly: LambdaPolytope,
                           config: CheckConfig | None = None) -> ConditionCheck:
     """Outer first order at a nonsmooth solution: does grad phi = grad_x L
-    admit an outer multiplier?  `poly` is the outer level built on the
-    sweep's grad_x L (`upper_kkt_and_polytope`), as on the smooth path; in
-    `certify` it is the runner's one polytope.  An empty polytope is a
-    disproof only when the selector family is exact (beta empty); otherwise
-    it is inconclusive.  It reads the sweep's singularity test and grad_x L,
-    never H(x, W), so it makes no batched solve."""
+    admit an outer multiplier?  `poly` is the outer level built on grad_x L
+    (`upper_kkt_and_polytope`), as on the smooth path; in `certify` it is the
+    runner's one polytope.  An empty polytope is a disproof only when the
+    selector family is `exact` (beta empty: one selector is the whole
+    generalized Jacobian); otherwise it is inconclusive.  No A(x, W) is
+    read: under the standing assumption every one is nonsingular."""
     config = config or CheckConfig()
-    if sweep.solved.singular.all():
-        return ConditionCheck(
-            "first_order_nonsmooth", ERROR, None, config.tol_kkt,
-            detail="every selector matrix was singular: inconsistent with the "
-            "standing regularity assumption",
-        )
     if poly.nonempty:
         u, v = poly.point
         return ConditionCheck(
             "first_order_nonsmooth", SATISFIED, poly.residual(u, v), config.tol_kkt,
             witness={"u": u.tolist(), "v": v.tolist()},
         )
-    if sweep.exact:
+    if exact:
         return ConditionCheck(
-            "first_order_nonsmooth", VIOLATED, float(np.max(np.abs(sweep.grad_x))),
+            "first_order_nonsmooth", VIOLATED, float(np.max(np.abs(grad_x))),
             config.tol_kkt,
             detail="selector family is exact here and no multiplier exists",
         )
@@ -416,9 +410,9 @@ def first_order_nonsmooth_necessary(
     """`first_order_nonsmooth` at `sol`, with the B-subdifferential, whose
     every nonsingular candidate equals grad_x L at a KKT point; building it
     reads H(x, W), one batched solve.  The selectors and their A(x, W) come
-    from `sweep`, built here when not given."""
+    from `sweep`, built here when not given; `certify` builds none."""
     config = config or CheckConfig()
     sweep = sweep or selector_sweep(spec, sol, config)
     poly = upper_kkt_and_polytope(spec, x, sweep.grad_x, config)
-    return (first_order_nonsmooth(sweep, poly, config),
+    return (first_order_nonsmooth(sweep.grad_x, sweep.exact, poly, config),
             _candidate_set("b_subdifferential", sweep, sweep.phi_gradients()))

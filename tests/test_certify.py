@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from minimaxcert import (
     CandidatePoint,
@@ -25,7 +25,7 @@ from minimaxcert.fixtures import fixture_text
 from minimaxcert.oracle import grid_local_maximize
 from minimaxcert.report import dumps_canonical, report_to_doc
 
-from conftest import basic_multipliers, perfbench_workloads
+from conftest import basic_multipliers, degenerate_text, perfbench_workloads
 
 
 def result(report, name):
@@ -586,26 +586,27 @@ def test_certify_with_equality_constraints_both_levels(config):
 
 # --- the selector sweep -------------------------------------------------------------
 
-def test_selector_cap_is_an_error_check(config):
-    # |beta| = 6 exceeds selector_cap = 5
+def test_selector_cap_does_not_bound_certify(config):
+    # |beta| = 6 exceeds selector_cap = 5: the sweep of subdiff stops there,
+    # but nonsmooth first order reads grad_x L alone and builds no sweep
     from conftest import degenerate_text
-    from minimaxcert.conditions import ERROR
+    from minimaxcert.lower import solve_lower
+    from minimaxcert.nonsmooth import SelectorCapError, selector_sweep
     from minimaxcert.problem import parse_problem
 
-    spec = parse_problem(degenerate_text(6))
-    rep = certify(spec, CandidatePoint([0.0] * 6, [0.0] * 6),
-                  config.replace(selector_cap=5))
+    spec, origin = parse_problem(degenerate_text(6)), [0.0] * 6
+    capped = config.replace(selector_cap=5)
+    rep = certify(spec, CandidatePoint(origin, origin), capped)
     assert rep.path == PATH_NONSMOOTH
-    assert rep.verdict == VERDICT_INCONCLUSIVE
-    for name in ("b_selector_nonsingularity", "first_order_nonsmooth"):
-        check = result(rep, name)
-        assert check.status == ERROR
-        assert "exceed cap" in check.detail
+    assert rep.verdict == VERDICT_NECESSARY
+    assert result(rep, "first_order_nonsmooth").status == SATISFIED
+    with pytest.raises(SelectorCapError, match="exceed cap"):
+        selector_sweep(spec, solve_lower(spec, origin, (origin, None, None), capped), capped)
 
 
 @pytest.mark.parametrize("k", [6, 8])
 def test_large_beta_reaches_necessary_conditions(k, config):
-    # 2^k B-selectors stay inside selector_cap; no 5^k Clarke grid is built
+    # no 2^k B-selectors and no 5^k Clarke grid are built
     from conftest import degenerate_text
     from minimaxcert.problem import parse_problem
 
@@ -613,31 +614,130 @@ def test_large_beta_reaches_necessary_conditions(k, config):
     rep = certify(spec, CandidatePoint([0.0] * k, [0.0] * k), config)
     assert rep.path == PATH_NONSMOOTH
     assert rep.verdict == VERDICT_NECESSARY
-    assert result(rep, "b_selector_nonsingularity").detail == f"{2 ** k} binary selectors"
+    assert "b_selector_nonsingularity" not in {c.name for c in rep.results}
     assert result(rep, "first_order_nonsmooth").status == SATISFIED
 
 
-def test_selector_nonsingularity_reads_the_sweeps_pivot_test(config):
-    # the sweep's own singularity rule decides, so the check has no
-    # tolerance of its own
+def test_exact_family_refutes_on_the_nonsmooth_path(config):
+    # the `nonsmooth-exact-family` probe: strict complementarity fails at
+    # tol_sc while beta is empty, and phi(x) = x
+    from minimaxcert.problem import parse_problem
+
+    rep = certify(parse_problem(KINK_TEXT.format(f="x1 - y1^2 + 1e-7*y1")),
+                  CandidatePoint([0.0], [0.0]), config.replace(tol_sc=1e-6))
+    check = result(rep, "first_order_nonsmooth")
+    assert (rep.path, rep.verdict) == (PATH_NONSMOOTH, VERDICT_REFUTED)
+    assert (check.status, check.value) == (VIOLATED, 1.0)
+    assert rep.decided_by == ["first_order_nonsmooth"]
+
+
+def test_nonsmooth_report_carries_what_makes_every_selector_nonsingular(config):
+    # LICQ with strong SOSC makes every A(x, W) nonsingular (Robinson 1980),
+    # so the report states those two rows and no selector row of its own
     from conftest import degenerate_text
     from minimaxcert.problem import parse_problem
 
     rep = certify(parse_problem(degenerate_text(2)), CandidatePoint([0.0] * 2, [0.0] * 2),
                   config)
-    check = result(rep, "b_selector_nonsingularity")
-    assert (check.status, check.tolerance) == (SATISFIED, None)
+    assert rep.path == PATH_NONSMOOTH
+    for name in ("lower_licq", "lower_strong_sosc", "assumption_a"):
+        assert result(rep, name).status == SATISFIED, name
+    assert "b_selector_nonsingularity" not in {c.name for c in rep.results}
+
+
+@st.composite
+def _strongly_regular_degenerate(draw):
+    """(spec, x*, y*): a quadratic inner problem, n <= 2, m <= 3, at a KKT
+    point with affine rows: m1 equalities, strongly active rows (multiplier
+    in [0.5, 1.5]), one or more degenerate ones (active, zero multiplier)
+    and perhaps an inactive one; perhaps an active affine outer row G.
+    L_yy = Q is negative definite on the kernel of the equality and
+    strongly active rows; where there are such rows, a multiple of their
+    Gram form often makes it indefinite off that kernel.  f's linear x term
+    puts grad_x L at 0, at -v JG with v >= 0 (admissible when G is there),
+    or at a random vector."""
+    from conftest import affine_expr, quadratic_objective
+    from minimaxcert.lower import lagrangian_eval
+    from minimaxcert.problem import ProblemSpec, eval_bundle
+
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    m1 = draw(st.integers(0, m - 1))
+    degenerate = draw(st.integers(1, m - m1))
+    strong = draw(st.integers(0, m - m1 - degenerate))
+    inactive = draw(st.integers(0, 1))
+    outer = draw(st.booleans())
+    target = draw(st.sampled_from(["zero", "admissible", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, m)
+
+    def row(slack=0.0):
+        a, b = rng.standard_normal(m), rng.standard_normal(n)
+        return a, b, -float(a @ y + b @ x) - slack
+
+    h = [row() for _ in range(m1)]
+    g = [row() for _ in range(degenerate + strong)]
+    g += [row(rng.uniform(0.5, 1.5)) for _ in range(inactive)]
+    mu = rng.standard_normal(m1)
+    lam = np.zeros(len(g))
+    lam[degenerate:degenerate + strong] = rng.uniform(0.5, 1.5, strong)
+    active = np.array([a for a, _, _ in h + g[:degenerate + strong]])
+    assume(np.linalg.svd(active, compute_uv=False)[-1] >= 0.3)
+    pinned = np.array([a for a, _, _ in h + g[degenerate:degenerate + strong]]).reshape(-1, m)
+    L = rng.standard_normal((m, m))
+    Q = -(L @ L.T + 0.3 * np.eye(m)) + rng.uniform(0.0, 5.0) * pinned.T @ pinned
+    R, B = rng.standard_normal((m, n)), rng.standard_normal((n, n))
+    q = -(Q @ y + R @ x) + lam @ np.array([a for a, _, _ in g]) - mu @ active[:m1]
+    aG = rng.standard_normal(n)
+    G = [affine_expr(np.zeros(0), aG, -float(aG @ x))] if outer else []
+    want = {"zero": np.zeros(n), "admissible": -rng.uniform(0.5, 1.5) * aG * outer,
+            "random": rng.standard_normal(n)}[target]
+
+    def spec(p):
+        return ProblemSpec(n=n, m=m, m1=m1, m2=len(g), n1=0, n2=len(G),
+                           f=quadratic_objective(Q, R, 0.5 * (B + B.T), q, p),
+                           h=[affine_expr(a, b, c) for a, b, c in h],
+                           g=[affine_expr(a, b, c) for a, b, c in g], G=G)
+
+    plain = lagrangian_eval(eval_bundle(spec(np.zeros(n)), x, y), mu, lam).grad_x
+    return spec(want - plain), x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_strongly_regular_degenerate())
+def test_assumption_a_makes_every_b_selector_nonsingular(instance, config):
+    """The theorem the nonsmooth path rests on in place of a selector sweep:
+    where Assumption A holds with beta nonempty, every B-selector's A(x, W)
+    is nonsingular (Robinson 1980, Thm 4.1), and first order on the sweep's
+    grad_x L gives the status of certify's row."""
+    from minimaxcert.lower import check_assumption_a, solve_lower
+    from minimaxcert.nonsmooth import _solution_point, selector_sweep
+    from minimaxcert.upper import first_order_nonsmooth, upper_kkt_and_polytope
+
+    spec, x, y = instance
+    assume(check_assumption_a(spec, x, y, config).assumption_a)
+    rep = certify(spec, CandidatePoint(x, y), config)
+    assert rep.path == PATH_NONSMOOTH
+    decision = classify_path(spec, CandidatePoint(x, y), config)
+    sol = solve_lower(spec, x, (y, decision.mu, decision.lam), config)
+    assert _solution_point(spec, sol, config)[2].beta
+    sweep = selector_sweep(spec, sol, config)
+    assert len(sweep.selectors) > 1 and not sweep.solved.singular.any()
+    poly = upper_kkt_and_polytope(spec, x, sweep.grad_x, config)
+    check = first_order_nonsmooth(sweep.grad_x, sweep.exact, poly, config)
+    assert check.status == result(rep, "first_order_nonsmooth").status
 
 
 def test_sweep_factors_each_selector_once(config, monkeypatch):
-    # |beta| = 3: 8 binary selectors, and no Clarke grid
+    # |beta| = 3: the B-subdifferential's sweep has 8 binary selectors and no
+    # Clarke grid, each factored once in one batched SVD from one bundle
     import sys
 
     import minimaxcert.linalg
     import minimaxcert.nonsmooth
-    import minimaxcert.upper
     from conftest import degenerate_text
-    from minimaxcert.problem import eval_bundle, parse_problem
+    from minimaxcert.lower import solve_lower
+    from minimaxcert.nonsmooth import phi_generalized_gradients
+    from minimaxcert.problem import bundle_memo, eval_bundle, parse_problem
 
     factored = []
     batches = []
@@ -656,25 +756,61 @@ def test_sweep_factors_each_selector_once(config, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("minimaxcert") and getattr(module, "solve_stack", None) is solve_stack:
             monkeypatch.setattr(module, "solve_stack", counting_solve_stack)
-    # the sweep lives in nonsmooth; the search in upper must read it rather
-    # than evaluate the bundle again
-    for module in (minimaxcert.nonsmooth, minimaxcert.upper):
-        monkeypatch.setattr(module, "eval_bundle", counting_bundle, raising=False)
+    monkeypatch.setattr(minimaxcert.nonsmooth, "eval_bundle", counting_bundle)
 
-    spec = parse_problem(degenerate_text(3))
-    rep = certify(spec, CandidatePoint([0.0] * 3, [0.0] * 3), config)
-    assert rep.verdict == VERDICT_NECESSARY
-    assert result(rep, "b_selector_nonsingularity").detail == "8 binary selectors"
+    spec, origin = parse_problem(degenerate_text(3)), [0.0] * 3
+    sol = solve_lower(spec, origin, (origin, None, None), config)
+    with bundle_memo():
+        gset = phi_generalized_gradients(spec, sol, config)
+    assert len(gset.items) == 8 and not gset.errors
     assert len(factored) == len(set(factored)) == 8
     assert len(bundles) == 1
-    assert len(batches) == 1  # one batched SVD per sweep, and no solve (see below)
+    assert batches == [8]  # one batched SVD per sweep
+
+
+def test_nonsmooth_certify_builds_no_sweep(p2, config, monkeypatch):
+    """certify's nonsmooth path builds no selector sweep and factors no
+    A(x, W), and the bundle at the candidate is evaluated once."""
+    import sys
+
+    from conftest import degenerate_text
+    from minimaxcert.expressions import Tape
+    from minimaxcert.linalg import solve_stack
+    from minimaxcert.nonsmooth import selector_sweep
+    from minimaxcert.problem import parse_problem
+
+    def refuse(name):
+        def run(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return run
+
+    for modname, module in list(sys.modules.items()):
+        if not modname.startswith("minimaxcert"):
+            continue
+        for name, original in (("selector_sweep", selector_sweep),
+                               ("solve_stack", solve_stack)):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse(name))
+    runs = []
+    run_tape = Tape.__call__
+
+    def counting_run(tape, x, y):
+        runs.append(tape)
+        return run_tape(tape, x, y)
+
+    monkeypatch.setattr(Tape, "__call__", counting_run)
+    for spec, k in ((p2, 1), (parse_problem(degenerate_text(3)), 3)):
+        runs.clear()
+        rep = certify(spec, CandidatePoint([0.0] * k, [0.0] * k), config)
+        assert rep.path == PATH_NONSMOOTH and rep.verdict == VERDICT_NECESSARY
+        assert runs.count(spec._bundle_program.tape) == 1
 
 
 def test_batched_solves_only_where_h_is_read(p1, p2, config, monkeypatch):
     """A sweep solves for H(x, W) only when H is read: certify's nonsmooth
-    path reads the singular values and grad_x L alone and makes no batched
-    solve, the smooth path's value_derivatives makes one, and so do the
-    directional and subgradient candidate sets."""
+    path builds no sweep and makes no batched solve, the smooth path's
+    value_derivatives makes one, and so do the directional and subgradient
+    candidate sets."""
     from minimaxcert.linalg import SolvedStack
     from minimaxcert.lower import solve_lower
     from minimaxcert.nonsmooth import (
@@ -1135,6 +1271,16 @@ PROBES = [
     # |g| <= tol_act puts P2 at x = y = -1e-10 on the nonsmooth path; phi = 0
     # near it, so it is local minimax
     pytest.param("P2", "-1e-10", "-1e-10", {}, VERDICT_NECESSARY, 0, id="P2-near-kink"),
+    # |beta| = 17, above selector_cap: nonsmooth first order reads grad_x L
+    # alone, so no 2^17 selectors are built and the cap does not bound it
+    pytest.param(degenerate_text(17), ",".join(["0"] * 17), ",".join(["0"] * 17), {},
+                 VERDICT_NECESSARY, 0, id="degenerate-17"),
+    # lam = 1e-7 fails strict complementarity at tol_sc = 1e-6 while beta (at
+    # tol_act) is empty, so the one selector is the whole generalized
+    # Jacobian: phi(x) = x has no outer multiplier, and first order refutes
+    # at margin |grad phi| = 1
+    pytest.param(KINK_TEXT.format(f="x1 - y1^2 + 1e-7*y1"), "0", "0", {"tol_sc": 1e-6},
+                 VERDICT_REFUTED, 2, id="nonsmooth-exact-family"),
     # one Newton step cannot refine y to 1e-14: the inner refinement fails on
     # either path, and its error check refutes nothing
     pytest.param("P1", "0", "1e-9", NEWTON_FAILS, VERDICT_INCONCLUSIVE, 3,
@@ -1194,14 +1340,14 @@ def test_inner_refinement_drift_is_noted_on_both_paths(text, path, config):
 
 def test_singular_sweeps_end_each_path_as_before(monkeypatch):
     """With every A(x, W) singular to tolerance, the smooth path ends at its
-    sensitivity system and the nonsmooth one still checks MFCQ and reports
-    first order as an error; neither is refuted."""
+    sensitivity system, unrefuted; the nonsmooth path reads no A(x, W), so
+    its report and verdict do not change."""
     import minimaxcert.linalg
-    from minimaxcert.conditions import ERROR
     from minimaxcert.fixtures import load_fixture
 
-    monkeypatch.setattr(minimaxcert.linalg, "SINGULAR_RTOL", 10.0)
     origin = CandidatePoint([0.0], [0.0])
+    before = dumps_canonical(report_to_doc(certify(load_fixture("P2"), origin)))
+    monkeypatch.setattr(minimaxcert.linalg, "SINGULAR_RTOL", 10.0)
     rep = certify(load_fixture("P1"), origin)
     last = rep.results[-1]
     assert rep.path == PATH_SMOOTH and rep.verdict == VERDICT_INCONCLUSIVE
@@ -1209,13 +1355,10 @@ def test_singular_sweeps_end_each_path_as_before(monkeypatch):
     assert "singular to tolerance" in last.detail
 
     rep = certify(load_fixture("P2"), origin)
-    tail = rep.results[-3:]
-    assert rep.path == PATH_NONSMOOTH and rep.verdict == VERDICT_INCONCLUSIVE
-    assert [(c.name, c.status) for c in tail] == [
-        ("b_selector_nonsingularity", VIOLATED), ("mfcq", SATISFIED),
-        ("first_order_nonsmooth", ERROR)]
-    assert tail[0].detail == "2 binary selectors"
-    assert tail[2].detail.startswith("every selector matrix was singular")
+    assert rep.path == PATH_NONSMOOTH and rep.verdict == VERDICT_NECESSARY
+    assert [(c.name, c.status) for c in rep.results[-2:]] == [
+        ("mfcq", SATISFIED), ("first_order_nonsmooth", SATISFIED)]
+    assert dumps_canonical(report_to_doc(rep)) == before
 
 
 @pytest.mark.parametrize("name, x, y, v, path", [
@@ -1320,8 +1463,7 @@ def test_reports_keep_the_verdict_rule(source):
 # the checks that never decide a verdict, and so are not in conditions.POLICY
 INFO_CHECKS = {
     "feasibility", "multipliers", "path", "lower_strict_complementarity", "lower_sosc",
-    "lower_strong_sosc", "sensitivity_system", "upper_multipliers",
-    "b_selector_nonsingularity", "definition_oracle",
+    "lower_strong_sosc", "sensitivity_system", "upper_multipliers", "definition_oracle",
 }
 
 

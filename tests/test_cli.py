@@ -619,9 +619,9 @@ def test_selector_cap_exit_codes(tmp_path, capsys):
     zeros = ",".join(["0"] * 6)
     cfg = tmp_path / "cap.txt"
     cfg.write_text("selector_cap = 5\n", encoding="utf-8")
-    # certify reports the cap as an error check: inconclusive
+    # certify builds no selector sweep, so the cap does not bound it
     assert main(["certify", str(prob), "--x", zeros, "--y", zeros,
-                 "--config", str(cfg)]) == 3
+                 "--config", str(cfg)]) == 0
     # subdiff (the 5^6 Clarke grid) has no report to put it in: a usage error
     assert main(["subdiff", str(prob), "--x", zeros, "--y", zeros]) == 1
     assert "exceed cap" in capsys.readouterr().err

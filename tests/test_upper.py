@@ -441,7 +441,7 @@ def test_first_order_nonsmooth_p4(p4, config):
     sol = solve_lower(p4, [1.0], ([1.0], None, None), config)
     sweep = selector_sweep(p4, sol, config)
     poly = upper_kkt_and_polytope(p4, [1.0], sweep.grad_x, config)
-    check = first_order_nonsmooth(sweep, poly, config)
+    check = first_order_nonsmooth(sweep.grad_x, sweep.exact, poly, config)
     assert check.status == SATISFIED
     assert check.witness["v"][0] == pytest.approx(1.0, abs=1e-9)
 
@@ -453,14 +453,14 @@ def test_first_order_nonsmooth_not_found_is_not_disproof(config):
     sol = solve_lower(spec, [0.0], ([0.0], None, None), config)
     sweep = selector_sweep(spec, sol, config)
     poly = upper_kkt_and_polytope(spec, [0.0], sweep.grad_x, config)
-    check = first_order_nonsmooth(sweep, poly, config)
+    check = first_order_nonsmooth(sweep.grad_x, sweep.exact, poly, config)
     assert check.status == INCONCLUSIVE
 
 
 def test_nonsmooth_certify_asks_for_one_outer_multiplier(p2, monkeypatch):
     """First order on the nonsmooth path is one question, of grad_x L, as on
-    the smooth path: one `_outer_multiplier` call per certify, also at the
-    16 selectors of the |beta| = 4 problem and when no multiplier exists."""
+    the smooth path: one `_outer_multiplier` call per certify, also on the
+    |beta| = 4 problem and when no multiplier exists."""
     from minimaxcert import upper
     from minimaxcert.certify import certify
     from minimaxcert.problem import CandidatePoint
@@ -558,7 +558,7 @@ def test_first_order_nonsmooth_matches_the_selector_search(instance, config):
     want, _ = reference_first_order_nonsmooth(spec, x, sol, config, sweep)
     assert check.status == want.status
     poly = upper_kkt_and_polytope(spec, x, sweep.grad_x, config)
-    assert first_order_nonsmooth(sweep, poly, config) == check  # certify's call
+    assert first_order_nonsmooth(sweep.grad_x, sweep.exact, poly, config) == check  # certify's call
     assert len(gset.items) + len(gset.errors) == len(sweep.selectors)
 
     near = np.concatenate([lag.grad_y, bundle.h, bundle.g[list(partition.active)]])
