@@ -53,6 +53,7 @@ CASES = {
     "certify-P1-not-kkt": ("certify", "P1", ["--x", "0", "--y", "0.5"]),
     "certify-P2-origin": ("certify", "P2", _origin()),
     "certify-P2-lambda": ("certify", "P2", [*_origin(), "--lambda", "0.5"]),
+    "certify-P2-lambda-small": ("certify", "P2", [*_origin(), "--lambda", "5e-9"]),
     "certify-P3-origin": ("certify", "P3", _origin()),
     "certify-P3-infeasible": ("certify", "P3", ["--x", "0.5", "--y", "0.5"]),
     "certify-P4-origin": ("certify", "P4", _origin()),
