@@ -1,10 +1,13 @@
 """Certification pipeline: route a candidate down the smooth or nonsmooth
 path, run every applicable condition, and assemble the verdict.
 
-`classify_path` decides the path from the inner hypotheses
-(`lower.JACOBIAN_UNIQUENESS`, `lower.ASSUMPTION_A`), and its `PathDecision`
-carries the report rows it was read from, so each row is built once, where
-its evidence is.
+`classify_path` builds one inner analysis (`lower.analyse_inner`) and
+decides the path by reading it for the inner hypotheses
+(`lower.JACOBIAN_UNIQUENESS`, `lower.ASSUMPTION_A`); its `PathDecision`
+carries the analysis's multipliers, which either path refines from, and the
+report rows it was read from, so each row is built once, where its evidence
+is.  Inner feasibility, the multiplier sign and strict complementarity are
+each decided there once; only the outer feasibility note is added here.
 
 Each condition holds under named hypotheses, and `conditions.POLICY` is
 their one table: for each deciding check, its kind and the checks that must
@@ -52,11 +55,7 @@ from .lower import (
     JACOBIAN_UNIQUENESS,
     NewtonError,
     NonsmoothDataError,
-    check_assumption_a,
-    check_jacobian_uniqueness,
-    eval_bundle,
-    kkt_residual_lower,
-    recover_multipliers,
+    analyse_inner,
     solve_lower,
 )
 from .nonsmooth import LAMBDA_SIGN_CONVENTION, _solution_point
@@ -104,75 +103,47 @@ class PathDecision:
     rows: list[ConditionCheck]
 
 
-def _resolve_multipliers(spec, candidate: CandidatePoint, config: CheckConfig):
-    """Verify supplied multipliers or recover them, reporting both on a
-    mismatch: (mu, lam, the `multipliers` row)."""
-    rec = recover_multipliers(spec, candidate.x, candidate.y, config)
-    mu, lam, residual = rec.mu, rec.lam, None
-    detail = f"multipliers recovered by least squares (residual {rec.residual:.3e})"
-    if candidate.lam is not None or candidate.mu is not None:
-        supplied_mu = candidate.mu if candidate.mu is not None else np.zeros(spec.m1)
-        supplied_lam = candidate.lam if candidate.lam is not None else np.zeros(spec.m2)
-        _, residual = kkt_residual_lower(spec, candidate.x, candidate.y,
-                                         supplied_mu, supplied_lam)
-        if (residual <= config.tol_kkt
-                and float(np.min(supplied_lam, initial=0.0)) >= -config.tol_act):
-            mu, lam, detail = supplied_mu, supplied_lam, "supplied multipliers verified"
-        else:
-            detail = (
-                f"supplied multipliers rejected (residual {residual:.3e}); "
-                f"recomputed values used (residual {rec.residual:.3e})"
-            )
-    return mu, lam, ConditionCheck("multipliers", SATISFIED, residual, config.tol_kkt,
-                                   detail=detail)
-
-
 def classify_path(
     spec: ProblemSpec, candidate: CandidatePoint, config: CheckConfig | None = None
 ) -> PathDecision:
     """smooth iff Jacobian uniqueness holds; nonsmooth iff the standing
     regularity assumption holds while strict complementarity fails;
-    invalid otherwise, naming the first failing condition.  The decision
-    carries the report rows it was read from: feasibility, multipliers and
-    the inner checks, then, when Assumption A was tested, `assumption_a`
-    (after `lower_strong_sosc` on the nonsmooth path)."""
+    invalid otherwise, naming the first failing condition.  Both read one
+    inner analysis (`lower.analyse_inner`), at the multipliers it settles
+    on, which the path runs at.  The decision carries the report rows it
+    was read from: feasibility, multipliers and the inner checks, then,
+    when Assumption A was read, `assumption_a` (after `lower_strong_sosc`
+    on the nonsmooth path)."""
     config = config or CheckConfig()
     candidate.validate_against(spec)
-    bundle = eval_bundle(spec, candidate.x, candidate.y)
-    feas_notes = []
-    if bundle.h.size and float(np.max(np.abs(bundle.h))) > config.tol_act:
-        feas_notes.append(f"|h| = {float(np.max(np.abs(bundle.h))):.3e}")
-    if bundle.g.size and float(np.max(bundle.g)) > config.tol_act:
-        feas_notes.append(f"max g = {float(np.max(bundle.g)):.3e}")
+    inner = analyse_inner(spec, candidate.x, candidate.y, candidate.mu, candidate.lam, config)
+    feas_notes = list(inner.infeasible)
     upper_set = compute_upper_active_set(spec, candidate.x, config)
     if not upper_set.feasible:
         feas_notes.append(f"outer violation {upper_set.worst_violation:.3e}")
-    mu, lam, multipliers = _resolve_multipliers(spec, candidate, config)
     rows = [ConditionCheck("feasibility", VIOLATED if feas_notes else SATISFIED, None,
                            config.tol_act, detail="; ".join(feas_notes)),
-            multipliers]
+            inner.multipliers]
     if feas_notes:
-        return PathDecision(PATH_INVALID, "feasibility", mu, lam, rows)
-    ju = check_jacobian_uniqueness(spec, candidate.x, candidate.y, mu, lam, config)
-    rows += ju.checks.values()
-    first = ju.first_failing(JACOBIAN_UNIQUENESS)
+        return PathDecision(PATH_INVALID, "feasibility", inner.mu, inner.lam, rows)
+    rows += [inner.checks[name] for name in (*JACOBIAN_UNIQUENESS, "lower_second_order_necessary")]
+    first = inner.first_failing(JACOBIAN_UNIQUENESS)
     if first is None:
-        return PathDecision(PATH_SMOOTH, None, mu, lam, rows)
-    assa = check_assumption_a(spec, candidate.x, candidate.y, config)
+        return PathDecision(PATH_SMOOTH, None, inner.mu, inner.lam, rows)
     if first == "lower_strict_complementarity":
         # strict complementarity alone would route to the nonsmooth path, so
         # the real blocker is whatever failed in the standing assumption
-        first = assa.first_failing(ASSUMPTION_A)
-    strong = assa.checks["lower_strong_sosc"]
+        first = inner.first_failing(ASSUMPTION_A)
+    strong = inner.checks["lower_strong_sosc"]
     # the qualification, valued by the strong SOSC bound
     qualification = ConditionCheck(
-        "assumption_a", SATISFIED if assa.assumption_a else VIOLATED, strong.value,
+        "assumption_a", SATISFIED if inner.assumption_a else VIOLATED, strong.value,
         config.tol_pd, detail="" if first is None else f"first failing condition: {first}",
     )
     if first is None:
-        return PathDecision(PATH_NONSMOOTH, None, assa.mu, assa.lam,
+        return PathDecision(PATH_NONSMOOTH, None, inner.mu, inner.lam,
                             [*rows, strong, qualification])
-    return PathDecision(PATH_INVALID, first, mu, lam, [*rows, qualification])
+    return PathDecision(PATH_INVALID, first, inner.mu, inner.lam, [*rows, qualification])
 
 
 @dataclass

@@ -4,12 +4,19 @@ necessary `lower_second_order_necessary`, strong `lower_strong_sosc`), and
 the semismooth Newton solver for the parametric solution map.
 
 Jacobian uniqueness and Assumption A are conditions on the same inner KKT
-point and share one analysis of it: the activity test `active_set`, one
-LICQ check there, and `critical_curvature`, the critical cone with the
-largest eigenvalue of L_yy on its affine hull (`Cone.hull`), once per
-Lagrangian and partition.  Each check carries the name a `certify` report
-prints, and `JACOBIAN_UNIQUENESS` and `ASSUMPTION_A` list each hypothesis's
-conditions once, in the order that names the first to fail.
+point, and `analyse_inner` makes each of their decisions once, in one
+`InnerAnalysis`: inner feasibility at tol_act; the multipliers, supplied
+ones when they pass the KKT test (`_kkt_fault`: the residual and the one
+sign rule) and least-squares ones (`recover_multipliers`, stationarity
+alone) otherwise; one partition by the one rule (`classify_partition`:
+alpha above max(tol_act, tol_sc)), so strict complementarity holds exactly
+when beta is empty; one LICQ check at the activity test `active_set`; and
+`critical_curvature`, the critical cone with the largest eigenvalue of L_yy
+on its affine hull (`Cone.hull`).  Each check carries the name a `certify`
+report prints, and `JACOBIAN_UNIQUENESS` and `ASSUMPTION_A` list each
+hypothesis's conditions once, in the order that names the first to fail;
+`check_jacobian_uniqueness` and `check_assumption_a` build the analysis at
+supplied and at recovered multipliers.
 
 `kkt_jacobian_blocks` is the one bordered-KKT assembler: the exact Jacobian
 A(x, W) of the projected KKT map for a projection selector W.  The Newton
@@ -53,11 +60,7 @@ DIVERGENCE_GROWTH = 1e8
 # to fail: Jacobian uniqueness (the smooth path) and Assumption A, strong
 # regularity of the inner KKT system (Robinson 1980; the nonsmooth path)
 JACOBIAN_UNIQUENESS = ("lower_kkt", "lower_licq", "lower_strict_complementarity", "lower_sosc")
-ASSUMPTION_A = ("multipliers_exist", "lower_licq", "lower_strong_sosc")
-
-
-class PartitionError(Exception):
-    """An index fits none of the (alpha, beta, gamma) classes."""
+ASSUMPTION_A = ("lower_kkt", "lower_licq", "lower_strong_sosc")
 
 
 class NonsmoothDataError(ValueError):
@@ -127,8 +130,8 @@ def kkt_residual_from_bundle(bundle: DerivativeBundle, lag: LagrangianEval,
 
 @dataclass
 class ActivePartition:
-    """Active-set split: alpha (active, positive multiplier), beta (active,
-    zero multiplier), gamma (inactive, zero multiplier)."""
+    """Active-set split: alpha (active, multiplier above the SC threshold),
+    beta (active, multiplier at or below it), gamma (inactive)."""
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
@@ -143,42 +146,35 @@ class ActivePartition:
         return len(self.alpha) + len(self.beta) + len(self.gamma)
 
 
-def classify_partition(g: np.ndarray, lam: np.ndarray, tol_act: float) -> ActivePartition:
+def active_set(g: np.ndarray, tol_act: float) -> tuple[int, ...]:
+    """The inner activity test: the indices i with |g_i| <= tol_act."""
+    return tuple(i for i in range(g.shape[0]) if abs(g[i]) <= tol_act)
+
+
+def classify_partition(g: np.ndarray, lam: np.ndarray, tol_act: float,
+                       tol_sc: float) -> ActivePartition:
+    """The one partition rule: an active index is in alpha when its
+    multiplier exceeds max(tol_act, tol_sc), else in beta; the others are
+    gamma.  Whether (g, lam) is feasible and signed is `analyse_inner`'s
+    decision, not the partition's."""
     g = np.asarray(g, dtype=float).reshape(-1)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if g.shape != lam.shape:
         raise ValueError("g and lam must have equal lengths")
-    alpha, beta, gamma = [], [], []
-    for i in range(g.shape[0]):
-        if g[i] > tol_act:
-            raise PartitionError(f"index {i + 1}: infeasible inequality g = {g[i]:.3e} > 0")
-        if lam[i] < -tol_act:
-            raise PartitionError(f"index {i + 1}: negative multiplier {lam[i]:.3e}")
-        if abs(g[i]) <= tol_act:
-            (alpha if lam[i] > tol_act else beta).append(i)
-        else:
-            if lam[i] > tol_act:
-                raise PartitionError(
-                    f"index {i + 1}: inactive (g = {g[i]:.3e}) with positive "
-                    f"multiplier {lam[i]:.3e}"
-                )
-            gamma.append(i)
-    return ActivePartition(tuple(alpha), tuple(beta), tuple(gamma))
+    active, threshold = active_set(g, tol_act), max(tol_act, tol_sc)
+    alpha = tuple(i for i in active if lam[i] > threshold)
+    beta = tuple(i for i in active if lam[i] <= threshold)
+    return ActivePartition(alpha, beta, tuple(i for i in range(g.shape[0]) if i not in active))
 
 
 @dataclass
 class RecoveredMultipliers:
+    """Least-squares multipliers over the active set and their KKT residual."""
+
     mu: np.ndarray
     lam: np.ndarray
     residual: float
     active: tuple[int, ...]
-    admissible: bool  # feasible, no multiplier below -tol_act; lam then clipped at 0
-    detail: str = ""
-
-
-def active_set(bundle: DerivativeBundle, tol_act: float) -> tuple[int, ...]:
-    """The inner activity test: the indices i with |g_i| <= tol_act."""
-    return tuple(i for i in range(bundle.g.shape[0]) if abs(bundle.g[i]) <= tol_act)
 
 
 def licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
@@ -190,13 +186,6 @@ def licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
 
 def _licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
     return smallest_singular_value(np.vstack([bundle.h_jy, bundle.g_jy[list(active)]]))
-
-
-def _licq_check(bundle: DerivativeBundle, config: CheckConfig) -> ConditionCheck:
-    """LICQ at the active set, which both inner hypotheses read."""
-    sigma = licq_sigma(bundle, active_set(bundle, config.tol_act))
-    return ConditionCheck("lower_licq", SATISFIED if sigma >= config.tol_licq else VIOLATED,
-                          sigma, config.tol_licq)
 
 
 def critical_curvature(bundle: DerivativeBundle, lag: LagrangianEval,
@@ -221,8 +210,9 @@ def _critical_curvature(bundle: DerivativeBundle, lag: LagrangianEval,
 def recover_multipliers(spec: ProblemSpec, x, y,
                         config: CheckConfig | None = None) -> RecoveredMultipliers:
     """Least-squares multipliers from stationarity over the active set, as
-    read-only arrays.  Inside `bundle_memo` each distinct (x, y, tol_act) is
-    recovered once."""
+    read-only arrays, with their KKT residual; whether they are KKT
+    multipliers is `analyse_inner`'s decision.  Inside `bundle_memo` each
+    distinct (x, y, tol_act) is recovered once."""
     tol_act = (config or CheckConfig()).tol_act
     bundle = eval_bundle(spec, x, y)
     return memoised(bundle, ("multipliers", tol_act),
@@ -231,51 +221,54 @@ def recover_multipliers(spec: ProblemSpec, x, y,
 
 def _recover_multipliers(spec: ProblemSpec, bundle: DerivativeBundle,
                          tol_act: float) -> RecoveredMultipliers:
-    active = list(active_set(bundle, tol_act))
-    feas_notes = []
-    if np.any(bundle.g > tol_act):
-        feas_notes.append("inequality infeasible")
-    if bundle.h.size and float(np.max(np.abs(bundle.h))) > tol_act:
-        feas_notes.append("equality infeasible")
-    cols = []
-    if spec.m1:
-        cols.append(bundle.h_jy.T)
-    if active:
-        cols.append(-bundle.g_jy[active].T)
-    mu = np.zeros(spec.m1)
-    lam = np.zeros(spec.m2)
-    if cols:
-        M = np.hstack(cols)
+    active = active_set(bundle.g, tol_act)
+    M = np.hstack([bundle.h_jy.T, -bundle.g_jy[list(active)].T])
+    mu, lam = np.zeros(spec.m1), np.zeros(spec.m2)
+    if M.shape[1]:
         z, *_ = np.linalg.lstsq(M, -bundle.fy, rcond=None)
-        mu = z[: spec.m1]
-        for j, i in enumerate(active):
-            lam[i] = z[spec.m1 + j]
-    neg = float(np.min(lam[active], initial=0.0)) if active else 0.0
-    if neg < -tol_act:
-        feas_notes.append("negative recovered multiplier")
-    elif not feas_notes:
-        lam = np.maximum(lam, 0.0)
+        mu, lam[list(active)] = z[: spec.m1], z[spec.m1:]
     _, norm = kkt_residual_from_bundle(bundle, lagrangian_eval(bundle, mu, lam), lam)
     mu.flags.writeable = lam.flags.writeable = False
-    return RecoveredMultipliers(
-        mu=mu,
-        lam=lam,
-        residual=norm,
-        active=tuple(active),
-        admissible=not feas_notes,
-        detail="; ".join(feas_notes),
-    )
+    return RecoveredMultipliers(mu=mu, lam=lam, residual=norm, active=active)
+
+
+# the lower_kkt fault whose evidence is the residual itself, not a detail
+KKT_RESIDUAL_TOO_LARGE = "kkt residual too large"
+
+
+def _kkt_fault(bundle: DerivativeBundle, lam: np.ndarray, residual: float,
+               config: CheckConfig) -> str:
+    """Why (mu, lam) are no KKT multipliers at the bundle's point, "" when
+    they are: the residual beyond tol_kkt, or the one sign rule, a multiplier
+    below -tol_act or one above tol_act on an inactive row."""
+    if residual > config.tol_kkt:
+        return KKT_RESIDUAL_TOO_LARGE
+    tol = config.tol_act
+    for i, (g, lam_i) in enumerate(zip(bundle.g, lam)):
+        if lam_i < -tol:
+            return f"no KKT multipliers: index {i + 1}: negative multiplier {lam_i:.3e}"
+        if abs(g) > tol and lam_i > tol:
+            return (f"no KKT multipliers: index {i + 1}: inactive (g = {g:.3e}) "
+                    f"with positive multiplier {lam_i:.3e}")
+    return ""
 
 
 @dataclass
-class LowerConditionsReport:
-    """Verdicts for the inner problem at a candidate, with numeric evidence."""
+class InnerAnalysis:
+    """One analysis of the inner KKT point at a candidate: its bundle, its
+    inner feasibility notes (empty when feasible at tol_act), the multipliers
+    it runs at with their `multipliers` report row, one partition and every
+    inner check.  Jacobian uniqueness and Assumption A are two readings of
+    it (`first_failing`)."""
 
+    bundle: DerivativeBundle
+    infeasible: list[str]
+    multipliers: ConditionCheck
+    mu: np.ndarray
+    lam: np.ndarray
     checks: dict[str, ConditionCheck]
     partition: ActivePartition | None = None
     cone: Cone | None = None
-    mu: np.ndarray | None = None
-    lam: np.ndarray | None = None
 
     def first_failing(self, hypothesis: tuple[str, ...]) -> str | None:
         """The first condition of `hypothesis` that is not satisfied, None
@@ -299,110 +292,124 @@ def _require_smooth(spec: ProblemSpec):
         )
 
 
-def check_jacobian_uniqueness(
-    spec: ProblemSpec, x, y, mu, lam, config: CheckConfig | None = None
-) -> LowerConditionsReport:
-    """Def-style check of (a) KKT, (b) LICQ, (c) strict complementarity,
-    (d) second-order sufficiency on the critical cone (`lower_sosc`), plus
-    the second-order necessary condition, curvature <= 0 on that cone
-    (`lower_second_order_necessary`).
-    LICQ is decided at the active set {|g_i| <= tol_act} whether or not KKT
-    holds, since it is the hypothesis under which KKT is necessary; the
-    others need a KKT point.  Both curvature checks read one eigenvalue
-    bound on the cone's affine hull; when the cone has faces and the bound
-    fails, the exact face test settles them."""
+def _resolve_multipliers(spec, bundle, mu, lam, config):
+    """Supplied multipliers when they pass the KKT test, else recovered ones,
+    reporting both on a mismatch: (mu, lam, their KKT residual, the
+    `multipliers` row)."""
+    supplied = None
+    if mu is not None or lam is not None:
+        mu = np.zeros(spec.m1) if mu is None else np.asarray(mu, dtype=float).reshape(-1)
+        lam = np.zeros(spec.m2) if lam is None else np.asarray(lam, dtype=float).reshape(-1)
+        _, supplied = kkt_residual_from_bundle(bundle, lagrangian_eval(bundle, mu, lam), lam)
+        if not _kkt_fault(bundle, lam, supplied, config):
+            return mu, lam, supplied, ConditionCheck(
+                "multipliers", SATISFIED, supplied, config.tol_kkt,
+                detail="supplied multipliers verified")
+    rec = recover_multipliers(spec, bundle.x, bundle.y, config)
+    detail = f"multipliers recovered by least squares (residual {rec.residual:.3e})"
+    if supplied is not None:
+        detail = (f"supplied multipliers rejected (residual {supplied:.3e}); "
+                  f"recomputed values used (residual {rec.residual:.3e})")
+    return rec.mu, rec.lam, rec.residual, ConditionCheck(
+        "multipliers", SATISFIED, supplied, config.tol_kkt, detail=detail)
+
+
+def analyse_inner(spec: ProblemSpec, x, y, mu=None, lam=None,
+                  config: CheckConfig | None = None) -> InnerAnalysis:
+    """The inner analysis at (x, y), at the supplied (mu, lam) when they pass
+    the KKT test, else at least-squares ones.
+
+    Its checks: `lower_kkt` (feasible, residual within tol_kkt, the sign
+    rule); `lower_licq` at the active set {|g_i| <= tol_act}, decided whether
+    or not KKT holds, since it is the hypothesis under which KKT is
+    necessary; and at a KKT point `lower_strict_complementarity`, satisfied
+    exactly when beta is empty (margin: the least active multiplier, +inf
+    with none), `lower_strong_sosc` (the largest eigenvalue of L_yy on the
+    critical cone's affine hull), and `lower_sosc` and
+    `lower_second_order_necessary` on the cone itself, which read that bound
+    unless the cone has faces and the bound fails; the exact face test
+    settles them then."""
     config = config or CheckConfig()
-    _require_smooth(spec)
     bundle = eval_bundle(spec, x, y)
-    mu = np.zeros(spec.m1) if mu is None else np.asarray(mu, dtype=float).reshape(-1)
-    lam = np.zeros(spec.m2) if lam is None else np.asarray(lam, dtype=float).reshape(-1)
-    checks: dict[str, ConditionCheck] = {}
-    lag = lagrangian_eval(bundle, mu, lam)
-    _, norm = kkt_residual_from_bundle(bundle, lag, lam)
-    # a residual within tol_kkt may still leave a sign outside tol_act
-    partition, why, detail = None, "kkt residual too large", ""
-    if norm <= config.tol_kkt:
-        try:
-            partition = classify_partition(bundle.g, lam, config.tol_act)
-        except PartitionError as exc:
-            why = detail = f"no active-set partition: {exc}"
-    checks["lower_kkt"] = ConditionCheck("lower_kkt", VIOLATED if partition is None else SATISFIED,
-                                         norm, config.tol_kkt, detail=detail)
-    checks["lower_licq"] = _licq_check(bundle, config)
-    if partition is None:
-        for name in ("lower_strict_complementarity", "lower_sosc"):
+    _require_smooth(spec)
+    infeasible = []
+    if bundle.h.size and float(np.max(np.abs(bundle.h))) > config.tol_act:
+        infeasible.append(f"|h| = {float(np.max(np.abs(bundle.h))):.3e}")
+    if bundle.g.size and float(np.max(bundle.g)) > config.tol_act:
+        infeasible.append(f"max g = {float(np.max(bundle.g)):.3e}")
+    mu, lam, residual, multipliers = _resolve_multipliers(spec, bundle, mu, lam, config)
+    if infeasible:
+        why = "infeasible: " + "; ".join(infeasible)
+    else:
+        why = _kkt_fault(bundle, lam, residual, config)
+    sigma = licq_sigma(bundle, active_set(bundle.g, config.tol_act))
+    analysis = InnerAnalysis(bundle, infeasible, multipliers, mu, lam, {
+        "lower_kkt": ConditionCheck(
+            "lower_kkt", VIOLATED if why else SATISFIED, residual, config.tol_kkt,
+            detail="" if why == KKT_RESIDUAL_TOO_LARGE else why),
+        "lower_licq": ConditionCheck(
+            "lower_licq", SATISFIED if sigma >= config.tol_licq else VIOLATED, sigma,
+            config.tol_licq),
+    })
+    checks = analysis.checks
+    if why:
+        for name in ("lower_strict_complementarity", "lower_sosc", "lower_strong_sosc"):
             checks[name] = ConditionCheck(name, INCONCLUSIVE, None, None, detail=why)
         checks["lower_second_order_necessary"] = ConditionCheck(
             "lower_second_order_necessary", SKIPPED, None, config.tol_pd, detail="no KKT point")
-        return LowerConditionsReport(checks=checks, mu=mu, lam=lam)
+        return analysis
 
-    margin = (
-        float(np.min(lam - bundle.g)) if spec.m2 else np.inf
-    )
-    sc_ok = margin >= config.tol_sc
+    partition = analysis.partition = classify_partition(bundle.g, lam, config.tol_act,
+                                                        config.tol_sc)
+    # the margin is the least active multiplier; 0.0 + clears a negative zero
     checks["lower_strict_complementarity"] = ConditionCheck(
-        "lower_strict_complementarity", SATISFIED if sc_ok else VIOLATED, margin, config.tol_sc
-    )
+        "lower_strict_complementarity", VIOLATED if partition.beta else SATISFIED,
+        0.0 + float(np.min(lam[list(partition.active)], initial=np.inf)),
+        max(config.tol_act, config.tol_sc))
 
-    # one curvature bound on aff C = ker E serves both second-order checks
+    # one curvature bound on aff C = ker E serves every second-order check
     # unless C has faces and the bound fails; then the face test gives the
     # largest curvature on C itself, with a unit direction attaining it
-    cone, top = critical_curvature(bundle, lag, partition)
-    witness, detail = None, "negative definite on aff C" if partition.beta else ""
-    if partition.beta and top > -config.tol_pd:
-        exact = min_quadratic_on_cone(-lag.yy, cone)
+    lag = lagrangian_eval(bundle, mu, lam)
+    analysis.cone, hull = critical_curvature(bundle, lag, partition)
+    top, witness, detail = hull, None, "negative definite on aff C" if partition.beta else ""
+    if partition.beta and hull > -config.tol_pd:
+        exact = min_quadratic_on_cone(-lag.yy, analysis.cone)
         if exact is None:
-            detail = budget_detail()
-            for name in ("lower_sosc", "lower_second_order_necessary"):
-                checks[name] = ConditionCheck(name, INCONCLUSIVE, None, config.tol_pd,
-                                              detail=detail)
-            return LowerConditionsReport(checks=checks, partition=partition, cone=cone,
-                                         mu=mu, lam=lam)
-        top, detail = 0.0 - exact[0], "largest curvature on C from its faces"
-        witness = None if exact[1] is None else exact[1].tolist()
-    for name, ok in (("lower_sosc", top <= -config.tol_pd),
-                     ("lower_second_order_necessary", top <= config.tol_pd)):
+            top, detail = None, budget_detail()
+        else:
+            top, detail = 0.0 - exact[0], "largest curvature on C from its faces"
+            witness = None if exact[1] is None else exact[1].tolist()
+    for name, bound in (("lower_sosc", -config.tol_pd),
+                        ("lower_second_order_necessary", config.tol_pd)):
+        status = INCONCLUSIVE if top is None else SATISFIED if top <= bound else VIOLATED
         checks[name] = ConditionCheck(
-            name, SATISFIED if ok else VIOLATED, top, config.tol_pd,
-            witness=None if ok else witness, detail=detail if name == "lower_sosc" else "",
-        )
-    return LowerConditionsReport(checks=checks, partition=partition, cone=cone, mu=mu, lam=lam)
+            name, status, top, config.tol_pd, witness=witness if status == VIOLATED else None,
+            detail=detail if name == "lower_sosc" or top is None else "")
+    checks["lower_strong_sosc"] = ConditionCheck(
+        "lower_strong_sosc", SATISFIED if hull <= -config.tol_pd else VIOLATED, hull,
+        config.tol_pd)
+    return analysis
+
+
+def check_jacobian_uniqueness(
+    spec: ProblemSpec, x, y, mu, lam, config: CheckConfig | None = None
+) -> InnerAnalysis:
+    """The inner analysis at the supplied multipliers (recovered ones when
+    they fail the KKT test), read for Jacobian uniqueness
+    (`JACOBIAN_UNIQUENESS`): (a) KKT, (b) LICQ, (c) strict complementarity,
+    (d) second-order sufficiency on the critical cone."""
+    return analyse_inner(spec, x, y, mu, lam, config)
 
 
 def check_assumption_a(
     spec: ProblemSpec, x, y, config: CheckConfig | None = None
-) -> LowerConditionsReport:
-    """Nonempty multiplier set + LICQ + strong SOSC on the affine hull of the
-    critical cone.  LICQ makes the multiplier set a singleton, so the sup in
-    the strong condition is a single evaluation."""
-    config = config or CheckConfig()
-    _require_smooth(spec)
-    bundle = eval_bundle(spec, x, y)
-    rec = recover_multipliers(spec, x, y, config)
-    checks: dict[str, ConditionCheck] = {}
-    exist = rec.admissible and rec.residual <= config.tol_kkt
-    checks["multipliers_exist"] = ConditionCheck(
-        "multipliers_exist", SATISFIED if exist else VIOLATED, rec.residual, config.tol_kkt,
-        detail=rec.detail,
-    )
-    checks["lower_licq"] = _licq_check(bundle, config)
-    partition = cone = None
-    if exist:
-        partition = classify_partition(bundle.g, rec.lam, config.tol_act)
-        cone, top = critical_curvature(bundle, lagrangian_eval(bundle, rec.mu, rec.lam),
-                                       partition)
-        checks["lower_strong_sosc"] = ConditionCheck(
-            "lower_strong_sosc", SATISFIED if top <= -config.tol_pd else VIOLATED, top,
-            config.tol_pd,
-        )
-    else:
-        checks["lower_strong_sosc"] = ConditionCheck(
-            "lower_strong_sosc", INCONCLUSIVE, None, config.tol_pd,
-            detail="no KKT multipliers recovered",
-        )
-    return LowerConditionsReport(
-        checks=checks, partition=partition, cone=cone, mu=rec.mu, lam=rec.lam
-    )
+) -> InnerAnalysis:
+    """The inner analysis at recovered multipliers, read for Assumption A
+    (`ASSUMPTION_A`): KKT multipliers exist, LICQ, and strong SOSC on the
+    affine hull of the critical cone.  LICQ makes the multiplier set a
+    singleton, so the sup in the strong condition is a single evaluation."""
+    return analyse_inner(spec, x, y, config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def _solution_point(spec: ProblemSpec, sol: KktSolution, config: CheckConfig | N
                          f"tol_newton {config.tol_newton:.1e}")
     bundle = eval_bundle(spec, sol.x, sol.y)
     return (bundle, lagrangian_eval(bundle, sol.mu, sol.lam),
-            classify_partition(bundle.g, sol.lam, config.tol_act))
+            classify_partition(bundle.g, sol.lam, config.tol_act, config.tol_sc))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -71,7 +71,8 @@ def test_certify_p1_origin(p1, config):
     rep = certify(p1, CandidatePoint([0.0], [0.0]), config)
     assert rep.path == PATH_SMOOTH
     assert rep.verdict == VERDICT_CERTIFIED
-    assert result(rep, "lower_strict_complementarity").value == pytest.approx(1.0)
+    # g1 = y1 - 1 is inactive: no active multiplier, so the SC margin is +inf
+    assert result(rep, "lower_strict_complementarity").value == np.inf
     assert result(rep, "lower_sosc").value == pytest.approx(-1.0)
     assert result(rep, "second_order_sufficient").value == pytest.approx(1.0, abs=1e-8)
 
@@ -618,17 +619,21 @@ def test_large_beta_reaches_necessary_conditions(k, config):
     assert result(rep, "first_order_nonsmooth").status == SATISFIED
 
 
-def test_exact_family_refutes_on_the_nonsmooth_path(config):
-    # the `nonsmooth-exact-family` probe: strict complementarity fails at
-    # tol_sc while beta is empty, and phi(x) = x
+def test_exact_family_is_inconclusive_on_the_nonsmooth_path(config):
+    # the `nonsmooth-exact-family` probe: lam = 1e-7 is at most tol_sc = 1e-6,
+    # so g1 is in beta at the candidate and at the refined solution, and the
+    # selector family is not exact.  phi(x) = x has no outer multiplier, but
+    # while beta is nonempty that is no disproof
     from minimaxcert.problem import parse_problem
 
     rep = certify(parse_problem(KINK_TEXT.format(f="x1 - y1^2 + 1e-7*y1")),
                   CandidatePoint([0.0], [0.0]), config.replace(tol_sc=1e-6))
+    sc = result(rep, "lower_strict_complementarity")
+    assert (sc.status, sc.value, sc.tolerance) == (VIOLATED, 1e-7, 1e-6)
     check = result(rep, "first_order_nonsmooth")
-    assert (rep.path, rep.verdict) == (PATH_NONSMOOTH, VERDICT_REFUTED)
-    assert (check.status, check.value) == (VIOLATED, 1.0)
-    assert rep.decided_by == ["first_order_nonsmooth"]
+    assert (rep.path, rep.verdict) == (PATH_NONSMOOTH, VERDICT_INCONCLUSIVE)
+    assert (check.status, check.value) == ("inconclusive", None)
+    assert rep.decided_by == []
 
 
 def test_nonsmooth_report_carries_what_makes_every_selector_nonsingular(config):
@@ -1111,10 +1116,10 @@ def test_licq_sigma_computed_once_per_point(config, monkeypatch, text, x):
 
 @pytest.mark.parametrize("case", ["P2", "P2-supplied", "selector"])
 def test_inner_point_analysed_once(config, monkeypatch, case):
-    """Jacobian uniqueness and Assumption A share one analysis of the inner
+    """Jacobian uniqueness and Assumption A read one analysis of the inner
     KKT point: a nonsmooth candidate builds its critical cone and hull
-    eigenvalue once and runs one LICQ SVD; supplied multipliers that differ
-    from the recovered ones get one cone and bound of their own."""
+    eigenvalue once and runs one LICQ SVD, also when verified supplied
+    multipliers differ from the ones least squares would give."""
     from minimaxcert import lower
     from minimaxcert.fixtures import load_fixture
     from minimaxcert.problem import parse_problem
@@ -1154,9 +1159,37 @@ def test_inner_point_analysed_once(config, monkeypatch, case):
     assert dumps_canonical(report_to_doc(rep)) == want
     multipliers = next(c for c in rep.results if c.name == "multipliers")
     assert (multipliers.detail == "supplied multipliers verified") == (case == "P2-supplied")
-    distinct = 2 if case == "P2-supplied" else 1
-    assert len(lags) == len(set(lags)) == len(eigs) == distinct
+    assert len(lags) == len(eigs) == 1
     assert len(svds) == 1
+
+
+@pytest.mark.parametrize("name, lam, path", [
+    pytest.param("P1", None, PATH_SMOOTH, id="P1-origin"),
+    pytest.param("P2", [5e-9], PATH_NONSMOOTH, id="P2-lambda-small"),
+])
+def test_classify_path_builds_one_analysis(config, monkeypatch, name, lam, path):
+    """`classify_path` builds one inner analysis at one multiplier set, so
+    what no memo can merge across two Lagrangians runs once: the LICQ SVD
+    and the critical cone with its hull bound.  The least-squares recovery
+    runs once without supplied multipliers and not at all when they pass
+    the KKT test, as lam = 5e-9 does at P2's origin (`certify-P2-lambda-small`;
+    least squares gives 0).  No bundle memo is open, so every request counts."""
+    from minimaxcert import lower
+    from minimaxcert.fixtures import load_fixture
+
+    calls = dict.fromkeys(("_licq_sigma", "_critical_curvature", "_recover_multipliers"), 0)
+    for fn in calls:
+        def counting(*args, _fn=fn, _original=getattr(lower, fn)):
+            calls[_fn] += 1
+            return _original(*args)
+        monkeypatch.setattr(lower, fn, counting)
+
+    decision = classify_path(load_fixture(name), CandidatePoint([0.0], [0.0], lam=lam), config)
+    assert decision.path == path
+    assert calls == {"_licq_sigma": 1, "_critical_curvature": 1,
+                     "_recover_multipliers": 0 if lam else 1}
+    # the path runs at the multipliers the analysis settled on
+    assert decision.lam.tolist() == (lam or [0.0])
 
 
 # --- the remaining ValueErrors become evaluation error checks -----------------------
@@ -1215,8 +1248,9 @@ PROBES = [
     # feasible set
     pytest.param("dims 1 1 0 0 2 0\nf = -y1^2 + x1^2\nH1 = x1\nH2 = 2*x1\n", "0", "0", {},
                  VERDICT_CERTIFIED, 0, id="mfcq-rows-exceed-x"),
-    # least squares gives lam = -1e-8 twice, within tol_act; clipped to 0
-    # the residual is 2e-8, so no multipliers exist at tol_kkt
+    # least squares gives lam = -1e-8 (-5e-9) twice, within tol_act, at
+    # residual 1e-8 (5e-9); recovery no longer clips them to 0, which the ids
+    # recall.  The twin rows fail LICQ, so the path is invalid either way
     pytest.param(TWIN_ROWS_TEXT, "0", "-1e-8", {}, VERDICT_INCONCLUSIVE, 3,
                  id="clipped-residual"),
     pytest.param(TWIN_ROWS_TEXT, "0", "-5e-9", {}, VERDICT_INCONCLUSIVE, 3,
@@ -1232,12 +1266,17 @@ PROBES = [
     # is accepted at tol_newton, and P1's phi'(0.5) = 0.5 refutes
     pytest.param("P1", "0.5", "0.5000005", {"tol_kkt": 1e-6, "tol_newton": 1e-6},
                  VERDICT_REFUTED, 2, id="P1-loose-newton"),
+    # g1 = y1 = -5e-7 is active at tol_act = 1e-6 and lam = 4e-7 is at most
+    # max(tol_act, tol_sc): beta = {1}, the nonsmooth path.  phi = 0 for
+    # x <= 0, so near x = -3e-7 phi is flat and first order holds
     pytest.param("P2", "-3e-7", "-5e-7", {"tol_act": 1e-6, "tol_kkt": 1e-6, "tol_newton": 1e-6},
-                 VERDICT_INCONCLUSIVE, 3, id="P2-loose-newton"),
-    # beta = {1, 2} at tol_act, above selector_cap: the sensitivity system
-    # fails on beta before any selector is enumerated
+                 VERDICT_NECESSARY, 0, id="P2-loose-newton"),
+    # beta = {1, 2}: lam = 5e-9 on each row is at most tol_act, whatever the
+    # smaller tol_sc.  The nonsmooth path enumerates no selector, so
+    # selector_cap = 1 does not bound it, and grad_x L = -4x = -1e-8 is
+    # within tol_kkt
     pytest.param(DEGENERATE_PAIR_TEXT, "2.5e-9", "0,0", {"tol_sc": 1e-10, "selector_cap": 1},
-                 VERDICT_INCONCLUSIVE, 3, id="beta-above-selector-cap"),
+                 VERDICT_NECESSARY, 0, id="beta-above-selector-cap"),
     # y = 2e-8 misses P1's maximiser y = 0 outside tol_kkt; g1 = y1 - 1 is
     # inactive, so LICQ holds and the KKT violation refutes
     pytest.param("P1", "0", "2e-8", {}, VERDICT_REFUTED, 2, id="P1-kkt-under-licq"),
@@ -1275,12 +1314,17 @@ PROBES = [
     # alone, so no 2^17 selectors are built and the cap does not bound it
     pytest.param(degenerate_text(17), ",".join(["0"] * 17), ",".join(["0"] * 17), {},
                  VERDICT_NECESSARY, 0, id="degenerate-17"),
-    # lam = 1e-7 fails strict complementarity at tol_sc = 1e-6 while beta (at
-    # tol_act) is empty, so the one selector is the whole generalized
-    # Jacobian: phi(x) = x has no outer multiplier, and first order refutes
-    # at margin |grad phi| = 1
+    # lam = 1e-7 is at most tol_sc = 1e-6, so g1 is in beta at the candidate
+    # and at the refined solution: phi(x) = x has no outer multiplier, but
+    # with beta nonempty the empty polytope does not refute
     pytest.param(KINK_TEXT.format(f="x1 - y1^2 + 1e-7*y1"), "0", "0", {"tol_sc": 1e-6},
-                 VERDICT_REFUTED, 2, id="nonsmooth-exact-family"),
+                 VERDICT_INCONCLUSIVE, 3, id="nonsmooth-exact-family"),
+    # y* = -0.3e-8 is interior and phi = x^2, so the origin is a strict local
+    # minimax point.  At y = -0.6e-8, g1 is active at tol_act with lam =
+    # 0.6e-8 <= tol_sc: beta = {1}, so strict complementarity fails and the
+    # path is nonsmooth, where first order holds
+    pytest.param(KINK_TEXT.format(f="x1^2 - (y1 + 0.3e-8)^2"), "0", "-0.6e-8", {},
+                 VERDICT_NECESSARY, 0, id="sc-read-off-beta"),
     # one Newton step cannot refine y to 1e-14: the inner refinement fails on
     # either path, and its error check refutes nothing
     pytest.param("P1", "0", "1e-9", NEWTON_FAILS, VERDICT_INCONCLUSIVE, 3,
@@ -1473,10 +1517,9 @@ def test_policy_names_the_checks_certify_emits(tmp_path):
     is emitted, so a misspelt name cannot silently become `info`.  Each
     first-order check the verdict rule reads is a necessary `POLICY` key
     that some case emits.  Each inner check has one name, the one a report
-    prints: the lower checks (but `multipliers_exist`, which no row
-    carries) are emitted under their own names, the hypothesis tuples list
-    only them, and an invalid path's note names one of them or
-    `feasibility`."""
+    prints: the lower checks are emitted under their own names, the
+    hypothesis tuples list only them, and an invalid path's note names one
+    of them or `feasibility`."""
     from minimaxcert.conditions import FIRST_ORDER, KIND_INFO, KIND_NECESSARY, POLICY
     from minimaxcert.lower import (
         ASSUMPTION_A,
@@ -1510,7 +1553,7 @@ def test_policy_names_the_checks_certify_emits(tmp_path):
         spec = parse_problem(fixture_text(source))
         inner.update(check_jacobian_uniqueness(spec, [0.0], [0.0], None, None).checks)
         inner.update(check_assumption_a(spec, [0.0], [0.0]).checks)
-    assert inner - {"multipliers_exist"} <= emitted, sorted(inner - emitted)
+    assert inner <= emitted, sorted(inner - emitted)
     assert set(JACOBIAN_UNIQUENESS) | set(ASSUMPTION_A) <= inner
     prefix = "path invalid: first failing condition "
     named = {note.removeprefix(prefix) for note in notes if note.startswith(prefix)}
@@ -1640,14 +1683,20 @@ def test_certify_is_total_at_any_tol_newton(problem, exponents):
 
 
 def test_degenerate_pair_checks_beta_before_the_selector_cap():
+    # lam = 5e-9 on both active rows is at most max(tol_act, tol_sc): beta =
+    # {1, 2}, so strict complementarity fails whatever the smaller tol_sc, and
+    # the nonsmooth path, which enumerates no selector, passes first order
     from minimaxcert.problem import parse_problem
 
     config = CheckConfig(tol_sc=1e-10, selector_cap=1)
     rep = certify(parse_problem(DEGENERATE_PAIR_TEXT), CandidatePoint([2.5e-9], [0.0, 0.0]),
                   config)
-    assert rep.path == PATH_SMOOTH and rep.verdict == VERDICT_INCONCLUSIVE
-    check = result(rep, "sensitivity_system")
-    assert check.status == VIOLATED and "g1, g2 active with zero multiplier" in check.detail
+    assert rep.path == PATH_NONSMOOTH and rep.verdict == VERDICT_NECESSARY
+    sc = result(rep, "lower_strict_complementarity")
+    assert sc.status == VIOLATED and sc.value == pytest.approx(5e-9, rel=1e-12)
+    assert sc.tolerance == config.tol_act
+    assert result(rep, "first_order_nonsmooth").status == SATISFIED
+    assert "sensitivity_system" not in {c.name for c in rep.results}
 
 
 # --- large second derivatives: Hessians are symmetric by construction -------------

@@ -15,9 +15,7 @@ from minimaxcert.cones import Cone
 from minimaxcert.config import CheckConfig
 from minimaxcert.fixtures import fixture_text
 from minimaxcert.linalg import max_eigenvalue_on_subspace, nullspace_basis
-from minimaxcert.lower import (
-    NewtonError, PartitionError, kkt_residual_from_bundle, lagrangian_eval,
-)
+from minimaxcert.lower import NewtonError, kkt_residual_from_bundle, lagrangian_eval
 from minimaxcert.oracle import grid_local_maximize
 from minimaxcert.problem import eval_bundle, parse_problem
 
@@ -45,76 +43,150 @@ def test_kkt_residual_detects_nonstationarity(p1):
 
 def test_recover_inactive_case(p1):
     rec = recover_multipliers(p1, [0.0], [0.0])
-    assert rec.admissible and rec.residual <= 1e-8
+    assert rec.residual <= 1e-8
     assert np.allclose(rec.lam, [0.0])
 
 
 def test_recover_degenerate_active(p2):
     rec = recover_multipliers(p2, [0.0], [0.0])
-    assert rec.admissible and rec.residual <= 1e-8
+    assert rec.residual <= 1e-8
     assert rec.lam[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_recover_boundary_multiplier(p2):
     # at x = 0.5 the boundary holds with lam = 2x
     rec = recover_multipliers(p2, [0.5], [0.0])
-    assert rec.admissible and rec.residual <= 1e-8
+    assert rec.residual <= 1e-8
     assert rec.lam[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_recover_flags_non_kkt(p1, config):
     # feasible with admissible signs, yet not stationary: the residual tells
     rec = recover_multipliers(p1, [0.0], [0.5])
-    assert rec.admissible
+    assert rec.lam.tolist() == [0.0]
     assert rec.residual > 0.1
-    check = check_assumption_a(p1, [0.0], [0.5], config).checks["multipliers_exist"]
+    check = check_assumption_a(p1, [0.0], [0.5], config).checks["lower_kkt"]
     assert check.status == VIOLATED and check.value == rec.residual
 
 
 def test_recover_decides_on_the_multipliers_it_returns(config):
-    # g1 = g2 = -y1 at y = -1e-8: least squares gives lam = (-1e-8, -1e-8)
-    # with residual 1e-8; clipped to 0 the residual is 2e-8, above tol_kkt
+    # g1 = g2 = -y1 at y = -5e-9: least squares gives lam = (-5e-9, -5e-9),
+    # within tol_act of 0, with residual 5e-9; the analysis runs at those
+    # multipliers and decides on their residual, and both land in beta
     spec = parse_problem("dims 1 1 0 2 0 0\nf = -(y1 - x1)^2\ng1 = -y1\ng2 = -y1\n")
-    rec = recover_multipliers(spec, [0.0], [-1e-8])
-    assert rec.admissible and rec.lam.tolist() == [0.0, 0.0]
-    assert rec.residual == pytest.approx(2e-8, rel=1e-12)
-    rep = check_assumption_a(spec, [0.0], [-1e-8], config)
-    assert rep.checks["multipliers_exist"].status == VIOLATED
-    assert rep.cone is None
+    rec = recover_multipliers(spec, [0.0], [-5e-9])
+    assert rec.lam == pytest.approx([-5e-9, -5e-9], rel=1e-12)
+    assert rec.residual == kkt_residual_lower(spec, [0.0], [-5e-9], rec.mu, rec.lam)[1]
+    assert rec.residual == pytest.approx(5e-9, rel=1e-12)
+    rep = check_assumption_a(spec, [0.0], [-5e-9], config)
+    assert rep.lam.tolist() == rec.lam.tolist()
+    kkt = rep.checks["lower_kkt"]
+    assert kkt.status == SATISFIED and kkt.value == rec.residual
+    assert rep.partition.beta == (0, 1)
+    # at x = 1e-7, y = 0 they are -1e-7 each, residual 1e-7: within a loose
+    # tol_kkt, but below -tol_act, so there is no KKT point
+    config = config.replace(tol_kkt=1e-6)
+    rec = recover_multipliers(spec, [1e-7], [0.0], config)
+    rep = check_assumption_a(spec, [1e-7], [0.0], config)
+    kkt = rep.checks["lower_kkt"]
+    assert kkt.status == VIOLATED and kkt.value == rec.residual <= config.tol_kkt
+    assert kkt.detail == "no KKT multipliers: index 1: negative multiplier -1.000e-07"
+    assert rep.partition is None and rep.cone is None
 
 
 # --- partition --------------------------------------------------------------
 
 def test_partition_classes():
-    p = classify_partition(np.array([0.0]), np.array([1.0]), 1e-8)
+    p = classify_partition(np.array([0.0]), np.array([1.0]), 1e-8, 1e-8)
     assert p.alpha == (0,) and p.beta == () and p.gamma == ()
-    p = classify_partition(np.array([0.0]), np.array([0.0]), 1e-8)
+    p = classify_partition(np.array([0.0]), np.array([0.0]), 1e-8, 1e-8)
     assert p.beta == (0,)
-    p = classify_partition(np.array([-1.0]), np.array([0.0]), 1e-8)
+    p = classify_partition(np.array([-1.0]), np.array([0.0]), 1e-8, 1e-8)
     assert p.gamma == (0,)
+    # the SC threshold is max(tol_act, tol_sc)
+    p = classify_partition(np.array([0.0]), np.array([1e-7]), 1e-8, 1e-6)
+    assert p.beta == (0,)
 
 
-def test_partition_rejects_bad_indices():
-    with pytest.raises(PartitionError):
-        classify_partition(np.array([1.0]), np.array([0.0]), 1e-8)
-    with pytest.raises(PartitionError):
-        classify_partition(np.array([0.0]), np.array([-1.0]), 1e-8)
-    with pytest.raises(PartitionError):
-        classify_partition(np.array([-1.0]), np.array([1.0]), 1e-8)
+def test_partition_rejects_bad_indices(p2, config):
+    # no partition is built for an index that is infeasible or wrongly
+    # signed: the analysis's KKT test turns it away first
+    rep = check_jacobian_uniqueness(p2, [0.0], [1.0], None, [0.0], config)
+    assert rep.checks["lower_kkt"].detail == "infeasible: max g = 1.000e+00"
+    assert rep.infeasible == ["max g = 1.000e+00"] and rep.partition is None
+    # supplied multipliers with a negative entry, or a positive one on an
+    # inactive row (residual 1 within a loose tol_kkt), are rejected, and
+    # the recovered ones used
+    for x, y, lam, tols in (([0.0], [0.0], [-1.0], {}),
+                            ([-1.0], [-1.0], [1.0], {"tol_kkt": 10.0})):
+        rep = check_jacobian_uniqueness(p2, x, y, None, lam, config.replace(**tols))
+        assert rep.multipliers.detail.startswith("supplied multipliers rejected")
+        assert rep.lam.tolist() == [0.0] and rep.checks["lower_kkt"].ok
 
 
 def test_partition_permutation_invariance():
     rng = np.random.default_rng(4)
     g = np.array([0.0, -0.5, 0.0, -2.0, 0.0])
     lam = np.array([1.0, 0.0, 0.0, 0.0, 0.3])
-    base = classify_partition(g, lam, 1e-8)
+    base = classify_partition(g, lam, 1e-8, 1e-8)
     for _ in range(10):
         perm = rng.permutation(5)
-        p = classify_partition(g[perm], lam[perm], 1e-8)
+        p = classify_partition(g[perm], lam[perm], 1e-8, 1e-8)
         # permuting the constraints permutes the classes identically
         assert {int(perm[j]) for j in p.alpha} == set(base.alpha)
         assert {int(perm[j]) for j in p.beta} == set(base.beta)
         assert {int(perm[j]) for j in p.gamma} == set(base.gamma)
+
+
+# the SC threshold and activity tolerances, and constraint values and
+# multipliers at and around them
+_TOL = st.sampled_from([1e-10, 1e-9, 5e-9, 1e-8, 1e-7, 1e-6]) | st.floats(1e-10, 1e-6)
+_G = st.sampled_from([0.0, -1e-10, -1e-9, -5e-9, -1e-8, -1e-7, -1e-6, -1.0]) | st.floats(-1e-6, 0.0)
+_LAM = (st.sampled_from([0.0, 1e-10, 1e-9, 5e-9, 1e-8, 1e-7, 1e-6, 1.0, -1e-9])
+        | st.floats(-1e-8, 1e-5))
+
+
+@st.composite
+def _partition_inputs(draw):
+    k = draw(st.integers(1, 4))
+    g = np.array(draw(st.lists(_G, min_size=k, max_size=k)))
+    lam = np.array(draw(st.lists(_LAM, min_size=k, max_size=k)))
+    return g, lam, draw(_TOL), draw(_TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_partition_inputs())
+def test_strict_complementarity_is_read_off_beta(inputs):
+    """The one partition rule: no index is in alpha while lam_i <= tol_act;
+    at tol_sc <= tol_act the partition is the lam_i > tol_act split; and the
+    analysis's SC row is satisfied exactly when its beta is empty, with the
+    least active multiplier as margin and max(tol_act, tol_sc) as
+    tolerance."""
+    g, lam, tol_act, tol_sc = inputs
+    part = classify_partition(g, lam, tol_act, tol_sc)
+    assert all(lam[i] > tol_act for i in part.alpha)
+    if tol_sc <= tol_act:
+        active = [i for i in range(len(g)) if abs(g[i]) <= tol_act]
+        assert part.alpha == tuple(i for i in active if lam[i] > tol_act)
+        assert part.beta == tuple(i for i in active if lam[i] <= tol_act)
+        assert part.gamma == tuple(i for i in range(len(g)) if i not in active)
+    # an inner problem stationary at y = 0 with these constraint values and
+    # multipliers: g_i = y_i + g_i and f = sum lam_i y_i - y_i^2 / 2
+    k = len(g)
+    f = " + ".join(f"({v!r})*y{i + 1} - 0.5*y{i + 1}^2" for i, v in enumerate(lam.tolist()))
+    rows = "".join(f"g{i + 1} = y{i + 1} + ({v!r})\n" for i, v in enumerate(g.tolist()))
+    spec = parse_problem(f"dims 1 {k} 0 {k} 0 0\nf = {f} + x1^2\n{rows}")
+    config = CheckConfig(tol_act=tol_act, tol_sc=tol_sc)
+    rep = check_jacobian_uniqueness(spec, [0.0], [0.0] * k, None, lam, config)
+    sc = rep.checks["lower_strict_complementarity"]
+    if rep.partition is None:
+        assert sc.status == INCONCLUSIVE and not rep.checks["lower_kkt"].ok
+        return
+    assert rep.partition == classify_partition(g, rep.lam, tol_act, tol_sc)
+    assert all(rep.lam[i] > tol_act for i in rep.partition.alpha)
+    assert sc.ok == (not rep.partition.beta)
+    assert sc.tolerance == max(tol_act, tol_sc)
+    assert sc.value == min((rep.lam[i] for i in rep.partition.active), default=np.inf)
 
 
 # --- critical cone ----------------------------------------------------------
@@ -183,7 +255,8 @@ def test_ju_p1_origin_all_satisfied(p1, config):
     rep = check_jacobian_uniqueness(p1, [0.0], [0.0], None, [0.0], config)
     assert rep.jacobian_uniqueness
     assert rep.partition.gamma == (0,)
-    assert rep.checks["lower_strict_complementarity"].value == pytest.approx(1.0)
+    # no inner row is active, so the least active multiplier is +inf
+    assert rep.checks["lower_strict_complementarity"].value == np.inf
     assert rep.checks["lower_sosc"].value == pytest.approx(-1.0)
 
 
@@ -231,7 +304,7 @@ def test_ju_rejects_a_kkt_residual_whose_signs_fit_no_partition(p2, config):
     rep = check_jacobian_uniqueness(p2, [-1e-9], [0.0], np.zeros(0), [-2e-9], config)
     kkt = rep.checks["lower_kkt"]
     assert kkt.status == VIOLATED and kkt.value <= config.tol_kkt
-    assert kkt.detail == "no active-set partition: index 1: negative multiplier -2.000e-09"
+    assert kkt.detail == "no KKT multipliers: index 1: negative multiplier -2.000e-09"
     # the active set {g1} has J_y g1 = 1, so LICQ holds
     assert rep.checks["lower_licq"].status == SATISFIED and rep.checks["lower_licq"].value == 1.0
     assert rep.partition is None
@@ -279,7 +352,7 @@ def test_assumption_a_reads_jacobian_uniqueness_at_the_recovered_multipliers(poi
     spec, x, y = _analysis_point(*point)
     config = CheckConfig()
     assa = check_assumption_a(spec, x, y, config)
-    if not assa.checks["multipliers_exist"].ok:
+    if not assa.checks["lower_kkt"].ok:
         return
     ju = check_jacobian_uniqueness(spec, x, y, assa.mu, assa.lam, config)
     licq = ju.checks["lower_licq"], assa.checks["lower_licq"]
@@ -309,6 +382,18 @@ def test_solve_lower_p1(p1, config):
     assert sol.lam[0] == pytest.approx(0.0, abs=1e-10)
     assert sol.w[0] == pytest.approx(0.8366600265340756, abs=1e-10)  # sqrt(0.7)
     assert sol.residual <= 1e-10
+
+
+def test_newton_divergence_gate_waits_past_the_first_steps(config):
+    """f = -y^4 + 1e6*y from y0 = 0.3: the first Newton step overshoots to
+    y near 9e5, and the steps back shrink the residual by about (2/3)^3
+    each: 1.0e6, 3.2e18, 9.4e17, 2.8e17.  The gate lets the jump at
+    iteration 1 pass, since only DIVERGENCE_MIN_STEPS iterates are in, and
+    stops the fourth, above DIVERGENCE_GROWTH * (1 + 1e6)."""
+    spec = parse_problem("dims 1 1 0 0 0 0\nf = -y1^4 + 1e6*y1\n")
+    with pytest.raises(NewtonError, match="^divergence at iteration 3 ") as info:
+        solve_lower(spec, [0.0], ([0.3], None, None), config)
+    assert [float(f"{r:.1e}") for r in info.value.trace] == [1.0e6, 3.2e18, 9.4e17, 2.8e17]
 
 
 def test_solve_lower_p2_interior(p2, config):

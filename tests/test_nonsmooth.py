@@ -38,26 +38,26 @@ def nonsmooth_solution(spec, x, config, y0=None):
 
 def partition_at(spec, sol, config):
     bundle = eval_bundle(spec, sol.x, sol.y)
-    return classify_partition(bundle.g, sol.lam, config.tol_act)
+    return classify_partition(bundle.g, sol.lam, config.tol_act, config.tol_sc)
 
 
 # --- selectors ------------------------------------------------------------------
 
 def test_selector_forced_entries():
-    part = classify_partition(np.array([0.0, -1.0]), np.array([1.0, 0.0]), 1e-8)
+    part = classify_partition(np.array([0.0, -1.0]), np.array([1.0, 0.0]), 1e-8, 1e-8)
     sels = enumerate_b_selectors(part)
     assert len(sels) == 1
     assert sels[0].tolist() == [0.0, 1.0]
 
 
 def test_selector_beta_enumeration_order():
-    part = classify_partition(np.array([0.0]), np.array([0.0]), 1e-8)
+    part = classify_partition(np.array([0.0]), np.array([0.0]), 1e-8, 1e-8)
     sels = enumerate_b_selectors(part)
     assert sels.tolist() == [[0.0], [1.0]]
 
 
 def test_selector_two_beta_bitmask_order():
-    part = classify_partition(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 1e-8)
+    part = classify_partition(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 1e-8, 1e-8)
     sels = enumerate_b_selectors(part)
     assert sels.tolist() == [
         [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]
@@ -67,7 +67,7 @@ def test_selector_two_beta_bitmask_order():
 def test_selector_cap():
     g = np.zeros(17)
     lam = np.zeros(17)
-    part = classify_partition(g, lam, 1e-8)
+    part = classify_partition(g, lam, 1e-8, 1e-8)
     with pytest.raises(SelectorCapError):
         enumerate_b_selectors(part, cap=16)
 
@@ -119,7 +119,7 @@ def test_selector_rows_match_the_loop_reference(labels, resolution):
 
 
 def test_clarke_grid_density():
-    part = classify_partition(np.array([0.0]), np.array([0.0]), 1e-8)
+    part = classify_partition(np.array([0.0]), np.array([0.0]), 1e-8, 1e-8)
     grid = clarke_selector_grid(part, resolution=5)
     assert [w.tolist()[0] for w in grid] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
