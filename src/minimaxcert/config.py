@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .oracle import GridSpec
@@ -42,8 +43,13 @@ class CheckConfig:
                 raise ValueError(f"{f.name} must be positive")
         for name in ("newton_max_iter", "beta_grid_resolution", "selector_cap",
                      "clarke_grid_cap"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.run_oracle, bool):
+            raise ValueError(f"run_oracle must be a bool, not {self.run_oracle!r}")
         self.oracle_grid()  # the oracle_* keys follow GridSpec's rules
 
     def oracle_grid(self) -> GridSpec:
@@ -77,6 +83,8 @@ class CheckConfig:
                 value = value.strip()
                 if key not in valid:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in overrides:
+                    raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
                 overrides[key] = _coerce(value, valid[key])
         return cls(**overrides)
 

@@ -16,7 +16,9 @@ on its affine hull (`Cone.hull`).  Each check carries the name a `certify`
 report prints, and `JACOBIAN_UNIQUENESS` and `ASSUMPTION_A` list each
 hypothesis's conditions once, in the order that names the first to fail;
 `check_jacobian_uniqueness` and `check_assumption_a` build the analysis at
-supplied and at recovered multipliers.
+supplied and at recovered multipliers.  One analysis makes each of these
+computations once, so of its inputs only the bundle and the Lagrangian
+(`lagrangian_eval`) are kept in `bundle_memo` for the rest of the call.
 
 `kkt_jacobian_blocks` is the one bordered-KKT assembler: the exact Jacobian
 A(x, W) of the projected KKT map for a projection selector W.  The Newton
@@ -179,12 +181,7 @@ class RecoveredMultipliers:
 
 def licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
     """sigma_min of the inner constraint Jacobian (J_y h; J_y g[active]),
-    +inf without constraint rows.  Inside `bundle_memo` each distinct
-    (bundle, active) runs one SVD."""
-    return memoised(bundle, ("licq_sigma", active), lambda: _licq_sigma(bundle, active))
-
-
-def _licq_sigma(bundle: DerivativeBundle, active: tuple[int, ...]) -> float:
+    +inf without constraint rows."""
     return smallest_singular_value(np.vstack([bundle.h_jy, bundle.g_jy[list(active)]]))
 
 
@@ -192,15 +189,8 @@ def critical_curvature(bundle: DerivativeBundle, lag: LagrangianEval,
                        partition: ActivePartition) -> tuple[Cone, float]:
     """The inner critical cone at a KKT point in reduced form (stationarity
     makes the objective-gradient row redundant: equalities on alpha,
-    inequalities on beta), and the largest eigenvalue of L_yy on its affine
-    hull ker E.  Inside `bundle_memo` each distinct (Lagrangian, alpha, beta)
-    is built once."""
-    return memoised(lag, ("critical_curvature", partition.alpha, partition.beta),
-                    lambda: _critical_curvature(bundle, lag, partition))
-
-
-def _critical_curvature(bundle: DerivativeBundle, lag: LagrangianEval,
-                        partition: ActivePartition) -> tuple[Cone, float]:
+    inequalities on beta), with read-only E and F, and the largest
+    eigenvalue of L_yy on its affine hull ker E."""
     cone = Cone(np.vstack([bundle.h_jy, bundle.g_jy[list(partition.alpha)]]),
                 bundle.g_jy[list(partition.beta)])
     cone.E.flags.writeable = cone.F.flags.writeable = False
@@ -211,17 +201,9 @@ def recover_multipliers(spec: ProblemSpec, x, y,
                         config: CheckConfig | None = None) -> RecoveredMultipliers:
     """Least-squares multipliers from stationarity over the active set, as
     read-only arrays, with their KKT residual; whether they are KKT
-    multipliers is `analyse_inner`'s decision.  Inside `bundle_memo` each
-    distinct (x, y, tol_act) is recovered once."""
-    tol_act = (config or CheckConfig()).tol_act
+    multipliers is `analyse_inner`'s decision."""
     bundle = eval_bundle(spec, x, y)
-    return memoised(bundle, ("multipliers", tol_act),
-                    lambda: _recover_multipliers(spec, bundle, tol_act))
-
-
-def _recover_multipliers(spec: ProblemSpec, bundle: DerivativeBundle,
-                         tol_act: float) -> RecoveredMultipliers:
-    active = active_set(bundle.g, tol_act)
+    active = active_set(bundle.g, (config or CheckConfig()).tol_act)
     M = np.hstack([bundle.h_jy.T, -bundle.g_jy[list(active)].T])
     mu, lam = np.zeros(spec.m1), np.zeros(spec.m2)
     if M.shape[1]:

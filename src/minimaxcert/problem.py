@@ -46,11 +46,9 @@ the function.  Inside a `bundle_memo` block, which `certify` opens for the
 length of one call, each distinct (spec, x, y) is evaluated once, and each
 distinct (spec, x) by `upper.upper_data`; from each bundle,
 `lower.lagrangian_eval` computes the Lagrangian blocks once per distinct
-(mu, lam), `lower.recover_multipliers` the multipliers once per distinct
-tol_act and `lower.licq_sigma` the LICQ margin once per active set, and
-from each Lagrangian `lower.critical_curvature` builds the critical cone and
-its hull bound once per partition.  Every caller gets the same read-only
-result; nothing is cached across calls.
+(mu, lam), and the cone face walk (`cones.min_quadratic_on_cone`) finds its
+root eigenpair once per distinct (M, E).  Every caller gets the same
+read-only result; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -462,12 +460,10 @@ _bundle_memo: ContextVar[dict | None] = ContextVar("bundle_memo", default=None)
 @contextmanager
 def bundle_memo():
     """Inside the block, eval_bundle evaluates each distinct (spec, x, y) and
-    upper.upper_data each distinct (spec, x) once, the Lagrangian and the
-    recovered multipliers are computed once per bundle and distinct
-    (mu, lam) or tol_act, the LICQ margin once per bundle and active set,
-    the inner critical cone and its hull bound once per Lagrangian and
-    (alpha, beta), the cone face walk's root eigenpair once per distinct
-    (M, E), and every later caller gets the same read-only result."""
+    upper.upper_data each distinct (spec, x) once, the Lagrangian is
+    computed once per bundle and distinct (mu, lam), the cone face walk's
+    root eigenpair once per distinct (M, E), and every later caller gets
+    the same read-only result."""
     token = _bundle_memo.set({})
     try:
         yield

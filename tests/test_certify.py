@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -285,10 +286,17 @@ def test_bad_oracle_grid_fails_at_config(p1, bad):
     ("fd_hess_step", -1e-3, "fd_hess_step must be positive"),
     ("oracle_tol", float("inf"), "oracle_tol must be finite"),
     ("oracle_tol", -1e-9, "tol and feas_tol must be finite and >= 0"),
+    ("newton_max_iter", 2.5, "newton_max_iter must be an integer"),
+    ("selector_cap", True, "selector_cap must be an integer"),
+    ("beta_grid_resolution", "5", "beta_grid_resolution must be an integer"),
+    ("clarke_grid_cap", 4096.0, "clarke_grid_cap must be an integer"),
+    ("run_oracle", "no", "run_oracle must be a bool"),
+    ("run_oracle", 1, "run_oracle must be a bool"),
 ])
 def test_bad_config_value_fails_at_config(key, value, message):
     # a NaN tolerance fails every comparison, so certify would refute points it
-    # certifies at the defaults; an infinite oracle_tol passes every violation
+    # certifies at the defaults; an infinite oracle_tol passes every violation;
+    # a float count would raise out of certify, and "no" is a true run_oracle
     with pytest.raises(ValueError, match=message):
         CheckConfig(**{key: value})
     with pytest.raises(ValueError, match=message):
@@ -985,24 +993,17 @@ def test_lagrangian_and_multipliers_computed_once_per_call(config, monkeypatch, 
     spec = load_fixture("P1") if text is None else parse_problem(text)
     candidate = CandidatePoint(x, x)
     want = dumps_canonical(report_to_doc(certify(spec, candidate, config)))
-    lagrangian, recover = lower._lagrangian, lower._recover_multipliers
+    lagrangian = lower._lagrangian
     lagrangian_eval, recover_multipliers = lower.lagrangian_eval, lower.recover_multipliers
-    computed_lags, computed_recs, asked_lags, asked_recs, frozen = [], [], set(), set(), []
-
-    def point(*coords):
-        return tuple(np.array(v, dtype=float, ndmin=1).tobytes() for v in coords)
+    computed_lags, asked_lags, recs, frozen = [], set(), [], []
 
     def lag_key(bundle, mu, lam):
-        return (*point(bundle.x, bundle.y), *(np.asarray(v, dtype=float).reshape(-1).tobytes()
-                                              for v in (mu, lam)))
+        return (bundle.x.tobytes(), bundle.y.tobytes(),
+                *(np.asarray(v, dtype=float).reshape(-1).tobytes() for v in (mu, lam)))
 
     def counting_lagrangian(bundle, mu, lam):
         computed_lags.append(lag_key(bundle, mu, lam))
         return lagrangian(bundle, mu, lam)
-
-    def counting_recover(spec, bundle, tol_act):
-        computed_recs.append((*point(bundle.x, bundle.y), tol_act))
-        return recover(spec, bundle, tol_act)
 
     def asking_lagrangian(bundle, mu, lam):
         asked_lags.add(lag_key(bundle, mu, lam))
@@ -1011,34 +1012,32 @@ def test_lagrangian_and_multipliers_computed_once_per_call(config, monkeypatch, 
                       for a in (lag.grad_y, lag.grad_x, lag.yy, lag.yx, lag.xx))
         return lag
 
-    def asking_recover(spec, x, y, config=None):
-        asked_recs.add((*point(x, y), (config or CheckConfig()).tol_act))
+    def counting_recover(spec, x, y, config=None):
+        recs.append((config or CheckConfig()).tol_act)
         rec = recover_multipliers(spec, x, y, config)
         frozen.extend(a.flags.writeable is False for a in (rec.mu, rec.lam))
         return rec
 
     monkeypatch.setattr(lower, "_lagrangian", counting_lagrangian)
-    monkeypatch.setattr(lower, "_recover_multipliers", counting_recover)
     for name, module in list(sys.modules.items()):
         if name.startswith("minimaxcert"):
             if getattr(module, "lagrangian_eval", None) is lagrangian_eval:
                 monkeypatch.setattr(module, "lagrangian_eval", asking_lagrangian)
             if getattr(module, "recover_multipliers", None) is recover_multipliers:
-                monkeypatch.setattr(module, "recover_multipliers", asking_recover)
+                monkeypatch.setattr(module, "recover_multipliers", counting_recover)
 
     rep = certify(spec, candidate, config)
     assert rep.path == path
     assert dumps_canonical(report_to_doc(rep)) == want
-    # every distinct request computed, and computed once
+    # every distinct Lagrangian computed, and computed once; one recovery
     assert len(computed_lags) == len(set(computed_lags)) and set(computed_lags) == asked_lags
-    assert len(computed_recs) == len(set(computed_recs)) and set(computed_recs) == asked_recs
-    assert computed_recs and frozen and all(frozen)
+    assert recs == [config.tol_act] and frozen and all(frozen)
     # the memo closes with the call: a second call computes again
-    lags, recs = len(computed_lags), len(computed_recs)
+    lags = len(computed_lags)
     certify(spec, candidate, config)
     assert computed_lags[lags:] == computed_lags[:lags]
-    assert computed_recs[recs:] == computed_recs[:recs]
-    # within one scope the memo keeps distinct multipliers and tolerances apart
+    assert recs == [config.tol_act] * 2
+    # within one scope the memo keeps distinct multipliers apart
     with bundle_memo():
         bundle = eval_bundle(spec, candidate.x, near)
         lam = np.zeros(spec.m2)
@@ -1046,9 +1045,10 @@ def test_lagrangian_and_multipliers_computed_once_per_call(config, monkeypatch, 
         lam[0] = 1.0
         grads = [lagrangian_eval(bundle, [], v).grad_y.tolist() for v in (lam, 2 * lam)]
         assert grads[0] != grads[1]
-        actives = [recover_multipliers(spec, candidate.x, near, CheckConfig(tol_act=tol)).active
-                   for tol in (1e-8, 1e-2)]
-        assert actives == [(), tuple(range(spec.m2))]
+    # tol_act picks the active set the multipliers are recovered on
+    actives = [recover_multipliers(spec, candidate.x, near, CheckConfig(tol_act=tol)).active
+               for tol in (1e-8, 1e-2)]
+    assert actives == [(), tuple(range(spec.m2))]
 
 
 # two inequalities active with positive multipliers at x = y = 0, so the
@@ -1064,54 +1064,37 @@ TWO_ACTIVE_TEXT = ("dims 2 2 0 2 0 0\n"
 ])
 def test_licq_sigma_computed_once_per_point(config, monkeypatch, text, x):
     """The inner LICQ check reads the sigma_min of (J_y h; J_y g[active]):
-    one SVD per distinct (bundle, active) inside one `certify` call."""
+    one `licq_sigma` call and one SVD per `certify` call."""
     from minimaxcert import lower
     from minimaxcert.fixtures import load_fixture
-    from minimaxcert.problem import bundle_memo, eval_bundle, parse_problem
+    from minimaxcert.problem import eval_bundle, parse_problem
 
     spec = load_fixture("P1") if text is None else parse_problem(text)
     candidate = CandidatePoint(x, x)
     want = dumps_canonical(report_to_doc(certify(spec, candidate, config)))
-    svd, compute, licq_sigma = (lower.smallest_singular_value, lower._licq_sigma,
-                                lower.licq_sigma)
-    svds, computed, asked = [], [], []
-
-    def key(bundle, active):
-        return bundle.x.tobytes(), bundle.y.tobytes(), active
+    svd, licq_sigma = lower.smallest_singular_value, lower.licq_sigma
+    svds, asked = [], []
 
     def counting_svd(M):
         svds.append(M.shape)
         return svd(M)
 
-    def counting_compute(bundle, active):
-        computed.append(key(bundle, active))
-        return compute(bundle, active)
-
     def asking(bundle, active):
-        asked.append(key(bundle, active))
+        asked.append(active)
         return licq_sigma(bundle, active)
 
     monkeypatch.setattr(lower, "smallest_singular_value", counting_svd)
-    monkeypatch.setattr(lower, "_licq_sigma", counting_compute)
     monkeypatch.setattr(lower, "licq_sigma", asking)
 
     rep = certify(spec, candidate, config)
     assert rep.path == PATH_SMOOTH
     assert dumps_canonical(report_to_doc(rep)) == want
-    # each distinct request runs one SVD
-    assert len(svds) == len(computed) == len(set(computed)) >= 1
-    assert set(computed) == set(asked)
-    # the memo closes with the call: a second call computes again
-    done = len(computed)
-    certify(spec, candidate, config)
-    assert computed[done:] == computed[:done]
-    # within one scope the memo keeps distinct active sets apart
+    assert len(svds) == len(asked) == 1
+    # sigma is +inf without constraint rows, finite with them
     actives = [(), *[tuple(range(k)) for k in range(1, spec.m2 + 1)]]
-    with bundle_memo():
-        bundle = eval_bundle(spec, candidate.x, candidate.y)
-        sigmas = [lower.licq_sigma(bundle, a) for a in actives]
-        assert sigmas == [compute(bundle, a) for a in actives]
-        assert sigmas[0] == np.inf and np.isfinite(sigmas[1:]).all()
+    bundle = eval_bundle(spec, candidate.x, candidate.y)
+    sigmas = [licq_sigma(bundle, a) for a in actives]
+    assert sigmas[0] == np.inf and np.isfinite(sigmas[1:]).all()
 
 
 @pytest.mark.parametrize("case", ["P2", "P2-supplied", "selector"])
@@ -1134,8 +1117,8 @@ def test_inner_point_analysed_once(config, monkeypatch, case):
         spec = load_fixture("P2")
         candidate = CandidatePoint([0.0], [0.0], lam=[5e-9] if case == "P2-supplied" else None)
     want = dumps_canonical(report_to_doc(certify(spec, candidate, config)))
-    build, eig, licq = (lower._critical_curvature, lower.max_eigenvalue_on_subspace,
-                        lower._licq_sigma)
+    build, eig, licq = (lower.critical_curvature, lower.max_eigenvalue_on_subspace,
+                        lower.licq_sigma)
     lags, eigs, svds = [], [], []
 
     def counting_build(bundle, lag, partition):
@@ -1150,9 +1133,9 @@ def test_inner_point_analysed_once(config, monkeypatch, case):
         svds.append(active)
         return licq(bundle, active)
 
-    monkeypatch.setattr(lower, "_critical_curvature", counting_build)
+    monkeypatch.setattr(lower, "critical_curvature", counting_build)
     monkeypatch.setattr(lower, "max_eigenvalue_on_subspace", counting_eig)
-    monkeypatch.setattr(lower, "_licq_sigma", counting_licq)
+    monkeypatch.setattr(lower, "licq_sigma", counting_licq)
 
     rep = certify(spec, candidate, config)
     assert rep.path == PATH_NONSMOOTH
@@ -1169,15 +1152,14 @@ def test_inner_point_analysed_once(config, monkeypatch, case):
 ])
 def test_classify_path_builds_one_analysis(config, monkeypatch, name, lam, path):
     """`classify_path` builds one inner analysis at one multiplier set, so
-    what no memo can merge across two Lagrangians runs once: the LICQ SVD
-    and the critical cone with its hull bound.  The least-squares recovery
-    runs once without supplied multipliers and not at all when they pass
-    the KKT test, as lam = 5e-9 does at P2's origin (`certify-P2-lambda-small`;
-    least squares gives 0).  No bundle memo is open, so every request counts."""
+    the LICQ SVD and the critical cone with its hull bound run once.  The
+    least-squares recovery runs once without supplied multipliers and not
+    at all when they pass the KKT test, as lam = 5e-9 does at P2's origin
+    (`certify-P2-lambda-small`; least squares gives 0)."""
     from minimaxcert import lower
     from minimaxcert.fixtures import load_fixture
 
-    calls = dict.fromkeys(("_licq_sigma", "_critical_curvature", "_recover_multipliers"), 0)
+    calls = dict.fromkeys(("licq_sigma", "critical_curvature", "recover_multipliers"), 0)
     for fn in calls:
         def counting(*args, _fn=fn, _original=getattr(lower, fn)):
             calls[_fn] += 1
@@ -1186,10 +1168,44 @@ def test_classify_path_builds_one_analysis(config, monkeypatch, name, lam, path)
 
     decision = classify_path(load_fixture(name), CandidatePoint([0.0], [0.0], lam=lam), config)
     assert decision.path == path
-    assert calls == {"_licq_sigma": 1, "_critical_curvature": 1,
-                     "_recover_multipliers": 0 if lam else 1}
+    assert calls == {"licq_sigma": 1, "critical_curvature": 1,
+                     "recover_multipliers": 0 if lam else 1}
     # the path runs at the multipliers the analysis settled on
     assert decision.lam.tolist() == (lam or [0.0])
+
+
+def test_every_memo_kind_is_read_again_within_a_call(monkeypatch):
+    """A per-call memo earns its keep only when what it holds is asked for
+    again: over `certify` at the reference points, every kind of entry that
+    is filled is read back within its call, and the kinds are the bundle
+    per (spec, x, y), the outer data per (spec, x), the Lagrangian per
+    (bundle, mu, lam) and the cone walk's root eigenpair per (M, E)."""
+    import sys
+    from collections import Counter
+
+    from minimaxcert.fixtures import load_fixture
+    from minimaxcert.problem import memoised
+
+    filled, read = Counter(), Counter()
+
+    def counting(owner, key, compute):
+        fresh = []
+
+        def computing():
+            fresh.append(key[0])
+            return compute()
+
+        value = memoised(owner, key, computing)
+        (filled if fresh else read)[key[0]] += 1
+        return value
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minimaxcert") and getattr(module, "memoised", None) is memoised:
+            monkeypatch.setattr(module, "memoised", counting)
+    for name, x in (("P1", 0.0), ("P1", 0.5), ("P2", 0.0), ("P3", 0.0), ("P4", 1.0)):
+        certify(load_fixture(name), CandidatePoint([x], [x]), CheckConfig())
+    assert set(read) == set(filled), f"filled {dict(filled)}, read back {dict(read)}"
+    assert set(filled) == {"bundle", "upper", "lagrangian", "face"}
 
 
 # --- the remaining ValueErrors become evaluation error checks -----------------------
@@ -1753,6 +1769,57 @@ def test_relabelling_y_and_g_keeps_the_verdict(perm, config):
     assert relabelled.verdict == base.verdict == VERDICT_NECESSARY
     assert [(c.name, c.status) for c in relabelled.results] == [
         (c.name, c.status) for c in base.results]
+
+
+def _relabel_x(text, perm):
+    """The problem of `text` with each x_k renamed x_{perm[k-1]+1}."""
+    import re
+
+    return re.sub(r"\bx(\d+)\b", lambda m: f"x{perm[int(m.group(1)) - 1] + 1}", text)
+
+
+def _padded_fixture(name):
+    """The n = 1 fixture `name` with two more outer variables, each a strict
+    minimiser at 0, so that relabelling x moves x1."""
+    lines = fixture_text(name).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("dims"))
+    lines[at] = "dims 3" + lines[at][len("dims 1"):]
+    at = next(i for i, line in enumerate(lines) if line.startswith("f ="))
+    lines[at] += " + x2^2 + 2*x3^2"
+    return "\n".join(lines) + "\n"
+
+
+def _relabelling_cases(source):
+    """(problem text, x, y, expected verdict or None) per case."""
+    if source == "lattice":
+        wl = perfbench_workloads()
+        lattice = wl.LatticeProblem.generate(np.random.default_rng(11), n=3, m2=2, active=1)
+        rng = np.random.default_rng(12)
+        for k, shifted in (([0, 1, -1], False), ([1, 0, 2], False), ([0, 1, -1], True),
+                           ([-1, 2, 0], True)):
+            c = lattice.candidate(np.array(k), wl._shift(rng, 3) if shifted else None)
+            yield lattice.text(), c.x, c.y, c.verdict
+    else:
+        for name, x in (("P1", 0.0), ("P1", 0.5), ("P2", 0.0), ("P3", 0.0), ("P4", 1.0)):
+            yield _padded_fixture(name), (x, 0.0, 0.0), (x,), None
+
+
+@pytest.mark.parametrize("source", ["lattice", "fixtures"])
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+def test_relabelling_x_keeps_the_verdict(perm, source, config):
+    from minimaxcert.problem import parse_problem
+
+    # x_k becomes x_perm[k], in the text and in the candidate; y keeps its labels
+    for text, x, y, verdict in _relabelling_cases(source):
+        moved = [0.0] * 3
+        for k, v in enumerate(x):
+            moved[perm[k]] = v
+        base = certify(parse_problem(text), CandidatePoint(x, y), config)
+        relabelled = certify(parse_problem(_relabel_x(text, perm)),
+                             CandidatePoint(moved, y), config)
+        assert relabelled.verdict == base.verdict == (verdict or base.verdict)
+        assert [(c.name, c.status) for c in relabelled.results] == [
+            (c.name, c.status) for c in base.results]
 
 
 # --- metamorphic: an inactive inner constraint ----------------------------------

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -521,6 +522,17 @@ def test_bad_config_key_is_usage_error(prob_files, tmp_path, capsys):
         assert "unknown config key" in capsys.readouterr().err
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             CheckConfig(**{key: value})
+
+
+def test_duplicate_config_key_names_its_line(prob_files, tmp_path, capsys):
+    # a repeated key is a mistake in the file, not an override of the first
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("tol_act = 1e-6\n# looser\ntol_act = 1e-8\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}:3: duplicate config key 'tol_act'")):
+        CheckConfig.from_file(str(cfg))
+    assert main(["certify", prob_files["P1"], "--x", "0", "--y", "0",
+                 "--config", str(cfg)]) == 1
+    assert "duplicate config key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["certify", "oracle"])
